@@ -2,7 +2,8 @@
 
 Subcommands: ``train``, ``sample-ground-truth``, ``evaluate``, ``diagnose``,
 ``make-blr-data``, plus preset inspection helpers.  Heavy numerical imports
-happen inside the command handlers so the thread-count pin below can take
+happen inside the command handlers, after ``_prepare`` has pinned the thread
+count (``--threads``, else the config's ``run.threads``), so the pin takes
 effect before the BLAS runtime loads.
 """
 
@@ -42,12 +43,12 @@ def _load_flat_config(args) -> dict:
 
 
 def _prepare(args):
-    from .configio import ExperimentConfig, build_target, validate_against_target
+    from .configio import ExperimentConfig, build_target, thread_count, validate_against_target
 
     flat = _load_flat_config(args)
+    # before from_flat, which is the first to load numpy
+    _pin_threads(args.threads if args.threads is not None else thread_count(flat))
     config = ExperimentConfig.from_flat(flat)
-    threads = args.threads if args.threads is not None else config.threads
-    _pin_threads(threads)
     out_dir = Path(args.out) if args.out else Path("runs") / config.name
     out_dir.mkdir(parents=True, exist_ok=True)
     data_dir = Path(args.data_dir) if args.data_dir else out_dir
@@ -70,6 +71,7 @@ def _base_manifest(config, started, finished):
 
 
 def cmd_train(args) -> int:
+    config, target, out_dir = _prepare(args)  # first: it pins the thread count
     import numpy as np
 
     from .configio import format_config
@@ -78,7 +80,6 @@ def cmd_train(args) -> int:
     from .runio import save_checkpoint, write_manifest, write_samples_csv, write_trace_csv
     from .train import train
 
-    config, target, out_dir = _prepare(args)
     init = siv_init(NetArch(config.widths), config.init_seed, config.rho_init)
     started = time.perf_counter()
     params, trace = train(config.train, target, init)
@@ -110,11 +111,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_ground_truth(args) -> int:
+    config, target, out_dir = _prepare(args)  # first: it pins the thread count
     from .configio import format_config
     from .runio import write_manifest, write_samples_csv
     from .samplers import SamplerConfig, mala_run, sgld_run
 
-    config, target, out_dir = _prepare(args)
     s = config.sampler
     sampler_config = SamplerConfig(
         n_particles=s["n_particles"],
@@ -328,20 +329,25 @@ def main(argv=None) -> int:
     if getattr(args, "threads", None):
         _pin_threads(args.threads)
     from .configio import ConfigError
-    from .samplers import SamplerDivergence
-    from .train import TrainingDivergence
 
     try:
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (TrainingDivergence, SamplerDivergence) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        # imported only here: both modules load numpy, and a config's
+        # run.threads must be pinned before that happens
+        from .samplers import SamplerDivergence
+        from .train import TrainingDivergence
+
+        if not isinstance(err, (TrainingDivergence, SamplerDivergence)):
+            raise
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

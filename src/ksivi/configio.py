@@ -90,6 +90,28 @@ def load_config_file(path) -> dict:
     return parse_config_text(Path(path).read_text())
 
 
+def _take(flat, key, default=None, required=False, kind=None):
+    if key not in flat:
+        if required:
+            raise ConfigError(key, "missing required key")
+        return default
+    value = flat[key]
+    if kind is not None and not isinstance(value, kind):
+        if kind is float and isinstance(value, int):
+            return float(value)
+        raise ConfigError(key, f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def thread_count(flat: dict) -> int:
+    """``run.threads`` of a flat config; 0 leaves the BLAS default.
+
+    Read without loading numpy, so the count can be pinned before the BLAS
+    runtime starts; ``ExperimentConfig.from_flat`` loads numpy.
+    """
+    return _take(flat, "run.threads", 0, kind=int)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment settings; see ``from_flat`` for the schema."""
@@ -118,16 +140,7 @@ class ExperimentConfig:
         flat = dict(flat)
 
         def take(key, default=None, required=False, kind=None):
-            if key not in flat:
-                if required:
-                    raise ConfigError(key, "missing required key")
-                return default
-            value = flat[key]
-            if kind is not None and not isinstance(value, kind):
-                if kind is float and isinstance(value, int):
-                    return float(value)
-                raise ConfigError(key, f"expected {kind.__name__}, got {type(value).__name__}")
-            return value
+            return _take(flat, key, default, required, kind)
 
         master_seed = take("run.seed", 0, kind=int)
         name = take("experiment.name", defaults_name, kind=str)
@@ -196,7 +209,7 @@ class ExperimentConfig:
             eval_seed=take("eval.seed", master_seed + 2, kind=int),
             metrics=tuple(metrics),
             master_seed=master_seed,
-            threads=take("run.threads", 0, kind=int),
+            threads=thread_count(flat),
             trace_wallclock=take("output.trace_wallclock", False, kind=bool),
             flat=flat,
         )

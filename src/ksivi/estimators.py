@@ -21,8 +21,11 @@ chain rule routes four contributions through the reparameterization
 Rather than looping over pairs, the per-sample upstream vectors are
 aggregated with matrix products first and pulled back once per sample: a
 single batched network backward pass plus one batched Hessian-vector product
-per batch.  The kernel bandwidth is treated as a constant here; dynamic
-bandwidth selection happens in the training loop before the estimator runs.
+per batch.  The score and the Hessian-vector operator of a batch come from one
+``target.score_and_hvp`` call, so a target that shares work between them
+(logistic regression reuses its logits and sigmoid) does it once per batch.
+The kernel bandwidth is treated as a constant here; dynamic bandwidth
+selection happens in the training loop before the estimator runs.
 """
 
 from __future__ import annotations
@@ -85,15 +88,22 @@ def ksd2_estimate(params, target, kernel, batches, kind="vanilla", beta_temp=1.0
     return value
 
 
-def _pullback(params, batch, f_upstream, x_upstream, target, beta_temp):
+def _residuals(batch, params, target, beta_temp):
+    """Residuals ``f`` at the batch and the operator ``V -> H(x) V`` there."""
+    score, hvp = target.score_and_hvp(batch.x)
+    return f_vectors(batch, params, target, beta_temp, score=score), hvp
+
+
+def _pullback(params, batch, f_upstream, x_upstream, hvp, beta_temp):
     """Flat gradient of ``sum_i <x_upstream_i, x_i> + <f_upstream_i, f_i>``.
 
     ``x_i`` and ``f_i`` are functions of the parameters under frozen base
-    randomness.  The target enters through its Hessian: the x-sensitivity of
-    ``f = beta * s_p(x) + xi/sigma`` is ``beta * H(x)``.
+    randomness.  The target enters through its Hessian operator ``hvp`` at
+    the batch: the x-sensitivity of ``f = beta * s_p(x) + xi/sigma`` is
+    ``beta * H(x)``.
     """
     sigma = params.sigma
-    total_x = x_upstream + beta_temp * target.hvp(batch.x, f_upstream)
+    total_x = x_upstream + beta_temp * hvp(f_upstream)
     g_net = net_vjp_batch_sum(params.net, batch.tape, total_x)
     g_rho = sigma * (total_x * batch.xi).sum(axis=0) - (f_upstream * batch.xi).sum(axis=0) / sigma
     return np.concatenate([g_net, g_rho])
@@ -102,12 +112,12 @@ def _pullback(params, batch, f_upstream, x_upstream, target, beta_temp):
 def value_and_grad(params, target, kernel, batches, kind="vanilla", beta_temp=1.0, reg_weight=0.0):
     """Estimate the objective and its exact flat gradient in one pass."""
     b1, b2 = _as_batch_pair(batches, kind)
-    f1 = f_vectors(b1, params, target, beta_temp)
+    f1, hvp1 = _residuals(b1, params, target, beta_temp)
     if kind == "vanilla":
         n = len(b1)
         if len(b2) != n:
             raise ValueError("the two batches must have equal size")
-        f2 = f_vectors(b2, params, target, beta_temp)
+        f2, hvp2 = _residuals(b2, params, target, beta_temp)
         gram = eval_matrix(kernel, b1.x, b2.x)
         inner = f1 @ f2.T
         value = float((gram * inner).mean())
@@ -121,8 +131,8 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", beta_temp=1.
             coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
             v1 = v1 + coeff * diag_values(kernel, n)[:, None] * f1
             v2 = v2 + coeff * diag_values(kernel, n)[:, None] * f2
-        grad = _pullback(params, b1, v1, u1, target, beta_temp)
-        grad += _pullback(params, b2, v2, u2, target, beta_temp)
+        grad = _pullback(params, b1, v1, u1, hvp1, beta_temp)
+        grad += _pullback(params, b2, v2, u2, hvp2, beta_temp)
         return value, grad
 
     n = len(b1)
@@ -140,7 +150,7 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", beta_temp=1.
     if reg_weight > 0.0:
         value += _regularizer_value(kernel, (f1,), reg_weight)
         v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1
-    grad = _pullback(params, b1, v1, u1, target, beta_temp)
+    grad = _pullback(params, b1, v1, u1, hvp1, beta_temp)
     return value, grad
 
 

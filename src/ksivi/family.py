@@ -121,13 +121,19 @@ def conditional_score(sample: SampleTriple | SampleBatch, params: SIVParams) -> 
     return -sample.xi / params.sigma
 
 
-def f_vectors(batch: SampleBatch, params: SIVParams, target, beta_temp: float = 1.0) -> np.ndarray:
+def f_vectors(
+    batch: SampleBatch, params: SIVParams, target, beta_temp: float = 1.0, score=None
+) -> np.ndarray:
     """Tempered score residuals ``beta * s_p(x) + xi / sigma``, shape (n, d).
 
     This is the difference between the (tempered) target score and the
     conditional score, the quantity every discrepancy estimator consumes.
+    ``score``, the target score at ``batch.x``, saves the target call when
+    the caller already has it.
     """
-    return beta_temp * target.score(batch.x) + batch.xi / params.sigma
+    if score is None:
+        score = target.score(batch.x)
+    return beta_temp * score + batch.xi / params.sigma
 
 
 def f_vector(triple: SampleTriple, params: SIVParams, target, beta_temp: float = 1.0) -> np.ndarray:

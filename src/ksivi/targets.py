@@ -5,6 +5,12 @@ Every target exposes an unnormalized log-density, its analytic score
 over a leading batch axis.  Normalizing constants are dropped throughout;
 only score, Hessian-vector products, and log-density differences are ever
 consumed downstream.
+
+The discrepancy estimators need the score and Hessian-vector products at the
+same batch, so ``score_and_hvp`` returns the score together with an operator
+``V -> H(x) V`` bound to those points.  Logistic regression overrides it: one
+logits product and one sigmoid serve both, and its ``score`` and ``hvp`` are
+the two halves of that one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ class TargetModel:
 
     Subclasses implement ``_logp``, ``_score``, ``_hvp`` on (n, d) batches;
     the public methods accept single points or batches and return matching
-    shapes.  ``sample_exact`` is optional.
+    shapes.  ``score_and_hvp`` gives the score and a Hessian-vector operator
+    at one batch.  ``sample_exact`` is optional.
     """
 
     dim: int
@@ -59,12 +66,17 @@ class TargetModel:
         out = self._hvp(X, V)
         return out[0] if single else out
 
+    def score_and_hvp(self, x):
+        """Score at a batch and the operator ``V -> H(x) V`` at the same points.
+
+        A single point is a batch of one.  Targets whose score and Hessian
+        share work override this so that the work is done once per batch.
+        """
+        X, _ = _as_batch(x, self.dim)
+        return self.score(X), lambda V: self.hvp(X, V)
+
     def sample_exact(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no exact sampler")
-
-    @property
-    def has_exact_sampler(self) -> bool:
-        return type(self).sample_exact is not TargetModel.sample_exact
 
     def _logp(self, X):
         raise NotImplementedError
@@ -266,26 +278,28 @@ class LogisticRegression(TargetModel):
         ll = (self.labels[:, None] * T - np.logaddexp(0.0, T)).sum(axis=0)
         return ll - 0.5 * self.alpha * (B**2).sum(axis=1)
 
+    def score_and_hvp(self, x):
+        B, _ = _as_batch(x, self.dim)
+        s = _sigmoid(self._logits(B))
+        score = (self.design.T @ (self.labels[:, None] - s)).T - self.alpha * B
+
+        def hvp(V):
+            w = s * (1.0 - s)
+            U = self.design @ V.T
+            return -(self.design.T @ (w * U)).T - self.alpha * V
+
+        return score, hvp
+
     def _score(self, B):
-        T = self._logits(B)
-        resid = self.labels[:, None] - _sigmoid(T)
-        return (self.design.T @ resid).T - self.alpha * B
+        return self.score_and_hvp(B)[0]
 
     def _hvp(self, B, V):
-        T = self._logits(B)
-        s = _sigmoid(T)
-        w = s * (1.0 - s)
-        U = self.design @ V.T
-        return -(self.design.T @ (w * U)).T - self.alpha * V
+        return self.score_and_hvp(B)[1](V)
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function without overflow: both exponents are at most 0."""
+    return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
 
 
 def load_blr_dataset(path, alpha=0.01) -> LogisticRegression:
@@ -478,3 +492,7 @@ class Tempered(TargetModel):
 
     def _hvp(self, X, V):
         return self.beta * self.base._hvp(X, V)
+
+    def score_and_hvp(self, x):
+        score, hvp = self.base.score_and_hvp(x)
+        return self.beta * score, lambda V: self.beta * hvp(V)

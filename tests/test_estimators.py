@@ -5,7 +5,13 @@ from ksivi.estimators import grad_ustat, grad_vanilla, ksd2_estimate, value_and_
 from ksivi.family import SIVParams, reparameterize, siv_init, siv_sample_batch
 from ksivi.kernels import KernelSpec, kernel_eval
 from ksivi.nets import NetArch, NetParams
-from ksivi.targets import Banana, diagonal_gaussian
+from ksivi.targets import (
+    Banana,
+    LogisticRegression,
+    TargetModel,
+    diagonal_gaussian,
+    make_waveform_dataset,
+)
 
 from helpers import central_difference_gradient, gauss_hermite_expectation_2d, relative_error
 
@@ -261,3 +267,41 @@ class TestArgumentValidation:
         batch = siv_sample_batch(params, 4, np.random.default_rng(17))
         with pytest.raises(ValueError):
             ksd2_estimate(params, Banana(), RBF, batch, "bogus")
+
+
+class SeparateScoreAndHvp(LogisticRegression):
+    """Logistic regression with the base-class ``score_and_hvp``: the score
+    and every HVP application each make their own logits and sigmoid pass."""
+
+    score_and_hvp = TargetModel.score_and_hvp
+
+    def _score(self, B):
+        return LogisticRegression.score_and_hvp(self, B)[0]
+
+    def _hvp(self, B, V):
+        return LogisticRegression.score_and_hvp(self, B)[1](V)
+
+
+class TestSharedTargetPass:
+    @pytest.mark.parametrize("kind", ["vanilla", "ustat"])
+    def test_blr_matches_separate_score_and_hvp(self, kind):
+        features, labels = make_waveform_dataset(n_rows=40, seed=2)
+        design = np.concatenate([np.ones((40, 1)), features], axis=1)
+        shared = LogisticRegression(design, labels)
+        separate = SeparateScoreAndHvp(design, labels)
+        params = siv_init(NetArch((4, 16, 22)), seed=3, rho_init=-1.0)
+        rng = np.random.default_rng(4)
+        batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
+        arg = batches if kind == "vanilla" else batches[0]
+        logits_calls = []
+
+        def counted_logits(B):
+            logits_calls.append(B.shape[0])
+            return LogisticRegression._logits(shared, B)
+
+        shared._logits = counted_logits
+        value, grad = value_and_grad(params, shared, RBF, arg, kind, beta_temp=0.7, reg_weight=0.2)
+        ref_value, ref_grad = value_and_grad(params, separate, RBF, arg, kind, beta_temp=0.7, reg_weight=0.2)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        assert logits_calls == [12] * (2 if kind == "vanilla" else 1)  # one pass per batch

@@ -1,11 +1,15 @@
 import json
 import math
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ksivi
 from ksivi.cli import main
 from ksivi.configio import (
     ConfigError,
@@ -306,6 +310,44 @@ class TestCLI:
         text = capsys.readouterr().out
         assert parse_config_text(text)["train.iterations"] == 50_000
         assert main(["show-preset", "nope"]) == 2
+
+    def test_config_threads_pinned_before_numpy_loads(self, tmp_path):
+        # a fresh interpreter records the BLAS thread variables at the moment
+        # numpy is first looked up, before it appears in sys.modules
+        thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        script = f"""
+import json, os, sys
+
+seen = {{}}
+
+
+class NumpyImportProbe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            assert "numpy" not in sys.modules
+            seen.update({{v: os.environ.get(v) for v in {thread_vars!r}}})
+        return None
+
+
+sys.meta_path.insert(0, NumpyImportProbe())
+from ksivi.cli import main
+
+code = main(sys.argv[1:])
+print(json.dumps({{"code": code, "seen": seen}}))
+"""
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG + "run.threads = 1\n")
+        env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+        src = str(Path(ksivi.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["train", str(config_path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert record["code"] == 0
+        assert record["seen"] == {v: "1" for v in thread_vars}
 
     def test_preset_data_generation(self, tmp_path, capsys):
         # blr preset generates its dataset on first use

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksivi.targets import (
     Banana,
@@ -8,6 +12,7 @@ from ksivi.targets import (
     LogisticRegression,
     StudentTProduct,
     Tempered,
+    _sigmoid,
     diagonal_gaussian,
     euler_maruyama_path,
     generate_cd_observations,
@@ -88,6 +93,53 @@ class TestDerivativeConsistency:
             assert np.allclose(hv[i], target.hvp(X[i], V[i]), rtol=1e-10, atol=1e-12)
 
 
+SHARED_TARGETS = [(name, target) for name, target, _ in ALL_TARGETS]
+SHARED_TARGETS.append(("tempered-blr", Tempered(make_blr_target(), 0.3)))
+
+
+@pytest.mark.parametrize("name,target", SHARED_TARGETS, ids=[t[0] for t in SHARED_TARGETS])
+def test_score_and_hvp_matches_separate_calls(name, target):
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((7, target.dim))
+    V = rng.standard_normal((7, target.dim))
+    score, hvp = target.score_and_hvp(X)
+    assert np.array_equal(score, target.score(X))
+    assert np.array_equal(hvp(V), target.hvp(X, V))
+
+
+def sigmoid_reference(t):
+    """The boolean-mask logistic function the branch-free one replaced."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def assert_matches_reference(self, t):
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid(t)
+        assert np.array_equal(got, sigmoid_reference(t), equal_nan=True)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_random_blocks(self, scale):
+        self.assert_matches_reference(scale * np.random.default_rng(8).standard_normal((300, 40)))
+
+    def test_special_values(self):
+        magnitudes = [0.0, np.inf, 700.5, 745.2, 800.0, 5e-324]
+        t = np.array(magnitudes + [-m for m in magnitudes] + [np.nan])
+        assert np.signbit(t[len(magnitudes)])  # -0.0 is in the set
+        self.assert_matches_reference(t)
+
+    def test_non_contiguous_input(self):
+        t = 50.0 * np.random.default_rng(9).standard_normal((60, 45))
+        self.assert_matches_reference(t.T)
+        self.assert_matches_reference(t[1::3, ::2])
+
+
 class TestBanana:
     def test_score_zero_at_pullback_origin(self):
         assert np.allclose(Banana().score(np.array([0.0, 1.0])), 0.0)
@@ -161,6 +213,37 @@ class TestLogisticRegression:
             v = rng.standard_normal(target.dim)
             quad = float(target.hvp(beta, v) @ v)
             assert quad <= -target.alpha * float(v @ v) + 1e-9
+
+    def test_score_and_hvp_match_separate_formulas(self):
+        # the shared pass gives the bits of the former per-method formulas
+        target = make_blr_target(n_rows=50)
+        rng = np.random.default_rng(12)
+        B = 3.0 * rng.standard_normal((9, target.dim))
+        V = rng.standard_normal((9, target.dim))
+        s = sigmoid_reference(target.design @ B.T)
+        score = (target.design.T @ (target.labels[:, None] - s)).T - target.alpha * B
+        w = s * (1.0 - s)
+        hvp = -(target.design.T @ (w * (target.design @ V.T))).T - target.alpha * V
+        assert np.array_equal(target.score(B), score)
+        assert np.array_equal(target.hvp(B, V), hvp)
+
+    # Fixed examples: with logits past 700, |logp| reaches thousands and its
+    # finite differences carry about 1e-8 of roundoff, which about one draw in
+    # 3000 puts above a near-zero score component's 1e-4 relative bound.
+    @given(seed=st.integers(0, 2**32 - 1), reach=st.floats(701.0, 900.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_derivatives_with_logits_past_700(self, seed, reach):
+        target = make_blr_target()
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(target.dim)
+        beta = u * (reach / np.abs(target.design @ u).max())
+        assert np.abs(target.design @ beta).max() > 700.0
+        fd = central_difference_gradient(target.logp, beta, step=1e-5)
+        assert relative_error(target.score(beta), fd, floor=1e-6).max() < 1e-4
+        v = rng.standard_normal(target.dim)
+        step = 1e-5
+        fd = (target.score(beta + step * v) - target.score(beta - step * v)) / (2.0 * step)
+        assert relative_error(target.hvp(beta, v), fd, floor=1e-4).max() < 1e-4
 
     def test_loader_round_trip(self, tmp_path):
         features, labels = make_waveform_dataset(n_rows=17, seed=5)
