@@ -326,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        _pin_threads(args.threads)
     from .configio import ConfigError
 
     try:

@@ -103,6 +103,18 @@ def _take(flat, key, default=None, required=False, kind=None):
     return value
 
 
+class _KeyReads(dict):
+    """A flat config that records every key ``_take`` asks for (with ``in``)."""
+
+    def __init__(self, flat):
+        super().__init__(flat)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 def thread_count(flat: dict) -> int:
     """``run.threads`` of a flat config; 0 leaves the BLAS default.
 
@@ -134,10 +146,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_flat(cls, flat: dict, defaults_name: str = "custom") -> "ExperimentConfig":
+        """Resolve a flat config, rejecting keys outside ``target.*`` that no setting reads."""
         from .kernels import KernelSpec
         from .train import TrainConfig
 
-        flat = dict(flat)
+        flat = _KeyReads(flat)
 
         def take(key, default=None, required=False, kind=None):
             return _take(flat, key, default, required, kind)
@@ -196,7 +209,7 @@ class ExperimentConfig:
 
         metrics = take("metrics.list", ["sliced_wd", "kl_knn", "mmd2", "corr"], kind=list)
 
-        return cls(
+        config = cls(
             name=name,
             target_name=target_name,
             target_params=target_params,
@@ -211,8 +224,12 @@ class ExperimentConfig:
             master_seed=master_seed,
             threads=thread_count(flat),
             trace_wallclock=take("output.trace_wallclock", False, kind=bool),
-            flat=flat,
+            flat=dict(flat),
         )
+        unknown = sorted(k for k in flat if k not in flat.read and not k.startswith("target."))
+        if unknown:
+            raise ConfigError(", ".join(unknown), "unknown key")
+        return config
 
     def resolved_flat(self) -> dict:
         """Flat dict with every derived default materialized."""

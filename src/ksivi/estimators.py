@@ -2,10 +2,11 @@
 
 The population objective pairs two independent draws (x, z), (x', z') of the
 hierarchical family and averages ``k(x, x') <f, f'>`` where
-``f = s_p(x) - s_cond(x) = s_p(x) + xi/sigma`` is the score residual.  Two
-unbiased Monte Carlo versions are provided: a two-batch estimator averaging
-over all N^2 cross pairs, and a single-batch U-statistic excluding the
-diagonal.
+``f = s_p(x) - s_cond(x) = s_p(x) + xi/sigma`` is the score residual.
+``value_and_grad`` is the one entry point.  It computes either of two
+unbiased Monte Carlo versions together with its gradient: a two-batch
+estimator averaging over all N^2 cross pairs, and a single-batch U-statistic
+excluding the diagonal.
 
 Gradients are exact derivatives of the Monte Carlo expressions under frozen
 base randomness (z, xi).  For each pair term ``k(x_i, x_j) <f_i, f_j>`` the
@@ -25,15 +26,18 @@ per batch.  The score and the Hessian-vector operator of a batch come from one
 ``target.score_and_hvp`` call, so a target that shares work between them
 (logistic regression reuses its logits and sigmoid) does it once per batch.
 The kernel bandwidth is treated as a constant here; dynamic bandwidth
-selection happens in the training loop before the estimator runs.
+selection happens in the training loop before the estimator runs.  Tempering
+comes in through the target: the training loop passes
+``targets.Tempered(target, beta)``, whose score and Hessian carry the factor
+beta, so the estimator has no temperature of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .family import SampleBatch, SIVParams, f_vectors
-from .kernels import KernelSpec, diag_values, eval_matrix, weighted_grad1_sum
+from .family import SampleBatch, f_vectors
+from .kernels import diag_values, eval_matrix, weighted_grad1_sum
 from .nets import net_vjp_batch_sum
 
 ESTIMATOR_KINDS = ("vanilla", "ustat")
@@ -47,8 +51,6 @@ def _as_batch_pair(batches, kind):
     if kind == "ustat":
         if isinstance(batches, SampleBatch):
             return batches, None
-        if isinstance(batches, (tuple, list)) and len(batches) == 1:
-            return batches[0], None
         raise ValueError("the U-statistic estimator needs a single sample batch")
     raise ValueError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
 
@@ -61,63 +63,39 @@ def _regularizer_value(kernel, f_blocks, reg_weight):
     return reg_weight * total / n_total
 
 
-def ksd2_estimate(params, target, kernel, batches, kind="vanilla", beta_temp=1.0, reg_weight=0.0):
-    """Unbiased Monte Carlo estimate of the squared discrepancy.
-
-    With ``reg_weight > 0`` the diagonal penalty used as the training
-    objective's regularizer is added, so the returned value is exactly what
-    the gradient estimators differentiate.
-    """
-    b1, b2 = _as_batch_pair(batches, kind)
-    f1 = f_vectors(b1, params, target, beta_temp)
-    if kind == "vanilla":
-        f2 = f_vectors(b2, params, target, beta_temp)
-        value = float((eval_matrix(kernel, b1.x, b2.x) * (f1 @ f2.T)).mean())
-        f_blocks = (f1, f2)
-    else:
-        n = len(b1)
-        if n < 2:
-            raise ValueError("the U-statistic estimator needs at least two samples")
-        gram = eval_matrix(kernel, b1.x, b1.x)
-        inner = f1 @ f1.T
-        np.fill_diagonal(gram, 0.0)
-        value = float((gram * inner).sum() / (n * (n - 1)))
-        f_blocks = (f1,)
-    if reg_weight > 0.0:
-        value += _regularizer_value(kernel, f_blocks, reg_weight)
-    return value
-
-
-def _residuals(batch, params, target, beta_temp):
+def _residuals(batch, params, target):
     """Residuals ``f`` at the batch and the operator ``V -> H(x) V`` there."""
     score, hvp = target.score_and_hvp(batch.x)
-    return f_vectors(batch, params, target, beta_temp, score=score), hvp
+    return f_vectors(batch, params, target, score=score), hvp
 
 
-def _pullback(params, batch, f_upstream, x_upstream, hvp, beta_temp):
+def _pullback(params, batch, f_upstream, x_upstream, hvp):
     """Flat gradient of ``sum_i <x_upstream_i, x_i> + <f_upstream_i, f_i>``.
 
     ``x_i`` and ``f_i`` are functions of the parameters under frozen base
     randomness.  The target enters through its Hessian operator ``hvp`` at
-    the batch: the x-sensitivity of ``f = beta * s_p(x) + xi/sigma`` is
-    ``beta * H(x)``.
+    the batch: the x-sensitivity of ``f = s_p(x) + xi/sigma`` is ``H(x)``.
     """
     sigma = params.sigma
-    total_x = x_upstream + beta_temp * hvp(f_upstream)
+    total_x = x_upstream + hvp(f_upstream)
     g_net = net_vjp_batch_sum(params.net, batch.tape, total_x)
     g_rho = sigma * (total_x * batch.xi).sum(axis=0) - (f_upstream * batch.xi).sum(axis=0) / sigma
     return np.concatenate([g_net, g_rho])
 
 
-def value_and_grad(params, target, kernel, batches, kind="vanilla", beta_temp=1.0, reg_weight=0.0):
-    """Estimate the objective and its exact flat gradient in one pass."""
+def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0):
+    """Estimate the objective and its exact flat gradient in one pass.
+
+    ``batches``: two equal-size batches (``"vanilla"``) or one (``"ustat"``).
+    ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
+    """
     b1, b2 = _as_batch_pair(batches, kind)
-    f1, hvp1 = _residuals(b1, params, target, beta_temp)
+    f1, hvp1 = _residuals(b1, params, target)
     if kind == "vanilla":
         n = len(b1)
         if len(b2) != n:
             raise ValueError("the two batches must have equal size")
-        f2, hvp2 = _residuals(b2, params, target, beta_temp)
+        f2, hvp2 = _residuals(b2, params, target)
         gram = eval_matrix(kernel, b1.x, b2.x)
         inner = f1 @ f2.T
         value = float((gram * inner).mean())
@@ -131,8 +109,8 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", beta_temp=1.
             coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
             v1 = v1 + coeff * diag_values(kernel, n)[:, None] * f1
             v2 = v2 + coeff * diag_values(kernel, n)[:, None] * f2
-        grad = _pullback(params, b1, v1, u1, hvp1, beta_temp)
-        grad += _pullback(params, b2, v2, u2, hvp2, beta_temp)
+        grad = _pullback(params, b1, v1, u1, hvp1)
+        grad += _pullback(params, b2, v2, u2, hvp2)
         return value, grad
 
     n = len(b1)
@@ -150,19 +128,5 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", beta_temp=1.
     if reg_weight > 0.0:
         value += _regularizer_value(kernel, (f1,), reg_weight)
         v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1
-    grad = _pullback(params, b1, v1, u1, hvp1, beta_temp)
+    grad = _pullback(params, b1, v1, u1, hvp1)
     return value, grad
-
-
-def grad_vanilla(params, target, kernel, batch1, batch2, beta_temp=1.0, reg_weight=0.0):
-    """Exact gradient of the two-batch estimator over (net params, rho)."""
-    _, grad = value_and_grad(
-        params, target, kernel, (batch1, batch2), "vanilla", beta_temp, reg_weight
-    )
-    return grad
-
-
-def grad_ustat(params, target, kernel, batch, beta_temp=1.0, reg_weight=0.0):
-    """Exact gradient of the single-batch U-statistic estimator."""
-    _, grad = value_and_grad(params, target, kernel, batch, "ustat", beta_temp, reg_weight)
-    return grad

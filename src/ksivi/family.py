@@ -6,6 +6,10 @@ Gaussian conditional layer.  Samples use the reparameterization
 ``x = mu(z) + sigma * xi`` with ``sigma = exp(rho)``, so sigma is positive by
 construction and gradients pass through sampling.  The conditional score at a
 reparameterized draw is simply ``-xi / sigma``.
+
+Every draw is a batch: ``reparameterize`` builds one from base draws (z, xi),
+``siv_sample_batch`` draws those first, and ``f_vectors`` gives the score
+residuals the discrepancy estimators consume.
 """
 
 from __future__ import annotations
@@ -69,15 +73,6 @@ def siv_init(arch: NetArch, seed: int, rho_init: float | np.ndarray = 0.0) -> SI
 
 
 @dataclass
-class SampleTriple:
-    """One reparameterized draw."""
-
-    z: np.ndarray
-    xi: np.ndarray
-    x: np.ndarray
-
-
-@dataclass
 class SampleBatch:
     """A batch of reparameterized draws with the forward tape retained."""
 
@@ -89,9 +84,6 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.z.shape[0]
 
-    def triple(self, i: int) -> SampleTriple:
-        return SampleTriple(self.z[i], self.xi[i], self.x[i])
-
 
 def siv_sample_batch(params: SIVParams, n: int, rng: np.random.Generator) -> SampleBatch:
     """Draw n reparameterized samples; mixing draws come before noise draws."""
@@ -99,16 +91,14 @@ def siv_sample_batch(params: SIVParams, n: int, rng: np.random.Generator) -> Sam
         raise ValueError("batch size must be at least 1")
     z = rng.standard_normal((n, params.d_z))
     xi = rng.standard_normal((n, params.dim))
-    mu, tape = net_forward_batch(params.net, z)
-    x = mu + params.sigma * xi
-    return SampleBatch(z, xi, x, tape)
+    return reparameterize(params, z, xi)
 
 
 def reparameterize(params: SIVParams, z: np.ndarray, xi: np.ndarray) -> SampleBatch:
-    """Rebuild a sample batch from frozen base draws under new parameters.
+    """Build a sample batch from base draws (z, xi) under ``params``.
 
-    Used wherever common random numbers are needed, e.g. finite-difference
-    checks of the gradient estimators.
+    ``siv_sample_batch`` passes fresh draws; frozen ones give common random
+    numbers, e.g. for finite-difference checks of the gradient estimators.
     """
     z = np.asarray(z, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -116,26 +106,15 @@ def reparameterize(params: SIVParams, z: np.ndarray, xi: np.ndarray) -> SampleBa
     return SampleBatch(z, xi, mu + params.sigma * xi, tape)
 
 
-def conditional_score(sample: SampleTriple | SampleBatch, params: SIVParams) -> np.ndarray:
-    """Score of the diagonal Gaussian conditional layer at the draw: -xi/sigma."""
-    return -sample.xi / params.sigma
+def f_vectors(batch: SampleBatch, params: SIVParams, target, score=None) -> np.ndarray:
+    """Score residuals ``s_p(x) + xi / sigma``, shape (n, d).
 
-
-def f_vectors(
-    batch: SampleBatch, params: SIVParams, target, beta_temp: float = 1.0, score=None
-) -> np.ndarray:
-    """Tempered score residuals ``beta * s_p(x) + xi / sigma``, shape (n, d).
-
-    This is the difference between the (tempered) target score and the
-    conditional score, the quantity every discrepancy estimator consumes.
+    This is the difference between the target score and the conditional
+    score ``-xi / sigma``, the quantity every discrepancy estimator consumes.
+    A tempered objective comes in through the target (``targets.Tempered``).
     ``score``, the target score at ``batch.x``, saves the target call when
     the caller already has it.
     """
     if score is None:
         score = target.score(batch.x)
-    return beta_temp * score + batch.xi / params.sigma
-
-
-def f_vector(triple: SampleTriple, params: SIVParams, target, beta_temp: float = 1.0) -> np.ndarray:
-    """Single-draw version of ``f_vectors``."""
-    return beta_temp * target.score(triple.x) + triple.xi / params.sigma
+    return score + batch.xi / params.sigma

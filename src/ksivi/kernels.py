@@ -37,14 +37,6 @@ class KernelSpec:
         return replace(self, bandwidth=float(h))
 
 
-def _check_pair(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"expected two equal-length vectors, got shapes {x.shape} and {y.shape}")
-    return x, y
-
-
 def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n, m)."""
     X = np.asarray(X, dtype=np.float64)
@@ -65,27 +57,13 @@ def eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return -np.sqrt(sq + spec.smoothing**2)
 
 
-def grad1_coeff(spec: KernelSpec, sq: np.ndarray, kmat: np.ndarray | None = None) -> np.ndarray:
+def grad1_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     """Scalar weight g with grad_1 k(x, y) = -(x - y) * g(||x-y||^2)."""
     if spec.family == "rbf":
-        k = kmat if kmat is not None else np.exp(-sq / (2.0 * spec.bandwidth**2))
-        return k / spec.bandwidth**2
+        return np.exp(-sq / (2.0 * spec.bandwidth**2)) / spec.bandwidth**2
     if spec.family == "imq":
         return (spec.offset**2 + sq) ** (-1.5)
     return (sq + spec.smoothing**2) ** (-0.5)
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    x, y = _check_pair(x, y)
-    return float(eval_matrix(spec, x[None, :], y[None, :])[0, 0])
-
-
-def kernel_grad1(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the kernel with respect to its first argument."""
-    x, y = _check_pair(x, y)
-    sq = np.array([[float(((x - y) ** 2).sum())]])
-    g = grad1_coeff(spec, sq)[0, 0]
-    return -(x - y) * g
 
 
 def weighted_grad1_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, coeff: np.ndarray) -> np.ndarray:

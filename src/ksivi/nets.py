@@ -1,11 +1,10 @@
 """Small dense rectifier networks with exact reverse-mode parameter gradients.
 
 The forward map is a fixed-architecture MLP: rectifier on hidden layers,
-identity on the output layer.  Everything is float64 and batch-first; the
-single-sample entry points wrap the batched ones.  Gradients with respect to
-the weights and biases are computed by hand-written backpropagation, which is
-all the training loop ever needs (vector-Jacobian products, never full
-Jacobians).
+identity on the output layer.  Everything is float64 and batch-first: a
+single sample is a batch of one.  Gradients with respect to the weights and
+biases are computed by hand-written backpropagation, which is all the
+training loop ever needs (vector-Jacobian products, never full Jacobians).
 
 Flat parameter layout, used by the optimizer and by serialization: layers in
 order, weights before biases, weight matrices row-major.
@@ -148,15 +147,6 @@ def net_forward_batch(params: NetParams, z: np.ndarray) -> tuple[np.ndarray, For
     return a, ForwardTape(params.arch, inputs, masks)
 
 
-def net_forward(params: NetParams, z: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """Single-sample forward pass; ``z`` has shape (d_in,)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (params.arch.d_in,):
-        raise ValueError(f"input shape {z.shape} incompatible with input width {params.arch.d_in}")
-    out, tape = net_forward_batch(params, z[None, :])
-    return out[0], tape
-
-
 def _check_tape(params: NetParams, tape: ForwardTape) -> None:
     if tape.arch != params.arch:
         raise ValueError("tape was produced by a network with a different architecture")
@@ -188,14 +178,6 @@ def net_vjp_batch_sum(params: NetParams, tape: ForwardTape, upstream: np.ndarray
     return np.concatenate(parts)
 
 
-def net_vjp(params: NetParams, tape: ForwardTape, upstream: np.ndarray) -> np.ndarray:
-    """Exact vector-Jacobian product for a single-sample tape."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if tape.n != 1:
-        raise ValueError("net_vjp expects a single-sample tape; use net_vjp_batch_sum for batches")
-    return net_vjp_batch_sum(params, tape, upstream[None, :])
-
-
 def net_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:
     """Frobenius norm of the full parameter Jacobian at ``z``.
 
@@ -204,7 +186,7 @@ def net_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:
     layer's weight block factorizes as ||delta||_F^2 * ||a||^2, with the bias
     block contributing ||delta||_F^2.
     """
-    _, tape = net_forward(params, z)
+    _, tape = net_forward_batch(params, z[None, :])
     n_layers = params.arch.n_layers
     delta = np.eye(params.arch.d_out)
     total = 0.0

@@ -104,7 +104,3 @@ def build_identifier() -> str:
 
 def write_manifest(path, record: dict) -> None:
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -9,7 +9,8 @@ per-stream call overhead.
 
 The unadjusted sampler iterates ``x + (eps/2) * score(x) + sqrt(eps) * noise``;
 the adjusted variant proposes the same move and applies a Metropolis
-correction, for which unnormalized log-densities suffice.
+correction (Roberts & Tweedie 1996), for which unnormalized log-densities
+suffice.  Both run on one driver; the correction is their only difference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class SamplerConfig:
     burn_in: int = 0
     thin: int = 1
     seed: int = 0
-    init: np.ndarray | None = None
     particle_seeds: tuple | None = None
     collect_history: bool = False
 
@@ -85,17 +85,8 @@ def _particle_rngs(config: SamplerConfig):
     return [np.random.default_rng(child) for child in seq.spawn(config.n_particles)]
 
 
-def _initial_states(config: SamplerConfig, rngs, dim):
-    if config.init is not None:
-        init = np.asarray(config.init, dtype=np.float64)
-        if init.shape != (config.n_particles, dim):
-            raise ValueError(f"init has shape {init.shape}, expected ({config.n_particles}, {dim})")
-        return init.copy()
-    return np.stack([rng.standard_normal(dim) for rng in rngs])
-
-
-def _chunk_steps(config: SamplerConfig, dim, draws_per_step):
-    per_step = config.n_particles * dim * draws_per_step * 8
+def _chunk_steps(config: SamplerConfig, dim):
+    per_step = config.n_particles * dim * 8
     return max(1, min(config.n_steps, NOISE_CHUNK_BYTES // max(per_step, 1)))
 
 
@@ -106,70 +97,62 @@ def _check_finite(x, step):
     raise SamplerDivergence(particle, step)
 
 
-def sgld_run(target, config: SamplerConfig) -> SamplerRun:
-    """Unadjusted parallel Langevin dynamics with full-batch scores."""
-    rngs = _particle_rngs(config)
-    x = _initial_states(config, rngs, target.dim)
-    dim = target.dim
-    chunk = _chunk_steps(config, dim, draws_per_step=1)
-    history = [] if config.collect_history else None
-    step = 0
-    while step < config.n_steps:
-        span = min(chunk, config.n_steps - step)
-        noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
-        for k in range(span):
-            x = langevin_step(x, target.score(x), config.step_size, noise[k])
-            _check_finite(x, step + k)
-            if history is not None:
-                t = step + k
-                if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-                    history.append(x.copy())
-        step += span
-    hist = np.stack(history) if history else None
-    return SamplerRun(states=x, history=hist, acceptance_rate=None, n_steps=config.n_steps)
-
-
 def _proposal_log_density(x_from, x_to, score_from, step_size):
     mean = x_from + 0.5 * step_size * score_from
     return -((x_to - mean) ** 2).sum(axis=1) / (2.0 * step_size)
 
 
-def mala_run(target, config: SamplerConfig) -> SamplerRun:
-    """Langevin proposals with Metropolis correction; exact invariance."""
+def _langevin_run(target, config: SamplerConfig, metropolis: bool) -> SamplerRun:
+    """Both samplers' driver.  Each chunk draws every particle's normals, then,
+    with ``metropolis``, its uniforms; a plain step calls only ``score``."""
     rngs = _particle_rngs(config)
-    x = _initial_states(config, rngs, target.dim)
     dim = target.dim
-    chunk = _chunk_steps(config, dim, draws_per_step=1)
+    x = np.stack([rng.standard_normal(dim) for rng in rngs])
+    chunk = _chunk_steps(config, dim)
     history = [] if config.collect_history else None
-    logp = target.logp(x)
-    score = target.score(x)
+    if metropolis:
+        logp = target.logp(x)
+        score = target.score(x)
     n_accept = 0
     step = 0
     while step < config.n_steps:
         span = min(chunk, config.n_steps - step)
         noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
-        uniforms = np.stack([rng.uniform(size=span) for rng in rngs], axis=1)
+        if metropolis:
+            uniforms = np.stack([rng.uniform(size=span) for rng in rngs], axis=1)
         for k in range(span):
-            prop = langevin_step(x, score, config.step_size, noise[k])
-            logp_prop = target.logp(prop)
-            score_prop = target.score(prop)
-            log_alpha = (
-                logp_prop
-                - logp
-                + _proposal_log_density(prop, x, score_prop, config.step_size)
-                - _proposal_log_density(x, prop, score, config.step_size)
-            )
-            accept = np.log(uniforms[k]) < log_alpha
-            x = np.where(accept[:, None], prop, x)
-            logp = np.where(accept, logp_prop, logp)
-            score = np.where(accept[:, None], score_prop, score)
-            n_accept += int(accept.sum())
-            _check_finite(x, step + k)
-            if history is not None:
-                t = step + k
-                if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-                    history.append(x.copy())
+            if metropolis:
+                prop = langevin_step(x, score, config.step_size, noise[k])
+                logp_prop = target.logp(prop)
+                score_prop = target.score(prop)
+                log_alpha = (
+                    logp_prop
+                    - logp
+                    + _proposal_log_density(prop, x, score_prop, config.step_size)
+                    - _proposal_log_density(x, prop, score, config.step_size)
+                )
+                accept = np.log(uniforms[k]) < log_alpha
+                x = np.where(accept[:, None], prop, x)
+                logp = np.where(accept, logp_prop, logp)
+                score = np.where(accept[:, None], score_prop, score)
+                n_accept += int(accept.sum())
+            else:
+                x = langevin_step(x, target.score(x), config.step_size, noise[k])
+            t = step + k
+            _check_finite(x, t)
+            if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+                history.append(x.copy())
         step += span
     hist = np.stack(history) if history else None
-    rate = n_accept / (config.n_steps * config.n_particles)
+    rate = n_accept / (config.n_steps * config.n_particles) if metropolis else None
     return SamplerRun(states=x, history=hist, acceptance_rate=rate, n_steps=config.n_steps)
+
+
+def sgld_run(target, config: SamplerConfig) -> SamplerRun:
+    """Unadjusted parallel Langevin dynamics with full-batch scores."""
+    return _langevin_run(target, config, metropolis=False)
+
+
+def mala_run(target, config: SamplerConfig) -> SamplerRun:
+    """Langevin proposals with Metropolis correction; exact invariance."""
+    return _langevin_run(target, config, metropolis=True)

@@ -2,15 +2,16 @@
 
 Each iteration draws fresh batches from the current variational family,
 resolves the kernel bandwidth on those samples (held constant while
-differentiating), evaluates the configured gradient estimator at the current
-annealing temperature, and applies an Adam update.  The loop records a loss
-trace and aborts with a diagnostic snapshot if anything goes non-finite.
+differentiating), evaluates the configured gradient estimator on the target
+tempered to the current annealing temperature (``targets.Tempered``), and
+applies an Adam update.  The loop records a loss trace and aborts with a
+diagnostic snapshot if anything goes non-finite.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .family import SIVParams, siv_sample_batch
 from .kernels import KernelSpec, bandwidth_from_rule
 from .nets import net_jacobian_frobenius
 from .optim import AdamState, adam_step
+from .targets import Tempered
 
 BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")
 
@@ -135,7 +137,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
             kernel = resolve_kernel(config, b1.x)
             batches = b1
         value, grad = value_and_grad(
-            params, target, kernel, batches, config.estimator, beta, config.reg_weight
+            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight
         )
         if not np.isfinite(value):
             raise TrainingDivergence(t, params, f"loss estimate is {value}")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from ksivi.estimators import grad_ustat, grad_vanilla, ksd2_estimate, value_and_grad
-from ksivi.family import SIVParams, reparameterize, siv_init, siv_sample_batch
-from ksivi.kernels import KernelSpec, kernel_eval
+from ksivi.estimators import value_and_grad
+from ksivi.family import SIVParams, f_vectors, reparameterize, siv_init, siv_sample_batch
+from ksivi.kernels import KernelSpec, eval_matrix
 from ksivi.nets import NetArch, NetParams
 from ksivi.targets import (
     Banana,
     LogisticRegression,
     TargetModel,
+    Tempered,
     diagonal_gaussian,
     make_waveform_dataset,
 )
@@ -18,14 +19,24 @@ from helpers import central_difference_gradient, gauss_hermite_expectation_2d, r
 RBF = KernelSpec("rbf", bandwidth=1.0)
 
 
-def frozen_value_fn(arch, target, kernel, z_blocks, xi_blocks, kind, beta_temp=1.0, reg_weight=0.0):
+def ksd2(params, target, kernel, batches, kind, reg_weight=0.0):
+    """The objective's value alone."""
+    return value_and_grad(params, target, kernel, batches, kind, reg_weight)[0]
+
+
+def rbf_pair(x, y):
+    """RBF kernel value at one pair: a 1 x 1 Gram matrix."""
+    return float(eval_matrix(RBF, x[None, :], y[None, :])[0, 0])
+
+
+def frozen_value_fn(arch, target, kernel, z_blocks, xi_blocks, kind, reg_weight=0.0):
     """Objective as a function of the flat parameter under frozen (z, xi)."""
 
     def value(flat):
         p = SIVParams.from_flat(arch, flat)
         batches = [reparameterize(p, z, xi) for z, xi in zip(z_blocks, xi_blocks)]
         arg = tuple(batches) if kind == "vanilla" else batches[0]
-        return ksd2_estimate(p, target, kernel, arg, kind, beta_temp, reg_weight)
+        return ksd2(p, target, kernel, arg, kind, reg_weight)
 
     return value
 
@@ -58,10 +69,8 @@ class TestGradientExactness:
         zs, xis = draw_blocks(params, 6, n_blocks, seed=1)
         batches = [reparameterize(params, z, xi) for z, xi in zip(zs, xis)]
 
-        if kind == "vanilla":
-            analytic = grad_vanilla(params, target, kernel, batches[0], batches[1])
-        else:
-            analytic = grad_ustat(params, target, kernel, batches[0])
+        arg = tuple(batches) if kind == "vanilla" else batches[0]
+        _, analytic = value_and_grad(params, target, kernel, arg, kind)
 
         value = frozen_value_fn(arch, target, kernel, zs, xis, kind)
         fd = central_difference_gradient(value, params.to_flat(), step=1e-4)
@@ -72,11 +81,11 @@ class TestGradientExactness:
     def test_tempered_gradient_matches_finite_differences(self, beta):
         arch = NetArch((3, 8, 2))
         params = siv_init(arch, seed=2, rho_init=-0.2)
-        target = Banana()
+        target = Tempered(Banana(), beta)
         zs, xis = draw_blocks(params, 5, 2, seed=3)
         batches = [reparameterize(params, z, xi) for z, xi in zip(zs, xis)]
-        analytic = grad_vanilla(params, target, RBF, batches[0], batches[1], beta_temp=beta)
-        value = frozen_value_fn(arch, target, RBF, zs, xis, "vanilla", beta_temp=beta)
+        _, analytic = value_and_grad(params, target, RBF, tuple(batches), "vanilla")
+        value = frozen_value_fn(arch, target, RBF, zs, xis, "vanilla")
         fd = central_difference_gradient(value, params.to_flat(), step=1e-4)
         floor = 1e-6 * max(1.0, np.abs(analytic).max())
         assert relative_error(analytic, fd, floor=floor).max() < 1e-4
@@ -90,10 +99,8 @@ class TestGradientExactness:
         zs, xis = draw_blocks(params, 5, n_blocks, seed=5)
         batches = [reparameterize(params, z, xi) for z, xi in zip(zs, xis)]
         lam = 0.3
-        if kind == "vanilla":
-            analytic = grad_vanilla(params, target, RBF, batches[0], batches[1], reg_weight=lam)
-        else:
-            analytic = grad_ustat(params, target, RBF, batches[0], reg_weight=lam)
+        arg = tuple(batches) if kind == "vanilla" else batches[0]
+        _, analytic = value_and_grad(params, target, RBF, arg, kind, reg_weight=lam)
         value = frozen_value_fn(arch, target, RBF, zs, xis, kind, reg_weight=lam)
         fd = central_difference_gradient(value, params.to_flat(), step=1e-4)
         floor = 1e-6 * max(1.0, np.abs(analytic).max())
@@ -131,11 +138,9 @@ class TestValueEstimates:
         params = siv_init(NetArch((3, 6, 2)), seed=8, rho_init=-0.3)
         target = Banana()
         batch = siv_sample_batch(params, 2, np.random.default_rng(8))
-        from ksivi.family import f_vectors
-
         f = f_vectors(batch, params, target)
-        expect = kernel_eval(RBF, batch.x[0], batch.x[1]) * float(f[0] @ f[1])
-        assert np.isclose(ksd2_estimate(params, target, RBF, batch, "ustat"), expect, rtol=1e-12)
+        expect = rbf_pair(batch.x[0], batch.x[1]) * float(f[0] @ f[1])
+        assert np.isclose(ksd2(params, target, RBF, batch, "ustat"), expect, rtol=1e-12)
 
     def test_vanilla_matches_direct_double_sum(self):
         params = siv_init(NetArch((3, 6, 2)), seed=9, rho_init=0.0)
@@ -143,18 +148,16 @@ class TestValueEstimates:
         rng = np.random.default_rng(9)
         b1 = siv_sample_batch(params, 4, rng)
         b2 = siv_sample_batch(params, 4, rng)
-        from ksivi.family import f_vectors
-
         f1 = f_vectors(b1, params, target)
         f2 = f_vectors(b2, params, target)
         direct = np.mean(
             [
-                kernel_eval(RBF, b1.x[i], b2.x[j]) * float(f1[i] @ f2[j])
+                rbf_pair(b1.x[i], b2.x[j]) * float(f1[i] @ f2[j])
                 for i in range(4)
                 for j in range(4)
             ]
         )
-        assert np.isclose(ksd2_estimate(params, target, RBF, (b1, b2), "vanilla"), direct, rtol=1e-12)
+        assert np.isclose(ksd2(params, target, RBF, (b1, b2), "vanilla"), direct, rtol=1e-12)
 
     def test_quadrature_oracle_1d(self):
         # degenerate family: constant mean 0.5, fixed scale 0.8, standard
@@ -175,12 +178,9 @@ class TestValueEstimates:
 
         n = 4000
         batch = siv_sample_batch(params, n, np.random.default_rng(10))
-        estimate = ksd2_estimate(params, target, RBF, batch, "ustat")
+        estimate = ksd2(params, target, RBF, batch, "ustat")
 
         # asymptotic U-statistic standard error from the projection variance
-        from ksivi.family import f_vectors
-        from ksivi.kernels import eval_matrix
-
         f = f_vectors(batch, params, target)
         h = eval_matrix(RBF, batch.x, batch.x) * (f @ f.T)
         np.fill_diagonal(h, 0.0)
@@ -197,8 +197,8 @@ class TestValueEstimates:
         for _ in range(n_seeds):
             b1 = siv_sample_batch(params, n, rng)
             b2 = siv_sample_batch(params, n, rng)
-            vals_v.append(ksd2_estimate(params, target, RBF, (b1, b2), "vanilla"))
-            vals_u.append(ksd2_estimate(params, target, RBF, b1, "ustat"))
+            vals_v.append(ksd2(params, target, RBF, (b1, b2), "vanilla"))
+            vals_u.append(ksd2(params, target, RBF, b1, "ustat"))
         vals_v = np.asarray(vals_v)
         vals_u = np.asarray(vals_u)
         se = np.sqrt(vals_v.var() / n_seeds + vals_u.var() / n_seeds)
@@ -211,7 +211,7 @@ class TestValueEstimates:
         vals = []
         for _ in range(500):
             batch = siv_sample_batch(params, 8, rng)
-            vals.append(ksd2_estimate(params, target, RBF, batch, "ustat"))
+            vals.append(ksd2(params, target, RBF, batch, "ustat"))
         vals = np.asarray(vals)
         assert vals.mean() >= -3.0 * vals.std() / np.sqrt(vals.size)
 
@@ -222,7 +222,7 @@ class TestValueEstimates:
 
         def variance(n, n_seeds=400):
             vals = [
-                ksd2_estimate(params, target, RBF, siv_sample_batch(params, n, rng), "ustat")
+                ksd2(params, target, RBF, siv_sample_batch(params, n, rng), "ustat")
                 for _ in range(n_seeds)
             ]
             return np.var(vals)
@@ -242,8 +242,8 @@ class TestGradientAgreement:
         for s in range(n_seeds):
             b1 = siv_sample_batch(params, n, rng)
             b2 = siv_sample_batch(params, n, rng)
-            grads_v[s] = grad_vanilla(params, target, RBF, b1, b2)
-            grads_u[s] = grad_ustat(params, target, RBF, b1)
+            grads_v[s] = value_and_grad(params, target, RBF, (b1, b2), "vanilla")[1]
+            grads_u[s] = value_and_grad(params, target, RBF, b1, "ustat")[1]
         se = np.sqrt(grads_v.var(axis=0) / n_seeds + grads_u.var(axis=0) / n_seeds)
         gap = np.abs(grads_v.mean(axis=0) - grads_u.mean(axis=0))
         assert np.all(gap <= 4.0 * se + 1e-12)
@@ -254,19 +254,19 @@ class TestArgumentValidation:
         params = siv_init(NetArch((3, 4, 2)), seed=15)
         batch = siv_sample_batch(params, 4, np.random.default_rng(15))
         with pytest.raises(ValueError):
-            ksd2_estimate(params, Banana(), RBF, batch, "vanilla")
+            value_and_grad(params, Banana(), RBF, batch, "vanilla")
 
     def test_ustat_needs_two_samples(self):
         params = siv_init(NetArch((3, 4, 2)), seed=16)
         batch = siv_sample_batch(params, 1, np.random.default_rng(16))
         with pytest.raises(ValueError):
-            ksd2_estimate(params, Banana(), RBF, batch, "ustat")
+            value_and_grad(params, Banana(), RBF, batch, "ustat")
 
     def test_unknown_kind(self):
         params = siv_init(NetArch((3, 4, 2)), seed=17)
         batch = siv_sample_batch(params, 4, np.random.default_rng(17))
         with pytest.raises(ValueError):
-            ksd2_estimate(params, Banana(), RBF, batch, "bogus")
+            value_and_grad(params, Banana(), RBF, batch, "bogus")
 
 
 class SeparateScoreAndHvp(LogisticRegression):
@@ -300,8 +300,8 @@ class TestSharedTargetPass:
             return LogisticRegression._logits(shared, B)
 
         shared._logits = counted_logits
-        value, grad = value_and_grad(params, shared, RBF, arg, kind, beta_temp=0.7, reg_weight=0.2)
-        ref_value, ref_grad = value_and_grad(params, separate, RBF, arg, kind, beta_temp=0.7, reg_weight=0.2)
+        value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, arg, kind, reg_weight=0.2)
+        ref_value, ref_grad = value_and_grad(params, Tempered(separate, 0.7), RBF, arg, kind, reg_weight=0.2)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
         assert logits_calls == [12] * (2 if kind == "vanilla" else 1)  # one pass per batch

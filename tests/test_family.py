@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ksivi.family import (
-    SIVParams,
-    conditional_score,
-    f_vector,
-    f_vectors,
-    siv_init,
-    siv_sample_batch,
-)
+from ksivi.family import SIVParams, f_vectors, reparameterize, siv_init, siv_sample_batch
 from ksivi.nets import NetArch, NetParams, net_forward_batch
-from ksivi.targets import diagonal_gaussian
+from ksivi.targets import Tempered, diagonal_gaussian
 
 
 def zero_net_params(d_z=3, d=2, rho=0.0):
@@ -26,6 +19,11 @@ def constant_mean_params(mean, rho, d_z=3):
     net = NetParams.zeros(arch)
     net.biases[-1][:] = mean
     return SIVParams(net, np.asarray(rho, dtype=np.float64))
+
+
+def cond_score(batch, params):
+    """Conditional score ``-xi / sigma``: minus the residual at a zero target score."""
+    return -f_vectors(batch, params, None, score=np.zeros_like(batch.x))
 
 
 class TestSampling:
@@ -75,13 +73,13 @@ class TestConditionalScore:
         params = zero_net_params(rho=0.0)
         batch = siv_sample_batch(params, 5, np.random.default_rng(1))
         batch.xi[0] = np.array([0.5, -1.0])
-        assert np.allclose(conditional_score(batch, params)[0], [-0.5, 1.0])
+        assert np.allclose(cond_score(batch, params)[0], [-0.5, 1.0])
 
     def test_zero_noise(self):
         params = zero_net_params(rho=0.3)
         batch = siv_sample_batch(params, 3, np.random.default_rng(2))
         batch.xi[:] = 0.0
-        assert np.all(conditional_score(batch, params) == 0.0)
+        assert np.all(cond_score(batch, params) == 0.0)
 
     def test_matches_gaussian_score_identity(self):
         # -(x - mu) / sigma^2 evaluated at x = mu + sigma*xi equals -xi/sigma
@@ -89,7 +87,7 @@ class TestConditionalScore:
         batch = siv_sample_batch(params, 200, np.random.default_rng(3))
         mu, _ = net_forward_batch(params.net, batch.z)
         analytic = -(batch.x - mu) / params.sigma**2
-        err = np.abs(conditional_score(batch, params) - analytic)
+        err = np.abs(cond_score(batch, params) - analytic)
         assert err.max() <= 1e-10
 
 
@@ -104,19 +102,22 @@ class TestFVector:
         assert np.abs(f).max() <= 1e-8
 
     def test_beta_zero_leaves_conditional_part(self):
+        # the beta -> 0 limit of tempering: a zero target score
         params = siv_init(NetArch((3, 8, 2)), seed=11, rho_init=0.0)
         target = diagonal_gaussian(np.zeros(2), np.ones(2))
         batch = siv_sample_batch(params, 20, np.random.default_rng(5))
-        f = f_vectors(batch, params, target, beta_temp=0.0)
+        f = f_vectors(batch, params, target, score=np.zeros_like(batch.x))
         assert np.array_equal(f, batch.xi / params.sigma)
 
     def test_single_matches_batch(self):
         params = siv_init(NetArch((3, 8, 2)), seed=12, rho_init=-0.1)
         target = diagonal_gaussian(np.ones(2), np.ones(2))
         batch = siv_sample_batch(params, 6, np.random.default_rng(6))
-        f = f_vectors(batch, params, target, beta_temp=0.8)
+        tempered = Tempered(target, 0.8)
+        f = f_vectors(batch, params, tempered)
         for i in range(6):
-            fi = f_vector(batch.triple(i), params, target, beta_temp=0.8)
+            one = reparameterize(params, batch.z[i : i + 1], batch.xi[i : i + 1])
+            fi = f_vectors(one, params, tempered)[0]
             assert np.allclose(fi, f[i], rtol=1e-12, atol=1e-14)
 
     def test_finite_on_banana_sweep(self):

@@ -73,6 +73,18 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="target.name"):
             ExperimentConfig.from_flat({"arch.widths": [3, 2]})
 
+    def test_unknown_keys_rejected_and_named(self):
+        flat = get_preset("toy-multimodal")
+        flat["anneal.strat"] = 0.5
+        flat["train.learning_rte"] = 1.0
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(flat)
+        assert err.value.fieldname == "anneal.strat, train.learning_rte"
+        # target.* keys are the target's own parameters and pass through
+        flat = get_preset("toy-multimodal")
+        flat["target.extra"] = 1.0
+        assert ExperimentConfig.from_flat(flat).target_params == {"extra": 1.0}
+
     def test_width_mismatch_named_field(self):
         flat = parse_config_text(TINY_CONFIG)
         flat["arch.widths"] = [3, 8, 5]
@@ -311,10 +323,12 @@ class TestCLI:
         assert parse_config_text(text)["train.iterations"] == 50_000
         assert main(["show-preset", "nope"]) == 2
 
-    def test_config_threads_pinned_before_numpy_loads(self, tmp_path):
-        # a fresh interpreter records the BLAS thread variables at the moment
-        # numpy is first looked up, before it appears in sys.modules
-        thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def thread_vars_at_numpy_import(self, tmp_path, config_text, *extra_argv):
+        """Run ``ksivi train`` in a fresh interpreter and return the BLAS thread
+        variables at the moment numpy is first looked up, before it appears in
+        sys.modules."""
         script = f"""
 import json, os, sys
 
@@ -325,7 +339,7 @@ class NumpyImportProbe:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
             assert "numpy" not in sys.modules
-            seen.update({{v: os.environ.get(v) for v in {thread_vars!r}}})
+            seen.update({{v: os.environ.get(v) for v in {self.THREAD_VARS!r}}})
         return None
 
 
@@ -336,18 +350,26 @@ code = main(sys.argv[1:])
 print(json.dumps({{"code": code, "seen": seen}}))
 """
         config_path = tmp_path / "config.txt"
-        config_path.write_text(TINY_CONFIG + "run.threads = 1\n")
-        env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+        config_path.write_text(config_text)
+        env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
         src = str(Path(ksivi.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["train", str(config_path), "--out", str(tmp_path / "out")]
+        argv = ["train", str(config_path), "--out", str(tmp_path / "out"), *extra_argv]
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         record = json.loads(proc.stdout.strip().splitlines()[-1])
         assert record["code"] == 0
-        assert record["seen"] == {v: "1" for v in thread_vars}
+        return record["seen"]
+
+    def test_config_threads_pinned_before_numpy_loads(self, tmp_path):
+        seen = self.thread_vars_at_numpy_import(tmp_path, TINY_CONFIG + "run.threads = 1\n")
+        assert seen == {v: "1" for v in self.THREAD_VARS}
+
+    def test_threads_flag_overrides_config_before_numpy_loads(self, tmp_path):
+        seen = self.thread_vars_at_numpy_import(tmp_path, TINY_CONFIG + "run.threads = 1\n", "--threads", "2")
+        assert seen == {v: "2" for v in self.THREAD_VARS}
 
     def test_preset_data_generation(self, tmp_path, capsys):
         # blr preset generates its dataset on first use

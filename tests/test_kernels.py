@@ -10,8 +10,6 @@ from ksivi.kernels import (
     bandwidth_from_rule,
     diag_values,
     eval_matrix,
-    kernel_eval,
-    kernel_grad1,
     median_bandwidth,
     weighted_grad1_sum,
 )
@@ -25,36 +23,56 @@ ALL_SPECS = [
 ]
 
 
+def k_pair(spec, x, y):
+    """Kernel value at one pair: a 1 x 1 Gram matrix."""
+    return float(eval_matrix(spec, x[None, :], y[None, :])[0, 0])
+
+
+def grad1_pair(spec, x, y):
+    """First-argument gradient at one pair: one pair with unit weight."""
+    return weighted_grad1_sum(spec, x[None, :], y[None, :], np.ones((1, 1)))[0]
+
+
+def kernel_closed_form(spec, x, y):
+    """The three families' formulas written out for one pair."""
+    r2 = float(((x - y) ** 2).sum())
+    if spec.family == "rbf":
+        return np.exp(-r2 / (2.0 * spec.bandwidth**2))
+    if spec.family == "imq":
+        return (spec.offset**2 + r2) ** -0.5
+    return -np.sqrt(r2 + spec.smoothing**2)
+
+
 class TestEval:
     def test_rbf_at_coincident_points(self):
         x = np.array([0.3, -1.2])
-        assert kernel_eval(KernelSpec("rbf", bandwidth=2.5), x, x) == 1.0
+        assert k_pair(KernelSpec("rbf", bandwidth=2.5), x, x) == 1.0
 
     def test_rbf_known_value(self):
         # squared distance 2 with unit bandwidth gives exp(-1)
         spec = KernelSpec("rbf", bandwidth=1.0)
-        val = kernel_eval(spec, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        val = k_pair(spec, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
         assert np.isclose(val, np.exp(-1.0))
 
     def test_imq_at_coincident_points(self):
         x = np.array([2.0, 5.0])
-        assert np.isclose(kernel_eval(KernelSpec("imq", offset=1.0), x, x), 1.0)
+        assert np.isclose(k_pair(KernelSpec("imq", offset=1.0), x, x), 1.0)
 
     def test_riesz_negative(self):
         spec = KernelSpec("riesz", smoothing=1e-8)
-        assert kernel_eval(spec, np.zeros(2), np.ones(2)) < 0
+        assert k_pair(spec, np.zeros(2), np.ones(2)) < 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_eval(KernelSpec("rbf"), np.zeros(2), np.zeros(3))
+            eval_matrix(KernelSpec("rbf"), np.zeros((1, 2)), np.zeros((1, 3)))
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
         for spec in ALL_SPECS:
             for _ in range(25):
                 x, y = rng.standard_normal((2, 4))
-                kxy = kernel_eval(spec, x, y)
-                kyx = kernel_eval(spec, y, x)
+                kxy = k_pair(spec, x, y)
+                kyx = k_pair(spec, y, x)
                 assert np.isclose(kxy, kyx, rtol=1e-14)
                 if spec.family in ("rbf", "imq"):
                     assert 0.0 < kxy <= max(1.0, 1.0 / spec.offset)
@@ -66,11 +84,11 @@ class TestGrad1:
     def test_zero_at_coincident_points(self):
         x = np.array([0.5, 1.5, -2.0])
         for spec in ALL_SPECS:
-            assert np.array_equal(kernel_grad1(spec, x, x), np.zeros(3))
+            assert np.array_equal(grad1_pair(spec, x, x), np.zeros(3))
 
     def test_rbf_known_value(self):
         spec = KernelSpec("rbf", bandwidth=1.0)
-        g = kernel_grad1(spec, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        g = grad1_pair(spec, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
         assert np.allclose(g, [-np.exp(-0.5), 0.0])
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
@@ -78,8 +96,8 @@ class TestGrad1:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x, y = rng.standard_normal((2, 3))
-            fd = central_difference_gradient(lambda v: kernel_eval(spec, v, y), x, step=1e-6)
-            assert np.allclose(kernel_grad1(spec, x, y), fd, atol=1e-7)
+            fd = central_difference_gradient(lambda v: k_pair(spec, v, y), x, step=1e-6)
+            assert np.allclose(grad1_pair(spec, x, y), fd, atol=1e-7)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_antisymmetry(self, spec):
@@ -89,9 +107,9 @@ class TestGrad1:
         # differences of the second slot
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal((2, 3))
-        fd_second = central_difference_gradient(lambda v: kernel_eval(spec, x, v), y, step=1e-6)
-        assert np.allclose(kernel_grad1(spec, y, x), fd_second, atol=1e-7)
-        assert np.allclose(-kernel_grad1(spec, x, y), fd_second, atol=1e-7)
+        fd_second = central_difference_gradient(lambda v: k_pair(spec, x, v), y, step=1e-6)
+        assert np.allclose(grad1_pair(spec, y, x), fd_second, atol=1e-7)
+        assert np.allclose(-grad1_pair(spec, x, y), fd_second, atol=1e-7)
 
     def test_weighted_sum_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -102,7 +120,7 @@ class TestGrad1:
             fast = weighted_grad1_sum(spec, X, Y, C)
             slow = np.zeros_like(fast)
             for i, j in itertools.product(range(6), range(4)):
-                slow[i] += C[i, j] * kernel_grad1(spec, X[i], Y[j])
+                slow[i] += C[i, j] * grad1_pair(spec, X[i], Y[j])
             assert np.allclose(fast, slow, atol=1e-12)
 
     def test_diag_values(self):
@@ -119,7 +137,8 @@ class TestEvalMatrix:
         for spec in ALL_SPECS:
             K = eval_matrix(spec, X, Y)
             for i, j in itertools.product(range(5), range(3)):
-                assert np.isclose(K[i, j], kernel_eval(spec, X[i], Y[j]), rtol=1e-12)
+                assert np.isclose(K[i, j], k_pair(spec, X[i], Y[j]), rtol=1e-12)
+                assert np.isclose(K[i, j], kernel_closed_form(spec, X[i], Y[j]), rtol=1e-12)
 
 
 class TestMedianBandwidth:

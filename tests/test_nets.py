@@ -4,19 +4,29 @@ import pytest
 from ksivi.nets import (
     NetArch,
     NetParams,
-    net_forward,
     net_forward_batch,
     net_init,
     net_jacobian_frobenius,
-    net_vjp,
     net_vjp_batch_sum,
 )
 
 from helpers import central_difference_gradient, relative_error
 
 
+def forward1(params, z):
+    """Network output at one point: a batch of one."""
+    out, _ = net_forward_batch(params, np.asarray(z, dtype=float)[None, :])
+    return out[0]
+
+
+def vjp1(params, z, v):
+    """Vector-Jacobian product at one point: a batch of one."""
+    _, tape = net_forward_batch(params, np.asarray(z, dtype=float)[None, :])
+    return net_vjp_batch_sum(params, tape, np.asarray(v, dtype=float)[None, :])
+
+
 def mlp_oracle(params, z):
-    """Independent forward evaluation used to cross-check net_forward."""
+    """Independent forward evaluation used to cross-check net_forward_batch."""
     a = np.asarray(z, dtype=float)
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -59,13 +69,13 @@ class TestArchAndInit:
 class TestForward:
     def test_zero_params_zero_output(self):
         arch = NetArch((3, 10, 4))
-        out, _ = net_forward(NetParams.zeros(arch), np.array([1.0, -2.0, 0.5]))
+        out = forward1(NetParams.zeros(arch), np.array([1.0, -2.0, 0.5]))
         assert np.array_equal(out, np.zeros(4))
 
     def test_single_linear_layer(self):
         arch = NetArch((2, 2))
         params = NetParams(arch, [np.array([[1.0, 2.0], [3.0, 4.0]])], [np.zeros(2)])
-        out, _ = net_forward(params, np.array([1.0, 1.0]))
+        out = forward1(params, np.array([1.0, 1.0]))
         assert np.allclose(out, [3.0, 7.0])
 
     def test_matches_oracle(self):
@@ -73,7 +83,7 @@ class TestForward:
         rng = np.random.default_rng(11)
         for _ in range(20):
             z = rng.standard_normal(4)
-            out, _ = net_forward(params, z)
+            out = forward1(params, z)
             assert np.allclose(out, mlp_oracle(params, z), atol=1e-12)
 
     def test_batch_consistent_with_single(self):
@@ -82,7 +92,7 @@ class TestForward:
         z = np.random.default_rng(0).standard_normal((5, 3))
         out_b, _ = net_forward_batch(params, z)
         for i in range(5):
-            out_s, _ = net_forward(params, z[i])
+            out_s = forward1(params, z[i])
             assert np.allclose(out_b[i], out_s, rtol=1e-14, atol=1e-14)
 
     def test_repeated_call_bitwise_identical(self):
@@ -95,14 +105,15 @@ class TestForward:
     def test_dimension_mismatch(self):
         params = net_init(NetArch((3, 4, 2)), seed=0)
         with pytest.raises(ValueError):
-            net_forward(params, np.zeros(2))
+            net_forward_batch(params, np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            net_forward_batch(params, np.zeros(3))  # a point, not a batch
 
 
 class TestVJP:
     def test_zero_upstream(self):
         params = net_init(NetArch((3, 8, 2)), seed=1)
-        _, tape = net_forward(params, np.ones(3))
-        assert np.all(net_vjp(params, tape, np.zeros(2)) == 0.0)
+        assert np.all(vjp1(params, np.ones(3), np.zeros(2)) == 0.0)
 
     def test_single_linear_layer_closed_form(self):
         # d<v, Wz + b>/dW = v z^T and d/db = v
@@ -111,8 +122,7 @@ class TestVJP:
         params = NetParams(arch, [rng.standard_normal((2, 3))], [rng.standard_normal(2)])
         z = rng.standard_normal(3)
         v = rng.standard_normal(2)
-        _, tape = net_forward(params, z)
-        flat = net_vjp(params, tape, v)
+        flat = vjp1(params, z, v)
         assert np.allclose(flat[:6], np.outer(v, z).ravel())
         assert np.allclose(flat[6:], v)
 
@@ -122,15 +132,12 @@ class TestVJP:
         rng = np.random.default_rng(9)
         z = rng.standard_normal(3)
         v = rng.standard_normal(2)
-        _, tape = net_forward(params, z)
-        analytic = net_vjp(params, tape, v)
+        analytic = vjp1(params, z, v)
 
         flat0 = params.to_flat()
 
         def value(flat):
-            p = NetParams.from_flat(arch, flat)
-            out, _ = net_forward(p, z)
-            return float(v @ out)
+            return float(v @ forward1(NetParams.from_flat(arch, flat), z))
 
         fd = central_difference_gradient(value, flat0, step=1e-5)
         assert relative_error(analytic, fd, floor=1e-8).max() < 1e-6
@@ -138,12 +145,12 @@ class TestVJP:
     def test_linearity(self):
         params = net_init(NetArch((4, 6, 3)), seed=8)
         rng = np.random.default_rng(12)
-        _, tape = net_forward(params, rng.standard_normal(4))
+        z = rng.standard_normal(4)
         u = rng.standard_normal(3)
         v = rng.standard_normal(3)
         a, b = 0.7, -1.3
-        combined = net_vjp(params, tape, a * u + b * v)
-        split = a * net_vjp(params, tape, u) + b * net_vjp(params, tape, v)
+        combined = vjp1(params, z, a * u + b * v)
+        split = a * vjp1(params, z, u) + b * vjp1(params, z, v)
         assert np.allclose(combined, split, rtol=1e-13, atol=1e-13)
 
     def test_batch_sum_matches_per_sample(self):
@@ -155,16 +162,15 @@ class TestVJP:
         batched = net_vjp_batch_sum(params, tape, up)
         summed = np.zeros(params.n_params)
         for i in range(7):
-            _, t = net_forward(params, z[i])
-            summed += net_vjp(params, t, up[i])
+            summed += vjp1(params, z[i], up[i])
         assert np.allclose(batched, summed, rtol=1e-12, atol=1e-12)
 
     def test_arch_mismatch_rejected(self):
         p1 = net_init(NetArch((3, 8, 2)), seed=0)
         p2 = net_init(NetArch((3, 9, 2)), seed=0)
-        _, tape = net_forward(p1, np.zeros(3))
+        _, tape = net_forward_batch(p1, np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            net_vjp(p2, tape, np.zeros(2))
+            net_vjp_batch_sum(p2, tape, np.zeros((1, 2)))
 
 
 class TestJacobianFrobenius:
@@ -192,8 +198,7 @@ class TestJacobianFrobenius:
         total = 0.0
         for k in range(2):
             def coord(flat, k=k):
-                out, _ = net_forward(NetParams.from_flat(arch, flat), z)
-                return float(out[k])
+                return float(forward1(NetParams.from_flat(arch, flat), z)[k])
 
             total += (central_difference_gradient(coord, flat0, step=1e-6) ** 2).sum()
         fd_norm = np.sqrt(total)

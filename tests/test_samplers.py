@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ksivi import samplers
 from ksivi.samplers import (
     SamplerConfig,
     SamplerDivergence,
+    SamplerRun,
+    _check_finite,
+    _particle_rngs,
+    _proposal_log_density,
     langevin_step,
     mala_run,
     sgld_run,
@@ -14,6 +19,121 @@ from ksivi.targets import Banana, TargetModel, diagonal_gaussian
 
 def gaussian5():
     return diagonal_gaussian(np.zeros(5), np.ones(5))
+
+
+# Reference: the two separate samplers that the single driver replaced,
+# copied unchanged, with the chunk sizing and initial states they used (less
+# the branch for a given ``init``, an option no caller set).
+NOISE_CHUNK_BYTES = 64 * 2**20
+
+
+def _initial_states(config: SamplerConfig, rngs, dim):
+    return np.stack([rng.standard_normal(dim) for rng in rngs])
+
+
+def _chunk_steps(config: SamplerConfig, dim, draws_per_step):
+    per_step = config.n_particles * dim * draws_per_step * 8
+    return max(1, min(config.n_steps, NOISE_CHUNK_BYTES // max(per_step, 1)))
+
+
+def reference_sgld_run(target, config: SamplerConfig) -> SamplerRun:
+    """Unadjusted parallel Langevin dynamics with full-batch scores."""
+    rngs = _particle_rngs(config)
+    x = _initial_states(config, rngs, target.dim)
+    dim = target.dim
+    chunk = _chunk_steps(config, dim, draws_per_step=1)
+    history = [] if config.collect_history else None
+    step = 0
+    while step < config.n_steps:
+        span = min(chunk, config.n_steps - step)
+        noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
+        for k in range(span):
+            x = langevin_step(x, target.score(x), config.step_size, noise[k])
+            _check_finite(x, step + k)
+            if history is not None:
+                t = step + k
+                if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+                    history.append(x.copy())
+        step += span
+    hist = np.stack(history) if history else None
+    return SamplerRun(states=x, history=hist, acceptance_rate=None, n_steps=config.n_steps)
+
+
+def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
+    """Langevin proposals with Metropolis correction; exact invariance."""
+    rngs = _particle_rngs(config)
+    x = _initial_states(config, rngs, target.dim)
+    dim = target.dim
+    chunk = _chunk_steps(config, dim, draws_per_step=1)
+    history = [] if config.collect_history else None
+    logp = target.logp(x)
+    score = target.score(x)
+    n_accept = 0
+    step = 0
+    while step < config.n_steps:
+        span = min(chunk, config.n_steps - step)
+        noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
+        uniforms = np.stack([rng.uniform(size=span) for rng in rngs], axis=1)
+        for k in range(span):
+            prop = langevin_step(x, score, config.step_size, noise[k])
+            logp_prop = target.logp(prop)
+            score_prop = target.score(prop)
+            log_alpha = (
+                logp_prop
+                - logp
+                + _proposal_log_density(prop, x, score_prop, config.step_size)
+                - _proposal_log_density(x, prop, score, config.step_size)
+            )
+            accept = np.log(uniforms[k]) < log_alpha
+            x = np.where(accept[:, None], prop, x)
+            logp = np.where(accept, logp_prop, logp)
+            score = np.where(accept[:, None], score_prop, score)
+            n_accept += int(accept.sum())
+            _check_finite(x, step + k)
+            if history is not None:
+                t = step + k
+                if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+                    history.append(x.copy())
+        step += span
+    hist = np.stack(history) if history else None
+    rate = n_accept / (config.n_steps * config.n_particles)
+    return SamplerRun(states=x, history=hist, acceptance_rate=rate, n_steps=config.n_steps)
+
+
+class TestSingleDriver:
+    # step sizes at which both samplers stay finite and mala rejects some moves
+    @pytest.mark.parametrize("make_target, step_size", [(gaussian5, 1.0), (Banana, 0.02)], ids=["gaussian5", "banana"])
+    @pytest.mark.parametrize(
+        "run, reference",
+        [(sgld_run, reference_sgld_run), (mala_run, reference_mala_run)],
+        ids=["sgld", "mala"],
+    )
+    @pytest.mark.parametrize("chunk_steps", [None, 4], ids=["one-chunk", "chunks-of-4"])
+    def test_bitwise_equal_to_separate_samplers(self, monkeypatch, make_target, step_size, run, reference, chunk_steps):
+        target = make_target()
+        config = SamplerConfig(
+            n_particles=7,
+            n_steps=30,
+            step_size=step_size,
+            burn_in=5,
+            thin=3,
+            particle_seeds=(3, 1, 4, 15, 9, 2, 6),
+            collect_history=True,
+        )
+        if chunk_steps is not None:
+            chunk_bytes = chunk_steps * config.n_particles * target.dim * 8
+            monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setitem(globals(), "NOISE_CHUNK_BYTES", chunk_bytes)
+            # 30 steps in chunks of 4: 8 chunks, the last one short
+            assert samplers._chunk_steps(config, target.dim) == chunk_steps
+        got = run(target, config)
+        expect = reference(target, config)
+        assert np.array_equal(got.states, expect.states)
+        assert got.history.shape == (9, 7, target.dim)
+        assert np.array_equal(got.history, expect.history)
+        assert got.acceptance_rate == expect.acceptance_rate
+        if run is mala_run:
+            assert 0.0 < got.acceptance_rate < 1.0
 
 
 class TestLangevinStep:

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from ksivi.family import SIVParams, siv_init
+from ksivi.estimators import value_and_grad
+from ksivi.family import SIVParams, siv_init, siv_sample_batch
 from ksivi.kernels import KernelSpec
 from ksivi.nets import NetArch, NetParams
 from ksivi.optim import AdamState, adam_step, clip_gradient
-from ksivi.targets import Banana, TargetModel, diagonal_gaussian
+from ksivi.targets import Banana, TargetModel, Tempered, diagonal_gaussian
 from ksivi.train import (
     LossTrace,
     TrainConfig,
     TrainingDivergence,
     anneal_beta,
+    resolve_kernel,
     smoothness_diagnostic,
     train,
 )
@@ -117,6 +119,23 @@ class TestTrainLoop:
         )
         _, trace = train(config, Banana(), init)
         assert len(trace) == 30
+
+    def test_objective_is_tempered(self):
+        # iteration 0 logs the objective on the target tempered to anneal_start
+        init = siv_init(NetArch((3, 8, 2)), seed=6, rho_init=0.0)
+        config = TrainConfig(
+            iterations=1, batch_size=8, learning_rate=1e-3, anneal_start=0.3, anneal_iterations=10, seed=7
+        )
+        _, trace = train(config, Banana(), init)
+        rng = np.random.default_rng(config.seed)
+        b1 = siv_sample_batch(init, config.batch_size, rng)
+        b2 = siv_sample_batch(init, config.batch_size, rng)
+        kernel = resolve_kernel(config, np.concatenate([b1.x, b2.x]))
+        tempered, _ = value_and_grad(init, Tempered(Banana(), 0.3), kernel, (b1, b2), "vanilla")
+        untempered, _ = value_and_grad(init, Banana(), kernel, (b1, b2), "vanilla")
+        assert trace.beta_temp == [0.3]
+        assert trace.ksd2 == [tempered]
+        assert tempered != untempered
 
     def test_log_cadence(self):
         init = siv_init(NetArch((3, 8, 2)), seed=8)
