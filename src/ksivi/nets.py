@@ -178,21 +178,21 @@ def net_vjp_batch_sum(params: NetParams, tape: ForwardTape, upstream: np.ndarray
     return np.concatenate(parts)
 
 
-def net_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:
-    """Frobenius norm of the full parameter Jacobian at ``z``.
+def net_jacobian_frobenius(params: NetParams, z: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the full parameter Jacobian at each row of a batch ``z``.
 
-    All d_out unit upstream vectors are backpropagated simultaneously (rows of
-    ``delta``).  Since they share one forward pass, the squared norm of each
-    layer's weight block factorizes as ||delta||_F^2 * ||a||^2, with the bias
-    block contributing ||delta||_F^2.
+    All d_out unit upstream vectors of every sample are backpropagated at once
+    (``delta`` has shape (n, d_out, width)).  Since they share one forward
+    pass, the squared norm of each layer's weight block factorizes as
+    ||delta||_F^2 * ||a||^2, with the bias block contributing ||delta||_F^2.
     """
-    _, tape = net_forward_batch(params, z[None, :])
-    n_layers = params.arch.n_layers
-    delta = np.eye(params.arch.d_out)
-    total = 0.0
+    _, tape = net_forward_batch(params, z)
+    n_layers, d_out = params.arch.n_layers, params.arch.d_out
+    delta = np.broadcast_to(np.eye(d_out), (len(tape.inputs[0]), d_out, d_out))
+    total = np.zeros(len(delta))
     for layer in range(n_layers - 1, -1, -1):
-        a = tape.inputs[layer][0]
-        total += float((delta**2).sum()) * (float((a**2).sum()) + 1.0)
+        a = tape.inputs[layer]
+        total += (delta**2).sum(axis=(1, 2)) * ((a**2).sum(axis=1) + 1.0)
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * tape.masks[layer - 1][0]
-    return float(np.sqrt(total))
+            delta = (delta @ params.weights[layer]) * tape.masks[layer - 1][:, None, :]
+    return np.sqrt(total)

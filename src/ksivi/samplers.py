@@ -11,6 +11,12 @@ The unadjusted sampler iterates ``x + (eps/2) * score(x) + sqrt(eps) * noise``;
 the adjusted variant proposes the same move and applies a Metropolis
 correction (Roberts & Tweedie 1996), for which unnormalized log-densities
 suffice.  Both run on one driver; the correction is their only difference.
+
+Buffers: a run allocates one noise chunk, shaped (particles, steps, d), and
+refills it for every chunk of steps; the state, the proposal and, for the
+adjusted sampler, the current score and one work array are also allocated
+once and overwritten in place.  Targets receive these buffers as inputs, so
+they must not write or keep them (see ``targets``); history rows are copies.
 """
 
 from __future__ import annotations
@@ -73,9 +79,16 @@ class SamplerRun:
         return self.history.reshape(-1, self.states.shape[1])
 
 
-def langevin_step(x, score_value, step_size, noise):
-    """Drift plus diffusion update; pure so the drift part is testable alone."""
-    return x + 0.5 * step_size * score_value + np.sqrt(step_size) * noise
+def langevin_step(x, score_value, step_size, noise, out=None):
+    """Drift plus diffusion update ``x + (eps/2) score + sqrt(eps) noise``.
+
+    Pure by default, so the drift part is testable alone; with ``out`` (which
+    must not be ``x``) the result is written there.
+    """
+    out = np.multiply(0.5 * step_size, score_value, out=out)
+    out += x
+    out += np.sqrt(step_size) * noise
+    return out
 
 
 def _particle_rngs(config: SamplerConfig):
@@ -97,47 +110,60 @@ def _check_finite(x, step):
     raise SamplerDivergence(particle, step)
 
 
-def _proposal_log_density(x_from, x_to, score_from, step_size):
-    mean = x_from + 0.5 * step_size * score_from
-    return -((x_to - mean) ** 2).sum(axis=1) / (2.0 * step_size)
+def _proposal_log_density(x_from, x_to, score_from, step_size, work=None):
+    """Log-density, up to a constant, of proposing ``x_to`` from ``x_from``;
+    ``work`` (shaped like ``x_from``) holds the intermediate when given."""
+    work = np.multiply(0.5 * step_size, score_from, out=work)
+    work += x_from
+    np.subtract(x_to, work, out=work)
+    np.square(work, out=work)
+    return -work.sum(axis=1) / (2.0 * step_size)
 
 
 def _langevin_run(target, config: SamplerConfig, metropolis: bool) -> SamplerRun:
     """Both samplers' driver.  Each chunk draws every particle's normals, then,
-    with ``metropolis``, its uniforms; a plain step calls only ``score``."""
+    with ``metropolis``, its uniforms; a plain step calls only ``score``.
+    A plain step swaps the state and proposal buffers; an adjusted one copies
+    accepted rows into the state."""
     rngs = _particle_rngs(config)
-    dim = target.dim
-    x = np.stack([rng.standard_normal(dim) for rng in rngs])
+    n, dim = config.n_particles, target.dim
+    x = np.empty((n, dim))
+    for p, rng in enumerate(rngs):
+        rng.standard_normal(dim, out=x[p])
+    prop = np.empty_like(x)
     chunk = _chunk_steps(config, dim)
+    noise = np.empty((n, chunk, dim))  # particle p's draws for step k: noise[p, k]
     history = [] if config.collect_history else None
     if metropolis:
+        uniforms = np.empty((n, chunk))
+        work = np.empty_like(x)
         logp = target.logp(x)
-        score = target.score(x)
+        score = np.array(target.score(x))  # a copy: accepted rows are written into it
     n_accept = 0
     step = 0
     while step < config.n_steps:
         span = min(chunk, config.n_steps - step)
-        noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
+        for p, rng in enumerate(rngs):
+            rng.standard_normal((span, dim), out=noise[p, :span])
         if metropolis:
-            uniforms = np.stack([rng.uniform(size=span) for rng in rngs], axis=1)
+            for p, rng in enumerate(rngs):
+                rng.random(span, out=uniforms[p, :span])  # bitwise rng.uniform(size=span)
         for k in range(span):
             if metropolis:
-                prop = langevin_step(x, score, config.step_size, noise[k])
+                langevin_step(x, score, config.step_size, noise[:, k], out=prop)
                 logp_prop = target.logp(prop)
                 score_prop = target.score(prop)
-                log_alpha = (
-                    logp_prop
-                    - logp
-                    + _proposal_log_density(prop, x, score_prop, config.step_size)
-                    - _proposal_log_density(x, prop, score, config.step_size)
-                )
-                accept = np.log(uniforms[k]) < log_alpha
-                x = np.where(accept[:, None], prop, x)
+                log_alpha = logp_prop - logp
+                log_alpha += _proposal_log_density(prop, x, score_prop, config.step_size, work)
+                log_alpha -= _proposal_log_density(x, prop, score, config.step_size, work)
+                accept = np.log(uniforms[:, k]) < log_alpha
+                np.copyto(x, prop, where=accept[:, None])
                 logp = np.where(accept, logp_prop, logp)
-                score = np.where(accept[:, None], score_prop, score)
+                np.copyto(score, score_prop, where=accept[:, None])
                 n_accept += int(accept.sum())
             else:
-                x = langevin_step(x, target.score(x), config.step_size, noise[k])
+                langevin_step(x, target.score(x), config.step_size, noise[:, k], out=prop)
+                x, prop = prop, x
             t = step + k
             _check_finite(x, t)
             if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:

@@ -9,8 +9,15 @@ consumed downstream.
 The discrepancy estimators need the score and Hessian-vector products at the
 same batch, so ``score_and_hvp`` returns the score together with an operator
 ``V -> H(x) V`` bound to those points.  Logistic regression overrides it: one
-logits product and one sigmoid serve both, and its ``score`` and ``hvp`` are
-the two halves of that one pass.
+logits product and one sigmoid serve both.  Its plain ``score`` keeps no
+sigmoid for an operator, so it runs logits, sigmoid and residual in one
+(rows, n) buffer.
+
+Buffers: targets are stateless and never write their inputs; the Langevin
+samplers pass their reused state buffers straight in.  The large passes (the
+BLR logits, the diffusion residuals) run as in-place ufunc chains on arrays
+the call itself allocated, in the same operation order as the plain
+expressions, so the bits do not depend on the buffering.
 """
 
 from __future__ import annotations
@@ -56,13 +63,9 @@ class TargetModel:
 
     def hvp(self, x, v):
         X, single = _as_batch(x, self.dim)
-        V, single_v = _as_batch(v, self.dim)
+        V, _ = _as_batch(v, self.dim)
         if X.shape[0] != V.shape[0]:
-            if X.shape[0] == 1:
-                X = np.broadcast_to(X, V.shape)
-                single = single_v
-            else:
-                raise ValueError("batch sizes of points and directions differ")
+            raise ValueError("batch sizes of points and directions differ")
         out = self._hvp(X, V)
         return out[0] if single else out
 
@@ -275,31 +278,62 @@ class LogisticRegression(TargetModel):
 
     def _logp(self, B):
         T = self._logits(B)
-        ll = (self.labels[:, None] * T - np.logaddexp(0.0, T)).sum(axis=0)
-        return ll - 0.5 * self.alpha * (B**2).sum(axis=1)
+        ll = self.labels[:, None] * T
+        ll -= np.logaddexp(0.0, T, out=T)
+        return ll.sum(axis=0) - 0.5 * self.alpha * (B**2).sum(axis=1)
+
+    def _score_from(self, B, s, residual):
+        """Score from the sigmoid ``s`` of the logits; ``labels - s`` is written to ``residual``."""
+        np.subtract(self.labels[:, None], s, out=residual)
+        return (self.design.T @ residual).T - self.alpha * B
 
     def score_and_hvp(self, x):
         B, _ = _as_batch(x, self.dim)
-        s = _sigmoid(self._logits(B))
-        score = (self.design.T @ (self.labels[:, None] - s)).T - self.alpha * B
+        T = self._logits(B)
+        s = _sigmoid(T)  # its own array: the operator holds it
+        score = self._score_from(B, s, residual=T)
 
         def hvp(V):
-            w = s * (1.0 - s)
-            U = self.design @ V.T
-            return -(self.design.T @ (w * U)).T - self.alpha * V
+            w = np.subtract(1.0, s)
+            w *= s
+            w *= self.design @ V.T
+            return -(self.design.T @ w).T - self.alpha * V
 
         return score, hvp
 
     def _score(self, B):
-        return self.score_and_hvp(B)[0]
+        # one (n_rows, n) buffer: logits, then sigmoid, then residual
+        T = self._logits(B)
+        return self._score_from(B, _sigmoid(T, out=T), residual=T)
 
     def _hvp(self, B, V):
         return self.score_and_hvp(B)[1](V)
 
 
-def _sigmoid(t):
-    """Logistic function without overflow: both exponents are at most 0."""
-    return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
+_SIGMOID_BLOCK = 2**15  # elements of t per scratch block
+
+
+def _sigmoid(t, out=None):
+    """Logistic function without overflow: ``exp(min(t, 0)) / (1 + exp(-|t|))``.
+
+    Both exponents are at most 0.  The result goes to ``out`` (``t`` itself
+    may be passed) or a fresh array.  The numerator of each block of leading
+    rows is formed in one small scratch array, so no temporary the size of
+    ``t`` is made.
+    """
+    out = np.empty_like(t) if out is None else out
+    rows = max(1, _SIGMOID_BLOCK // max(1, t[:1].size))
+    scratch = np.empty((min(rows, len(t)),) + t.shape[1:])
+    for i in range(0, len(t), rows):
+        tb, ob = t[i : i + rows], out[i : i + rows]
+        num = np.minimum(tb, 0.0, out=scratch[: len(tb)])
+        np.exp(num, out=num)
+        np.abs(tb, out=ob)
+        np.negative(ob, out=ob)
+        np.exp(ob, out=ob)
+        ob += 1.0
+        np.divide(num, ob, out=ob)
+    return out
 
 
 def load_blr_dataset(path, alpha=0.01) -> LogisticRegression:
@@ -395,24 +429,41 @@ class ConditionedDiffusion(TargetModel):
     def _residuals(self, X):
         full = self._with_origin(X)
         prev = full[:, :-1]
-        b = self.drift * prev * (1.0 - prev**2)
-        return full[:, 1:] - prev - b * self.dt
+        # b = drift * prev * (1 - prev^2) * dt; the residual is next - prev - b
+        b = np.square(prev)
+        np.subtract(1.0, b, out=b)
+        r = np.multiply(self.drift, prev)
+        b *= r
+        b *= self.dt
+        np.subtract(full[:, 1:], prev, out=r)
+        r -= b
+        return r
 
     def _logp(self, X):
         r = self._residuals(X)
-        out = -(r**2).sum(axis=1) / (2.0 * self.dt)
-        obs_diff = self.observations[None, :] - X[:, self.obs_indices - 1]
-        return out - (obs_diff**2).sum(axis=1) / (2.0 * self.obs_noise**2)
+        out = -np.square(r, out=r).sum(axis=1) / (2.0 * self.dt)
+        obs_diff = np.subtract(self.observations[None, :], X[:, self.obs_indices - 1])
+        return out - np.square(obs_diff, out=obs_diff).sum(axis=1) / (2.0 * self.obs_noise**2)
 
     def _drift_slope(self, x):
         # derivative of x + drift * x (1 - x^2) dt with respect to x
-        return 1.0 + self.drift * (1.0 - 3.0 * x**2) * self.dt
+        c = np.square(x)
+        c *= 3.0
+        np.subtract(1.0, c, out=c)
+        c *= self.drift
+        c *= self.dt
+        c += 1.0
+        return c
 
     def _score(self, X):
         r = self._residuals(X)
-        s = -r / self.dt
-        c = self._drift_slope(X[:, :-1])
-        s[:, :-1] += r[:, 1:] * c / self.dt
+        # -r / dt, plus r[:, 1:] * c / dt on all but the last state
+        coupling = self._drift_slope(X[:, :-1])
+        coupling *= r[:, 1:]
+        coupling /= self.dt
+        s = np.negative(r, out=r)
+        s /= self.dt
+        s[:, :-1] += coupling
         s[:, self.obs_indices - 1] += (self.observations[None, :] - X[:, self.obs_indices - 1]) / self.obs_noise**2
         return s
 

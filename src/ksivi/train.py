@@ -162,10 +162,7 @@ def smoothness_diagnostic(params: SIVParams, n_probes: int, rng: np.random.Gener
     """
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    norms = np.empty(n_probes)
-    for i in range(n_probes):
-        z = rng.standard_normal(params.d_z)
-        norms[i] = net_jacobian_frobenius(params.net, z)
+    norms = net_jacobian_frobenius(params.net, rng.standard_normal((n_probes, params.d_z)))
     return {
         "n_probes": int(n_probes),
         "mean_jacobian_norm": float(norms.mean()),

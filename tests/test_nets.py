@@ -177,17 +177,18 @@ class TestJacobianFrobenius:
     def test_zero_network_at_origin(self):
         # only the final bias rows survive, one unit per output coordinate
         arch = NetArch((3, 8, 4))
-        norm = net_jacobian_frobenius(NetParams.zeros(arch), np.zeros(3))
-        assert np.isclose(norm, np.sqrt(4.0))
+        norm = net_jacobian_frobenius(NetParams.zeros(arch), np.zeros((1, 3)))
+        assert norm.shape == (1,)
+        assert np.isclose(norm[0], np.sqrt(4.0))
 
     def test_single_linear_layer_closed_form(self):
         # squared norm is d * ||z||^2 (weights) + d (biases)
         arch = NetArch((3, 5))
         rng = np.random.default_rng(2)
         params = NetParams(arch, [rng.standard_normal((5, 3))], [rng.standard_normal(5)])
-        z = rng.standard_normal(3)
+        z = rng.standard_normal((4, 3))
         norm = net_jacobian_frobenius(params, z)
-        assert np.isclose(norm**2, 5.0 * float(z @ z) + 5.0)
+        assert np.allclose(norm**2, 5.0 * (z**2).sum(axis=1) + 5.0)
 
     def test_matches_finite_differences(self):
         arch = NetArch((3, 7, 2))
@@ -202,7 +203,7 @@ class TestJacobianFrobenius:
 
             total += (central_difference_gradient(coord, flat0, step=1e-6) ** 2).sum()
         fd_norm = np.sqrt(total)
-        assert abs(net_jacobian_frobenius(params, z) - fd_norm) / fd_norm < 1e-4
+        assert abs(net_jacobian_frobenius(params, z[None, :])[0] - fd_norm) / fd_norm < 1e-4
 
 
 class TestFlatLayout:

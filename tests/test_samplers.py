@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,17 +16,46 @@ from ksivi.samplers import (
     mala_run,
     sgld_run,
 )
-from ksivi.targets import Banana, TargetModel, diagonal_gaussian
+from ksivi.targets import (
+    Banana,
+    ConditionedDiffusion,
+    LogisticRegression,
+    TargetModel,
+    diagonal_gaussian,
+    generate_cd_observations,
+    make_waveform_dataset,
+)
 
 
 def gaussian5():
     return diagonal_gaussian(np.zeros(5), np.ones(5))
 
 
+def cd20():
+    idx, obs, _ = generate_cd_observations(5, n_steps=20)
+    return ConditionedDiffusion(idx, obs, n_steps=20)
+
+
+def blr30():
+    features, labels = make_waveform_dataset(n_rows=30, seed=1)
+    return LogisticRegression(np.concatenate([np.ones((30, 1)), features], axis=1), labels)
+
+
 # Reference: the two separate samplers that the single driver replaced,
 # copied unchanged, with the chunk sizing and initial states they used (less
-# the branch for a given ``init``, an option no caller set).
+# the branch for a given ``init``, an option no caller set), and the
+# allocating step and proposal density they called.
 NOISE_CHUNK_BYTES = 64 * 2**20
+
+
+def reference_langevin_step(x, score_value, step_size, noise):
+    """Drift plus diffusion update; pure so the drift part is testable alone."""
+    return x + 0.5 * step_size * score_value + np.sqrt(step_size) * noise
+
+
+def reference_proposal_log_density(x_from, x_to, score_from, step_size):
+    mean = x_from + 0.5 * step_size * score_from
+    return -((x_to - mean) ** 2).sum(axis=1) / (2.0 * step_size)
 
 
 def _initial_states(config: SamplerConfig, rngs, dim):
@@ -48,7 +79,7 @@ def reference_sgld_run(target, config: SamplerConfig) -> SamplerRun:
         span = min(chunk, config.n_steps - step)
         noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
         for k in range(span):
-            x = langevin_step(x, target.score(x), config.step_size, noise[k])
+            x = reference_langevin_step(x, target.score(x), config.step_size, noise[k])
             _check_finite(x, step + k)
             if history is not None:
                 t = step + k
@@ -75,14 +106,14 @@ def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
         noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
         uniforms = np.stack([rng.uniform(size=span) for rng in rngs], axis=1)
         for k in range(span):
-            prop = langevin_step(x, score, config.step_size, noise[k])
+            prop = reference_langevin_step(x, score, config.step_size, noise[k])
             logp_prop = target.logp(prop)
             score_prop = target.score(prop)
             log_alpha = (
                 logp_prop
                 - logp
-                + _proposal_log_density(prop, x, score_prop, config.step_size)
-                - _proposal_log_density(x, prop, score, config.step_size)
+                + reference_proposal_log_density(prop, x, score_prop, config.step_size)
+                - reference_proposal_log_density(x, prop, score, config.step_size)
             )
             accept = np.log(uniforms[k]) < log_alpha
             x = np.where(accept[:, None], prop, x)
@@ -102,7 +133,11 @@ def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
 
 class TestSingleDriver:
     # step sizes at which both samplers stay finite and mala rejects some moves
-    @pytest.mark.parametrize("make_target, step_size", [(gaussian5, 1.0), (Banana, 0.02)], ids=["gaussian5", "banana"])
+    @pytest.mark.parametrize(
+        "make_target, step_size",
+        [(gaussian5, 1.0), (Banana, 0.02), (cd20, 0.003), (blr30, 0.03)],
+        ids=["gaussian5", "banana", "cd20", "blr30"],
+    )
     @pytest.mark.parametrize(
         "run, reference",
         [(sgld_run, reference_sgld_run), (mala_run, reference_mala_run)],
@@ -134,6 +169,45 @@ class TestSingleDriver:
         assert got.acceptance_rate == expect.acceptance_rate
         if run is mala_run:
             assert 0.0 < got.acceptance_rate < 1.0
+        # history rows are copies, not views of the reused state buffers
+        assert not np.shares_memory(got.history, got.states)
+
+
+class TestBuffers:
+    def test_peak_memory_below_two_noise_chunks(self, monkeypatch):
+        # 400 steps in chunks of 120: four chunks, the last one short.  A run
+        # holds one noise chunk plus particle-sized arrays; a second copy of
+        # the chunk (a per-particle list stacked, or a fresh chunk allocated
+        # while the old one is alive) would pass 2x.
+        target = gaussian5()
+        config = SamplerConfig(n_particles=200, n_steps=400, step_size=0.01, seed=10)
+        chunk_bytes = 120 * config.n_particles * target.dim * 8
+        monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", chunk_bytes)
+        sgld_run(target, config)  # first-call allocations stay out of the trace
+        tracemalloc.start()
+        try:
+            sgld_run(target, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * chunk_bytes
+
+    def test_langevin_step_out_matches_pure_form(self):
+        rng = np.random.default_rng(12)
+        x, score, noise = rng.standard_normal((3, 8, 4))
+        out = np.empty_like(x)
+        got = langevin_step(x, score, 0.3, noise, out=out)
+        assert got is out
+        assert np.array_equal(out, langevin_step(x, score, 0.3, noise))
+        assert np.array_equal(out, reference_langevin_step(x, score, 0.3, noise))
+
+    def test_proposal_density_work_matches_pure_form(self):
+        rng = np.random.default_rng(13)
+        x_from, x_to, score = rng.standard_normal((3, 8, 4))
+        work = np.empty_like(x_from)
+        expect = reference_proposal_log_density(x_from, x_to, score, 0.3)
+        assert np.array_equal(_proposal_log_density(x_from, x_to, score, 0.3, work), expect)
+        assert np.array_equal(_proposal_log_density(x_from, x_to, score, 0.3), expect)
 
 
 class TestLangevinStep:

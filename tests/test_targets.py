@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksivi import targets
 from ksivi.targets import (
     Banana,
     ConditionedDiffusion,
@@ -12,6 +13,7 @@ from ksivi.targets import (
     LogisticRegression,
     StudentTProduct,
     Tempered,
+    _as_batch,
     _sigmoid,
     diagonal_gaussian,
     euler_maruyama_path,
@@ -344,3 +346,179 @@ class TestTempered:
             Tempered(Banana(), 0.0)
         with pytest.raises(ValueError):
             Tempered(Banana(), 1.5)
+
+
+# The allocating passes the in-place ones replaced, copied unchanged from
+# before the rewrite, as subclasses so that they run through the same public
+# methods.
+def reference_sigmoid(t):
+    """Logistic function without overflow: both exponents are at most 0."""
+    return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
+
+
+class ReferenceLogisticRegression(LogisticRegression):
+    def _logp(self, B):
+        T = self._logits(B)
+        ll = (self.labels[:, None] * T - np.logaddexp(0.0, T)).sum(axis=0)
+        return ll - 0.5 * self.alpha * (B**2).sum(axis=1)
+
+    def score_and_hvp(self, x):
+        B, _ = _as_batch(x, self.dim)
+        s = reference_sigmoid(self._logits(B))
+        score = (self.design.T @ (self.labels[:, None] - s)).T - self.alpha * B
+
+        def hvp(V):
+            w = s * (1.0 - s)
+            U = self.design @ V.T
+            return -(self.design.T @ (w * U)).T - self.alpha * V
+
+        return score, hvp
+
+    def _score(self, B):
+        return self.score_and_hvp(B)[0]
+
+    def _hvp(self, B, V):
+        return self.score_and_hvp(B)[1](V)
+
+
+class ReferenceConditionedDiffusion(ConditionedDiffusion):
+    def _residuals(self, X):
+        full = self._with_origin(X)
+        prev = full[:, :-1]
+        b = self.drift * prev * (1.0 - prev**2)
+        return full[:, 1:] - prev - b * self.dt
+
+    def _logp(self, X):
+        r = self._residuals(X)
+        out = -(r**2).sum(axis=1) / (2.0 * self.dt)
+        obs_diff = self.observations[None, :] - X[:, self.obs_indices - 1]
+        return out - (obs_diff**2).sum(axis=1) / (2.0 * self.obs_noise**2)
+
+    def _drift_slope(self, x):
+        # derivative of x + drift * x (1 - x^2) dt with respect to x
+        return 1.0 + self.drift * (1.0 - 3.0 * x**2) * self.dt
+
+    def _score(self, X):
+        r = self._residuals(X)
+        s = -r / self.dt
+        c = self._drift_slope(X[:, :-1])
+        s[:, :-1] += r[:, 1:] * c / self.dt
+        s[:, self.obs_indices - 1] += (self.observations[None, :] - X[:, self.obs_indices - 1]) / self.obs_noise**2
+        return s
+
+    def _hvp(self, X, V):
+        r = self._residuals(X)
+        c = self._drift_slope(X[:, :-1])
+        dr = V.copy()
+        dr[:, 1:] -= c * V[:, :-1]
+        out = -dr / self.dt
+        dc = -6.0 * self.drift * X[:, :-1] * self.dt * V[:, :-1]
+        out[:, :-1] += (dr[:, 1:] * c + r[:, 1:] * dc) / self.dt
+        out[:, self.obs_indices - 1] -= V[:, self.obs_indices - 1] / self.obs_noise**2
+        return out
+
+
+def _blr_pair(n_rows):
+    features, labels = make_waveform_dataset(n_rows=n_rows, seed=3)
+    design = np.concatenate([np.ones((n_rows, 1)), features], axis=1)
+    return LogisticRegression(design, labels), ReferenceLogisticRegression(design, labels)
+
+
+def _cd_pair():
+    idx, obs, _ = generate_cd_observations(6)
+    return ConditionedDiffusion(idx, obs), ReferenceConditionedDiffusion(idx, obs)
+
+
+def _layouts(block):
+    """The same points as a C-ordered batch, a Fortran-ordered one, every
+    other row of a larger batch, and a single point."""
+    wide = np.repeat(block, 2, axis=0)
+    return {
+        "contiguous": block,
+        "fortran": np.asfortranarray(block),
+        "strided-rows": wide[::2],
+        "single-point": block[0],
+    }
+
+
+# blr-1000 has 1000 rows: a batch of 40 spans two sigmoid scratch blocks
+IN_PLACE_PAIRS = {
+    "blr": (lambda: _blr_pair(40), 3.0),
+    "blr-1000": (lambda: _blr_pair(1000), 0.5),
+    "cd": (_cd_pair, 1.5),
+}
+
+
+@pytest.mark.parametrize("pair", list(IN_PLACE_PAIRS))
+@pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided-rows", "single-point"])
+@pytest.mark.parametrize("beta", [None, 0.3], ids=["plain", "tempered"])
+def test_in_place_passes_match_allocating_ones(pair, layout, beta):
+    make, scale = IN_PLACE_PAIRS[pair]
+    target, reference = make()
+    if beta is not None:
+        target, reference = Tempered(target, beta), Tempered(reference, beta)
+    rng = np.random.default_rng(29)
+    x = _layouts(scale * rng.standard_normal((40, target.dim)))[layout]
+    v = _layouts(rng.standard_normal((40, target.dim)))[layout]
+    x_before, v_before = x.copy(), v.copy()
+    x.flags.writeable = False  # a write to the caller's array raises
+    v.flags.writeable = False
+    assert np.array_equal(target.logp(x), reference.logp(x))
+    assert np.array_equal(target.score(x), reference.score(x))
+    assert np.array_equal(target.hvp(x, v), reference.hvp(x, v))
+    score, hvp = target.score_and_hvp(x)
+    ref_score, ref_hvp = reference.score_and_hvp(x)
+    assert np.array_equal(score, ref_score)
+    V = np.atleast_2d(v)  # the operator takes a batch of directions
+    assert np.array_equal(hvp(V), ref_hvp(V))
+    assert np.array_equal(x, x_before) and np.array_equal(v, v_before)
+
+
+class TestSigmoidBuffers:
+    def test_in_place_and_across_blocks(self, monkeypatch):
+        # 7 elements a block over 5 columns: one row per block, the last short
+        monkeypatch.setattr(targets, "_SIGMOID_BLOCK", 7)
+        t = 40.0 * np.random.default_rng(10).standard_normal((9, 5))
+        expect = reference_sigmoid(t)
+        assert np.array_equal(_sigmoid(t), expect)
+        assert np.array_equal(_sigmoid(t.T), expect.T)
+        got = _sigmoid(t, out=t)
+        assert got is t
+        assert np.array_equal(t, expect)
+
+    def test_input_not_written(self):
+        t = np.random.default_rng(11).standard_normal((50, 30))
+        t.flags.writeable = False
+        assert np.array_equal(_sigmoid(t), reference_sigmoid(t))
+
+
+class TestHvpShapes:
+    @pytest.mark.parametrize("name,target", SHARED_TARGETS, ids=[t[0] for t in SHARED_TARGETS])
+    def test_directions_must_match_points(self, name, target):
+        # one point against several directions is not broadcast
+        rng = np.random.default_rng(19)
+        with pytest.raises(ValueError, match="batch sizes"):
+            target.hvp(rng.standard_normal(target.dim), rng.standard_normal((3, target.dim)))
+        with pytest.raises(ValueError, match="batch sizes"):
+            target.hvp(rng.standard_normal((2, target.dim)), rng.standard_normal((3, target.dim)))
+
+
+# Paths several times past the wells: residuals grow like drift * dt * |x|^3,
+# so |logp| reaches about 1e12 and the score about 1e8 at |x| = 50.  There the
+# finite differences of logp carry an absolute roundoff of about
+# eps * |logp| / step (up to twice that was seen), which the score bound allows
+# on top of its 1e-4 relative tolerance.
+@given(seed=st.integers(0, 2**32 - 1), reach=st.floats(3.0, 50.0))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_cd_derivatives_at_large_states(seed, reach):
+    target = make_cd_target()
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(target.dim)
+    x = u * (reach / np.abs(u).max())
+    step = 1e-5
+    fd = central_difference_gradient(target.logp, x, step=step)
+    roundoff = np.finfo(np.float64).eps * abs(target.logp(x)) / step
+    assert np.all(np.abs(target.score(x) - fd) <= 1e-4 * np.abs(fd) + 10.0 * roundoff)
+    v = rng.standard_normal(target.dim)
+    fd = (target.score(x + step * v) - target.score(x - step * v)) / (2.0 * step)
+    assert relative_error(target.hvp(x, v), fd, floor=1e-6 * np.abs(fd).max()).max() < 1e-4

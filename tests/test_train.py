@@ -4,7 +4,7 @@ import pytest
 from ksivi.estimators import value_and_grad
 from ksivi.family import SIVParams, siv_init, siv_sample_batch
 from ksivi.kernels import KernelSpec
-from ksivi.nets import NetArch, NetParams
+from ksivi.nets import NetArch, NetParams, net_forward_batch, net_jacobian_frobenius
 from ksivi.optim import AdamState, adam_step, clip_gradient
 from ksivi.targets import Banana, TargetModel, Tempered, diagonal_gaussian
 from ksivi.train import (
@@ -176,7 +176,36 @@ class TestTrainLoop:
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, estimator="x")
 
 
+def per_probe_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:
+    """The single-point norm the batched one replaced, copied unchanged."""
+    _, tape = net_forward_batch(params, z[None, :])
+    n_layers = params.arch.n_layers
+    delta = np.eye(params.arch.d_out)
+    total = 0.0
+    for layer in range(n_layers - 1, -1, -1):
+        a = tape.inputs[layer][0]
+        total += float((delta**2).sum()) * (float((a**2).sum()) + 1.0)
+        if layer > 0:
+            delta = (delta @ params.weights[layer]) * tape.masks[layer - 1][0]
+    return float(np.sqrt(total))
+
+
 class TestSmoothnessDiagnostic:
+    @pytest.mark.parametrize("widths", [(3, 50, 50, 2), (10, 100, 100, 22), (6, 16, 16, 16, 9)])
+    def test_matches_per_probe_loop(self, widths):
+        params = siv_init(NetArch(widths), seed=17)
+        record = smoothness_diagnostic(params, 40, np.random.default_rng(18))
+        rng = np.random.default_rng(18)  # the same stream, one probe at a time
+        probes = [rng.standard_normal(params.d_z) for _ in range(40)]
+        assert np.array_equal(np.stack(probes), np.random.default_rng(18).standard_normal((40, params.d_z)))
+        norms = np.array([per_probe_jacobian_frobenius(params.net, z) for z in probes])
+        # one batched forward and backward pass: rows agree with the loop to
+        # roundoff (matrix products of a batch may round differently)
+        assert np.allclose(net_jacobian_frobenius(params.net, np.stack(probes)), norms, rtol=1e-13, atol=0.0)
+        assert record["n_probes"] == 40
+        assert np.isclose(record["mean_jacobian_norm"], norms.mean(), rtol=1e-13, atol=0.0)
+        assert np.isclose(record["max_jacobian_norm"], norms.max(), rtol=1e-13, atol=0.0)
+
     def test_zero_network_norm(self):
         arch = NetArch((3, 8, 4))
         params = SIVParams(NetParams.zeros(arch), np.zeros(4))
