@@ -26,7 +26,11 @@ per batch.  The score and the Hessian-vector operator of a batch come from one
 ``target.score_and_hvp`` call, so a target that shares work between them
 (logistic regression reuses its logits and sigmoid) does it once per batch.
 The kernel bandwidth is treated as a constant here; dynamic bandwidth
-selection happens in the training loop before the estimator runs.  Tempering
+selection happens in the training loop before the estimator runs.  The
+training loop also hands over its one squared-distance matrix of the
+iteration (``kernels.pooled_sq_dists`` over the batches), whose blocks feed
+the Gram matrix and both kernel-gradient sums; without it the estimator
+computes the same matrix itself.  Tempering
 comes in through the target: the training loop passes
 ``targets.Tempered(target, beta)``, whose score and Hessian carry the factor
 beta, so the estimator has no temperature of its own.
@@ -37,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .family import SampleBatch, f_vectors
-from .kernels import diag_values, eval_matrix, weighted_grad1_sum
+from .kernels import diag_values, eval_matrix, pooled_sq_dists, weighted_grad1_sum
 from .nets import net_vjp_batch_sum
 
 ESTIMATOR_KINDS = ("vanilla", "ustat")
@@ -83,11 +87,12 @@ def _pullback(params, batch, f_upstream, x_upstream, hvp):
     return np.concatenate([g_net, g_rho])
 
 
-def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0):
+def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0, sq=None):
     """Estimate the objective and its exact flat gradient in one pass.
 
     ``batches``: two equal-size batches (``"vanilla"``) or one (``"ustat"``).
     ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
+    ``sq``: ``pooled_sq_dists`` over the batches' samples, if already computed.
     """
     b1, b2 = _as_batch_pair(batches, kind)
     f1, hvp1 = _residuals(b1, params, target)
@@ -96,14 +101,16 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0
         if len(b2) != n:
             raise ValueError("the two batches must have equal size")
         f2, hvp2 = _residuals(b2, params, target)
-        gram = eval_matrix(kernel, b1.x, b2.x)
+        if sq is None:
+            sq = pooled_sq_dists((b1.x, b2.x))
+        gram = eval_matrix(kernel, b1.x, b2.x, sq=sq[:n, n:])
         inner = f1 @ f2.T
         value = float((gram * inner).mean())
         scale = 1.0 / (n * n)
         v1 = scale * (gram @ f2)
         v2 = scale * (gram.T @ f1)
-        u1 = scale * weighted_grad1_sum(kernel, b1.x, b2.x, inner)
-        u2 = scale * weighted_grad1_sum(kernel, b2.x, b1.x, inner.T)
+        u1 = scale * weighted_grad1_sum(kernel, b1.x, b2.x, inner, sq=sq[:n, n:])
+        u2 = scale * weighted_grad1_sum(kernel, b2.x, b1.x, inner.T, sq=sq[n:, :n])
         if reg_weight > 0.0:
             value += _regularizer_value(kernel, (f1, f2), reg_weight)
             coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
@@ -116,7 +123,9 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0
     n = len(b1)
     if n < 2:
         raise ValueError("the U-statistic estimator needs at least two samples")
-    gram = eval_matrix(kernel, b1.x, b1.x)
+    if sq is None:
+        sq = pooled_sq_dists((b1.x,))
+    gram = eval_matrix(kernel, b1.x, b1.x, sq=sq)
     inner = f1 @ f1.T
     np.fill_diagonal(gram, 0.0)
     off_inner = inner.copy()
@@ -124,7 +133,7 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0
     scale = 1.0 / (n * (n - 1))
     value = float((gram * inner).sum() * scale)
     v1 = 2.0 * scale * (gram @ f1)
-    u1 = 2.0 * scale * weighted_grad1_sum(kernel, b1.x, b1.x, off_inner)
+    u1 = 2.0 * scale * weighted_grad1_sum(kernel, b1.x, b1.x, off_inner, sq=sq)
     if reg_weight > 0.0:
         value += _regularizer_value(kernel, (f1,), reg_weight)
         v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1

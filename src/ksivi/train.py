@@ -1,11 +1,14 @@
 """Training loop: stochastic gradient descent on the squared discrepancy.
 
 Each iteration draws fresh batches from the current variational family,
-resolves the kernel bandwidth on those samples (held constant while
+computes their squared distances once (``kernels.pooled_sq_dists``), resolves
+the kernel bandwidth on those samples from that matrix (held constant while
 differentiating), evaluates the configured gradient estimator on the target
-tempered to the current annealing temperature (``targets.Tempered``), and
-applies an Adam update.  The loop records a loss trace and aborts with a
-diagnostic snapshot if anything goes non-finite.
+tempered to the current annealing temperature (``targets.Tempered``) with the
+same matrix, and applies an Adam update in place.  The median bandwidth read
+from the matrix has the bits of ``np.median(pdist(samples))`` (see
+``kernels``).  The loop records a loss trace and aborts with a diagnostic
+snapshot if anything goes non-finite.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .estimators import ESTIMATOR_KINDS, value_and_grad
 from .family import SIVParams, siv_sample_batch
-from .kernels import KernelSpec, bandwidth_from_rule
+from .kernels import KernelSpec, bandwidth_from_rule, pooled_sq_dists
 from .nets import net_jacobian_frobenius
 from .optim import AdamState, adam_step
 from .targets import Tempered
@@ -102,19 +105,23 @@ def anneal_beta(iteration: int, start: float = 1.0, anneal_iterations: int = 0) 
     return min(1.0, start + (1.0 - start) * iteration / anneal_iterations)
 
 
-def resolve_kernel(config: TrainConfig, samples: np.ndarray) -> KernelSpec:
-    """Apply the bandwidth policy for this iteration's samples."""
+def resolve_kernel(config: TrainConfig, samples: np.ndarray, sq: np.ndarray | None = None) -> KernelSpec:
+    """Apply the bandwidth policy for this iteration's samples.
+
+    ``sq``: their squared distances, if already computed.
+    """
     spec = config.kernel
     if spec.family != "rbf" or config.bandwidth_rule == "fixed":
         return spec
-    return spec.with_bandwidth(bandwidth_from_rule(config.bandwidth_rule, samples))
+    return spec.with_bandwidth(bandwidth_from_rule(config.bandwidth_rule, samples, sq))
 
 
 def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     """Run the configured number of iterations from ``init``.
 
     Returns the final parameters and the loss trace.  ``iteration_hook``, if
-    given, is called as ``hook(iteration, params)`` after every update.
+    given, is called as ``hook(iteration, params)`` after every update; each
+    call gets its own copy, which later updates leave alone.
     """
     rng = np.random.default_rng(config.seed)
     params = init.copy()
@@ -129,15 +136,14 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         if config.estimator == "vanilla":
             b1 = siv_sample_batch(params, config.batch_size, rng)
             b2 = siv_sample_batch(params, config.batch_size, rng)
-            pooled = np.concatenate([b1.x, b2.x], axis=0)
-            kernel = resolve_kernel(config, pooled)
-            batches = (b1, b2)
+            batches, blocks = (b1, b2), (b1.x, b2.x)
         else:
             b1 = siv_sample_batch(params, config.batch_size, rng)
-            kernel = resolve_kernel(config, b1.x)
-            batches = b1
+            batches, blocks = b1, (b1.x,)
+        sq = pooled_sq_dists(blocks)
+        kernel = resolve_kernel(config, np.concatenate(blocks, axis=0), sq)
         value, grad = value_and_grad(
-            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight
+            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight, sq=sq
         )
         if not np.isfinite(value):
             raise TrainingDivergence(t, params, f"loss estimate is {value}")
@@ -145,7 +151,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             raise TrainingDivergence(t, params, f"gradient coordinate {bad} is non-finite")
         adam, flat = adam_step(adam, flat, grad, config.learning_rate, config.clip_norm)
-        params = SIVParams.from_flat(arch, flat)
+        params = SIVParams.from_flat(arch, flat)  # a snapshot: flat changes in place
         if t % config.log_every == 0:
             elapsed_ms = (time.perf_counter() - started) * 1e3
             trace.append(t, value, kernel.bandwidth, beta, float(np.linalg.norm(grad)), elapsed_ms)

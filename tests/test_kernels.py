@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from ksivi.kernels import (
     KernelSpec,
@@ -11,6 +13,8 @@ from ksivi.kernels import (
     diag_values,
     eval_matrix,
     median_bandwidth,
+    pairwise_sq_dists,
+    pooled_sq_dists,
     weighted_grad1_sum,
 )
 
@@ -179,3 +183,120 @@ class TestMedianBandwidth:
         assert bandwidth_from_rule("median", samples) == med
         with pytest.raises(ValueError):
             bandwidth_from_rule("nope", samples)
+
+
+def reference_median(samples):
+    """The median the distance matrix must reproduce: pdist's, unclamped."""
+    return float(np.median(pdist(samples)))
+
+
+class TestPooledSqDists:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 70), min_size=1, max_size=3),
+        d=st.sampled_from([1, 2, 5, 22, 40, 50, 64, 200, 513, 600]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_blocks_have_the_bits_of_their_own_products(self, seed, sizes, d):
+        # a block of one larger product can round differently at the BLAS
+        # kernel's edges, e.g. (n, d) = (50, 2) or (6, 50) as a block of a
+        # 2n x 2n syrk; every block here is a product of its own
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0) for n in sizes]
+        sq = pooled_sq_dists(blocks)
+        edges = np.cumsum([0] + sizes)
+        assert sq.shape == (edges[-1], edges[-1])
+        for a, b in itertools.product(range(len(blocks)), repeat=2):
+            block = sq[edges[a] : edges[a + 1], edges[b] : edges[b + 1]]
+            assert np.array_equal(block, pairwise_sq_dists(blocks[a], blocks[b]))
+
+    def test_one_block_is_the_self_distance_matrix(self):
+        X = np.random.default_rng(3).standard_normal((37, 9))
+        assert np.array_equal(pooled_sq_dists((X,)), pairwise_sq_dists(X, X))
+
+    def test_rejects_mismatched_widths(self):
+        with pytest.raises(ValueError):
+            pooled_sq_dists((np.zeros((3, 2)), np.zeros((3, 4))))
+
+
+def awkward_samples(seed, n, d, kind):
+    """Sample sets that stress the band: ties, duplicates and cancellation."""
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        return rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3)
+    if kind == "grid":  # small integers: many exactly tied distances
+        return rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    if kind == "duplicates":  # repeated rows give exact zeros
+        base = rng.standard_normal((max(1, n // 3), d))
+        return base[rng.integers(0, base.shape[0], size=n)]
+    if kind == "identical":  # all distances zero: the floor clamp
+        return np.tile(rng.standard_normal(d), (n, 1))
+    # far from the origin relative to the spread: the expansion cancels
+    spread = 10.0 ** rng.uniform(-6, 0)
+    return rng.uniform(-5, 5) * 10.0 ** rng.uniform(0, 3) + spread * rng.standard_normal((n, d))
+
+
+class TestMedianFromDistanceMatrix:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        d=st.integers(1, 250),
+        kind=st.sampled_from(["gauss", "grid", "duplicates", "identical", "offset"]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_bitwise_equal_to_pdist_median(self, seed, n, d, kind):
+        X = awkward_samples(seed, n, d, kind)
+        expect = median_bandwidth(X)
+        assert median_bandwidth(X, pairwise_sq_dists(X, X)) == expect
+        split = n // 2  # the training loop's two-batch layout
+        if split >= 1:
+            assert median_bandwidth(X, pooled_sq_dists((X[:split], X[split:]))) == expect
+
+    # pooled batches of the presets (2 x 100 at d = 2 and 22, 2 x 128 at d = 200);
+    # 199 points give an odd pair count
+    @pytest.mark.parametrize("n, d", [(199, 2), (200, 2), (200, 22), (256, 200)])
+    def test_training_shapes_recompute_only_the_band(self, monkeypatch, n, d):
+        X = np.random.default_rng(d).standard_normal((n, d)) * 0.7 + 1.5
+        expect = reference_median(X)
+        sq = pooled_sq_dists((X[: n // 2], X[n // 2 :]))
+
+        def no_pdist(*args, **kwargs):
+            raise AssertionError("the band path fell back to pdist")
+
+        monkeypatch.setattr("ksivi.kernels.pdist", no_pdist)
+        assert median_bandwidth(X, sq) == expect
+
+    def test_nan_row_gives_nan(self):
+        X = np.random.default_rng(5).standard_normal((40, 3))
+        X[7, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            sq = pooled_sq_dists((X[:20], X[20:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(median_bandwidth(X, sq))
+        assert np.isnan(median_bandwidth(X))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_row_gives_the_pdist_median(self, value):
+        X = np.random.default_rng(6).standard_normal((40, 3))
+        X[11, 0] = value
+        X[30] = 0.0  # inf * 0 in the products: NaN entries in sq
+        with np.errstate(invalid="ignore"):
+            sq = pooled_sq_dists((X[:20], X[20:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = median_bandwidth(X, sq)
+        assert np.isfinite(h)
+        assert h == median_bandwidth(X) == reference_median(X)
+
+    def test_overflowing_norms_leave_it_to_pdist(self):
+        X = np.random.default_rng(8).standard_normal((10, 2)) * 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = pooled_sq_dists((X,))
+            assert median_bandwidth(X, sq) == median_bandwidth(X)
+
+    def test_log_n_rule_reads_the_matrix(self):
+        X = np.random.default_rng(9).standard_normal((64, 4))
+        sq = pooled_sq_dists((X[:32], X[32:]))
+        for rule in ("median", "median_sq_over_log_n"):
+            assert bandwidth_from_rule(rule, X, sq) == bandwidth_from_rule(rule, X)

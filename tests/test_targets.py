@@ -522,3 +522,28 @@ def test_cd_derivatives_at_large_states(seed, reach):
     v = rng.standard_normal(target.dim)
     fd = (target.score(x + step * v) - target.score(x - step * v)) / (2.0 * step)
     assert relative_error(target.hvp(x, v), fd, floor=1e-6 * np.abs(fd).max()).max() < 1e-4
+
+
+# Student-t tails out to 1e4 widths: the score decays like (nu + 1) / x and the
+# Hessian like -(nu + 1) / x^2 while logp grows only like log|x|.  Each
+# coordinate gets a step proportional to itself, and the score bound allows
+# the differences' roundoff as test_cd_derivatives_at_large_states does.
+@given(seed=st.integers(0, 2**32 - 1), reach=st.floats(1.0, 1e4), nu=st.floats(0.5, 10.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_student_t_derivatives_in_the_tails(seed, reach, nu):
+    rng = np.random.default_rng(seed)
+    width = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+    target = StudentTProduct(nu=nu, width=width, dim=3)
+    x = rng.choice([-1.0, 1.0], size=3) * rng.uniform(0.5, 1.0, size=3) * reach * width
+    steps = 1e-5 * np.abs(x)
+    fd = np.empty(3)
+    for i, step in enumerate(steps):
+        e = np.zeros(3)
+        e[i] = step
+        fd[i] = (target.logp(x + e) - target.logp(x - e)) / (2.0 * step)
+    roundoff = np.finfo(np.float64).eps * abs(target.logp(x)) / steps
+    assert np.all(np.abs(target.score(x) - fd) <= 1e-4 * np.abs(fd) + 10.0 * roundoff)
+    v = rng.standard_normal(3) * np.abs(x)  # a direction on the scale of x
+    step = 1e-5
+    fd = (target.score(x + step * v) - target.score(x - step * v)) / (2.0 * step)
+    assert relative_error(target.hvp(x, v), fd, floor=1e-6 * np.abs(fd).max()).max() < 1e-4

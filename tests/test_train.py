@@ -17,14 +17,43 @@ from ksivi.train import (
     train,
 )
 
+from test_train_reference import reference_adam_step, reference_train
+
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         state = AdamState.init(4)
         params = np.array([1.0, -2.0, 0.5, 3.0])
+        before = params.copy()
         state, updated = adam_step(state, params, np.zeros(4), lr=0.1)
-        assert np.array_equal(updated, params)
+        assert np.array_equal(updated, before)
         assert state.step == 1
+
+    def test_matches_functional_reference(self):
+        # 50 steps, about half of them clipped, against the allocating update
+        rng = np.random.default_rng(20)
+        params = rng.standard_normal(300)
+        state = AdamState.init(300)
+        ref_params = params.copy()
+        ref_state = AdamState.init(300)
+        for step in range(50):
+            grad = rng.standard_normal(300) * 10.0 ** rng.uniform(-3, 1)
+            grad_before = grad.copy()
+            state, params = adam_step(state, params, grad, lr=0.01, clip_norm=2.0)
+            ref_state, ref_params = reference_adam_step(ref_state, ref_params, grad, lr=0.01, clip_norm=2.0)
+            assert np.array_equal(grad, grad_before)
+            assert np.array_equal(params, ref_params)
+            assert np.array_equal(state.m, ref_state.m)
+            assert np.array_equal(state.v, ref_state.v)
+            assert state.step == ref_state.step == step + 1
+
+    def test_updates_in_place(self):
+        state = AdamState.init(3)
+        m, v, params = state.m, state.v, np.ones(3)
+        new_state, updated = adam_step(state, params, np.array([0.5, -1.0, 2.0]), lr=0.1)
+        assert new_state is state and updated is params
+        assert state.m is m and state.v is v
+        assert not np.array_equal(params, np.ones(3))
 
     def test_first_step_hand_computed(self):
         # after bias correction the first step is -lr * g / (|g| + eps)
@@ -162,6 +191,46 @@ class TestTrainLoop:
             train(config, BrokenTarget(), init)
         assert err.value.iteration == 0
         assert err.value.params is not None
+
+    @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
+    @pytest.mark.parametrize("blowup", ["inf", "nan"])
+    def test_non_finite_samples_diverge(self, estimator, blowup):
+        # where z_0 > 0 the first hidden layer reaches about 1e200 and the
+        # second overflows to inf: in one unit (output inf) or in two that
+        # the output subtracts (inf - inf = NaN); rows with z_0 <= 0 stay finite
+        net = NetParams.zeros(NetArch((3, 2, 2, 2)))
+        net.weights[0][:, 0] = 1e200
+        if blowup == "nan":
+            net.weights[1][:, 0] = 1e200
+            net.weights[2][0] = [1.0, -1.0]
+        else:
+            net.weights[1][0, 0] = 1e200
+            net.weights[2][0] = [1.0, 0.0]
+        init = SIVParams(net, np.zeros(2))
+        with np.errstate(all="ignore"):
+            x = siv_sample_batch(init, 16, np.random.default_rng(0)).x
+        assert np.any(np.isnan(x) if blowup == "nan" else np.isinf(x))
+        assert np.any(np.all(np.isfinite(x), axis=1))
+        config = TrainConfig(iterations=3, batch_size=16, learning_rate=1e-3, estimator=estimator, seed=12)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergence) as err:
+                train(config, Banana(), init)
+            with pytest.raises(TrainingDivergence) as ref_err:
+                reference_train(config, Banana(), init)
+        assert err.value.iteration == 0
+        assert str(err.value) == str(ref_err.value)
+
+    def test_leaves_init_and_hook_snapshots_alone(self):
+        init = siv_init(NetArch((3, 8, 2)), seed=13, rho_init=-0.3)
+        before = init.to_flat()
+        seen = []
+        config = TrainConfig(iterations=6, batch_size=8, learning_rate=1e-2, seed=14)
+        final, _ = train(config, Banana(), init, iteration_hook=lambda t, p: seen.append((p, p.to_flat())))
+        assert np.array_equal(init.to_flat(), before)
+        for params, flat_then in seen:
+            assert np.array_equal(params.to_flat(), flat_then)
+        assert not np.array_equal(seen[0][1], seen[-1][1])
+        assert np.array_equal(seen[-1][1], final.to_flat())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

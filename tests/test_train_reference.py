@@ -1,0 +1,234 @@
+"""The training loop against the one it replaced, bit for bit.
+
+The reference below is the loop before it shared one squared-distance matrix
+per iteration and updated Adam in place: the median bandwidth from pdist,
+the estimator computing its distances once per kernel call, and a functional
+Adam step.  Each is copied unchanged apart from its name.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import pdist
+
+from ksivi import kernels
+from ksivi.estimators import _as_batch_pair, _pullback, _regularizer_value, _residuals
+from ksivi.family import SIVParams, siv_init, siv_sample_batch
+from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec, diag_values, eval_matrix, weighted_grad1_sum
+from ksivi.nets import NetArch
+from ksivi.optim import AdamState, clip_gradient
+from ksivi.targets import Banana, Tempered, diagonal_gaussian
+from ksivi.train import LossTrace, TrainConfig, TrainingDivergence, anneal_beta, train
+
+
+def reference_median_bandwidth(samples: np.ndarray) -> float:
+    """Median of pairwise Euclidean distances, clamped away from zero."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[0] < 2:
+        raise ValueError("median bandwidth needs at least two samples")
+    return max(float(np.median(pdist(samples))), BANDWIDTH_FLOOR)
+
+
+def reference_bandwidth_from_rule(rule: str, samples: np.ndarray) -> float:
+    """Resolve a bandwidth policy name on the current sample batch."""
+    med = reference_median_bandwidth(samples)
+    if rule == "median":
+        return med
+    if rule == "median_sq_over_log_n":
+        n = samples.shape[0]
+        return max(med / np.sqrt(max(np.log(n), 1.0)), BANDWIDTH_FLOOR)
+    raise ValueError(f"unknown bandwidth rule {rule!r}")
+
+
+def reference_resolve_kernel(config: TrainConfig, samples: np.ndarray) -> KernelSpec:
+    """Apply the bandwidth policy for this iteration's samples."""
+    spec = config.kernel
+    if spec.family != "rbf" or config.bandwidth_rule == "fixed":
+        return spec
+    return spec.with_bandwidth(reference_bandwidth_from_rule(config.bandwidth_rule, samples))
+
+
+def reference_value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0):
+    """Estimate the objective and its exact flat gradient in one pass.
+
+    ``batches``: two equal-size batches (``"vanilla"``) or one (``"ustat"``).
+    ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
+    """
+    b1, b2 = _as_batch_pair(batches, kind)
+    f1, hvp1 = _residuals(b1, params, target)
+    if kind == "vanilla":
+        n = len(b1)
+        if len(b2) != n:
+            raise ValueError("the two batches must have equal size")
+        f2, hvp2 = _residuals(b2, params, target)
+        gram = eval_matrix(kernel, b1.x, b2.x)
+        inner = f1 @ f2.T
+        value = float((gram * inner).mean())
+        scale = 1.0 / (n * n)
+        v1 = scale * (gram @ f2)
+        v2 = scale * (gram.T @ f1)
+        u1 = scale * weighted_grad1_sum(kernel, b1.x, b2.x, inner)
+        u2 = scale * weighted_grad1_sum(kernel, b2.x, b1.x, inner.T)
+        if reg_weight > 0.0:
+            value += _regularizer_value(kernel, (f1, f2), reg_weight)
+            coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
+            v1 = v1 + coeff * diag_values(kernel, n)[:, None] * f1
+            v2 = v2 + coeff * diag_values(kernel, n)[:, None] * f2
+        grad = _pullback(params, b1, v1, u1, hvp1)
+        grad += _pullback(params, b2, v2, u2, hvp2)
+        return value, grad
+
+    n = len(b1)
+    if n < 2:
+        raise ValueError("the U-statistic estimator needs at least two samples")
+    gram = eval_matrix(kernel, b1.x, b1.x)
+    inner = f1 @ f1.T
+    np.fill_diagonal(gram, 0.0)
+    off_inner = inner.copy()
+    np.fill_diagonal(off_inner, 0.0)
+    scale = 1.0 / (n * (n - 1))
+    value = float((gram * inner).sum() * scale)
+    v1 = 2.0 * scale * (gram @ f1)
+    u1 = 2.0 * scale * weighted_grad1_sum(kernel, b1.x, b1.x, off_inner)
+    if reg_weight > 0.0:
+        value += _regularizer_value(kernel, (f1,), reg_weight)
+        v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1
+    grad = _pullback(params, b1, v1, u1, hvp1)
+    return value, grad
+
+
+def reference_adam_step(
+    state: AdamState,
+    params: np.ndarray,
+    grad: np.ndarray,
+    lr: float,
+    clip_norm: float | None = None,
+) -> tuple[AdamState, np.ndarray]:
+    """One bias-corrected update; returns fresh state and parameter arrays."""
+    if params.shape != grad.shape or params.shape != state.m.shape:
+        raise ValueError("parameter, gradient, and moment lengths disagree")
+    grad = clip_gradient(grad, clip_norm)
+    step = state.step + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
+    m_hat = m / (1.0 - state.beta1**step)
+    v_hat = v / (1.0 - state.beta2**step)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return AdamState(m, v, step, state.beta1, state.beta2, state.eps), new_params
+
+
+def reference_train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
+    """Run the configured number of iterations from ``init``.
+
+    Returns the final parameters and the loss trace.  ``iteration_hook``, if
+    given, is called as ``hook(iteration, params)`` after every update.
+    """
+    rng = np.random.default_rng(config.seed)
+    params = init.copy()
+    flat = params.to_flat()
+    adam = AdamState.init(flat.size)
+    trace = LossTrace()
+    arch = init.net.arch
+    started = time.perf_counter()
+
+    for t in range(config.iterations):
+        beta = anneal_beta(t, config.anneal_start, config.anneal_iterations)
+        if config.estimator == "vanilla":
+            b1 = siv_sample_batch(params, config.batch_size, rng)
+            b2 = siv_sample_batch(params, config.batch_size, rng)
+            pooled = np.concatenate([b1.x, b2.x], axis=0)
+            kernel = reference_resolve_kernel(config, pooled)
+            batches = (b1, b2)
+        else:
+            b1 = siv_sample_batch(params, config.batch_size, rng)
+            kernel = reference_resolve_kernel(config, b1.x)
+            batches = b1
+        value, grad = reference_value_and_grad(
+            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight
+        )
+        if not np.isfinite(value):
+            raise TrainingDivergence(t, params, f"loss estimate is {value}")
+        if not np.all(np.isfinite(grad)):
+            bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+            raise TrainingDivergence(t, params, f"gradient coordinate {bad} is non-finite")
+        adam, flat = reference_adam_step(adam, flat, grad, config.learning_rate, config.clip_norm)
+        params = SIVParams.from_flat(arch, flat)
+        if t % config.log_every == 0:
+            elapsed_ms = (time.perf_counter() - started) * 1e3
+            trace.append(t, value, kernel.bandwidth, beta, float(np.linalg.norm(grad)), elapsed_ms)
+        if iteration_hook is not None:
+            iteration_hook(t, params)
+    return params, trace
+
+
+# (target, network widths, batch size): d = 2 at the toy batch size and at
+# sizes whose 2n x 2n product rounds its cross block differently from an
+# n x n one; d = 40 and 50 where small batches do the same.
+SHAPES = {
+    "banana-100": (Banana(), (3, 16, 2), 100),
+    "banana-50": (Banana(), (3, 16, 2), 50),
+    "gauss40-6": (diagonal_gaussian(np.zeros(40), np.full(40, 2.0)), (5, 12, 40), 6),
+    "gauss50-16": (diagonal_gaussian(np.full(50, 0.5), np.ones(50)), (4, 8, 50), 16),
+}
+
+CONFIGS = {
+    "median": {},
+    "median_sq_over_log_n": {"bandwidth_rule": "median_sq_over_log_n"},
+    "fixed": {"bandwidth_rule": "fixed", "kernel": KernelSpec("rbf", bandwidth=0.8)},
+    "imq": {"kernel": KernelSpec("imq", offset=0.7)},
+    "riesz": {"kernel": KernelSpec("riesz")},
+    "reg-clip-anneal": {"reg_weight": 0.3, "clip_norm": 0.05, "anneal_start": 0.2, "anneal_iterations": 6},
+}
+
+
+def run_both(shape, estimator, overrides, iterations=12):
+    target, widths, batch = SHAPES[shape]
+    config = TrainConfig(
+        iterations=iterations,
+        batch_size=batch,
+        learning_rate=3e-2,
+        estimator=estimator,
+        seed=19,
+        **overrides,
+    )
+    init = siv_init(NetArch(widths), seed=23, rho_init=-0.5)
+    return train(config, target, init), reference_train(config, target, init)
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bitwise_equal_params_and_trace(self, shape, estimator, config):
+        (params, trace), (ref_params, ref_trace) = run_both(shape, estimator, CONFIGS[config])
+        assert np.array_equal(params.to_flat(), ref_params.to_flat())
+        assert trace.ksd2 == ref_trace.ksd2
+        assert trace.bandwidth == ref_trace.bandwidth
+        assert trace.grad_norm == ref_trace.grad_norm
+        assert trace.beta_temp == ref_trace.beta_temp
+
+
+class TestOneDistanceMatrixPerIteration:
+    @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
+    @pytest.mark.parametrize("config", ["median", "fixed", "imq"])
+    def test_counts(self, monkeypatch, estimator, config):
+        calls = {"pooled": 0, "pairwise": 0, "pdist": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr("ksivi.train.pooled_sq_dists", counted("pooled", kernels.pooled_sq_dists))
+        monkeypatch.setattr("ksivi.estimators.pooled_sq_dists", counted("pooled", kernels.pooled_sq_dists))
+        monkeypatch.setattr("ksivi.kernels.pairwise_sq_dists", counted("pairwise", kernels.pairwise_sq_dists))
+        monkeypatch.setattr("ksivi.kernels.pdist", counted("pdist", kernels.pdist))
+        target, widths, batch = SHAPES["banana-100"]
+        config = TrainConfig(
+            iterations=15, batch_size=batch, learning_rate=1e-2, estimator=estimator, seed=3, **CONFIGS[config]
+        )
+        train(config, target, siv_init(NetArch(widths), seed=4))
+        assert calls == {"pooled": 15, "pairwise": 0, "pdist": 0}
