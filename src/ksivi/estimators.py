@@ -22,7 +22,10 @@ chain rule routes four contributions through the reparameterization
 Rather than looping over pairs, the per-sample upstream vectors are
 aggregated with matrix products first and pulled back once per sample: a
 single batched network backward pass plus one batched Hessian-vector product
-per batch.  The score and the Hessian-vector operator of a batch come from one
+per batch.  The pullback writes a batch's gradient into one fresh flat vector
+through its layer views (``nets.layer_views``): the network's backward pass
+fills the weight and bias views, and the rho gradient fills the tail.  The
+score and the Hessian-vector operator of a batch come from one
 ``target.score_and_hvp`` call, so a target that shares work between them
 (logistic regression reuses its logits and sigmoid) does it once per batch.
 The kernel bandwidth is treated as a constant here; dynamic bandwidth
@@ -42,7 +45,7 @@ import numpy as np
 
 from .family import SampleBatch, f_vectors
 from .kernels import diag_values, eval_matrix, pooled_sq_dists, weighted_grad1_sum
-from .nets import net_vjp_batch_sum
+from .nets import layer_views, net_vjp_batch_sum
 
 ESTIMATOR_KINDS = ("vanilla", "ustat")
 
@@ -79,12 +82,15 @@ def _pullback(params, batch, f_upstream, x_upstream, hvp):
     ``x_i`` and ``f_i`` are functions of the parameters under frozen base
     randomness.  The target enters through its Hessian operator ``hvp`` at
     the batch: the x-sensitivity of ``f = s_p(x) + xi/sigma`` is ``H(x)``.
+    The result is a fresh vector in the layout of ``params.flat``.
     """
     sigma = params.sigma
     total_x = x_upstream + hvp(f_upstream)
-    g_net = net_vjp_batch_sum(params.net, batch.tape, total_x)
-    g_rho = sigma * (total_x * batch.xi).sum(axis=0) - (f_upstream * batch.xi).sum(axis=0) / sigma
-    return np.concatenate([g_net, g_rho])
+    grad = np.empty(params.flat.size)
+    net_vjp_batch_sum(params.net, batch.tape, total_x, out=grad)
+    _, g_rho = layer_views(params.arch, grad)
+    np.subtract(sigma * (total_x * batch.xi).sum(axis=0), (f_upstream * batch.xi).sum(axis=0) / sigma, out=g_rho)
+    return grad
 
 
 def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0, sq=None):

@@ -7,6 +7,11 @@ Gaussian conditional layer.  Samples use the reparameterization
 construction and gradients pass through sampling.  The conditional score at a
 reparameterized draw is simply ``-xi / sigma``.
 
+The parameter theta is one float64 vector, ``SIVParams.flat``: the network's
+weights and biases and rho are views of it (layout in ``nets.layer_views``),
+so the optimizer steps theta in place and the next draw sees the step.
+``to_flat``, ``copy`` and ``from_flat`` give independent copies.
+
 Every draw is a batch: ``reparameterize`` builds one from base draws (z, xi),
 ``siv_sample_batch`` draws those first, and ``f_vectors`` gives the score
 residuals the discrepancy estimators consume.
@@ -14,62 +19,63 @@ residuals the discrepancy estimators consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import ForwardTape, NetArch, NetParams, net_forward_batch, net_init
+from .nets import ForwardTape, NetArch, NetParams, layer_views, net_forward_batch, net_init
 
 
 @dataclass
 class SIVParams:
-    """Full variational parameter: network weights plus log-scales."""
+    """Full variational parameter: network weights plus log-scales.
 
-    net: NetParams
-    rho: np.ndarray
+    ``flat`` holds all of it; ``net`` and ``rho`` are views of ``flat``.
+    The constructor takes ``flat`` over as is, without a copy.
+    """
+
+    arch: NetArch
+    flat: np.ndarray
+    net: NetParams = field(init=False, repr=False)
+    rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        if self.rho.shape != (self.net.arch.d_out,):
-            raise ValueError(
-                f"rho has shape {self.rho.shape}, expected ({self.net.arch.d_out},)"
-            )
+        size = self.arch.n_params + self.arch.d_out
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(f"flat parameters are {self.flat.dtype} {self.flat.shape}, expected float64 ({size},)")
+        self.net, self.rho = layer_views(self.arch, self.flat)
 
     @property
     def dim(self) -> int:
-        return self.net.arch.d_out
+        return self.arch.d_out
 
     @property
     def d_z(self) -> int:
-        return self.net.arch.d_in
+        return self.arch.d_in
 
     @property
     def sigma(self) -> np.ndarray:
         return np.exp(self.rho)
 
-    @property
-    def n_params(self) -> int:
-        return self.net.n_params + self.dim
-
     def copy(self) -> "SIVParams":
-        return SIVParams(self.net.copy(), self.rho.copy())
+        return self.from_flat(self.arch, self.flat)
 
     def to_flat(self) -> np.ndarray:
-        """Network parameters in their flat order, then rho."""
-        return np.concatenate([self.net.to_flat(), self.rho])
+        """A copy of ``flat``."""
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, arch: NetArch, flat: np.ndarray) -> "SIVParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (arch.n_params + arch.d_out,):
-            raise ValueError(f"flat vector has length {flat.shape}, expected {arch.n_params + arch.d_out}")
-        return cls(NetParams.from_flat(arch, flat[: arch.n_params]), flat[arch.n_params :].copy())
+        """Parameters over a float64 copy of ``flat``."""
+        return cls(arch, np.array(flat, dtype=np.float64))
 
 
 def siv_init(arch: NetArch, seed: int, rho_init: float | np.ndarray = 0.0) -> SIVParams:
     """Initialize the network from ``seed`` and the log-scales to a constant."""
-    rho = np.broadcast_to(np.asarray(rho_init, dtype=np.float64), (arch.d_out,)).copy()
-    return SIVParams(net_init(arch, seed), rho)
+    params = SIVParams(arch, np.empty(arch.n_params + arch.d_out))
+    net_init(arch, seed, out=params.flat)
+    params.rho[:] = rho_init
+    return params
 
 
 @dataclass

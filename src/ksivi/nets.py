@@ -6,8 +6,13 @@ single sample is a batch of one.  Gradients with respect to the weights and
 biases are computed by hand-written backpropagation, which is all the
 training loop ever needs (vector-Jacobian products, never full Jacobians).
 
-Flat parameter layout, used by the optimizer and by serialization: layers in
-order, weights before biases, weight matrices row-major.
+Parameters live in one flat float64 vector; the weight matrices and biases
+are views of it.  ``layer_views`` is the one place that knows the layout:
+layers in order, each weight matrix row-major before its bias, and anything
+after the network's entries (the family's log-scales) as a tail.  The
+optimizer steps that vector in place, checkpoints store it as is, and the
+backward pass writes its gradient into a vector of the same layout through
+the same views.
 """
 
 from __future__ import annotations
@@ -50,67 +55,46 @@ class NetArch:
 
 @dataclass
 class NetParams:
-    """Weights ``(out, in)`` and biases ``(out,)`` per layer, float64."""
+    """Weights ``(out, in)`` and biases ``(out,)`` per layer, float64.
+
+    Built by ``layer_views``, so every array is a view of one flat vector.
+    """
 
     arch: NetArch
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def __post_init__(self):
-        expect = list(zip(self.arch.widths[1:], self.arch.widths[:-1]))
-        if len(self.weights) != self.arch.n_layers or len(self.biases) != self.arch.n_layers:
-            raise ValueError("wrong number of layers for architecture")
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != expect[layer]:
-                raise ValueError(f"layer {layer} weight shape {w.shape} != {expect[layer]}")
-            if b.shape != (expect[layer][0],):
-                raise ValueError(f"layer {layer} bias shape {b.shape} != ({expect[layer][0]},)")
 
-    @property
-    def n_params(self) -> int:
-        return self.arch.n_params
+def layer_views(arch: NetArch, flat: np.ndarray) -> tuple[NetParams, np.ndarray]:
+    """The flat parameter layout: ``flat`` viewed as layers plus a tail.
 
-    def copy(self) -> "NetParams":
-        return NetParams(self.arch, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def to_flat(self) -> np.ndarray:
-        """Concatenate all parameters in the documented flat order."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_flat(cls, arch: NetArch, flat: np.ndarray) -> "NetParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (arch.n_params,):
-            raise ValueError(f"flat vector has length {flat.shape}, expected {arch.n_params}")
-        weights, biases, pos = [], [], 0
-        for i, o in zip(arch.widths[:-1], arch.widths[1:]):
-            weights.append(flat[pos : pos + o * i].reshape(o, i).copy())
-            pos += o * i
-            biases.append(flat[pos : pos + o].copy())
-            pos += o
-        return cls(arch, weights, biases)
-
-    @classmethod
-    def zeros(cls, arch: NetArch) -> "NetParams":
-        return cls(
-            arch,
-            [np.zeros((o, i)) for i, o in zip(arch.widths[:-1], arch.widths[1:])],
-            [np.zeros(o) for o in arch.widths[1:]],
-        )
-
-
-def net_init(arch: NetArch, seed: int) -> NetParams:
-    """Rectifier-scaled Gaussian init: W ~ N(0, 2/fan_in), biases zero."""
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    Layers come in order, each weight matrix row-major before its bias; the
+    entries after the network's ``arch.n_params`` are returned as the tail.
+    ``flat`` is 1-D, so every slice and reshape of it is a view: a write
+    through any view lands in ``flat``, and an in-place update of ``flat``
+    shows in every view.
+    """
+    weights, biases, pos = [], [], 0
     for i, o in zip(arch.widths[:-1], arch.widths[1:]):
-        weights.append(rng.standard_normal((o, i)) * np.sqrt(2.0 / i))
-        biases.append(np.zeros(o))
-    return NetParams(arch, weights, biases)
+        weights.append(flat[pos : pos + o * i].reshape(o, i))
+        pos += o * i
+        biases.append(flat[pos : pos + o])
+        pos += o
+    return NetParams(arch, weights, biases), flat[pos:]
+
+
+def net_init(arch: NetArch, seed: int, out: np.ndarray | None = None) -> NetParams:
+    """Rectifier-scaled Gaussian init: W ~ N(0, 2/fan_in), biases zero.
+
+    Written through the layer views of ``out`` (a fresh vector by default),
+    which are returned; a tail of ``out`` is left alone.
+    """
+    rng = np.random.default_rng(seed)
+    params, _ = layer_views(arch, np.empty(arch.n_params) if out is None else out)
+    for w, b in zip(params.weights, params.biases):
+        np.multiply(rng.standard_normal(w.shape), np.sqrt(2.0 / w.shape[1]), out=w)
+        b[:] = 0.0
+    return params
 
 
 @dataclass
@@ -152,30 +136,31 @@ def _check_tape(params: NetParams, tape: ForwardTape) -> None:
         raise ValueError("tape was produced by a network with a different architecture")
 
 
-def net_vjp_batch_sum(params: NetParams, tape: ForwardTape, upstream: np.ndarray) -> np.ndarray:
+def net_vjp_batch_sum(
+    params: NetParams, tape: ForwardTape, upstream: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sum over the batch of per-sample vector-Jacobian products.
 
     ``upstream`` has shape (n, d_out); the result is the flat gradient of
     ``sum_i <upstream_i, net(z_i)>`` with respect to all weights and biases.
+    It is written through the layer views of ``out`` (a fresh vector of
+    ``arch.n_params`` by default), which is returned; a tail of ``out`` is
+    left alone.
     """
     _check_tape(params, tape)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (tape.n, params.arch.d_out):
         raise ValueError(f"upstream shape {upstream.shape} != ({tape.n}, {params.arch.d_out})")
-    n_layers = params.arch.n_layers
-    grads_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    grads_b: list[np.ndarray] = [np.empty(0)] * n_layers
+    if out is None:
+        out = np.empty(params.arch.n_params)
+    grads, _ = layer_views(params.arch, out)
     delta = upstream
-    for layer in range(n_layers - 1, -1, -1):
-        grads_w[layer] = delta.T @ tape.inputs[layer]
-        grads_b[layer] = delta.sum(axis=0)
+    for layer in range(params.arch.n_layers - 1, -1, -1):
+        np.matmul(delta.T, tape.inputs[layer], out=grads.weights[layer])
+        delta.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * tape.masks[layer - 1]
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    return out
 
 
 def net_jacobian_frobenius(params: NetParams, z: np.ndarray) -> np.ndarray:

@@ -57,14 +57,15 @@ def write_trace_csv(path, trace, include_wallclock: bool = False) -> None:
 def save_checkpoint(path, params: SIVParams) -> None:
     """Architecture header plus the full flat parameter vector.
 
-    The payload is the flat layout (network weights and biases layer by
-    layer, then the log-scales) as little-endian float64 bytes in base64.
+    The payload is the parameter buffer ``params.flat`` as it is stored (the
+    layout of ``nets.layer_views``: network weights and biases layer by
+    layer, then the log-scales), as little-endian float64 bytes in base64.
     """
-    flat = params.to_flat()
+    flat = params.flat
     payload = flat.astype("<f8").tobytes()
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "widths": list(params.net.arch.widths),
+        "widths": list(params.arch.widths),
         "n_params": int(flat.size),
         "dtype": "<f8",
         "flat_base64": base64.b64encode(payload).decode("ascii"),

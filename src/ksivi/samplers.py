@@ -1,11 +1,11 @@
 """Ground-truth posterior samplers: parallel overdamped Langevin chains.
 
 Both samplers run many independent particles, vectorizing score evaluations
-across the particle axis.  Each particle owns its own random stream (spawned
-from the master seed, or given explicitly), so results are deterministic and
-independent of execution order, and permuting the particle seed assignment
-permutes output rows.  Noise is drawn in step chunks to amortize the
-per-stream call overhead.
+across the particle axis.  Each particle owns its own random stream, spawned
+from the master seed, so results are deterministic and independent of
+execution order, and the first k particles of a run follow the same paths
+as a k-particle run from the same seed.  Noise is drawn in step chunks to
+amortize the per-stream call overhead.
 
 The unadjusted sampler iterates ``x + (eps/2) * score(x) + sqrt(eps) * noise``;
 the adjusted variant proposes the same move and applies a Metropolis
@@ -45,7 +45,6 @@ class SamplerConfig:
     burn_in: int = 0
     thin: int = 1
     seed: int = 0
-    particle_seeds: tuple | None = None
     collect_history: bool = False
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class SamplerConfig:
             raise ValueError("burn-in must lie in [0, n_steps)")
         if self.thin < 1:
             raise ValueError("thinning stride must be at least 1")
-        if self.particle_seeds is not None and len(self.particle_seeds) != self.n_particles:
-            raise ValueError("particle seed count must match particle count")
 
 
 @dataclass
@@ -71,12 +68,6 @@ class SamplerRun:
     history: np.ndarray | None  # (n_kept, n_particles, d) when collected
     acceptance_rate: float | None  # adjusted sampler only
     n_steps: int
-
-    @property
-    def pooled_history(self) -> np.ndarray:
-        if self.history is None:
-            raise ValueError("run was executed without history collection")
-        return self.history.reshape(-1, self.states.shape[1])
 
 
 def langevin_step(x, score_value, step_size, noise, out=None):
@@ -92,8 +83,6 @@ def langevin_step(x, score_value, step_size, noise, out=None):
 
 
 def _particle_rngs(config: SamplerConfig):
-    if config.particle_seeds is not None:
-        return [np.random.default_rng(np.random.SeedSequence(s)) for s in config.particle_seeds]
     seq = np.random.SeedSequence(config.seed)
     return [np.random.default_rng(child) for child in seq.spawn(config.n_particles)]
 

@@ -31,51 +31,43 @@ import numpy as np
 
 def _as_batch(x, dim):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape != (dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({dim},)")
-        return x[None, :], True
-    if x.ndim == 2 and x.shape[1] == dim:
-        return x, False
-    raise ValueError(f"batch has shape {x.shape}, expected (n, {dim})")
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"batch has shape {x.shape}, expected (n, {dim})")
+    return x
 
 
 class TargetModel:
     """Interface: unnormalized log-density with analytic derivatives.
 
     Subclasses implement ``_logp``, ``_score``, ``_hvp`` on (n, d) batches;
-    the public methods accept single points or batches and return matching
-    shapes.  ``score_and_hvp`` gives the score and a Hessian-vector operator
-    at one batch.  ``sample_exact`` is optional.
+    the public methods take (n, d) batches only (a point is a batch of one)
+    and return ``(n,)`` log-densities or ``(n, d)`` vectors.
+    ``score_and_hvp`` gives the score and a Hessian-vector operator at one
+    batch.  ``sample_exact`` is optional.
     """
 
     dim: int
 
     def logp(self, x):
-        X, single = _as_batch(x, self.dim)
-        out = self._logp(X)
-        return float(out[0]) if single else out
+        return self._logp(_as_batch(x, self.dim))
 
     def score(self, x):
-        X, single = _as_batch(x, self.dim)
-        out = self._score(X)
-        return out[0] if single else out
+        return self._score(_as_batch(x, self.dim))
 
     def hvp(self, x, v):
-        X, single = _as_batch(x, self.dim)
-        V, _ = _as_batch(v, self.dim)
+        X = _as_batch(x, self.dim)
+        V = _as_batch(v, self.dim)
         if X.shape[0] != V.shape[0]:
             raise ValueError("batch sizes of points and directions differ")
-        out = self._hvp(X, V)
-        return out[0] if single else out
+        return self._hvp(X, V)
 
     def score_and_hvp(self, x):
         """Score at a batch and the operator ``V -> H(x) V`` at the same points.
 
-        A single point is a batch of one.  Targets whose score and Hessian
-        share work override this so that the work is done once per batch.
+        Targets whose score and Hessian share work override this so that the
+        work is done once per batch.
         """
-        X, _ = _as_batch(x, self.dim)
+        X = _as_batch(x, self.dim)
         return self.score(X), lambda V: self.hvp(X, V)
 
     def sample_exact(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,7 +280,7 @@ class LogisticRegression(TargetModel):
         return (self.design.T @ residual).T - self.alpha * B
 
     def score_and_hvp(self, x):
-        B, _ = _as_batch(x, self.dim)
+        B = _as_batch(x, self.dim)
         T = self._logits(B)
         s = _sigmoid(T)  # its own array: the operator holds it
         score = self._score_from(B, s, residual=T)

@@ -7,8 +7,10 @@ differentiating), evaluates the configured gradient estimator on the target
 tempered to the current annealing temperature (``targets.Tempered``) with the
 same matrix, and applies an Adam update in place.  The median bandwidth read
 from the matrix has the bits of ``np.median(pdist(samples))`` (see
-``kernels``).  The loop records a loss trace and aborts with a diagnostic
-snapshot if anything goes non-finite.
+``kernels``).  Adam updates the parameter buffer (``SIVParams.flat``) in
+place, so the next draw sees the step through the buffer's views; snapshots
+are taken only for the hook or an error.  The loop records a loss trace and
+aborts with a diagnostic snapshot if anything goes non-finite.
 """
 
 from __future__ import annotations
@@ -124,11 +126,9 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     call gets its own copy, which later updates leave alone.
     """
     rng = np.random.default_rng(config.seed)
-    params = init.copy()
-    flat = params.to_flat()
-    adam = AdamState.init(flat.size)
+    params = init.copy()  # its buffer is the one Adam steps
+    adam = AdamState.init(params.flat.size)
     trace = LossTrace()
-    arch = init.net.arch
     started = time.perf_counter()
 
     for t in range(config.iterations):
@@ -146,17 +146,16 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
             params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight, sq=sq
         )
         if not np.isfinite(value):
-            raise TrainingDivergence(t, params, f"loss estimate is {value}")
+            raise TrainingDivergence(t, params.copy(), f"loss estimate is {value}")
         if not np.all(np.isfinite(grad)):
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-            raise TrainingDivergence(t, params, f"gradient coordinate {bad} is non-finite")
-        adam, flat = adam_step(adam, flat, grad, config.learning_rate, config.clip_norm)
-        params = SIVParams.from_flat(arch, flat)  # a snapshot: flat changes in place
+            raise TrainingDivergence(t, params.copy(), f"gradient coordinate {bad} is non-finite")
+        adam_step(adam, params.flat, grad, config.learning_rate, config.clip_norm)
         if t % config.log_every == 0:
             elapsed_ms = (time.perf_counter() - started) * 1e3
             trace.append(t, value, kernel.bandwidth, beta, float(np.linalg.norm(grad)), elapsed_ms)
         if iteration_hook is not None:
-            iteration_hook(t, params)
+            iteration_hook(t, params.copy())
     return params, trace
 
 

@@ -1,8 +1,18 @@
-"""Shared oracles for the test suite: finite differences and quadrature."""
+"""Shared oracles for the test suite: finite differences and quadrature,
+plus zero-network parameters to build known families from."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from ksivi.family import SIVParams
+
+
+def zero_params(arch, rho=0.0):
+    """Parameters with every weight and bias zero and log-scales ``rho``."""
+    params = SIVParams.from_flat(arch, np.zeros(arch.n_params + arch.d_out))
+    params.rho[:] = rho
+    return params
 
 
 def central_difference_gradient(fn, x, step=1e-5):

@@ -4,7 +4,7 @@ import pytest
 from ksivi.estimators import value_and_grad
 from ksivi.family import SIVParams, f_vectors, reparameterize, siv_init, siv_sample_batch
 from ksivi.kernels import KernelSpec, eval_matrix
-from ksivi.nets import NetArch, NetParams
+from ksivi.nets import NetArch
 from ksivi.targets import (
     Banana,
     LogisticRegression,
@@ -14,7 +14,7 @@ from ksivi.targets import (
     make_waveform_dataset,
 )
 
-from helpers import central_difference_gradient, gauss_hermite_expectation_2d, relative_error
+from helpers import central_difference_gradient, gauss_hermite_expectation_2d, relative_error, zero_params
 
 RBF = KernelSpec("rbf", bandwidth=1.0)
 
@@ -42,10 +42,9 @@ def frozen_value_fn(arch, target, kernel, z_blocks, xi_blocks, kind, reg_weight=
 
 
 def match_params(mean, rho, d_z=3):
-    arch = NetArch((d_z, 4, mean.size))
-    net = NetParams.zeros(arch)
-    net.biases[-1][:] = mean
-    return SIVParams(net, rho)
+    params = zero_params(NetArch((d_z, 4, mean.size)), rho)
+    params.net.biases[-1][:] = mean
+    return params
 
 
 def draw_blocks(params, n, count, seed):
@@ -118,7 +117,7 @@ class TestStationarity:
         b2 = siv_sample_batch(params, 64, rng)
         value, grad = value_and_grad(params, target, RBF, (b1, b2), "vanilla")
         assert abs(value) <= 1e-8
-        n_net = params.net.n_params
+        n_net = params.arch.n_params
         assert np.linalg.norm(grad[:n_net]) <= 1e-7
         assert np.linalg.norm(grad) <= 1e-7
 
@@ -237,8 +236,8 @@ class TestGradientAgreement:
         target = Banana()
         n, n_seeds = 12, 250
         rng = np.random.default_rng(14)
-        grads_v = np.empty((n_seeds, params.n_params))
-        grads_u = np.empty((n_seeds, params.n_params))
+        grads_v = np.empty((n_seeds, params.flat.size))
+        grads_u = np.empty((n_seeds, params.flat.size))
         for s in range(n_seeds):
             b1 = siv_sample_batch(params, n, rng)
             b2 = siv_sample_batch(params, n, rng)

@@ -3,22 +3,22 @@ import pytest
 from scipy import stats
 
 from ksivi.family import SIVParams, f_vectors, reparameterize, siv_init, siv_sample_batch
-from ksivi.nets import NetArch, NetParams, net_forward_batch
+from ksivi.nets import NetArch, net_forward_batch
 from ksivi.targets import Tempered, diagonal_gaussian
+
+from helpers import zero_params
 
 
 def zero_net_params(d_z=3, d=2, rho=0.0):
-    arch = NetArch((d_z, 4, d))
-    return SIVParams(NetParams.zeros(arch), np.full(d, rho))
+    return zero_params(NetArch((d_z, 4, d)), rho)
 
 
 def constant_mean_params(mean, rho, d_z=3):
     """Zero weights with output bias = mean, so mu(z) is constant."""
     mean = np.asarray(mean, dtype=np.float64)
-    arch = NetArch((d_z, 4, mean.size))
-    net = NetParams.zeros(arch)
-    net.biases[-1][:] = mean
-    return SIVParams(net, np.asarray(rho, dtype=np.float64))
+    params = zero_params(NetArch((d_z, 4, mean.size)), rho)
+    params.net.biases[-1][:] = mean
+    return params
 
 
 def cond_score(batch, params):
@@ -134,8 +134,41 @@ class TestFlatRoundTrip:
         arch = NetArch((3, 8, 2))
         params = siv_init(arch, seed=14, rho_init=0.25)
         again = SIVParams.from_flat(arch, params.to_flat())
+        assert np.array_equal(again.flat, params.flat)
         assert np.array_equal(again.rho, params.rho)
-        assert np.array_equal(again.net.to_flat(), params.net.to_flat())
+        for a, b in zip(again.net.weights + again.net.biases, params.net.weights + params.net.biases):
+            assert np.array_equal(a, b)
+
+    def test_views_tile_the_buffer(self):
+        # every weight, bias and rho view is a view of flat, the views cover
+        # it once, and a write through a view shows in to_flat
+        params = siv_init(NetArch((3, 5, 4, 2)), seed=2, rho_init=-0.5)
+        views = params.net.weights + params.net.biases + [params.rho]
+        for k, view in enumerate(views):
+            assert np.shares_memory(view, params.flat)
+            view[...] = k + 1.0
+        flat = params.to_flat()
+        assert not np.shares_memory(flat, params.flat)
+        for k, view in enumerate(views):
+            assert np.count_nonzero(flat == k + 1.0) == view.size
+        assert np.all(flat > 0.0)
+
+    def test_copies_share_no_memory(self):
+        params = siv_init(NetArch((3, 5, 2)), seed=3, rho_init=0.1)
+        source = params.to_flat()
+        for other in (params.copy(), SIVParams.from_flat(params.arch, source)):
+            assert np.array_equal(other.flat, params.flat)
+            assert not np.shares_memory(other.flat, params.flat)
+            assert not np.shares_memory(other.flat, source)
+            for view in other.net.weights + other.net.biases + [other.rho]:
+                assert not np.shares_memory(view, params.flat)
+
+    def test_length_checked(self):
+        arch = NetArch((3, 5, 2))
+        with pytest.raises(ValueError, match="expected float64"):
+            SIVParams.from_flat(arch, np.zeros(arch.n_params))
+        with pytest.raises(ValueError, match="expected float64"):
+            SIVParams(arch, np.zeros(arch.n_params + 2, dtype=np.float32))
 
     def test_sigma_positive_for_any_rho(self):
         params = zero_net_params(rho=-40.0)

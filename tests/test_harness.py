@@ -31,6 +31,7 @@ from ksivi.runio import (
 )
 from ksivi.train import LossTrace
 
+from helpers import zero_params
 
 TINY_CONFIG = """
 experiment.name = "tiny"
@@ -161,7 +162,7 @@ class TestRunIO:
         save_checkpoint(path, params)
         again = load_checkpoint(path)
         assert np.array_equal(again.to_flat(), params.to_flat())
-        assert again.net.arch == params.net.arch
+        assert again.arch == params.arch
 
     def test_checkpoint_corruption_detected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -284,11 +285,7 @@ class TestCLI:
         assert main(["evaluate", str(a_path), str(b_path)]) == 2
 
     def test_diagnose_zero_checkpoint(self, tmp_path, capsys):
-        from ksivi.family import SIVParams
-        from ksivi.nets import NetParams
-
-        arch = NetArch((3, 8, 2))
-        params = SIVParams(NetParams.zeros(arch), np.zeros(2))
+        params = zero_params(NetArch((3, 8, 2)))
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, params)
         assert main(["diagnose", str(path), "--probes", "10", "--seed", "0"]) == 0

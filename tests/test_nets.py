@@ -1,16 +1,26 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
 from ksivi.nets import (
     NetArch,
     NetParams,
+    layer_views,
     net_forward_batch,
     net_init,
     net_jacobian_frobenius,
     net_vjp_batch_sum,
 )
+from ksivi.runio import save_checkpoint
 
-from helpers import central_difference_gradient, relative_error
+from helpers import central_difference_gradient, relative_error, zero_params
+
+
+def zero_net(arch):
+    """A network with every weight and bias zero."""
+    return layer_views(arch, np.zeros(arch.n_params))[0]
 
 
 def forward1(params, z):
@@ -69,7 +79,7 @@ class TestArchAndInit:
 class TestForward:
     def test_zero_params_zero_output(self):
         arch = NetArch((3, 10, 4))
-        out = forward1(NetParams.zeros(arch), np.array([1.0, -2.0, 0.5]))
+        out = forward1(zero_net(arch), np.array([1.0, -2.0, 0.5]))
         assert np.array_equal(out, np.zeros(4))
 
     def test_single_linear_layer(self):
@@ -128,16 +138,15 @@ class TestVJP:
 
     def test_matches_finite_differences(self):
         arch = NetArch((3, 8, 2))
-        params = net_init(arch, seed=2)
+        flat0 = np.empty(arch.n_params)
+        params = net_init(arch, seed=2, out=flat0)
         rng = np.random.default_rng(9)
         z = rng.standard_normal(3)
         v = rng.standard_normal(2)
         analytic = vjp1(params, z, v)
 
-        flat0 = params.to_flat()
-
         def value(flat):
-            return float(v @ forward1(NetParams.from_flat(arch, flat), z))
+            return float(v @ forward1(layer_views(arch, flat)[0], z))
 
         fd = central_difference_gradient(value, flat0, step=1e-5)
         assert relative_error(analytic, fd, floor=1e-8).max() < 1e-6
@@ -160,10 +169,26 @@ class TestVJP:
         up = rng.standard_normal((7, 2))
         _, tape = net_forward_batch(params, z)
         batched = net_vjp_batch_sum(params, tape, up)
-        summed = np.zeros(params.n_params)
+        summed = np.zeros(params.arch.n_params)
         for i in range(7):
             summed += vjp1(params, z[i], up[i])
         assert np.allclose(batched, summed, rtol=1e-12, atol=1e-12)
+
+    def test_out_matches_fresh_vector(self):
+        # the gradient written through the views of a caller's vector, one
+        # with a tail after the network's entries, has the default's bits
+        arch = NetArch((5, 16, 16, 3))
+        params = net_init(arch, seed=4)
+        rng = np.random.default_rng(5)
+        _, tape = net_forward_batch(params, rng.standard_normal((40, 5)))
+        up = rng.standard_normal((40, 3))
+        expect = net_vjp_batch_sum(params, tape, up)
+        for tail in (0, 3):
+            buf = np.full(arch.n_params + tail, np.nan)
+            got = net_vjp_batch_sum(params, tape, up, out=buf)
+            assert got is buf
+            assert np.array_equal(buf[: arch.n_params], expect)
+            assert np.all(np.isnan(buf[arch.n_params :]))
 
     def test_arch_mismatch_rejected(self):
         p1 = net_init(NetArch((3, 8, 2)), seed=0)
@@ -177,7 +202,7 @@ class TestJacobianFrobenius:
     def test_zero_network_at_origin(self):
         # only the final bias rows survive, one unit per output coordinate
         arch = NetArch((3, 8, 4))
-        norm = net_jacobian_frobenius(NetParams.zeros(arch), np.zeros((1, 3)))
+        norm = net_jacobian_frobenius(zero_net(arch), np.zeros((1, 3)))
         assert norm.shape == (1,)
         assert np.isclose(norm[0], np.sqrt(4.0))
 
@@ -192,14 +217,14 @@ class TestJacobianFrobenius:
 
     def test_matches_finite_differences(self):
         arch = NetArch((3, 7, 2))
-        params = net_init(arch, seed=14)
+        flat0 = np.empty(arch.n_params)
+        params = net_init(arch, seed=14, out=flat0)
         z = np.random.default_rng(3).standard_normal(3)
-        flat0 = params.to_flat()
 
         total = 0.0
         for k in range(2):
             def coord(flat, k=k):
-                return float(forward1(NetParams.from_flat(arch, flat), z)[k])
+                return float(forward1(layer_views(arch, flat)[0], z)[k])
 
             total += (central_difference_gradient(coord, flat0, step=1e-6) ** 2).sum()
         fd_norm = np.sqrt(total)
@@ -207,21 +232,30 @@ class TestJacobianFrobenius:
 
 
 class TestFlatLayout:
-    def test_round_trip(self):
+    def test_init_writes_through_views(self):
+        # init into a caller's vector gives the fresh init's values, as views
+        # of that vector, and leaves its tail alone
         arch = NetArch((4, 6, 3))
-        params = net_init(arch, seed=21)
-        again = NetParams.from_flat(arch, params.to_flat())
-        for a, b in zip(params.weights, again.weights):
+        fresh = net_init(arch, seed=21)
+        flat = np.full(arch.n_params + 2, np.nan)
+        params = net_init(arch, seed=21, out=flat)
+        for a, b in zip(params.weights + params.biases, fresh.weights + fresh.biases):
+            assert np.shares_memory(a, flat)
             assert np.array_equal(a, b)
-        for a, b in zip(params.biases, again.biases):
-            assert np.array_equal(a, b)
+        assert not np.any(np.isnan(flat[: arch.n_params]))
+        assert np.all(np.isnan(flat[arch.n_params :]))
 
-    def test_layout_order(self):
-        # layer-major, weights (row-major) before biases
+    def test_layout_order(self, tmp_path):
+        # layer-major, weights (row-major) before biases, then the log-scales
         arch = NetArch((2, 2, 1))
-        params = NetParams.zeros(arch)
-        params.weights[0][:] = [[1.0, 2.0], [3.0, 4.0]]
-        params.biases[0][:] = [5.0, 6.0]
-        params.weights[1][:] = [[7.0, 8.0]]
-        params.biases[1][:] = [9.0]
-        assert np.array_equal(params.to_flat(), np.arange(1.0, 10.0))
+        params = zero_params(arch)
+        params.net.weights[0][:] = [[1.0, 2.0], [3.0, 4.0]]
+        params.net.biases[0][:] = [5.0, 6.0]
+        params.net.weights[1][:] = [[7.0, 8.0]]
+        params.net.biases[1][:] = [9.0]
+        params.rho[:] = [10.0]
+        assert np.array_equal(params.to_flat(), np.arange(1.0, 11.0))
+        # the checkpoint payload is the same order, as little-endian float64
+        save_checkpoint(tmp_path / "checkpoint.json", params)
+        payload = base64.b64decode(json.loads((tmp_path / "checkpoint.json").read_text())["flat_base64"])
+        assert payload == np.arange(1.0, 11.0).astype("<f8").tobytes()

@@ -152,7 +152,7 @@ class TestSingleDriver:
             step_size=step_size,
             burn_in=5,
             thin=3,
-            particle_seeds=(3, 1, 4, 15, 9, 2, 6),
+            seed=31,
             collect_history=True,
         )
         if chunk_steps is not None:
@@ -238,19 +238,17 @@ class TestSGLD:
         b = sgld_run(gaussian5(), config)
         assert np.array_equal(a.states, b.states)
 
-    def test_particle_seed_permutation_permutes_rows(self):
-        seeds = (11, 22, 33, 44)
-        base = SamplerConfig(n_particles=4, n_steps=100, step_size=0.01, particle_seeds=seeds)
-        run = sgld_run(gaussian5(), base)
-        perm = (2, 0, 3, 1)
-        shuffled = SamplerConfig(
-            n_particles=4,
-            n_steps=100,
-            step_size=0.01,
-            particle_seeds=tuple(seeds[i] for i in perm),
-        )
-        run_perm = sgld_run(gaussian5(), shuffled)
-        assert np.array_equal(run_perm.states, run.states[list(perm)])
+    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
+    def test_leading_particles_match_a_smaller_run(self, run):
+        # each particle owns a stream spawned from the seed: the first k rows
+        # of an n-particle run are a k-particle run from the same seed
+        def config(n):
+            return SamplerConfig(n_particles=n, n_steps=60, step_size=0.02, burn_in=10, seed=17, collect_history=True)
+
+        full = run(Banana(), config(6))
+        head = run(Banana(), config(4))
+        assert np.array_equal(full.states[:4], head.states)
+        assert np.array_equal(full.history[:, :4], head.history)
 
     def test_history_collection(self):
         config = SamplerConfig(
@@ -264,7 +262,6 @@ class TestSGLD:
         )
         run = sgld_run(gaussian5(), config)
         assert run.history.shape == (6, 10, 5)
-        assert run.pooled_history.shape == (60, 5)
 
     def test_divergence_reported(self):
         class ExplodingTarget(TargetModel):
@@ -291,8 +288,6 @@ class TestSGLD:
             SamplerConfig(n_particles=0, n_steps=10, step_size=0.1)
         with pytest.raises(ValueError):
             SamplerConfig(n_particles=1, n_steps=10, step_size=0.1, burn_in=10)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_particles=2, n_steps=10, step_size=0.1, particle_seeds=(1,))
 
 
 class TestMALA:
@@ -312,7 +307,7 @@ class TestMALA:
             collect_history=True,
         )
         run = mala_run(gaussian5(), config)
-        variances = run.pooled_history.var(axis=0)
+        variances = run.history.reshape(-1, 5).var(axis=0)
         assert np.all(variances > 0.97) and np.all(variances < 1.03)
 
     def test_detailed_balance_spot_check_1d(self):
@@ -327,7 +322,7 @@ class TestMALA:
             collect_history=True,
         )
         run = mala_run(target, config)
-        pooled = run.pooled_history[:, 0]
+        pooled = run.history.reshape(-1)
         assert pooled.size == 10_000
         _, pvalue = stats.kstest(pooled, "norm")
         assert pvalue > 0.01

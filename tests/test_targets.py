@@ -30,6 +30,26 @@ from ksivi.targets import (
 from helpers import central_difference_gradient, relative_error
 
 
+def at(x):
+    """One point as a batch of one."""
+    return np.asarray(x, dtype=float)[None, :]
+
+
+def logp1(target, x):
+    """Log-density at one point, through a batch of one."""
+    return float(target.logp(at(x))[0])
+
+
+def score1(target, x):
+    """Score at one point, through a batch of one."""
+    return target.score(at(x))[0]
+
+
+def hvp1(target, x, v):
+    """Hessian-vector product at one point, through a batch of one."""
+    return target.hvp(at(x), at(v))[0]
+
+
 def make_cd_target(seed=0):
     idx, obs, _ = generate_cd_observations(seed)
     return ConditionedDiffusion(idx, obs)
@@ -57,8 +77,8 @@ class TestDerivativeConsistency:
         rng = np.random.default_rng(17)
         for _ in range(50):
             x = rng.standard_normal(target.dim)
-            fd = central_difference_gradient(target.logp, x, step=1e-5)
-            err = relative_error(target.score(x), fd, floor=1e-6)
+            fd = central_difference_gradient(lambda y: logp1(target, y), x, step=1e-5)
+            err = relative_error(score1(target, x), fd, floor=1e-6)
             assert err.max() < tol
 
     def test_hvp_linear_and_symmetric(self, name, target, tol):
@@ -66,11 +86,11 @@ class TestDerivativeConsistency:
         x = rng.standard_normal(target.dim)
         u = rng.standard_normal(target.dim)
         v = rng.standard_normal(target.dim)
-        combo = target.hvp(x, 2.0 * u - 3.0 * v)
-        parts = 2.0 * target.hvp(x, u) - 3.0 * target.hvp(x, v)
+        combo = hvp1(target, x, 2.0 * u - 3.0 * v)
+        parts = 2.0 * hvp1(target, x, u) - 3.0 * hvp1(target, x, v)
         assert np.allclose(combo, parts, rtol=1e-10, atol=1e-10)
-        lhs = float(target.hvp(x, u) @ v)
-        rhs = float(target.hvp(x, v) @ u)
+        lhs = float(hvp1(target, x, u) @ v)
+        rhs = float(hvp1(target, x, v) @ u)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
     def test_hvp_matches_score_derivative(self, name, target, tol):
@@ -78,11 +98,12 @@ class TestDerivativeConsistency:
         x = rng.standard_normal(target.dim)
         v = rng.standard_normal(target.dim)
         step = 1e-5
-        fd = (target.score(x + step * v) - target.score(x - step * v)) / (2.0 * step)
-        err = relative_error(target.hvp(x, v), fd, floor=1e-4)
+        fd = (score1(target, x + step * v) - score1(target, x - step * v)) / (2.0 * step)
+        err = relative_error(hvp1(target, x, v), fd, floor=1e-4)
         assert err.max() < 1e-4
 
     def test_batch_matches_single(self, name, target, tol):
+        # each row against a batch of one holding that row alone
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, target.dim))
         V = rng.standard_normal((4, target.dim))
@@ -90,9 +111,17 @@ class TestDerivativeConsistency:
         sc = target.score(X)
         hv = target.hvp(X, V)
         for i in range(4):
-            assert np.isclose(lp[i], target.logp(X[i]), rtol=1e-12)
-            assert np.allclose(sc[i], target.score(X[i]), rtol=1e-10, atol=1e-12)
-            assert np.allclose(hv[i], target.hvp(X[i], V[i]), rtol=1e-10, atol=1e-12)
+            assert np.isclose(lp[i], logp1(target, X[i]), rtol=1e-12)
+            assert np.allclose(sc[i], score1(target, X[i]), rtol=1e-10, atol=1e-12)
+            assert np.allclose(hv[i], hvp1(target, X[i], V[i]), rtol=1e-10, atol=1e-12)
+
+    def test_point_is_rejected(self, name, target, tol):
+        # a point is a batch of one; a 1-D array is refused, not promoted
+        x = np.zeros(target.dim)
+        expect = rf"expected \(n, {target.dim}\)"
+        for call in (target.logp, target.score, target.score_and_hvp, lambda y: target.hvp(y, y)):
+            with pytest.raises(ValueError, match=expect):
+                call(x)
 
 
 SHARED_TARGETS = [(name, target) for name, target, _ in ALL_TARGETS]
@@ -144,7 +173,7 @@ class TestSigmoid:
 
 class TestBanana:
     def test_score_zero_at_pullback_origin(self):
-        assert np.allclose(Banana().score(np.array([0.0, 1.0])), 0.0)
+        assert np.allclose(score1(Banana(), [0.0, 1.0]), 0.0)
 
     def test_exact_sampler_pullback_moments(self):
         target = Banana()
@@ -156,7 +185,7 @@ class TestBanana:
 
 class TestMixture:
     def test_multimodal_score_cancels_at_origin(self):
-        assert np.allclose(multimodal_target().score(np.zeros(2)), 0.0, atol=1e-14)
+        assert np.allclose(score1(multimodal_target(), np.zeros(2)), 0.0, atol=1e-14)
 
     def test_single_component_is_gaussian(self):
         mean = np.array([1.0, -2.0])
@@ -165,7 +194,7 @@ class TestMixture:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.standard_normal(2)
-            assert np.allclose(target.score(x), (mean - x) / variances, rtol=1e-12)
+            assert np.allclose(score1(target, x), (mean - x) / variances, rtol=1e-12)
 
     def test_exact_sampler_moments(self):
         target = multimodal_target()
@@ -184,14 +213,14 @@ class TestMixture:
 
 class TestStudentTProduct:
     def test_score_zero_at_origin(self):
-        assert np.allclose(StudentTProduct(nu=2.0, width=5.0).score(np.zeros(2)), 0.0)
+        assert np.allclose(score1(StudentTProduct(nu=2.0, width=5.0), np.zeros(2)), 0.0)
 
     def test_univariate_score_formula(self):
         nu, w = 3.0, 2.0
         target = StudentTProduct(nu=nu, width=w, dim=1)
         for x in (-4.0, -0.5, 0.7, 3.0):
             expect = -(nu + 1.0) * x / (nu * w**2 + x**2)
-            assert np.isclose(target.score(np.array([x]))[0], expect)
+            assert np.isclose(score1(target, [x])[0], expect)
 
     def test_exact_sampler_median_scale(self):
         target = StudentTProduct(nu=2.0, width=10.0)
@@ -205,7 +234,7 @@ class TestLogisticRegression:
     def test_score_at_zero(self):
         target = make_blr_target(n_rows=30)
         expect = ((target.labels - 0.5)[:, None] * target.design).sum(axis=0)
-        assert np.allclose(target.score(np.zeros(target.dim)), expect)
+        assert np.allclose(score1(target, np.zeros(target.dim)), expect)
 
     def test_hvp_negative_definite(self):
         target = make_blr_target(n_rows=30)
@@ -213,7 +242,7 @@ class TestLogisticRegression:
         beta = rng.standard_normal(target.dim)
         for _ in range(10):
             v = rng.standard_normal(target.dim)
-            quad = float(target.hvp(beta, v) @ v)
+            quad = float(hvp1(target, beta, v) @ v)
             assert quad <= -target.alpha * float(v @ v) + 1e-9
 
     def test_score_and_hvp_match_separate_formulas(self):
@@ -240,12 +269,12 @@ class TestLogisticRegression:
         u = rng.standard_normal(target.dim)
         beta = u * (reach / np.abs(target.design @ u).max())
         assert np.abs(target.design @ beta).max() > 700.0
-        fd = central_difference_gradient(target.logp, beta, step=1e-5)
-        assert relative_error(target.score(beta), fd, floor=1e-6).max() < 1e-4
+        fd = central_difference_gradient(lambda y: logp1(target, y), beta, step=1e-5)
+        assert relative_error(score1(target, beta), fd, floor=1e-6).max() < 1e-4
         v = rng.standard_normal(target.dim)
         step = 1e-5
-        fd = (target.score(beta + step * v) - target.score(beta - step * v)) / (2.0 * step)
-        assert relative_error(target.hvp(beta, v), fd, floor=1e-4).max() < 1e-4
+        fd = (score1(target, beta + step * v) - score1(target, beta - step * v)) / (2.0 * step)
+        assert relative_error(hvp1(target, beta, v), fd, floor=1e-4).max() < 1e-4
 
     def test_loader_round_trip(self, tmp_path):
         features, labels = make_waveform_dataset(n_rows=17, seed=5)
@@ -282,7 +311,7 @@ class TestLogisticRegression:
 class TestConditionedDiffusion:
     def test_zero_path_score(self):
         target = make_cd_target()
-        score = target.score(np.zeros(100))
+        score = score1(target, np.zeros(100))
         expect = np.zeros(100)
         expect[target.obs_indices - 1] = target.observations / target.obs_noise**2
         assert np.allclose(score, expect)
@@ -332,14 +361,14 @@ class TestTempered:
         rng = np.random.default_rng(9)
         x = rng.standard_normal(2)
         v = rng.standard_normal(2)
-        assert np.array_equal(tempered.score(x), base.score(x))
-        assert np.array_equal(tempered.hvp(x, v), base.hvp(x, v))
+        assert np.array_equal(score1(tempered, x), score1(base, x))
+        assert np.array_equal(hvp1(tempered, x, v), hvp1(base, x, v))
 
     def test_scales_score(self):
         base = Banana()
         tempered = Tempered(base, 0.25)
         x = np.array([0.7, -0.2])
-        assert np.allclose(tempered.score(x), 0.25 * base.score(x))
+        assert np.allclose(score1(tempered, x), 0.25 * score1(base, x))
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
@@ -363,7 +392,7 @@ class ReferenceLogisticRegression(LogisticRegression):
         return ll - 0.5 * self.alpha * (B**2).sum(axis=1)
 
     def score_and_hvp(self, x):
-        B, _ = _as_batch(x, self.dim)
+        B = _as_batch(x, self.dim)
         s = reference_sigmoid(self._logits(B))
         score = (self.design.T @ (self.labels[:, None] - s)).T - self.alpha * B
 
@@ -431,13 +460,13 @@ def _cd_pair():
 
 def _layouts(block):
     """The same points as a C-ordered batch, a Fortran-ordered one, every
-    other row of a larger batch, and a single point."""
+    other row of a larger batch, and a single point as a batch of one."""
     wide = np.repeat(block, 2, axis=0)
     return {
         "contiguous": block,
         "fortran": np.asfortranarray(block),
         "strided-rows": wide[::2],
-        "single-point": block[0],
+        "single-point": block[:1],
     }
 
 
@@ -469,8 +498,7 @@ def test_in_place_passes_match_allocating_ones(pair, layout, beta):
     score, hvp = target.score_and_hvp(x)
     ref_score, ref_hvp = reference.score_and_hvp(x)
     assert np.array_equal(score, ref_score)
-    V = np.atleast_2d(v)  # the operator takes a batch of directions
-    assert np.array_equal(hvp(V), ref_hvp(V))
+    assert np.array_equal(hvp(v), ref_hvp(v))
     assert np.array_equal(x, x_before) and np.array_equal(v, v_before)
 
 
@@ -498,7 +526,7 @@ class TestHvpShapes:
         # one point against several directions is not broadcast
         rng = np.random.default_rng(19)
         with pytest.raises(ValueError, match="batch sizes"):
-            target.hvp(rng.standard_normal(target.dim), rng.standard_normal((3, target.dim)))
+            target.hvp(rng.standard_normal((1, target.dim)), rng.standard_normal((3, target.dim)))
         with pytest.raises(ValueError, match="batch sizes"):
             target.hvp(rng.standard_normal((2, target.dim)), rng.standard_normal((3, target.dim)))
 
@@ -516,12 +544,12 @@ def test_cd_derivatives_at_large_states(seed, reach):
     u = rng.standard_normal(target.dim)
     x = u * (reach / np.abs(u).max())
     step = 1e-5
-    fd = central_difference_gradient(target.logp, x, step=step)
-    roundoff = np.finfo(np.float64).eps * abs(target.logp(x)) / step
-    assert np.all(np.abs(target.score(x) - fd) <= 1e-4 * np.abs(fd) + 10.0 * roundoff)
+    fd = central_difference_gradient(lambda y: logp1(target, y), x, step=step)
+    roundoff = np.finfo(np.float64).eps * abs(logp1(target, x)) / step
+    assert np.all(np.abs(score1(target, x) - fd) <= 1e-4 * np.abs(fd) + 10.0 * roundoff)
     v = rng.standard_normal(target.dim)
-    fd = (target.score(x + step * v) - target.score(x - step * v)) / (2.0 * step)
-    assert relative_error(target.hvp(x, v), fd, floor=1e-6 * np.abs(fd).max()).max() < 1e-4
+    fd = (score1(target, x + step * v) - score1(target, x - step * v)) / (2.0 * step)
+    assert relative_error(hvp1(target, x, v), fd, floor=1e-6 * np.abs(fd).max()).max() < 1e-4
 
 
 # Student-t tails out to 1e4 widths: the score decays like (nu + 1) / x and the
@@ -540,10 +568,10 @@ def test_student_t_derivatives_in_the_tails(seed, reach, nu):
     for i, step in enumerate(steps):
         e = np.zeros(3)
         e[i] = step
-        fd[i] = (target.logp(x + e) - target.logp(x - e)) / (2.0 * step)
-    roundoff = np.finfo(np.float64).eps * abs(target.logp(x)) / steps
-    assert np.all(np.abs(target.score(x) - fd) <= 1e-4 * np.abs(fd) + 10.0 * roundoff)
+        fd[i] = (logp1(target, x + e) - logp1(target, x - e)) / (2.0 * step)
+    roundoff = np.finfo(np.float64).eps * abs(logp1(target, x)) / steps
+    assert np.all(np.abs(score1(target, x) - fd) <= 1e-4 * np.abs(fd) + 10.0 * roundoff)
     v = rng.standard_normal(3) * np.abs(x)  # a direction on the scale of x
     step = 1e-5
-    fd = (target.score(x + step * v) - target.score(x - step * v)) / (2.0 * step)
-    assert relative_error(target.hvp(x, v), fd, floor=1e-6 * np.abs(fd).max()).max() < 1e-4
+    fd = (score1(target, x + step * v) - score1(target, x - step * v)) / (2.0 * step)
+    assert relative_error(hvp1(target, x, v), fd, floor=1e-6 * np.abs(fd).max()).max() < 1e-4

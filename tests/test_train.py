@@ -17,6 +17,7 @@ from ksivi.train import (
     train,
 )
 
+from helpers import zero_params
 from test_train_reference import reference_adam_step, reference_train
 
 
@@ -108,10 +109,8 @@ class TestTrainLoop:
     def test_gaussian_match_is_stationary(self):
         mean = np.array([0.5, -0.5])
         rho = np.array([-0.2, 0.1])
-        arch = NetArch((3, 4, 2))
-        net = NetParams.zeros(arch)
-        net.biases[-1][:] = mean
-        init = SIVParams(net, rho)
+        init = zero_params(NetArch((3, 4, 2)), rho)
+        init.net.biases[-1][:] = mean
         target = diagonal_gaussian(mean, np.exp(2.0 * rho))
         config = TrainConfig(
             iterations=200,
@@ -198,7 +197,8 @@ class TestTrainLoop:
         # where z_0 > 0 the first hidden layer reaches about 1e200 and the
         # second overflows to inf: in one unit (output inf) or in two that
         # the output subtracts (inf - inf = NaN); rows with z_0 <= 0 stay finite
-        net = NetParams.zeros(NetArch((3, 2, 2, 2)))
+        init = zero_params(NetArch((3, 2, 2, 2)))
+        net = init.net
         net.weights[0][:, 0] = 1e200
         if blowup == "nan":
             net.weights[1][:, 0] = 1e200
@@ -206,7 +206,6 @@ class TestTrainLoop:
         else:
             net.weights[1][0, 0] = 1e200
             net.weights[2][0] = [1.0, 0.0]
-        init = SIVParams(net, np.zeros(2))
         with np.errstate(all="ignore"):
             x = siv_sample_batch(init, 16, np.random.default_rng(0)).x
         assert np.any(np.isnan(x) if blowup == "nan" else np.isinf(x))
@@ -219,6 +218,45 @@ class TestTrainLoop:
                 reference_train(config, Banana(), init)
         assert err.value.iteration == 0
         assert str(err.value) == str(ref_err.value)
+
+    def test_divergence_snapshot_is_a_copy(self, monkeypatch):
+        # the snapshot has the reference loop's bits and no memory in common
+        # with the buffer Adam was stepping; the loss turns NaN at iteration 3
+        live = []
+
+        def nan_at_3(params, *args, **kwargs):
+            live.append(params)
+            value, grad = value_and_grad(params, *args, **kwargs)
+            return (np.nan if len(live) == 4 else value), grad
+
+        init = siv_init(NetArch((3, 6, 2)), seed=8, rho_init=-0.2)
+        config = TrainConfig(iterations=6, batch_size=8, learning_rate=1e-2, seed=9)
+        ref, _ = reference_train(TrainConfig(iterations=3, batch_size=8, learning_rate=1e-2, seed=9), Banana(), init)
+        monkeypatch.setattr("ksivi.train.value_and_grad", nan_at_3)
+        with pytest.raises(TrainingDivergence) as err:
+            train(config, Banana(), init)
+        assert err.value.iteration == 3
+        assert np.array_equal(err.value.params.to_flat(), ref.to_flat())
+        assert not np.shares_memory(err.value.params.flat, live[-1].flat)
+
+    @pytest.mark.parametrize("hook", [False, True], ids=["no-hook", "hook"])
+    def test_snapshots_only_for_the_hook(self, monkeypatch, hook):
+        # from_flat copies every weight; a run calls it once to copy init and
+        # once more per iteration only when a hook gets a snapshot
+        calls = []
+        original = SIVParams.from_flat.__func__
+
+        def counted(cls, arch, flat):
+            calls.append(arch)
+            return original(cls, arch, flat)
+
+        monkeypatch.setattr(SIVParams, "from_flat", classmethod(counted))
+        init = siv_init(NetArch((3, 6, 2)), seed=1)
+        for iterations in (0, 5):
+            calls.clear()
+            config = TrainConfig(iterations=iterations, batch_size=8, learning_rate=1e-2, seed=2)
+            train(config, Banana(), init, iteration_hook=(lambda t, p: None) if hook else None)
+            assert len(calls) == 1 + (iterations if hook else 0)
 
     def test_leaves_init_and_hook_snapshots_alone(self):
         init = siv_init(NetArch((3, 8, 2)), seed=13, rho_init=-0.3)
@@ -276,8 +314,7 @@ class TestSmoothnessDiagnostic:
         assert np.isclose(record["max_jacobian_norm"], norms.max(), rtol=1e-13, atol=0.0)
 
     def test_zero_network_norm(self):
-        arch = NetArch((3, 8, 4))
-        params = SIVParams(NetParams.zeros(arch), np.zeros(4))
+        params = zero_params(NetArch((3, 8, 4)))
 
         class OriginRng:
             def standard_normal(self, shape):
