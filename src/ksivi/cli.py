@@ -5,6 +5,9 @@ Subcommands: ``train``, ``sample-ground-truth``, ``evaluate``, ``diagnose``,
 happen inside the command handlers, after ``_prepare`` has pinned the thread
 count (``--threads``, else the config's ``run.threads``), so the pin takes
 effect before the BLAS runtime loads.
+
+``--seed`` replaces ``run.seed`` and re-derives from it the four seeds of
+``configio.SEED_OFFSETS``, also where the config sets them, as ``config.txt`` does.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ def _pin_threads(n: int) -> None:
 
 
 def _load_flat_config(args) -> dict:
-    from .configio import ConfigError, load_config_file
+    from .configio import SEED_OFFSETS, ConfigError, load_config_file
     from .presets import get_preset
 
     if args.preset and args.config:
@@ -35,9 +38,9 @@ def _load_flat_config(args) -> dict:
         flat = load_config_file(args.config)
     else:
         raise ConfigError("config", "need a config file or --preset")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         flat["run.seed"] = args.seed
-        for derived in ("init.seed", "train.seed", "eval.seed", "sampler.seed"):
+        for derived in SEED_OFFSETS:
             flat.pop(derived, None)
     return flat
 
@@ -57,27 +60,32 @@ def _prepare(args):
     return config, target, out_dir
 
 
-def _base_manifest(config, started, finished):
-    from .runio import build_identifier
+def _write_record(out_dir, config, started, finished, files, **sections):
+    """Write ``config.txt``, the whole resolved config, and ``manifest.json`` naming ``files``."""
+    from .configio import format_config
+    from .runio import build_identifier, write_manifest
 
-    return {
+    (out_dir / "config.txt").write_text(format_config(config.resolved_flat()))
+    manifest = {
         "experiment": config.name,
         "config": config.resolved_flat(),
-        "master_seed": config.master_seed,
+        "master_seed": config.flat["run.seed"],
         "build": build_identifier(),
         "wallclock_seconds": finished - started,
         "argv": sys.argv[1:],
+        **sections,
+        "files": ["config.txt", *files],
     }
+    write_manifest(out_dir / "manifest.json", manifest)
 
 
 def cmd_train(args) -> int:
     config, target, out_dir = _prepare(args)  # first: it pins the thread count
     import numpy as np
 
-    from .configio import format_config
     from .family import siv_init, siv_sample_batch
     from .nets import NetArch
-    from .runio import save_checkpoint, write_manifest, write_samples_csv, write_trace_csv
+    from .runio import save_checkpoint, write_samples_csv, write_trace_csv
     from .train import train
 
     init = siv_init(NetArch(config.widths), config.init_seed, config.rho_init)
@@ -88,14 +96,12 @@ def cmd_train(args) -> int:
     eval_rng = np.random.default_rng(config.eval_seed)
     samples = siv_sample_batch(params, config.eval_sample_size, eval_rng).x
 
-    (out_dir / "config.txt").write_text(format_config(config.resolved_flat()))
-    write_trace_csv(out_dir / "trace.csv", trace, include_wallclock=config.trace_wallclock)
+    write_trace_csv(out_dir / "trace.csv", trace, include_wallclock=config.flat["output.trace_wallclock"])
     save_checkpoint(out_dir / "checkpoint.json", params)
     write_samples_csv(out_dir / "samples.csv", samples)
 
-    manifest = _base_manifest(config, started, finished)
     train_seconds = finished - started
-    manifest["training"] = {
+    training = {
         "iterations": config.train.iterations,
         "seconds": train_seconds,
         "seconds_per_10k_iterations": (
@@ -103,8 +109,8 @@ def cmd_train(args) -> int:
         ),
         "final_ksd2": trace.ksd2[-1] if len(trace) else None,
     }
-    manifest["files"] = ["config.txt", "trace.csv", "checkpoint.json", "samples.csv"]
-    write_manifest(out_dir / "manifest.json", manifest)
+    files = ["trace.csv", "checkpoint.json", "samples.csv"]
+    _write_record(out_dir, config, started, finished, files, training=training)
     print(f"trained {config.name}: {config.train.iterations} iterations in {train_seconds:.1f}s")
     print(f"artifacts in {out_dir}")
     return 0
@@ -112,36 +118,18 @@ def cmd_train(args) -> int:
 
 def cmd_ground_truth(args) -> int:
     config, target, out_dir = _prepare(args)  # first: it pins the thread count
-    from .configio import format_config
-    from .runio import write_manifest, write_samples_csv
+    from .runio import write_samples_csv
     from .samplers import SamplerConfig, mala_run, sgld_run
 
     s = config.sampler
-    sampler_config = SamplerConfig(
-        n_particles=s["n_particles"],
-        n_steps=s["n_steps"],
-        step_size=s["step_size"],
-        burn_in=s["burn_in"],
-        thin=s["thin"],
-        seed=s["seed"],
-    )
     runner = mala_run if s["algorithm"] == "mala" else sgld_run
     started = time.perf_counter()
-    run = runner(target, sampler_config)
+    run = runner(target, SamplerConfig(**{key: value for key, value in s.items() if key != "algorithm"}))
     finished = time.perf_counter()
 
     write_samples_csv(out_dir / "ground_truth.csv", run.states)
-    (out_dir / "config.txt").write_text(format_config(config.resolved_flat()))
-    manifest = _base_manifest(config, started, finished)
-    manifest["sampler"] = {
-        "algorithm": s["algorithm"],
-        "n_particles": s["n_particles"],
-        "n_steps": s["n_steps"],
-        "step_size": s["step_size"],
-        "acceptance_rate": run.acceptance_rate,
-    }
-    manifest["files"] = ["config.txt", "ground_truth.csv"]
-    write_manifest(out_dir / "manifest.json", manifest)
+    sampler = {**s, "acceptance_rate": run.acceptance_rate}
+    _write_record(out_dir, config, started, finished, ["ground_truth.csv"], sampler=sampler)
     extra = f", acceptance {run.acceptance_rate:.3f}" if run.acceptance_rate is not None else ""
     print(f"sampled {s['n_particles']} particles x {s['n_steps']} steps{extra}")
     print(f"artifacts in {out_dir}")

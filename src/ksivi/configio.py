@@ -1,13 +1,26 @@
-"""Experiment configuration: a flat dotted-key text format plus validation.
+"""Experiment configuration: a flat dotted-key text format and its one schema.
 
 The file format is a deliberately tiny subset of TOML so it stays
 human-diffable and trivially parseable: one ``section.key = value`` pair per
 line, ``#`` comments, values limited to integers, floats, booleans, quoted
 strings, and flat lists thereof.
+
+The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
+and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  A kind is
+``int``, ``float`` (an integer widens), ``str``, ``bool`` or ``[kind]``, a list;
+``true`` and ``false`` are not numbers.  ``REQUIRED`` keys have no default, and
+a default of ``None`` leaves the key unset.  Unless set, the four seeds in
+``SEED_OFFSETS`` (``init``, ``train``, ``eval``, ``sampler``) are ``run.seed``
+plus 0, 1, 2 and 3.  Any other key is rejected by name.  ``config.txt`` holds
+the resolved config, every key with the value the run used, so it reruns the run.
+
+``sampler.burn_in`` and ``sampler.thin`` shape only ``SamplerRun.history``,
+which no command collects yet.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,29 +103,89 @@ def load_config_file(path) -> dict:
     return parse_config_text(Path(path).read_text())
 
 
-def _take(flat, key, default=None, required=False, kind=None):
+REQUIRED = object()
+
+KEYS = {
+    "experiment.name": (str, "custom"),
+    "run.seed": (int, 0),
+    "run.threads": (int, 0),  # 0 leaves the BLAS default
+    "target.name": (str, REQUIRED),
+    "arch.widths": ([int], REQUIRED),
+    "init.rho": (float, 0.0),
+    "train.iterations": (int, REQUIRED),
+    "train.batch_size": (int, REQUIRED),
+    "train.learning_rate": (float, REQUIRED),
+    "train.estimator": (str, "vanilla"),
+    "train.log_every": (int, 1),
+    "kernel.family": (str, "rbf"),
+    "kernel.bandwidth": (float, 1.0),
+    "kernel.offset": (float, 1.0),
+    "kernel.smoothing": (float, 1e-8),
+    "kernel.bandwidth_rule": (str, "median"),
+    "anneal.start": (float, 1.0),
+    "anneal.iterations": (int, 0),
+    "reg.weight": (float, 0.0),
+    "clip.norm": (float, None),
+    "sampler.algorithm": (str, "sgld"),
+    "sampler.n_particles": (int, 1000),
+    "sampler.n_steps": (int, 10_000),
+    "sampler.step_size": (float, 1e-4),
+    "sampler.burn_in": (int, 0),
+    "sampler.thin": (int, 1),
+    "eval.sample_size": (int, 1000),
+    "output.trace_wallclock": (bool, False),
+}
+
+SEED_OFFSETS = {"init.seed": 0, "train.seed": 1, "eval.seed": 2, "sampler.seed": 3}
+
+TARGET_KEYS = {
+    "banana": {},
+    "multimodal": {},
+    "xshaped": {},
+    "gaussian": {"mean": ([float], REQUIRED), "variances": ([float], REQUIRED)},
+    "student_product": {"nu": (float, 2.0), "width": (float, 1.0), "dim": (int, 2)},
+    "blr": {
+        "data_path": (str, REQUIRED),
+        "synthetic_rows": (int, None),  # unset: a missing dataset is an error
+        "data_seed": (int, 0),
+        "alpha": (float, 0.01),
+    },
+    "conditioned_diffusion": {
+        "obs_path": (str, REQUIRED),
+        "obs_seed": (int, 0),
+        "n_steps": (int, 100),
+        "dt": (float, 0.01),
+        "obs_stride": (int, 5),
+    },
+}
+
+
+def _checked(key, value, kind):
+    """``value`` as ``kind`` (see the module docstring), else a ``ConfigError`` on ``key``."""
+    if isinstance(kind, list):
+        return [_checked(key, item, kind[0]) for item in _checked(key, value, list)]
+    # bool subclasses int, but true and false are not numbers
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(key, f"expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+def _take(flat, key, kind, default):
     if key not in flat:
-        if required:
+        if default is REQUIRED:
             raise ConfigError(key, "missing required key")
         return default
-    value = flat[key]
-    if kind is not None and not isinstance(value, kind):
-        if kind is float and isinstance(value, int):
-            return float(value)
-        raise ConfigError(key, f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+    return _checked(key, flat[key], kind)
 
 
-class _KeyReads(dict):
-    """A flat config that records every key ``_take`` asks for (with ``in``)."""
-
-    def __init__(self, flat):
-        super().__init__(flat)
-        self.read = set()
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
+@contextmanager
+def _blame(fieldname):
+    """Re-raise a ``ValueError`` from the block as a ``ConfigError`` on ``fieldname``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(fieldname, str(err)) from None
 
 
 def thread_count(flat: dict) -> int:
@@ -121,130 +194,95 @@ def thread_count(flat: dict) -> int:
     Read without loading numpy, so the count can be pinned before the BLAS
     runtime starts; ``ExperimentConfig.from_flat`` loads numpy.
     """
-    return _take(flat, "run.threads", 0, kind=int)
+    return _take(flat, "run.threads", *KEYS["run.threads"])
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment settings; see ``from_flat`` for the schema."""
+    """Resolved experiment settings; ``flat`` holds every key of the schema."""
 
     name: str
-    target_name: str
-    target_params: dict
     widths: tuple[int, ...]
     rho_init: float
     init_seed: int
     train: "object"  # ksivi.train.TrainConfig, constructed lazily
-    sampler: dict
+    sampler: dict  # the sampler.* keys, without the prefix
     eval_sample_size: int
     eval_seed: int
-    metrics: tuple[str, ...]
-    master_seed: int
-    threads: int
-    trace_wallclock: bool
-    flat: dict = field(repr=False, default_factory=dict)
+    flat: dict = field(repr=False)
 
     @classmethod
-    def from_flat(cls, flat: dict, defaults_name: str = "custom") -> "ExperimentConfig":
-        """Resolve a flat config, rejecting keys outside ``target.*`` that no setting reads."""
+    def from_flat(cls, flat: dict) -> "ExperimentConfig":
+        """Check ``flat`` against the schema, fill in its defaults and build the settings."""
         from .kernels import KernelSpec
+        from .samplers import SamplerConfig
         from .train import TrainConfig
 
-        flat = _KeyReads(flat)
-
-        def take(key, default=None, required=False, kind=None):
-            return _take(flat, key, default, required, kind)
-
-        master_seed = take("run.seed", 0, kind=int)
-        name = take("experiment.name", defaults_name, kind=str)
-        target_name = take("target.name", required=True, kind=str)
-        target_params = {
-            key.split(".", 1)[1]: value
-            for key, value in flat.items()
-            if key.startswith("target.") and key != "target.name"
+        target = _take(flat, "target.name", *KEYS["target.name"])
+        if target not in TARGET_KEYS:
+            raise ConfigError("target.name", f"unknown target {target!r}")
+        seed = _take(flat, "run.seed", *KEYS["run.seed"])
+        schema = {
+            **KEYS,
+            **{key: (int, seed + offset) for key, offset in SEED_OFFSETS.items()},
+            **{f"target.{key}": spec for key, spec in TARGET_KEYS[target].items()},
         }
-
-        widths = take("arch.widths", required=True, kind=list)
-        if not all(isinstance(w, int) and w >= 1 for w in widths) or len(widths) < 2:
-            raise ConfigError("arch.widths", f"need a list of >= 2 positive integers, got {widths}")
-
-        kernel = KernelSpec(
-            family=take("kernel.family", "rbf", kind=str),
-            bandwidth=take("kernel.bandwidth", 1.0, kind=float),
-            offset=take("kernel.offset", 1.0, kind=float),
-            smoothing=take("kernel.smoothing", 1e-8, kind=float),
-        )
-        clip = take("clip.norm", None, kind=float)
-        try:
-            train = TrainConfig(
-                iterations=take("train.iterations", required=True, kind=int),
-                batch_size=take("train.batch_size", required=True, kind=int),
-                learning_rate=take("train.learning_rate", required=True, kind=float),
-                estimator=take("train.estimator", "vanilla", kind=str),
-                kernel=kernel,
-                bandwidth_rule=take("kernel.bandwidth_rule", "median", kind=str),
-                anneal_start=take("anneal.start", 1.0, kind=float),
-                anneal_iterations=take("anneal.iterations", 0, kind=int),
-                reg_weight=take("reg.weight", 0.0, kind=float),
-                clip_norm=clip,
-                seed=take("train.seed", master_seed + 1, kind=int),
-                log_every=take("train.log_every", 1, kind=int),
-            )
-        except ConfigError:
-            raise
-        except ValueError as err:
-            raise ConfigError("train", str(err))
-
-        sampler = {
-            "algorithm": take("sampler.algorithm", "sgld", kind=str),
-            "n_particles": take("sampler.n_particles", 1000, kind=int),
-            "n_steps": take("sampler.n_steps", 10_000, kind=int),
-            "step_size": take("sampler.step_size", 1e-4, kind=float),
-            "burn_in": take("sampler.burn_in", 0, kind=int),
-            "thin": take("sampler.thin", 1, kind=int),
-            "seed": take("sampler.seed", master_seed + 3, kind=int),
-        }
-        if sampler["algorithm"] not in ("sgld", "mala"):
-            raise ConfigError("sampler.algorithm", f"unknown algorithm {sampler['algorithm']!r}")
-
-        metrics = take("metrics.list", ["sliced_wd", "kl_knn", "mmd2", "corr"], kind=list)
-
-        config = cls(
-            name=name,
-            target_name=target_name,
-            target_params=target_params,
-            widths=tuple(widths),
-            rho_init=take("init.rho", 0.0, kind=float),
-            init_seed=take("init.seed", master_seed, kind=int),
-            train=train,
-            sampler=sampler,
-            eval_sample_size=take("eval.sample_size", 1000, kind=int),
-            eval_seed=take("eval.seed", master_seed + 2, kind=int),
-            metrics=tuple(metrics),
-            master_seed=master_seed,
-            threads=thread_count(flat),
-            trace_wallclock=take("output.trace_wallclock", False, kind=bool),
-            flat=dict(flat),
-        )
-        unknown = sorted(k for k in flat if k not in flat.read and not k.startswith("target."))
+        unknown = sorted(set(flat) - set(schema))
         if unknown:
             raise ConfigError(", ".join(unknown), "unknown key")
-        return config
+        resolved = {key: _take(flat, key, *spec) for key, spec in schema.items()}
+        flat = {key: value for key, value in resolved.items() if value is not None}
+
+        widths = flat["arch.widths"]
+        if len(widths) < 2 or min(widths) < 1:
+            raise ConfigError("arch.widths", f"need a list of >= 2 positive integers, got {widths}")
+        with _blame("kernel"):
+            kernel = KernelSpec(
+                family=flat["kernel.family"],
+                bandwidth=flat["kernel.bandwidth"],
+                offset=flat["kernel.offset"],
+                smoothing=flat["kernel.smoothing"],
+            )
+        with _blame("train"):
+            train = TrainConfig(
+                iterations=flat["train.iterations"],
+                batch_size=flat["train.batch_size"],
+                learning_rate=flat["train.learning_rate"],
+                estimator=flat["train.estimator"],
+                kernel=kernel,
+                bandwidth_rule=flat["kernel.bandwidth_rule"],
+                anneal_start=flat["anneal.start"],
+                anneal_iterations=flat["anneal.iterations"],
+                reg_weight=flat["reg.weight"],
+                clip_norm=flat.get("clip.norm"),
+                seed=flat["train.seed"],
+                log_every=flat["train.log_every"],
+            )
+
+        sampler = {key[len("sampler.") :]: value for key, value in flat.items() if key.startswith("sampler.")}
+        if sampler["algorithm"] not in ("sgld", "mala"):
+            raise ConfigError("sampler.algorithm", f"unknown algorithm {sampler['algorithm']!r}")
+        try:
+            SamplerConfig(**{key: value for key, value in sampler.items() if key != "algorithm"})
+        except ValueError as err:
+            # each of SamplerConfig's messages opens with the field it rejects
+            fieldname, _, rule = str(err).partition(" ")
+            raise ConfigError(f"sampler.{fieldname}", rule) from None
+        return cls(
+            name=flat["experiment.name"],
+            widths=tuple(widths),
+            rho_init=flat["init.rho"],
+            init_seed=flat["init.seed"],
+            train=train,
+            sampler=sampler,
+            eval_sample_size=flat["eval.sample_size"],
+            eval_seed=flat["eval.seed"],
+            flat=flat,
+        )
 
     def resolved_flat(self) -> dict:
-        """Flat dict with every derived default materialized."""
-        out = dict(self.flat)
-        out["experiment.name"] = self.name
-        out["run.seed"] = self.master_seed
-        out["init.seed"] = self.init_seed
-        out["init.rho"] = self.rho_init
-        out["train.seed"] = self.train.seed
-        out["eval.seed"] = self.eval_seed
-        out["eval.sample_size"] = self.eval_sample_size
-        out["sampler.seed"] = self.sampler["seed"]
-        out["metrics.list"] = list(self.metrics)
-        out["output.trace_wallclock"] = self.trace_wallclock
-        return out
+        """Every key of the schema with its resolved value; unset keys are left out."""
+        return dict(self.flat)
 
 
 def build_target(config: ExperimentConfig, data_dir) -> "object":
@@ -252,12 +290,13 @@ def build_target(config: ExperimentConfig, data_dir) -> "object":
 
     Data paths resolve against ``data_dir``.  Synthetic regression data and
     diffusion observations are generated (seeded) and written on first use so
-    preset experiments are self-contained and repeatable.
+    preset experiments are self-contained and repeatable.  A value or a data
+    file the target rejects raises a ``ConfigError`` naming its ``target.*`` key.
     """
     from . import targets
 
-    params = config.target_params
-    name = config.target_name
+    name = config.flat["target.name"]
+    params = {key: config.flat.get(f"target.{key}") for key in TARGET_KEYS[name]}
     data_dir = Path(data_dir)
 
     if name == "banana":
@@ -267,45 +306,34 @@ def build_target(config: ExperimentConfig, data_dir) -> "object":
     if name == "xshaped":
         return targets.xshaped_target()
     if name == "gaussian":
-        mean = params.get("mean")
-        variances = params.get("variances")
-        if mean is None or variances is None:
-            raise ConfigError("target.mean", "gaussian target needs target.mean and target.variances")
-        return targets.diagonal_gaussian(mean, variances)
+        with _blame("target.mean, target.variances"):
+            return targets.diagonal_gaussian(params["mean"], params["variances"])
     if name == "student_product":
-        return targets.StudentTProduct(
-            nu=params.get("nu", 2.0), width=params.get("width", 1.0), dim=params.get("dim", 2)
-        )
+        with _blame("target.nu, target.width, target.dim"):
+            return targets.StudentTProduct(**params)
     if name == "blr":
-        rel = params.get("data_path")
-        if rel is None:
-            raise ConfigError("target.data_path", "blr target needs a dataset path")
-        path = data_dir / rel
+        path = data_dir / params["data_path"]
         if not path.exists():
-            rows = params.get("synthetic_rows")
-            if rows is None:
+            if params["synthetic_rows"] is None:
                 raise ConfigError("target.data_path", f"dataset {path} not found")
             path.parent.mkdir(parents=True, exist_ok=True)
-            features, labels = targets.make_waveform_dataset(rows, params.get("data_seed", 0))
+            with _blame("target.synthetic_rows"):
+                features, labels = targets.make_waveform_dataset(params["synthetic_rows"], params["data_seed"])
             targets.save_blr_dataset(path, features, labels)
-        return targets.load_blr_dataset(path, alpha=params.get("alpha", 0.01))
-    if name == "conditioned_diffusion":
-        n_steps = params.get("n_steps", 100)
-        dt = params.get("dt", 0.01)
-        stride = params.get("obs_stride", 5)
-        rel = params.get("obs_path")
-        if rel is None:
-            raise ConfigError("target.obs_path", "conditioned diffusion needs an observation path")
-        path = data_dir / rel
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
+        with _blame("target.data_path"):
+            return targets.load_blr_dataset(path, alpha=params["alpha"])
+    # conditioned_diffusion, the last name TARGET_KEYS admits
+    path = data_dir / params["obs_path"]
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with _blame("target.n_steps"):
             idx, obs, _ = targets.generate_cd_observations(
-                params.get("obs_seed", 0), n_steps=n_steps, dt=dt, obs_stride=stride
+                params["obs_seed"], n_steps=params["n_steps"], dt=params["dt"], obs_stride=params["obs_stride"]
             )
-            targets.save_cd_observations(path, idx, obs)
+        targets.save_cd_observations(path, idx, obs)
+    with _blame("target.obs_path"):
         idx, obs = targets.load_cd_observations(path)
-        return targets.ConditionedDiffusion(idx, obs, n_steps=n_steps, dt=dt)
-    raise ConfigError("target.name", f"unknown target {name!r}")
+        return targets.ConditionedDiffusion(idx, obs, n_steps=params["n_steps"], dt=params["dt"])
 
 
 def validate_against_target(config: ExperimentConfig, target) -> None:

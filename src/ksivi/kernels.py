@@ -22,8 +22,9 @@ inside the band are recomputed exactly, in pdist's accumulation order; every
 pair below the band ranks lower and every pair above it ranks higher, so the
 middle values of the recomputed band are pdist's middle values.
 ``evaluate`` has no distance matrix to reuse and calls ``median_bandwidth``
-without one: there ``pdist`` is cheaper than a full matrix of a few
-thousand points, and it stays the reference the tests compare against.
+without one.  pdist is the cheaper route there only at low d: on 2000 points
+(2-core Xeon VM, one thread) it took 47 ms with the median at d = 2 against
+70 ms for ``pooled_sq_dists`` and the band median, but 292 ms against 89 at d = 200.
 """
 
 from __future__ import annotations

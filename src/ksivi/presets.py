@@ -11,26 +11,30 @@ from __future__ import annotations
 
 import math
 
+# Settings every preset shares unless it sets its own.
+_SHARED = {
+    "train.batch_size": 100,
+    "train.learning_rate": 0.001,
+    "train.estimator": "vanilla",
+    "kernel.family": "rbf",
+    "kernel.bandwidth_rule": "median",
+    "eval.sample_size": 1000,
+    "sampler.algorithm": "sgld",
+    "sampler.n_particles": 1000,
+    "run.seed": 0,
+}
+
 
 def _toy(name, target, rho, anneal=False):
     flat = {
+        **_SHARED,
         "experiment.name": name,
         "target.name": target,
         "arch.widths": [3, 50, 50, 2],
         "init.rho": rho,
         "train.iterations": 50_000,
-        "train.batch_size": 100,
-        "train.learning_rate": 0.001,
-        "train.estimator": "vanilla",
-        "kernel.family": "rbf",
-        "kernel.bandwidth_rule": "median",
-        "eval.sample_size": 1000,
-        "metrics.list": ["sliced_wd", "kl_knn", "mmd2"],
-        "sampler.algorithm": "sgld",
-        "sampler.n_particles": 1000,
         "sampler.n_steps": 20_000,
         "sampler.step_size": 0.005,
-        "run.seed": 0,
     }
     if anneal:
         flat["anneal.start"] = 0.2
@@ -40,6 +44,7 @@ def _toy(name, target, rho, anneal=False):
 
 def _student(width, kernel_family):
     return {
+        **_SHARED,
         "experiment.name": f"student-product-w{width}-{kernel_family}",
         "target.name": "student_product",
         "target.nu": 2.0,
@@ -48,24 +53,16 @@ def _student(width, kernel_family):
         "arch.widths": [3, 50, 50, 2],
         "init.rho": 0.0,
         "train.iterations": 20_000,
-        "train.batch_size": 100,
-        "train.learning_rate": 0.001,
-        "train.estimator": "vanilla",
         "kernel.family": kernel_family,
-        "kernel.bandwidth_rule": "median",
         "reg.weight": 0.1,
-        "eval.sample_size": 1000,
-        "metrics.list": ["sliced_wd", "mmd2"],
-        "sampler.algorithm": "sgld",
-        "sampler.n_particles": 1000,
         "sampler.n_steps": 20_000,
         "sampler.step_size": 0.01,
-        "run.seed": 0,
     }
 
 
 def _blr():
     return {
+        **_SHARED,
         "experiment.name": "blr-waveform",
         "target.name": "blr",
         "target.data_path": "waveform.csv",
@@ -75,23 +72,14 @@ def _blr():
         "arch.widths": [10, 100, 100, 22],
         "init.rho": -2.5,  # initial squared scale exp(-5)
         "train.iterations": 20_000,
-        "train.batch_size": 100,
-        "train.learning_rate": 0.001,
-        "train.estimator": "vanilla",
-        "kernel.family": "rbf",
-        "kernel.bandwidth_rule": "median",
-        "eval.sample_size": 1000,
-        "metrics.list": ["sliced_wd", "kl_knn", "mmd2", "corr"],
-        "sampler.algorithm": "sgld",
-        "sampler.n_particles": 1000,
         "sampler.n_steps": 400_000,
         "sampler.step_size": 0.0001,
-        "run.seed": 0,
     }
 
 
 def _cd(dim):
     return {
+        **_SHARED,
         "experiment.name": f"cd-dim{dim}",
         "target.name": "conditioned_diffusion",
         "target.obs_path": f"cd_obs_dim{dim}.csv",
@@ -104,16 +92,8 @@ def _cd(dim):
         "train.iterations": 100_000,
         "train.batch_size": 128,
         "train.learning_rate": 0.0002,
-        "train.estimator": "vanilla",
-        "kernel.family": "rbf",
-        "kernel.bandwidth_rule": "median",
-        "eval.sample_size": 1000,
-        "metrics.list": ["sliced_wd", "mmd2"],
-        "sampler.algorithm": "sgld",
-        "sampler.n_particles": 1000,
         "sampler.n_steps": 100_000,
         "sampler.step_size": 0.0001,
-        "run.seed": 0,
     }
 
 

@@ -48,16 +48,17 @@ class SamplerConfig:
     collect_history: bool = False
 
     def __post_init__(self):
+        # each message opens with the field it rejects; configio names the key by it
         if self.n_particles < 1:
-            raise ValueError("need at least one particle")
+            raise ValueError("n_particles must be at least 1")
         if self.n_steps < 1:
-            raise ValueError("need at least one step")
+            raise ValueError("n_steps must be at least 1")
         if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+            raise ValueError("step_size must be positive")
         if not 0 <= self.burn_in < self.n_steps:
-            raise ValueError("burn-in must lie in [0, n_steps)")
+            raise ValueError("burn_in must lie in [0, n_steps)")
         if self.thin < 1:
-            raise ValueError("thinning stride must be at least 1")
+            raise ValueError("thin must be at least 1")
 
 
 @dataclass

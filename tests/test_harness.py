@@ -12,6 +12,8 @@ import pytest
 import ksivi
 from ksivi.cli import main
 from ksivi.configio import (
+    KEYS,
+    SEED_OFFSETS,
     ConfigError,
     ExperimentConfig,
     build_target,
@@ -81,10 +83,38 @@ class TestConfigFormat:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_flat(flat)
         assert err.value.fieldname == "anneal.strat, train.learning_rte"
-        # target.* keys are the target's own parameters and pass through
-        flat = get_preset("toy-multimodal")
-        flat["target.extra"] = 1.0
-        assert ExperimentConfig.from_flat(flat).target_params == {"extra": 1.0}
+        # a target.* key must be one of the named target's own
+        for preset, key in (("toy-multimodal", "target.extra"), ("student-product-w5-rbf", "target.widht")):
+            flat = get_preset(preset)
+            flat[key] = 5.0
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_flat(flat)
+            assert err.value.fieldname == key
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("train.iterations", True), ("train.learning_rate", True), ("arch.widths", [3, True, 2])],
+    )
+    def test_booleans_are_not_numbers(self, key, value):
+        flat = parse_config_text(TINY_CONFIG)
+        flat[key] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(flat)
+        assert err.value.fieldname == key
+
+    def test_resolved_flat_holds_every_key(self):
+        resolved = ExperimentConfig.from_flat(parse_config_text(TINY_CONFIG)).resolved_flat()
+        # an unset clip.norm is left out; banana has no target.* keys of its own
+        assert set(resolved) == set(KEYS) - {"clip.norm"} | set(SEED_OFFSETS)
+        assert [resolved[key] for key in SEED_OFFSETS] == [1, 2, 3, 4]  # run.seed = 1
+        assert resolved["sampler.n_steps"] == KEYS["sampler.n_steps"][1]
+        flat = get_preset("blr-waveform")
+        del flat["target.synthetic_rows"]
+        flat["clip.norm"] = 2.0
+        resolved = ExperimentConfig.from_flat(flat).resolved_flat()
+        target_keys = {"target.data_path", "target.data_seed", "target.alpha"}
+        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys
+        assert resolved["target.alpha"] == 0.01 and resolved["clip.norm"] == 2.0
 
     def test_width_mismatch_named_field(self):
         flat = parse_config_text(TINY_CONFIG)
@@ -222,6 +252,53 @@ class TestCLI:
         a = self.run_tiny_train(tmp_path, "a")
         b = self.run_tiny_train(tmp_path, "b", seed=99)
         assert (a / "samples.csv").read_text() != (b / "samples.csv").read_text()
+
+    def test_rerun_from_own_config_bitwise(self, tmp_path, capsys):
+        run1 = self.run_tiny_train(tmp_path)
+        run2 = tmp_path / "run2"
+        assert main(["train", str(run1 / "config.txt"), "--out", str(run2)]) == 0
+        for artifact in ("config.txt", "trace.csv", "samples.csv", "checkpoint.json"):
+            assert (run1 / artifact).read_bytes() == (run2 / artifact).read_bytes(), artifact
+
+    def test_seed_override_rederives_written_seeds(self, tmp_path, capsys):
+        run1 = self.run_tiny_train(tmp_path)
+        run2 = tmp_path / "run2"
+        assert main(["train", str(run1 / "config.txt"), "--out", str(run2), "--seed", "99"]) == 0
+        written = parse_config_text((run2 / "config.txt").read_text())
+        assert written["run.seed"] == 99
+        assert {key: written[key] for key in SEED_OFFSETS} == {key: 99 + k for key, k in SEED_OFFSETS.items()}
+        assert (run1 / "samples.csv").read_bytes() != (run2 / "samples.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ("sampler.n_particles = 0\n", "sampler.n_particles"),
+            ("sampler.n_steps = 10\nsampler.burn_in = 10\n", "sampler.burn_in"),
+        ],
+    )
+    def test_bad_sampler_settings_exit_2(self, tmp_path, capsys, command, settings, key):
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG + settings)
+        assert main([command, str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ('target.name = "student_product"\ntarget.nu = -1\n', "target.nu"),
+            ('target.name = "blr"\ntarget.data_path = "short.csv"\n', "target.data_path"),
+            ('target.name = "banana"\nkernel.family = "gauss"\n', "kernel"),
+        ],
+    )
+    def test_bad_target_values_exit_2(self, tmp_path, capsys, settings, key):
+        # a dataset row with 21 columns, one short of the 21 features and the label
+        (tmp_path / "short.csv").write_text(",".join(["0.5"] * 20 + ["1"]) + "\n")
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG.replace('target.name = "banana"\n', settings))
+        argv = ["train", str(config_path), "--out", str(tmp_path / "out"), "--data-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
 
     def test_width_mismatch_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "bad.txt"
