@@ -65,7 +65,7 @@ def _write_record(out_dir, config, started, finished, files, **sections):
     from .configio import format_config
     from .runio import build_identifier, write_manifest
 
-    (out_dir / "config.txt").write_text(format_config(config.resolved_flat()))
+    (out_dir / "config.txt").write_text(format_config(config.resolved_flat()), encoding="utf-8")
     manifest = {
         "experiment": config.name,
         "config": config.resolved_flat(),
@@ -143,8 +143,14 @@ def cmd_evaluate(args) -> int:
     from .metrics import corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
     from .runio import read_samples_csv
 
-    X = read_samples_csv(args.samples_a)
-    Y = read_samples_csv(args.samples_b)
+    samples = []
+    for path in (args.samples_a, args.samples_b):
+        try:
+            samples.append(read_samples_csv(path))
+        except ValueError as err:  # a ragged or non-numeric row, or a non-finite value
+            print(f"error: {path}: {err}", file=sys.stderr)
+            return 2
+    X, Y = samples
     if X.shape[1] != Y.shape[1]:
         print(
             f"error: sample dimensions differ ({X.shape[1]} vs {Y.shape[1]})",
@@ -161,39 +167,43 @@ def cmd_evaluate(args) -> int:
         "seed": args.seed,
         "metrics": {},
     }
-    for name in requested:
-        if name == "sliced_wd":
-            record["metrics"]["sliced_wd"] = {
-                "value": sliced_wd(X, Y, n_proj=args.n_proj, seed=args.seed),
-                "n_proj": args.n_proj,
-            }
-        elif name == "kl_knn":
-            rng = np.random.default_rng(args.seed)
-            halves = rng.permutation(Y.shape[0])
-            mid = Y.shape[0] // 2
-            floor = abs(kl_knn(Y[halves[:mid]], Y[halves[mid:]], k=args.kl_k))
-            record["metrics"]["kl_knn"] = {
-                "value": kl_knn(X, Y, k=args.kl_k),
-                "k": args.kl_k,
-                "noise_floor": floor,
-            }
-        elif name == "mmd2":
-            h = args.bandwidth if args.bandwidth else median_bandwidth(np.concatenate([X, Y]))
-            spec = KernelSpec(args.kernel_family, bandwidth=h, offset=args.offset)
-            record["metrics"]["mmd2"] = {
-                "value": mmd2_ustat(X, Y, spec),
-                "kernel": args.kernel_family,
-                "bandwidth": h,
-            }
-        elif name == "corr":
-            diff = upper_triangle(corr_pairs(X)) - upper_triangle(corr_pairs(Y))
-            record["metrics"]["corr"] = {
-                "rmse": float(np.sqrt((diff**2).mean())),
-                "max_abs_diff": float(np.abs(diff).max()),
-            }
-        else:
-            print(f"error: unknown metric {name!r}", file=sys.stderr)
-            return 2
+    try:
+        for name in requested:
+            if name == "sliced_wd":
+                record["metrics"]["sliced_wd"] = {
+                    "value": sliced_wd(X, Y, n_proj=args.n_proj, seed=args.seed),
+                    "n_proj": args.n_proj,
+                }
+            elif name == "kl_knn":
+                rng = np.random.default_rng(args.seed)
+                halves = rng.permutation(Y.shape[0])
+                mid = Y.shape[0] // 2
+                floor = abs(kl_knn(Y[halves[:mid]], Y[halves[mid:]], k=args.kl_k))
+                record["metrics"]["kl_knn"] = {
+                    "value": kl_knn(X, Y, k=args.kl_k),
+                    "k": args.kl_k,
+                    "noise_floor": floor,
+                }
+            elif name == "mmd2":
+                h = args.bandwidth if args.bandwidth else median_bandwidth(np.concatenate([X, Y]))
+                spec = KernelSpec(args.kernel_family, bandwidth=h, offset=args.offset)
+                record["metrics"]["mmd2"] = {
+                    "value": mmd2_ustat(X, Y, spec),
+                    "kernel": args.kernel_family,
+                    "bandwidth": h,
+                }
+            elif name == "corr":
+                diff = upper_triangle(corr_pairs(X)) - upper_triangle(corr_pairs(Y))
+                record["metrics"]["corr"] = {
+                    "rmse": float(np.sqrt((diff**2).mean())),
+                    "max_abs_diff": float(np.abs(diff).max()),
+                }
+            else:
+                print(f"error: unknown metric {name!r}", file=sys.stderr)
+                return 2
+    except ValueError as err:  # a metric refuses the pair, e.g. DegenerateSamplesError
+        print(f"error: {args.samples_a}, {args.samples_b}: {name}: {err}", file=sys.stderr)
+        return 2
     rendered = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(rendered + "\n")
@@ -235,11 +245,7 @@ def cmd_show_preset(args) -> int:
     from .configio import format_config
     from .presets import get_preset
 
-    try:
-        print(format_config(get_preset(args.name)), end="")
-    except KeyError as err:
-        print(f"error: {err.args[0]}", file=sys.stderr)
-        return 2
+    print(format_config(get_preset(args.name)), end="")
     return 0
 
 

@@ -1,9 +1,11 @@
-"""Experiment configuration: a flat dotted-key text format and its one schema.
+"""Experiment configuration: a TOML file read as dotted keys, and its one schema.
 
-The file format is a deliberately tiny subset of TOML so it stays
-human-diffable and trivially parseable: one ``section.key = value`` pair per
-line, ``#`` comments, values limited to integers, floats, booleans, quoted
-strings, and flat lists thereof.
+A config file is TOML, read by ``tomllib`` with nested tables flattened into
+dotted keys; ``format_config`` writes one ``section.key = value`` line per key,
+sorted, strings quoted as JSON does, so a written file parses back to the same
+dict.  Unlike the hand parser this replaced, inline comments and ``[section]``
+tables now work, while ``.5``, ``5.`` and a bare backslash inside ``"..."`` are
+not valid TOML and are rejected.
 
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
 and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  A kind is
@@ -11,8 +13,9 @@ and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  A kind is
 ``true`` and ``false`` are not numbers.  ``REQUIRED`` keys have no default, and
 a default of ``None`` leaves the key unset.  Unless set, the four seeds in
 ``SEED_OFFSETS`` (``init``, ``train``, ``eval``, ``sampler``) are ``run.seed``
-plus 0, 1, 2 and 3.  Any other key is rejected by name.  ``config.txt`` holds
-the resolved config, every key with the value the run used, so it reruns the run.
+plus 0, 1, 2 and 3.  ``MINIMUM`` bounds the seeds and sizes from below.  Any
+other key is rejected by name.  ``config.txt`` holds the resolved config, every
+key with the value the run used, so it reruns the run.
 
 ``sampler.burn_in`` and ``sampler.thin`` shape only ``SamplerRun.history``,
 which no command collects yet.
@@ -20,6 +23,7 @@ which no command collects yet.
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,74 +37,43 @@ class ConfigError(ValueError):
         self.fieldname = fieldname
 
 
-def _parse_scalar(token: str, fieldname: str):
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(fieldname, f"cannot parse value {token!r}")
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse the flat key-value format into a dict of dotted keys."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}", "empty key")
-        if key in out:
-            raise ConfigError(key, "duplicate key")
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            items = [t for t in (s.strip() for s in inner.split(",")) if t] if inner else []
-            out[key] = [_parse_scalar(t, key) for t in items]
+def _flatten(table: dict, prefix: str, out: dict) -> dict:
+    for key, value in table.items():
+        if isinstance(value, dict):
+            _flatten(value, f"{prefix}{key}.", out)
+        elif prefix + key in out:  # a quoted key with a dot, e.g. "a.b" next to a.b
+            raise ConfigError(prefix + key, "duplicate key")
         else:
-            out[key] = _parse_scalar(value, key)
+            out[prefix + key] = value
     return out
 
 
-def _format_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return f'"{value}"'
+def parse_config_text(text: str) -> dict:
+    """Parse TOML text into a dict of dotted keys, nested tables flattened."""
+    import tomllib  # here, so that loading this module does not load it
+
+    try:
+        return _flatten(tomllib.loads(text), "", {})
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError("config", str(err)) from None
+
+
+def _format_value(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_format_value(item) for item in value) + "]"
     if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return repr(value)  # JSON would spell inf and nan its own way
+    # JSON's true, false, integers and string escapes are TOML's, but TOML forbids a raw DEL
+    return json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
 
 
 def format_config(flat: dict) -> str:
-    """Render a dotted-key dict back to the flat text format, keys sorted."""
-    lines = []
-    for key in sorted(flat):
-        value = flat[key]
-        if isinstance(value, (list, tuple)):
-            rendered = "[" + ", ".join(_format_scalar(v) for v in value) + "]"
-        else:
-            rendered = _format_scalar(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
+    """Render a dotted-key dict as TOML, one ``key = value`` line per key, keys sorted."""
+    return "\n".join(f"{key} = {_format_value(flat[key])}" for key in sorted(flat)) + "\n"
 
 
 def load_config_file(path) -> dict:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 REQUIRED = object()
@@ -137,6 +110,10 @@ KEYS = {
 }
 
 SEED_OFFSETS = {"init.seed": 0, "train.seed": 1, "eval.seed": 2, "sampler.seed": 3}
+
+# numpy takes no negative seed, and the data generators and samplers no empty size
+MINIMUM = dict.fromkeys(["run.seed", *SEED_OFFSETS, "target.data_seed", "target.obs_seed"], 0)
+MINIMUM.update(dict.fromkeys(["eval.sample_size", "target.synthetic_rows", "target.n_steps", "target.obs_stride"], 1))
 
 TARGET_KEYS = {
     "banana": {},
@@ -232,6 +209,9 @@ class ExperimentConfig:
             raise ConfigError(", ".join(unknown), "unknown key")
         resolved = {key: _take(flat, key, *spec) for key, spec in schema.items()}
         flat = {key: value for key, value in resolved.items() if value is not None}
+        for key, least in MINIMUM.items():
+            if flat.get(key, least) < least:
+                raise ConfigError(key, f"must be at least {least}, got {flat[key]}")
 
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:

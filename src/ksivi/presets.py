@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from .configio import ConfigError
+
 # Settings every preset shares unless it sets its own.
 _SHARED = {
     "train.batch_size": 100,
@@ -120,5 +122,5 @@ PRESET_NAMES = tuple(sorted(_TABLE))
 
 def get_preset(name: str) -> dict:
     if name not in _TABLE:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+        raise ConfigError("preset", f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     return dict(_TABLE[name])

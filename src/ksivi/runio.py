@@ -30,6 +30,8 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
 
 def read_samples_csv(path) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("non-finite value in a sample set")
     return data
 
 
@@ -37,21 +39,13 @@ def write_trace_csv(path, trace, include_wallclock: bool = False) -> None:
     """Loss trace as CSV; the wallclock column is opt-in because it breaks
     bit-identical reruns."""
     columns = ["iteration", "ksd2", "bandwidth", "beta_temp", "grad_norm"]
+    values = [trace.iterations, trace.ksd2, trace.bandwidth, trace.beta_temp, trace.grad_norm]
     if include_wallclock:
         columns.append("wallclock_ms")
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i in range(len(trace)):
-            row = [
-                str(trace.iterations[i]),
-                FLOAT_FMT % trace.ksd2[i],
-                FLOAT_FMT % trace.bandwidth[i],
-                FLOAT_FMT % trace.beta_temp[i],
-                FLOAT_FMT % trace.grad_norm[i],
-            ]
-            if include_wallclock:
-                row.append(FLOAT_FMT % trace.wallclock_ms[i])
-            fh.write(",".join(row) + "\n")
+        values.append(trace.wallclock_ms)
+    data = np.array(values, dtype=np.float64).T  # (rows, columns), also for an empty trace
+    fmt = ["%d"] + [FLOAT_FMT] * (len(columns) - 1)
+    np.savetxt(path, data, delimiter=",", header=",".join(columns), comments="", fmt=fmt)
 
 
 def save_checkpoint(path, params: SIVParams) -> None:

@@ -22,9 +22,8 @@ expressions, so the bits do not depend on the buffering.
 
 from __future__ import annotations
 
-import csv
+from contextlib import suppress
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -331,28 +330,21 @@ def _sigmoid(t, out=None):
 def load_blr_dataset(path, alpha=0.01) -> LogisticRegression:
     """Load a CSV of 21 feature columns plus a binary label column.
 
-    A single header row is allowed and skipped.  An intercept 1 is prepended
-    to every row.
+    A header line on top and blank lines are skipped.  An intercept 1 is
+    prepended to every row.
     """
-    path = Path(path)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise ValueError(f"{path}: non-numeric row at line {lineno}")
-            if len(values) != 22:
-                raise ValueError(f"{path}: line {lineno} has {len(values)} columns, expected 22")
-            rows.append(values)
-    if not rows:
+    with open(path) as fh:
+        with suppress(ValueError):  # a header row fails to parse and stays skipped
+            [float(c) for c in fh.readline().split(",")]
+            fh.seek(0)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    if data.size == 0:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
+    if data.shape[1] != 22:
+        raise ValueError(f"{path}: {data.shape[1]} columns, expected 22")
     features, labels = data[:, :-1], data[:, -1]
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError(f"{path}: labels must be 0 or 1")
@@ -497,24 +489,20 @@ def generate_cd_observations(seed, n_steps=100, dt=0.01, drift=10.0, obs_stride=
 
 
 def save_cd_observations(path, indices, observations) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for i, v in zip(indices, observations):
-            writer.writerow([int(i), f"{v:.17g}"])
+    data = np.column_stack([indices, observations])
+    np.savetxt(path, data, delimiter=",", header="index,value", comments="", fmt=["%d", "%.17g"])
 
 
 def load_cd_observations(path):
-    indices, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "value"]:
+    """Read the ``index,value`` CSV that ``save_cd_observations`` writes; blank lines are skipped."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != "index,value":
             raise ValueError(f"{path}: expected 'index,value' header")
-        for row in reader:
-            indices.append(int(row[0]))
-            values.append(float(row[1]))
-    return np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64)
+        try:
+            data = np.loadtxt(fh, delimiter=",", dtype=[("index", np.int64), ("value", np.float64)], ndmin=1)
+        except ValueError as err:  # a row without two fields, or an index that is not an integer
+            raise ValueError(f"{path}: {err}") from None
+    return np.ascontiguousarray(data["index"]), np.ascontiguousarray(data["value"])
 
 
 class Tempered(TargetModel):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ksivi
 from ksivi.cli import main
@@ -18,6 +20,7 @@ from ksivi.configio import (
     ExperimentConfig,
     build_target,
     format_config,
+    load_config_file,
     parse_config_text,
     validate_against_target,
 )
@@ -48,6 +51,13 @@ run.seed = 1
 """
 
 
+# config values for the format_config -> parse_config_text round trip; lone
+# surrogates are left out, as no UTF-8 file can hold them
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from([-0.0, 1e-300, 5e-324, 2.5e-310])
+_STRINGS = st.text(st.sampled_from('"\\\x7f\x00\t\n\u00e9\u4e2d\U0001f600') | st.characters(exclude_categories=["Cs"]))
+_SCALARS = st.booleans() | st.integers(-(2**63), 2**63 - 1) | _FLOATS | _STRINGS
+
+
 class TestConfigFormat:
     def test_round_trip(self):
         flat = parse_config_text(TINY_CONFIG)
@@ -65,8 +75,46 @@ class TestConfigFormat:
         assert flat == {"a.b": 1}
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ConfigError, match=r"Cannot overwrite a value \(at line 2"):
             parse_config_text("a.b = 1\na.b = 2\n")
+
+    def test_quoted_dotted_key_is_a_duplicate(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            parse_config_text('"a.b" = 1\na.b = 2\n')
+
+    @pytest.mark.parametrize(
+        "text, flat",
+        [
+            ("train.iterations = 10  # short\n", {"train.iterations": 10}),
+            ("[train]\niterations = 10\nbatch_size = 8\n", {"train.iterations": 10, "train.batch_size": 8}),
+            ('experiment.name = "a \\"b\\" \\\\ \\u00e9"\n', {"experiment.name": 'a "b" \\ \u00e9'}),
+        ],
+        ids=["inline-comment", "table-header", "escaped-string"],
+    )
+    def test_toml_forms_give_dotted_keys(self, text, flat):
+        assert parse_config_text(text) == flat
+
+    @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
+    def test_written_config_snapshot(self, preset):
+        # config.txt as ksivi train --preset wrote it with the hand-written reader, before TOML
+        text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
+        flat = parse_config_text(text)
+        assert flat == ExperimentConfig.from_flat(get_preset(preset)).resolved_flat()
+        assert format_config(flat) == text
+
+    @given(
+        st.dictionaries(
+            st.from_regex(r"[a-z][a-z0-9_]{0,5}\.[a-z][a-z0-9_]{0,5}", fullmatch=True),
+            _SCALARS | st.lists(_SCALARS, max_size=4),
+            max_size=6,
+        )
+    )
+    @example({"a.s": 'q"uo\\te \x7f \u00e9\U0001f600', "a.f": [-0.0, 1e-300, 5e-324, float("inf")], "b.z": -0.0})
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_format_parse_round_trip(self, flat):
+        text = format_config(flat)
+        assert parse_config_text(text) == flat
+        assert format_config(parse_config_text(text)) == text  # also tells -0.0 from 0.0 and true from 1
 
     def test_garbage_rejected(self):
         with pytest.raises(ConfigError):
@@ -212,8 +260,12 @@ class TestRunIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,ksd2,bandwidth,beta_temp,grad_norm"
         assert len(lines) == 3
+        assert lines[1] == "0,1.5,0.90000000000000002,0.20000000000000001,3"
         write_trace_csv(path, trace, include_wallclock=True)
         assert path.read_text().splitlines()[0].endswith(",wallclock_ms")
+        assert path.read_text().splitlines()[2] == "1,1.2,0.80000000000000004,0.29999999999999999,2.5,20"
+        write_trace_csv(path, LossTrace())
+        assert path.read_text() == "iteration,ksd2,bandwidth,beta_temp,grad_norm\n"
 
 
 class TestCLI:
@@ -300,6 +352,51 @@ class TestCLI:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    def test_unknown_preset_exits_2(self, tmp_path, capsys, command):
+        assert main([command, "--preset", "nope", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown preset 'nope'" in err and "toy-banana" in err and "Traceback" not in err
+
+    CD = {"target.name": "conditioned_diffusion", "target.obs_path": "o.csv"}
+
+    @pytest.mark.parametrize(
+        "settings, argv, key",
+        [
+            ({"run.seed": -1}, [], "run.seed"),
+            ({}, ["--seed", "-1"], "run.seed"),
+            ({"init.seed": -5}, [], "init.seed"),
+            ({"eval.sample_size": 0}, [], "eval.sample_size"),
+            ({**CD, "target.obs_stride": 0}, [], "target.obs_stride"),
+            ({**CD, "target.obs_seed": -1}, [], "target.obs_seed"),
+        ],
+        ids=["run-seed", "seed-flag", "init-seed", "eval-size", "obs-stride", "obs-seed"],
+    )
+    def test_out_of_range_values_exit_2(self, tmp_path, capsys, settings, argv, key):
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
+        assert main(["train", str(config_path), "--out", str(tmp_path / "out"), *argv]) == 2
+        assert f"config error: {key}: must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "o.csv").exists()
+
+    def cd_config(self, tmp_path, obs_text):
+        (tmp_path / "o.csv").write_text(obs_text)
+        config_path = tmp_path / "config.txt"
+        settings = {**self.CD, "target.n_steps": 10, "arch.widths": [3, 8, 10]}
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
+        return config_path
+
+    def test_cd_observation_row_of_one_field_exits_2(self, tmp_path, capsys):
+        config_path = self.cd_config(tmp_path, "index,value\n5,0.25\n10\n")
+        assert main(["train", str(config_path), "--out", str(tmp_path / "out"), "--data-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "target.obs_path" in err and "o.csv" in err
+
+    def test_cd_observation_blank_line_skipped(self, tmp_path, capsys):
+        config = ExperimentConfig.from_flat(load_config_file(self.cd_config(tmp_path, "index,value\n5,0.25\n\n10,-0.5\n")))
+        target = build_target(config, tmp_path)
+        assert target.obs_indices.tolist() == [5, 10] and target.observations.tolist() == [0.25, -0.5]
+
     def test_width_mismatch_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "bad.txt"
         config_path.write_text(TINY_CONFIG.replace("[3, 8, 2]", "[3, 8, 4]"))
@@ -354,6 +451,25 @@ class TestCLI:
         record = json.loads(capsys.readouterr().out)
         assert "noise_floor" in record["metrics"]["kl_knn"]
         assert "bandwidth" in record["metrics"]["mmd2"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,1.0\n0.25,nan\n1.0,2.0\n", ": non-finite value"),
+            ("0.5,1.0\n0.25\n1.0,2.0\n", ": the number of columns changed"),
+            ("0.5,1.0\n" * 10, ": kl_knn: 5 of 5 within-set neighbor distances collapsed"),
+        ],
+        ids=["nan", "ragged", "degenerate"],
+    )
+    def test_evaluate_bad_sample_file_exits_2(self, tmp_path, capsys, text, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_samples_csv(good, np.random.default_rng(3).standard_normal((10, 2)))
+        bad.write_text(text)
+        assert main(["evaluate", str(good), str(bad), "--metrics", "kl_knn"]) == 2
+        err = capsys.readouterr().err
+        # a file that does not read is named alone; a pair a metric refuses, both
+        named = f"{good}, {bad}" if "kl_knn" in message else str(bad)
+        assert err.startswith(f"error: {named}{message}")
 
     def test_evaluate_dimension_mismatch(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"

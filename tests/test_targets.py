@@ -299,6 +299,40 @@ class TestLogisticRegression:
         with pytest.raises(ValueError, match="columns"):
             load_blr_dataset(path)
 
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.parametrize(
+        "layout, error",
+        [
+            ("header", None),
+            ("no-header", None),
+            ("blank-line", None),
+            ("short-row", "data.csv: the number of columns changed from 22 to 21"),
+            ("header-only", "data.csv: no data rows"),
+        ],
+        ids=["header", "no-header", "blank-line", "short-row", "header-only"],
+    )
+    def test_loader_layouts(self, tmp_path, layout, error):
+        features, labels = make_waveform_dataset(n_rows=6, seed=2)
+        path = tmp_path / "data.csv"
+        save_blr_dataset(path, features, labels)
+        expected = load_blr_dataset(path)
+        lines = path.read_text().splitlines(keepends=True)
+        if layout == "no-header":
+            lines = lines[1:]
+        elif layout == "blank-line":
+            lines.insert(3, "\n")
+        elif layout == "short-row":
+            lines[3] = lines[3].split(",", 1)[1]
+        elif layout == "header-only":
+            lines = lines[:1]
+        path.write_text("".join(lines))
+        if error:
+            with pytest.raises(ValueError, match=error):
+                load_blr_dataset(path)
+            return
+        target = load_blr_dataset(path)
+        assert np.array_equal(target.design, expected.design) and np.array_equal(target.labels, expected.labels)
+
     def test_loader_two_row_toy(self, tmp_path):
         path = tmp_path / "toy.csv"
         rows = [",".join(["0.5"] * 21 + ["1"]), ",".join(["-0.5"] * 21 + ["0"])]
@@ -346,6 +380,26 @@ class TestConditionedDiffusion:
         idx2, obs2 = load_cd_observations(path)
         assert np.array_equal(idx, idx2)
         assert np.array_equal(obs, obs2)
+
+    def test_observation_file_layout(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        save_cd_observations(path, np.array([5, 10]), np.array([0.1, -2.5]))
+        assert path.read_bytes() == b"index,value\n5,0.10000000000000001\n10,-2.5\n"
+        # the csv module's CRLF line endings, as files written before numpy's writer have
+        path.write_bytes(b"index,value\r\n5,0.10000000000000001\r\n10,-2.5\r\n")
+        idx, obs = load_cd_observations(path)
+        assert idx.dtype == np.int64 and idx.tolist() == [5, 10] and obs.tolist() == [0.1, -2.5]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("index,val\n5,0.1\n", "header"), ("index,value\n5.0,0.1\n", "int64"), ("index,value\n5,0.1,3\n", "columns")],
+        ids=["header", "float-index", "three-fields"],
+    )
+    def test_observation_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_cd_observations(path)
 
     def test_index_validation(self):
         with pytest.raises(ValueError, match="indices"):
