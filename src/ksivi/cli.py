@@ -139,8 +139,8 @@ def cmd_ground_truth(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
 
-    from .kernels import KernelSpec, median_bandwidth
-    from .metrics import corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
+    from .kernels import KernelSpec, pair_median_bandwidth, sq_blocks
+    from .metrics import KNN_TREE_MAX_DIM, corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
     from .runio import read_samples_csv
 
     samples = []
@@ -158,6 +158,10 @@ def cmd_evaluate(args) -> int:
         )
         return 2
     requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    # one set of squared distances for the bandwidth, the MMD and the neighbours;
+    # at low d the neighbours come from a k-d tree, which needs none
+    knn_reads_blocks = "kl_knn" in requested and X.shape[1] > KNN_TREE_MAX_DIM
+    blocks = sq_blocks(X, Y) if "mmd2" in requested or knn_reads_blocks else None
     record = {
         "samples": {
             "a": {"path": str(args.samples_a), "count": int(X.shape[0])},
@@ -177,18 +181,20 @@ def cmd_evaluate(args) -> int:
             elif name == "kl_knn":
                 rng = np.random.default_rng(args.seed)
                 halves = rng.permutation(Y.shape[0])
-                mid = Y.shape[0] // 2
-                floor = abs(kl_knn(Y[halves[:mid]], Y[halves[mid:]], k=args.kl_k))
+                a, b = np.split(halves, [Y.shape[0] // 2])
+                floor_sq = (blocks.yy[np.ix_(a, a)], blocks.yy[np.ix_(a, b)]) if knn_reads_blocks else None
+                floor = abs(kl_knn(Y[a], Y[b], k=args.kl_k, sq=floor_sq))
+                del floor_sq  # 4 MB at 1000 points, not kept for the metrics after it
                 record["metrics"]["kl_knn"] = {
-                    "value": kl_knn(X, Y, k=args.kl_k),
+                    "value": kl_knn(X, Y, k=args.kl_k, sq=(blocks.xx, blocks.xy) if knn_reads_blocks else None),
                     "k": args.kl_k,
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                h = args.bandwidth if args.bandwidth else median_bandwidth(np.concatenate([X, Y]))
+                h = args.bandwidth if args.bandwidth else pair_median_bandwidth(X, Y, blocks)
                 spec = KernelSpec(args.kernel_family, bandwidth=h, offset=args.offset)
                 record["metrics"]["mmd2"] = {
-                    "value": mmd2_ustat(X, Y, spec),
+                    "value": mmd2_ustat(X, Y, spec, sq=blocks),
                     "kernel": args.kernel_family,
                     "bandwidth": h,
                 }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import json
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,26 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
     np.savetxt(path, samples, delimiter=",", fmt=FLOAT_FMT)
 
 
+def read_csv_rows(source, **kwargs) -> np.ndarray:
+    """``np.loadtxt(source, delimiter=",", **kwargs)`` that refuses a file without rows.
+
+    An empty file raises "no data rows" rather than warning, and a malformed
+    row's error drops numpy's advice on ``usecols``, which does not apply to
+    ksivi's files.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(source, delimiter=",", **kwargs)
+        except ValueError as err:
+            raise ValueError(str(err).partition("; use `usecols`")[0]) from None
+    if len(data) == 0:
+        raise ValueError("no data rows")
+    return data
+
+
 def read_samples_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    data = read_csv_rows(path, dtype=np.float64, ndmin=2)
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite value in a sample set")
     return data

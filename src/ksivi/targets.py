@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .runio import read_csv_rows
+
 
 def _as_batch(x, dim):
     x = np.asarray(x, dtype=np.float64)
@@ -338,11 +340,9 @@ def load_blr_dataset(path, alpha=0.01) -> LogisticRegression:
             [float(c) for c in fh.readline().split(",")]
             fh.seek(0)
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as err:
+            data = read_csv_rows(fh, ndmin=2)
+        except ValueError as err:  # no rows, or a ragged or non-numeric one
             raise ValueError(f"{path}: {err}") from None
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
     if data.shape[1] != 22:
         raise ValueError(f"{path}: {data.shape[1]} columns, expected 22")
     features, labels = data[:, :-1], data[:, -1]
@@ -499,8 +499,8 @@ def load_cd_observations(path):
         if fh.readline().rstrip("\n") != "index,value":
             raise ValueError(f"{path}: expected 'index,value' header")
         try:
-            data = np.loadtxt(fh, delimiter=",", dtype=[("index", np.int64), ("value", np.float64)], ndmin=1)
-        except ValueError as err:  # a row without two fields, or an index that is not an integer
+            data = read_csv_rows(fh, dtype=[("index", np.int64), ("value", np.float64)], ndmin=1)
+        except ValueError as err:  # no rows, a row without two fields, or an index that is not an integer
             raise ValueError(f"{path}: {err}") from None
     return np.ascontiguousarray(data["index"]), np.ascontiguousarray(data["value"])
 

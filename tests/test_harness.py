@@ -234,6 +234,20 @@ class TestRunIO:
         again = read_samples_csv(path)
         assert np.array_equal(samples, again)
 
+    @pytest.mark.filterwarnings("error")  # numpy's empty-input warning stays inside the reader
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_samples_without_rows_refused(self, tmp_path, text):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^no data rows$"):
+            read_samples_csv(path)
+
+    def test_ragged_samples_error_is_numpys_without_its_advice(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("0.5,1.0\n0.25\n")
+        with pytest.raises(ValueError, match="^the number of columns changed from 2 to 1 at row 2$"):
+            read_samples_csv(path)
+
     def test_checkpoint_round_trip_bitwise(self, tmp_path):
         params = siv_init(NetArch((3, 16, 2)), seed=9, rho_init=-0.3)
         path = tmp_path / "checkpoint.json"
@@ -391,6 +405,7 @@ class TestCLI:
         assert main(["train", str(config_path), "--out", str(tmp_path / "out"), "--data-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "target.obs_path" in err and "o.csv" in err
+        assert err.rstrip().endswith("at row 2")  # numpy's advice on usecols is dropped
 
     def test_cd_observation_blank_line_skipped(self, tmp_path, capsys):
         config = ExperimentConfig.from_flat(load_config_file(self.cd_config(tmp_path, "index,value\n5,0.25\n\n10,-0.5\n")))

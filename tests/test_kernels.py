@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from ksivi import kernels
 from ksivi.kernels import (
     KernelSpec,
     bandwidth_from_rule,
     diag_values,
     eval_matrix,
     median_bandwidth,
+    pair_median_bandwidth,
     pairwise_sq_dists,
     pooled_sq_dists,
+    sq_blocks,
     weighted_grad1_sum,
 )
 
@@ -300,3 +304,111 @@ class TestMedianFromDistanceMatrix:
         sq = pooled_sq_dists((X[:32], X[32:]))
         for rule in ("median", "median_sq_over_log_n"):
             assert bandwidth_from_rule(rule, X, sq) == bandwidth_from_rule(rule, X)
+
+
+class TestEvalMatrixInPlace:
+    @pytest.mark.parametrize("shape", [(7, 5), (300, 200)])  # below and above numpy's temporary elision
+    def test_bits_of_the_plain_expressions(self, shape):
+        rng = np.random.default_rng(30)
+        sq = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-300, 300, size=shape)
+        sq[0, :3] = [0.0, 5e-324, np.inf]
+        X = rng.standard_normal((shape[0], 3))
+        Y = rng.standard_normal((shape[1], 3))
+        for spec in (KernelSpec("rbf", bandwidth=0.7), KernelSpec("imq", offset=1.3), KernelSpec("riesz", smoothing=1e-3)):
+            plain = {
+                "rbf": lambda q: np.exp(-q / (2.0 * spec.bandwidth**2)),
+                "imq": lambda q: (spec.offset**2 + q) ** (-0.5),
+                "riesz": lambda q: -np.sqrt(q + spec.smoothing**2),
+            }[spec.family]
+            given_sq = sq.copy()
+            with np.errstate(over="ignore"):
+                assert np.array_equal(eval_matrix(spec, X, Y, sq=given_sq), plain(sq))
+            assert np.array_equal(given_sq, sq)  # left as it was
+            assert np.array_equal(eval_matrix(spec, X, Y), plain(pairwise_sq_dists(X, Y)))
+
+
+class TestMedianFromBlocks:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 200),
+        m=st.integers(1, 200),
+        d=st.integers(1, 250),
+        kind=st.sampled_from(["gauss", "grid", "duplicates", "identical", "offset"]),
+    )
+    @settings(max_examples=150)
+    def test_bitwise_equal_to_the_pooled_pdist_median(self, seed, n, m, d, kind):
+        if n + m < 2:
+            return
+        X = awkward_samples(seed, n, d, kind)
+        Y = awkward_samples(seed + 1, m, d, kind) if kind != "identical" else X[:1].repeat(m, axis=0)
+        blocks = sq_blocks(X, Y)
+        for name, block, expect in zip(blocks._fields, blocks, ((X, X), (Y, Y), (X, Y))):
+            assert np.array_equal(block, pairwise_sq_dists(*expect)), name
+        assert pair_median_bandwidth(X, Y, blocks) == median_bandwidth(np.concatenate([X, Y]))
+
+    @pytest.mark.parametrize("d", [2, 22, 200])
+    def test_evaluate_shapes_gather_only_the_bracket(self, monkeypatch, d):
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((1000, d))
+        Y = rng.standard_normal((1000, d)) * 1.1 + 0.2
+        expect = reference_median(np.concatenate([X, Y]))
+        blocks = sq_blocks(X, Y)
+        calls = []
+        gather = kernels._gather_range
+
+        def spy(parts, a, b):
+            calls.append((a, b))
+            return gather(parts, a, b)
+
+        def no_pdist(*args, **kwargs):
+            raise AssertionError("the band path fell back to pdist")
+
+        monkeypatch.setattr(kernels, "_gather_range", spy)
+        monkeypatch.setattr(kernels, "pdist", no_pdist)
+        assert pair_median_bandwidth(X, Y, blocks) == expect
+        assert len(calls) == 1 and np.isfinite(calls[0]).all()
+
+    def test_a_missed_bracket_gathers_everything(self):
+        # at 61 rows a stride of 61 samples one column of every block: the
+        # distances to two far outliers, which bracket the wrong ranks
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((61, 3))
+        Y = rng.standard_normal((61, 3))
+        X[0] = Y[0] = 50.0
+        calls = []
+        gather = kernels._gather_range
+
+        def spy(parts, a, b):
+            calls.append((a, b))
+            return gather(parts, a, b)
+
+        with mock.patch.object(kernels, "_gather_range", spy):
+            h = pair_median_bandwidth(X, Y, sq_blocks(X, Y))
+        assert h == median_bandwidth(np.concatenate([X, Y]))
+        assert calls[1] == (-np.inf, np.inf)
+
+    def test_a_band_past_the_bracket_is_gathered_again(self):
+        # points at 0 and 1: every distance is 0 or 1, the bracket ends on a
+        # tied value, and the band reaches past it
+        rng = np.random.default_rng(32)
+        X = rng.integers(0, 2, size=(300, 1)).astype(np.float64)
+        Y = rng.integers(0, 2, size=(200, 1)).astype(np.float64)
+        calls = []
+        gather = kernels._gather_range
+
+        def spy(parts, a, b):
+            calls.append((a, b))
+            return gather(parts, a, b)
+
+        with mock.patch.object(kernels, "_gather_range", spy):
+            h = pair_median_bandwidth(X, Y, sq_blocks(X, Y))
+        assert h == median_bandwidth(np.concatenate([X, Y]))
+        assert len(calls) == 2 and calls[1][0] < calls[0][0]
+
+    def test_overflowing_norms_leave_it_to_pdist(self):
+        X = np.random.default_rng(33).standard_normal((20, 2))
+        Y = np.random.default_rng(34).standard_normal((15, 2))
+        Y[3, 1] = 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = sq_blocks(X, Y)
+        assert pair_median_bandwidth(X, Y, blocks) == median_bandwidth(np.concatenate([X, Y]))

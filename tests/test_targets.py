@@ -299,17 +299,18 @@ class TestLogisticRegression:
         with pytest.raises(ValueError, match="columns"):
             load_blr_dataset(path)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.filterwarnings("error")  # numpy's empty-input warning stays inside the loader
     @pytest.mark.parametrize(
         "layout, error",
         [
             ("header", None),
             ("no-header", None),
             ("blank-line", None),
-            ("short-row", "data.csv: the number of columns changed from 22 to 21"),
+            ("short-row", "data.csv: the number of columns changed from 22 to 21 at row 3$"),
             ("header-only", "data.csv: no data rows"),
+            ("empty", "data.csv: no data rows"),
         ],
-        ids=["header", "no-header", "blank-line", "short-row", "header-only"],
+        ids=["header", "no-header", "blank-line", "short-row", "header-only", "empty"],
     )
     def test_loader_layouts(self, tmp_path, layout, error):
         features, labels = make_waveform_dataset(n_rows=6, seed=2)
@@ -325,6 +326,8 @@ class TestLogisticRegression:
             lines[3] = lines[3].split(",", 1)[1]
         elif layout == "header-only":
             lines = lines[:1]
+        elif layout == "empty":
+            lines = []
         path.write_text("".join(lines))
         if error:
             with pytest.raises(ValueError, match=error):
@@ -390,10 +393,18 @@ class TestConditionedDiffusion:
         idx, obs = load_cd_observations(path)
         assert idx.dtype == np.int64 and idx.tolist() == [5, 10] and obs.tolist() == [0.1, -2.5]
 
+    @pytest.mark.filterwarnings("error")  # numpy's empty-input warning stays inside the loader
     @pytest.mark.parametrize(
         "text, message",
-        [("index,val\n5,0.1\n", "header"), ("index,value\n5.0,0.1\n", "int64"), ("index,value\n5,0.1,3\n", "columns")],
-        ids=["header", "float-index", "three-fields"],
+        [
+            ("index,val\n5,0.1\n", "header"),
+            ("index,value\n5.0,0.1\n", "int64"),
+            ("index,value\n5,0.1,3\n", "columns"),
+            ("index,value\n5,0.1\n7\n", "requires 2 columns but 1 were found at row 2$"),
+            ("index,value\n", "obs.csv: no data rows$"),
+            ("index,value\n\n", "obs.csv: no data rows$"),
+        ],
+        ids=["header", "float-index", "three-fields", "one-field", "header-only", "blank-only"],
     )
     def test_observation_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "obs.csv"
