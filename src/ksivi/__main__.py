@@ -1,0 +1,8 @@
+"""``python -m ksivi``: the ``ksivi`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+EVALUATE_METRICS = ("sliced_wd", "kl_knn", "mmd2", "corr")
+
 
 def _pin_threads(n: int) -> None:
     if n and n > 0:
@@ -137,6 +139,13 @@ def cmd_ground_truth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    unknown = [name for name in requested if name not in EVALUATE_METRICS]
+    if unknown:
+        expected = ", ".join(EVALUATE_METRICS)
+        print(f"error: unknown metric {unknown[0]!r}; expected some of {expected}", file=sys.stderr)
+        return 2
+
     import numpy as np
 
     from .kernels import KernelSpec, pair_median_bandwidth, sq_blocks
@@ -157,10 +166,14 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
     # one set of squared distances for the bandwidth, the MMD and the neighbours;
     # at low d the neighbours come from a k-d tree, which needs none
     knn_reads_blocks = "kl_knn" in requested and X.shape[1] > KNN_TREE_MAX_DIM
+    if "kl_knn" in requested and not knn_reads_blocks:
+        # the tree's scipy, imported before the blocks are allocated: imported
+        # while they were alive, it raised toy's peak RSS by 4 MB and changed
+        # the page faults of all that ran after it in the process
+        import scipy.spatial  # noqa: F401
     blocks = sq_blocks(X, Y) if "mmd2" in requested or knn_reads_blocks else None
     record = {
         "samples": {
@@ -204,9 +217,6 @@ def cmd_evaluate(args) -> int:
                     "rmse": float(np.sqrt((diff**2).mean())),
                     "max_abs_diff": float(np.abs(diff).max()),
                 }
-            else:
-                print(f"error: unknown metric {name!r}", file=sys.stderr)
-                return 2
     except ValueError as err:  # a metric refuses the pair, e.g. DegenerateSamplesError
         print(f"error: {args.samples_a}, {args.samples_b}: {name}: {err}", file=sys.stderr)
         return 2
@@ -263,6 +273,14 @@ def cmd_list_presets(_args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """An argparse type: an integer of at least 1, so a bad flag exits 2 with its name."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_run_arguments(parser):
     parser.add_argument("config", nargs="?", help="experiment config file")
     parser.add_argument("--preset", help="use a shipped preset instead of a file")
@@ -291,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compare two sample CSVs")
     p.add_argument("samples_a")
     p.add_argument("samples_b")
-    p.add_argument("--metrics", default="sliced_wd,kl_knn,mmd2,corr")
+    p.add_argument("--metrics", default=",".join(EVALUATE_METRICS))
     p.add_argument("--n-proj", type=int, default=128)
     p.add_argument("--kl-k", type=int, default=1)
     p.add_argument("--kernel-family", default="rbf")
@@ -303,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="network smoothness probe on a checkpoint")
     p.add_argument("checkpoint")
-    p.add_argument("--probes", type=int, default=100)
+    p.add_argument("--probes", type=count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("make-blr-data", help="write a synthetic waveform-style dataset")
     p.add_argument("out_path")
-    p.add_argument("--rows", type=int, default=1000)
+    p.add_argument("--rows", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_make_blr_data)
 

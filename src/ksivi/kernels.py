@@ -32,6 +32,10 @@ the pairs below the bracket and gathers those inside it, and the band
 argument runs on that gather.  On 1000 + 1000 points (2-core Xeon VM, one
 thread) it took 13 to 16 ms at d = 2, 22 and 200, against 50, 76 and 282 ms
 for pdist and ``np.median``; the blocks cost 30, 28 and 51 ms and are shared.
+
+scipy loads only when ``pdist`` is first called, for the fallbacks above:
+importing ``scipy.spatial`` takes about 0.3 s and 30 MB, which most runs
+never need.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 FAMILIES = ("rbf", "imq", "riesz")
 
@@ -66,6 +69,13 @@ class KernelSpec:
 
     def with_bandwidth(self, h: float) -> "KernelSpec":
         return replace(self, bandwidth=float(h))
+
+
+def pdist(samples: np.ndarray) -> np.ndarray:
+    """``scipy.spatial.distance.pdist``, with scipy imported on the first call."""
+    from scipy.spatial.distance import pdist as scipy_pdist
+
+    return scipy_pdist(samples)
 
 
 def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -10,12 +10,14 @@ without them.  The MMD evaluates its Gram matrices on the blocks.  The
 neighbour estimate takes each row's k-th smallest expansion value and
 recomputes exactly only the points within the rounding band of it, in
 cKDTree's summation order; at low d it leaves the neighbours to cKDTree.
+
+scipy loads only when ``cKDTree`` is first called (``kl_knn`` at low d, or a
+fallback): importing ``scipy.spatial`` takes about 0.3 s and 30 MB.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .kernels import KernelSpec, SqBlocks, eval_matrix, rounding_slack
 
@@ -25,6 +27,13 @@ DISTANCE_CLAMP = 1e-12
 # prunes there; above it the tree visits most points and the blocks win.
 KNN_TREE_MAX_DIM = 8
 KNN_PARTITION_ROWS = 128
+
+
+def cKDTree(data: np.ndarray):
+    """``scipy.spatial.cKDTree(data)``, with scipy imported on the first call."""
+    from scipy.spatial import cKDTree as tree
+
+    return tree(data)
 
 
 class DegenerateSamplesError(ValueError):
@@ -83,6 +92,8 @@ def sliced_wd(X, Y, n_proj: int = 128, seed: int = 0) -> float:
     Unequal sample counts are resolved by seeded subsampling of the larger
     set, so the sorted-coupling formula applies directly.
     """
+    if n_proj < 1:
+        raise ValueError(f"n_proj must be at least 1, got {n_proj}")
     X = _check_sample_set(X, "X")
     Y = _check_sample_set(Y, "Y")
     _check_pair_dims(X, Y)

@@ -25,6 +25,7 @@ from ksivi.configio import (
     validate_against_target,
 )
 from ksivi.family import siv_init
+from ksivi.metrics import KNN_TREE_MAX_DIM
 from ksivi.nets import NetArch
 from ksivi.presets import PRESET_NAMES, get_preset
 from ksivi.runio import (
@@ -486,6 +487,45 @@ class TestCLI:
         named = f"{good}, {bad}" if "kl_knn" in message else str(bad)
         assert err.startswith(f"error: {named}{message}")
 
+    @pytest.mark.parametrize("n_proj", ["0", "-3"])
+    def test_evaluate_without_projections_exits_2(self, tmp_path, capsys, n_proj):
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, np.random.default_rng(4).standard_normal((20, 2)))
+        assert main(["evaluate", str(path), str(path), "--n-proj", n_proj]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}, {path}: sliced_wd: n_proj must be at least 1, got {n_proj}\n"
+
+    def test_unknown_metric_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("evaluate read a file or built a block")
+
+        monkeypatch.setattr("ksivi.runio.read_samples_csv", refused)
+        monkeypatch.setattr("ksivi.kernels.sq_blocks", refused)
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, np.zeros((10, 2)))
+        assert main(["evaluate", str(path), str(path), "--metrics", "mmd2,bogus"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown metric 'bogus'; expected some of sliced_wd,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "{dir}/checkpoint.json", "--probes", "0"],
+            ["diagnose", "{dir}/checkpoint.json", "--probes", "-2"],
+            ["make-blr-data", "{dir}/w.csv", "--rows", "0"],
+            ["make-blr-data", "{dir}/w.csv", "--rows", "-5"],
+        ],
+    )
+    def test_count_flag_below_one_exits_2(self, tmp_path, capsys, argv):
+        save_checkpoint(tmp_path / "checkpoint.json", siv_init(NetArch((3, 8, 2)), seed=3))
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "w.csv").exists()
+
     def test_evaluate_dimension_mismatch(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         write_samples_csv(a_path, np.zeros((10, 2)))
@@ -589,3 +629,74 @@ print(json.dumps({{"code": code, "seen": seen}}))
         target = build_target(config, tmp_path)
         assert (tmp_path / "cd_obs_dim100.csv").exists()
         assert target.dim == 100
+
+
+class TestScipyLoadsOnDemand:
+    """Only the k-d tree and the pdist fallbacks load scipy; each case runs in a fresh interpreter."""
+
+    ORDER_SCRIPT = """
+import json, runpy, sys
+import ksivi.kernels
+
+seen = []
+build = ksivi.kernels.sq_blocks
+
+
+def recorded(X, Y):
+    seen.append("scipy" in sys.modules)
+    return build(X, Y)
+
+
+ksivi.kernels.sq_blocks = recorded
+try:
+    runpy.run_module("ksivi", run_name="__main__")
+except SystemExit as exit:
+    print(json.dumps({"code": exit.code, "scipy_at_blocks": seen, "scipy_at_end": "scipy" in sys.modules}))
+"""
+
+    def python(self, *args):
+        env = {**os.environ, **{var: "1" for var in TestCLI.THREAD_VARS}}
+        src = str(Path(ksivi.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def scipy_imports(self, *argv):
+        """The scipy modules that ``python -m ksivi ARGV`` imports, as ``-X importtime`` lists them."""
+        stderr = self.python("-X", "importtime", "-m", "ksivi", *argv).stderr
+        names = [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:")]
+        assert "numpy" in names  # the listing is there to read
+        return [name for name in names if name.split(".")[0] == "scipy"]
+
+    def sample_files(self, tmp_path, d):
+        rng = np.random.default_rng(11)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_samples_csv(a, rng.standard_normal((60, d)))
+        write_samples_csv(b, rng.standard_normal((50, d)))
+        return str(a), str(b)
+
+    def test_train_sample_and_diagnose_never_load_scipy(self, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text(TINY_CONFIG + "sampler.n_particles = 20\nsampler.n_steps = 50\n")
+        run = tmp_path / "run"
+        assert self.scipy_imports("train", str(config), "--out", str(run)) == []
+        assert self.scipy_imports("sample-ground-truth", str(config), "--out", str(tmp_path / "gt")) == []
+        assert self.scipy_imports("diagnose", str(run / "checkpoint.json"), "--probes", "5") == []
+
+    @pytest.mark.parametrize("d, loaded", [(KNN_TREE_MAX_DIM + 1, False), (KNN_TREE_MAX_DIM, True)])
+    def test_evaluate_loads_scipy_only_for_the_tree(self, tmp_path, d, loaded):
+        assert ("scipy.spatial" in self.scipy_imports("evaluate", *self.sample_files(tmp_path, d))) == loaded
+
+    @pytest.mark.parametrize(
+        "d, metrics, at_blocks, at_end",
+        [
+            (2, "kl_knn,mmd2", [True], True),
+            (2, "sliced_wd,kl_knn,mmd2,corr", [True], True),
+            (2, "mmd2", [False], False),
+        ],
+    )
+    def test_tree_loads_before_the_blocks(self, tmp_path, d, metrics, at_blocks, at_end):
+        argv = ["evaluate", *self.sample_files(tmp_path, d), "--metrics", metrics]
+        record = json.loads(self.python("-c", self.ORDER_SCRIPT, *argv).stdout.strip().splitlines()[-1])
+        assert record == {"code": 0, "scipy_at_blocks": at_blocks, "scipy_at_end": at_end}

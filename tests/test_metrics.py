@@ -122,6 +122,12 @@ class TestSlicedWD:
         with pytest.raises(ValueError):
             sliced_wd(np.zeros((10, 2)), np.zeros((10, 3)))
 
+    @pytest.mark.parametrize("n_proj", [0, -3])
+    def test_no_projection_refused_by_name(self, n_proj):
+        X = np.random.default_rng(9).standard_normal((10, 2))
+        with pytest.raises(ValueError, match=f"^n_proj must be at least 1, got {n_proj}$"):
+            sliced_wd(X, X + 1.0, n_proj=n_proj)
+
 
 class TestKLKNN:
     def test_same_distribution_near_zero(self):
