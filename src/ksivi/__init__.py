@@ -8,12 +8,10 @@ reparameterization gradients.  Ground-truth Langevin samplers and sample-based
 discrepancy metrics round out the experiment harness.
 
 Submodules are imported lazily so that the command-line entry point can pin
-BLAS thread counts before any numerical code loads.  scipy loads later still,
-on the first call that needs it: the k-d tree of ``metrics.kl_knn`` at low
-dimension (``evaluate`` imports it up front then) and the pdist fallbacks of
-the median bandwidths.  Training, sampling, ``diagnose`` and ``evaluate``
-above ``metrics.KNN_TREE_MAX_DIM`` run without it.  ``python -m ksivi`` runs
-the ``ksivi`` command.
+BLAS thread counts before any numerical code loads.  numpy is the one runtime
+dependency: every distance, median and neighbour comes from the BLAS
+expansion in ``kernels.pairwise_sq_dists``.  ``python -m ksivi`` runs the
+``ksivi`` command.
 """
 
 __version__ = "0.1.0"

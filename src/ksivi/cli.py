@@ -149,7 +149,7 @@ def cmd_evaluate(args) -> int:
     import numpy as np
 
     from .kernels import KernelSpec, pair_median_bandwidth, sq_blocks
-    from .metrics import KNN_TREE_MAX_DIM, corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
+    from .metrics import corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
     from .runio import read_samples_csv
 
     samples = []
@@ -166,15 +166,8 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # one set of squared distances for the bandwidth, the MMD and the neighbours;
-    # at low d the neighbours come from a k-d tree, which needs none
-    knn_reads_blocks = "kl_knn" in requested and X.shape[1] > KNN_TREE_MAX_DIM
-    if "kl_knn" in requested and not knn_reads_blocks:
-        # the tree's scipy, imported before the blocks are allocated: imported
-        # while they were alive, it raised toy's peak RSS by 4 MB and changed
-        # the page faults of all that ran after it in the process
-        import scipy.spatial  # noqa: F401
-    blocks = sq_blocks(X, Y) if "mmd2" in requested or knn_reads_blocks else None
+    # one set of squared distances for the bandwidth, the MMD and the neighbours
+    blocks = sq_blocks(X, Y) if "mmd2" in requested or "kl_knn" in requested else None
     record = {
         "samples": {
             "a": {"path": str(args.samples_a), "count": int(X.shape[0])},
@@ -195,11 +188,11 @@ def cmd_evaluate(args) -> int:
                 rng = np.random.default_rng(args.seed)
                 halves = rng.permutation(Y.shape[0])
                 a, b = np.split(halves, [Y.shape[0] // 2])
-                floor_sq = (blocks.yy[np.ix_(a, a)], blocks.yy[np.ix_(a, b)]) if knn_reads_blocks else None
+                floor_sq = (blocks.yy[np.ix_(a, a)], blocks.yy[np.ix_(a, b)])
                 floor = abs(kl_knn(Y[a], Y[b], k=args.kl_k, sq=floor_sq))
                 del floor_sq  # 4 MB at 1000 points, not kept for the metrics after it
                 record["metrics"]["kl_knn"] = {
-                    "value": kl_knn(X, Y, k=args.kl_k, sq=(blocks.xx, blocks.xy) if knn_reads_blocks else None),
+                    "value": kl_knn(X, Y, k=args.kl_k, sq=(blocks.xx, blocks.xy)),
                     "k": args.kl_k,
                     "noise_floor": floor,
                 }
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples_b")
     p.add_argument("--metrics", default=",".join(EVALUATE_METRICS))
     p.add_argument("--n-proj", type=int, default=128)
-    p.add_argument("--kl-k", type=int, default=1)
+    p.add_argument("--kl-k", type=count, default=1)
     p.add_argument("--kernel-family", default="rbf")
     p.add_argument("--bandwidth", type=float, default=0.0, help="0 = median heuristic")
     p.add_argument("--offset", type=float, default=1.0)

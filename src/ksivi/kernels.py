@@ -7,35 +7,25 @@ at coincident points).  Every family's first-argument gradient has the shape
 ``-(x - y) * g(r^2)`` for a scalar pair weight ``g``, which is what the
 batched training code exploits.
 
-A training iteration computes its squared distances once, with BLAS, in
+Squared distances have one definition, the BLAS expansion
+``|x|^2 + |y|^2 - 2 x.y`` of ``pairwise_sq_dists``; every median and
+neighbour distance is the square root of one of its values.
+``expansion_error`` bounds how far a value can be from the exact one.
+
+A training iteration computes its squared distances once, in
 ``pooled_sq_dists``; the bandwidth, the Gram matrix and both kernel-gradient
 sums read that one matrix.  Each of its blocks comes from its own matrix
 product, because a block of a larger product need not round like the product
 on its own.
 
-The median bandwidth is defined by ``np.median(pdist(samples))``, and the
-training path reproduces those bits from the squared distances.  The BLAS
-expansion ``|x|^2 + |y|^2 - 2 x.y`` differs from pdist's value squared by at
-most about ``(d + c) eps max|x|^2``, so the true middle order statistics lie
-within that band of the expansion's middle order statistics.  Only the pairs
-inside the band are recomputed exactly, in pdist's accumulation order; every
-pair below the band ranks lower and every pair above it ranks higher, so the
-middle values of the recomputed band are pdist's middle values.
-
 ``evaluate`` builds three blocks once, in ``sq_blocks``: within X, within Y
 and from X to Y, each its own product; there is no YX block and no pooled
 matrix.  The bandwidth, the MMD and the neighbour distances all read them.
-``pair_median_bandwidth`` takes pdist's median of the pooled samples from XX's
-and YY's upper triangles and all of XY without gathering every pair: a
-strided sample brackets the two middle ranks, one pass over the blocks counts
-the pairs below the bracket and gathers those inside it, and the band
-argument runs on that gather.  On 1000 + 1000 points (2-core Xeon VM, one
-thread) it took 13 to 16 ms at d = 2, 22 and 200, against 50, 76 and 282 ms
-for pdist and ``np.median``; the blocks cost 30, 28 and 51 ms and are shared.
-
-scipy loads only when ``pdist`` is first called, for the fallbacks above:
-importing ``scipy.spatial`` takes about 0.3 s and 30 MB, which most runs
-never need.
+``pair_median_bandwidth`` takes the median of the pooled samples from XX's and
+YY's upper triangles and all of XY without gathering every pair.  On
+1000 + 1000 points at d = 2, 22 and 200 (2-core Xeon VM, one thread) it took
+13 to 14 ms, against 41 to 61 ms for ``np.median`` over every pair gathered
+with boolean masks; the blocks cost 18 to 38 ms and are shared.
 """
 
 from __future__ import annotations
@@ -69,13 +59,6 @@ class KernelSpec:
 
     def with_bandwidth(self, h: float) -> "KernelSpec":
         return replace(self, bandwidth=float(h))
-
-
-def pdist(samples: np.ndarray) -> np.ndarray:
-    """``scipy.spatial.distance.pdist``, with scipy imported on the first call."""
-    from scipy.spatial.distance import pdist as scipy_pdist
-
-    return scipy_pdist(samples)
 
 
 def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -178,160 +161,101 @@ def diag_values(spec: KernelSpec, n: int) -> np.ndarray:
     return np.full(n, -spec.smoothing)
 
 
-def rounding_slack(*sample_sets: np.ndarray) -> float | None:
-    """Band half-width for the pdist median: 16 (d + 4) eps max |x|^2.
+def expansion_error(*sample_sets: np.ndarray) -> float:
+    """The most by which ``pairwise_sq_dists`` can miss |x - y|^2: (2d + 4) eps max |x|^2.
 
-    With M = max |x|^2, the expansion is within (2d + 4) eps M of |x - y|^2
-    and pdist's value squared within (2d + 10) eps M.  The band must reach
-    both errors on each side of the middle values: (8d + 28) eps M, here with
-    a factor of two to spare.  None when the samples are not all finite, or
-    when ``8 M`` overflows (pdist's NaN and inf rules then apply).
+    Each of |x|^2, |y|^2 and x.y is a d-term sum, and the expansion adds three
+    roundings of values up to 4 max |x|^2; the tests that check the distances
+    against an independent summation derive the bound.  NaN when a sample is
+    not finite, or when 4 max |x|^2 overflows, so that the expansion may too.
     """
-    norm_max = float(np.max([np.einsum("ij,ij->i", S, S).max() for S in sample_sets]))  # NaN stays NaN
-    if not np.isfinite(8.0 * norm_max):  # also keeps every |x - y|^2 finite
-        return None
-    d = sample_sets[0].shape[1]
-    return 16.0 * (d + 4) * np.finfo(np.float64).eps * norm_max
+    sets = [np.asarray(S, dtype=np.float64) for S in sample_sets]
+    norm_max = np.max([np.einsum("ij,ij->i", S, S).max() for S in sets])  # NaN stays NaN
+    if not norm_max <= np.finfo(np.float64).max / 4.0:  # NaN fails too
+        return np.nan
+    d = sets[0].shape[1]
+    return (2 * d + 4) * np.finfo(np.float64).eps * norm_max
 
 
-def _pdist_values(A: np.ndarray, B: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """pdist's distances between ``A[rows]`` and ``B[cols]``, in its summation order."""
-    diff = A[rows] - B[cols]
-    return np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])  # ``np.sum`` does not match
+def _root_median(values: np.ndarray, lo: int, hi: int) -> float:
+    """The mean of the square roots of order statistics ``lo`` and ``hi = lo`` or ``lo + 1``.
 
-
-def _middle_values(values: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
-    """Order statistics ``lo`` and ``hi = lo`` or ``lo + 1`` of ``values``.
-
-    One rank and a max: two ranks in one ``np.partition`` cost several times more.
+    For the two middle ranks that is ``np.median(np.sqrt(values))``, bit for
+    bit.  One rank and a max: two ranks in one ``np.partition`` cost several
+    times more.
     """
     part = np.partition(values, hi)
-    return (part[:hi].max() if lo < hi else part[hi]), part[hi]
-
-
-def _median_from_sq(samples: np.ndarray, sq: np.ndarray) -> float | None:
-    """``np.median(pdist(samples))`` from ``sq``, or None to leave it to pdist.
-
-    None when ``rounding_slack`` is, or when the band holds more pairs than
-    there are samples, where recomputing it would cost about as much as pdist.
-    """
-    n, d = samples.shape
-    slack = rounding_slack(samples)
-    if slack is None:
-        return None
-    idx = np.arange(n)
-    upper = sq[idx[:, None] < idx]  # the pairs in pdist's order
-    hi = upper.size // 2
-    lo = (upper.size - 1) // 2
-    t_lo, t_hi = _middle_values(upper, lo, hi)
-    below = np.count_nonzero(upper < t_lo - slack)
-    band = np.flatnonzero((upper >= t_lo - slack) & (upper <= t_hi + slack))
-    if band.size > n:
-        return None
-    row_start = np.cumsum(n - 1 - idx) - (n - 1 - idx)  # position of pair (i, i + 1)
-    rows = np.searchsorted(row_start, band, side="right") - 1
-    cols = band - row_start[rows] + rows + 1
-    exact = _pdist_values(samples, samples, rows, cols)
-    ranks = [lo - below, hi - below]
-    return np.mean(np.partition(exact, ranks)[ranks])
+    t_lo = part[:hi].max() if lo < hi else part[hi]
+    return float((np.sqrt(t_lo) + np.sqrt(part[hi])) / 2.0)
 
 
 def median_bandwidth(samples: np.ndarray, sq: np.ndarray | None = None) -> float:
     """Median of pairwise Euclidean distances, clamped away from zero.
 
-    ``sq``, if given, is ``pooled_sq_dists`` (or ``pairwise_sq_dists``) of
-    ``samples`` against themselves; the result has the same bits either way.
+    The distances are the square roots of the upper triangle of ``sq``, which
+    is ``pooled_sq_dists`` (or ``pairwise_sq_dists``) of ``samples`` against
+    themselves, built here when not given.  NaN when a sample is not finite
+    or their squared norms overflow (see ``expansion_error``).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("median bandwidth needs at least two samples")
-    med = None if sq is None else _median_from_sq(samples, sq)
-    if med is None:
-        med = np.median(pdist(samples))
-    return max(float(med), BANDWIDTH_FLOOR)
+    if np.isnan(expansion_error(samples)):
+        return np.nan
+    if sq is None:
+        sq = pairwise_sq_dists(samples, samples)
+    idx = np.arange(samples.shape[0])
+    upper = sq[idx[:, None] < idx]
+    med = _root_median(upper, (upper.size - 1) // 2, upper.size // 2)
+    return max(med, BANDWIDTH_FLOOR)
 
 
 def _gather_range(parts, a: float, b: float):
-    """Count the pairs below ``a``; gather the flat positions and values in [a, b]."""
+    """Count the pairs below ``a``; gather the values in [a, b]."""
     below = 0
     found = []
-    for _, _, sq, upper in parts:
+    for sq, upper in parts:
         low = sq < a
         inside = (sq >= a) & (sq <= b)
         if upper is not None:
             low &= upper
             inside &= upper
         below += np.count_nonzero(low)
-        flat = np.flatnonzero(inside)
-        found.append((flat, sq.ravel()[flat]))
-    return below, found
+        found.append(sq[inside])
+    return below, np.concatenate(found)
 
 
-def _median_from_blocks(X: np.ndarray, Y: np.ndarray, blocks: SqBlocks) -> float | None:
-    """``np.median(pdist(np.concatenate([X, Y])))`` from the three blocks, or None.
+def pair_median_bandwidth(X: np.ndarray, Y: np.ndarray, blocks: SqBlocks) -> float:
+    """``median_bandwidth`` of the pooled samples, from ``sq_blocks(X, Y)``.
 
-    The pairs are XX's and YY's upper triangles and all of XY.  A strided
-    sample of the blocks brackets the two middle ranks; only the pairs inside
-    the bracket are gathered, and everything is gathered only if the bracket
-    misses them.  The rest is ``_median_from_sq``'s band argument, and None
-    has its reasons: samples that ``rounding_slack`` refuses, or a band of
-    more pairs than there are samples.
+    The pairs are XX's and YY's upper triangles and all of XY, so the value
+    has the bits of ``np.median(np.sqrt(pairs))``.  A strided sample of the
+    blocks brackets the two middle ranks, and one pass over the blocks counts
+    the pairs below the bracket and gathers those inside it; everything is
+    gathered only if the bracket misses them.  Nothing as large as the pooled
+    pair list is allocated otherwise.  NaN as in ``median_bandwidth``.
     """
-    n, m = X.shape[0], Y.shape[0]
-    slack = rounding_slack(X, Y)
-    if slack is None:
-        return None
+    if np.isnan(expansion_error(X, Y)):
+        return np.nan
+    n, m = blocks.xx.shape[0], blocks.yy.shape[0]
     parts = (
-        (X, X, blocks.xx, np.arange(n)[:, None] < np.arange(n)),
-        (Y, Y, blocks.yy, np.arange(m)[:, None] < np.arange(m)),
-        (X, Y, blocks.xy, None),
+        (blocks.xx, np.arange(n)[:, None] < np.arange(n)),
+        (blocks.yy, np.arange(m)[:, None] < np.arange(m)),
+        (blocks.xy, None),
     )
     total = n * (n - 1) // 2 + m * (m - 1) // 2 + n * m
     hi = total // 2
     lo = (total - 1) // 2
     # a full block holds each triangle pair twice, so it is sampled half as often
-    sample = np.concatenate(
-        [sq.ravel()[:: MEDIAN_SAMPLE_STRIDE * (1 if upper is None else 2)] for _, _, sq, upper in parts]
-    )
+    sample = np.concatenate([sq.ravel()[:: MEDIAN_SAMPLE_STRIDE * (1 if upper is None else 2)] for sq, upper in parts])
     reach = 4.0 * np.sqrt(sample.size) + 1.0  # about 8 standard deviations of the sample rank
     centre = sample.size * hi / total
     ranks = [max(int(centre - reach), 0), min(int(centre + reach), sample.size - 1)]
     a, b = np.partition(sample, ranks)[ranks]
     below, found = _gather_range(parts, a, b)
-    if not below <= lo <= hi < below + sum(v.size for _, v in found):
-        a, b = -np.inf, np.inf
-        below, found = _gather_range(parts, a, b)
-    t_lo, t_hi = _middle_values(np.concatenate([v for _, v in found]), lo - below, hi - below)
-    if t_lo - slack < a or t_hi + slack > b:  # the band reaches past the bracket
-        below, found = _gather_range(parts, t_lo - slack, t_hi + slack)
-    else:
-        band = []
-        for flat, v in found:
-            below += np.count_nonzero(v < t_lo - slack)
-            keep = (v >= t_lo - slack) & (v <= t_hi + slack)
-            band.append((flat[keep], v[keep]))
-        found = band
-    if sum(flat.size for flat, _ in found) > n + m:
-        return None
-    exact = np.concatenate(
-        [_pdist_values(A, B, *np.divmod(flat, sq.shape[1])) for (A, B, sq, _), (flat, _) in zip(parts, found)]
-    )
-    ranks = [lo - below, hi - below]
-    return np.mean(np.partition(exact, ranks)[ranks])
-
-
-def pair_median_bandwidth(X: np.ndarray, Y: np.ndarray, blocks: SqBlocks) -> float:
-    """``median_bandwidth(np.concatenate([X, Y]))``, with its bits, from ``sq_blocks(X, Y)``.
-
-    Nothing as large as the pooled pair list is allocated unless the samples
-    leave it to pdist (see ``_median_from_blocks``).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    med = _median_from_blocks(X, Y, blocks)
-    if med is None:
-        return median_bandwidth(np.concatenate([X, Y]))
-    return max(float(med), BANDWIDTH_FLOOR)
+    if not below <= lo <= hi < below + found.size:
+        below, found = _gather_range(parts, -np.inf, np.inf)
+    return max(_root_median(found, lo - below, hi - below), BANDWIDTH_FLOOR)
 
 
 def bandwidth_from_rule(rule: str, samples: np.ndarray, sq: np.ndarray | None = None) -> float:

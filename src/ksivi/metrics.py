@@ -5,35 +5,19 @@ sliced Wasserstein distance over random projections, a nearest-neighbor KL
 divergence estimate, and pairwise Pearson correlations.
 
 ``evaluate`` computes its squared distances once (``kernels.sq_blocks``) and
-hands them to ``mmd2_ustat`` and ``kl_knn``, which give the same bits with or
-without them.  The MMD evaluates its Gram matrices on the blocks.  The
-neighbour estimate takes each row's k-th smallest expansion value and
-recomputes exactly only the points within the rounding band of it, in
-cKDTree's summation order; at low d it leaves the neighbours to cKDTree.
-
-scipy loads only when ``cKDTree`` is first called (``kl_knn`` at low d, or a
-fallback): importing ``scipy.spatial`` takes about 0.3 s and 30 MB.
+hands them to ``mmd2_ustat`` and ``kl_knn``.  The MMD evaluates its Gram
+matrices on the blocks, with the same bits as without them, and the neighbour
+estimate takes each row's k-th smallest value of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpec, SqBlocks, eval_matrix, rounding_slack
+from .kernels import KernelSpec, SqBlocks, eval_matrix, expansion_error, pairwise_sq_dists
 
 DISTANCE_CLAMP = 1e-12
-
-# Up to this dimension ``kl_knn`` leaves the neighbours to cKDTree, which
-# prunes there; above it the tree visits most points and the blocks win.
-KNN_TREE_MAX_DIM = 8
 KNN_PARTITION_ROWS = 128
-
-
-def cKDTree(data: np.ndarray):
-    """``scipy.spatial.cKDTree(data)``, with scipy imported on the first call."""
-    from scipy.spatial import cKDTree as tree
-
-    return tree(data)
 
 
 class DegenerateSamplesError(ValueError):
@@ -112,50 +96,30 @@ def sliced_wd(X, Y, n_proj: int = 128, seed: int = 0) -> float:
     return float(w2.mean())
 
 
-def _ckdtree_sq_dists(diff: np.ndarray) -> np.ndarray:
-    """Row sums of ``diff**2`` in cKDTree's order, so their roots have its bits.
+def _neighbour_dists(X: np.ndarray, Y: np.ndarray, k: int, sq=None) -> np.ndarray:
+    """Each row of X's k-th neighbour distance within X (itself left out) and into Y.
 
-    Four interleaved accumulators, each summed in order, are added as
-    ``((a0 + a1) + a2) + a3``; then the ``d mod 4`` tail follows in order.
-    ``diff`` is overwritten with its squares.
+    Rows ``(rho, nu)`` of a (2, n) array: the square roots of each row's k-th
+    smallest squared distance, read from ``sq`` or, without it, from products
+    of ``KNN_PARTITION_ROWS`` rows of X at a time against X and Y.  Values at
+    or below ``kernels.expansion_error`` are read as 0: the expansion cannot
+    tell them from a duplicate.
     """
-    d = diff.shape[1]
-    lanes = d - d % 4
-    squares = np.multiply(diff, diff, out=diff)
-    total = np.zeros(diff.shape[0])
-    if lanes:
-        a0, a1, a2, a3 = (np.cumsum(squares[:, j:lanes:4], axis=1)[:, -1] for j in range(4))
-        total = ((a0 + a1) + a2) + a3
-    for j in range(lanes, d):
-        total = total + squares[:, j]
-    return total
-
-
-def _kth_from_sq(A: np.ndarray, B: np.ndarray, sq: np.ndarray, kth: int, slack: float) -> np.ndarray | None:
-    """cKDTree's ``kth`` smallest distance from each row of A to the rows of B.
-
-    ``sq`` holds the expansion ``|a|^2 + |b|^2 - 2 a.b``.  Per row, every
-    point whose expansion is at most the row's ``kth`` smallest plus
-    ``slack`` is recomputed exactly; no other point can rank among the
-    ``kth`` nearest.  None when that band holds more than ``kth + 1`` points
-    per row on average (duplicates, ties), which the tree then takes.
-    """
-    n = A.shape[0]
-    cut = np.empty(n)
-    for start in range(0, n, KNN_PARTITION_ROWS):  # a partition copies what it sorts
-        block = sq[start : start + KNN_PARTITION_ROWS]
-        # a row minimum is ten times faster than a partition at rank 0
-        cut[start : start + KNN_PARTITION_ROWS] = (
-            block.min(axis=1) if kth == 1 else np.partition(block, kth - 1, axis=1)[:, kth - 1]
-        )
-    cut += slack
-    rows, cols = np.divmod(np.flatnonzero(sq <= cut[:, None]), sq.shape[1])  # ``np.nonzero`` is 7x slower
-    if rows.size > n * (kth + 1):
-        return None
-    exact = _ckdtree_sq_dists(A[rows] - B[cols])
-    order = np.lexsort((exact, rows))  # by row, then by distance
-    first = np.searchsorted(rows, np.arange(n))  # the rows come in order
-    return np.sqrt(exact[order][first + kth - 1])
+    floor = expansion_error(X, Y)
+    if np.isnan(floor):
+        raise ValueError("squared norms overflow the distance expansion")
+    kth_sq = np.empty((2, X.shape[0]))
+    for start in range(0, X.shape[0], KNN_PARTITION_ROWS):  # a partition copies what it sorts
+        rows = slice(start, start + KNN_PARTITION_ROWS)
+        if sq is None:
+            blocks = (pairwise_sq_dists(X[rows], X), pairwise_sq_dists(X[rows], Y))
+        else:
+            blocks = (sq[0][rows], sq[1][rows])
+        for out, block, kth in zip(kth_sq, blocks, (k + 1, k)):  # within X, self sits at distance 0
+            # a row minimum is ten times faster than a partition at rank 0
+            out[rows] = block.min(axis=1) if kth == 1 else np.partition(block, kth - 1, axis=1)[:, kth - 1]
+    kth_sq[kth_sq <= floor] = 0.0
+    return np.sqrt(kth_sq, out=kth_sq)
 
 
 def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) -> float:
@@ -164,36 +128,26 @@ def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) ->
     Uses the ratio of the k-th neighbor distance into Y to the k-th neighbor
     distance within X.  Distances are clamped below; if more than 1% of the
     within-set distances hit the clamp the sample set is effectively
-    degenerate and the estimate is refused.
+    degenerate and the estimate is refused.  Squared distances at or below
+    ``kernels.expansion_error`` count as 0, so duplicates, and clusters whose
+    spread the expansion cannot resolve, are refused alike.  Samples whose
+    squared norms overflow the expansion are refused.
 
     ``sq``, if given, is ``(pairwise_sq_dists(X, X), pairwise_sq_dists(X, Y))``
-    or sub-blocks of larger ones, and the neighbour distances come from it
-    with cKDTree's bits.  It is read only above ``KNN_TREE_MAX_DIM``: on
-    1000 + 1000 Gaussian points (2-core Xeon VM, one thread) the two tree
-    queries took 1.7 ms at d = 2, 3.3 at d = 4, 14 at d = 8, 24 at d = 12,
-    46 at d = 22 and 240 at d = 200; the same two from the blocks took 8 to
-    15 ms at every d, once the blocks are built.  Samples whose
-    squared norms overflow, and rows with too wide a band, go to the tree.
+    or sub-blocks of larger ones.  Without it the distances are built a few
+    rows at a time, in memory linear in the sample counts; a product of a few
+    rows need not round like the whole one, so the two can differ in the last
+    bits.
     """
     X = _check_sample_set(X, "X")
     Y = _check_sample_set(Y, "Y")
     _check_pair_dims(X, Y)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     n, m = X.shape[0], Y.shape[0]
-    if k < 1 or n <= k or m <= k:
+    if n <= k or m <= k:
         raise ValueError("need more samples than neighbors on both sides")
-    d = X.shape[1]
-    rho = nu = None
-    slack = None if sq is None or d <= KNN_TREE_MAX_DIM else rounding_slack(X, Y)
-    if slack is not None:
-        # cKDTree's squared sum is within (d + 36) eps M of |x - y|^2 and the
-        # expansion within (2d + 4) eps M, so the band must reach (6d + 80) eps M
-        # above the cut; twice the median's band does, at every d
-        rho = _kth_from_sq(X, X, sq[0], k + 1, 2.0 * slack)  # self sits at distance 0
-        nu = _kth_from_sq(X, Y, sq[1], k, 2.0 * slack)
-    if rho is None or nu is None:
-        rho = cKDTree(X).query(X, k=k + 1)[0][:, k]
-        nu = cKDTree(Y).query(X, k=k)[0]
-        nu = nu[:, k - 1] if k > 1 else np.atleast_1d(nu).reshape(n)
+    rho, nu = _neighbour_dists(X, Y, k, sq)
     clamped = rho < DISTANCE_CLAMP
     if clamped.mean() > 0.01:
         raise DegenerateSamplesError(
@@ -202,7 +156,7 @@ def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) ->
         )
     rho = np.maximum(rho, DISTANCE_CLAMP)
     nu = np.maximum(nu, DISTANCE_CLAMP)
-    return float((d / n) * np.log(nu / rho).sum() + np.log(m / (n - 1.0)))
+    return float((X.shape[1] / n) * np.log(nu / rho).sum() + np.log(m / (n - 1.0)))
 
 
 def corr_pairs(X) -> np.ndarray:

@@ -5,9 +5,10 @@ computes their squared distances once (``kernels.pooled_sq_dists``), resolves
 the kernel bandwidth on those samples from that matrix (held constant while
 differentiating), evaluates the configured gradient estimator on the target
 tempered to the current annealing temperature (``targets.Tempered``) with the
-same matrix, and applies an Adam update in place.  The median bandwidth read
-from the matrix has the bits of ``np.median(pdist(samples))`` (see
-``kernels``).  Adam updates the parameter buffer (``SIVParams.flat``) in
+same matrix, and applies an Adam update in place.  The median bandwidth is
+``np.median`` of the square roots of the matrix's upper triangle (see
+``kernels``); samples that are not finite give a NaN bandwidth, and so a
+non-finite loss.  Adam updates the parameter buffer (``SIVParams.flat``) in
 place, so the next draw sees the step through the buffer's views; snapshots
 are taken only for the hook or an error.  The loop records a loss trace and
 aborts with a diagnostic snapshot if anything goes non-finite.

@@ -1,10 +1,11 @@
-"""`evaluate` against the metric code it replaced: the same record, in no more memory.
+"""`evaluate` against plain definitions of its metrics: the same record, in no more memory.
 
 The reference below is `cmd_evaluate` before it built three squared-distance
-blocks once: the bandwidth from pdist over the pooled samples, an MMD that
-computes its own three distance matrices, and k-d tree neighbours.  The
-command and the functions it called are copied unchanged apart from their
-names and the imports they share with the package.
+blocks once, with its distances written directly: the bandwidth is
+``np.median`` of the square roots of every pooled pair's expansion value, the
+MMD computes its own three distance matrices, and each neighbour distance is
+read from a full ``np.sort`` of its row.  The noise floor reads its distances
+from one matrix over all of Y, as ``evaluate`` does.
 """
 
 import contextlib
@@ -16,9 +17,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
-
 from ksivi import kernels, metrics
 from ksivi.cli import build_parser, cmd_evaluate, main
 from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec
@@ -58,13 +56,11 @@ def reference_eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, sq: np
     return -np.sqrt(sq + spec.smoothing**2)
 
 
-def reference_median_bandwidth(samples: np.ndarray) -> float:
-    """Median of pairwise Euclidean distances, clamped away from zero."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ValueError("median bandwidth needs at least two samples")
-    med = np.median(pdist(samples))
-    return max(float(med), BANDWIDTH_FLOOR)
+def reference_median_bandwidth(X: np.ndarray, Y: np.ndarray) -> float:
+    """Median of the pooled samples' pairwise Euclidean distances, clamped away from zero."""
+    upper = [reference_pairwise_sq_dists(S, S)[np.triu_indices(S.shape[0], 1)] for S in (X, Y)]
+    pairs = np.concatenate([*upper, reference_pairwise_sq_dists(X, Y).ravel()])
+    return max(float(np.median(np.sqrt(pairs))), BANDWIDTH_FLOOR)
 
 
 def reference_mmd2_ustat(X, Y, kernel: KernelSpec) -> float:
@@ -81,21 +77,32 @@ def reference_mmd2_ustat(X, Y, kernel: KernelSpec) -> float:
     return float(within_x + within_y - 2.0 * kxy.mean())
 
 
-def reference_kl_knn(X, Y, k: int = 1) -> float:
-    """Nearest-neighbor estimate of KL(q || p) from X ~ q and Y ~ p."""
+def reference_kth_dists(sq: np.ndarray, kth: int, floor: float) -> np.ndarray:
+    """Square roots of each row's ``kth`` smallest value, read as 0 at or below ``floor``."""
+    kth_sq = np.sort(sq, axis=1)[:, kth - 1]
+    return np.sqrt(np.where(kth_sq <= floor, 0.0, kth_sq))
+
+
+def reference_kl_knn(X, Y, k: int = 1, sq=None) -> float:
+    """Nearest-neighbor estimate of KL(q || p) from X ~ q and Y ~ p.
+
+    ``sq`` is the squared distances within X and from X to Y, built here when
+    not given.  A squared distance at or below the expansion's error bound,
+    (2d + 4) eps max |x|^2, counts as 0.
+    """
     X = _check_sample_set(X, "X")
     Y = _check_sample_set(Y, "Y")
     _check_pair_dims(X, Y)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     n, m = X.shape[0], Y.shape[0]
-    if k < 1 or n <= k or m <= k:
+    if n <= k or m <= k:
         raise ValueError("need more samples than neighbors on both sides")
     d = X.shape[1]
-    rho = cKDTree(X).query(X, k=k + 1)[0][:, k]  # self sits at distance 0
-    nu = cKDTree(Y).query(X, k=k)[0]
-    if k > 1:
-        nu = nu[:, k - 1]
-    else:
-        nu = np.atleast_1d(nu).reshape(n)
+    xx, xy = (reference_pairwise_sq_dists(X, X), reference_pairwise_sq_dists(X, Y)) if sq is None else sq
+    floor = (2 * d + 4) * np.finfo(np.float64).eps * max((X**2).sum(axis=1).max(), (Y**2).sum(axis=1).max())
+    rho = reference_kth_dists(xx, k + 1, floor)  # self sits at distance 0
+    nu = reference_kth_dists(xy, k, floor)
     clamped = rho < DISTANCE_CLAMP
     if clamped.mean() > 0.01:
         raise DegenerateSamplesError(
@@ -156,15 +163,16 @@ def reference_cmd_evaluate(args) -> int:
             elif name == "kl_knn":
                 rng = np.random.default_rng(args.seed)
                 halves = rng.permutation(Y.shape[0])
-                mid = Y.shape[0] // 2
-                floor = abs(kl_knn(Y[halves[:mid]], Y[halves[mid:]], k=args.kl_k))
+                a, b = halves[: Y.shape[0] // 2], halves[Y.shape[0] // 2 :]
+                yy = reference_pairwise_sq_dists(Y, Y)
+                floor = abs(kl_knn(Y[a], Y[b], k=args.kl_k, sq=(yy[np.ix_(a, a)], yy[np.ix_(a, b)])))
                 record["metrics"]["kl_knn"] = {
                     "value": kl_knn(X, Y, k=args.kl_k),
                     "k": args.kl_k,
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                h = args.bandwidth if args.bandwidth else median_bandwidth(np.concatenate([X, Y]))
+                h = args.bandwidth if args.bandwidth else median_bandwidth(X, Y)
                 spec = KernelSpec(args.kernel_family, bandwidth=h, offset=args.offset)
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec),
@@ -247,24 +255,20 @@ class TestOneBuildPerBlock:
             return build(X, Y)
 
         monkeypatch.setattr(kernels, "pairwise_sq_dists", counted)
+        monkeypatch.setattr(metrics, "pairwise_sq_dists", counted)
         return calls
 
-    def test_no_pdist_or_tree_at_d_200(self, tmp_path, monkeypatch, capsys):
-        a, b = sample_files(tmp_path, 300, 200, 200)
+    @pytest.mark.parametrize("d", [2, 200])
+    def test_three_builds_at_every_d(self, tmp_path, monkeypatch, capsys, d):
+        a, b = sample_files(tmp_path, 300, 200, d)
         calls = self.count_builds(monkeypatch)
-
-        def refused(*args, **kwargs):
-            raise AssertionError("pdist or cKDTree was called")
-
-        monkeypatch.setattr(kernels, "pdist", refused)
-        monkeypatch.setattr(metrics, "cKDTree", refused)
         assert main(["evaluate", str(a), str(b)]) == 0
         assert sorted(calls) == [(200, 200), (300, 200), (300, 300)]
         capsys.readouterr()
 
     @pytest.mark.parametrize(
         "d, wanted, builds",
-        [(200, "sliced_wd,corr", 0), (2, "kl_knn", 0), (2, "kl_knn,mmd2", 3), (200, "kl_knn", 3), (200, "mmd2", 3)],
+        [(200, "sliced_wd,corr", 0), (2, "kl_knn", 3), (2, "kl_knn,mmd2", 3), (200, "kl_knn", 3), (200, "mmd2", 3)],
     )
     def test_blocks_only_for_a_metric_that_reads_them(self, tmp_path, monkeypatch, capsys, d, wanted, builds):
         a, b = sample_files(tmp_path, 40, 30, d)

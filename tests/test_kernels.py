@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
 
 from ksivi import kernels
 from ksivi.kernels import (
+    BANDWIDTH_FLOOR,
     KernelSpec,
     bandwidth_from_rule,
     diag_values,
@@ -189,9 +189,17 @@ class TestMedianBandwidth:
             bandwidth_from_rule("nope", samples)
 
 
-def reference_median(samples):
-    """The median the distance matrix must reproduce: pdist's, unclamped."""
-    return float(np.median(pdist(samples)))
+def reference_median(sq):
+    """The median bandwidth of a squared-distance matrix, written directly."""
+    med = np.median(np.sqrt(sq[np.triu_indices(sq.shape[0], 1)]))
+    return max(float(med), BANDWIDTH_FLOOR)
+
+
+def reference_pair_median(blocks):
+    """The pooled median bandwidth of three blocks, written directly."""
+    xx, yy, xy = blocks
+    pairs = np.concatenate([xx[np.triu_indices(xx.shape[0], 1)], yy[np.triu_indices(yy.shape[0], 1)], xy.ravel()])
+    return max(float(np.median(np.sqrt(pairs))), BANDWIDTH_FLOOR)
 
 
 class TestPooledSqDists:
@@ -224,7 +232,7 @@ class TestPooledSqDists:
 
 
 def awkward_samples(seed, n, d, kind):
-    """Sample sets that stress the band: ties, duplicates and cancellation."""
+    """Sample sets that stress the median: ties, duplicates and cancellation."""
     rng = np.random.default_rng(seed)
     if kind == "gauss":
         return rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3)
@@ -248,27 +256,21 @@ class TestMedianFromDistanceMatrix:
         kind=st.sampled_from(["gauss", "grid", "duplicates", "identical", "offset"]),
     )
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_bitwise_equal_to_pdist_median(self, seed, n, d, kind):
+    def test_bitwise_equal_to_the_numpy_median(self, seed, n, d, kind):
         X = awkward_samples(seed, n, d, kind)
-        expect = median_bandwidth(X)
-        assert median_bandwidth(X, pairwise_sq_dists(X, X)) == expect
+        assert median_bandwidth(X) == reference_median(pairwise_sq_dists(X, X))
         split = n // 2  # the training loop's two-batch layout
         if split >= 1:
-            assert median_bandwidth(X, pooled_sq_dists((X[:split], X[split:]))) == expect
+            sq = pooled_sq_dists((X[:split], X[split:]))
+            assert median_bandwidth(X, sq) == reference_median(sq)
 
     # pooled batches of the presets (2 x 100 at d = 2 and 22, 2 x 128 at d = 200);
     # 199 points give an odd pair count
     @pytest.mark.parametrize("n, d", [(199, 2), (200, 2), (200, 22), (256, 200)])
-    def test_training_shapes_recompute_only_the_band(self, monkeypatch, n, d):
+    def test_training_shapes_match_the_numpy_median(self, n, d):
         X = np.random.default_rng(d).standard_normal((n, d)) * 0.7 + 1.5
-        expect = reference_median(X)
         sq = pooled_sq_dists((X[: n // 2], X[n // 2 :]))
-
-        def no_pdist(*args, **kwargs):
-            raise AssertionError("the band path fell back to pdist")
-
-        monkeypatch.setattr("ksivi.kernels.pdist", no_pdist)
-        assert median_bandwidth(X, sq) == expect
+        assert median_bandwidth(X, sq) == reference_median(sq)
 
     def test_nan_row_gives_nan(self):
         X = np.random.default_rng(5).standard_normal((40, 3))
@@ -278,10 +280,11 @@ class TestMedianFromDistanceMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(median_bandwidth(X, sq))
-        assert np.isnan(median_bandwidth(X))
+            assert np.isnan(median_bandwidth(X))
+            assert np.isnan(bandwidth_from_rule("median_sq_over_log_n", X, sq))
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
-    def test_inf_row_gives_the_pdist_median(self, value):
+    def test_inf_row_gives_nan(self, value):
         X = np.random.default_rng(6).standard_normal((40, 3))
         X[11, 0] = value
         X[30] = 0.0  # inf * 0 in the products: NaN entries in sq
@@ -289,15 +292,22 @@ class TestMedianFromDistanceMatrix:
             sq = pooled_sq_dists((X[:20], X[20:]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h = median_bandwidth(X, sq)
-        assert np.isfinite(h)
-        assert h == median_bandwidth(X) == reference_median(X)
+            assert np.isnan(median_bandwidth(X, sq))
+            assert np.isnan(median_bandwidth(X))
 
-    def test_overflowing_norms_leave_it_to_pdist(self):
-        X = np.random.default_rng(8).standard_normal((10, 2)) * 1e154
+    def test_overflowing_norms_give_nan(self):
+        # 4 max|x|^2 past the largest double: the expansion itself can overflow
+        X = np.random.default_rng(8).standard_normal((10, 2))
+        X[0] = [1e154, 0.0]
         with np.errstate(over="ignore", invalid="ignore"):
             sq = pooled_sq_dists((X,))
-            assert median_bandwidth(X, sq) == median_bandwidth(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(median_bandwidth(X, sq))
+            assert np.isnan(median_bandwidth(X))
+        X[0] = [0.99e154 / 2.0, 0.0]  # 4 max|x|^2 fits: every value is finite
+        sq = pooled_sq_dists((X,))
+        assert median_bandwidth(X, sq) == reference_median(sq) > 1.0
 
     def test_log_n_rule_reads_the_matrix(self):
         X = np.random.default_rng(9).standard_normal((64, 4))
@@ -336,7 +346,7 @@ class TestMedianFromBlocks:
         kind=st.sampled_from(["gauss", "grid", "duplicates", "identical", "offset"]),
     )
     @settings(max_examples=150)
-    def test_bitwise_equal_to_the_pooled_pdist_median(self, seed, n, m, d, kind):
+    def test_bitwise_equal_to_the_pooled_numpy_median(self, seed, n, m, d, kind):
         if n + m < 2:
             return
         X = awkward_samples(seed, n, d, kind)
@@ -344,14 +354,13 @@ class TestMedianFromBlocks:
         blocks = sq_blocks(X, Y)
         for name, block, expect in zip(blocks._fields, blocks, ((X, X), (Y, Y), (X, Y))):
             assert np.array_equal(block, pairwise_sq_dists(*expect)), name
-        assert pair_median_bandwidth(X, Y, blocks) == median_bandwidth(np.concatenate([X, Y]))
+        assert pair_median_bandwidth(X, Y, blocks) == reference_pair_median(blocks)
 
     @pytest.mark.parametrize("d", [2, 22, 200])
     def test_evaluate_shapes_gather_only_the_bracket(self, monkeypatch, d):
         rng = np.random.default_rng(d)
         X = rng.standard_normal((1000, d))
         Y = rng.standard_normal((1000, d)) * 1.1 + 0.2
-        expect = reference_median(np.concatenate([X, Y]))
         blocks = sq_blocks(X, Y)
         calls = []
         gather = kernels._gather_range
@@ -360,12 +369,8 @@ class TestMedianFromBlocks:
             calls.append((a, b))
             return gather(parts, a, b)
 
-        def no_pdist(*args, **kwargs):
-            raise AssertionError("the band path fell back to pdist")
-
         monkeypatch.setattr(kernels, "_gather_range", spy)
-        monkeypatch.setattr(kernels, "pdist", no_pdist)
-        assert pair_median_bandwidth(X, Y, blocks) == expect
+        assert pair_median_bandwidth(X, Y, blocks) == reference_pair_median(blocks)
         assert len(calls) == 1 and np.isfinite(calls[0]).all()
 
     def test_a_missed_bracket_gathers_everything(self):
@@ -382,14 +387,15 @@ class TestMedianFromBlocks:
             calls.append((a, b))
             return gather(parts, a, b)
 
+        blocks = sq_blocks(X, Y)
         with mock.patch.object(kernels, "_gather_range", spy):
-            h = pair_median_bandwidth(X, Y, sq_blocks(X, Y))
-        assert h == median_bandwidth(np.concatenate([X, Y]))
+            h = pair_median_bandwidth(X, Y, blocks)
+        assert h == reference_pair_median(blocks)
         assert calls[1] == (-np.inf, np.inf)
 
-    def test_a_band_past_the_bracket_is_gathered_again(self):
-        # points at 0 and 1: every distance is 0 or 1, the bracket ends on a
-        # tied value, and the band reaches past it
+    def test_ties_at_the_bracket_ends(self):
+        # points at 0 and 1: every distance is 0 or 1, and the bracket starts
+        # and ends on tied values
         rng = np.random.default_rng(32)
         X = rng.integers(0, 2, size=(300, 1)).astype(np.float64)
         Y = rng.integers(0, 2, size=(200, 1)).astype(np.float64)
@@ -400,15 +406,19 @@ class TestMedianFromBlocks:
             calls.append((a, b))
             return gather(parts, a, b)
 
+        blocks = sq_blocks(X, Y)
         with mock.patch.object(kernels, "_gather_range", spy):
-            h = pair_median_bandwidth(X, Y, sq_blocks(X, Y))
-        assert h == median_bandwidth(np.concatenate([X, Y]))
-        assert len(calls) == 2 and calls[1][0] < calls[0][0]
+            h = pair_median_bandwidth(X, Y, blocks)
+        assert h == reference_pair_median(blocks)
+        assert len(calls) == 1
 
-    def test_overflowing_norms_leave_it_to_pdist(self):
+    @pytest.mark.parametrize("value", [1e154, np.inf, np.nan])
+    def test_overflowing_norms_give_nan(self, value):
         X = np.random.default_rng(33).standard_normal((20, 2))
         Y = np.random.default_rng(34).standard_normal((15, 2))
-        Y[3, 1] = 1e154
+        Y[3, 1] = value
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = sq_blocks(X, Y)
-        assert pair_median_bandwidth(X, Y, blocks) == median_bandwidth(np.concatenate([X, Y]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(pair_median_bandwidth(X, Y, blocks))

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
-
 from ksivi import metrics
-from ksivi.kernels import KernelSpec, pairwise_sq_dists, rounding_slack, sq_blocks
+from ksivi.kernels import KernelSpec, pairwise_sq_dists, sq_blocks
 from ksivi.metrics import (
     DegenerateSamplesError,
     corr_pairs,
@@ -17,6 +15,8 @@ from ksivi.metrics import (
     sliced_wd,
     upper_triangle,
 )
+
+from test_evaluate_reference import reference_kl_knn
 
 RBF = KernelSpec("rbf", bandwidth=1.0)
 
@@ -166,12 +166,18 @@ class TestKLKNN:
 
     def test_neighbor_count_validation(self):
         X = np.random.default_rng(14).standard_normal((5, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need more samples than neighbors on both sides$"):
             kl_knn(X, X, k=5)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_no_neighbor_refused_by_name(self, k):
+        X = np.random.default_rng(14).standard_normal((5, 2))
+        with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+            kl_knn(X, X + 1.0, k=k)
 
 
 def knn_samples(seed, n, d, kind):
-    """Sample sets for the neighbour band: ties, duplicates and cancellation."""
+    """Sample sets for the neighbour distances: ties, duplicates and cancellation."""
     rng = np.random.default_rng(seed)
     if kind == "gauss":
         return rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3)
@@ -186,11 +192,6 @@ def knn_samples(seed, n, d, kind):
     return rng.uniform(-5, 5) * 10.0 ** rng.uniform(0, 3) + spread * rng.standard_normal((n, d))
 
 
-def tree_kth(X, Y, kth):
-    """cKDTree's ``kth`` smallest distance from each row of X into Y."""
-    return np.atleast_2d(cKDTree(Y).query(X, k=[kth])[0])[:, 0]
-
-
 def outcome(fn):
     """The value, or the message of a DegenerateSamplesError."""
     try:
@@ -199,49 +200,32 @@ def outcome(fn):
         return str(err)
 
 
+def row_chunks(X, Y):
+    """Squared distances from X, built ``KNN_PARTITION_ROWS`` rows at a time."""
+    rows = range(0, X.shape[0], metrics.KNN_PARTITION_ROWS)
+    return tuple(
+        np.concatenate([pairwise_sq_dists(X[r : r + metrics.KNN_PARTITION_ROWS], B) for r in rows]) for B in (X, Y)
+    )
+
+
 class TestKLKNNFromBlocks:
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(4, 120),
+        n=st.integers(4, 300),
         m=st.integers(4, 120),
         d=st.integers(1, 250),
         k=st.sampled_from([1, 3]),
         kind=st.sampled_from(["gauss", "grid", "duplicates", "offset"]),
     )
     @settings(max_examples=150)
-    def test_bitwise_equal_to_the_tree(self, seed, n, m, d, k, kind):
+    def test_bitwise_equal_to_the_numpy_definition(self, seed, n, m, d, k, kind):
         X = knn_samples(seed, n, d, kind)
         Y = knn_samples(seed + 1, m, d, kind) + (0.5 if kind == "gauss" else 0.0)
         blocks = sq_blocks(X, Y)
-        slack = 2.0 * rounding_slack(X, Y)
-        for A, B, sq, kth in ((X, X, blocks.xx, k + 1), (X, Y, blocks.xy, k)):
-            band = metrics._kth_from_sq(A, B, sq, kth, slack)
-            if kind == "gauss":  # no ties: the band path must not fall back
-                assert band is not None
-            if band is not None:
-                assert np.array_equal(band, tree_kth(A, B, kth))
-        with mock.patch.object(metrics, "KNN_TREE_MAX_DIM", 0):  # the blocks at every d
-            from_blocks = outcome(lambda: kl_knn(X, Y, k=k, sq=(blocks.xx, blocks.xy)))
-        assert from_blocks == outcome(lambda: kl_knn(X, Y, k=k))
-
-    def test_rounding_ties_are_recomputed(self):
-        # every point has two neighbours at c + D and c - (1 + 1e-9) D, the first
-        # nearer; far from the origin the expansion's rounding orders them at
-        # random, and only the band around the cut finds cKDTree's nearer one
-        rng = np.random.default_rng(25)
-
-        def planted(centres, scale):
-            D = scale * rng.standard_normal(centres.shape)
-            return np.concatenate([centres + D, centres - (1.0 + 1e-9) * D])
-
-        C = 1e3 + rng.standard_normal((100, 20))
-        X = np.concatenate([C, planted(C, 1e-3)])  # within X, around each centre
-        Y = planted(X, 1e-5)  # from X into Y, around every point
-        blocks = sq_blocks(X, Y)
-        slack = 2.0 * rounding_slack(X, Y)
-        assert np.array_equal(metrics._kth_from_sq(X, X, blocks.xx, 2, slack), tree_kth(X, X, 2))
-        assert np.array_equal(metrics._kth_from_sq(X, Y, blocks.xy, 1, slack), tree_kth(X, Y, 1))
-        assert kl_knn(X, Y, sq=(blocks.xx, blocks.xy)) == kl_knn(X, Y)
+        from_blocks = outcome(lambda: kl_knn(X, Y, k=k, sq=(blocks.xx, blocks.xy)))
+        assert from_blocks == outcome(lambda: reference_kl_knn(X, Y, k=k, sq=(blocks.xx, blocks.xy)))
+        # without the blocks, a few rows at a time
+        assert outcome(lambda: kl_knn(X, Y, k=k)) == outcome(lambda: reference_kl_knn(X, Y, k, row_chunks(X, Y)))
 
     def test_sub_blocks_of_a_larger_matrix(self):
         # the noise floor reads np.ix_ sub-blocks of one YY matrix
@@ -250,56 +234,57 @@ class TestKLKNNFromBlocks:
         a, b = np.split(rng.permutation(301), [150])
         yy = pairwise_sq_dists(Y, Y)
         for k in (1, 3):
-            with mock.patch.object(metrics, "cKDTree", None):  # the band path, no fallback
-                floor = kl_knn(Y[a], Y[b], k=k, sq=(yy[np.ix_(a, a)], yy[np.ix_(a, b)]))
-            assert floor == kl_knn(Y[a], Y[b], k=k)
+            sq = (yy[np.ix_(a, a)], yy[np.ix_(a, b)])
+            assert kl_knn(Y[a], Y[b], k=k, sq=sq) == reference_kl_knn(Y[a], Y[b], k=k, sq=sq)
 
-    @pytest.mark.parametrize("d", [2, 8])
-    def test_low_dimensions_leave_it_to_the_tree(self, d):
+    @pytest.mark.parametrize("d", [2, 8, 200])
+    def test_given_blocks_are_read_at_every_d(self, d):
         X = np.random.default_rng(d).standard_normal((50, d))
         blocks = sq_blocks(X, X + 0.1)
 
-        def no_blocks(*args):
-            raise AssertionError("the blocks were read at low d")
+        def no_builds(*args):
+            raise AssertionError("kl_knn built distances it was given")
 
-        with mock.patch.object(metrics, "_kth_from_sq", no_blocks):
-            assert kl_knn(X, X + 0.1, sq=(blocks.xx, blocks.xy)) == kl_knn(X, X + 0.1)
+        with mock.patch.object(metrics, "pairwise_sq_dists", no_builds):
+            value = kl_knn(X, X + 0.1, sq=(blocks.xx, blocks.xy))
+        assert value == reference_kl_knn(X, X + 0.1, sq=(blocks.xx, blocks.xy))
 
-    def test_overflowing_norms_leave_it_to_the_tree(self):
-        # one far row: its distances are finite, but 8 max|x|^2 is not
+    def test_overflowing_norms_refused_by_name(self):
+        # one far row: 4 max|x|^2 is past the largest double
         X = np.random.default_rng(21).standard_normal((30, 12))
         X[0, 0] = 1e154
         Y = np.random.default_rng(22).standard_normal((30, 12))
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = sq_blocks(X, Y)
+        for sq in ((blocks.xx, blocks.xy), None):
+            with pytest.raises(ValueError, match="^squared norms overflow the distance expansion$"):
+                kl_knn(X, Y, sq=sq)
+        # at 1e153 the expansion fits, but its error bound is far above the
+        # spread of the other 29 rows: their neighbours count as duplicates
+        X[0, 0] = 1e153
+        with pytest.raises(DegenerateSamplesError, match="^29 of 30 within-set neighbor distances collapsed"):
+            kl_knn(X, Y)
 
-        def no_blocks(*args):
-            raise AssertionError("the blocks were read with overflowing norms")
-
-        with mock.patch.object(metrics, "_kth_from_sq", no_blocks):
-            value = kl_knn(X, Y, sq=(blocks.xx, blocks.xy))
-        assert np.isfinite(value) and value == kl_knn(X, Y)
-
-    def test_wide_band_leaves_it_to_the_tree(self):
+    def test_tied_distances(self):
         # distinct corners of the 10-cube: a row ties with about six others at distance 1
         codes = np.random.default_rng(23).choice(1024, size=600, replace=False)
         X = ((codes[:, None] >> np.arange(10)) & 1).astype(np.float64)
         Y = X[::-1] + 0.5
         blocks = sq_blocks(X, Y)
-        assert metrics._kth_from_sq(X, X, blocks.xx, 2, 2.0 * rounding_slack(X, Y)) is None
-        assert kl_knn(X, Y, sq=(blocks.xx, blocks.xy)) == kl_knn(X, Y)
+        sq = (blocks.xx, blocks.xy)
+        assert kl_knn(X, Y, sq=sq) == reference_kl_knn(X, Y, sq=sq)
 
     def test_degenerate_samples_still_refused(self):
-        # 3 of 100 rows repeat another one at d = 200: the band stays narrow,
-        # the block path runs, and the clamp count refuses the estimate
+        # 3 of 100 rows repeat another one at d = 200: their expansion values
+        # are a few ulps, below the error bound, and the clamp count refuses
+        # the estimate
         rng = np.random.default_rng(24)
         X = rng.standard_normal((100, 200))
         X[[10, 20, 30]] = X[[11, 21, 31]]
         Y = rng.standard_normal((100, 200))
         blocks = sq_blocks(X, Y)
-        with mock.patch.object(metrics, "cKDTree", None):  # the tree is never built
-            with pytest.raises(DegenerateSamplesError, match="^6 of 100 within-set neighbor distances collapsed"):
-                kl_knn(X, Y, sq=(blocks.xx, blocks.xy))
+        with pytest.raises(DegenerateSamplesError, match="^6 of 100 within-set neighbor distances collapsed"):
+            kl_knn(X, Y, sq=(blocks.xx, blocks.xy))
         with pytest.raises(DegenerateSamplesError, match="^6 of 100 within-set neighbor distances collapsed"):
             kl_knn(X, Y)
 

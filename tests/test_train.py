@@ -3,7 +3,7 @@ import pytest
 
 from ksivi.estimators import value_and_grad
 from ksivi.family import SIVParams, siv_init, siv_sample_batch
-from ksivi.kernels import KernelSpec
+from ksivi.kernels import KernelSpec, bandwidth_from_rule
 from ksivi.nets import NetArch, NetParams, net_forward_batch, net_jacobian_frobenius
 from ksivi.optim import AdamState, adam_step, clip_gradient
 from ksivi.targets import Banana, TargetModel, Tempered, diagonal_gaussian
@@ -218,6 +218,33 @@ class TestTrainLoop:
                 reference_train(config, Banana(), init)
         assert err.value.iteration == 0
         assert str(err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e155])
+    def test_non_finite_sample_gives_a_nan_bandwidth(self, monkeypatch, value):
+        # one coordinate of iteration 2's first batch turns non-finite, or its
+        # squared norm overflows; the bandwidth of that iteration is NaN
+        draws = []
+        bandwidths = []
+
+        def sample(params, n, rng):
+            batch = siv_sample_batch(params, n, rng)
+            draws.append(batch)
+            if len(draws) == 5:
+                batch.x[3, 0] = value
+            return batch
+
+        def rule(*args):
+            bandwidths.append(bandwidth_from_rule(*args))
+            return bandwidths[-1]
+
+        monkeypatch.setattr("ksivi.train.siv_sample_batch", sample)
+        monkeypatch.setattr("ksivi.train.bandwidth_from_rule", rule)
+        config = TrainConfig(iterations=5, batch_size=8, learning_rate=1e-3, seed=13)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergence) as err:
+                train(config, Banana(), siv_init(NetArch((3, 6, 2)), seed=14))
+        assert err.value.iteration == 2
+        assert np.isfinite(bandwidths[:2]).all() and np.isnan(bandwidths[2])
 
     def test_divergence_snapshot_is_a_copy(self, monkeypatch):
         # the snapshot has the reference loop's bits and no memory in common
