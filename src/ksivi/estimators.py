@@ -28,6 +28,11 @@ fills the weight and bias views, and the rho gradient fills the tail.  The
 score and the Hessian-vector operator of a batch come from one
 ``target.score_and_hvp`` call, so a target that shares work between them
 (logistic regression reuses its logits and sigmoid) does it once per batch.
+A caller may hand over a workspace, one row per batch of at least
+``target.work_size(n)`` values; batch i's target arrays then live in row i
+(see ``targets``), so the caller owns them and the estimator allocates none.
+Each operator is used before ``value_and_grad`` returns, and the rows may be
+reused by the next call.
 The kernel bandwidth is treated as a constant here; dynamic bandwidth
 selection happens in the training loop before the estimator runs.  The
 training loop also hands over its one squared-distance matrix of the
@@ -70,9 +75,9 @@ def _regularizer_value(kernel, f_blocks, reg_weight):
     return reg_weight * total / n_total
 
 
-def _residuals(batch, params, target):
+def _residuals(batch, params, target, work=None):
     """Residuals ``f`` at the batch and the operator ``V -> H(x) V`` there."""
-    score, hvp = target.score_and_hvp(batch.x)
+    score, hvp = target.score_and_hvp(batch.x, work)
     return f_vectors(batch, params, target, score=score), hvp
 
 
@@ -93,20 +98,22 @@ def _pullback(params, batch, f_upstream, x_upstream, hvp):
     return grad
 
 
-def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0, sq=None):
+def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0, sq=None, work=None):
     """Estimate the objective and its exact flat gradient in one pass.
 
     ``batches``: two equal-size batches (``"vanilla"``) or one (``"ustat"``).
     ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
     ``sq``: ``pooled_sq_dists`` over the batches' samples, if already computed.
+    ``work``: the caller's workspace, one row per batch (see the module docstring).
     """
     b1, b2 = _as_batch_pair(batches, kind)
-    f1, hvp1 = _residuals(b1, params, target)
+    work = (None, None) if work is None else work
+    f1, hvp1 = _residuals(b1, params, target, work[0])
     if kind == "vanilla":
         n = len(b1)
         if len(b2) != n:
             raise ValueError("the two batches must have equal size")
-        f2, hvp2 = _residuals(b2, params, target)
+        f2, hvp2 = _residuals(b2, params, target, work[1])
         if sq is None:
             sq = pooled_sq_dists((b1.x, b2.x))
         gram = eval_matrix(kernel, b1.x, b2.x, sq=sq[:n, n:])

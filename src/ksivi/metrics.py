@@ -127,8 +127,9 @@ def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) ->
 
     Uses the ratio of the k-th neighbor distance into Y to the k-th neighbor
     distance within X.  Distances are clamped below; if more than 1% of the
-    within-set distances hit the clamp the sample set is effectively
-    degenerate and the estimate is refused.  Squared distances at or below
+    within-set distances, or of the cross-set ones from X into Y, hit the
+    clamp, the samples are effectively degenerate and the estimate is
+    refused.  Squared distances at or below
     ``kernels.expansion_error`` count as 0, so duplicates, and clusters whose
     spread the expansion cannot resolve, are refused alike.  Samples whose
     squared norms overflow the expansion are refused.
@@ -148,12 +149,13 @@ def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) ->
     if n <= k or m <= k:
         raise ValueError("need more samples than neighbors on both sides")
     rho, nu = _neighbour_dists(X, Y, k, sq)
-    clamped = rho < DISTANCE_CLAMP
-    if clamped.mean() > 0.01:
-        raise DegenerateSamplesError(
-            f"{int(clamped.sum())} of {n} within-set neighbor distances collapsed; "
-            "samples contain too many duplicates for a neighbor-ratio estimate"
-        )
+    for dists, which in ((rho, "within-set"), (nu, "cross-set (X into Y)")):
+        clamped = dists < DISTANCE_CLAMP
+        if clamped.mean() > 0.01:
+            raise DegenerateSamplesError(
+                f"{int(clamped.sum())} of {n} {which} neighbor distances collapsed; "
+                "samples contain too many duplicates for a neighbor-ratio estimate"
+            )
     rho = np.maximum(rho, DISTANCE_CLAMP)
     nu = np.maximum(nu, DISTANCE_CLAMP)
     return float((X.shape[1] / n) * np.log(nu / rho).sum() + np.log(m / (n - 1.0)))

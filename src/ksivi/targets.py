@@ -9,19 +9,29 @@ consumed downstream.
 The discrepancy estimators need the score and Hessian-vector products at the
 same batch, so ``score_and_hvp`` returns the score together with an operator
 ``V -> H(x) V`` bound to those points.  Logistic regression overrides it: one
-logits product and one sigmoid serve both.  Its plain ``score`` keeps no
-sigmoid for an operator, so it runs logits, sigmoid and residual in one
-(rows, n) buffer.
+logits product and one sigmoid serve both.  The Gaussian mixture overrides it
+too: one pass of responsibilities, component pulls and score serves both.
+Logistic regression's plain ``score`` keeps no sigmoid for an operator, so it
+runs logits, sigmoid and residual in one (rows, n) buffer.
 
 Buffers: targets are stateless and never write their inputs; the Langevin
 samplers pass their reused state buffers straight in.  The large passes (the
-BLR logits, the diffusion residuals) run as in-place ufunc chains on arrays
-the call itself allocated, in the same operation order as the plain
-expressions, so the bits do not depend on the buffering.
+BLR logits, the diffusion residuals) run as in-place ufunc chains, in the
+same operation order as the plain expressions, so the bits do not depend on
+the buffering.
+
+Workspace: ``score_and_hvp(x, work)`` may be handed a caller-owned flat
+float64 buffer of at least ``work_size(n)`` values for a batch of n points.
+The target then keeps its per-batch arrays there instead of allocating them
+(logistic regression: two (rows, n) arrays), and the operator it returns
+reads and writes them, so it is valid only until the caller reuses that
+buffer; two operators in use at once need two buffers.  Without ``work``
+every call allocates, and its operator stays valid for good.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -44,7 +54,9 @@ class TargetModel:
     the public methods take (n, d) batches only (a point is a batch of one)
     and return ``(n,)`` log-densities or ``(n, d)`` vectors.
     ``score_and_hvp`` gives the score and a Hessian-vector operator at one
-    batch.  ``sample_exact`` is optional.
+    batch, with its arrays in ``work`` if given (see the module docstring);
+    ``work_size`` is how many values of ``work`` it uses.  ``sample_exact``
+    is optional.
     """
 
     dim: int
@@ -62,14 +74,19 @@ class TargetModel:
             raise ValueError("batch sizes of points and directions differ")
         return self._hvp(X, V)
 
-    def score_and_hvp(self, x):
+    def score_and_hvp(self, x, work=None):
         """Score at a batch and the operator ``V -> H(x) V`` at the same points.
 
         Targets whose score and Hessian share work override this so that the
-        work is done once per batch.
+        work is done once per batch.  This one allocates what it needs and
+        ignores ``work``.
         """
         X = _as_batch(x, self.dim)
         return self.score(X), lambda V: self.hvp(X, V)
+
+    def work_size(self, n: int) -> int:
+        """Values of ``work`` that ``score_and_hvp`` uses at a batch of ``n`` points."""
+        return 0
 
     def sample_exact(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no exact sampler")
@@ -131,15 +148,24 @@ class GaussianMixture(TargetModel):
         # component scores prec_m (mu_m - x), shape (m, n, d)
         return np.stack([(self.means[m] - X) @ self._precs[m] for m in range(self.weights.size)])
 
-    def _score(self, X):
+    def _score_parts(self, X):
+        """Responsibilities, component pulls and the score at a batch."""
         r = self._responsibilities(X)
         pulls = self._pulls(X)
-        return np.einsum("nm,mnd->nd", r, pulls)
+        return r, pulls, np.einsum("nm,mnd->nd", r, pulls)
+
+    def _score(self, X):
+        return self._score_parts(X)[2]
+
+    def score_and_hvp(self, x, work=None):
+        X = _as_batch(x, self.dim)
+        r, pulls, score = self._score_parts(X)
+        return score, lambda V: self._hvp_from(r, pulls, score, V)
 
     def _hvp(self, X, V):
-        r = self._responsibilities(X)
-        pulls = self._pulls(X)
-        score = np.einsum("nm,mnd->nd", r, pulls)
+        return self._hvp_from(*self._score_parts(X), V)
+
+    def _hvp_from(self, r, pulls, score, V):
         out = np.zeros_like(V)
         for m in range(self.weights.size):
             av = (pulls[m] * V).sum(axis=1)
@@ -266,8 +292,8 @@ class LogisticRegression(TargetModel):
         self.dim = design.shape[1]
         self.n_rows = design.shape[0]
 
-    def _logits(self, B):
-        return self.design @ B.T  # (n_rows, n)
+    def _logits(self, B, out=None):
+        return np.matmul(self.design, B.T, out=out)  # (n_rows, n)
 
     def _logp(self, B):
         T = self._logits(B)
@@ -280,17 +306,23 @@ class LogisticRegression(TargetModel):
         np.subtract(self.labels[:, None], s, out=residual)
         return (self.design.T @ residual).T - self.alpha * B
 
-    def score_and_hvp(self, x):
+    def work_size(self, n):
+        return 2 * self.n_rows * n
+
+    def score_and_hvp(self, x, work=None):
         B = _as_batch(x, self.dim)
-        T = self._logits(B)
-        s = _sigmoid(T)  # its own array: the operator holds it
-        score = self._score_from(B, s, residual=T)
+        # T: logits, then sigmoid, then the operator's design @ V.T;
+        # W: the sigmoid's numerators, then residual, then the weight s (1 - s)
+        T, W = _work_arrays(work, (2, self.n_rows, B.shape[0]))
+        s = _sigmoid(self._logits(B, out=T), out=T, scratch=W)
+        score = self._score_from(B, s, residual=W)
+        np.subtract(1.0, s, out=W)
+        W *= s
 
         def hvp(V):
-            w = np.subtract(1.0, s)
-            w *= s
-            w *= self.design @ V.T
-            return -(self.design.T @ w).T - self.alpha * V
+            U = np.matmul(self.design, V.T, out=T)
+            U *= W
+            return -(self.design.T @ U).T - self.alpha * V
 
         return score, hvp
 
@@ -303,20 +335,33 @@ class LogisticRegression(TargetModel):
         return self.score_and_hvp(B)[1](V)
 
 
+def _work_arrays(work, shape):
+    """An array of ``shape`` at the front of the flat buffer ``work``, or a fresh one without it."""
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if work.size < size:
+        raise ValueError(f"workspace holds {work.size} values; this batch needs {size}")
+    return np.reshape(work[:size], shape, copy=False)
+
+
 _SIGMOID_BLOCK = 2**15  # elements of t per scratch block
 
 
-def _sigmoid(t, out=None):
+def _sigmoid(t, out=None, scratch=None):
     """Logistic function without overflow: ``exp(min(t, 0)) / (1 + exp(-|t|))``.
 
     Both exponents are at most 0.  The result goes to ``out`` (``t`` itself
     may be passed) or a fresh array.  The numerator of each block of leading
     rows is formed in one small scratch array, so no temporary the size of
-    ``t`` is made.
+    ``t`` is made; a caller's ``scratch`` shaped like ``t`` takes the whole
+    numerator in one block instead.
     """
     out = np.empty_like(t) if out is None else out
-    rows = max(1, _SIGMOID_BLOCK // max(1, t[:1].size))
-    scratch = np.empty((min(rows, len(t)),) + t.shape[1:])
+    if scratch is None:
+        rows = max(1, _SIGMOID_BLOCK // max(1, t[:1].size))
+        scratch = np.empty((min(rows, len(t)),) + t.shape[1:])
+    rows = max(1, len(scratch))
     for i in range(0, len(t), rows):
         tb, ob = t[i : i + rows], out[i : i + rows]
         num = np.minimum(tb, 0.0, out=scratch[: len(tb)])
@@ -524,6 +569,9 @@ class Tempered(TargetModel):
     def _hvp(self, X, V):
         return self.beta * self.base._hvp(X, V)
 
-    def score_and_hvp(self, x):
-        score, hvp = self.base.score_and_hvp(x)
+    def score_and_hvp(self, x, work=None):
+        score, hvp = self.base.score_and_hvp(x, work)
         return self.beta * score, lambda V: self.beta * hvp(V)
+
+    def work_size(self, n):
+        return self.base.work_size(n)

@@ -10,7 +10,11 @@ same matrix, and applies an Adam update in place.  The median bandwidth is
 ``kernels``); samples that are not finite give a NaN bandwidth, and so a
 non-finite loss.  Adam updates the parameter buffer (``SIVParams.flat``) in
 place, so the next draw sees the step through the buffer's views; snapshots
-are taken only for the hook or an error.  The loop records a loss trace and
+are taken only for the hook or an error.  The loop owns one workspace for the
+whole run, a row per batch of ``target.work_size(batch_size)`` values, in
+which the target keeps its per-batch arrays (logistic regression: its
+(rows, batch) logits and weights); each iteration's estimator call reuses it,
+so an iteration allocates none of them.  The loop records a loss trace and
 aborts with a diagnostic snapshot if anything goes non-finite.
 """
 
@@ -130,6 +134,8 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     params = init.copy()  # its buffer is the one Adam steps
     adam = AdamState.init(params.flat.size)
     trace = LossTrace()
+    n_batches = 2 if config.estimator == "vanilla" else 1
+    work = np.empty((n_batches, target.work_size(config.batch_size)))  # one block for the run
     started = time.perf_counter()
 
     for t in range(config.iterations):
@@ -144,7 +150,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         sq = pooled_sq_dists(blocks)
         kernel = resolve_kernel(config, np.concatenate(blocks, axis=0), sq)
         value, grad = value_and_grad(
-            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight, sq=sq
+            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight, sq=sq, work=work
         )
         if not np.isfinite(value):
             raise TrainingDivergence(t, params.copy(), f"loss estimate is {value}")

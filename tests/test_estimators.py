@@ -7,11 +7,13 @@ from ksivi.kernels import KernelSpec, eval_matrix
 from ksivi.nets import NetArch
 from ksivi.targets import (
     Banana,
+    GaussianMixture,
     LogisticRegression,
     TargetModel,
     Tempered,
     diagonal_gaussian,
     make_waveform_dataset,
+    multimodal_target,
 )
 
 from helpers import central_difference_gradient, gauss_hermite_expectation_2d, relative_error, zero_params
@@ -270,7 +272,8 @@ class TestArgumentValidation:
 
 class SeparateScoreAndHvp(LogisticRegression):
     """Logistic regression with the base-class ``score_and_hvp``: the score
-    and every HVP application each make their own logits and sigmoid pass."""
+    and every HVP application each make their own logits and sigmoid pass,
+    and a workspace is accepted and ignored."""
 
     score_and_hvp = TargetModel.score_and_hvp
 
@@ -279,6 +282,13 @@ class SeparateScoreAndHvp(LogisticRegression):
 
     def _hvp(self, B, V):
         return LogisticRegression.score_and_hvp(self, B)[1](V)
+
+
+class SeparateMixture(GaussianMixture):
+    """Gaussian mixture with the base-class ``score_and_hvp``: the score and
+    every HVP application each compute the responsibilities and pulls."""
+
+    score_and_hvp = TargetModel.score_and_hvp
 
 
 class TestSharedTargetPass:
@@ -294,9 +304,9 @@ class TestSharedTargetPass:
         arg = batches if kind == "vanilla" else batches[0]
         logits_calls = []
 
-        def counted_logits(B):
+        def counted_logits(B, out=None):
             logits_calls.append(B.shape[0])
-            return LogisticRegression._logits(shared, B)
+            return LogisticRegression._logits(shared, B, out)
 
         shared._logits = counted_logits
         value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, arg, kind, reg_weight=0.2)
@@ -304,3 +314,51 @@ class TestSharedTargetPass:
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
         assert logits_calls == [12] * (2 if kind == "vanilla" else 1)  # one pass per batch
+
+    @pytest.mark.parametrize("kind", ["vanilla", "ustat"])
+    def test_mixture_matches_separate_score_and_hvp(self, kind):
+        shared = multimodal_target()
+        separate = SeparateMixture(shared.weights, shared.means, shared.covs)
+        params = siv_init(NetArch((3, 8, 2)), seed=5, rho_init=-0.5)
+        rng = np.random.default_rng(6)
+        batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
+        arg = batches if kind == "vanilla" else batches[0]
+        calls = []
+
+        def counted(X):
+            calls.append(X.shape[0])
+            return GaussianMixture._responsibilities(shared, X)
+
+        shared._responsibilities = counted
+        value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, arg, kind, reg_weight=0.2)
+        ref_value, ref_grad = value_and_grad(params, Tempered(separate, 0.7), RBF, arg, kind, reg_weight=0.2)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        assert calls == [12] * (2 if kind == "vanilla" else 1)  # one pass per batch
+
+
+def blr_target(n_rows, seed):
+    features, labels = make_waveform_dataset(n_rows=n_rows, seed=seed)
+    return LogisticRegression(np.concatenate([np.ones((n_rows, 1)), features], axis=1), labels)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kind", ["vanilla", "ustat"])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.2])
+    @pytest.mark.parametrize("beta", [None, 0.7], ids=["plain", "tempered"])
+    @pytest.mark.parametrize("name", ["blr", "banana"])
+    def test_bitwise_equal_without_it(self, kind, reg_weight, beta, name):
+        target = blr_target(40, seed=8) if name == "blr" else Banana()
+        if beta is not None:
+            target = Tempered(target, beta)
+        params = siv_init(NetArch((4, 16, target.dim)), seed=9, rho_init=-1.0)
+        rng = np.random.default_rng(10)
+        batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
+        arg = batches if kind == "vanilla" else batches[0]
+        ref_value, ref_grad = value_and_grad(params, target, RBF, arg, kind, reg_weight)
+        # stale contents, and a second call reusing the rows, change nothing
+        work = np.full((2 if kind == "vanilla" else 1, target.work_size(12)), np.nan)
+        for _ in range(2):
+            value, grad = value_and_grad(params, target, RBF, arg, kind, reg_weight, work=work)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)

@@ -103,12 +103,13 @@ def reference_kl_knn(X, Y, k: int = 1, sq=None) -> float:
     floor = (2 * d + 4) * np.finfo(np.float64).eps * max((X**2).sum(axis=1).max(), (Y**2).sum(axis=1).max())
     rho = reference_kth_dists(xx, k + 1, floor)  # self sits at distance 0
     nu = reference_kth_dists(xy, k, floor)
-    clamped = rho < DISTANCE_CLAMP
-    if clamped.mean() > 0.01:
-        raise DegenerateSamplesError(
-            f"{int(clamped.sum())} of {n} within-set neighbor distances collapsed; "
-            "samples contain too many duplicates for a neighbor-ratio estimate"
-        )
+    for dists, which in ((rho, "within-set"), (nu, "cross-set (X into Y)")):
+        clamped = dists < DISTANCE_CLAMP
+        if clamped.mean() > 0.01:
+            raise DegenerateSamplesError(
+                f"{int(clamped.sum())} of {n} {which} neighbor distances collapsed; "
+                "samples contain too many duplicates for a neighbor-ratio estimate"
+            )
     rho = np.maximum(rho, DISTANCE_CLAMP)
     nu = np.maximum(nu, DISTANCE_CLAMP)
     return float((d / n) * np.log(nu / rho).sum() + np.log(m / (n - 1.0)))

@@ -288,6 +288,35 @@ class TestKLKNNFromBlocks:
         with pytest.raises(DegenerateSamplesError, match="^6 of 100 within-set neighbor distances collapsed"):
             kl_knn(X, Y)
 
+    def test_collapsed_cross_set_distances_refused(self):
+        # the planted case of test_distances_vs_scipy.test_planted_near_ties:
+        # at 1e3 from the origin, every point's Y-neighbours sit about 1e-5
+        # away, below the expansion's error bound, so every nu reads 0
+        rng = np.random.default_rng(25)
+
+        def planted(centres, scale):
+            D = scale * rng.standard_normal(centres.shape)
+            return np.concatenate([centres + D, centres - (1.0 + 1e-9) * D])
+
+        C = 1e3 + rng.standard_normal((100, 20))
+        X = np.concatenate([C, planted(C, 1e-3)])
+        Y = planted(X, 1e-5)
+        with pytest.raises(DegenerateSamplesError, match=r"^300 of 300 cross-set \(X into Y\) neighbor distances"):
+            kl_knn(X, Y)
+
+    @pytest.mark.parametrize("shared,refused", [(2, False), (3, True)])
+    def test_cross_set_collapse_threshold(self, shared, refused):
+        # rows of X repeated in Y: their nu is 0; more than 1% of 200 refuses
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((200, 3))
+        Y = rng.standard_normal((150, 3))
+        Y[:shared] = X[:shared]
+        if refused:
+            with pytest.raises(DegenerateSamplesError, match=r"^3 of 200 cross-set \(X into Y\) neighbor distances"):
+                kl_knn(X, Y)
+        else:
+            assert np.isfinite(kl_knn(X, Y))
+
 
 class TestCorrPairs:
     def test_duplicated_coordinate(self):

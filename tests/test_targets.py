@@ -456,7 +456,7 @@ class ReferenceLogisticRegression(LogisticRegression):
         ll = (self.labels[:, None] * T - np.logaddexp(0.0, T)).sum(axis=0)
         return ll - 0.5 * self.alpha * (B**2).sum(axis=1)
 
-    def score_and_hvp(self, x):
+    def score_and_hvp(self, x, work=None):  # allocates; the workspace is ignored
         B = _as_batch(x, self.dim)
         s = reference_sigmoid(self._logits(B))
         score = (self.design.T @ (self.labels[:, None] - s)).T - self.alpha * B
@@ -564,7 +564,44 @@ def test_in_place_passes_match_allocating_ones(pair, layout, beta):
     ref_score, ref_hvp = reference.score_and_hvp(x)
     assert np.array_equal(score, ref_score)
     assert np.array_equal(hvp(v), ref_hvp(v))
+    # the same bits with the arrays in a workspace whose contents are stale
+    work = np.full(target.work_size(len(x)) + 3, np.nan)
+    score, hvp = target.score_and_hvp(x, work)
+    assert np.array_equal(score, ref_score)
+    assert np.array_equal(hvp(v), ref_hvp(v))
     assert np.array_equal(x, x_before) and np.array_equal(v, v_before)
+
+
+class TestWorkspace:
+    def test_operator_without_it_stays_valid(self):
+        target, reference = _blr_pair(40)
+        rng = np.random.default_rng(31)
+        x, later, v = (rng.standard_normal((12, target.dim)) for _ in range(3))
+        _, hvp = target.score_and_hvp(x)
+        first = hvp(v)
+        target.score_and_hvp(later)[1](v)
+        target.score(later)
+        target.hvp(later, v)
+        assert np.array_equal(hvp(v), first)
+        assert np.array_equal(first, reference.score_and_hvp(x)[1](v))
+
+    def test_arrays_live_in_it(self):
+        target, _ = _blr_pair(40)
+        x = np.random.default_rng(32).standard_normal((12, target.dim))
+        work = np.full(target.work_size(12), np.nan)
+        target.score_and_hvp(x, work)
+        assert work.size == 2 * 40 * 12 and not np.isnan(work).any()
+
+    def test_too_small_is_refused(self):
+        target, _ = _blr_pair(40)
+        x = np.zeros((12, target.dim))
+        with pytest.raises(ValueError, match="^workspace holds 959 values; this batch needs 960$"):
+            target.score_and_hvp(x, np.empty(959))
+
+    @pytest.mark.parametrize("name,target,tol", ALL_TARGETS, ids=[t[0] for t in ALL_TARGETS])
+    def test_sizes(self, name, target, tol):
+        expected = 2 * target.n_rows * 7 if name == "blr" else 0
+        assert target.work_size(7) == Tempered(target, 0.5).work_size(7) == expected
 
 
 class TestSigmoidBuffers:
@@ -583,6 +620,18 @@ class TestSigmoidBuffers:
         t = np.random.default_rng(11).standard_normal((50, 30))
         t.flags.writeable = False
         assert np.array_equal(_sigmoid(t), reference_sigmoid(t))
+
+    def test_caller_scratch_is_one_block(self, monkeypatch):
+        # with a full-size scratch the block size does not matter, and the
+        # result has the bits of the blocked pass
+        monkeypatch.setattr(targets, "_SIGMOID_BLOCK", 7)
+        t = 40.0 * np.random.default_rng(12).standard_normal((9, 5))
+        expect, numerator = reference_sigmoid(t), np.exp(np.minimum(t, 0.0))
+        scratch = np.full_like(t, np.nan)
+        got = _sigmoid(t, out=t, scratch=scratch)
+        assert got is t
+        assert np.array_equal(t, expect)
+        assert np.array_equal(scratch, numerator)  # written in one block
 
 
 class TestHvpShapes:

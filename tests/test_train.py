@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,14 @@ from ksivi.family import SIVParams, siv_init, siv_sample_batch
 from ksivi.kernels import KernelSpec, bandwidth_from_rule
 from ksivi.nets import NetArch, NetParams, net_forward_batch, net_jacobian_frobenius
 from ksivi.optim import AdamState, adam_step, clip_gradient
-from ksivi.targets import Banana, TargetModel, Tempered, diagonal_gaussian
+from ksivi.targets import (
+    Banana,
+    LogisticRegression,
+    TargetModel,
+    Tempered,
+    diagonal_gaussian,
+    make_waveform_dataset,
+)
 from ksivi.train import (
     LossTrace,
     TrainConfig,
@@ -296,6 +305,34 @@ class TestTrainLoop:
             assert np.array_equal(params.to_flat(), flat_then)
         assert not np.array_equal(seen[0][1], seen[-1][1])
         assert np.array_equal(seen[-1][1], final.to_flat())
+
+    @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
+    def test_blr_iterations_allocate_no_logits_block(self, estimator):
+        # the blr preset's batches of 100 and widths 10-100-100-22: after two
+        # warm-up iterations, five more may not raise the traced peak by one
+        # (rows, batch) float64 array.  The loop's own arrays raise it by about
+        # 0.7 MB whatever the row count; at 2000 rows an array is 1.6 MB, so
+        # one more fresh array fails by as much as its absence passes
+        rows = 2000
+        features, labels = make_waveform_dataset(n_rows=rows, seed=7)
+        target = LogisticRegression(np.concatenate([np.ones((rows, 1)), features], axis=1), labels)
+        init = siv_init(NetArch((10, 100, 100, 22)), seed=3, rho_init=-2.5)
+        config = TrainConfig(iterations=7, batch_size=100, learning_rate=1e-3, estimator=estimator, seed=4)
+        marks = {}
+
+        def hook(t, _params):
+            if t == 1:
+                tracemalloc.reset_peak()
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+            elif t == 6:
+                marks["peak"] = tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            train(config, target, init, iteration_hook=hook)
+        finally:
+            tracemalloc.stop()
+        assert marks["peak"] - marks["start"] < rows * 100 * 8
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
