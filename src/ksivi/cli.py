@@ -148,7 +148,7 @@ def cmd_evaluate(args) -> int:
 
     import numpy as np
 
-    from .kernels import KernelSpec, pair_median_bandwidth, sq_blocks
+    from .kernels import KernelSpec, median_bandwidth, sq_blocks
     from .metrics import corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
     from .runio import read_samples_csv
 
@@ -197,7 +197,7 @@ def cmd_evaluate(args) -> int:
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                h = args.bandwidth if args.bandwidth else pair_median_bandwidth(X, Y, blocks)
+                h = args.bandwidth if args.bandwidth else median_bandwidth(X, Y, blocks)
                 spec = KernelSpec(args.kernel_family, bandwidth=h, offset=args.offset)
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec, sq=blocks),

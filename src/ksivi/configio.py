@@ -9,12 +9,16 @@ not valid TOML and are rejected.
 
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
 and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  A kind is
-``int``, ``float`` (an integer widens), ``str``, ``bool`` or ``[kind]``, a list;
-``true`` and ``false`` are not numbers.  ``REQUIRED`` keys have no default, and
-a default of ``None`` leaves the key unset.  Unless set, the four seeds in
+``int``, ``float`` (an integer widens; ``inf`` and ``nan`` are refused),
+``str``, ``bool`` or ``[kind]``, a list; ``true`` and ``false`` are not
+numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves
+the key unset.  Unless set, the four seeds in
 ``SEED_OFFSETS`` (``init``, ``train``, ``eval``, ``sampler``) are ``run.seed``
-plus 0, 1, 2 and 3.  ``MINIMUM`` bounds the seeds and sizes from below.  Any
-other key is rejected by name.  ``config.txt`` holds the resolved config, every
+plus 0, 1, 2 and 3.  ``MINIMUM`` bounds the seeds, sizes and counts from below.
+Any other key is rejected by name.  A value that ``KernelSpec``, ``TrainConfig``
+or ``SamplerConfig`` rejects is named by its key: each of their messages opens
+with the field, and ``KERNEL_FIELDS``, ``TRAIN_FIELDS`` and ``SAMPLER_FIELDS``
+map the field to the key.  ``config.txt`` holds the resolved config, every
 key with the value the run used, so it reruns the run.
 
 ``sampler.burn_in`` and ``sampler.thin`` shape only ``SamplerRun.history``,
@@ -24,6 +28,7 @@ which no command collects yet.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,9 +116,31 @@ KEYS = {
 
 SEED_OFFSETS = {"init.seed": 0, "train.seed": 1, "eval.seed": 2, "sampler.seed": 3}
 
-# numpy takes no negative seed, and the data generators and samplers no empty size
-MINIMUM = dict.fromkeys(["run.seed", *SEED_OFFSETS, "target.data_seed", "target.obs_seed"], 0)
+# numpy takes no negative seed, and the data generators and samplers no empty
+# size; a negative thread or annealing count would silently mean none
+MINIMUM = dict.fromkeys(
+    ["run.seed", *SEED_OFFSETS, "target.data_seed", "target.obs_seed", "run.threads", "anneal.iterations"], 0
+)
 MINIMUM.update(dict.fromkeys(["eval.sample_size", "target.synthetic_rows", "target.n_steps", "target.obs_stride"], 1))
+
+# the fields of the settings built from the config, and their keys
+KERNEL_FIELDS = {field: f"kernel.{field}" for field in ("family", "bandwidth", "offset", "smoothing")}
+TRAIN_FIELDS = {
+    "iterations": "train.iterations",
+    "batch_size": "train.batch_size",
+    "learning_rate": "train.learning_rate",
+    "estimator": "train.estimator",
+    "bandwidth_rule": "kernel.bandwidth_rule",
+    "anneal_start": "anneal.start",
+    "anneal_iterations": "anneal.iterations",
+    "reg_weight": "reg.weight",
+    "clip_norm": "clip.norm",
+    "seed": "train.seed",
+    "log_every": "train.log_every",
+}
+SAMPLER_FIELDS = {
+    field: f"sampler.{field}" for field in ("n_particles", "n_steps", "step_size", "burn_in", "thin", "seed")
+}
 
 TARGET_KEYS = {
     "banana": {},
@@ -145,6 +172,8 @@ def _checked(key, value, kind):
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
         raise ConfigError(key, f"expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):  # nan passes every range check
+        raise ConfigError(key, f"expected a finite float, got {value}")
     return float(value) if kind is float else value
 
 
@@ -163,6 +192,19 @@ def _blame(fieldname):
         yield
     except ValueError as err:
         raise ConfigError(fieldname, str(err)) from None
+
+
+def _settings(cls, fields: dict, flat: dict, **given):
+    """``cls`` with each field read from its key in ``flat``, and ``given``.
+
+    Each of ``cls``'s messages opens with the field it rejects, so its
+    ``ValueError`` becomes a ``ConfigError`` on that field's key.
+    """
+    try:
+        return cls(**{field: flat.get(key) for field, key in fields.items()}, **given)
+    except ValueError as err:
+        fieldname, _, rule = str(err).partition(" ")
+        raise ConfigError(fields[fieldname], rule) from None
 
 
 def thread_count(flat: dict) -> int:
@@ -216,38 +258,12 @@ class ExperimentConfig:
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:
             raise ConfigError("arch.widths", f"need a list of >= 2 positive integers, got {widths}")
-        with _blame("kernel"):
-            kernel = KernelSpec(
-                family=flat["kernel.family"],
-                bandwidth=flat["kernel.bandwidth"],
-                offset=flat["kernel.offset"],
-                smoothing=flat["kernel.smoothing"],
-            )
-        with _blame("train"):
-            train = TrainConfig(
-                iterations=flat["train.iterations"],
-                batch_size=flat["train.batch_size"],
-                learning_rate=flat["train.learning_rate"],
-                estimator=flat["train.estimator"],
-                kernel=kernel,
-                bandwidth_rule=flat["kernel.bandwidth_rule"],
-                anneal_start=flat["anneal.start"],
-                anneal_iterations=flat["anneal.iterations"],
-                reg_weight=flat["reg.weight"],
-                clip_norm=flat.get("clip.norm"),
-                seed=flat["train.seed"],
-                log_every=flat["train.log_every"],
-            )
-
+        kernel = _settings(KernelSpec, KERNEL_FIELDS, flat)
+        train = _settings(TrainConfig, TRAIN_FIELDS, flat, kernel=kernel)
         sampler = {key[len("sampler.") :]: value for key, value in flat.items() if key.startswith("sampler.")}
         if sampler["algorithm"] not in ("sgld", "mala"):
             raise ConfigError("sampler.algorithm", f"unknown algorithm {sampler['algorithm']!r}")
-        try:
-            SamplerConfig(**{key: value for key, value in sampler.items() if key != "algorithm"})
-        except ValueError as err:
-            # each of SamplerConfig's messages opens with the field it rejects
-            fieldname, _, rule = str(err).partition(" ")
-            raise ConfigError(f"sampler.{fieldname}", rule) from None
+        _settings(SamplerConfig, SAMPLER_FIELDS, flat)
         return cls(
             name=flat["experiment.name"],
             widths=tuple(widths),

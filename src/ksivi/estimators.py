@@ -35,10 +35,11 @@ Each operator is used before ``value_and_grad`` returns, and the rows may be
 reused by the next call.
 The kernel bandwidth is treated as a constant here; dynamic bandwidth
 selection happens in the training loop before the estimator runs.  The
-training loop also hands over its one squared-distance matrix of the
-iteration (``kernels.pooled_sq_dists`` over the batches), whose blocks feed
-the Gram matrix and both kernel-gradient sums; without it the estimator
-computes the same matrix itself.  Tempering
+training loop also hands over the iteration's squared distances
+(``kernels.sq_blocks`` of the batches): XY feeds the two-batch Gram matrix
+and both kernel-gradient sums, the second through a C-ordered copy of its
+transpose, and XX the U-statistic's; without them the estimator builds the
+same blocks itself.  Tempering
 comes in through the target: the training loop passes
 ``targets.Tempered(target, beta)``, whose score and Hessian carry the factor
 beta, so the estimator has no temperature of its own.
@@ -49,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .family import SampleBatch, f_vectors
-from .kernels import diag_values, eval_matrix, pooled_sq_dists, weighted_grad1_sum
+from .kernels import diag_values, eval_matrix, sq_blocks, weighted_grad1_sum
 from .nets import layer_views, net_vjp_batch_sum
 
 ESTIMATOR_KINDS = ("vanilla", "ustat")
@@ -103,10 +104,12 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0
 
     ``batches``: two equal-size batches (``"vanilla"``) or one (``"ustat"``).
     ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
-    ``sq``: ``pooled_sq_dists`` over the batches' samples, if already computed.
+    ``sq``: ``sq_blocks`` of the batches' samples, if already computed.
     ``work``: the caller's workspace, one row per batch (see the module docstring).
     """
     b1, b2 = _as_batch_pair(batches, kind)
+    if sq is None:
+        sq = sq_blocks(b1.x, None if b2 is None else b2.x)
     work = (None, None) if work is None else work
     f1, hvp1 = _residuals(b1, params, target, work[0])
     if kind == "vanilla":
@@ -114,16 +117,15 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0
         if len(b2) != n:
             raise ValueError("the two batches must have equal size")
         f2, hvp2 = _residuals(b2, params, target, work[1])
-        if sq is None:
-            sq = pooled_sq_dists((b1.x, b2.x))
-        gram = eval_matrix(kernel, b1.x, b2.x, sq=sq[:n, n:])
+        gram = eval_matrix(kernel, b1.x, b2.x, sq=sq.xy)
         inner = f1 @ f2.T
         value = float((gram * inner).mean())
         scale = 1.0 / (n * n)
         v1 = scale * (gram @ f2)
         v2 = scale * (gram.T @ f1)
-        u1 = scale * weighted_grad1_sum(kernel, b1.x, b2.x, inner, sq=sq[:n, n:])
-        u2 = scale * weighted_grad1_sum(kernel, b2.x, b1.x, inner.T, sq=sq[n:, :n])
+        u1 = scale * weighted_grad1_sum(kernel, b1.x, b2.x, inner, sq=sq.xy)
+        # a C-ordered copy: the row sums over a transposed view round differently
+        u2 = scale * weighted_grad1_sum(kernel, b2.x, b1.x, inner.T, sq=np.ascontiguousarray(sq.xy.T))
         if reg_weight > 0.0:
             value += _regularizer_value(kernel, (f1, f2), reg_weight)
             coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
@@ -136,9 +138,7 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0
     n = len(b1)
     if n < 2:
         raise ValueError("the U-statistic estimator needs at least two samples")
-    if sq is None:
-        sq = pooled_sq_dists((b1.x,))
-    gram = eval_matrix(kernel, b1.x, b1.x, sq=sq)
+    gram = eval_matrix(kernel, b1.x, b1.x, sq=sq.xx)
     inner = f1 @ f1.T
     np.fill_diagonal(gram, 0.0)
     off_inner = inner.copy()
@@ -146,7 +146,7 @@ def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0
     scale = 1.0 / (n * (n - 1))
     value = float((gram * inner).sum() * scale)
     v1 = 2.0 * scale * (gram @ f1)
-    u1 = 2.0 * scale * weighted_grad1_sum(kernel, b1.x, b1.x, off_inner, sq=sq)
+    u1 = 2.0 * scale * weighted_grad1_sum(kernel, b1.x, b1.x, off_inner, sq=sq.xx)
     if reg_weight > 0.0:
         value += _regularizer_value(kernel, (f1,), reg_weight)
         v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1

@@ -12,20 +12,17 @@ Squared distances have one definition, the BLAS expansion
 neighbour distance is the square root of one of its values.
 ``expansion_error`` bounds how far a value can be from the exact one.
 
-A training iteration computes its squared distances once, in
-``pooled_sq_dists``; the bandwidth, the Gram matrix and both kernel-gradient
-sums read that one matrix.  Each of its blocks comes from its own matrix
-product, because a block of a larger product need not round like the product
-on its own.
-
-``evaluate`` builds three blocks once, in ``sq_blocks``: within X, within Y
-and from X to Y, each its own product; there is no YX block and no pooled
-matrix.  The bandwidth, the MMD and the neighbour distances all read them.
-``pair_median_bandwidth`` takes the median of the pooled samples from XX's and
-YY's upper triangles and all of XY without gathering every pair.  On
-1000 + 1000 points at d = 2, 22 and 200 (2-core Xeon VM, one thread) it took
-13 to 14 ms, against 41 to 61 ms for ``np.median`` over every pair gathered
-with boolean masks; the blocks cost 18 to 38 ms and are shared.
+Squared distances have one layout, ``SqBlocks``: within X, within Y and from
+X to Y, each its own product, because a block of a larger product need not
+round like the product on its own.  A training iteration builds them once
+from its two batches (the U-statistic's one batch has empty YY and XY), and
+``evaluate`` once from its two sample sets.  ``median_bandwidth``, the Gram
+matrix, both kernel-gradient sums, the MMD and the neighbour distances read
+them.  The median's pairs are XX's and YY's upper triangles and all of XY.
+At the training sizes it gathers them all; at 1000 + 1000 points it brackets
+the middle ranks first, which took 17 to 18 ms at d = 2, 22 and 200 (2-core
+Xeon VM, one thread), against 40 to 68 ms for ``np.median`` over every pair
+gathered with boolean masks; the blocks cost 28 to 45 ms and are shared.
 """
 
 from __future__ import annotations
@@ -43,6 +40,11 @@ BANDWIDTH_FLOOR = 1e-8
 # that is about 33,000 values, and the bracket holds about 4% of the pairs.
 MEDIAN_SAMPLE_STRIDE = 61
 
+# Up to this many pairs the median gathers them all at once.  At 19,900 to
+# 79,800 pairs (2-core Xeon VM, one thread) that took about half the time of
+# the bracket below; from about 100,000 pairs the bracket was faster.
+MEDIAN_GATHER_PAIRS = 50_000
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -52,10 +54,12 @@ class KernelSpec:
     smoothing: float = 1e-8  # riesz eps
 
     def __post_init__(self):
+        # each message opens with the field it rejects; configio names the key by it
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if self.bandwidth <= 0 or self.offset <= 0 or self.smoothing <= 0:
-            raise ValueError("kernel parameters must be positive")
+            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        for name in ("bandwidth", "offset", "smoothing"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     def with_bandwidth(self, h: float) -> "KernelSpec":
         return replace(self, bandwidth=float(h))
@@ -71,22 +75,6 @@ def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def pooled_sq_dists(blocks) -> np.ndarray:
-    """Squared distances between the rows of ``np.concatenate(blocks)``.
-
-    Block (a, b) is its own matrix product, so it has the bits of
-    ``pairwise_sq_dists(blocks[a], blocks[b])``.
-    """
-    blocks = [np.asarray(B, dtype=np.float64) for B in blocks]
-    norms = np.concatenate([(B**2).sum(axis=1) for B in blocks])
-    edges = np.cumsum([0] + [B.shape[0] for B in blocks])
-    sq = np.add.outer(norms, norms)
-    for A, a0, a1 in zip(blocks, edges[:-1], edges[1:]):
-        for B, b0, b1 in zip(blocks, edges[:-1], edges[1:]):
-            sq[a0:a1, b0:b1] -= 2.0 * (A @ B.T)
-    return np.maximum(sq, 0.0, out=sq)
-
-
 class SqBlocks(NamedTuple):
     """Squared distances within X, within Y and from X to Y."""
 
@@ -95,11 +83,13 @@ class SqBlocks(NamedTuple):
     xy: np.ndarray
 
 
-def sq_blocks(X: np.ndarray, Y: np.ndarray) -> SqBlocks:
-    """The three blocks of ``pooled_sq_dists((X, Y))`` that are not transposes.
+def sq_blocks(X: np.ndarray, Y: np.ndarray | None = None) -> SqBlocks:
+    """The squared distances of X and Y as three blocks, each its own ``pairwise_sq_dists``.
 
-    Each is its own ``pairwise_sq_dists``, so it has that call's bits.
+    Without Y they are those of X alone: YY and XY are empty.
     """
+    X = np.asarray(X, dtype=np.float64)
+    Y = X[:0] if Y is None else Y
     return SqBlocks(pairwise_sq_dists(X, X), pairwise_sq_dists(Y, Y), pairwise_sq_dists(X, Y))
 
 
@@ -189,27 +179,6 @@ def _root_median(values: np.ndarray, lo: int, hi: int) -> float:
     return float((np.sqrt(t_lo) + np.sqrt(part[hi])) / 2.0)
 
 
-def median_bandwidth(samples: np.ndarray, sq: np.ndarray | None = None) -> float:
-    """Median of pairwise Euclidean distances, clamped away from zero.
-
-    The distances are the square roots of the upper triangle of ``sq``, which
-    is ``pooled_sq_dists`` (or ``pairwise_sq_dists``) of ``samples`` against
-    themselves, built here when not given.  NaN when a sample is not finite
-    or their squared norms overflow (see ``expansion_error``).
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ValueError("median bandwidth needs at least two samples")
-    if np.isnan(expansion_error(samples)):
-        return np.nan
-    if sq is None:
-        sq = pairwise_sq_dists(samples, samples)
-    idx = np.arange(samples.shape[0])
-    upper = sq[idx[:, None] < idx]
-    med = _root_median(upper, (upper.size - 1) // 2, upper.size // 2)
-    return max(med, BANDWIDTH_FLOOR)
-
-
 def _gather_range(parts, a: float, b: float):
     """Count the pairs below ``a``; gather the values in [a, b]."""
     below = 0
@@ -225,18 +194,31 @@ def _gather_range(parts, a: float, b: float):
     return below, np.concatenate(found)
 
 
-def pair_median_bandwidth(X: np.ndarray, Y: np.ndarray, blocks: SqBlocks) -> float:
-    """``median_bandwidth`` of the pooled samples, from ``sq_blocks(X, Y)``.
+def _gather_all(parts) -> np.ndarray:
+    """Every pair's value, once."""
+    return np.concatenate([sq.ravel() if upper is None else sq[upper] for sq, upper in parts])
 
-    The pairs are XX's and YY's upper triangles and all of XY, so the value
-    has the bits of ``np.median(np.sqrt(pairs))``.  A strided sample of the
-    blocks brackets the two middle ranks, and one pass over the blocks counts
-    the pairs below the bracket and gathers those inside it; everything is
-    gathered only if the bracket misses them.  Nothing as large as the pooled
-    pair list is allocated otherwise.  NaN as in ``median_bandwidth``.
+
+def median_bandwidth(X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlocks | None = None) -> float:
+    """Median of the distances between the pooled samples of X and Y, clamped away from zero.
+
+    The pairs are XX's and YY's upper triangles and all of XY in ``blocks``,
+    which is ``sq_blocks(X, Y)``, built here when not given; without Y they
+    are the pairs within X.  The value has the bits of
+    ``np.median(np.sqrt(pairs))``.  Up to ``MEDIAN_GATHER_PAIRS`` pairs are
+    gathered at once.  Above it, a strided sample of the blocks brackets the
+    two middle ranks, and one pass over the blocks counts the pairs below the
+    bracket and gathers those inside it; everything is gathered only if the
+    bracket misses them.  NaN when a sample is not finite or their squared
+    norms overflow (see ``expansion_error``).
     """
-    if np.isnan(expansion_error(X, Y)):
+    sets = [np.asarray(S, dtype=np.float64) for S in (X, Y) if S is not None]
+    if any(S.ndim != 2 for S in sets) or sum(S.shape[0] for S in sets) < 2:
+        raise ValueError("median bandwidth needs at least two samples")
+    if np.isnan(expansion_error(*sets)):
         return np.nan
+    if blocks is None:
+        blocks = sq_blocks(*sets)
     n, m = blocks.xx.shape[0], blocks.yy.shape[0]
     parts = (
         (blocks.xx, np.arange(n)[:, None] < np.arange(n)),
@@ -246,6 +228,8 @@ def pair_median_bandwidth(X: np.ndarray, Y: np.ndarray, blocks: SqBlocks) -> flo
     total = n * (n - 1) // 2 + m * (m - 1) // 2 + n * m
     hi = total // 2
     lo = (total - 1) // 2
+    if total <= MEDIAN_GATHER_PAIRS:
+        return max(_root_median(_gather_all(parts), lo, hi), BANDWIDTH_FLOOR)
     # a full block holds each triangle pair twice, so it is sampled half as often
     sample = np.concatenate([sq.ravel()[:: MEDIAN_SAMPLE_STRIDE * (1 if upper is None else 2)] for sq, upper in parts])
     reach = 4.0 * np.sqrt(sample.size) + 1.0  # about 8 standard deviations of the sample rank
@@ -254,19 +238,21 @@ def pair_median_bandwidth(X: np.ndarray, Y: np.ndarray, blocks: SqBlocks) -> flo
     a, b = np.partition(sample, ranks)[ranks]
     below, found = _gather_range(parts, a, b)
     if not below <= lo <= hi < below + found.size:
-        below, found = _gather_range(parts, -np.inf, np.inf)
+        below, found = 0, _gather_all(parts)
     return max(_root_median(found, lo - below, hi - below), BANDWIDTH_FLOOR)
 
 
-def bandwidth_from_rule(rule: str, samples: np.ndarray, sq: np.ndarray | None = None) -> float:
-    """Resolve a bandwidth policy name on the current sample batch.
+def bandwidth_from_rule(
+    rule: str, X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlocks | None = None
+) -> float:
+    """Resolve a bandwidth policy name on the current samples, X and Y pooled.
 
-    ``sq`` is passed on to ``median_bandwidth``.
+    ``blocks`` is passed on to ``median_bandwidth``.
     """
-    med = median_bandwidth(samples, sq)
+    med = median_bandwidth(X, Y, blocks)
     if rule == "median":
         return med
     if rule == "median_sq_over_log_n":
-        n = samples.shape[0]
+        n = sum(len(S) for S in (X, Y) if S is not None)
         return max(med / np.sqrt(max(np.log(n), 1.0)), BANDWIDTH_FLOOR)
     raise ValueError(f"unknown bandwidth rule {rule!r}")

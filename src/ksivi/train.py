@@ -1,12 +1,12 @@
 """Training loop: stochastic gradient descent on the squared discrepancy.
 
 Each iteration draws fresh batches from the current variational family,
-computes their squared distances once (``kernels.pooled_sq_dists``), resolves
-the kernel bandwidth on those samples from that matrix (held constant while
+computes their squared distances once (``kernels.sq_blocks``), resolves the
+kernel bandwidth on those samples from the blocks (held constant while
 differentiating), evaluates the configured gradient estimator on the target
 tempered to the current annealing temperature (``targets.Tempered``) with the
-same matrix, and applies an Adam update in place.  The median bandwidth is
-``np.median`` of the square roots of the matrix's upper triangle (see
+same blocks, and applies an Adam update in place.  The median bandwidth is
+``np.median`` of the square roots of the pooled samples' pair distances (see
 ``kernels``); samples that are not finite give a NaN bandwidth, and so a
 non-finite loss.  Adam updates the parameter buffer (``SIVParams.flat``) in
 place, so the next draw sees the step through the buffer's views; snapshots
@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimators import ESTIMATOR_KINDS, value_and_grad
 from .family import SIVParams, siv_sample_batch
-from .kernels import KernelSpec, bandwidth_from_rule, pooled_sq_dists
+from .kernels import KernelSpec, SqBlocks, bandwidth_from_rule, sq_blocks
 from .nets import net_jacobian_frobenius
 from .optim import AdamState, adam_step
 from .targets import Tempered
@@ -51,22 +51,25 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
+        # each message opens with the field it rejects; configio names the key by it
         if self.iterations < 0:
-            raise ValueError("iteration count must be nonnegative")
+            raise ValueError("iterations must be nonnegative")
         if self.batch_size < 2:
-            raise ValueError("batch size must be at least 2")
+            raise ValueError("batch_size must be at least 2")
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError("learning_rate must be positive")
         if self.estimator not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}, got {self.estimator!r}")
         if self.bandwidth_rule not in BANDWIDTH_RULES:
-            raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
+            raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}, got {self.bandwidth_rule!r}")
         if not 0.0 < self.anneal_start <= 1.0:
-            raise ValueError("annealing must start in (0, 1]")
+            raise ValueError("anneal_start must lie in (0, 1]")
         if self.reg_weight < 0:
-            raise ValueError("regularization weight must be nonnegative")
+            raise ValueError("reg_weight must be nonnegative")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")  # a negative one would reverse every step
         if self.log_every < 1:
-            raise ValueError("log cadence must be at least 1")
+            raise ValueError("log_every must be at least 1")
 
 
 @dataclass
@@ -112,15 +115,17 @@ def anneal_beta(iteration: int, start: float = 1.0, anneal_iterations: int = 0) 
     return min(1.0, start + (1.0 - start) * iteration / anneal_iterations)
 
 
-def resolve_kernel(config: TrainConfig, samples: np.ndarray, sq: np.ndarray | None = None) -> KernelSpec:
-    """Apply the bandwidth policy for this iteration's samples.
+def resolve_kernel(
+    config: TrainConfig, X: np.ndarray, Y: np.ndarray | None = None, sq: SqBlocks | None = None
+) -> KernelSpec:
+    """Apply the bandwidth policy for this iteration's samples, X and Y pooled.
 
-    ``sq``: their squared distances, if already computed.
+    ``sq``: their ``sq_blocks``, if already computed.
     """
     spec = config.kernel
     if spec.family != "rbf" or config.bandwidth_rule == "fixed":
         return spec
-    return spec.with_bandwidth(bandwidth_from_rule(config.bandwidth_rule, samples, sq))
+    return spec.with_bandwidth(bandwidth_from_rule(config.bandwidth_rule, X, Y, sq))
 
 
 def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
@@ -140,15 +145,14 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
 
     for t in range(config.iterations):
         beta = anneal_beta(t, config.anneal_start, config.anneal_iterations)
+        b1 = siv_sample_batch(params, config.batch_size, rng)
         if config.estimator == "vanilla":
-            b1 = siv_sample_batch(params, config.batch_size, rng)
             b2 = siv_sample_batch(params, config.batch_size, rng)
-            batches, blocks = (b1, b2), (b1.x, b2.x)
+            batches, y = (b1, b2), b2.x
         else:
-            b1 = siv_sample_batch(params, config.batch_size, rng)
-            batches, blocks = b1, (b1.x,)
-        sq = pooled_sq_dists(blocks)
-        kernel = resolve_kernel(config, np.concatenate(blocks, axis=0), sq)
+            batches, y = b1, None
+        sq = sq_blocks(b1.x, y)
+        kernel = resolve_kernel(config, b1.x, y, sq)
         value, grad = value_and_grad(
             params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight, sq=sq, work=work
         )

@@ -44,7 +44,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from ksivi import metrics
-from ksivi.kernels import median_bandwidth, pair_median_bandwidth, sq_blocks
+from ksivi.kernels import median_bandwidth, sq_blocks
 
 EPS = np.finfo(np.float64).eps
 
@@ -93,7 +93,7 @@ class TestWithinTheRoundingBound:
         mid = ref[ref.size // 2]
         assert mid > 0
         tol = distance_tolerance(square_bound(4, 14, X, Y), mid)
-        assert abs(pair_median_bandwidth(X, Y, sq_blocks(X, Y)) - mid) <= tol
+        assert abs(median_bandwidth(X, Y, sq_blocks(X, Y)) - mid) <= tol
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_neighbour_distances(self, seed, d, kind, k):

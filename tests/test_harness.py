@@ -164,6 +164,43 @@ class TestConfigFormat:
         assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys
         assert resolved["target.alpha"] == 0.01 and resolved["clip.norm"] == 2.0
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("train.batch_size", 1, "must be at least 2"),
+            ("kernel.offset", 0.0, "must be positive"),
+            ("anneal.start", 0.0, "must lie in (0, 1]"),
+            ("clip.norm", -1.0, "must be positive"),
+            ("clip.norm", 0.0, "must be positive"),
+        ],
+    )
+    def test_rejected_settings_name_their_key(self, key, value, message):
+        flat = parse_config_text(TINY_CONFIG)
+        flat[key] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(flat)
+        assert str(err.value) == f"{key}: {message}"
+
+    @pytest.mark.parametrize(
+        "key", ["train.learning_rate", "sampler.step_size", "kernel.bandwidth", "init.rho", "reg.weight", "clip.norm"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_floats_rejected(self, key, value):
+        # nan passes every range check; reg.weight = nan would drop the regularizer
+        flat = parse_config_text(TINY_CONFIG)
+        flat[key] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(flat)
+        assert str(err.value) == f"{key}: expected a finite float, got {value}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_list_items_rejected(self, value):
+        flat = parse_config_text(TINY_CONFIG)
+        flat.update({"target.name": "gaussian", "target.mean": [0.0, value], "target.variances": [1.0, 1.0]})
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(flat)
+        assert str(err.value) == f"target.mean: expected a finite float, got {value}"
+
     def test_width_mismatch_named_field(self):
         flat = parse_config_text(TINY_CONFIG)
         flat["arch.widths"] = [3, 8, 5]
@@ -354,7 +391,7 @@ class TestCLI:
         [
             ('target.name = "student_product"\ntarget.nu = -1\n', "target.nu"),
             ('target.name = "blr"\ntarget.data_path = "short.csv"\n', "target.data_path"),
-            ('target.name = "banana"\nkernel.family = "gauss"\n', "kernel"),
+            ('target.name = "banana"\nkernel.family = "gauss"\n', "kernel.family"),
         ],
     )
     def test_bad_target_values_exit_2(self, tmp_path, capsys, settings, key):
@@ -383,8 +420,10 @@ class TestCLI:
             ({"eval.sample_size": 0}, [], "eval.sample_size"),
             ({**CD, "target.obs_stride": 0}, [], "target.obs_stride"),
             ({**CD, "target.obs_seed": -1}, [], "target.obs_seed"),
+            ({"anneal.iterations": -5}, [], "anneal.iterations"),
+            ({"run.threads": -3}, [], "run.threads"),
         ],
-        ids=["run-seed", "seed-flag", "init-seed", "eval-size", "obs-stride", "obs-seed"],
+        ids=["run-seed", "seed-flag", "init-seed", "eval-size", "obs-stride", "obs-seed", "anneal-iters", "threads"],
     )
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, settings, argv, key):
         config_path = tmp_path / "config.txt"

@@ -1,6 +1,5 @@
 import itertools
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from ksivi.kernels import (
     diag_values,
     eval_matrix,
     median_bandwidth,
-    pair_median_bandwidth,
     pairwise_sq_dists,
-    pooled_sq_dists,
     sq_blocks,
     weighted_grad1_sum,
 )
@@ -189,46 +186,36 @@ class TestMedianBandwidth:
             bandwidth_from_rule("nope", samples)
 
 
-def reference_median(sq):
-    """The median bandwidth of a squared-distance matrix, written directly."""
-    med = np.median(np.sqrt(sq[np.triu_indices(sq.shape[0], 1)]))
-    return max(float(med), BANDWIDTH_FLOOR)
-
-
-def reference_pair_median(blocks):
-    """The pooled median bandwidth of three blocks, written directly."""
+def reference_median(blocks):
+    """The median bandwidth of the pooled samples of ``blocks``, written directly."""
     xx, yy, xy = blocks
     pairs = np.concatenate([xx[np.triu_indices(xx.shape[0], 1)], yy[np.triu_indices(yy.shape[0], 1)], xy.ravel()])
     return max(float(np.median(np.sqrt(pairs))), BANDWIDTH_FLOOR)
 
 
-class TestPooledSqDists:
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        sizes=st.lists(st.integers(1, 70), min_size=1, max_size=3),
-        d=st.sampled_from([1, 2, 5, 22, 40, 50, 64, 200, 513, 600]),
-    )
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_blocks_have_the_bits_of_their_own_products(self, seed, sizes, d):
-        # a block of one larger product can round differently at the BLAS
-        # kernel's edges, e.g. (n, d) = (50, 2) or (6, 50) as a block of a
-        # 2n x 2n syrk; every block here is a product of its own
-        rng = np.random.default_rng(seed)
-        blocks = [rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0) for n in sizes]
-        sq = pooled_sq_dists(blocks)
-        edges = np.cumsum([0] + sizes)
-        assert sq.shape == (edges[-1], edges[-1])
-        for a, b in itertools.product(range(len(blocks)), repeat=2):
-            block = sq[edges[a] : edges[a + 1], edges[b] : edges[b + 1]]
-            assert np.array_equal(block, pairwise_sq_dists(blocks[a], blocks[b]))
+# (batch size, d) of the presets' training batches and of the reference loop's test
+TRAINING_SHAPES = [(100, 2), (100, 22), (128, 50), (128, 100), (128, 200), (50, 2), (6, 40), (16, 50)]
 
-    def test_one_block_is_the_self_distance_matrix(self):
+
+class TestSqBlocks:
+    @pytest.mark.parametrize("n, d", TRAINING_SHAPES)
+    def test_transposed_cross_block_has_the_bits_of_its_own_product(self, n, d):
+        # the two-batch estimator reads YX as a C-ordered copy of XY's transpose
+        rng = np.random.default_rng(n * d)
+        for scale in (0.1, 1.0, 10.0):
+            X = rng.standard_normal((n, d)) * scale
+            Y = rng.standard_normal((n, d)) * scale + 0.5
+            assert np.array_equal(np.ascontiguousarray(sq_blocks(X, Y).xy.T), pairwise_sq_dists(Y, X))
+
+    def test_one_set_has_empty_cross_blocks(self):
         X = np.random.default_rng(3).standard_normal((37, 9))
-        assert np.array_equal(pooled_sq_dists((X,)), pairwise_sq_dists(X, X))
+        blocks = sq_blocks(X)
+        assert np.array_equal(blocks.xx, pairwise_sq_dists(X, X))
+        assert blocks.yy.shape == (0, 0) and blocks.xy.shape == (37, 0)
 
     def test_rejects_mismatched_widths(self):
         with pytest.raises(ValueError):
-            pooled_sq_dists((np.zeros((3, 2)), np.zeros((3, 4))))
+            sq_blocks(np.zeros((3, 2)), np.zeros((3, 4)))
 
 
 def awkward_samples(seed, n, d, kind):
@@ -249,6 +236,8 @@ def awkward_samples(seed, n, d, kind):
 
 
 class TestMedianFromDistanceMatrix:
+    """The median of one sample set, and of one set split in two as training's batches are."""
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 300),
@@ -258,41 +247,41 @@ class TestMedianFromDistanceMatrix:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_bitwise_equal_to_the_numpy_median(self, seed, n, d, kind):
         X = awkward_samples(seed, n, d, kind)
-        assert median_bandwidth(X) == reference_median(pairwise_sq_dists(X, X))
+        assert median_bandwidth(X) == reference_median(sq_blocks(X))
         split = n // 2  # the training loop's two-batch layout
         if split >= 1:
-            sq = pooled_sq_dists((X[:split], X[split:]))
-            assert median_bandwidth(X, sq) == reference_median(sq)
+            blocks = sq_blocks(X[:split], X[split:])
+            assert median_bandwidth(X[:split], X[split:], blocks) == reference_median(blocks)
 
-    # pooled batches of the presets (2 x 100 at d = 2 and 22, 2 x 128 at d = 200);
+    # the batches of the presets (2 x 100 at d = 2 and 22, 2 x 128 at d = 200);
     # 199 points give an odd pair count
     @pytest.mark.parametrize("n, d", [(199, 2), (200, 2), (200, 22), (256, 200)])
     def test_training_shapes_match_the_numpy_median(self, n, d):
         X = np.random.default_rng(d).standard_normal((n, d)) * 0.7 + 1.5
-        sq = pooled_sq_dists((X[: n // 2], X[n // 2 :]))
-        assert median_bandwidth(X, sq) == reference_median(sq)
+        blocks = sq_blocks(X[: n // 2], X[n // 2 :])
+        assert median_bandwidth(X[: n // 2], X[n // 2 :], blocks) == reference_median(blocks)
 
     def test_nan_row_gives_nan(self):
         X = np.random.default_rng(5).standard_normal((40, 3))
         X[7, 1] = np.nan
         with np.errstate(invalid="ignore"):
-            sq = pooled_sq_dists((X[:20], X[20:]))
+            blocks = sq_blocks(X[:20], X[20:])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(median_bandwidth(X, sq))
+            assert np.isnan(median_bandwidth(X[:20], X[20:], blocks))
             assert np.isnan(median_bandwidth(X))
-            assert np.isnan(bandwidth_from_rule("median_sq_over_log_n", X, sq))
+            assert np.isnan(bandwidth_from_rule("median_sq_over_log_n", X[:20], X[20:], blocks))
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_inf_row_gives_nan(self, value):
         X = np.random.default_rng(6).standard_normal((40, 3))
         X[11, 0] = value
-        X[30] = 0.0  # inf * 0 in the products: NaN entries in sq
+        X[30] = 0.0  # inf * 0 in the products: NaN entries in the blocks
         with np.errstate(invalid="ignore"):
-            sq = pooled_sq_dists((X[:20], X[20:]))
+            blocks = sq_blocks(X[:20], X[20:])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(median_bandwidth(X, sq))
+            assert np.isnan(median_bandwidth(X[:20], X[20:], blocks))
             assert np.isnan(median_bandwidth(X))
 
     def test_overflowing_norms_give_nan(self):
@@ -300,20 +289,23 @@ class TestMedianFromDistanceMatrix:
         X = np.random.default_rng(8).standard_normal((10, 2))
         X[0] = [1e154, 0.0]
         with np.errstate(over="ignore", invalid="ignore"):
-            sq = pooled_sq_dists((X,))
+            blocks = sq_blocks(X)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(median_bandwidth(X, sq))
+            assert np.isnan(median_bandwidth(X, None, blocks))
             assert np.isnan(median_bandwidth(X))
         X[0] = [0.99e154 / 2.0, 0.0]  # 4 max|x|^2 fits: every value is finite
-        sq = pooled_sq_dists((X,))
-        assert median_bandwidth(X, sq) == reference_median(sq) > 1.0
+        blocks = sq_blocks(X)
+        assert median_bandwidth(X, None, blocks) == reference_median(blocks) > 1.0
 
-    def test_log_n_rule_reads_the_matrix(self):
+    def test_log_n_rule_reads_the_blocks(self):
         X = np.random.default_rng(9).standard_normal((64, 4))
-        sq = pooled_sq_dists((X[:32], X[32:]))
+        blocks = sq_blocks(X[:32], X[32:])
         for rule in ("median", "median_sq_over_log_n"):
-            assert bandwidth_from_rule(rule, X, sq) == bandwidth_from_rule(rule, X)
+            assert bandwidth_from_rule(rule, X[:32], X[32:], blocks) == bandwidth_from_rule(rule, X[:32], X[32:])
+        # the rule counts the pooled samples of both sets
+        expect = median_bandwidth(X[:32], X[32:]) / np.sqrt(np.log(64))
+        assert bandwidth_from_rule("median_sq_over_log_n", X[:32], X[32:]) == expect
 
 
 class TestEvalMatrixInPlace:
@@ -337,7 +329,27 @@ class TestEvalMatrixInPlace:
             assert np.array_equal(eval_matrix(spec, X, Y), plain(pairwise_sq_dists(X, Y)))
 
 
+def spy_gathers(monkeypatch):
+    """Record each gather of the median: ("range", a, b) or ("all",)."""
+    calls = []
+    gather_range, gather_all = kernels._gather_range, kernels._gather_all
+
+    def spy_range(parts, a, b):
+        calls.append(("range", a, b))
+        return gather_range(parts, a, b)
+
+    def spy_all(parts):
+        calls.append(("all",))
+        return gather_all(parts)
+
+    monkeypatch.setattr(kernels, "_gather_range", spy_range)
+    monkeypatch.setattr(kernels, "_gather_all", spy_all)
+    return calls
+
+
 class TestMedianFromBlocks:
+    """The median of two sample sets pooled, as ``evaluate`` takes it."""
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 200),
@@ -354,7 +366,31 @@ class TestMedianFromBlocks:
         blocks = sq_blocks(X, Y)
         for name, block, expect in zip(blocks._fields, blocks, ((X, X), (Y, Y), (X, Y))):
             assert np.array_equal(block, pairwise_sq_dists(*expect)), name
-        assert pair_median_bandwidth(X, Y, blocks) == reference_pair_median(blocks)
+        assert median_bandwidth(X, Y, blocks) == reference_median(blocks)
+
+    # 316 points hold 49,770 pairs and 317 hold 50,086, around MEDIAN_GATHER_PAIRS
+    @pytest.mark.parametrize("n, m, path", [(158, 158, "all"), (159, 158, "range")])
+    def test_the_switch_point_chooses_the_gather(self, monkeypatch, n, m, path):
+        assert ((n + m) * (n + m - 1) // 2 <= kernels.MEDIAN_GATHER_PAIRS) == (path == "all")
+        rng = np.random.default_rng(n + m)
+        X = rng.standard_normal((n, 3))
+        Y = rng.standard_normal((m, 3)) + 0.4
+        blocks = sq_blocks(X, Y)
+        calls = spy_gathers(monkeypatch)
+        assert median_bandwidth(X, Y, blocks) == reference_median(blocks)
+        assert [call[0] for call in calls] == [path]
+
+    @pytest.mark.parametrize("offset, path", [(-1, "range"), (0, "all"), (1, "all")])
+    def test_at_the_switch_point(self, monkeypatch, offset, path):
+        # 120 + 80 points hold 19,900 pairs; the constant moves around them
+        rng = np.random.default_rng(35)
+        X = rng.standard_normal((120, 2))
+        Y = rng.standard_normal((80, 2)) * 1.2
+        blocks = sq_blocks(X, Y)
+        monkeypatch.setattr(kernels, "MEDIAN_GATHER_PAIRS", 19_900 + offset)
+        calls = spy_gathers(monkeypatch)
+        assert median_bandwidth(X, Y, blocks) == reference_median(blocks)
+        assert [call[0] for call in calls] == [path]
 
     @pytest.mark.parametrize("d", [2, 22, 200])
     def test_evaluate_shapes_gather_only_the_bracket(self, monkeypatch, d):
@@ -362,55 +398,34 @@ class TestMedianFromBlocks:
         X = rng.standard_normal((1000, d))
         Y = rng.standard_normal((1000, d)) * 1.1 + 0.2
         blocks = sq_blocks(X, Y)
-        calls = []
-        gather = kernels._gather_range
+        calls = spy_gathers(monkeypatch)
+        assert median_bandwidth(X, Y, blocks) == reference_median(blocks)
+        assert len(calls) == 1 and calls[0][0] == "range" and np.isfinite(calls[0][1:]).all()
 
-        def spy(parts, a, b):
-            calls.append((a, b))
-            return gather(parts, a, b)
-
-        monkeypatch.setattr(kernels, "_gather_range", spy)
-        assert pair_median_bandwidth(X, Y, blocks) == reference_pair_median(blocks)
-        assert len(calls) == 1 and np.isfinite(calls[0]).all()
-
-    def test_a_missed_bracket_gathers_everything(self):
+    def test_a_missed_bracket_gathers_everything(self, monkeypatch):
         # at 61 rows a stride of 61 samples one column of every block: the
-        # distances to two far outliers, which bracket the wrong ranks
+        # distances to two far outliers, which bracket the wrong ranks; the
+        # 7,381 pairs are bracketed only below the gather's switch point
         rng = np.random.default_rng(31)
         X = rng.standard_normal((61, 3))
         Y = rng.standard_normal((61, 3))
         X[0] = Y[0] = 50.0
-        calls = []
-        gather = kernels._gather_range
-
-        def spy(parts, a, b):
-            calls.append((a, b))
-            return gather(parts, a, b)
-
         blocks = sq_blocks(X, Y)
-        with mock.patch.object(kernels, "_gather_range", spy):
-            h = pair_median_bandwidth(X, Y, blocks)
-        assert h == reference_pair_median(blocks)
-        assert calls[1] == (-np.inf, np.inf)
+        monkeypatch.setattr(kernels, "MEDIAN_GATHER_PAIRS", 0)
+        calls = spy_gathers(monkeypatch)
+        assert median_bandwidth(X, Y, blocks) == reference_median(blocks)
+        assert [call[0] for call in calls] == ["range", "all"]
 
-    def test_ties_at_the_bracket_ends(self):
+    def test_ties_at_the_bracket_ends(self, monkeypatch):
         # points at 0 and 1: every distance is 0 or 1, and the bracket starts
         # and ends on tied values
         rng = np.random.default_rng(32)
         X = rng.integers(0, 2, size=(300, 1)).astype(np.float64)
         Y = rng.integers(0, 2, size=(200, 1)).astype(np.float64)
-        calls = []
-        gather = kernels._gather_range
-
-        def spy(parts, a, b):
-            calls.append((a, b))
-            return gather(parts, a, b)
-
         blocks = sq_blocks(X, Y)
-        with mock.patch.object(kernels, "_gather_range", spy):
-            h = pair_median_bandwidth(X, Y, blocks)
-        assert h == reference_pair_median(blocks)
-        assert len(calls) == 1
+        calls = spy_gathers(monkeypatch)
+        assert median_bandwidth(X, Y, blocks) == reference_median(blocks)
+        assert [call[0] for call in calls] == ["range"]
 
     @pytest.mark.parametrize("value", [1e154, np.inf, np.nan])
     def test_overflowing_norms_give_nan(self, value):
@@ -421,4 +436,4 @@ class TestMedianFromBlocks:
             blocks = sq_blocks(X, Y)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(pair_median_bandwidth(X, Y, blocks))
+            assert np.isnan(median_bandwidth(X, Y, blocks))

@@ -345,6 +345,9 @@ class TestTrainLoop:
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, anneal_start=0.0)
         with pytest.raises(ValueError):
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, estimator="x")
+        for clip_norm in (0.0, -1.0):  # zero would stop every step, and a negative norm reverse it
+            with pytest.raises(ValueError, match="^clip_norm must be positive$"):
+                TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, clip_norm=clip_norm)
 
 
 def per_probe_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:

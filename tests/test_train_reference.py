@@ -222,7 +222,7 @@ class TestOneDistanceMatrixPerIteration:
     @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
     @pytest.mark.parametrize("config", ["median", "fixed", "imq"])
     def test_counts(self, monkeypatch, estimator, config):
-        calls = {"pooled": 0, "pairwise": 0}
+        calls = {"blocks": 0, "pairwise": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -231,12 +231,13 @@ class TestOneDistanceMatrixPerIteration:
 
             return wrapper
 
-        monkeypatch.setattr("ksivi.train.pooled_sq_dists", counted("pooled", kernels.pooled_sq_dists))
-        monkeypatch.setattr("ksivi.estimators.pooled_sq_dists", counted("pooled", kernels.pooled_sq_dists))
+        monkeypatch.setattr("ksivi.train.sq_blocks", counted("blocks", kernels.sq_blocks))
+        monkeypatch.setattr("ksivi.estimators.sq_blocks", counted("blocks", kernels.sq_blocks))
         monkeypatch.setattr("ksivi.kernels.pairwise_sq_dists", counted("pairwise", kernels.pairwise_sq_dists))
         target, widths, batch = SHAPES["banana-100"]
         config = TrainConfig(
             iterations=15, batch_size=batch, learning_rate=1e-2, estimator=estimator, seed=3, **CONFIGS[config]
         )
         train(config, target, siv_init(NetArch(widths), seed=4))
-        assert calls == {"pooled": 15, "pairwise": 0}
+        # one set of blocks per iteration, and no distances outside it
+        assert calls == {"blocks": 15, "pairwise": 3 * 15}
