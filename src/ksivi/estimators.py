@@ -3,10 +3,13 @@
 The population objective pairs two independent draws (x, z), (x', z') of the
 hierarchical family and averages ``k(x, x') <f, f'>`` where
 ``f = s_p(x) - s_cond(x) = s_p(x) + xi/sigma`` is the score residual.
-``value_and_grad`` is the one entry point.  It computes either of two
-unbiased Monte Carlo versions together with its gradient: a two-batch
-estimator averaging over all N^2 cross pairs, and a single-batch U-statistic
-excluding the diagonal.
+``value_and_grad(params, target, kernel, b1, b2=None, ...)`` is the one entry
+point and the one body of two unbiased Monte Carlo versions: given two batches
+it averages over all N^2 cross pairs, and given ``b2=None`` it is the
+U-statistic over the off-diagonal pairs of ``b1`` (Liu, Lee & Jordan 2016).
+They differ only in the pairs summed (the U-statistic zeroes the diagonals of
+its Gram and inner-product matrices) and the normalisation (1/N^2, against
+1/(N(N-1)) with each pair counted twice); the chain rule below is shared.
 
 Gradients are exact derivatives of the Monte Carlo expressions under frozen
 base randomness (z, xi).  For each pair term ``k(x_i, x_j) <f_i, f_j>`` the
@@ -19,13 +22,13 @@ chain rule routes four contributions through the reparameterization
   where ``df/dx`` is the target's Hessian and the explicit sigma dependence
   of ``xi / sigma`` contributes ``-v * xi / sigma`` to the rho gradient.
 
-Rather than looping over pairs, the per-sample upstream vectors are
-aggregated with matrix products first and pulled back once per sample: a
-single batched network backward pass plus one batched Hessian-vector product
-per batch.  The pullback writes a batch's gradient into one fresh flat vector
-through its layer views (``nets.layer_views``): the network's backward pass
-fills the weight and bias views, and the rho gradient fills the tail.  The
-score and the Hessian-vector operator of a batch come from one
+Rather than looping over pairs, one loop over the batches aggregates each
+batch's upstream vectors (v, u) with matrix products, adds the regularizer's
+term, and pulls them back once: a single batched network backward pass plus
+one batched Hessian-vector product per batch, summed into one flat gradient.
+The pullback writes through the layer views (``nets.layer_views``): the
+network's backward pass fills the weight and bias views, and the rho gradient
+fills the tail.  A batch's score and Hessian-vector operator come from one
 ``target.score_and_hvp`` call, so a target that shares work between them
 (logistic regression reuses its logits and sigmoid) does it once per batch.
 A caller may hand over a workspace, one row per batch of at least
@@ -33,48 +36,22 @@ A caller may hand over a workspace, one row per batch of at least
 (see ``targets``), so the caller owns them and the estimator allocates none.
 Each operator is used before ``value_and_grad`` returns, and the rows may be
 reused by the next call.
-The kernel bandwidth is treated as a constant here; dynamic bandwidth
-selection happens in the training loop before the estimator runs.  The
-training loop also hands over the iteration's squared distances
+The kernel bandwidth is a constant here; the training loop resolves it
+before the estimator runs, and hands over the iteration's squared distances
 (``kernels.sq_blocks`` of the batches): XY feeds the two-batch Gram matrix
 and both kernel-gradient sums, the second through a C-ordered copy of its
 transpose, and XX the U-statistic's; without them the estimator builds the
-same blocks itself.  Tempering
-comes in through the target: the training loop passes
-``targets.Tempered(target, beta)``, whose score and Hessian carry the factor
-beta, so the estimator has no temperature of its own.
+same blocks itself.  Tempering comes in through the target
+(``targets.Tempered``), so the estimator has no temperature of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .family import SampleBatch, f_vectors
+from .family import f_vectors
 from .kernels import diag_values, eval_matrix, sq_blocks, weighted_grad1_sum
 from .nets import layer_views, net_vjp_batch_sum
-
-ESTIMATOR_KINDS = ("vanilla", "ustat")
-
-
-def _as_batch_pair(batches, kind):
-    if kind == "vanilla":
-        if not (isinstance(batches, (tuple, list)) and len(batches) == 2):
-            raise ValueError("the two-batch estimator needs a pair of sample batches")
-        return batches[0], batches[1]
-    if kind == "ustat":
-        if isinstance(batches, SampleBatch):
-            return batches, None
-        raise ValueError("the U-statistic estimator needs a single sample batch")
-    raise ValueError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
-
-
-def _regularizer_value(kernel, f_blocks, reg_weight):
-    n_total = sum(f.shape[0] for f in f_blocks)
-    total = 0.0
-    for f in f_blocks:
-        total += float((diag_values(kernel, f.shape[0]) * (f**2).sum(axis=1)).sum())
-    return reg_weight * total / n_total
-
 
 def _residuals(batch, params, target, work=None):
     """Residuals ``f`` at the batch and the operator ``V -> H(x) V`` there."""
@@ -99,56 +76,53 @@ def _pullback(params, batch, f_upstream, x_upstream, hvp):
     return grad
 
 
-def value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0, sq=None, work=None):
+def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None, work=None):
     """Estimate the objective and its exact flat gradient in one pass.
 
-    ``batches``: two equal-size batches (``"vanilla"``) or one (``"ustat"``).
+    ``b1``, ``b2``: two equal-size batches, or ``b2=None`` for the U-statistic on ``b1``.
     ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
     ``sq``: ``sq_blocks`` of the batches' samples, if already computed.
     ``work``: the caller's workspace, one row per batch (see the module docstring).
     """
-    b1, b2 = _as_batch_pair(batches, kind)
+    n = len(b1)
+    if b2 is None and n < 2:
+        raise ValueError("the U-statistic estimator needs at least two samples")
+    if b2 is not None and len(b2) != n:
+        raise ValueError("the two batches must have equal size")
+    batches = (b1,) if b2 is None else (b1, b2)
     if sq is None:
         sq = sq_blocks(b1.x, None if b2 is None else b2.x)
     work = (None, None) if work is None else work
-    f1, hvp1 = _residuals(b1, params, target, work[0])
-    if kind == "vanilla":
-        n = len(b1)
-        if len(b2) != n:
-            raise ValueError("the two batches must have equal size")
-        f2, hvp2 = _residuals(b2, params, target, work[1])
+    f, hvps = zip(*(_residuals(batch, params, target, w) for batch, w in zip(batches, work)))
+    if b2 is None:  # off-diagonal pairs within the one batch, each counted twice
+        gram = eval_matrix(kernel, b1.x, b1.x, sq=sq.xx)
+        np.fill_diagonal(gram, 0.0)
+        inner = f[0] @ f[0].T
+        scale = 1.0 / (n * (n - 1))
+        value = float((gram * inner).sum() * scale)
+        np.fill_diagonal(inner, 0.0)
+        scale, reg_coeff = 2.0 * scale, 2.0 * reg_weight / n
+        sides = [(gram, inner, sq.xx)]
+    else:  # all cross pairs
         gram = eval_matrix(kernel, b1.x, b2.x, sq=sq.xy)
-        inner = f1 @ f2.T
+        inner = f[0] @ f[1].T
         value = float((gram * inner).mean())
-        scale = 1.0 / (n * n)
-        v1 = scale * (gram @ f2)
-        v2 = scale * (gram.T @ f1)
-        u1 = scale * weighted_grad1_sum(kernel, b1.x, b2.x, inner, sq=sq.xy)
+        scale, reg_coeff = 1.0 / (n * n), reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
         # a C-ordered copy: the row sums over a transposed view round differently
-        u2 = scale * weighted_grad1_sum(kernel, b2.x, b1.x, inner.T, sq=np.ascontiguousarray(sq.xy.T))
+        sides = [(gram, inner, sq.xy), (gram.T, inner.T, np.ascontiguousarray(sq.xy.T))]
+    grad, reg_total = None, 0.0
+    # each batch against the other one (the U-statistic: against itself)
+    for batch, other, f_own, f_other, hvp, (gram_b, inner_b, sq_b) in zip(
+        batches, batches[::-1], f, f[::-1], hvps, sides
+    ):
+        v = scale * (gram_b @ f_other)
+        u = scale * weighted_grad1_sum(kernel, batch.x, other.x, inner_b, sq=sq_b)
         if reg_weight > 0.0:
-            value += _regularizer_value(kernel, (f1, f2), reg_weight)
-            coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
-            v1 = v1 + coeff * diag_values(kernel, n)[:, None] * f1
-            v2 = v2 + coeff * diag_values(kernel, n)[:, None] * f2
-        grad = _pullback(params, b1, v1, u1, hvp1)
-        grad += _pullback(params, b2, v2, u2, hvp2)
-        return value, grad
-
-    n = len(b1)
-    if n < 2:
-        raise ValueError("the U-statistic estimator needs at least two samples")
-    gram = eval_matrix(kernel, b1.x, b1.x, sq=sq.xx)
-    inner = f1 @ f1.T
-    np.fill_diagonal(gram, 0.0)
-    off_inner = inner.copy()
-    np.fill_diagonal(off_inner, 0.0)
-    scale = 1.0 / (n * (n - 1))
-    value = float((gram * inner).sum() * scale)
-    v1 = 2.0 * scale * (gram @ f1)
-    u1 = 2.0 * scale * weighted_grad1_sum(kernel, b1.x, b1.x, off_inner, sq=sq.xx)
+            diag = diag_values(kernel, n)
+            reg_total += float((diag * (f_own**2).sum(axis=1)).sum())
+            v += (reg_coeff * diag[:, None]) * f_own
+        part = _pullback(params, batch, v, u, hvp)
+        grad = part if grad is None else np.add(grad, part, out=grad)
     if reg_weight > 0.0:
-        value += _regularizer_value(kernel, (f1,), reg_weight)
-        v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1
-    grad = _pullback(params, b1, v1, u1, hvp1)
+        value += reg_weight * reg_total / (n * len(batches))
     return value, grad

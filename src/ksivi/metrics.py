@@ -162,8 +162,10 @@ def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) ->
 
 
 def corr_pairs(X) -> np.ndarray:
-    """Sample Pearson correlation matrix; requires every coordinate to vary."""
+    """Sample Pearson correlation matrix; requires two or more coordinates, each varying."""
     X = _check_sample_set(X, "X", min_rows=3)
+    if X.shape[1] < 2:
+        raise ValueError(f"needs at least 2 coordinates to correlate, got {X.shape[1]}")
     stds = X.std(axis=0)
     if np.any(stds == 0.0):
         bad = int(np.flatnonzero(stds == 0.0)[0])

@@ -19,6 +19,7 @@ from .family import SIVParams
 from .nets import NetArch
 
 CHECKPOINT_FORMAT = "siv-checkpoint-v1"
+CHECKPOINT_DTYPE = "<f8"
 FLOAT_FMT = "%.17g"
 
 
@@ -75,12 +76,12 @@ def save_checkpoint(path, params: SIVParams) -> None:
     layer, then the log-scales), as little-endian float64 bytes in base64.
     """
     flat = params.flat
-    payload = flat.astype("<f8").tobytes()
+    payload = flat.astype(CHECKPOINT_DTYPE).tobytes()
     doc = {
         "format": CHECKPOINT_FORMAT,
         "widths": list(params.arch.widths),
         "n_params": int(flat.size),
-        "dtype": "<f8",
+        "dtype": CHECKPOINT_DTYPE,
         "flat_base64": base64.b64encode(payload).decode("ascii"),
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -91,10 +92,17 @@ def load_checkpoint(path) -> SIVParams:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ValueError(f"unreadable checkpoint {path}: {err}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a checkpoint is a JSON object, not a {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unknown checkpoint format {doc.get('format')!r}")
+    missing = [key for key in ("widths", "n_params", "dtype", "flat_base64") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: checkpoint field {missing[0]!r} is missing")
+    if doc["dtype"] != CHECKPOINT_DTYPE:
+        raise ValueError(f"{path}: checkpoint dtype {doc['dtype']!r} is not {CHECKPOINT_DTYPE!r}")
     arch = NetArch(tuple(doc["widths"]))
-    flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), dtype=CHECKPOINT_DTYPE).astype(np.float64)
     if flat.size != doc["n_params"]:
         raise ValueError(f"{path}: payload length {flat.size} != header {doc['n_params']}")
     return SIVParams.from_flat(arch, flat)

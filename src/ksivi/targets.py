@@ -451,6 +451,9 @@ class ConditionedDiffusion(TargetModel):
             raise ValueError("observation indices and values must be equal-length vectors")
         if np.any(self.obs_indices < 1) or np.any(self.obs_indices > self.dim):
             raise ValueError(f"observation indices must lie in [1, {self.dim}]")
+        indices, counts = np.unique(self.obs_indices, return_counts=True)
+        if np.any(counts > 1):  # the score adds one observation per index, and logp all of them
+            raise ValueError(f"observation index {indices[counts > 1][0]} repeats")
 
     def _with_origin(self, X):
         return np.concatenate([np.zeros((X.shape[0], 1)), X], axis=1)

@@ -1,11 +1,13 @@
 """Training loop: stochastic gradient descent on the squared discrepancy.
 
-Each iteration draws fresh batches from the current variational family,
-computes their squared distances once (``kernels.sq_blocks``), resolves the
-kernel bandwidth on those samples from the blocks (held constant while
-differentiating), evaluates the configured gradient estimator on the target
-tempered to the current annealing temperature (``targets.Tempered``) with the
-same blocks, and applies an Adam update in place.  The median bandwidth is
+Each iteration draws a fresh batch ``b1`` from the current variational
+family, and a second one ``b2`` for the two-batch estimator (``"vanilla"``;
+the U-statistic, ``"ustat"``, has ``b2 = None``; no other module reads the
+name).  It computes their squared distances once (``kernels.sq_blocks``),
+resolves the kernel bandwidth on those samples from the blocks (held constant
+while differentiating), calls ``estimators.value_and_grad`` on ``b1, b2`` and
+the target tempered to the current annealing temperature
+(``targets.Tempered``) with the same blocks, and applies an Adam update.  The median bandwidth is
 ``np.median`` of the square roots of the pooled samples' pair distances (see
 ``kernels``); samples that are not finite give a NaN bandwidth, and so a
 non-finite loss.  Adam updates the parameter buffer (``SIVParams.flat``) in
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import ESTIMATOR_KINDS, value_and_grad
+from .estimators import value_and_grad
 from .family import SIVParams, siv_sample_batch
 from .kernels import KernelSpec, SqBlocks, bandwidth_from_rule, sq_blocks
 from .nets import net_jacobian_frobenius
@@ -33,6 +35,7 @@ from .optim import AdamState, adam_step
 from .targets import Tempered
 
 BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")
+ESTIMATOR_KINDS = ("vanilla", "ustat")  # two batches, or the U-statistic on one
 
 
 @dataclass(frozen=True)
@@ -139,23 +142,18 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     params = init.copy()  # its buffer is the one Adam steps
     adam = AdamState.init(params.flat.size)
     trace = LossTrace()
-    n_batches = 2 if config.estimator == "vanilla" else 1
-    work = np.empty((n_batches, target.work_size(config.batch_size)))  # one block for the run
+    two_batch = config.estimator == "vanilla"
+    work = np.empty((1 + two_batch, target.work_size(config.batch_size)))  # one block for the run
     started = time.perf_counter()
 
     for t in range(config.iterations):
         beta = anneal_beta(t, config.anneal_start, config.anneal_iterations)
         b1 = siv_sample_batch(params, config.batch_size, rng)
-        if config.estimator == "vanilla":
-            b2 = siv_sample_batch(params, config.batch_size, rng)
-            batches, y = (b1, b2), b2.x
-        else:
-            batches, y = b1, None
+        b2 = siv_sample_batch(params, config.batch_size, rng) if two_batch else None
+        y = None if b2 is None else b2.x
         sq = sq_blocks(b1.x, y)
         kernel = resolve_kernel(config, b1.x, y, sq)
-        value, grad = value_and_grad(
-            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight, sq=sq, work=work
-        )
+        value, grad = value_and_grad(params, Tempered(target, beta), kernel, b1, b2, config.reg_weight, sq, work)
         if not np.isfinite(value):
             raise TrainingDivergence(t, params.copy(), f"loss estimate is {value}")
         if not np.all(np.isfinite(grad)):

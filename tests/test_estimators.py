@@ -21,9 +21,9 @@ from helpers import central_difference_gradient, gauss_hermite_expectation_2d, r
 RBF = KernelSpec("rbf", bandwidth=1.0)
 
 
-def ksd2(params, target, kernel, batches, kind, reg_weight=0.0):
+def ksd2(params, target, kernel, b1, b2=None, reg_weight=0.0):
     """The objective's value alone."""
-    return value_and_grad(params, target, kernel, batches, kind, reg_weight)[0]
+    return value_and_grad(params, target, kernel, b1, b2, reg_weight)[0]
 
 
 def rbf_pair(x, y):
@@ -31,14 +31,16 @@ def rbf_pair(x, y):
     return float(eval_matrix(RBF, x[None, :], y[None, :])[0, 0])
 
 
-def frozen_value_fn(arch, target, kernel, z_blocks, xi_blocks, kind, reg_weight=0.0):
-    """Objective as a function of the flat parameter under frozen (z, xi)."""
+def frozen_value_fn(arch, target, kernel, z_blocks, xi_blocks, reg_weight=0.0):
+    """Objective as a function of the flat parameter under frozen (z, xi).
+
+    Two blocks give the two-batch estimator, one the U-statistic.
+    """
 
     def value(flat):
         p = SIVParams.from_flat(arch, flat)
         batches = [reparameterize(p, z, xi) for z, xi in zip(z_blocks, xi_blocks)]
-        arg = tuple(batches) if kind == "vanilla" else batches[0]
-        return ksd2(p, target, kernel, arg, kind, reg_weight)
+        return ksd2(p, target, kernel, *batches, reg_weight=reg_weight)
 
     return value
 
@@ -70,10 +72,9 @@ class TestGradientExactness:
         zs, xis = draw_blocks(params, 6, n_blocks, seed=1)
         batches = [reparameterize(params, z, xi) for z, xi in zip(zs, xis)]
 
-        arg = tuple(batches) if kind == "vanilla" else batches[0]
-        _, analytic = value_and_grad(params, target, kernel, arg, kind)
+        _, analytic = value_and_grad(params, target, kernel, *batches)
 
-        value = frozen_value_fn(arch, target, kernel, zs, xis, kind)
+        value = frozen_value_fn(arch, target, kernel, zs, xis)
         fd = central_difference_gradient(value, params.to_flat(), step=1e-4)
         floor = 1e-6 * max(1.0, np.abs(analytic).max())
         assert relative_error(analytic, fd, floor=floor).max() < 1e-4
@@ -85,8 +86,8 @@ class TestGradientExactness:
         target = Tempered(Banana(), beta)
         zs, xis = draw_blocks(params, 5, 2, seed=3)
         batches = [reparameterize(params, z, xi) for z, xi in zip(zs, xis)]
-        _, analytic = value_and_grad(params, target, RBF, tuple(batches), "vanilla")
-        value = frozen_value_fn(arch, target, RBF, zs, xis, "vanilla")
+        _, analytic = value_and_grad(params, target, RBF, *batches)
+        value = frozen_value_fn(arch, target, RBF, zs, xis)
         fd = central_difference_gradient(value, params.to_flat(), step=1e-4)
         floor = 1e-6 * max(1.0, np.abs(analytic).max())
         assert relative_error(analytic, fd, floor=floor).max() < 1e-4
@@ -100,9 +101,8 @@ class TestGradientExactness:
         zs, xis = draw_blocks(params, 5, n_blocks, seed=5)
         batches = [reparameterize(params, z, xi) for z, xi in zip(zs, xis)]
         lam = 0.3
-        arg = tuple(batches) if kind == "vanilla" else batches[0]
-        _, analytic = value_and_grad(params, target, RBF, arg, kind, reg_weight=lam)
-        value = frozen_value_fn(arch, target, RBF, zs, xis, kind, reg_weight=lam)
+        _, analytic = value_and_grad(params, target, RBF, *batches, reg_weight=lam)
+        value = frozen_value_fn(arch, target, RBF, zs, xis, reg_weight=lam)
         fd = central_difference_gradient(value, params.to_flat(), step=1e-4)
         floor = 1e-6 * max(1.0, np.abs(analytic).max())
         assert relative_error(analytic, fd, floor=floor).max() < 1e-4
@@ -117,7 +117,7 @@ class TestStationarity:
         rng = np.random.default_rng(6)
         b1 = siv_sample_batch(params, 64, rng)
         b2 = siv_sample_batch(params, 64, rng)
-        value, grad = value_and_grad(params, target, RBF, (b1, b2), "vanilla")
+        value, grad = value_and_grad(params, target, RBF, b1, b2)
         assert abs(value) <= 1e-8
         n_net = params.arch.n_params
         assert np.linalg.norm(grad[:n_net]) <= 1e-7
@@ -129,7 +129,7 @@ class TestStationarity:
         params = match_params(mean, rho)
         target = diagonal_gaussian(mean, np.ones(2))
         batch = siv_sample_batch(params, 64, np.random.default_rng(7))
-        value, grad = value_and_grad(params, target, RBF, batch, "ustat")
+        value, grad = value_and_grad(params, target, RBF, batch)
         assert abs(value) <= 1e-8
         assert np.linalg.norm(grad) <= 1e-7
 
@@ -141,7 +141,7 @@ class TestValueEstimates:
         batch = siv_sample_batch(params, 2, np.random.default_rng(8))
         f = f_vectors(batch, params, target)
         expect = rbf_pair(batch.x[0], batch.x[1]) * float(f[0] @ f[1])
-        assert np.isclose(ksd2(params, target, RBF, batch, "ustat"), expect, rtol=1e-12)
+        assert np.isclose(ksd2(params, target, RBF, batch), expect, rtol=1e-12)
 
     def test_vanilla_matches_direct_double_sum(self):
         params = siv_init(NetArch((3, 6, 2)), seed=9, rho_init=0.0)
@@ -158,7 +158,7 @@ class TestValueEstimates:
                 for j in range(4)
             ]
         )
-        assert np.isclose(ksd2(params, target, RBF, (b1, b2), "vanilla"), direct, rtol=1e-12)
+        assert np.isclose(ksd2(params, target, RBF, b1, b2), direct, rtol=1e-12)
 
     def test_quadrature_oracle_1d(self):
         # degenerate family: constant mean 0.5, fixed scale 0.8, standard
@@ -179,7 +179,7 @@ class TestValueEstimates:
 
         n = 4000
         batch = siv_sample_batch(params, n, np.random.default_rng(10))
-        estimate = ksd2(params, target, RBF, batch, "ustat")
+        estimate = ksd2(params, target, RBF, batch)
 
         # asymptotic U-statistic standard error from the projection variance
         f = f_vectors(batch, params, target)
@@ -198,8 +198,8 @@ class TestValueEstimates:
         for _ in range(n_seeds):
             b1 = siv_sample_batch(params, n, rng)
             b2 = siv_sample_batch(params, n, rng)
-            vals_v.append(ksd2(params, target, RBF, (b1, b2), "vanilla"))
-            vals_u.append(ksd2(params, target, RBF, b1, "ustat"))
+            vals_v.append(ksd2(params, target, RBF, b1, b2))
+            vals_u.append(ksd2(params, target, RBF, b1))
         vals_v = np.asarray(vals_v)
         vals_u = np.asarray(vals_u)
         se = np.sqrt(vals_v.var() / n_seeds + vals_u.var() / n_seeds)
@@ -212,7 +212,7 @@ class TestValueEstimates:
         vals = []
         for _ in range(500):
             batch = siv_sample_batch(params, 8, rng)
-            vals.append(ksd2(params, target, RBF, batch, "ustat"))
+            vals.append(ksd2(params, target, RBF, batch))
         vals = np.asarray(vals)
         assert vals.mean() >= -3.0 * vals.std() / np.sqrt(vals.size)
 
@@ -223,7 +223,7 @@ class TestValueEstimates:
 
         def variance(n, n_seeds=400):
             vals = [
-                ksd2(params, target, RBF, siv_sample_batch(params, n, rng), "ustat")
+                ksd2(params, target, RBF, siv_sample_batch(params, n, rng))
                 for _ in range(n_seeds)
             ]
             return np.var(vals)
@@ -243,31 +243,26 @@ class TestGradientAgreement:
         for s in range(n_seeds):
             b1 = siv_sample_batch(params, n, rng)
             b2 = siv_sample_batch(params, n, rng)
-            grads_v[s] = value_and_grad(params, target, RBF, (b1, b2), "vanilla")[1]
-            grads_u[s] = value_and_grad(params, target, RBF, b1, "ustat")[1]
+            grads_v[s] = value_and_grad(params, target, RBF, b1, b2)[1]
+            grads_u[s] = value_and_grad(params, target, RBF, b1)[1]
         se = np.sqrt(grads_v.var(axis=0) / n_seeds + grads_u.var(axis=0) / n_seeds)
         gap = np.abs(grads_v.mean(axis=0) - grads_u.mean(axis=0))
         assert np.all(gap <= 4.0 * se + 1e-12)
 
 
 class TestArgumentValidation:
-    def test_vanilla_needs_two_batches(self):
+    def test_batches_of_unequal_size(self):
         params = siv_init(NetArch((3, 4, 2)), seed=15)
-        batch = siv_sample_batch(params, 4, np.random.default_rng(15))
-        with pytest.raises(ValueError):
-            value_and_grad(params, Banana(), RBF, batch, "vanilla")
+        rng = np.random.default_rng(15)
+        b1, b2 = siv_sample_batch(params, 4, rng), siv_sample_batch(params, 5, rng)
+        with pytest.raises(ValueError, match="equal size"):
+            value_and_grad(params, Banana(), RBF, b1, b2)
 
     def test_ustat_needs_two_samples(self):
         params = siv_init(NetArch((3, 4, 2)), seed=16)
         batch = siv_sample_batch(params, 1, np.random.default_rng(16))
-        with pytest.raises(ValueError):
-            value_and_grad(params, Banana(), RBF, batch, "ustat")
-
-    def test_unknown_kind(self):
-        params = siv_init(NetArch((3, 4, 2)), seed=17)
-        batch = siv_sample_batch(params, 4, np.random.default_rng(17))
-        with pytest.raises(ValueError):
-            value_and_grad(params, Banana(), RBF, batch, "bogus")
+        with pytest.raises(ValueError, match="at least two samples"):
+            value_and_grad(params, Banana(), RBF, batch)
 
 
 class SeparateScoreAndHvp(LogisticRegression):
@@ -301,7 +296,7 @@ class TestSharedTargetPass:
         params = siv_init(NetArch((4, 16, 22)), seed=3, rho_init=-1.0)
         rng = np.random.default_rng(4)
         batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
-        arg = batches if kind == "vanilla" else batches[0]
+        arg = batches if kind == "vanilla" else batches[:1]
         logits_calls = []
 
         def counted_logits(B, out=None):
@@ -309,8 +304,8 @@ class TestSharedTargetPass:
             return LogisticRegression._logits(shared, B, out)
 
         shared._logits = counted_logits
-        value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, arg, kind, reg_weight=0.2)
-        ref_value, ref_grad = value_and_grad(params, Tempered(separate, 0.7), RBF, arg, kind, reg_weight=0.2)
+        value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, *arg, reg_weight=0.2)
+        ref_value, ref_grad = value_and_grad(params, Tempered(separate, 0.7), RBF, *arg, reg_weight=0.2)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
         assert logits_calls == [12] * (2 if kind == "vanilla" else 1)  # one pass per batch
@@ -322,7 +317,7 @@ class TestSharedTargetPass:
         params = siv_init(NetArch((3, 8, 2)), seed=5, rho_init=-0.5)
         rng = np.random.default_rng(6)
         batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
-        arg = batches if kind == "vanilla" else batches[0]
+        arg = batches if kind == "vanilla" else batches[:1]
         calls = []
 
         def counted(X):
@@ -330,8 +325,8 @@ class TestSharedTargetPass:
             return GaussianMixture._responsibilities(shared, X)
 
         shared._responsibilities = counted
-        value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, arg, kind, reg_weight=0.2)
-        ref_value, ref_grad = value_and_grad(params, Tempered(separate, 0.7), RBF, arg, kind, reg_weight=0.2)
+        value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, *arg, reg_weight=0.2)
+        ref_value, ref_grad = value_and_grad(params, Tempered(separate, 0.7), RBF, *arg, reg_weight=0.2)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
         assert calls == [12] * (2 if kind == "vanilla" else 1)  # one pass per batch
@@ -354,11 +349,11 @@ class TestWorkspace:
         params = siv_init(NetArch((4, 16, target.dim)), seed=9, rho_init=-1.0)
         rng = np.random.default_rng(10)
         batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
-        arg = batches if kind == "vanilla" else batches[0]
-        ref_value, ref_grad = value_and_grad(params, target, RBF, arg, kind, reg_weight)
+        arg = batches if kind == "vanilla" else batches[:1]
+        ref_value, ref_grad = value_and_grad(params, target, RBF, *arg, reg_weight=reg_weight)
         # stale contents, and a second call reusing the rows, change nothing
         work = np.full((2 if kind == "vanilla" else 1, target.work_size(12)), np.nan)
         for _ in range(2):
-            value, grad = value_and_grad(params, target, RBF, arg, kind, reg_weight, work=work)
+            value, grad = value_and_grad(params, target, RBF, *arg, reg_weight=reg_weight, work=work)
             assert value == ref_value
             assert np.array_equal(grad, ref_grad)

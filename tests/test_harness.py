@@ -301,6 +301,18 @@ class TestRunIO:
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="checkpoint.json: a checkpoint is a JSON object, not a list"):
+            load_checkpoint(path)
+        save_checkpoint(path, siv_init(NetArch((3, 4, 2)), seed=1))
+        good = json.loads(path.read_text())
+        for field in ("widths", "n_params", "dtype", "flat_base64"):
+            path.write_text(json.dumps({key: value for key, value in good.items() if key != field}))
+            with pytest.raises(ValueError, match=f"checkpoint.json: checkpoint field '{field}' is missing"):
+                load_checkpoint(path)
+        path.write_text(json.dumps({**good, "dtype": "<f4"}))
+        with pytest.raises(ValueError, match="checkpoint.json: checkpoint dtype '<f4' is not '<f8'"):
+            load_checkpoint(path)
 
     def test_trace_csv(self, tmp_path):
         trace = LossTrace()
@@ -446,6 +458,11 @@ class TestCLI:
         assert "target.obs_path" in err and "o.csv" in err
         assert err.rstrip().endswith("at row 2")  # numpy's advice on usecols is dropped
 
+    def test_cd_repeated_observation_index_exits_2(self, tmp_path, capsys):
+        config_path = self.cd_config(tmp_path, "index,value\n5,0.25\n10,0.5\n5,-0.25\n")
+        assert main(["train", str(config_path), "--out", str(tmp_path / "out"), "--data-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: target.obs_path: observation index 5 repeats\n"
+
     def test_cd_observation_blank_line_skipped(self, tmp_path, capsys):
         config = ExperimentConfig.from_flat(load_config_file(self.cd_config(tmp_path, "index,value\n5,0.25\n\n10,-0.5\n")))
         target = build_target(config, tmp_path)
@@ -566,6 +583,16 @@ class TestCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_evaluate_one_coordinate_refuses_corr(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_samples_csv(a_path, rng.standard_normal((50, 1)))
+        write_samples_csv(b_path, rng.standard_normal((50, 1)))
+        assert main(["evaluate", str(a_path), str(b_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {a_path}, {b_path}: corr: needs at least 2 coordinates to correlate, got 1\n"
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "sliced_wd,kl_knn,mmd2"]) == 0
+
     def test_evaluate_dimension_mismatch(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         write_samples_csv(a_path, np.zeros((10, 2)))
@@ -580,6 +607,23 @@ class TestCLI:
         record = json.loads(capsys.readouterr().out)
         # zero network: only final bias rows contribute, norm sqrt(2)
         assert np.isclose(record["mean_jacobian_norm"], np.sqrt(2.0))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "a checkpoint is a JSON object, not a list"),
+            (lambda doc: {key: value for key, value in doc.items() if key != "flat_base64"}, "'flat_base64' is missing"),
+            (lambda doc: {**doc, "dtype": ">f8"}, "checkpoint dtype '>f8'"),
+        ],
+        ids=["list", "no-payload", "dtype"],
+    )
+    def test_diagnose_malformed_checkpoint_exits_2(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, siv_init(NetArch((3, 8, 2)), seed=3))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["diagnose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err and "Traceback" not in err
 
     def test_diagnose_deterministic(self, tmp_path, capsys):
         params = siv_init(NetArch((3, 8, 2)), seed=3)

@@ -417,6 +417,9 @@ class TestConditionedDiffusion:
             ConditionedDiffusion([0], [1.0])
         with pytest.raises(ValueError, match="indices"):
             ConditionedDiffusion([101], [1.0])
+        # the score would add one of two observations of a state, while logp sums both
+        with pytest.raises(ValueError, match="^observation index 2 repeats$"):
+            ConditionedDiffusion([2, 5, 2], [0.3, 0.1, -0.4])
 
 
 class TestTempered:

@@ -168,8 +168,8 @@ class TestTrainLoop:
         b1 = siv_sample_batch(init, config.batch_size, rng)
         b2 = siv_sample_batch(init, config.batch_size, rng)
         kernel = resolve_kernel(config, np.concatenate([b1.x, b2.x]))
-        tempered, _ = value_and_grad(init, Tempered(Banana(), 0.3), kernel, (b1, b2), "vanilla")
-        untempered, _ = value_and_grad(init, Banana(), kernel, (b1, b2), "vanilla")
+        tempered, _ = value_and_grad(init, Tempered(Banana(), 0.3), kernel, b1, b2)
+        untempered, _ = value_and_grad(init, Banana(), kernel, b1, b2)
         assert trace.beta_temp == [0.3]
         assert trace.ksd2 == [tempered]
         assert tempered != untempered

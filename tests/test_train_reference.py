@@ -5,7 +5,8 @@ per iteration and updated Adam in place: the median bandwidth written
 directly in numpy, the estimator computing its distances once per kernel
 call, and a functional Adam step.  Each is copied unchanged apart from its
 name, except the median, which takes the square roots of the expansion's
-values with each pair of batches its own product.
+values with each pair of batches its own product.  The estimator keeps its
+own batch-pair check and regularizer value, which ``estimators`` no longer has.
 """
 
 import time
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from ksivi import kernels
-from ksivi.estimators import _as_batch_pair, _pullback, _regularizer_value, _residuals
-from ksivi.family import SIVParams, siv_init, siv_sample_batch
+from ksivi.estimators import _pullback, _residuals
+from ksivi.family import SampleBatch, SIVParams, siv_init, siv_sample_batch
 from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec, diag_values, eval_matrix, weighted_grad1_sum
 from ksivi.nets import NetArch
 from ksivi.optim import AdamState, clip_gradient
@@ -57,6 +58,29 @@ def reference_resolve_kernel(config: TrainConfig, batches) -> KernelSpec:
     if spec.family != "rbf" or config.bandwidth_rule == "fixed":
         return spec
     return spec.with_bandwidth(reference_bandwidth_from_rule(config.bandwidth_rule, batches))
+
+
+ESTIMATOR_KINDS = ("vanilla", "ustat")
+
+
+def _as_batch_pair(batches, kind):
+    if kind == "vanilla":
+        if not (isinstance(batches, (tuple, list)) and len(batches) == 2):
+            raise ValueError("the two-batch estimator needs a pair of sample batches")
+        return batches[0], batches[1]
+    if kind == "ustat":
+        if isinstance(batches, SampleBatch):
+            return batches, None
+        raise ValueError("the U-statistic estimator needs a single sample batch")
+    raise ValueError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
+
+
+def _regularizer_value(kernel, f_blocks, reg_weight):
+    n_total = sum(f.shape[0] for f in f_blocks)
+    total = 0.0
+    for f in f_blocks:
+        total += float((diag_values(kernel, f.shape[0]) * (f**2).sum(axis=1)).sum())
+    return reg_weight * total / n_total
 
 
 def reference_value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0):
