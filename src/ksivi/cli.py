@@ -23,7 +23,7 @@ EVALUATE_METRICS = ("sliced_wd", "kl_knn", "mmd2", "corr")
 
 
 def _pin_threads(n: int) -> None:
-    if n and n > 0:
+    if n:  # 0 leaves the BLAS default; the flag and run.threads refuse a negative count
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(n)
 
@@ -266,12 +266,16 @@ def cmd_list_presets(_args) -> int:
     return 0
 
 
-def count(text: str) -> int:
-    """An argparse type: an integer of at least 1, so a bad flag exits 2 with its name."""
+def count(text: str, minimum: int = 1) -> int:
+    """An argparse type: an integer of at least ``minimum``, so a bad flag exits 2 with its name."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def nonnegative(text: str) -> int:
+    return count(text, minimum=0)
 
 
 def _add_run_arguments(parser):
@@ -280,7 +284,7 @@ def _add_run_arguments(parser):
     parser.add_argument("--out", help="output directory (default runs/<experiment>)")
     parser.add_argument("--data-dir", help="directory for data files (default: output dir)")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--threads", type=int, help="pin BLAS thread count")
+    parser.add_argument("--threads", type=nonnegative, help="pin BLAS thread count (0 leaves the BLAS default)")
 
 
 def build_parser() -> argparse.ArgumentParser:

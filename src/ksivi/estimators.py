@@ -29,8 +29,7 @@ one batched Hessian-vector product per batch, summed into one flat gradient.
 The pullback writes through the layer views (``nets.layer_views``): the
 network's backward pass fills the weight and bias views, and the rho gradient
 fills the tail.  A batch's score and Hessian-vector operator come from one
-``target.score_and_hvp`` call, so a target that shares work between them
-(logistic regression reuses its logits and sigmoid) does it once per batch.
+``target.score_and_hvp`` call: one pass of the target over the batch.
 A caller may hand over a workspace, one row per batch of at least
 ``target.work_size(n)`` values; batch i's target arrays then live in row i
 (see ``targets``), so the caller owns them and the estimator allocates none.

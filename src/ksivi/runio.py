@@ -101,11 +101,26 @@ def load_checkpoint(path) -> SIVParams:
         raise ValueError(f"{path}: checkpoint field {missing[0]!r} is missing")
     if doc["dtype"] != CHECKPOINT_DTYPE:
         raise ValueError(f"{path}: checkpoint dtype {doc['dtype']!r} is not {CHECKPOINT_DTYPE!r}")
-    arch = NetArch(tuple(doc["widths"]))
-    flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), dtype=CHECKPOINT_DTYPE).astype(np.float64)
-    if flat.size != doc["n_params"]:
-        raise ValueError(f"{path}: payload length {flat.size} != header {doc['n_params']}")
-    return SIVParams.from_flat(arch, flat)
+    widths, n_params, payload = doc["widths"], doc["n_params"], doc["flat_base64"]
+
+    def bad(field, problem):
+        return ValueError(f"{path}: checkpoint field {field!r} {problem}")
+
+    # json gives int for an integer and bool for true and false
+    if type(widths) is not list or any(type(w) is not int for w in widths):
+        raise bad("widths", f"is {widths!r}, not a list of integers")
+    if type(n_params) is not int:
+        raise bad("n_params", f"is {n_params!r}, not an integer")
+    try:  # a payload that is not a string, is not base64, or is not whole float64 values
+        flat = np.frombuffer(base64.b64decode(payload, validate=True), dtype=CHECKPOINT_DTYPE).astype(np.float64)
+    except (TypeError, ValueError) as err:
+        raise bad("flat_base64", f"does not decode: {err}") from None
+    if flat.size != n_params:
+        raise bad("n_params", f"is {n_params}, but the payload holds {flat.size} values")
+    try:  # too few widths, one below 1, or a parameter count that is not the payload's
+        return SIVParams.from_flat(NetArch(tuple(widths)), flat)
+    except ValueError as err:
+        raise bad("widths", f"is {widths}: {err}") from None
 
 
 def build_identifier() -> str:

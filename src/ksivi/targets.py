@@ -6,13 +6,11 @@ over a leading batch axis.  Normalizing constants are dropped throughout;
 only score, Hessian-vector products, and log-density differences are ever
 consumed downstream.
 
-The discrepancy estimators need the score and Hessian-vector products at the
-same batch, so ``score_and_hvp`` returns the score together with an operator
-``V -> H(x) V`` bound to those points.  Logistic regression overrides it: one
-logits product and one sigmoid serve both.  The Gaussian mixture overrides it
-too: one pass of responsibilities, component pulls and score serves both.
-Logistic regression's plain ``score`` keeps no sigmoid for an operator, so it
-runs logits, sigmoid and residual in one (rows, n) buffer.
+Each target's derivatives have one body, ``_score_and_hvp``: one pass over a
+batch gives the score and the operator ``V -> H(x) V`` at those points, so
+the work they share is done once per batch.  ``score``, ``score_and_hvp``
+and ``hvp`` run it; logistic regression and the conditioned diffusion keep a
+leaner ``_score`` for the Langevin samplers, which need the score alone.
 
 Buffers: targets are stateless and never write their inputs; the Langevin
 samplers pass their reused state buffers straight in.  The large passes (the
@@ -50,13 +48,12 @@ def _as_batch(x, dim):
 class TargetModel:
     """Interface: unnormalized log-density with analytic derivatives.
 
-    Subclasses implement ``_logp``, ``_score``, ``_hvp`` on (n, d) batches;
-    the public methods take (n, d) batches only (a point is a batch of one)
-    and return ``(n,)`` log-densities or ``(n, d)`` vectors.
-    ``score_and_hvp`` gives the score and a Hessian-vector operator at one
-    batch, with its arrays in ``work`` if given (see the module docstring);
-    ``work_size`` is how many values of ``work`` it uses.  ``sample_exact``
-    is optional.
+    Subclasses implement ``_logp`` and ``_score_and_hvp`` on (n, d) batches
+    and may keep a leaner ``_score``.  The public methods take (n, d) batches
+    only (a point is a batch of one) and return ``(n,)`` log-densities or
+    ``(n, d)`` vectors; ``score_and_hvp`` keeps its arrays in ``work`` if
+    given (see the module docstring), and ``work_size`` is how many values
+    of ``work`` it uses.  ``sample_exact`` is optional.
     """
 
     dim: int
@@ -67,22 +64,16 @@ class TargetModel:
     def score(self, x):
         return self._score(_as_batch(x, self.dim))
 
+    def score_and_hvp(self, x, work=None):
+        """Score at a batch and the operator ``V -> H(x) V`` at the same points."""
+        return self._score_and_hvp(_as_batch(x, self.dim), work)
+
     def hvp(self, x, v):
         X = _as_batch(x, self.dim)
         V = _as_batch(v, self.dim)
         if X.shape[0] != V.shape[0]:
             raise ValueError("batch sizes of points and directions differ")
-        return self._hvp(X, V)
-
-    def score_and_hvp(self, x, work=None):
-        """Score at a batch and the operator ``V -> H(x) V`` at the same points.
-
-        Targets whose score and Hessian share work override this so that the
-        work is done once per batch.  This one allocates what it needs and
-        ignores ``work``.
-        """
-        X = _as_batch(x, self.dim)
-        return self.score(X), lambda V: self.hvp(X, V)
+        return self._score_and_hvp(X)[1](V)
 
     def work_size(self, n: int) -> int:
         """Values of ``work`` that ``score_and_hvp`` uses at a batch of ``n`` points."""
@@ -95,9 +86,9 @@ class TargetModel:
         raise NotImplementedError
 
     def _score(self, X):
-        raise NotImplementedError
+        return self._score_and_hvp(X)[0]
 
-    def _hvp(self, X, V):
+    def _score_and_hvp(self, X, work=None):
         raise NotImplementedError
 
 
@@ -144,34 +135,21 @@ class GaussianMixture(TargetModel):
         r /= r.sum(axis=1, keepdims=True)
         return r
 
-    def _pulls(self, X):
-        # component scores prec_m (mu_m - x), shape (m, n, d)
-        return np.stack([(self.means[m] - X) @ self._precs[m] for m in range(self.weights.size)])
-
-    def _score_parts(self, X):
-        """Responsibilities, component pulls and the score at a batch."""
+    def _score_and_hvp(self, X, work=None):
         r = self._responsibilities(X)
-        pulls = self._pulls(X)
-        return r, pulls, np.einsum("nm,mnd->nd", r, pulls)
+        # component scores prec_m (mu_m - x), shape (m, n, d)
+        pulls = np.stack([(self.means[m] - X) @ self._precs[m] for m in range(self.weights.size)])
+        score = np.einsum("nm,mnd->nd", r, pulls)
 
-    def _score(self, X):
-        return self._score_parts(X)[2]
+        def hvp(V):
+            out = np.zeros_like(V)
+            for m in range(self.weights.size):
+                av = (pulls[m] * V).sum(axis=1)
+                out += r[:, m : m + 1] * (pulls[m] * av[:, None] - V @ self._precs[m])
+            sv = (score * V).sum(axis=1)
+            return out - score * sv[:, None]
 
-    def score_and_hvp(self, x, work=None):
-        X = _as_batch(x, self.dim)
-        r, pulls, score = self._score_parts(X)
-        return score, lambda V: self._hvp_from(r, pulls, score, V)
-
-    def _hvp(self, X, V):
-        return self._hvp_from(*self._score_parts(X), V)
-
-    def _hvp_from(self, r, pulls, score, V):
-        out = np.zeros_like(V)
-        for m in range(self.weights.size):
-            av = (pulls[m] * V).sum(axis=1)
-            out += r[:, m : m + 1] * (pulls[m] * av[:, None] - V @ self._precs[m])
-        sv = (score * V).sum(axis=1)
-        return out - score * sv[:, None]
+        return score, hvp
 
     def sample_exact(self, n, rng):
         comp = rng.choice(self.weights.size, size=n, p=self.weights)
@@ -216,27 +194,25 @@ class Banana(TargetModel):
         self._chol = np.linalg.cholesky(self.cov)
 
     def _pullback(self, X):
-        v = np.stack([X[:, 0], X[:, 1] - X[:, 0] ** 2 - 1.0], axis=1)
-        grad_v = -(v @ self._prec)
-        return v, grad_v
+        return np.stack([X[:, 0], X[:, 1] - X[:, 0] ** 2 - 1.0], axis=1)  # v(x)
 
     def _logp(self, X):
-        v, _ = self._pullback(X)
+        v = self._pullback(X)
         return -0.5 * np.einsum("ni,ij,nj->n", v, self._prec, v)
 
-    def _score(self, X):
-        _, gv = self._pullback(X)
-        return np.stack([gv[:, 0] - 2.0 * X[:, 0] * gv[:, 1], gv[:, 1]], axis=1)
-
-    def _hvp(self, X, V):
-        _, gv = self._pullback(X)
+    def _score_and_hvp(self, X, work=None):
+        gv = -(self._pullback(X) @ self._prec)
         x1 = X[:, 0]
-        # J v with J = [[1, 0], [-2 x1, 1]]
-        t = np.stack([V[:, 0], -2.0 * x1 * V[:, 0] + V[:, 1]], axis=1)
-        u = -(t @ self._prec)
-        out = np.stack([u[:, 0] - 2.0 * x1 * u[:, 1], u[:, 1]], axis=1)
-        out[:, 0] += -2.0 * gv[:, 1] * V[:, 0]
-        return out
+
+        def hvp(V):
+            # J v with J = [[1, 0], [-2 x1, 1]]
+            t = np.stack([V[:, 0], -2.0 * x1 * V[:, 0] + V[:, 1]], axis=1)
+            u = -(t @ self._prec)
+            out = np.stack([u[:, 0] - 2.0 * x1 * u[:, 1], u[:, 1]], axis=1)
+            out[:, 0] += -2.0 * gv[:, 1] * V[:, 0]
+            return out
+
+        return np.stack([gv[:, 0] - 2.0 * x1 * gv[:, 1], gv[:, 1]], axis=1), hvp
 
     def sample_exact(self, n, rng):
         v = rng.standard_normal((n, 2)) @ self._chol.T
@@ -256,13 +232,13 @@ class StudentTProduct(TargetModel):
     def _logp(self, X):
         return (-(self.nu + 1.0) / 2.0 * np.log1p(X**2 / (self.nu * self.width**2))).sum(axis=1)
 
-    def _score(self, X):
-        return -(self.nu + 1.0) * X / (self.nu * self.width**2 + X**2)
-
-    def _hvp(self, X, V):
+    def _score_and_hvp(self, X, work=None):
         denom = self.nu * self.width**2 + X**2
-        diag = -(self.nu + 1.0) * (self.nu * self.width**2 - X**2) / denom**2
-        return diag * V
+
+        def hvp(V):  # the Hessian is diagonal
+            return -(self.nu + 1.0) * (self.nu * self.width**2 - X**2) / denom**2 * V
+
+        return -(self.nu + 1.0) * X / denom, hvp
 
     def sample_exact(self, n, rng):
         return rng.standard_t(self.nu, size=(n, self.dim)) * self.width
@@ -309,8 +285,7 @@ class LogisticRegression(TargetModel):
     def work_size(self, n):
         return 2 * self.n_rows * n
 
-    def score_and_hvp(self, x, work=None):
-        B = _as_batch(x, self.dim)
+    def _score_and_hvp(self, B, work=None):
         # T: logits, then sigmoid, then the operator's design @ V.T;
         # W: the sigmoid's numerators, then residual, then the weight s (1 - s)
         T, W = _work_arrays(work, (2, self.n_rows, B.shape[0]))
@@ -330,9 +305,6 @@ class LogisticRegression(TargetModel):
         # one (n_rows, n) buffer: logits, then sigmoid, then residual
         T = self._logits(B)
         return self._score_from(B, _sigmoid(T, out=T), residual=T)
-
-    def _hvp(self, B, V):
-        return self.score_and_hvp(B)[1](V)
 
 
 def _work_arrays(work, shape):
@@ -487,28 +459,38 @@ class ConditionedDiffusion(TargetModel):
         c += 1.0
         return c
 
-    def _score(self, X):
-        r = self._residuals(X)
+    def _score_from(self, X, r, coupling, out):
+        """Score from the residuals ``r`` and the drift slopes ``coupling`` of all but
+        the last state, both written over; ``out`` takes the score (``r`` may be passed)."""
         # -r / dt, plus r[:, 1:] * c / dt on all but the last state
-        coupling = self._drift_slope(X[:, :-1])
         coupling *= r[:, 1:]
         coupling /= self.dt
-        s = np.negative(r, out=r)
+        s = np.negative(r, out=out)
         s /= self.dt
         s[:, :-1] += coupling
         s[:, self.obs_indices - 1] += (self.observations[None, :] - X[:, self.obs_indices - 1]) / self.obs_noise**2
         return s
 
-    def _hvp(self, X, V):
+    def _score(self, X):
+        r = self._residuals(X)
+        return self._score_from(X, r, self._drift_slope(X[:, :-1]), out=r)
+
+    def _score_and_hvp(self, X, work=None):
+        # the operator reads the residuals and slopes, so the score gets arrays of its own
         r = self._residuals(X)
         c = self._drift_slope(X[:, :-1])
-        dr = V.copy()
-        dr[:, 1:] -= c * V[:, :-1]
-        out = -dr / self.dt
-        dc = -6.0 * self.drift * X[:, :-1] * self.dt * V[:, :-1]
-        out[:, :-1] += (dr[:, 1:] * c + r[:, 1:] * dc) / self.dt
-        out[:, self.obs_indices - 1] -= V[:, self.obs_indices - 1] / self.obs_noise**2
-        return out
+        score = self._score_from(X, r, c.copy(), out=None)
+
+        def hvp(V):
+            dr = V.copy()
+            dr[:, 1:] -= c * V[:, :-1]
+            out = -dr / self.dt
+            dc = -6.0 * self.drift * X[:, :-1] * self.dt * V[:, :-1]
+            out[:, :-1] += (dr[:, 1:] * c + r[:, 1:] * dc) / self.dt
+            out[:, self.obs_indices - 1] -= V[:, self.obs_indices - 1] / self.obs_noise**2
+            return out
+
+        return score, hvp
 
 
 def euler_maruyama_path(increments, dt=0.01, drift=10.0):
@@ -566,14 +548,8 @@ class Tempered(TargetModel):
     def _logp(self, X):
         return self.beta * self.base._logp(X)
 
-    def _score(self, X):
-        return self.beta * self.base._score(X)
-
-    def _hvp(self, X, V):
-        return self.beta * self.base._hvp(X, V)
-
-    def score_and_hvp(self, x, work=None):
-        score, hvp = self.base.score_and_hvp(x, work)
+    def _score_and_hvp(self, X, work=None):
+        score, hvp = self.base._score_and_hvp(X, work)
         return self.beta * score, lambda V: self.beta * hvp(V)
 
     def work_size(self, n):

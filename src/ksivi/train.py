@@ -46,7 +46,7 @@ class TrainConfig:
     estimator: str = "vanilla"
     kernel: KernelSpec = field(default_factory=KernelSpec)
     bandwidth_rule: str = "median"
-    anneal_start: float = 1.0  # 1.0 disables annealing
+    anneal_start: float = 1.0  # 1.0, with anneal_iterations 0, disables annealing
     anneal_iterations: int = 0
     reg_weight: float = 0.0
     clip_norm: float | None = None
@@ -67,6 +67,10 @@ class TrainConfig:
             raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}, got {self.bandwidth_rule!r}")
         if not 0.0 < self.anneal_start <= 1.0:
             raise ValueError("anneal_start must lie in (0, 1]")
+        if self.anneal_start < 1.0 and self.anneal_iterations <= 0:
+            raise ValueError(f"anneal_iterations must be positive for a ramp from {self.anneal_start}")
+        if self.anneal_start == 1.0 and self.anneal_iterations > 0:
+            raise ValueError(f"anneal_start must lie below 1 for a ramp of {self.anneal_iterations} iterations")
         if self.reg_weight < 0:
             raise ValueError("reg_weight must be nonnegative")
         if self.clip_norm is not None and self.clip_norm <= 0:

@@ -9,7 +9,6 @@ from ksivi.targets import (
     Banana,
     GaussianMixture,
     LogisticRegression,
-    TargetModel,
     Tempered,
     diagonal_gaussian,
     make_waveform_dataset,
@@ -265,25 +264,20 @@ class TestArgumentValidation:
             value_and_grad(params, Banana(), RBF, batch)
 
 
-class SeparateScoreAndHvp(LogisticRegression):
-    """Logistic regression with the base-class ``score_and_hvp``: the score
-    and every HVP application each make their own logits and sigmoid pass,
-    and a workspace is accepted and ignored."""
+def separate_passes(cls):
+    """``cls`` whose score and every use of its operator each run their own
+    ``_score_and_hvp`` pass; a workspace is accepted and ignored."""
 
-    score_and_hvp = TargetModel.score_and_hvp
+    class Separate(cls):
+        def _score_and_hvp(self, X, work=None):
+            return cls._score_and_hvp(self, X)[0], lambda V: cls._score_and_hvp(self, X)[1](V)
 
-    def _score(self, B):
-        return LogisticRegression.score_and_hvp(self, B)[0]
-
-    def _hvp(self, B, V):
-        return LogisticRegression.score_and_hvp(self, B)[1](V)
+    return Separate
 
 
-class SeparateMixture(GaussianMixture):
-    """Gaussian mixture with the base-class ``score_and_hvp``: the score and
-    every HVP application each compute the responsibilities and pulls."""
-
-    score_and_hvp = TargetModel.score_and_hvp
+# each makes its own logits and sigmoid, or responsibilities and pulls, per use
+SeparateScoreAndHvp = separate_passes(LogisticRegression)
+SeparateMixture = separate_passes(GaussianMixture)
 
 
 class TestSharedTargetPass:

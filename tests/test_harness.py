@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ksivi
-from ksivi.cli import main
+from ksivi.cli import build_parser, main
 from ksivi.configio import (
     KEYS,
     SEED_OFFSETS,
@@ -313,6 +313,26 @@ class TestRunIO:
         path.write_text(json.dumps({**good, "dtype": "<f4"}))
         with pytest.raises(ValueError, match="checkpoint.json: checkpoint dtype '<f4' is not '<f8'"):
             load_checkpoint(path)
+        # (3, 4, 2) holds 28 values: 16 + 10 network parameters and 2 log-scales
+        wrong = [
+            (
+                {"flat_base64": 5},
+                "'flat_base64' does not decode: argument should be a bytes-like object or ASCII string, not 'int'",
+            ),
+            ({"flat_base64": "AAA"}, "'flat_base64' does not decode: Incorrect padding"),
+            ({"flat_base64": "AAAA"}, "'flat_base64' does not decode: buffer size must be a multiple of element size"),
+            ({"widths": 5}, "'widths' is 5, not a list of integers"),
+            ({"widths": [3, True, 2]}, "'widths' is [3, True, 2], not a list of integers"),
+            ({"widths": [3]}, "'widths' is [3]: architecture needs at least an input and an output width"),
+            ({"widths": [3, 4, 4, 2]}, "'widths' is [3, 4, 4, 2]: flat parameters are float64 (28,), expected float64 (48,)"),
+            ({"n_params": "28"}, "'n_params' is '28', not an integer"),
+            ({"n_params": 34}, "'n_params' is 34, but the payload holds 28 values"),
+        ]
+        for edit, message in wrong:
+            path.write_text(json.dumps({**good, **edit}))
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+            assert str(err.value) == f"{path}: checkpoint field {message}"
 
     def test_trace_csv(self, tmp_path):
         trace = LossTrace()
@@ -443,6 +463,35 @@ class TestCLI:
         assert main(["train", str(config_path), "--out", str(tmp_path / "out"), *argv]) == 2
         assert f"config error: {key}: must be at least" in capsys.readouterr().err
         assert not (tmp_path / "out" / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"anneal.start": 0.3}, "anneal.iterations: must be positive for a ramp from 0.3"),
+            ({"anneal.start": 0.3, "anneal.iterations": 0}, "anneal.iterations: must be positive for a ramp from 0.3"),
+            ({"anneal.iterations": 100}, "anneal.start: must lie below 1 for a ramp of 100 iterations"),
+            ({"anneal.start": 1.0, "anneal.iterations": 5}, "anneal.start: must lie below 1 for a ramp of 5 iterations"),
+        ],
+        ids=["start-alone", "zero-iterations", "iterations-alone", "start-one"],
+    )
+    def test_half_set_anneal_ramp_exits_2(self, tmp_path, capsys, settings, message):
+        # either end alone would train untempered on every iteration
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
+        assert main(["train", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    def test_negative_threads_flag_exits_2(self, tmp_path, capsys, command):
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(config_path), "--out", str(tmp_path / "out"), "--threads", "-3"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --threads: must be at least 0, got -3" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert build_parser().parse_args([command, "--threads", "0"]).threads == 0  # 0 leaves the BLAS default
 
     def cd_config(self, tmp_path, obs_text):
         (tmp_path / "o.csv").write_text(obs_text)
@@ -614,8 +663,12 @@ class TestCLI:
             (lambda doc: [doc], "a checkpoint is a JSON object, not a list"),
             (lambda doc: {key: value for key, value in doc.items() if key != "flat_base64"}, "'flat_base64' is missing"),
             (lambda doc: {**doc, "dtype": ">f8"}, "checkpoint dtype '>f8'"),
+            (lambda doc: {**doc, "flat_base64": 5}, "checkpoint field 'flat_base64' does not decode"),
+            (lambda doc: {**doc, "widths": 5}, "checkpoint field 'widths' is 5"),
+            (lambda doc: {**doc, "widths": [3, 4, 4, 2]}, "checkpoint field 'widths' is [3, 4, 4, 2]"),
+            (lambda doc: {**doc, "n_params": str(doc["n_params"])}, "checkpoint field 'n_params' is '"),
         ],
-        ids=["list", "no-payload", "dtype"],
+        ids=["list", "no-payload", "dtype", "payload-type", "widths-type", "widths-size", "n-params-type"],
     )
     def test_diagnose_malformed_checkpoint_exits_2(self, tmp_path, capsys, edit, message):
         path = tmp_path / "checkpoint.json"
@@ -673,7 +726,7 @@ class NumpyImportProbe:
 
 
 sys.meta_path.insert(0, NumpyImportProbe())
-from ksivi.cli import main
+from ksivi.cli import build_parser, main
 
 code = main(sys.argv[1:])
 print(json.dumps({{"code": code, "seen": seen}}))

@@ -274,9 +274,6 @@ class TestSGLD:
                 with np.errstate(over="ignore"):
                     return X * 1e6
 
-            def _hvp(self, X, V):
-                return V
-
         config = SamplerConfig(n_particles=3, n_steps=400, step_size=1.0, seed=4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SamplerDivergence) as err:

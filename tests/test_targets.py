@@ -13,7 +13,6 @@ from ksivi.targets import (
     LogisticRegression,
     StudentTProduct,
     Tempered,
-    _as_batch,
     _sigmoid,
     diagonal_gaussian,
     euler_maruyama_path,
@@ -128,14 +127,62 @@ SHARED_TARGETS = [(name, target) for name, target, _ in ALL_TARGETS]
 SHARED_TARGETS.append(("tempered-blr", Tempered(make_blr_target(), 0.3)))
 
 
+def allocating_reference(target):
+    """The target with its allocating reference passes (below), or None if it has no in-place ones."""
+    if isinstance(target, Tempered):
+        base = allocating_reference(target.base)
+        return base and Tempered(base, target.beta)
+    if isinstance(target, LogisticRegression):
+        return ReferenceLogisticRegression(target.design, target.labels, target.alpha)
+    if isinstance(target, ConditionedDiffusion):
+        return ReferenceConditionedDiffusion(
+            target.obs_indices, target.observations, target.dim, target.dt, target.drift, target.obs_noise
+        )
+    return None
+
+
 @pytest.mark.parametrize("name,target", SHARED_TARGETS, ids=[t[0] for t in SHARED_TARGETS])
 def test_score_and_hvp_matches_separate_calls(name, target):
+    # the shared pass against the plain score, the operator against finite
+    # differences of that score, and both against the allocating reference
     rng = np.random.default_rng(41)
     X = rng.standard_normal((7, target.dim))
     V = rng.standard_normal((7, target.dim))
     score, hvp = target.score_and_hvp(X)
     assert np.array_equal(score, target.score(X))
-    assert np.array_equal(hvp(V), target.hvp(X, V))
+    step = 1e-5
+    fd = (target.score(X + step * V) - target.score(X - step * V)) / (2.0 * step)
+    assert relative_error(hvp(V), fd, floor=1e-4).max() < 1e-4
+    reference = allocating_reference(target)
+    if reference is not None:
+        ref_score, ref_hvp = reference.score_and_hvp(X)
+        assert np.array_equal(score, ref_score)
+        assert np.array_equal(hvp(V), ref_hvp(V))
+
+
+PRELUDES = [
+    ("banana", Banana, "_pullback"),
+    ("multimodal", multimodal_target, "_responsibilities"),
+    ("cd", make_cd_target, "_residuals"),
+]
+
+
+@pytest.mark.parametrize("name,make,prelude", PRELUDES, ids=[p[0] for p in PRELUDES])
+def test_score_and_hvp_runs_prelude_once(name, make, prelude):
+    # the score and one use of the operator share one pass over the batch
+    target = make()
+    original = getattr(target, prelude)
+    calls = []
+
+    def counted(X, *args, **kwargs):
+        calls.append(X.shape[0])
+        return original(X, *args, **kwargs)
+
+    setattr(target, prelude, counted)
+    rng = np.random.default_rng(43)
+    _, hvp = target.score_and_hvp(rng.standard_normal((5, target.dim)))
+    hvp(rng.standard_normal((5, target.dim)))
+    assert calls == [5]
 
 
 def sigmoid_reference(t):
@@ -459,8 +506,7 @@ class ReferenceLogisticRegression(LogisticRegression):
         ll = (self.labels[:, None] * T - np.logaddexp(0.0, T)).sum(axis=0)
         return ll - 0.5 * self.alpha * (B**2).sum(axis=1)
 
-    def score_and_hvp(self, x, work=None):  # allocates; the workspace is ignored
-        B = _as_batch(x, self.dim)
+    def _score_and_hvp(self, B, work=None):  # allocates; the workspace is ignored
         s = reference_sigmoid(self._logits(B))
         score = (self.design.T @ (self.labels[:, None] - s)).T - self.alpha * B
 
@@ -472,10 +518,7 @@ class ReferenceLogisticRegression(LogisticRegression):
         return score, hvp
 
     def _score(self, B):
-        return self.score_and_hvp(B)[0]
-
-    def _hvp(self, B, V):
-        return self.score_and_hvp(B)[1](V)
+        return self._score_and_hvp(B)[0]
 
 
 class ReferenceConditionedDiffusion(ConditionedDiffusion):
@@ -495,24 +538,26 @@ class ReferenceConditionedDiffusion(ConditionedDiffusion):
         # derivative of x + drift * x (1 - x^2) dt with respect to x
         return 1.0 + self.drift * (1.0 - 3.0 * x**2) * self.dt
 
-    def _score(self, X):
+    def _score_and_hvp(self, X, work=None):
         r = self._residuals(X)
         s = -r / self.dt
         c = self._drift_slope(X[:, :-1])
         s[:, :-1] += r[:, 1:] * c / self.dt
         s[:, self.obs_indices - 1] += (self.observations[None, :] - X[:, self.obs_indices - 1]) / self.obs_noise**2
-        return s
 
-    def _hvp(self, X, V):
-        r = self._residuals(X)
-        c = self._drift_slope(X[:, :-1])
-        dr = V.copy()
-        dr[:, 1:] -= c * V[:, :-1]
-        out = -dr / self.dt
-        dc = -6.0 * self.drift * X[:, :-1] * self.dt * V[:, :-1]
-        out[:, :-1] += (dr[:, 1:] * c + r[:, 1:] * dc) / self.dt
-        out[:, self.obs_indices - 1] -= V[:, self.obs_indices - 1] / self.obs_noise**2
-        return out
+        def hvp(V):
+            dr = V.copy()
+            dr[:, 1:] -= c * V[:, :-1]
+            out = -dr / self.dt
+            dc = -6.0 * self.drift * X[:, :-1] * self.dt * V[:, :-1]
+            out[:, :-1] += (dr[:, 1:] * c + r[:, 1:] * dc) / self.dt
+            out[:, self.obs_indices - 1] -= V[:, self.obs_indices - 1] / self.obs_noise**2
+            return out
+
+        return s, hvp
+
+    def _score(self, X):
+        return self._score_and_hvp(X)[0]
 
 
 def _blr_pair(n_rows):

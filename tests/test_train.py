@@ -187,11 +187,8 @@ class TestTrainLoop:
             def _logp(self, X):
                 return np.zeros(X.shape[0])
 
-            def _score(self, X):
-                return np.full_like(X, np.nan)
-
-            def _hvp(self, X, V):
-                return np.zeros_like(V)
+            def _score_and_hvp(self, X, work=None):
+                return np.full_like(X, np.nan), np.zeros_like
 
         init = siv_init(NetArch((3, 4, 2)), seed=10)
         config = TrainConfig(iterations=5, batch_size=4, learning_rate=1e-3, seed=11)
@@ -343,6 +340,11 @@ class TestTrainLoop:
             TrainConfig(iterations=1, batch_size=8, learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, anneal_start=0.0)
+        # a ramp with one end unset would be silently off
+        with pytest.raises(ValueError, match=r"^anneal_iterations must be positive for a ramp from 0\.3$"):
+            TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, anneal_start=0.3)
+        with pytest.raises(ValueError, match="^anneal_start must lie below 1 for a ramp of 10 iterations$"):
+            TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, anneal_iterations=10)
         with pytest.raises(ValueError):
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, estimator="x")
         for clip_norm in (0.0, -1.0):  # zero would stop every step, and a negative norm reverse it
