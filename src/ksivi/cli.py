@@ -125,17 +125,29 @@ def cmd_ground_truth(args) -> int:
 
     s = config.sampler
     runner = mala_run if s["algorithm"] == "mala" else sgld_run
+    faults = _minor_faults()
     started = time.perf_counter()
     run = runner(target, SamplerConfig(**{key: value for key, value in s.items() if key != "algorithm"}))
     finished = time.perf_counter()
 
     write_samples_csv(out_dir / "ground_truth.csv", run.states)
-    sampler = {**s, "acceptance_rate": run.acceptance_rate}
+    sampler = {**s, "acceptance_rate": run.acceptance_rate, "seconds_per_step": (finished - started) / s["n_steps"]}
+    if faults is not None:  # page faults that needed no I/O: fresh memory, mostly
+        sampler["minor_faults_per_step"] = (_minor_faults() - faults) / s["n_steps"]
     _write_record(out_dir, config, started, finished, ["ground_truth.csv"], sampler=sampler)
     extra = f", acceptance {run.acceptance_rate:.3f}" if run.acceptance_rate is not None else ""
     print(f"sampled {s['n_particles']} particles x {s['n_steps']} steps{extra}")
     print(f"artifacts in {out_dir}")
     return 0
+
+
+def _minor_faults():
+    """This process's minor page faults so far, or None where ``resource`` does not import."""
+    try:
+        import resource
+    except ImportError:  # not on every platform
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def cmd_evaluate(args) -> int:
@@ -312,21 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-family", default="rbf")
     p.add_argument("--bandwidth", type=float, default=0.0, help="0 = median heuristic")
     p.add_argument("--offset", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out", help="also write the JSON record here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("diagnose", help="network smoothness probe on a checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("--probes", type=count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("make-blr-data", help="write a synthetic waveform-style dataset")
     p.add_argument("out_path")
     p.add_argument("--rows", type=count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative, default=0)
     p.set_defaults(func=cmd_make_blr_data)
 
     p = sub.add_parser("show-preset", help="print a preset config")

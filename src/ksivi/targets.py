@@ -10,7 +10,8 @@ Each target's derivatives have one body, ``_score_and_hvp``: one pass over a
 batch gives the score and the operator ``V -> H(x) V`` at those points, so
 the work they share is done once per batch.  ``score``, ``score_and_hvp``
 and ``hvp`` run it; logistic regression and the conditioned diffusion keep a
-leaner ``_score`` for the Langevin samplers, which need the score alone.
+leaner ``_score`` for the Langevin samplers, which need the score alone, and
+the diffusion a ``_logp_and_score`` that shares its residuals between the two.
 
 Buffers: targets are stateless and never write their inputs; the Langevin
 samplers pass their reused state buffers straight in.  The large passes (the
@@ -18,17 +19,32 @@ BLR logits, the diffusion residuals) run as in-place ufunc chains, in the
 same operation order as the plain expressions, so the bits do not depend on
 the buffering.
 
-Workspace: ``score_and_hvp(x, work)`` may be handed a caller-owned flat
-float64 buffer of at least ``work_size(n)`` values for a batch of n points.
-The target then keeps its per-batch arrays there instead of allocating them
-(logistic regression: two (rows, n) arrays), and the operator it returns
-reads and writes them, so it is valid only until the caller reuses that
-buffer; two operators in use at once need two buffers.  Without ``work``
-every call allocates, and its operator stays valid for good.
+Workspace: ``score(x, work)``, ``logp_and_score(x, work)`` and
+``score_and_hvp(x, work)`` may be handed a caller-owned flat float64 buffer
+of at least ``work_size(n)`` values for a batch of n points; a shorter one is
+refused.  Training hands over one per batch, the Langevin samplers one per
+run.  The target then keeps its per-batch arrays there instead of allocating
+them (logistic regression: two (rows, n) arrays; the diffusion: three (n, d)
+arrays and two (n, observations) ones).  The score, or the operator, that it
+returns may live in or read those arrays, so it is valid only until the
+caller reuses that buffer; two operators in use at once need two buffers.
+Without ``work`` every call allocates, and its results stay valid for good.
+A returned score is the caller's to overwrite.
+
+The diffusion's passes run over ``X.ravel()`` as one contiguous array, where
+the previous state of entry i is entry i - 1.  Two columns come out wrong and
+are rewritten, n entries each: residual column 0, whose previous state is the
+origin, becomes ``X[:, 0]``, the residual from a previous state of 0 in bits;
+and the coupling terms of the last column, which no residual follows, become
+-0.0, which the score's last column then adds without a change to any bit.
+The pass also evaluates the drift at those entries, so a path whose last
+state is near float64 overflow may raise an overflow warning that the
+allocating pass did not.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import suppress
 from dataclasses import dataclass
@@ -49,11 +65,12 @@ class TargetModel:
     """Interface: unnormalized log-density with analytic derivatives.
 
     Subclasses implement ``_logp`` and ``_score_and_hvp`` on (n, d) batches
-    and may keep a leaner ``_score``.  The public methods take (n, d) batches
-    only (a point is a batch of one) and return ``(n,)`` log-densities or
-    ``(n, d)`` vectors; ``score_and_hvp`` keeps its arrays in ``work`` if
-    given (see the module docstring), and ``work_size`` is how many values
-    of ``work`` it uses.  ``sample_exact`` is optional.
+    and may keep a leaner ``_score`` or a shared ``_logp_and_score``.  The
+    public methods take (n, d) batches only (a point is a batch of one) and
+    return ``(n,)`` log-densities or ``(n, d)`` vectors; ``score``,
+    ``logp_and_score`` and ``score_and_hvp`` keep their arrays in ``work`` if
+    given (see the module docstring), and ``work_size`` is how many values of
+    ``work`` they need.  ``sample_exact`` is optional.
     """
 
     dim: int
@@ -61,8 +78,12 @@ class TargetModel:
     def logp(self, x):
         return self._logp(_as_batch(x, self.dim))
 
-    def score(self, x):
-        return self._score(_as_batch(x, self.dim))
+    def score(self, x, work=None):
+        return self._score(_as_batch(x, self.dim), work)
+
+    def logp_and_score(self, x, work=None):
+        """Log-density and score at a batch, as one pass where the target shares work between them."""
+        return self._logp_and_score(_as_batch(x, self.dim), work)
 
     def score_and_hvp(self, x, work=None):
         """Score at a batch and the operator ``V -> H(x) V`` at the same points."""
@@ -76,7 +97,7 @@ class TargetModel:
         return self._score_and_hvp(X)[1](V)
 
     def work_size(self, n: int) -> int:
-        """Values of ``work`` that ``score_and_hvp`` uses at a batch of ``n`` points."""
+        """Values of ``work`` that the passes need at a batch of ``n`` points."""
         return 0
 
     def sample_exact(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,8 +106,11 @@ class TargetModel:
     def _logp(self, X):
         raise NotImplementedError
 
-    def _score(self, X):
-        return self._score_and_hvp(X)[0]
+    def _score(self, X, work=None):
+        return self._score_and_hvp(X, work)[0]
+
+    def _logp_and_score(self, X, work=None):
+        return self._logp(X), self._score(X, work)
 
     def _score_and_hvp(self, X, work=None):
         raise NotImplementedError
@@ -288,7 +312,7 @@ class LogisticRegression(TargetModel):
     def _score_and_hvp(self, B, work=None):
         # T: logits, then sigmoid, then the operator's design @ V.T;
         # W: the sigmoid's numerators, then residual, then the weight s (1 - s)
-        T, W = _work_arrays(work, (2, self.n_rows, B.shape[0]))
+        T, W = _work_arrays(work, (self.n_rows, B.shape[0]), (self.n_rows, B.shape[0]))
         s = _sigmoid(self._logits(B, out=T), out=T, scratch=W)
         score = self._score_from(B, s, residual=W)
         np.subtract(1.0, s, out=W)
@@ -301,20 +325,21 @@ class LogisticRegression(TargetModel):
 
         return score, hvp
 
-    def _score(self, B):
+    def _score(self, B, work=None):
         # one (n_rows, n) buffer: logits, then sigmoid, then residual
-        T = self._logits(B)
+        T = self._logits(B, out=_work_arrays(work, (self.n_rows, B.shape[0]), (self.n_rows, B.shape[0]))[0])
         return self._score_from(B, _sigmoid(T, out=T), residual=T)
 
 
-def _work_arrays(work, shape):
-    """An array of ``shape`` at the front of the flat buffer ``work``, or a fresh one without it."""
+def _work_arrays(work, *shapes):
+    """Arrays of ``shapes``, one after another from the front of the flat buffer
+    ``work``, or in one fresh buffer without it."""
+    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
     if work is None:
-        return np.empty(shape)
-    size = math.prod(shape)
-    if work.size < size:
-        raise ValueError(f"workspace holds {work.size} values; this batch needs {size}")
-    return np.reshape(work[:size], shape, copy=False)
+        work = np.empty(ends[-1])
+    elif work.size < ends[-1]:
+        raise ValueError(f"workspace holds {work.size} values; this batch needs {ends[-1]}")
+    return [np.reshape(work[end - math.prod(shape) : end], shape, copy=False) for shape, end in zip(shapes, ends)]
 
 
 _SIGMOID_BLOCK = 2**15  # elements of t per scratch block
@@ -427,31 +452,33 @@ class ConditionedDiffusion(TargetModel):
         if np.any(counts > 1):  # the score adds one observation per index, and logp all of them
             raise ValueError(f"observation index {indices[counts > 1][0]} repeats")
 
-    def _with_origin(self, X):
-        return np.concatenate([np.zeros((X.shape[0], 1)), X], axis=1)
+    def work_size(self, n):
+        return n * (3 * self.dim + 2 * self.obs_indices.size)
 
-    def _residuals(self, X):
-        full = self._with_origin(X)
-        prev = full[:, :-1]
+    def _arrays(self, X, work):
+        """``X`` in C order, then three (n, d) arrays and two (n, observations)
+        ones of ``work``, or fresh ones without it."""
+        n, d, m = len(X), self.dim, self.obs_indices.size
+        return np.ascontiguousarray(X), *_work_arrays(work, (n, d), (n, d), (n, d), (n, m), (n, m))
+
+    def _residuals(self, X, r, t):
+        """Transition residuals of the C-ordered paths ``X`` into ``r``, with ``t`` as scratch."""
+        x, res, b = X.reshape(-1), r.reshape(-1)[1:], t.reshape(-1)[1:]
+        prev = x[:-1]
         # b = drift * prev * (1 - prev^2) * dt; the residual is next - prev - b
-        b = np.square(prev)
+        np.square(prev, out=b)
         np.subtract(1.0, b, out=b)
-        r = np.multiply(self.drift, prev)
-        b *= r
+        np.multiply(self.drift, prev, out=res)
+        b *= res
         b *= self.dt
-        np.subtract(full[:, 1:], prev, out=r)
-        r -= b
+        np.subtract(x[1:], prev, out=res)
+        res -= b
+        r[:, 0] = X[:, 0]  # each path starts from the origin, not from the row above
         return r
 
-    def _logp(self, X):
-        r = self._residuals(X)
-        out = -np.square(r, out=r).sum(axis=1) / (2.0 * self.dt)
-        obs_diff = np.subtract(self.observations[None, :], X[:, self.obs_indices - 1])
-        return out - np.square(obs_diff, out=obs_diff).sum(axis=1) / (2.0 * self.obs_noise**2)
-
-    def _drift_slope(self, x):
-        # derivative of x + drift * x (1 - x^2) dt with respect to x
-        c = np.square(x)
+    def _slopes(self, X, c):
+        """Derivative of x + drift * x (1 - x^2) dt at every state into ``c``."""
+        np.square(X, out=c)
         c *= 3.0
         np.subtract(1.0, c, out=c)
         c *= self.drift
@@ -459,34 +486,84 @@ class ConditionedDiffusion(TargetModel):
         c += 1.0
         return c
 
-    def _score_from(self, X, r, coupling, out):
-        """Score from the residuals ``r`` and the drift slopes ``coupling`` of all but
-        the last state, both written over; ``out`` takes the score (``r`` may be passed)."""
+    def _obs_residuals(self, X, o):
+        """``observations - X[:, obs_indices - 1]`` into ``o``."""
+        np.take(X, self.obs_indices - 1, axis=1, out=o, mode="clip")  # the indices are checked
+        return np.subtract(self.observations, o, out=o)
+
+    def _score_from(self, X, r, slopes, coupling, out, o1, o2):
+        """Score from the residuals ``r`` and the drift ``slopes``; ``coupling`` (which
+        may be ``slopes``) and ``o1``, ``o2`` are written over, and ``out`` (which may
+        be ``r``) takes the score."""
         # -r / dt, plus r[:, 1:] * c / dt on all but the last state
-        coupling *= r[:, 1:]
+        np.multiply(slopes.reshape(-1)[:-1], r.reshape(-1)[1:], out=coupling.reshape(-1)[:-1])
+        coupling[:, -1] = -0.0  # x + -0.0 is x, so the last column keeps its bits
         coupling /= self.dt
         s = np.negative(r, out=out)
         s /= self.dt
-        s[:, :-1] += coupling
-        s[:, self.obs_indices - 1] += (self.observations[None, :] - X[:, self.obs_indices - 1]) / self.obs_noise**2
+        s += coupling
+        # s[:, idx] += (observations - X[:, idx]) / obs_noise^2, without temporaries
+        term = self._obs_residuals(X, o1)
+        term /= self.obs_noise**2
+        at_obs = np.take(s, self.obs_indices - 1, axis=1, out=o2, mode="clip")
+        at_obs += term
+        s[:, self.obs_indices - 1] = at_obs
         return s
 
-    def _score(self, X):
-        r = self._residuals(X)
-        return self._score_from(X, r, self._drift_slope(X[:, :-1]), out=r)
+    def _logp_from(self, X, r, t, o1, o2):
+        """Log-density of the paths ``X`` from their residuals ``r``; ``t``, ``o1`` and
+        ``o2`` take the squares.  Each row sum's rounding follows the memory order of
+        the array it sums, so the squares are held in the order of the allocating pass:
+        the residuals in ``X``'s, the observation residuals column-major, as numpy
+        returns ``X[:, obs_indices - 1]``."""
+        if X.flags.f_contiguous and not X.flags.c_contiguous:
+            t = t.reshape(X.shape[::-1]).T
+        out = -np.square(r, out=t).sum(axis=1) / (2.0 * self.dt)
+        sq = np.square(self._obs_residuals(X, o1), out=o2.reshape(o2.shape[::-1]).T)
+        return out - sq.sum(axis=1) / (2.0 * self.obs_noise**2)
+
+    def _logp(self, X):
+        Xc, r, t, _, o1, o2 = self._arrays(X, None)
+        return self._logp_from(X, self._residuals(Xc, r, t), t, o1, o2)
+
+    def _score(self, X, work=None):
+        X, r, t, _, o1, o2 = self._arrays(X, work)
+        self._residuals(X, r, t)
+        return self._score_from(X, r, self._slopes(X, t), t, r, o1, o2)
+
+    def _logp_and_score(self, X, work=None):
+        Xc, r, t, _, o1, o2 = self._arrays(X, work)
+        logp = self._logp_from(X, self._residuals(Xc, r, t), t, o1, o2)
+        return logp, self._score_from(Xc, r, self._slopes(Xc, t), t, r, o1, o2)
 
     def _score_and_hvp(self, X, work=None):
-        # the operator reads the residuals and slopes, so the score gets arrays of its own
-        r = self._residuals(X)
-        c = self._drift_slope(X[:, :-1])
-        score = self._score_from(X, r, c.copy(), out=None)
+        # the operator reads X, the residuals and the slopes, so the score gets an array of its own
+        X, r, c, tmp, o1, o2 = self._arrays(X, work)
+        self._residuals(X, r, c)
+        score = self._score_from(X, r, self._slopes(X, c), tmp, None, o1, o2)
+        x, rf, cf = X.reshape(-1), r.reshape(-1), c.reshape(-1)
 
         def hvp(V):
-            dr = V.copy()
-            dr[:, 1:] -= c * V[:, :-1]
-            out = -dr / self.dt
-            dc = -6.0 * self.drift * X[:, :-1] * self.dt * V[:, :-1]
-            out[:, :-1] += (dr[:, 1:] * c + r[:, 1:] * dc) / self.dt
+            # flat passes as in _residuals: dr = V - c V_prev, out = -dr / dt
+            # + (dr_next c + r_next dc) / dt, with dc = -6 drift x dt V
+            V = np.ascontiguousarray(V)
+            v = V.reshape(-1)
+            dr = np.empty_like(V)
+            drf = dr.reshape(-1)[1:]
+            np.multiply(cf[:-1], v[:-1], out=drf)
+            np.subtract(v[1:], drf, out=drf)
+            dr[:, 0] = V[:, 0]
+            out = np.negative(dr)
+            out /= self.dt
+            dc = np.multiply(-6.0 * self.drift, x, out=tmp.reshape(-1))
+            dc *= self.dt
+            dc *= v
+            dc[:-1] *= rf[1:]
+            drf *= cf[:-1]
+            dc[:-1] += drf
+            tmp[:, -1] = -0.0
+            dc /= self.dt
+            out += tmp
             out[:, self.obs_indices - 1] -= V[:, self.obs_indices - 1] / self.obs_noise**2
             return out
 

@@ -538,6 +538,25 @@ class TestCLI:
         manifest = json.loads((out / "manifest.json").read_text())
         assert 0.0 < manifest["sampler"]["acceptance_rate"] <= 1.0
 
+    @pytest.mark.parametrize("algorithm", ["sgld", "mala"])
+    def test_ground_truth_manifest_records_step_cost(self, tmp_path, capsys, algorithm):
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(
+            TINY_CONFIG + f'sampler.algorithm = "{algorithm}"\nsampler.n_particles = 10\nsampler.n_steps = 30\n'
+        )
+        out = tmp_path / "gt"
+        assert main(["sample-ground-truth", str(config_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        sampler = manifest["sampler"]
+        assert sampler["seconds_per_step"] > 0.0
+        assert sampler["seconds_per_step"] * 30 == pytest.approx(manifest["wallclock_seconds"])
+        try:
+            import resource  # noqa: F401
+        except ImportError:
+            assert "minor_faults_per_step" not in sampler
+        else:
+            assert sampler["minor_faults_per_step"] >= 0.0
+
     def test_ground_truth_deterministic(self, tmp_path, capsys):
         config_path = tmp_path / "config.txt"
         config_path.write_text(
@@ -629,6 +648,28 @@ class TestCLI:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "{dir}/checkpoint.json", "--seed", "-1"],
+            ["make-blr-data", "{dir}/w.csv", "--seed", "-1"],
+            ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--seed", "-2"],
+        ],
+        ids=["diagnose", "make-blr-data", "evaluate"],
+    )
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
+        # numpy's generators refuse a negative seed; the flag refuses it first and names itself
+        save_checkpoint(tmp_path / "checkpoint.json", siv_init(NetArch((3, 8, 2)), seed=3))
+        write_samples_csv(tmp_path / "a.csv", np.random.default_rng(4).standard_normal((20, 2)))
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --seed: must be at least 0, got {argv[-1]}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "w.csv").exists()
 

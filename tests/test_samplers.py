@@ -12,6 +12,7 @@ from ksivi.samplers import (
     _check_finite,
     _particle_rngs,
     _proposal_log_density,
+    langevin_mean,
     langevin_step,
     mala_run,
     sgld_run,
@@ -42,10 +43,12 @@ def blr30():
 
 
 # Reference: the two separate samplers that the single driver replaced,
-# copied unchanged, with the chunk sizing and initial states they used (less
-# the branch for a given ``init``, an option no caller set), and the
-# allocating step and proposal density they called.
-NOISE_CHUNK_BYTES = 64 * 2**20
+# copied unchanged, with the initial states they used (less the branch for a
+# given ``init``, an option no caller set), and the allocating step and
+# proposal density they called.  Their chunk sizing follows the driver's rule,
+# a chunk of steps from the dimension alone, which leaves every 1000-particle
+# run's bits as they were under the old 64 MiB rule.
+NOISE_CHUNK_DRAWS = 8388
 
 
 def reference_langevin_step(x, score_value, step_size, noise):
@@ -63,8 +66,7 @@ def _initial_states(config: SamplerConfig, rngs, dim):
 
 
 def _chunk_steps(config: SamplerConfig, dim, draws_per_step):
-    per_step = config.n_particles * dim * draws_per_step * 8
-    return max(1, min(config.n_steps, NOISE_CHUNK_BYTES // max(per_step, 1)))
+    return max(1, min(config.n_steps, NOISE_CHUNK_DRAWS // (dim * draws_per_step)))
 
 
 def reference_sgld_run(target, config: SamplerConfig) -> SamplerRun:
@@ -156,9 +158,8 @@ class TestSingleDriver:
             collect_history=True,
         )
         if chunk_steps is not None:
-            chunk_bytes = chunk_steps * config.n_particles * target.dim * 8
-            monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", chunk_bytes)
-            monkeypatch.setitem(globals(), "NOISE_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(samplers, "NOISE_CHUNK_DRAWS", chunk_steps * target.dim)
+            monkeypatch.setitem(globals(), "NOISE_CHUNK_DRAWS", chunk_steps * target.dim)
             # 30 steps in chunks of 4: 8 chunks, the last one short
             assert samplers._chunk_steps(config, target.dim) == chunk_steps
         got = run(target, config)
@@ -182,7 +183,7 @@ class TestBuffers:
         target = gaussian5()
         config = SamplerConfig(n_particles=200, n_steps=400, step_size=0.01, seed=10)
         chunk_bytes = 120 * config.n_particles * target.dim * 8
-        monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(samplers, "NOISE_CHUNK_DRAWS", 120 * target.dim)
         sgld_run(target, config)  # first-call allocations stay out of the trace
         tracemalloc.start()
         try:
@@ -192,22 +193,63 @@ class TestBuffers:
             tracemalloc.stop()
         assert peak < 1.8 * chunk_bytes
 
+    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
+    def test_cd_steps_allocate_no_particle_block(self, run):
+        # 400 particles on a 50-state path: after the first two target calls,
+        # the rest of 12 steps may not raise the traced peak by one
+        # (particles, d) float64 array.
+        # The target keeps its arrays in the run's workspace, and the proposal
+        # mean is formed in the score it returns.
+        n, dim = 400, 50
+        marks = {}
+
+        class Marked(ConditionedDiffusion):
+            calls = 0
+
+            def mark(self):
+                self.calls += 1
+                if self.calls == 3:  # the noise chunk and every buffer exist by now
+                    tracemalloc.reset_peak()
+                    marks["start"] = tracemalloc.get_traced_memory()[0]
+
+            def _score(self, X, work=None):
+                self.mark()
+                return super()._score(X, work)
+
+            def _logp_and_score(self, X, work=None):
+                self.mark()
+                return super()._logp_and_score(X, work)
+
+        idx, obs, _ = generate_cd_observations(5, n_steps=dim)
+        config = SamplerConfig(n_particles=n, n_steps=12, step_size=1e-4, seed=3)
+        tracemalloc.start()
+        try:
+            got = run(Marked(idx, obs, n_steps=dim), config)
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert marks["peak"] - marks["start"] < n * dim * 8
+        assert np.array_equal(got.states, run(ConditionedDiffusion(idx, obs, n_steps=dim), config).states)
+
     def test_langevin_step_out_matches_pure_form(self):
         rng = np.random.default_rng(12)
         x, score, noise = rng.standard_normal((3, 8, 4))
-        out = np.empty_like(x)
-        got = langevin_step(x, score, 0.3, noise, out=out)
-        assert got is out
-        assert np.array_equal(out, langevin_step(x, score, 0.3, noise))
-        assert np.array_equal(out, reference_langevin_step(x, score, 0.3, noise))
+        expect = reference_langevin_step(x, score, 0.3, noise)
+        assert np.array_equal(langevin_step(langevin_mean(x, score, 0.3), 0.3, noise), expect)
+        # in place: the mean over the score, the move into its own buffer
+        out, mean = np.empty_like(x), score.copy()
+        assert langevin_mean(x, mean, 0.3, out=mean) is mean
+        assert langevin_step(mean, 0.3, noise, out=out) is out
+        assert np.array_equal(out, expect)
 
     def test_proposal_density_work_matches_pure_form(self):
         rng = np.random.default_rng(13)
         x_from, x_to, score = rng.standard_normal((3, 8, 4))
         work = np.empty_like(x_from)
         expect = reference_proposal_log_density(x_from, x_to, score, 0.3)
-        assert np.array_equal(_proposal_log_density(x_from, x_to, score, 0.3, work), expect)
-        assert np.array_equal(_proposal_log_density(x_from, x_to, score, 0.3), expect)
+        mean = langevin_mean(x_from, score, 0.3)
+        assert np.array_equal(_proposal_log_density(mean, x_to, 0.3, work), expect)
+        assert np.array_equal(_proposal_log_density(mean, x_to, 0.3), expect)
 
 
 class TestLangevinStep:
@@ -215,13 +257,13 @@ class TestLangevinStep:
         target = Banana()
         rng = np.random.default_rng(0)
         x = rng.standard_normal((7, 2))
-        stepped = langevin_step(x, target.score(x), 0.05, np.zeros_like(x))
+        stepped = langevin_step(langevin_mean(x, target.score(x), 0.05), 0.05, np.zeros_like(x))
         assert np.array_equal(stepped, x + 0.025 * target.score(x))
 
     def test_noise_scale(self):
         x = np.zeros((3, 2))
         noise = np.ones((3, 2))
-        stepped = langevin_step(x, np.zeros_like(x), 0.04, noise)
+        stepped = langevin_step(langevin_mean(x, np.zeros_like(x), 0.04), 0.04, noise)
         assert np.allclose(stepped, 0.2)
 
 
@@ -239,13 +281,16 @@ class TestSGLD:
         assert np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
-    def test_leading_particles_match_a_smaller_run(self, run):
+    def test_leading_particles_match_a_smaller_run(self, monkeypatch, run):
         # each particle owns a stream spawned from the seed: the first k rows
-        # of an n-particle run are a k-particle run from the same seed
+        # of an n-particle run are a k-particle run from the same seed, also
+        # across chunks, where mala's uniforms follow each chunk's normals
         def config(n):
             return SamplerConfig(n_particles=n, n_steps=60, step_size=0.02, burn_in=10, seed=17, collect_history=True)
 
-        full = run(Banana(), config(6))
+        monkeypatch.setattr(samplers, "NOISE_CHUNK_DRAWS", 40)
+        assert samplers._chunk_steps(config(60), 2) == samplers._chunk_steps(config(4), 2) == 20  # 3 chunks
+        full = run(Banana(), config(60))
         head = run(Banana(), config(4))
         assert np.array_equal(full.states[:4], head.states)
         assert np.array_equal(full.history[:, :4], head.history)
@@ -270,7 +315,7 @@ class TestSGLD:
             def _logp(self, X):
                 return np.zeros(X.shape[0])
 
-            def _score(self, X):
+            def _score(self, X, work=None):
                 with np.errstate(over="ignore"):
                     return X * 1e6
 
@@ -332,12 +377,12 @@ class TestMALA:
 
         target = gaussian5()
         x = np.random.default_rng(8).standard_normal((4, 5))
-        score = target.score(x)
+        mean = langevin_mean(x, target.score(x), 0.5)
         log_alpha = (
             target.logp(x)
             - target.logp(x)
-            + _proposal_log_density(x, x, score, 0.5)
-            - _proposal_log_density(x, x, score, 0.5)
+            + _proposal_log_density(mean, x, 0.5)
+            - _proposal_log_density(mean, x, 0.5)
         )
         assert np.array_equal(log_alpha, np.zeros(4))
 

@@ -517,11 +517,14 @@ class ReferenceLogisticRegression(LogisticRegression):
 
         return score, hvp
 
-    def _score(self, B):
+    def _score(self, B, work=None):
         return self._score_and_hvp(B)[0]
 
 
 class ReferenceConditionedDiffusion(ConditionedDiffusion):
+    def _with_origin(self, X):
+        return np.concatenate([np.zeros((X.shape[0], 1)), X], axis=1)
+
     def _residuals(self, X):
         full = self._with_origin(X)
         prev = full[:, :-1]
@@ -556,8 +559,11 @@ class ReferenceConditionedDiffusion(ConditionedDiffusion):
 
         return s, hvp
 
-    def _score(self, X):
+    def _score(self, X, work=None):
         return self._score_and_hvp(X)[0]
+
+    def _logp_and_score(self, X, work=None):
+        return self._logp(X), self._score(X)
 
 
 def _blr_pair(n_rows):
@@ -620,6 +626,58 @@ def test_in_place_passes_match_allocating_ones(pair, layout, beta):
     assert np.array_equal(x, x_before) and np.array_equal(v, v_before)
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def make_cd_last_unobserved():
+    """A path whose last state is not observed, so no observation term covers the last score column."""
+    idx, obs, _ = generate_cd_observations(7, obs_stride=3)
+    assert idx[-1] < 100
+    return ConditionedDiffusion(idx, obs)
+
+
+WORKSPACE_TARGETS = [(name, target) for name, target, _ in ALL_TARGETS]
+WORKSPACE_TARGETS.append(("cd-last-unobserved", make_cd_last_unobserved()))
+WORKSPACE_TARGETS += [(f"tempered-{name}", Tempered(target, 0.3)) for name, target in WORKSPACE_TARGETS]
+SIZED_TARGETS = [(name, target) for name, target in WORKSPACE_TARGETS if target.work_size(1)]
+
+
+@pytest.mark.parametrize("name,target", WORKSPACE_TARGETS, ids=[t[0] for t in WORKSPACE_TARGETS])
+@pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided-rows", "single-point"])
+def test_sampler_passes_in_a_workspace_match_allocating_ones(name, target, layout):
+    # the samplers' calls, score(x, work) and logp_and_score(x, work), against
+    # the allocating reference passes (the target's own ones where it has no
+    # in-place passes), at rows with a row of zeros and one of signed zeros
+    reference = allocating_reference(target) or target
+    rng = np.random.default_rng(37)
+    block = 1.5 * rng.standard_normal((6, target.dim))
+    block[0] = np.where(rng.random(target.dim) < 0.5, 0.0, -0.0)  # also the single point
+    block[3] = 0.0
+    x = _layouts(block)[layout]
+    x.flags.writeable = False  # a write to the caller's array raises
+    expect_logp, expect_score = reference.logp(x), reference.score(x)
+    work = np.full(target.work_size(len(x)) + 3, np.nan)  # stale contents
+    for _ in range(2):  # the second pass finds the first one's arrays in the workspace
+        assert same_bits(target.score(x, work), expect_score)
+        logp, score = target.logp_and_score(x, work)
+        assert same_bits(logp, expect_logp) and same_bits(score, expect_score)
+    logp, score = target.logp_and_score(x)
+    assert same_bits(logp, expect_logp) and same_bits(score, expect_score)
+    assert same_bits(target.score(x), expect_score) and same_bits(target.logp(x), expect_logp)
+
+
+@pytest.mark.parametrize("name,target", SIZED_TARGETS, ids=[t[0] for t in SIZED_TARGETS])
+def test_short_workspace_is_refused(name, target):
+    x = np.zeros((5, target.dim))
+    need = target.work_size(5)
+    for call in (target.score, target.logp_and_score, target.score_and_hvp):
+        with pytest.raises(ValueError, match=f"^workspace holds {need - 1} values; this batch needs {need}$"):
+            call(x, np.empty(need - 1))
+
+
 class TestWorkspace:
     def test_operator_without_it_stays_valid(self):
         target, reference = _blr_pair(40)
@@ -648,7 +706,12 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name,target,tol", ALL_TARGETS, ids=[t[0] for t in ALL_TARGETS])
     def test_sizes(self, name, target, tol):
-        expected = 2 * target.n_rows * 7 if name == "blr" else 0
+        if name == "blr":  # two (rows, n) arrays
+            expected = 2 * target.n_rows * 7
+        elif name == "cd":  # three (n, d) arrays and two (n, observations) ones
+            expected = 7 * (3 * target.dim + 2 * target.obs_indices.size)
+        else:
+            expected = 0
         assert target.work_size(7) == Tempered(target, 0.5).work_size(7) == expected
 
 
