@@ -295,7 +295,7 @@ def _add_run_arguments(parser):
     parser.add_argument("--preset", help="use a shipped preset instead of a file")
     parser.add_argument("--out", help="output directory (default runs/<experiment>)")
     parser.add_argument("--data-dir", help="directory for data files (default: output dir)")
-    parser.add_argument("--seed", type=int, help="override the master seed")
+    parser.add_argument("--seed", type=nonnegative, help="override the master seed")
     parser.add_argument("--threads", type=nonnegative, help="pin BLAS thread count (0 leaves the BLAS default)")
 
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples_a")
     p.add_argument("samples_b")
     p.add_argument("--metrics", default=",".join(EVALUATE_METRICS))
-    p.add_argument("--n-proj", type=int, default=128)
+    p.add_argument("--n-proj", type=count, default=128)
     p.add_argument("--kl-k", type=count, default=1)
     p.add_argument("--kernel-family", default="rbf")
     p.add_argument("--bandwidth", type=float, default=0.0, help="0 = median heuristic")

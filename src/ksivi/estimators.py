@@ -38,10 +38,10 @@ reused by the next call.
 The kernel bandwidth is a constant here; the training loop resolves it
 before the estimator runs, and hands over the iteration's squared distances
 (``kernels.sq_blocks`` of the batches): XY feeds the two-batch Gram matrix
-and both kernel-gradient sums, the second through a C-ordered copy of its
-transpose, and XX the U-statistic's; without them the estimator builds the
-same blocks itself.  Tempering comes in through the target
-(``targets.Tempered``), so the estimator has no temperature of its own.
+and both kernel-gradient sums, the second through its transpose, and XX
+the U-statistic's; without them the estimator builds the same blocks
+itself.  Tempering comes in through the target (``targets.Tempered``), so
+the estimator has no temperature of its own.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .nets import layer_views, net_vjp_batch_sum
 def _residuals(batch, params, target, work=None):
     """Residuals ``f`` at the batch and the operator ``V -> H(x) V`` there."""
     score, hvp = target.score_and_hvp(batch.x, work)
-    return f_vectors(batch, params, target, score=score), hvp
+    return f_vectors(batch, params, score), hvp
 
 
 def _pullback(params, batch, f_upstream, x_upstream, hvp):
@@ -107,8 +107,7 @@ def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None,
         inner = f[0] @ f[1].T
         value = float((gram * inner).mean())
         scale, reg_coeff = 1.0 / (n * n), reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
-        # a C-ordered copy: the row sums over a transposed view round differently
-        sides = [(gram, inner, sq.xy), (gram.T, inner.T, np.ascontiguousarray(sq.xy.T))]
+        sides = [(gram, inner, sq.xy), (gram.T, inner.T, sq.xy.T)]
     grad, reg_total = None, 0.0
     # each batch against the other one (the U-statistic: against itself)
     for batch, other, f_own, f_other, hvp, (gram_b, inner_b, sq_b) in zip(

@@ -112,15 +112,11 @@ def reparameterize(params: SIVParams, z: np.ndarray, xi: np.ndarray) -> SampleBa
     return SampleBatch(z, xi, mu + params.sigma * xi, tape)
 
 
-def f_vectors(batch: SampleBatch, params: SIVParams, target, score=None) -> np.ndarray:
-    """Score residuals ``s_p(x) + xi / sigma``, shape (n, d).
+def f_vectors(batch: SampleBatch, params: SIVParams, score: np.ndarray) -> np.ndarray:
+    """Score residuals ``s_p(x) + xi / sigma``, shape (n, d), from ``score = s_p(batch.x)``.
 
     This is the difference between the target score and the conditional
     score ``-xi / sigma``, the quantity every discrepancy estimator consumes.
-    A tempered objective comes in through the target (``targets.Tempered``).
-    ``score``, the target score at ``batch.x``, saves the target call when
-    the caller already has it.
+    A tempered objective comes in through the score (``targets.Tempered``).
     """
-    if score is None:
-        score = target.score(batch.x)
     return score + batch.xi / params.sigma

@@ -12,6 +12,12 @@ Squared distances have one definition, the BLAS expansion
 neighbour distance is the square root of one of its values.
 ``expansion_error`` bounds how far a value can be from the exact one.
 
+Arrays are C-ordered from the entry point on: each public function here
+and in ``metrics`` makes its samples C-ordered (a no-op in the pipeline),
+through ``c_ordered`` where two sets meet in a product, and
+``weighted_grad1_sum`` forms its weight matrix in C order, so no product or
+row sum rounds by the memory order of the caller's arrays.
+
 Squared distances have one layout, ``SqBlocks``: within X, within Y and from
 X to Y, each its own product, because a block of a larger product need not
 round like the product on its own.  A training iteration builds them once
@@ -58,17 +64,36 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         for name in ("bandwidth", "offset", "smoothing"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not np.isfinite(value):  # NaN passes the check below
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
 
     def with_bandwidth(self, h: float) -> "KernelSpec":
+        """This kernel at the bandwidth ``h`` that a rule resolved from samples.
+
+        Unlike the constructor it lets a NaN through: a rule gives NaN at
+        non-finite samples, and the NaN estimate that follows is how training
+        reports their divergence, at the iteration that drew them.
+        """
+        if np.isnan(h):
+            spec = replace(self)
+            object.__setattr__(spec, "bandwidth", float(h))
+            return spec
         return replace(self, bandwidth=float(h))
+
+
+def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as C-ordered float64 arrays, and as one array if Y is X: numpy
+    forms ``X @ X.T`` as a symmetric product, with bits of its own, only over one array."""
+    X_c = np.ascontiguousarray(X, dtype=np.float64)
+    return X_c, X_c if Y is X else np.ascontiguousarray(Y, dtype=np.float64)
 
 
 def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n, m)."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    X, Y = c_ordered(X, Y)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise ValueError(f"incompatible sample shapes {X.shape} and {Y.shape}")
     sq = (X**2).sum(axis=1)[:, None] + (Y**2).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
@@ -88,8 +113,10 @@ def sq_blocks(X: np.ndarray, Y: np.ndarray | None = None) -> SqBlocks:
 
     Without Y they are those of X alone: YY and XY are empty.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = X[:0] if Y is None else Y
+    if Y is None:
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        Y = X[:0]
+    X, Y = c_ordered(X, Y)
     return SqBlocks(pairwise_sq_dists(X, X), pairwise_sq_dists(Y, Y), pairwise_sq_dists(X, Y))
 
 
@@ -134,11 +161,11 @@ def weighted_grad1_sum(
     products of the score residual vectors.  ``sq``, if given, is
     ``pairwise_sq_dists(X, Y)`` computed already.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    X, Y = c_ordered(X, Y)
     if sq is None:
         sq = pairwise_sq_dists(X, Y)
-    G = np.asarray(coeff, dtype=np.float64) * grad1_coeff(spec, sq)
+    # C-ordered whatever the order of coeff and sq: its row sums round in memory order
+    G = np.multiply(coeff, grad1_coeff(spec, sq), out=np.empty(np.shape(coeff)))
     return G @ Y - X * G.sum(axis=1)[:, None]
 
 
@@ -159,7 +186,7 @@ def expansion_error(*sample_sets: np.ndarray) -> float:
     against an independent summation derive the bound.  NaN when a sample is
     not finite, or when 4 max |x|^2 overflows, so that the expansion may too.
     """
-    sets = [np.asarray(S, dtype=np.float64) for S in sample_sets]
+    sets = [np.ascontiguousarray(S, dtype=np.float64) for S in sample_sets]
     norm_max = np.max([np.einsum("ij,ij->i", S, S).max() for S in sets])  # NaN stays NaN
     if not norm_max <= np.finfo(np.float64).max / 4.0:  # NaN fails too
         return np.nan
@@ -212,7 +239,7 @@ def median_bandwidth(X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlock
     bracket misses them.  NaN when a sample is not finite or their squared
     norms overflow (see ``expansion_error``).
     """
-    sets = [np.asarray(S, dtype=np.float64) for S in (X, Y) if S is not None]
+    sets = [np.ascontiguousarray(X, dtype=np.float64)] if Y is None else c_ordered(X, Y)
     if any(S.ndim != 2 for S in sets) or sum(S.shape[0] for S in sets) < 2:
         raise ValueError("median bandwidth needs at least two samples")
     if np.isnan(expansion_error(*sets)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpec, SqBlocks, eval_matrix, expansion_error, pairwise_sq_dists
+from .kernels import KernelSpec, SqBlocks, c_ordered, eval_matrix, expansion_error, pairwise_sq_dists
 
 DISTANCE_CLAMP = 1e-12
 KNN_PARTITION_ROWS = 128
@@ -25,7 +25,7 @@ class DegenerateSamplesError(ValueError):
 
 
 def _check_sample_set(X, name, min_rows=2):
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < min_rows:
         raise ValueError(f"{name} must be a 2-D array with at least {min_rows} rows")
     if not np.all(np.isfinite(X)):
@@ -38,6 +38,13 @@ def _check_pair_dims(X, Y):
         raise ValueError(f"sample dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
 
 
+def _check_sample_sets(X, Y, min_rows=2):
+    """Both sample sets checked, C-ordered (``kernels.c_ordered``) and of one dimension."""
+    X, Y = (_check_sample_set(S, name, min_rows) for S, name in zip(c_ordered(X, Y), "XY"))
+    _check_pair_dims(X, Y)
+    return X, Y
+
+
 def _off_diagonal_mean(gram: np.ndarray) -> float:
     n = gram.shape[0]
     return (gram.sum() - np.trace(gram)) / (n * (n - 1))
@@ -46,13 +53,11 @@ def _off_diagonal_mean(gram: np.ndarray) -> float:
 def mmd2_ustat(X, Y, kernel: KernelSpec, sq: SqBlocks | None = None) -> float:
     """Unbiased squared maximum mean discrepancy.
 
-    ``sq``, if given, is ``kernels.sq_blocks(X, Y)``; the value has the same
-    bits either way.  One Gram matrix is alive at a time.
+    ``sq``, if given, is ``kernels.sq_blocks(X, Y)`` in any memory order,
+    with the bits of the value without it.  One Gram matrix is alive at a time.
     """
-    X = _check_sample_set(X, "X")
-    Y = _check_sample_set(Y, "Y")
-    _check_pair_dims(X, Y)
-    xx, yy, xy = (None, None, None) if sq is None else sq
+    X, Y = _check_sample_sets(X, Y)
+    xx, yy, xy = (None, None, None) if sq is None else (np.ascontiguousarray(block) for block in sq)
     within_x = _off_diagonal_mean(eval_matrix(kernel, X, X, xx))
     within_y = _off_diagonal_mean(eval_matrix(kernel, Y, Y, yy))
     return float(within_x + within_y - 2.0 * eval_matrix(kernel, X, Y, xy).mean())
@@ -60,9 +65,7 @@ def mmd2_ustat(X, Y, kernel: KernelSpec, sq: SqBlocks | None = None) -> float:
 
 def mmd2_vstat(X, Y, kernel: KernelSpec) -> float:
     """Plug-in squared maximum mean discrepancy; exactly zero for X == Y."""
-    X = _check_sample_set(X, "X", min_rows=1)
-    Y = _check_sample_set(Y, "Y", min_rows=1)
-    _check_pair_dims(X, Y)
+    X, Y = _check_sample_sets(X, Y, min_rows=1)
     return float(
         eval_matrix(kernel, X, X).mean()
         + eval_matrix(kernel, Y, Y).mean()
@@ -78,9 +81,7 @@ def sliced_wd(X, Y, n_proj: int = 128, seed: int = 0) -> float:
     """
     if n_proj < 1:
         raise ValueError(f"n_proj must be at least 1, got {n_proj}")
-    X = _check_sample_set(X, "X")
-    Y = _check_sample_set(Y, "Y")
-    _check_pair_dims(X, Y)
+    X, Y = _check_sample_sets(X, Y)
     rng = np.random.default_rng(seed)
     if X.shape[0] != Y.shape[0]:
         n = min(X.shape[0], Y.shape[0])
@@ -140,9 +141,7 @@ def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) ->
     rows need not round like the whole one, so the two can differ in the last
     bits.
     """
-    X = _check_sample_set(X, "X")
-    Y = _check_sample_set(Y, "Y")
-    _check_pair_dims(X, Y)
+    X, Y = _check_sample_sets(X, Y)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     n, m = X.shape[0], Y.shape[0]

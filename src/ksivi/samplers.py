@@ -78,7 +78,6 @@ class SamplerRun:
     states: np.ndarray  # (n_particles, d)
     history: np.ndarray | None  # (n_kept, n_particles, d) when collected
     acceptance_rate: float | None  # adjusted sampler only
-    n_steps: int
 
 
 def langevin_mean(x, score_value, step_size, out=None):
@@ -180,7 +179,7 @@ def _langevin_run(target, config: SamplerConfig, metropolis: bool) -> SamplerRun
         step += span
     hist = np.stack(history) if history else None
     rate = n_accept / (config.n_steps * config.n_particles) if metropolis else None
-    return SamplerRun(states=x, history=hist, acceptance_rate=rate, n_steps=config.n_steps)
+    return SamplerRun(states=x, history=hist, acceptance_rate=rate)
 
 
 def sgld_run(target, config: SamplerConfig) -> SamplerRun:

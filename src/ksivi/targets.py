@@ -13,6 +13,13 @@ and ``hvp`` run it; logistic regression and the conditioned diffusion keep a
 leaner ``_score`` for the Langevin samplers, which need the score alone, and
 the diffusion a ``_logp_and_score`` that shares its residuals between the two.
 
+Layout: every public method makes its batch a C-ordered float64 array
+(``_as_batch``, a no-op for the batches of training and the samplers), and
+the diffusion's operator its direction.  From there on every array is
+row-major: no pass handles memory order, and a Fortran-ordered or strided
+batch gets the bits of its C-ordered copy, though a row sum rounds in
+memory order.
+
 Buffers: targets are stateless and never write their inputs; the Langevin
 samplers pass their reused state buffers straight in.  The large passes (the
 BLR logits, the diffusion residuals) run as in-place ufunc chains, in the
@@ -55,7 +62,7 @@ from .runio import read_csv_rows
 
 
 def _as_batch(x, dim):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {dim})")
     return x
@@ -455,14 +462,13 @@ class ConditionedDiffusion(TargetModel):
     def work_size(self, n):
         return n * (3 * self.dim + 2 * self.obs_indices.size)
 
-    def _arrays(self, X, work):
-        """``X`` in C order, then three (n, d) arrays and two (n, observations)
-        ones of ``work``, or fresh ones without it."""
-        n, d, m = len(X), self.dim, self.obs_indices.size
-        return np.ascontiguousarray(X), *_work_arrays(work, (n, d), (n, d), (n, d), (n, m), (n, m))
+    def _arrays(self, n, work):
+        """Three (n, d) arrays and two (n, observations) ones of ``work``, or fresh ones without it."""
+        d, m = self.dim, self.obs_indices.size
+        return _work_arrays(work, (n, d), (n, d), (n, d), (n, m), (n, m))
 
     def _residuals(self, X, r, t):
-        """Transition residuals of the C-ordered paths ``X`` into ``r``, with ``t`` as scratch."""
+        """Transition residuals of the paths ``X`` into ``r``, with ``t`` as scratch."""
         x, res, b = X.reshape(-1), r.reshape(-1)[1:], t.reshape(-1)[1:]
         prev = x[:-1]
         # b = drift * prev * (1 - prev^2) * dt; the residual is next - prev - b
@@ -514,31 +520,29 @@ class ConditionedDiffusion(TargetModel):
         """Log-density of the paths ``X`` from their residuals ``r``; ``t``, ``o1`` and
         ``o2`` take the squares.  Each row sum's rounding follows the memory order of
         the array it sums, so the squares are held in the order of the allocating pass:
-        the residuals in ``X``'s, the observation residuals column-major, as numpy
+        the residuals row-major, the observation residuals column-major, as numpy
         returns ``X[:, obs_indices - 1]``."""
-        if X.flags.f_contiguous and not X.flags.c_contiguous:
-            t = t.reshape(X.shape[::-1]).T
         out = -np.square(r, out=t).sum(axis=1) / (2.0 * self.dt)
         sq = np.square(self._obs_residuals(X, o1), out=o2.reshape(o2.shape[::-1]).T)
         return out - sq.sum(axis=1) / (2.0 * self.obs_noise**2)
 
     def _logp(self, X):
-        Xc, r, t, _, o1, o2 = self._arrays(X, None)
-        return self._logp_from(X, self._residuals(Xc, r, t), t, o1, o2)
+        r, t, _, o1, o2 = self._arrays(len(X), None)
+        return self._logp_from(X, self._residuals(X, r, t), t, o1, o2)
 
     def _score(self, X, work=None):
-        X, r, t, _, o1, o2 = self._arrays(X, work)
+        r, t, _, o1, o2 = self._arrays(len(X), work)
         self._residuals(X, r, t)
         return self._score_from(X, r, self._slopes(X, t), t, r, o1, o2)
 
     def _logp_and_score(self, X, work=None):
-        Xc, r, t, _, o1, o2 = self._arrays(X, work)
-        logp = self._logp_from(X, self._residuals(Xc, r, t), t, o1, o2)
-        return logp, self._score_from(Xc, r, self._slopes(Xc, t), t, r, o1, o2)
+        r, t, _, o1, o2 = self._arrays(len(X), work)
+        logp = self._logp_from(X, self._residuals(X, r, t), t, o1, o2)
+        return logp, self._score_from(X, r, self._slopes(X, t), t, r, o1, o2)
 
     def _score_and_hvp(self, X, work=None):
         # the operator reads X, the residuals and the slopes, so the score gets an array of its own
-        X, r, c, tmp, o1, o2 = self._arrays(X, work)
+        r, c, tmp, o1, o2 = self._arrays(len(X), work)
         self._residuals(X, r, c)
         score = self._score_from(X, r, self._slopes(X, c), tmp, None, o1, o2)
         x, rf, cf = X.reshape(-1), r.reshape(-1), c.reshape(-1)
@@ -546,7 +550,7 @@ class ConditionedDiffusion(TargetModel):
         def hvp(V):
             # flat passes as in _residuals: dr = V - c V_prev, out = -dr / dt
             # + (dr_next c + r_next dc) / dt, with dc = -6 drift x dt V
-            V = np.ascontiguousarray(V)
+            V = np.ascontiguousarray(V)  # an entry point: the flat passes need V, and dr, row-major
             v = V.reshape(-1)
             dr = np.empty_like(V)
             drf = dr.reshape(-1)[1:]

@@ -138,7 +138,7 @@ class TestValueEstimates:
         params = siv_init(NetArch((3, 6, 2)), seed=8, rho_init=-0.3)
         target = Banana()
         batch = siv_sample_batch(params, 2, np.random.default_rng(8))
-        f = f_vectors(batch, params, target)
+        f = f_vectors(batch, params, target.score(batch.x))
         expect = rbf_pair(batch.x[0], batch.x[1]) * float(f[0] @ f[1])
         assert np.isclose(ksd2(params, target, RBF, batch), expect, rtol=1e-12)
 
@@ -148,8 +148,8 @@ class TestValueEstimates:
         rng = np.random.default_rng(9)
         b1 = siv_sample_batch(params, 4, rng)
         b2 = siv_sample_batch(params, 4, rng)
-        f1 = f_vectors(b1, params, target)
-        f2 = f_vectors(b2, params, target)
+        f1 = f_vectors(b1, params, target.score(b1.x))
+        f2 = f_vectors(b2, params, target.score(b2.x))
         direct = np.mean(
             [
                 rbf_pair(b1.x[i], b2.x[j]) * float(f1[i] @ f2[j])
@@ -181,7 +181,7 @@ class TestValueEstimates:
         estimate = ksd2(params, target, RBF, batch)
 
         # asymptotic U-statistic standard error from the projection variance
-        f = f_vectors(batch, params, target)
+        f = f_vectors(batch, params, target.score(batch.x))
         h = eval_matrix(RBF, batch.x, batch.x) * (f @ f.T)
         np.fill_diagonal(h, 0.0)
         proj = h.sum(axis=1) / (n - 1)

@@ -23,7 +23,7 @@ def constant_mean_params(mean, rho, d_z=3):
 
 def cond_score(batch, params):
     """Conditional score ``-xi / sigma``: minus the residual at a zero target score."""
-    return -f_vectors(batch, params, None, score=np.zeros_like(batch.x))
+    return -f_vectors(batch, params, np.zeros_like(batch.x))
 
 
 class TestSampling:
@@ -98,15 +98,14 @@ class TestFVector:
         params = constant_mean_params(mean, rho)
         target = diagonal_gaussian(mean, np.exp(2.0 * rho))
         batch = siv_sample_batch(params, 500, np.random.default_rng(4))
-        f = f_vectors(batch, params, target)
+        f = f_vectors(batch, params, target.score(batch.x))
         assert np.abs(f).max() <= 1e-8
 
     def test_beta_zero_leaves_conditional_part(self):
         # the beta -> 0 limit of tempering: a zero target score
         params = siv_init(NetArch((3, 8, 2)), seed=11, rho_init=0.0)
-        target = diagonal_gaussian(np.zeros(2), np.ones(2))
         batch = siv_sample_batch(params, 20, np.random.default_rng(5))
-        f = f_vectors(batch, params, target, score=np.zeros_like(batch.x))
+        f = f_vectors(batch, params, np.zeros_like(batch.x))
         assert np.array_equal(f, batch.xi / params.sigma)
 
     def test_single_matches_batch(self):
@@ -114,10 +113,10 @@ class TestFVector:
         target = diagonal_gaussian(np.ones(2), np.ones(2))
         batch = siv_sample_batch(params, 6, np.random.default_rng(6))
         tempered = Tempered(target, 0.8)
-        f = f_vectors(batch, params, tempered)
+        f = f_vectors(batch, params, tempered.score(batch.x))
         for i in range(6):
             one = reparameterize(params, batch.z[i : i + 1], batch.xi[i : i + 1])
-            fi = f_vectors(one, params, tempered)[0]
+            fi = f_vectors(one, params, tempered.score(one.x))[0]
             assert np.allclose(fi, f[i], rtol=1e-12, atol=1e-14)
 
     def test_finite_on_banana_sweep(self):
@@ -125,7 +124,7 @@ class TestFVector:
 
         params = siv_init(NetArch((3, 32, 2)), seed=13, rho_init=-1.0)
         batch = siv_sample_batch(params, 100_000, np.random.default_rng(7))
-        f = f_vectors(batch, params, Banana())
+        f = f_vectors(batch, params, Banana().score(batch.x))
         assert np.all(np.isfinite(f))
 
 

@@ -447,7 +447,6 @@ class TestCLI:
         "settings, argv, key",
         [
             ({"run.seed": -1}, [], "run.seed"),
-            ({}, ["--seed", "-1"], "run.seed"),
             ({"init.seed": -5}, [], "init.seed"),
             ({"eval.sample_size": 0}, [], "eval.sample_size"),
             ({**CD, "target.obs_stride": 0}, [], "target.obs_stride"),
@@ -455,7 +454,7 @@ class TestCLI:
             ({"anneal.iterations": -5}, [], "anneal.iterations"),
             ({"run.threads": -3}, [], "run.threads"),
         ],
-        ids=["run-seed", "seed-flag", "init-seed", "eval-size", "obs-stride", "obs-seed", "anneal-iters", "threads"],
+        ids=["run-seed", "init-seed", "eval-size", "obs-stride", "obs-seed", "anneal-iters", "threads"],
     )
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, settings, argv, key):
         config_path = tmp_path / "config.txt"
@@ -610,13 +609,23 @@ class TestCLI:
         named = f"{good}, {bad}" if "kl_knn" in message else str(bad)
         assert err.startswith(f"error: {named}{message}")
 
-    @pytest.mark.parametrize("n_proj", ["0", "-3"])
-    def test_evaluate_without_projections_exits_2(self, tmp_path, capsys, n_proj):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bandwidth", "nan"], "bandwidth must be finite, got nan"),
+            (["--bandwidth", "inf"], "bandwidth must be finite, got inf"),
+            (["--kernel-family", "imq", "--offset", "nan"], "offset must be finite, got nan"),
+            (["--kernel-family", "imq", "--offset", "inf"], "offset must be finite, got inf"),
+        ],
+        ids=["bandwidth-nan", "bandwidth-inf", "offset-nan", "offset-inf"],
+    )
+    def test_evaluate_non_finite_kernel_parameter_exits_2(self, tmp_path, capsys, flags, message):
+        # a NaN value would print as NaN, which is not JSON; an infinite bandwidth would report an mmd2 of 0
         path = tmp_path / "s.csv"
         write_samples_csv(path, np.random.default_rng(4).standard_normal((20, 2)))
-        assert main(["evaluate", str(path), str(path), "--n-proj", n_proj]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {path}, {path}: sliced_wd: n_proj must be at least 1, got {n_proj}\n"
+        assert main(["evaluate", str(path), str(path), "--metrics", "mmd2", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}, {path}: mmd2: {message}\n"
 
     def test_unknown_metric_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         def refused(*args, **kwargs):
@@ -638,6 +647,8 @@ class TestCLI:
             ["make-blr-data", "{dir}/w.csv", "--rows", "-5"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "0"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "-1"],
+            ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--n-proj", "0"],
+            ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--n-proj", "-3"],
         ],
     )
     def test_count_flag_below_one_exits_2(self, tmp_path, capsys, argv):
@@ -657,13 +668,16 @@ class TestCLI:
             ["diagnose", "{dir}/checkpoint.json", "--seed", "-1"],
             ["make-blr-data", "{dir}/w.csv", "--seed", "-1"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--seed", "-2"],
+            ["train", "{dir}/config.txt", "--out", "{dir}/out", "--seed", "-1"],
+            ["sample-ground-truth", "{dir}/config.txt", "--out", "{dir}/out", "--seed", "-1"],
         ],
-        ids=["diagnose", "make-blr-data", "evaluate"],
+        ids=["diagnose", "make-blr-data", "evaluate", "train", "sample-ground-truth"],
     )
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
         # numpy's generators refuse a negative seed; the flag refuses it first and names itself
         save_checkpoint(tmp_path / "checkpoint.json", siv_init(NetArch((3, 8, 2)), seed=3))
         write_samples_csv(tmp_path / "a.csv", np.random.default_rng(4).standard_normal((20, 2)))
+        (tmp_path / "config.txt").write_text(TINY_CONFIG)
         argv = [arg.format(dir=tmp_path) for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -671,7 +685,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"error: argument --seed: must be at least 0, got {argv[-1]}" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "w.csv").exists()
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "out").exists()
 
     def test_evaluate_one_coordinate_refuses_corr(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

@@ -71,6 +71,13 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_matrix(KernelSpec("rbf"), np.zeros((1, 2)), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("field", ["bandwidth", "offset", "smoothing"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused_by_name(self, field, value):
+        # NaN fails no ``<= 0`` check; an infinite bandwidth makes every Gram entry 1
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            KernelSpec(**{field: value})
+
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
         for spec in ALL_SPECS:

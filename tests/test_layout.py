@@ -1,0 +1,147 @@
+"""Memory order is decided where arrays enter: no result depends on the caller's.
+
+Each public numeric entry point is given the same points as a C-ordered
+array and as a Fortran-ordered one, every other row of a larger array, and a
+single point cut from a Fortran-ordered array, and must give the C-ordered
+input's bits.  A row sum or a matrix product rounds in memory order, so
+without the conversion at the entry point these differ in the last bits.
+"""
+
+import numpy as np
+import pytest
+
+from ksivi.kernels import (
+    KernelSpec,
+    SqBlocks,
+    expansion_error,
+    median_bandwidth,
+    pairwise_sq_dists,
+    sq_blocks,
+    weighted_grad1_sum,
+)
+from ksivi.metrics import kl_knn, mmd2_ustat, sliced_wd
+from ksivi.targets import (
+    Banana,
+    ConditionedDiffusion,
+    LogisticRegression,
+    StudentTProduct,
+    Tempered,
+    generate_cd_observations,
+    make_waveform_dataset,
+    multimodal_target,
+    xshaped_target,
+)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def layout(block, name):
+    """The points of the C-ordered ``block`` in the memory layout ``name``; the
+    single point is the first row of a Fortran-ordered copy, a strided (1, d) view."""
+    if name == "fortran":
+        out = np.asfortranarray(block)
+    elif name == "strided-rows":
+        out = np.repeat(block, 2, axis=0)[::2]
+    else:
+        out = np.asfortranarray(block)[:1]
+    assert not out.flags.c_contiguous
+    return out
+
+
+LAYOUTS = ["fortran", "strided-rows", "single-point"]
+
+
+def _blr():
+    features, labels = make_waveform_dataset(n_rows=40, seed=3)
+    return LogisticRegression(np.concatenate([np.ones((40, 1)), features], axis=1), labels)
+
+
+def _cd():
+    idx, obs, _ = generate_cd_observations(6)
+    return ConditionedDiffusion(idx, obs)
+
+
+TARGETS = [
+    ("banana", Banana()),
+    ("multimodal", multimodal_target()),
+    ("xshaped", xshaped_target()),
+    ("student", StudentTProduct(nu=2.0, width=5.0, dim=22)),
+    ("blr", _blr()),
+    ("cd", _cd()),
+]
+TARGETS += [(f"tempered-{name}", Tempered(target, 0.3)) for name, target in TARGETS]
+
+
+@pytest.mark.parametrize("name,target", TARGETS, ids=[t[0] for t in TARGETS])
+@pytest.mark.parametrize("name_layout", LAYOUTS)
+def test_target_methods_give_the_bits_of_a_c_ordered_batch(name, target, name_layout):
+    rng = np.random.default_rng(41)
+    x = layout(1.5 * rng.standard_normal((40, target.dim)), name_layout)
+    v = layout(rng.standard_normal((40, target.dim)), name_layout)
+    x_c, v_c = np.ascontiguousarray(x), np.ascontiguousarray(v)
+    assert same_bits(target.logp(x), target.logp(x_c))
+    assert same_bits(target.score(x), target.score(x_c))
+    for got, expect in zip(target.logp_and_score(x), target.logp_and_score(x_c)):
+        assert same_bits(got, expect)
+    score, hvp = target.score_and_hvp(x)
+    score_c, hvp_c = target.score_and_hvp(x_c)
+    assert same_bits(score, score_c)
+    assert same_bits(hvp(v), hvp_c(v_c))
+    assert same_bits(target.hvp(x, v), target.hvp(x_c, v_c))
+
+
+# Seeds at which a Fortran-ordered X, used in its own memory order, rounds
+# differently: kl_knn at d = 2 (seed 0), the median and the MMD at d = 22
+# (seeds 28 and 6), the MMD and kl_knn at d = 200 (seeds 4 and 6); and at
+# which X given as both sets, made C-ordered as two copies, moves the MMD of X
+# against itself at d = 200 (seed 27).
+@pytest.mark.parametrize("d", [2, 22, 200])
+@pytest.mark.parametrize("name_layout", LAYOUTS)
+def test_distances_and_metrics_give_the_bits_of_c_ordered_samples(d, name_layout):
+    differ = set()
+    for seed in (0, 4, 6, 27, 28):
+        rng = np.random.default_rng(seed)
+        X = layout(rng.standard_normal((300, d)), name_layout)
+        Y_c = 0.5 + rng.standard_normal((250, d))
+        X_c, Y = np.ascontiguousarray(X), layout(Y_c, "strided-rows")
+        spec = KernelSpec("rbf", bandwidth=median_bandwidth(X_c, Y_c))
+        spec_x = KernelSpec("rbf", bandwidth=median_bandwidth(X_c, X_c))
+        calls = {
+            "pairwise_sq_dists": pairwise_sq_dists,
+            "pairwise_sq_dists(X, X)": lambda A, B: pairwise_sq_dists(A, A),
+            "expansion_error": expansion_error,
+            "sq_blocks": lambda A, B: np.concatenate([block.ravel() for block in sq_blocks(A, B)]),
+            "sq_blocks(X, X)": lambda A, B: np.concatenate([block.ravel() for block in sq_blocks(A, A)]),
+            "median_bandwidth": median_bandwidth,
+            "median_bandwidth(X, X)": lambda A, B: median_bandwidth(A, A),
+        }
+        if len(X) > 1:  # the metrics refuse a single point
+            calls["mmd2_ustat"] = lambda A, B: mmd2_ustat(A, B, spec)
+            calls["mmd2_ustat(X, X)"] = lambda A, B: mmd2_ustat(A, A, spec_x)
+            calls["kl_knn"] = kl_knn
+            calls["sliced_wd"] = sliced_wd
+        differ |= {name for name, call in calls.items() if not same_bits(call(X, Y), call(X_c, Y_c))}
+        blocks = sq_blocks(X_c, Y_c)  # the blocks a caller hands over are an input too
+        fortran_blocks = SqBlocks(*(np.asfortranarray(block) for block in blocks))
+        if len(X) > 1 and not same_bits(mmd2_ustat(X_c, Y_c, spec, fortran_blocks), mmd2_ustat(X_c, Y_c, spec, blocks)):
+            differ.add("mmd2_ustat(sq)")
+    assert not differ
+
+
+@pytest.mark.parametrize("family", ["rbf", "imq", "riesz"])
+@pytest.mark.parametrize("d", [2, 22, 200])
+def test_weighted_grad1_sum_gives_the_bits_of_c_ordered_weights(family, d):
+    # the second side of the two-batch estimator: Y against X, with the transposes of XY's blocks
+    rng = np.random.default_rng(47 + d)
+    X, Y = rng.standard_normal((60, d)), rng.standard_normal((60, d))
+    inner = rng.standard_normal((60, 60))
+    sq = pairwise_sq_dists(X, Y)
+    spec = KernelSpec(family)
+    expect = weighted_grad1_sum(spec, Y, X, np.ascontiguousarray(inner.T), sq=np.ascontiguousarray(sq.T))
+    assert same_bits(weighted_grad1_sum(spec, Y, X, inner.T, sq=sq.T), expect)
+    Y_f, X_strided = layout(Y, "fortran"), layout(X, "strided-rows")
+    assert same_bits(weighted_grad1_sum(spec, Y_f, X_strided, inner.T, sq=sq.T), expect)

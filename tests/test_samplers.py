@@ -89,7 +89,7 @@ def reference_sgld_run(target, config: SamplerConfig) -> SamplerRun:
                     history.append(x.copy())
         step += span
     hist = np.stack(history) if history else None
-    return SamplerRun(states=x, history=hist, acceptance_rate=None, n_steps=config.n_steps)
+    return SamplerRun(states=x, history=hist, acceptance_rate=None)
 
 
 def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
@@ -130,7 +130,7 @@ def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
         step += span
     hist = np.stack(history) if history else None
     rate = n_accept / (config.n_steps * config.n_particles)
-    return SamplerRun(states=x, history=hist, acceptance_rate=rate, n_steps=config.n_steps)
+    return SamplerRun(states=x, history=hist, acceptance_rate=rate)
 
 
 class TestSingleDriver:
