@@ -34,14 +34,20 @@ A caller may hand over a workspace, one row per batch of at least
 ``target.work_size(n)`` values; batch i's target arrays then live in row i
 (see ``targets``), so the caller owns them and the estimator allocates none.
 Each operator is used before ``value_and_grad`` returns, and the rows may be
-reused by the next call.
+reused by the next call.  Likewise a caller may hand over a gradient block,
+one row of ``params.flat.size`` per batch: batch i's pullback is written to
+row i, the second row is added into the first, and the first row is the
+gradient returned, valid until the caller reuses the block.
 The kernel bandwidth is a constant here; the training loop resolves it
 before the estimator runs, and hands over the iteration's squared distances
 (``kernels.sq_blocks`` of the batches): XY feeds the two-batch Gram matrix
-and both kernel-gradient sums, the second through its transpose, and XX
-the U-statistic's; without them the estimator builds the same blocks
-itself.  Tempering comes in through the target (``targets.Tempered``), so
-the estimator has no temperature of its own.
+and the pair weights of both kernel-gradient sums, and XX the U-statistic's;
+without them the estimator builds the same blocks itself.  The two-batch
+pair weights ``<f_i, f_j> g(|x_i - y_j|^2)`` are formed once per call
+(``kernels.cross_grad1_weights``; the rbf kernel's g read off the Gram
+matrix), and the second batch's sum takes their C-ordered transpose.
+Tempering comes in through the target (``targets.Tempered``), so the
+estimator has no temperature of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from .family import f_vectors
-from .kernels import diag_values, eval_matrix, sq_blocks, weighted_grad1_sum
+from .kernels import cross_grad1_weights, diag_values, eval_matrix, grad1_weights, sq_blocks, weighted_grad1_sum
 from .nets import layer_views, net_vjp_batch_sum
 
 def _residuals(batch, params, target, work=None):
@@ -58,30 +64,33 @@ def _residuals(batch, params, target, work=None):
     return f_vectors(batch, params, score), hvp
 
 
-def _pullback(params, batch, f_upstream, x_upstream, hvp):
+def _pullback(params, batch, f_upstream, x_upstream, hvp, out=None):
     """Flat gradient of ``sum_i <x_upstream_i, x_i> + <f_upstream_i, f_i>``.
 
     ``x_i`` and ``f_i`` are functions of the parameters under frozen base
     randomness.  The target enters through its Hessian operator ``hvp`` at
     the batch: the x-sensitivity of ``f = s_p(x) + xi/sigma`` is ``H(x)``.
-    The result is a fresh vector in the layout of ``params.flat``.
+    The result is written to ``out`` (a fresh vector by default) in the
+    layout of ``params.flat``, and returned.
     """
     sigma = params.sigma
     total_x = x_upstream + hvp(f_upstream)
-    grad = np.empty(params.flat.size)
+    grad = np.empty(params.flat.size) if out is None else out
     net_vjp_batch_sum(params.net, batch.tape, total_x, out=grad)
     _, g_rho = layer_views(params.arch, grad)
     np.subtract(sigma * (total_x * batch.xi).sum(axis=0), (f_upstream * batch.xi).sum(axis=0) / sigma, out=g_rho)
     return grad
 
 
-def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None, work=None):
+def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None, work=None, out=None):
     """Estimate the objective and its exact flat gradient in one pass.
 
     ``b1``, ``b2``: two equal-size batches, or ``b2=None`` for the U-statistic on ``b1``.
     ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
     ``sq``: ``sq_blocks`` of the batches' samples, if already computed.
     ``work``: the caller's workspace, one row per batch (see the module docstring).
+    ``out``: the caller's gradient block, a row of ``params.flat.size`` per
+    batch; the gradient is then its first row (see the module docstring).
     """
     n = len(b1)
     if b2 is None and n < 2:
@@ -92,6 +101,7 @@ def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None,
     if sq is None:
         sq = sq_blocks(b1.x, None if b2 is None else b2.x)
     work = (None, None) if work is None else work
+    out = (None, None) if out is None else out
     f, hvps = zip(*(_residuals(batch, params, target, w) for batch, w in zip(batches, work)))
     if b2 is None:  # off-diagonal pairs within the one batch, each counted twice
         gram = eval_matrix(kernel, b1.x, b1.x, sq=sq.xx)
@@ -101,25 +111,25 @@ def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None,
         value = float((gram * inner).sum() * scale)
         np.fill_diagonal(inner, 0.0)
         scale, reg_coeff = 2.0 * scale, 2.0 * reg_weight / n
-        sides = [(gram, inner, sq.xx)]
+        sides = [(gram, grad1_weights(kernel, inner, sq.xx))]
     else:  # all cross pairs
         gram = eval_matrix(kernel, b1.x, b2.x, sq=sq.xy)
         inner = f[0] @ f[1].T
         value = float((gram * inner).mean())
         scale, reg_coeff = 1.0 / (n * n), reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
-        sides = [(gram, inner, sq.xy), (gram.T, inner.T, sq.xy.T)]
+        sides = list(zip((gram, gram.T), cross_grad1_weights(kernel, inner, sq.xy, gram)))
     grad, reg_total = None, 0.0
     # each batch against the other one (the U-statistic: against itself)
-    for batch, other, f_own, f_other, hvp, (gram_b, inner_b, sq_b) in zip(
-        batches, batches[::-1], f, f[::-1], hvps, sides
+    for batch, other, f_own, f_other, hvp, (gram_b, weights_b), out_b in zip(
+        batches, batches[::-1], f, f[::-1], hvps, sides, out
     ):
         v = scale * (gram_b @ f_other)
-        u = scale * weighted_grad1_sum(kernel, batch.x, other.x, inner_b, sq=sq_b)
+        u = scale * weighted_grad1_sum(kernel, batch.x, other.x, weights=weights_b)
         if reg_weight > 0.0:
             diag = diag_values(kernel, n)
             reg_total += float((diag * (f_own**2).sum(axis=1)).sum())
             v += (reg_coeff * diag[:, None]) * f_own
-        part = _pullback(params, batch, v, u, hvp)
+        part = _pullback(params, batch, v, u, hvp, out_b)
         grad = part if grad is None else np.add(grad, part, out=grad)
     if reg_weight > 0.0:
         value += reg_weight * reg_total / (n * len(batches))

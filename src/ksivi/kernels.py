@@ -20,14 +20,19 @@ row sum rounds by the memory order of the caller's arrays.
 
 Squared distances have one layout, ``SqBlocks``: within X, within Y and from
 X to Y, each its own product, because a block of a larger product need not
-round like the product on its own.  A training iteration builds them once
-from its two batches (the U-statistic's one batch has empty YY and XY), and
+round like the product on its own; each set's squared norms are summed once
+and shared by its two blocks.  A training iteration builds them once from
+its two batches (the U-statistic's one batch has empty YY and XY), and
 ``evaluate`` once from its two sample sets.  ``median_bandwidth``, the Gram
-matrix, both kernel-gradient sums, the MMD and the neighbour distances read
-them.  The median's pairs are XX's and YY's upper triangles and all of XY.
-At the training sizes it gathers them all; at 1000 + 1000 points it brackets
-the middle ranks first, which took 17 to 18 ms at d = 2, 22 and 200 (2-core
-Xeon VM, one thread), against 40 to 68 ms for ``np.median`` over every pair
+matrix, the kernel-gradient pair weights, the MMD and the neighbour
+distances read them.  The two-batch estimator forms its pair weights once
+per iteration (``cross_grad1_weights``; the rbf kernel's g is the Gram
+matrix over h^2), and the second batch's sum reads their transpose.
+
+The median's pairs are XX's and YY's upper triangles and all of XY.  At the
+training sizes it gathers them all; at 1000 + 1000 points it brackets the
+middle ranks first, which took 17 to 18 ms at d = 2, 22 and 200 (2-core Xeon
+VM, one thread), against 40 to 68 ms for ``np.median`` over every pair
 gathered with boolean masks; the blocks cost 28 to 45 ms and are shared.
 """
 
@@ -91,12 +96,21 @@ def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X_c, X_c if Y is X else np.ascontiguousarray(Y, dtype=np.float64)
 
 
-def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n, m)."""
+def sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a C-ordered X, as ``pairwise_sq_dists`` sums them."""
+    return (X**2).sum(axis=1)
+
+
+def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray, norms: tuple | None = None) -> np.ndarray:
+    """Squared Euclidean distances, shape (n, m).
+
+    ``norms``, if given, is ``(sq_norms(X), sq_norms(Y))`` of the C-ordered sets.
+    """
     X, Y = c_ordered(X, Y)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise ValueError(f"incompatible sample shapes {X.shape} and {Y.shape}")
-    sq = (X**2).sum(axis=1)[:, None] + (Y**2).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    x_norms, y_norms = (sq_norms(X), sq_norms(Y)) if norms is None else norms
+    sq = x_norms[:, None] + y_norms[None, :] - 2.0 * (X @ Y.T)
     return np.maximum(sq, 0.0, out=sq)
 
 
@@ -111,13 +125,17 @@ class SqBlocks(NamedTuple):
 def sq_blocks(X: np.ndarray, Y: np.ndarray | None = None) -> SqBlocks:
     """The squared distances of X and Y as three blocks, each its own ``pairwise_sq_dists``.
 
+    Each set's squared norms are summed once and shared by its two blocks.
     Without Y they are those of X alone: YY and XY are empty.
     """
     if Y is None:
         X = np.ascontiguousarray(X, dtype=np.float64)
         Y = X[:0]
     X, Y = c_ordered(X, Y)
-    return SqBlocks(pairwise_sq_dists(X, X), pairwise_sq_dists(Y, Y), pairwise_sq_dists(X, Y))
+    nx, ny = sq_norms(X), sq_norms(Y)
+    return SqBlocks(
+        pairwise_sq_dists(X, X, (nx, nx)), pairwise_sq_dists(Y, Y, (ny, ny)), pairwise_sq_dists(X, Y, (nx, ny))
+    )
 
 
 def eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
@@ -152,21 +170,53 @@ def grad1_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     return (sq + spec.smoothing**2) ** (-0.5)
 
 
+def grad1_weights(spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
+    """The pair weights ``coeff_ij * g(sq_ij)`` of ``weighted_grad1_sum``, C-ordered.
+
+    C-ordered whatever the order of ``coeff`` and ``sq``: the sum's row sums
+    round in memory order.  ``gram``, if given, is ``eval_matrix(spec, X, Y,
+    sq)``; an rbf kernel then reads g as ``gram / h^2``, which has the bits of
+    ``grad1_coeff`` without a second exponential.
+    """
+    if gram is not None and spec.family == "rbf":
+        g = np.divide(gram, spec.bandwidth**2, out=np.empty(np.shape(coeff)))
+        return np.multiply(coeff, g, out=g)
+    return np.multiply(coeff, grad1_coeff(spec, sq), out=np.empty(np.shape(coeff)))
+
+
+def cross_grad1_weights(
+    spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair weights of both sides of a two-set sum from one matrix.
+
+    X against Y takes ``grad1_weights(spec, coeff, sq, gram)``, and Y against
+    X, whose weights are ``coeff.T * g(sq.T)``, takes its C-ordered transpose:
+    a product is the same whichever side's pair it is formed for.
+    """
+    G = grad1_weights(spec, coeff, sq, gram)
+    return G, np.ascontiguousarray(G.T)
+
+
 def weighted_grad1_sum(
-    spec: KernelSpec, X: np.ndarray, Y: np.ndarray, coeff: np.ndarray, sq: np.ndarray | None = None
+    spec: KernelSpec,
+    X: np.ndarray,
+    Y: np.ndarray,
+    coeff: np.ndarray | None = None,
+    sq: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-wise sums ``sum_j coeff_ij * grad_1 k(x_i, y_j)``, shape (n, d).
 
     Used by both gradient estimators, where ``coeff`` carries the inner
     products of the score residual vectors.  ``sq``, if given, is
-    ``pairwise_sq_dists(X, Y)`` computed already.
+    ``pairwise_sq_dists(X, Y)`` computed already.  ``weights``, if given, is
+    ``grad1_weights(spec, coeff, sq)`` formed already; ``coeff`` and ``sq``
+    are then not read.
     """
     X, Y = c_ordered(X, Y)
-    if sq is None:
-        sq = pairwise_sq_dists(X, Y)
-    # C-ordered whatever the order of coeff and sq: its row sums round in memory order
-    G = np.multiply(coeff, grad1_coeff(spec, sq), out=np.empty(np.shape(coeff)))
-    return G @ Y - X * G.sum(axis=1)[:, None]
+    if weights is None:
+        weights = grad1_weights(spec, coeff, pairwise_sq_dists(X, Y) if sq is None else sq)
+    return weights @ Y - X * weights.sum(axis=1)[:, None]
 
 
 def diag_values(spec: KernelSpec, n: int) -> np.ndarray:

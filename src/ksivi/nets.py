@@ -111,7 +111,16 @@ class ForwardTape:
 
 
 def net_forward_batch(params: NetParams, z: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """Evaluate the network on a batch ``z`` of shape (n, d_in)."""
+    """Evaluate the network on a batch ``z`` of shape (n, d_in).
+
+    Each layer's product is its only array: the bias is added and the
+    rectifier applied in place, once the mask is taken.  The rectifier is
+    ``np.fmax(pre, 0.0)`` then ``+= 0.0``, which has the bits of
+    ``np.where(pre > 0, pre, 0.0)`` without its branch: ``fmax`` maps NaN to
+    +0.0 but may keep -0.0 (numpy 2.4 did at the first element past its
+    vector loop, at some block sizes), and -0.0 + 0.0 is +0.0 while every
+    other value is left as it is.
+    """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != params.arch.d_in:
         raise ValueError(f"batch input shape {z.shape} incompatible with input width {params.arch.d_in}")
@@ -120,14 +129,13 @@ def net_forward_batch(params: NetParams, z: np.ndarray) -> tuple[np.ndarray, For
     masks = []
     n_layers = params.arch.n_layers
     for layer in range(n_layers):
-        pre = a @ params.weights[layer].T + params.biases[layer]
+        a = a @ params.weights[layer].T
+        a += params.biases[layer]
         if layer < n_layers - 1:
-            mask = pre > 0.0  # subgradient at exactly 0 is taken as 0
-            a = np.where(mask, pre, 0.0)
+            masks.append(a > 0.0)  # subgradient at exactly 0 is taken as 0
+            np.fmax(a, 0.0, out=a)
+            a += 0.0  # -0.0 to +0.0, which fmax may leave
             inputs.append(a)
-            masks.append(mask)
-        else:
-            a = pre
     return a, ForwardTape(params.arch, inputs, masks)
 
 
@@ -159,7 +167,8 @@ def net_vjp_batch_sum(
         np.matmul(delta.T, tape.inputs[layer], out=grads.weights[layer])
         delta.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * tape.masks[layer - 1]
+            delta = delta @ params.weights[layer]
+            delta *= tape.masks[layer - 1]
     return out
 
 

@@ -7,17 +7,25 @@ name).  It computes their squared distances once (``kernels.sq_blocks``),
 resolves the kernel bandwidth on those samples from the blocks (held constant
 while differentiating), calls ``estimators.value_and_grad`` on ``b1, b2`` and
 the target tempered to the current annealing temperature
-(``targets.Tempered``) with the same blocks, and applies an Adam update.  The median bandwidth is
-``np.median`` of the square roots of the pooled samples' pair distances (see
-``kernels``); samples that are not finite give a NaN bandwidth, and so a
-non-finite loss.  Adam updates the parameter buffer (``SIVParams.flat``) in
-place, so the next draw sees the step through the buffer's views; snapshots
-are taken only for the hook or an error.  The loop owns one workspace for the
-whole run, a row per batch of ``target.work_size(batch_size)`` values, in
-which the target keeps its per-batch arrays (logistic regression: its
-(rows, batch) logits and weights); each iteration's estimator call reuses it,
-so an iteration allocates none of them.  The loop records a loss trace and
-aborts with a diagnostic snapshot if anything goes non-finite.
+(``targets.Tempered``) with the same blocks, and applies an Adam update.  At
+temperature 1 the target goes in bare: ``Tempered`` would only multiply by
+1.0, which changes no bit, and copy the score and every Hessian-vector
+product to do it.  The median bandwidth is ``np.median`` of the square roots
+of the pooled samples' pair distances (see ``kernels``); samples that are not
+finite give a NaN bandwidth, and so a non-finite loss.  Adam updates the
+parameter buffer (``SIVParams.flat``) in place, so the next draw sees the
+step through the buffer's views; snapshots are taken only for the hook or an
+error.
+
+The loop owns two blocks for the whole run, each a row per batch.  The
+workspace rows hold ``target.work_size(batch_size)`` values, in which the
+target keeps its per-batch arrays (logistic regression: its (rows, batch)
+logits and weights).  The gradient rows hold a parameter vector each, into
+which the estimator writes the batches' pullbacks and their sum; at
+cd-dim200 a row is 546 KB, above glibc's default threshold for serving an
+allocation with fresh pages.  Each iteration's estimator call reuses both, so
+an iteration allocates none of these arrays.  The loop records a loss trace
+and aborts with a diagnostic snapshot if anything goes non-finite.
 """
 
 from __future__ import annotations
@@ -148,6 +156,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     trace = LossTrace()
     two_batch = config.estimator == "vanilla"
     work = np.empty((1 + two_batch, target.work_size(config.batch_size)))  # one block for the run
+    grad_rows = np.empty((1 + two_batch, params.flat.size))  # and one for the batches' pullbacks
     started = time.perf_counter()
 
     for t in range(config.iterations):
@@ -157,7 +166,8 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         y = None if b2 is None else b2.x
         sq = sq_blocks(b1.x, y)
         kernel = resolve_kernel(config, b1.x, y, sq)
-        value, grad = value_and_grad(params, Tempered(target, beta), kernel, b1, b2, config.reg_weight, sq, work)
+        tempered = target if beta == 1.0 else Tempered(target, beta)  # 1.0 * x is x
+        value, grad = value_and_grad(params, tempered, kernel, b1, b2, config.reg_weight, sq, work, grad_rows)
         if not np.isfinite(value):
             raise TrainingDivergence(t, params.copy(), f"loss estimate is {value}")
         if not np.all(np.isfinite(grad)):

@@ -6,7 +6,9 @@ The traced benchmark run that would show it is slow and lives outside this
 suite, so these tests install the tracer alone: one checks that uninstalling
 puts every original object back, the other that a short training run and one
 ``evaluate`` still call every traced name, since a refactor that routes a call
-around one leaves its layer reading 0.
+around one leaves its layer reading 0.  Each estimator's training run must
+reach every traced training name on its own, so that a path of one estimator
+cannot hide behind the other's calls.
 """
 
 import importlib
@@ -22,6 +24,7 @@ from ksivi.runio import write_samples_csv
 from ksivi.targets import Banana
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+TRAINING_MODULES = ("ksivi.train", "ksivi.estimators", "ksivi.family")  # where training's calls are traced
 
 
 def load_tracing():
@@ -62,13 +65,25 @@ def test_every_traced_name_is_called(tmp_path, capsys):
     tracer.install(target)
     try:
         init = siv_init(NetArch((3, 8, 2)), seed=6)
+        per_run = {}
         for estimator in ("vanilla", "ustat"):
             config = train.TrainConfig(iterations=3, batch_size=8, learning_rate=1e-3, estimator=estimator, seed=7)
+            start = len(tracer.names)
             train.train(config, target, init, iteration_hook=lambda t, params: None)
+            per_run[estimator] = set(tracer.names[start:])
         assert cli.main(["evaluate", *map(str, paths), "--metrics", "sliced_wd,kl_knn,mmd2,corr"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    # each estimator alone reaches every training name: one run cannot cover for the other
+    for estimator, names in per_run.items():
+        missed = [
+            f"{module}.{attr}"
+            for module, attr, name, _ in tracing.MODULE_PATCHES
+            if module in TRAINING_MODULES and name not in names
+        ]
+        assert missed == [], estimator
+        assert "family.unflatten" in names, estimator
     recorded = set(tracer.names)
     # metrics.mmd2_vstat has no caller left; it stays until the tracer's names are revised
     uncalled = [

@@ -351,3 +351,20 @@ class TestWorkspace:
             value, grad = value_and_grad(params, target, RBF, *arg, reg_weight=reg_weight, work=work)
             assert value == ref_value
             assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("kind", ["vanilla", "ustat"])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.2])
+    def test_gradient_block_changes_no_bit(self, kind, reg_weight):
+        target = blr_target(40, seed=8)
+        params = siv_init(NetArch((4, 16, target.dim)), seed=9, rho_init=-1.0)
+        rng = np.random.default_rng(11)
+        batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
+        arg = batches if kind == "vanilla" else batches[:1]
+        ref_value, ref_grad = value_and_grad(params, target, RBF, *arg, reg_weight=reg_weight)
+        # the gradient is the block's first row; stale contents and reuse change nothing
+        block = np.full((len(arg), params.flat.size), np.nan)
+        for _ in range(2):
+            value, grad = value_and_grad(params, target, RBF, *arg, reg_weight=reg_weight, out=block)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+            assert np.shares_memory(grad, block[0])

@@ -251,9 +251,9 @@ class TestOneBuildPerBlock:
         calls = []
         build = kernels.pairwise_sq_dists
 
-        def counted(X, Y):
+        def counted(X, Y, *args, **kwargs):
             calls.append((X.shape[0], Y.shape[0]))
-            return build(X, Y)
+            return build(X, Y, *args, **kwargs)
 
         monkeypatch.setattr(kernels, "pairwise_sq_dists", counted)
         monkeypatch.setattr(metrics, "pairwise_sq_dists", counted)

@@ -11,6 +11,7 @@ from ksivi.kernels import (
     BANDWIDTH_FLOOR,
     KernelSpec,
     bandwidth_from_rule,
+    cross_grad1_weights,
     diag_values,
     eval_matrix,
     median_bandwidth,
@@ -223,6 +224,26 @@ class TestSqBlocks:
     def test_rejects_mismatched_widths(self):
         with pytest.raises(ValueError):
             sq_blocks(np.zeros((3, 2)), np.zeros((3, 4)))
+
+
+class TestSharedGrad1Weights:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.family for s in ALL_SPECS])
+    @pytest.mark.parametrize("n, d", [(6, 40), (16, 50), (100, 2), (128, 200)])
+    def test_both_sides_have_the_bits_of_their_own_sums(self, spec, n, d):
+        # one weight matrix per iteration, read off the Gram matrix for rbf, serves
+        # both batches of the two-batch estimator: the second through its transpose
+        rng = np.random.default_rng(n + d)
+        X = rng.standard_normal((n, d))
+        Y = rng.standard_normal((n, d)) + 0.3
+        inner = rng.standard_normal((n, 3)) @ rng.standard_normal((n, 3)).T
+        sq = sq_blocks(X, Y)
+        weights, weights_t = cross_grad1_weights(spec, inner, sq.xy, eval_matrix(spec, X, Y, sq=sq.xy))
+        sides = [
+            (weighted_grad1_sum(spec, X, Y, weights=weights), weighted_grad1_sum(spec, X, Y, inner, sq.xy)),
+            (weighted_grad1_sum(spec, Y, X, weights=weights_t), weighted_grad1_sum(spec, Y, X, inner.T, sq.xy.T)),
+        ]
+        for shared, own in sides:
+            assert shared.view(np.uint64).tolist() == own.view(np.uint64).tolist()
 
 
 def awkward_samples(seed, n, d, kind):

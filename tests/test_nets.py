@@ -120,6 +120,50 @@ class TestForward:
             net_forward_batch(params, np.zeros(3))  # a point, not a batch
 
 
+# the rectifier's edge cases: signed zeros, NaN, infinities and subnormals of both signs
+RECTIFIER_EDGES = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -1.5])
+
+
+class FixedProduct:
+    """A weight matrix whose product with any batch is a given block.
+
+    ``a @ w.T`` comes back as a copy of ``pre``: numpy's operators hand the
+    product to ``__rmatmul__`` since ``__array_ufunc__`` is None.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, pre):
+        self.pre = pre
+
+    @property
+    def T(self):
+        return self
+
+    def __rmatmul__(self, a):
+        return self.pre.copy()
+
+
+class TestRectifierBits:
+    # an odd block size leaves a tail after the vector loop; with numpy 2.4, np.fmax
+    # alone kept -0.0 at (3, 7) from offset 5 and at (5, 5) and (6, 5) from offset 2
+    @pytest.mark.parametrize("shape", [(3, 7), (5, 5), (6, 5), (5, 16), (7, 13)])
+    @pytest.mark.parametrize("offset", range(8))
+    def test_hidden_activations_have_the_bits_of_where(self, shape, offset):
+        flat = np.ones(shape[0] * shape[1])
+        flat[offset:] = np.resize(RECTIFIER_EDGES, flat.size - offset)
+        pre = flat.reshape(shape)
+        width = shape[1]
+        # a bias of -0.0 adds without a change to any bit, -0.0 included
+        params = NetParams(
+            NetArch((2, width, 3)), [FixedProduct(pre), np.ones((3, width))], [np.full(width, -0.0), np.zeros(3)]
+        )
+        _, tape = net_forward_batch(params, np.zeros((shape[0], 2)))
+        expected = np.where(pre > 0, pre, 0.0)
+        assert tape.inputs[1].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert np.array_equal(tape.masks[0], pre > 0)
+
+
 class TestVJP:
     def test_zero_upstream(self):
         params = net_init(NetArch((3, 8, 2)), seed=1)
