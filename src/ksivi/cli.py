@@ -160,7 +160,7 @@ def cmd_evaluate(args) -> int:
 
     import numpy as np
 
-    from .kernels import KernelSpec, median_bandwidth, sq_blocks
+    from .kernels import KernelSpec, bandwidth_from_rule, sq_blocks
     from .metrics import corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
     from .runio import read_samples_csv
 
@@ -175,6 +175,14 @@ def cmd_evaluate(args) -> int:
     if X.shape[1] != Y.shape[1]:
         print(
             f"error: sample dimensions differ ({X.shape[1]} vs {Y.shape[1]})",
+            file=sys.stderr,
+        )
+        return 2
+    half = Y.shape[0] // 2  # the smaller of the two halves of B that kl_knn's noise floor compares
+    if "kl_knn" in requested and half <= args.kl_k:  # k >= 1, so this also refuses a half of 1 row
+        print(
+            f"error: {args.samples_b}: kl_knn noise floor: samples_b has {Y.shape[0]} rows, split into halves "
+            f"of {half} and {Y.shape[0] - half}; each needs more than k = {args.kl_k} rows",
             file=sys.stderr,
         )
         return 2
@@ -209,12 +217,14 @@ def cmd_evaluate(args) -> int:
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                h = args.bandwidth if args.bandwidth else median_bandwidth(X, Y, blocks)
-                spec = KernelSpec(args.kernel_family, bandwidth=h, offset=args.offset)
+                fixed = args.bandwidth != 0.0  # 0 asks for the median
+                spec = KernelSpec(args.kernel_family, bandwidth=args.bandwidth if fixed else 1.0, offset=args.offset)
+                spec = bandwidth_from_rule(spec, "fixed" if fixed else "median", X, Y, blocks)
+                parameter, value = spec.parameter()  # the one the family reads
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec, sq=blocks),
-                    "kernel": args.kernel_family,
-                    "bandwidth": h,
+                    "kernel": spec.family,
+                    parameter: value,
                 }
             elif name == "corr":
                 diff = upper_triangle(corr_pairs(X)) - upper_triangle(corr_pairs(Y))

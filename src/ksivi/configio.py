@@ -3,9 +3,7 @@
 A config file is TOML, read by ``tomllib`` with nested tables flattened into
 dotted keys; ``format_config`` writes one ``section.key = value`` line per key,
 sorted, strings quoted as JSON does, so a written file parses back to the same
-dict.  Unlike the hand parser this replaced, inline comments and ``[section]``
-tables now work, while ``.5``, ``5.`` and a bare backslash inside ``"..."`` are
-not valid TOML and are rejected.
+dict.
 
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
 and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  A kind is

@@ -42,10 +42,12 @@ The kernel bandwidth is a constant here; the training loop resolves it
 before the estimator runs, and hands over the iteration's squared distances
 (``kernels.sq_blocks`` of the batches): XY feeds the two-batch Gram matrix
 and the pair weights of both kernel-gradient sums, and XX the U-statistic's;
-without them the estimator builds the same blocks itself.  The two-batch
-pair weights ``<f_i, f_j> g(|x_i - y_j|^2)`` are formed once per call
-(``kernels.cross_grad1_weights``; the rbf kernel's g read off the Gram
-matrix), and the second batch's sum takes their C-ordered transpose.
+without them the estimator builds the same blocks itself.  Both versions
+form their pair weights ``<f_i, f_j> g(|x_i - x_j|^2)`` once per call with
+``kernels.grad1_weights`` from their own Gram matrix (the U-statistic's with
+its zeroed diagonal), and ``kernels.weighted_grad1_sum`` sums them; the
+two-batch version's second batch takes their transpose, which the sum makes
+C-ordered where it enters.
 Tempering comes in through the target (``targets.Tempered``), so the
 estimator has no temperature of its own.
 """
@@ -55,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from .family import f_vectors
-from .kernels import cross_grad1_weights, diag_values, eval_matrix, grad1_weights, sq_blocks, weighted_grad1_sum
+from .kernels import diag_values, eval_matrix, grad1_weights, sq_blocks, weighted_grad1_sum
 from .nets import layer_views, net_vjp_batch_sum
 
 def _residuals(batch, params, target, work=None):
@@ -111,20 +113,21 @@ def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None,
         value = float((gram * inner).sum() * scale)
         np.fill_diagonal(inner, 0.0)
         scale, reg_coeff = 2.0 * scale, 2.0 * reg_weight / n
-        sides = [(gram, grad1_weights(kernel, inner, sq.xx))]
+        sides = [(gram, grad1_weights(kernel, inner, sq.xx, gram))]
     else:  # all cross pairs
         gram = eval_matrix(kernel, b1.x, b2.x, sq=sq.xy)
         inner = f[0] @ f[1].T
         value = float((gram * inner).mean())
         scale, reg_coeff = 1.0 / (n * n), reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
-        sides = list(zip((gram, gram.T), cross_grad1_weights(kernel, inner, sq.xy, gram)))
+        weights = grad1_weights(kernel, inner, sq.xy, gram)
+        sides = [(gram, weights), (gram.T, weights.T)]  # the sum makes the transpose C-ordered
     grad, reg_total = None, 0.0
     # each batch against the other one (the U-statistic: against itself)
     for batch, other, f_own, f_other, hvp, (gram_b, weights_b), out_b in zip(
         batches, batches[::-1], f, f[::-1], hvps, sides, out
     ):
         v = scale * (gram_b @ f_other)
-        u = scale * weighted_grad1_sum(kernel, batch.x, other.x, weights=weights_b)
+        u = scale * weighted_grad1_sum(weights_b, batch.x, other.x)
         if reg_weight > 0.0:
             diag = diag_values(kernel, n)
             reg_total += float((diag * (f_own**2).sum(axis=1)).sum())

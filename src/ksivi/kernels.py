@@ -5,7 +5,10 @@ multiquadric ``(c^2 + ||x-y||^2)^(-1/2)``, and the smoothed Riesz kernel
 ``-sqrt(||x-y||^2 + eps^2)`` (the smoothing removes the gradient singularity
 at coincident points).  Every family's first-argument gradient has the shape
 ``-(x - y) * g(r^2)`` for a scalar pair weight ``g``, which is what the
-batched training code exploits.
+batched training code exploits.  This is the one module that branches on a
+family or a bandwidth rule: ``bandwidth_from_rule`` is the one resolver of a
+rule on samples, ``grad1_weights`` the one place the kernel-gradient pair
+weights are formed, and ``KernelSpec.parameter`` names what a family reads.
 
 Squared distances have one definition, the BLAS expansion
 ``|x|^2 + |y|^2 - 2 x.y`` of ``pairwise_sq_dists``; every median and
@@ -15,8 +18,9 @@ neighbour distance is the square root of one of its values.
 Arrays are C-ordered from the entry point on: each public function here
 and in ``metrics`` makes its samples C-ordered (a no-op in the pipeline),
 through ``c_ordered`` where two sets meet in a product, and
-``weighted_grad1_sum`` forms its weight matrix in C order, so no product or
-row sum rounds by the memory order of the caller's arrays.
+``grad1_weights`` and ``weighted_grad1_sum`` hold the weight matrix in C
+order, so no product or row sum rounds by the memory order of the caller's
+arrays.
 
 Squared distances have one layout, ``SqBlocks``: within X, within Y and from
 X to Y, each its own product, because a block of a larger product need not
@@ -25,9 +29,10 @@ and shared by its two blocks.  A training iteration builds them once from
 its two batches (the U-statistic's one batch has empty YY and XY), and
 ``evaluate`` once from its two sample sets.  ``median_bandwidth``, the Gram
 matrix, the kernel-gradient pair weights, the MMD and the neighbour
-distances read them.  The two-batch estimator forms its pair weights once
-per iteration (``cross_grad1_weights``; the rbf kernel's g is the Gram
-matrix over h^2), and the second batch's sum reads their transpose.
+distances read them.  Both estimators form their pair weights once per
+iteration from the Gram matrix they already hold (the rbf kernel's g is the
+Gram matrix over h^2), and the two-batch estimator's second batch reads
+their C-ordered transpose.
 
 The median's pairs are XX's and YY's upper triangles and all of XY.  At the
 training sizes it gathers them all; at 1000 + 1000 points it brackets the
@@ -43,7 +48,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-FAMILIES = ("rbf", "imq", "riesz")
+# each family and the one parameter it reads
+FAMILY_PARAMETERS = {"rbf": "bandwidth", "imq": "offset", "riesz": "smoothing"}
+FAMILIES = tuple(FAMILY_PARAMETERS)
+
+BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")
 
 BANDWIDTH_FLOOR = 1e-8
 
@@ -68,7 +77,7 @@ class KernelSpec:
         # each message opens with the field it rejects; configio names the key by it
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        for name in ("bandwidth", "offset", "smoothing"):
+        for name in FAMILY_PARAMETERS.values():
             value = getattr(self, name)
             if not np.isfinite(value):  # NaN passes the check below
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -87,6 +96,11 @@ class KernelSpec:
             object.__setattr__(spec, "bandwidth", float(h))
             return spec
         return replace(self, bandwidth=float(h))
+
+    def parameter(self) -> tuple[str, float]:
+        """The name and value of the one parameter this kernel's family reads."""
+        name = FAMILY_PARAMETERS[self.family]
+        return name, getattr(self, name)
 
 
 def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -161,61 +175,36 @@ def eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, sq: np.ndarray |
     return np.negative(out, out=out)
 
 
-def grad1_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Scalar weight g with grad_1 k(x, y) = -(x - y) * g(||x-y||^2)."""
+def grad1_weights(spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The pair weights ``coeff_ij * g(sq_ij)``, C-ordered, where grad_1 k(x, y) = -(x - y) g(|x - y|^2).
+
+    ``gram`` is ``eval_matrix(spec, X, Y, sq)``: the rbf kernel reads g as
+    ``gram / h^2``, the bits of ``exp(-sq / (2 h^2)) / h^2`` without a second
+    exponential; imq and riesz form g from ``sq``.  C-ordered whatever the
+    order of the inputs: ``weighted_grad1_sum``'s row sums round in memory order.
+    """
+    g = np.empty(np.shape(coeff))
     if spec.family == "rbf":
-        return np.exp(-sq / (2.0 * spec.bandwidth**2)) / spec.bandwidth**2
-    if spec.family == "imq":
-        return (spec.offset**2 + sq) ** (-1.5)
-    return (sq + spec.smoothing**2) ** (-0.5)
+        np.divide(gram, spec.bandwidth**2, out=g)
+    elif spec.family == "imq":
+        np.add(spec.offset**2, sq, out=g)
+        g **= -1.5
+    else:
+        np.add(sq, spec.smoothing**2, out=g)
+        g **= -0.5
+    return np.multiply(coeff, g, out=g)
 
 
-def grad1_weights(spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
-    """The pair weights ``coeff_ij * g(sq_ij)`` of ``weighted_grad1_sum``, C-ordered.
+def weighted_grad1_sum(weights: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row sums ``sum_j weights_ij (y_j - x_i)``, shape (n, d).
 
-    C-ordered whatever the order of ``coeff`` and ``sq``: the sum's row sums
-    round in memory order.  ``gram``, if given, is ``eval_matrix(spec, X, Y,
-    sq)``; an rbf kernel then reads g as ``gram / h^2``, which has the bits of
-    ``grad1_coeff`` without a second exponential.
-    """
-    if gram is not None and spec.family == "rbf":
-        g = np.divide(gram, spec.bandwidth**2, out=np.empty(np.shape(coeff)))
-        return np.multiply(coeff, g, out=g)
-    return np.multiply(coeff, grad1_coeff(spec, sq), out=np.empty(np.shape(coeff)))
-
-
-def cross_grad1_weights(
-    spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pair weights of both sides of a two-set sum from one matrix.
-
-    X against Y takes ``grad1_weights(spec, coeff, sq, gram)``, and Y against
-    X, whose weights are ``coeff.T * g(sq.T)``, takes its C-ordered transpose:
-    a product is the same whichever side's pair it is formed for.
-    """
-    G = grad1_weights(spec, coeff, sq, gram)
-    return G, np.ascontiguousarray(G.T)
-
-
-def weighted_grad1_sum(
-    spec: KernelSpec,
-    X: np.ndarray,
-    Y: np.ndarray,
-    coeff: np.ndarray | None = None,
-    sq: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row-wise sums ``sum_j coeff_ij * grad_1 k(x_i, y_j)``, shape (n, d).
-
-    Used by both gradient estimators, where ``coeff`` carries the inner
-    products of the score residual vectors.  ``sq``, if given, is
-    ``pairwise_sq_dists(X, Y)`` computed already.  ``weights``, if given, is
-    ``grad1_weights(spec, coeff, sq)`` formed already; ``coeff`` and ``sq``
-    are then not read.
+    With ``weights = grad1_weights(spec, coeff, sq, gram)`` these are
+    ``sum_j coeff_ij grad_1 k(x_i, y_j)``, the kernel-gradient term of both
+    estimators, where ``coeff`` carries the inner products of the score
+    residual vectors.  Every input is made C-ordered here.
     """
     X, Y = c_ordered(X, Y)
-    if weights is None:
-        weights = grad1_weights(spec, coeff, pairwise_sq_dists(X, Y) if sq is None else sq)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
     return weights @ Y - X * weights.sum(axis=1)[:, None]
 
 
@@ -320,16 +309,20 @@ def median_bandwidth(X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlock
 
 
 def bandwidth_from_rule(
-    rule: str, X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlocks | None = None
-) -> float:
-    """Resolve a bandwidth policy name on the current samples, X and Y pooled.
+    spec: KernelSpec, rule: str, X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlocks | None = None
+) -> KernelSpec:
+    """``spec`` at the bandwidth that ``rule`` resolves on the current samples, X and Y pooled.
 
+    Only the rbf kernel has a bandwidth: ``spec`` comes back as it is under
+    the ``fixed`` rule and for the other families, and no median is formed.
     ``blocks`` is passed on to ``median_bandwidth``.
     """
-    med = median_bandwidth(X, Y, blocks)
-    if rule == "median":
-        return med
+    if rule not in BANDWIDTH_RULES:
+        raise ValueError(f"unknown bandwidth rule {rule!r}")
+    if spec.family != "rbf" or rule == "fixed":
+        return spec
+    h = median_bandwidth(X, Y, blocks)
     if rule == "median_sq_over_log_n":
         n = sum(len(S) for S in (X, Y) if S is not None)
-        return max(med / np.sqrt(max(np.log(n), 1.0)), BANDWIDTH_FLOOR)
-    raise ValueError(f"unknown bandwidth rule {rule!r}")
+        h = max(h / np.sqrt(max(np.log(n), 1.0)), BANDWIDTH_FLOOR)
+    return spec.with_bandwidth(h)

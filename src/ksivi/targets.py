@@ -550,7 +550,7 @@ class ConditionedDiffusion(TargetModel):
         def hvp(V):
             # flat passes as in _residuals: dr = V - c V_prev, out = -dr / dt
             # + (dr_next c + r_next dc) / dt, with dc = -6 drift x dt V
-            V = np.ascontiguousarray(V)  # an entry point: the flat passes need V, and dr, row-major
+            V = np.ascontiguousarray(V, dtype=np.float64)  # an entry point: the flat passes need V, and dr, row-major
             v = V.reshape(-1)
             dr = np.empty_like(V)
             drf = dr.reshape(-1)[1:]

@@ -4,8 +4,10 @@ Each iteration draws a fresh batch ``b1`` from the current variational
 family, and a second one ``b2`` for the two-batch estimator (``"vanilla"``;
 the U-statistic, ``"ustat"``, has ``b2 = None``; no other module reads the
 name).  It computes their squared distances once (``kernels.sq_blocks``),
-resolves the kernel bandwidth on those samples from the blocks (held constant
-while differentiating), calls ``estimators.value_and_grad`` on ``b1, b2`` and
+resolves the configured kernel on those samples from the blocks with
+``kernels.bandwidth_from_rule`` (the bandwidth is held constant while
+differentiating; the ``fixed`` rule and the non-rbf families keep the
+configured kernel), calls ``estimators.value_and_grad`` on ``b1, b2`` and
 the target tempered to the current annealing temperature
 (``targets.Tempered``) with the same blocks, and applies an Adam update.  At
 temperature 1 the target goes in bare: ``Tempered`` would only multiply by
@@ -37,12 +39,11 @@ import numpy as np
 
 from .estimators import value_and_grad
 from .family import SIVParams, siv_sample_batch
-from .kernels import KernelSpec, SqBlocks, bandwidth_from_rule, sq_blocks
+from .kernels import BANDWIDTH_RULES, KernelSpec, bandwidth_from_rule, sq_blocks
 from .nets import net_jacobian_frobenius
 from .optim import AdamState, adam_step
 from .targets import Tempered
 
-BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")
 ESTIMATOR_KINDS = ("vanilla", "ustat")  # two batches, or the U-statistic on one
 
 
@@ -130,19 +131,6 @@ def anneal_beta(iteration: int, start: float = 1.0, anneal_iterations: int = 0) 
     return min(1.0, start + (1.0 - start) * iteration / anneal_iterations)
 
 
-def resolve_kernel(
-    config: TrainConfig, X: np.ndarray, Y: np.ndarray | None = None, sq: SqBlocks | None = None
-) -> KernelSpec:
-    """Apply the bandwidth policy for this iteration's samples, X and Y pooled.
-
-    ``sq``: their ``sq_blocks``, if already computed.
-    """
-    spec = config.kernel
-    if spec.family != "rbf" or config.bandwidth_rule == "fixed":
-        return spec
-    return spec.with_bandwidth(bandwidth_from_rule(config.bandwidth_rule, X, Y, sq))
-
-
 def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     """Run the configured number of iterations from ``init``.
 
@@ -165,7 +153,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         b2 = siv_sample_batch(params, config.batch_size, rng) if two_batch else None
         y = None if b2 is None else b2.x
         sq = sq_blocks(b1.x, y)
-        kernel = resolve_kernel(config, b1.x, y, sq)
+        kernel = bandwidth_from_rule(config.kernel, config.bandwidth_rule, b1.x, y, sq)
         tempered = target if beta == 1.0 else Tempered(target, beta)  # 1.0 * x is x
         value, grad = value_and_grad(params, tempered, kernel, b1, b2, config.reg_weight, sq, work, grad_rows)
         if not np.isfinite(value):

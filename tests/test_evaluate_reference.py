@@ -5,7 +5,9 @@ blocks once, with its distances written directly: the bandwidth is
 ``np.median`` of the square roots of every pooled pair's expansion value, the
 MMD computes its own three distance matrices, and each neighbour distance is
 read from a full ``np.sort`` of its row.  The noise floor reads its distances
-from one matrix over all of Y, as ``evaluate`` does.
+from one matrix over all of Y, as ``evaluate`` does.  The MMD's record names
+the kernel parameter its family reads, and only an rbf kernel at a zero
+``--bandwidth`` forms the median.
 """
 
 import contextlib
@@ -173,12 +175,15 @@ def reference_cmd_evaluate(args) -> int:
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                h = args.bandwidth if args.bandwidth else median_bandwidth(X, Y)
-                spec = KernelSpec(args.kernel_family, bandwidth=h, offset=args.offset)
+                # the record names the one parameter the family reads; only rbf has a median to form
+                rbf = args.kernel_family == "rbf"
+                h = args.bandwidth if args.bandwidth or not rbf else median_bandwidth(X, Y)
+                spec = KernelSpec(args.kernel_family, bandwidth=h or 1.0, offset=args.offset)
+                parameter = {"rbf": "bandwidth", "imq": "offset", "riesz": "smoothing"}[spec.family]
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec),
                     "kernel": args.kernel_family,
-                    "bandwidth": h,
+                    parameter: getattr(spec, parameter),
                 }
             elif name == "corr":
                 diff = upper_triangle(corr_pairs(X)) - upper_triangle(corr_pairs(Y))

@@ -697,6 +697,59 @@ class TestCLI:
         assert err == f"error: {a_path}, {b_path}: corr: needs at least 2 coordinates to correlate, got 1\n"
         assert main(["evaluate", str(a_path), str(b_path), "--metrics", "sliced_wd,kl_knn,mmd2"]) == 0
 
+    @pytest.mark.parametrize("m, k", [(3, 1), (4, 2), (5, 2)])
+    def test_evaluate_noise_floor_refuses_a_small_b_by_name(self, tmp_path, capsys, m, k):
+        # the floor compares two halves of B; the smaller must hold more than k rows
+        rng = np.random.default_rng(6)
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_samples_csv(a_path, rng.standard_normal((5, 2)))
+        write_samples_csv(b_path, rng.standard_normal((m, 2)))
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn", "--kl-k", str(k)]) == 2
+        out, err = capsys.readouterr()
+        half = m // 2
+        assert out == "" and err == (
+            f"error: {b_path}: kl_knn noise floor: samples_b has {m} rows, split into halves "
+            f"of {half} and {m - half}; each needs more than k = {k} rows\n"
+        )
+        # B's other metrics are not refused, and one row more is enough for the floor
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "sliced_wd,mmd2"]) == 0
+        write_samples_csv(b_path, rng.standard_normal((2 * k + 2, 2)))
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn", "--kl-k", str(k)]) == 0
+
+    @pytest.mark.parametrize(
+        "flags, parameter",
+        [
+            ([], {"bandwidth"}),
+            (["--bandwidth", "0.8"], {"bandwidth": 0.8}),
+            (["--kernel-family", "imq", "--offset", "2"], {"offset": 2.0}),
+            (["--kernel-family", "imq", "--bandwidth", "0.8"], {"offset": 1.0}),
+            (["--kernel-family", "riesz", "--bandwidth", "0.8"], {"smoothing": 1e-8}),
+        ],
+        ids=["rbf-median", "rbf-fixed", "imq", "imq-bandwidth-ignored", "riesz"],
+    )
+    def test_evaluate_records_the_kernel_parameter_the_mmd_reads(self, tmp_path, capsys, monkeypatch, flags, parameter):
+        rng = np.random.default_rng(7)
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_samples_csv(a_path, rng.standard_normal((30, 2)))
+        write_samples_csv(b_path, rng.standard_normal((20, 2)))
+        median = ksivi.kernels.median_bandwidth
+        medians = []
+
+        def counted(*args):
+            medians.append(median(*args))
+            return medians[-1]
+
+        monkeypatch.setattr(ksivi.kernels, "median_bandwidth", counted)
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "mmd2", *flags]) == 0
+        record = json.loads(capsys.readouterr().out)["metrics"]["mmd2"]
+        family = flags[flags.index("--kernel-family") + 1] if "--kernel-family" in flags else "rbf"
+        assert set(record) == {"value", "kernel", *parameter} and record["kernel"] == family
+        if isinstance(parameter, dict):
+            assert {name: record[name] for name in parameter} == parameter
+            assert medians == []  # a fixed bandwidth, or a family without one, forms no median
+        else:
+            assert record["bandwidth"] == medians[0] and len(medians) == 1
+
     def test_evaluate_dimension_mismatch(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         write_samples_csv(a_path, np.zeros((10, 2)))

@@ -1,0 +1,59 @@
+"""Only ``kernels`` branches on a kernel family or a bandwidth rule.
+
+Every other module of the package hands a ``KernelSpec`` and a rule name to
+``kernels`` and reads back what it needs (``bandwidth_from_rule``,
+``grad1_weights``, ``KernelSpec.parameter``).  The check is on the source: no
+comparison outside ``kernels.py`` reads a ``.family`` attribute or a family or
+rule name written as a string.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from ksivi import kernels
+
+SOURCES = sorted((Path(kernels.__file__).parent).glob("*.py"))
+NAMES = set(kernels.FAMILIES + kernels.BANDWIDTH_RULES)
+
+
+def kernel_decisions(tree: ast.AST) -> list[int]:
+    """Line numbers of the comparisons that read a ``.family`` or a family or rule name."""
+
+    def decides(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "family"
+        if isinstance(node, ast.Constant):
+            return node.value in NAMES
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(decides(item) for item in node.elts)
+        return False
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(decides(side) for side in (node.left, *node.comparators))
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "kernels.py"], ids=lambda p: p.name)
+def test_no_module_but_kernels_branches_on_a_family_or_rule(path):
+    assert kernel_decisions(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'if spec.family != "rbf":\n    pass',
+        'ok = config.bandwidth_rule == "fixed"',
+        'ok = rule in ("median", "median_sq_over_log_n")',
+        'ok = "imq" == name',
+    ],
+)
+def test_the_check_sees_a_decision(source):
+    assert kernel_decisions(ast.parse(source)) == [1]
+
+
+def test_kernels_makes_the_decisions():
+    assert kernel_decisions(ast.parse(Path(kernels.__file__).read_text(encoding="utf-8")))

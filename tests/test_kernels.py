@@ -11,9 +11,9 @@ from ksivi.kernels import (
     BANDWIDTH_FLOOR,
     KernelSpec,
     bandwidth_from_rule,
-    cross_grad1_weights,
     diag_values,
     eval_matrix,
+    grad1_weights,
     median_bandwidth,
     pairwise_sq_dists,
     sq_blocks,
@@ -34,9 +34,29 @@ def k_pair(spec, x, y):
     return float(eval_matrix(spec, x[None, :], y[None, :])[0, 0])
 
 
+RBF = KernelSpec("rbf")
+
+
 def grad1_pair(spec, x, y):
-    """First-argument gradient at one pair: one pair with unit weight."""
-    return weighted_grad1_sum(spec, x[None, :], y[None, :], np.ones((1, 1)))[0]
+    """First-argument gradient at one pair: one pair with unit coefficient."""
+    X, Y = x[None, :], y[None, :]
+    sq = pairwise_sq_dists(X, Y)
+    return weighted_grad1_sum(grad1_weights(spec, np.ones((1, 1)), sq, eval_matrix(spec, X, Y, sq=sq)), X, Y)[0]
+
+
+def reference_g(spec, sq):
+    """The scalar g of grad_1 k(x, y) = -(x - y) g(|x - y|^2), written out for each family."""
+    if spec.family == "rbf":
+        return np.exp(-sq / (2.0 * spec.bandwidth**2)) / spec.bandwidth**2
+    if spec.family == "imq":
+        return (spec.offset**2 + sq) ** (-1.5)
+    return (sq + spec.smoothing**2) ** (-0.5)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def kernel_closed_form(spec, x, y):
@@ -129,8 +149,9 @@ class TestGrad1:
         X = rng.standard_normal((6, 3))
         Y = rng.standard_normal((4, 3))
         C = rng.standard_normal((6, 4))
+        sq = pairwise_sq_dists(X, Y)
         for spec in ALL_SPECS:
-            fast = weighted_grad1_sum(spec, X, Y, C)
+            fast = weighted_grad1_sum(grad1_weights(spec, C, sq, eval_matrix(spec, X, Y, sq=sq)), X, Y)
             slow = np.zeros_like(fast)
             for i, j in itertools.product(range(6), range(4)):
                 slow[i] += C[i, j] * grad1_pair(spec, X[i], Y[j])
@@ -188,10 +209,23 @@ class TestMedianBandwidth:
     def test_log_n_rule(self):
         samples = np.random.default_rng(1).standard_normal((50, 2))
         med = median_bandwidth(samples)
-        assert np.isclose(bandwidth_from_rule("median_sq_over_log_n", samples), med / np.sqrt(np.log(50)))
-        assert bandwidth_from_rule("median", samples) == med
-        with pytest.raises(ValueError):
-            bandwidth_from_rule("nope", samples)
+        resolved = bandwidth_from_rule(RBF, "median_sq_over_log_n", samples)
+        assert np.isclose(resolved.bandwidth, med / np.sqrt(np.log(50)))
+        assert bandwidth_from_rule(RBF, "median", samples) == KernelSpec("rbf", bandwidth=med)
+        for spec in ALL_SPECS:
+            with pytest.raises(ValueError, match="^unknown bandwidth rule 'nope'$"):
+                bandwidth_from_rule(spec, "nope", samples)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.family for s in ALL_SPECS])
+    @pytest.mark.parametrize("rule", ["median", "median_sq_over_log_n", "fixed"])
+    def test_only_a_resolved_rbf_bandwidth_reads_the_samples(self, monkeypatch, spec, rule):
+        # the fixed rule and the families without a bandwidth return the spec as it is, with no median formed
+        samples = np.random.default_rng(2).standard_normal((30, 2))
+        if spec.family == "rbf" and rule != "fixed":
+            assert bandwidth_from_rule(spec, rule, samples).bandwidth != spec.bandwidth
+        else:
+            monkeypatch.setattr(kernels, "median_bandwidth", None)  # a call would raise
+            assert bandwidth_from_rule(spec, rule, samples) is spec
 
 
 def reference_median(blocks):
@@ -231,19 +265,35 @@ class TestSharedGrad1Weights:
     @pytest.mark.parametrize("n, d", [(6, 40), (16, 50), (100, 2), (128, 200)])
     def test_both_sides_have_the_bits_of_their_own_sums(self, spec, n, d):
         # one weight matrix per iteration, read off the Gram matrix for rbf, serves
-        # both batches of the two-batch estimator: the second through its transpose
+        # both batches of the two-batch estimator: the second through its C-ordered transpose
         rng = np.random.default_rng(n + d)
         X = rng.standard_normal((n, d))
         Y = rng.standard_normal((n, d)) + 0.3
         inner = rng.standard_normal((n, 3)) @ rng.standard_normal((n, 3)).T
         sq = sq_blocks(X, Y)
-        weights, weights_t = cross_grad1_weights(spec, inner, sq.xy, eval_matrix(spec, X, Y, sq=sq.xy))
-        sides = [
-            (weighted_grad1_sum(spec, X, Y, weights=weights), weighted_grad1_sum(spec, X, Y, inner, sq.xy)),
-            (weighted_grad1_sum(spec, Y, X, weights=weights_t), weighted_grad1_sum(spec, Y, X, inner.T, sq.xy.T)),
-        ]
-        for shared, own in sides:
-            assert shared.view(np.uint64).tolist() == own.view(np.uint64).tolist()
+        weights = grad1_weights(spec, inner, sq.xy, eval_matrix(spec, X, Y, sq=sq.xy))
+        sides = [(X, Y, weights, inner, sq.xy), (Y, X, np.ascontiguousarray(weights.T), inner.T, sq.xy.T)]
+        for A, B, shared, coeff, sq_ab in sides:
+            own = np.ascontiguousarray(coeff * reference_g(spec, sq_ab))  # this side's own weights
+            assert same_bits(shared, own)
+            assert same_bits(weighted_grad1_sum(shared, A, B), own @ B - A * own.sum(axis=1)[:, None])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.family for s in ALL_SPECS])
+    @pytest.mark.parametrize("n, d", [(6, 40), (16, 50), (100, 2), (128, 200)])
+    def test_u_statistic_weights_have_the_bits_of_the_off_diagonal_pairs(self, spec, n, d):
+        # the U-statistic hands over its Gram and inner-product matrices with zeroed
+        # diagonals; rbf's g is read off that Gram matrix, imq's and riesz's formed from sq
+        rng = np.random.default_rng(3 * n + d)
+        X = rng.standard_normal((n, d))
+        f = rng.standard_normal((n, 3))
+        sq = sq_blocks(X)
+        inner = f @ f.T
+        expect = inner * reference_g(spec, sq.xx)
+        np.fill_diagonal(expect, 0.0)  # the pairs of a point with itself are left out
+        gram = eval_matrix(spec, X, X, sq=sq.xx)
+        np.fill_diagonal(gram, 0.0)
+        np.fill_diagonal(inner, 0.0)
+        assert same_bits(grad1_weights(spec, inner, sq.xx, gram), expect)
 
 
 def awkward_samples(seed, n, d, kind):
@@ -298,7 +348,7 @@ class TestMedianFromDistanceMatrix:
             warnings.simplefilter("error")
             assert np.isnan(median_bandwidth(X[:20], X[20:], blocks))
             assert np.isnan(median_bandwidth(X))
-            assert np.isnan(bandwidth_from_rule("median_sq_over_log_n", X[:20], X[20:], blocks))
+            assert np.isnan(bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:20], X[20:], blocks).bandwidth)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_inf_row_gives_nan(self, value):
@@ -330,10 +380,11 @@ class TestMedianFromDistanceMatrix:
         X = np.random.default_rng(9).standard_normal((64, 4))
         blocks = sq_blocks(X[:32], X[32:])
         for rule in ("median", "median_sq_over_log_n"):
-            assert bandwidth_from_rule(rule, X[:32], X[32:], blocks) == bandwidth_from_rule(rule, X[:32], X[32:])
+            with_blocks = bandwidth_from_rule(RBF, rule, X[:32], X[32:], blocks)
+            assert with_blocks == bandwidth_from_rule(RBF, rule, X[:32], X[32:])
         # the rule counts the pooled samples of both sets
         expect = median_bandwidth(X[:32], X[32:]) / np.sqrt(np.log(64))
-        assert bandwidth_from_rule("median_sq_over_log_n", X[:32], X[32:]) == expect
+        assert bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:32], X[32:]).bandwidth == expect
 
 
 class TestEvalMatrixInPlace:

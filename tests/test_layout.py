@@ -13,7 +13,9 @@ import pytest
 from ksivi.kernels import (
     KernelSpec,
     SqBlocks,
+    eval_matrix,
     expansion_error,
+    grad1_weights,
     median_bandwidth,
     pairwise_sq_dists,
     sq_blocks,
@@ -141,7 +143,23 @@ def test_weighted_grad1_sum_gives_the_bits_of_c_ordered_weights(family, d):
     inner = rng.standard_normal((60, 60))
     sq = pairwise_sq_dists(X, Y)
     spec = KernelSpec(family)
-    expect = weighted_grad1_sum(spec, Y, X, np.ascontiguousarray(inner.T), sq=np.ascontiguousarray(sq.T))
-    assert same_bits(weighted_grad1_sum(spec, Y, X, inner.T, sq=sq.T), expect)
-    Y_f, X_strided = layout(Y, "fortran"), layout(X, "strided-rows")
-    assert same_bits(weighted_grad1_sum(spec, Y_f, X_strided, inner.T, sq=sq.T), expect)
+    gram = eval_matrix(spec, X, Y, sq=sq)
+    # the weights of transposed views have the bits of those of their C-ordered copies
+    weights = grad1_weights(spec, inner.T, sq.T, gram.T)
+    assert weights.flags.c_contiguous
+    expect_weights = grad1_weights(spec, *(np.ascontiguousarray(M.T) for M in (inner, sq, gram)))
+    assert same_bits(weights, expect_weights)
+    # and the sum of F-ordered or strided weights and samples has the bits of their C copies
+    expect = weighted_grad1_sum(expect_weights, Y, X)
+    for W in (np.asfortranarray(expect_weights), layout(expect_weights, "strided-rows")):
+        assert same_bits(weighted_grad1_sum(W, Y, X), expect)
+        assert same_bits(weighted_grad1_sum(W, layout(Y, "fortran"), layout(X, "strided-rows")), expect)
+
+
+@pytest.mark.parametrize("target", [_cd(), Tempered(_cd(), 0.3)], ids=["cd", "tempered-cd"])
+def test_cd_hvp_of_an_integer_direction_gives_the_bits_of_the_float_one(target):
+    # the operator makes its direction C-ordered float64 where it enters
+    rng = np.random.default_rng(53)
+    _, hvp = target.score_and_hvp(rng.standard_normal((12, target.dim)))
+    V = rng.integers(-3, 4, size=(12, target.dim))
+    assert same_bits(hvp(V), hvp(V.astype(np.float64)))

@@ -21,7 +21,6 @@ from ksivi.train import (
     TrainConfig,
     TrainingDivergence,
     anneal_beta,
-    resolve_kernel,
     smoothness_diagnostic,
     train,
 )
@@ -167,7 +166,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(config.seed)
         b1 = siv_sample_batch(init, config.batch_size, rng)
         b2 = siv_sample_batch(init, config.batch_size, rng)
-        kernel = resolve_kernel(config, np.concatenate([b1.x, b2.x]))
+        kernel = bandwidth_from_rule(config.kernel, config.bandwidth_rule, np.concatenate([b1.x, b2.x]))
         tempered, _ = value_and_grad(init, Tempered(Banana(), 0.3), kernel, b1, b2)
         untempered, _ = value_and_grad(init, Banana(), kernel, b1, b2)
         assert trace.beta_temp == [0.3]
@@ -240,8 +239,9 @@ class TestTrainLoop:
             return batch
 
         def rule(*args):
-            bandwidths.append(bandwidth_from_rule(*args))
-            return bandwidths[-1]
+            kernel = bandwidth_from_rule(*args)
+            bandwidths.append(kernel.bandwidth)
+            return kernel
 
         monkeypatch.setattr("ksivi.train.siv_sample_batch", sample)
         monkeypatch.setattr("ksivi.train.bandwidth_from_rule", rule)

@@ -3,8 +3,9 @@
 The reference below is the loop before it shared one squared-distance matrix
 per iteration and updated Adam in place: the median bandwidth written
 directly in numpy, the estimator computing its distances once per kernel
-call, and a functional Adam step.  Each is copied unchanged apart from its
-name, except the median, which takes the square roots of the expansion's
+call, each kernel-gradient sum forming its own pair weights from its own
+distances (the second batch's from the YX product), and a functional Adam
+step.  Each is copied unchanged apart from its name, except the median, which takes the square roots of the expansion's
 values with each pair of batches its own product.  The estimator keeps its
 own batch-pair check and regularizer value, which ``estimators`` no longer has.
 """
@@ -17,11 +18,37 @@ import pytest
 from ksivi import kernels
 from ksivi.estimators import _pullback, _residuals
 from ksivi.family import SampleBatch, SIVParams, siv_init, siv_sample_batch
-from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec, diag_values, eval_matrix, weighted_grad1_sum
+from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec, c_ordered, diag_values, eval_matrix, pairwise_sq_dists
 from ksivi.nets import NetArch
 from ksivi.optim import AdamState, clip_gradient
 from ksivi.targets import Banana, Tempered, diagonal_gaussian
 from ksivi.train import LossTrace, TrainConfig, TrainingDivergence, anneal_beta, train
+
+
+def reference_grad1_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """Scalar weight g with grad_1 k(x, y) = -(x - y) * g(||x-y||^2)."""
+    if spec.family == "rbf":
+        return np.exp(-sq / (2.0 * spec.bandwidth**2)) / spec.bandwidth**2
+    if spec.family == "imq":
+        return (spec.offset**2 + sq) ** (-1.5)
+    return (sq + spec.smoothing**2) ** (-0.5)
+
+
+def reference_weighted_grad1_sum(
+    spec: KernelSpec, X: np.ndarray, Y: np.ndarray, coeff: np.ndarray, sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise sums ``sum_j coeff_ij * grad_1 k(x_i, y_j)``, shape (n, d).
+
+    Used by both gradient estimators, where ``coeff`` carries the inner
+    products of the score residual vectors.  ``sq``, if given, is
+    ``pairwise_sq_dists(X, Y)`` computed already.
+    """
+    X, Y = c_ordered(X, Y)
+    if sq is None:
+        sq = pairwise_sq_dists(X, Y)
+    # C-ordered whatever the order of coeff and sq: its row sums round in memory order
+    G = np.multiply(coeff, reference_grad1_coeff(spec, sq), out=np.empty(np.shape(coeff)))
+    return G @ Y - X * G.sum(axis=1)[:, None]
 
 
 def reference_median_bandwidth(batches) -> float:
@@ -102,8 +129,8 @@ def reference_value_and_grad(params, target, kernel, batches, kind="vanilla", re
         scale = 1.0 / (n * n)
         v1 = scale * (gram @ f2)
         v2 = scale * (gram.T @ f1)
-        u1 = scale * weighted_grad1_sum(kernel, b1.x, b2.x, inner)
-        u2 = scale * weighted_grad1_sum(kernel, b2.x, b1.x, inner.T)
+        u1 = scale * reference_weighted_grad1_sum(kernel, b1.x, b2.x, inner)
+        u2 = scale * reference_weighted_grad1_sum(kernel, b2.x, b1.x, inner.T)
         if reg_weight > 0.0:
             value += _regularizer_value(kernel, (f1, f2), reg_weight)
             coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
@@ -124,7 +151,7 @@ def reference_value_and_grad(params, target, kernel, batches, kind="vanilla", re
     scale = 1.0 / (n * (n - 1))
     value = float((gram * inner).sum() * scale)
     v1 = 2.0 * scale * (gram @ f1)
-    u1 = 2.0 * scale * weighted_grad1_sum(kernel, b1.x, b1.x, off_inner)
+    u1 = 2.0 * scale * reference_weighted_grad1_sum(kernel, b1.x, b1.x, off_inner)
     if reg_weight > 0.0:
         value += _regularizer_value(kernel, (f1,), reg_weight)
         v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1
