@@ -111,6 +111,9 @@ def cmd_train(args) -> int:
         ),
         "final_ksd2": trace.ksd2[-1] if len(trace) else None,
     }
+    usage = _rusage()
+    if usage is not None:
+        training["peak_rss_mb"] = usage.ru_maxrss / 1024
     files = ["trace.csv", "checkpoint.json", "samples.csv"]
     _write_record(out_dir, config, started, finished, files, training=training)
     print(f"trained {config.name}: {config.train.iterations} iterations in {train_seconds:.1f}s")
@@ -125,15 +128,18 @@ def cmd_ground_truth(args) -> int:
 
     s = config.sampler
     runner = mala_run if s["algorithm"] == "mala" else sgld_run
-    faults = _minor_faults()
+    before = _rusage()
     started = time.perf_counter()
     run = runner(target, SamplerConfig(**{key: value for key, value in s.items() if key != "algorithm"}))
     finished = time.perf_counter()
 
     write_samples_csv(out_dir / "ground_truth.csv", run.states)
     sampler = {**s, "acceptance_rate": run.acceptance_rate, "seconds_per_step": (finished - started) / s["n_steps"]}
-    if faults is not None:  # page faults that needed no I/O: fresh memory, mostly
-        sampler["minor_faults_per_step"] = (_minor_faults() - faults) / s["n_steps"]
+    sampler["noise_chunk_steps"] = run.noise_chunk_steps
+    if before is not None:  # page faults that needed no I/O: fresh memory, mostly
+        after = _rusage()
+        sampler["minor_faults_per_step"] = (after.ru_minflt - before.ru_minflt) / s["n_steps"]
+        sampler["peak_rss_mb"] = after.ru_maxrss / 1024
     _write_record(out_dir, config, started, finished, ["ground_truth.csv"], sampler=sampler)
     extra = f", acceptance {run.acceptance_rate:.3f}" if run.acceptance_rate is not None else ""
     print(f"sampled {s['n_particles']} particles x {s['n_steps']} steps{extra}")
@@ -141,13 +147,14 @@ def cmd_ground_truth(args) -> int:
     return 0
 
 
-def _minor_faults():
-    """This process's minor page faults so far, or None where ``resource`` does not import."""
+def _rusage():
+    """This process's resource usage so far (``ru_maxrss`` in KiB, as on Linux),
+    or None where ``resource`` does not import."""
     try:
         import resource
     except ImportError:  # not on every platform
         return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return resource.getrusage(resource.RUSAGE_SELF)
 
 
 def cmd_evaluate(args) -> int:

@@ -15,7 +15,7 @@ the diffusion a ``_logp_and_score`` that shares its residuals between the two.
 
 Layout: every public method makes its batch a C-ordered float64 array
 (``_as_batch``, a no-op for the batches of training and the samplers), and
-the diffusion's operator its direction.  From there on every array is
+every operator its direction.  From there on every array is
 row-major: no pass handles memory order, and a Fortran-ordered or strided
 batch gets the bits of its C-ordered copy, though a row sum rounds in
 memory order.
@@ -173,6 +173,7 @@ class GaussianMixture(TargetModel):
         score = np.einsum("nm,mnd->nd", r, pulls)
 
         def hvp(V):
+            V = np.ascontiguousarray(V, dtype=np.float64)
             out = np.zeros_like(V)
             for m in range(self.weights.size):
                 av = (pulls[m] * V).sum(axis=1)
@@ -236,6 +237,7 @@ class Banana(TargetModel):
         x1 = X[:, 0]
 
         def hvp(V):
+            V = np.ascontiguousarray(V, dtype=np.float64)
             # J v with J = [[1, 0], [-2 x1, 1]]
             t = np.stack([V[:, 0], -2.0 * x1 * V[:, 0] + V[:, 1]], axis=1)
             u = -(t @ self._prec)
@@ -267,6 +269,7 @@ class StudentTProduct(TargetModel):
         denom = self.nu * self.width**2 + X**2
 
         def hvp(V):  # the Hessian is diagonal
+            V = np.ascontiguousarray(V, dtype=np.float64)
             return -(self.nu + 1.0) * (self.nu * self.width**2 - X**2) / denom**2 * V
 
         return -(self.nu + 1.0) * X / denom, hvp
@@ -326,6 +329,7 @@ class LogisticRegression(TargetModel):
         W *= s
 
         def hvp(V):
+            V = np.ascontiguousarray(V, dtype=np.float64)
             U = np.matmul(self.design, V.T, out=T)
             U *= W
             return -(self.design.T @ U).T - self.alpha * V

@@ -34,6 +34,7 @@ from ksivi.runio import (
     write_samples_csv,
     write_trace_csv,
 )
+from ksivi.samplers import UNIFORM_BLOCK
 from ksivi.train import LossTrace
 
 from helpers import zero_params
@@ -49,6 +50,19 @@ train.learning_rate = 0.001
 eval.sample_size = 50
 run.seed = 1
 """
+
+
+def assert_records_memory(section, *keys):
+    """The run's ``resource`` figures are in ``section`` where ``resource`` imports,
+    its peak resident size in MB as this process reads it now, and absent elsewhere."""
+    try:
+        import resource
+    except ImportError:
+        assert not set(keys) & set(section)
+        return
+    assert set(keys) <= set(section)
+    if "peak_rss_mb" in keys:
+        assert 0.0 < section["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 # config values for the format_config -> parse_config_text round trip; lone
@@ -370,6 +384,7 @@ class TestCLI:
         assert manifest["experiment"] == "tiny"
         assert manifest["config"]["run.seed"] == 1
         assert "build" in manifest and "wallclock_seconds" in manifest
+        assert_records_memory(manifest["training"], "peak_rss_mb")
         samples = read_samples_csv(out / "samples.csv")
         assert samples.shape == (50, 2)
         trace_rows = (out / "trace.csv").read_text().splitlines()
@@ -541,19 +556,18 @@ class TestCLI:
     def test_ground_truth_manifest_records_step_cost(self, tmp_path, capsys, algorithm):
         config_path = tmp_path / "config.txt"
         config_path.write_text(
-            TINY_CONFIG + f'sampler.algorithm = "{algorithm}"\nsampler.n_particles = 10\nsampler.n_steps = 30\n'
+            TINY_CONFIG + f'sampler.algorithm = "{algorithm}"\nsampler.n_particles = 10\nsampler.n_steps = 600\n'
         )
         out = tmp_path / "gt"
         assert main(["sample-ground-truth", str(config_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         sampler = manifest["sampler"]
         assert sampler["seconds_per_step"] > 0.0
-        assert sampler["seconds_per_step"] * 30 == pytest.approx(manifest["wallclock_seconds"])
-        try:
-            import resource  # noqa: F401
-        except ImportError:
-            assert "minor_faults_per_step" not in sampler
-        else:
+        assert sampler["seconds_per_step"] * 600 == pytest.approx(manifest["wallclock_seconds"])
+        # the whole run in one fill, but mala's fills end at each block of uniforms
+        assert sampler["noise_chunk_steps"] == (UNIFORM_BLOCK if algorithm == "mala" else 600)
+        assert_records_memory(sampler, "minor_faults_per_step", "peak_rss_mb")
+        if "minor_faults_per_step" in sampler:
             assert sampler["minor_faults_per_step"] >= 0.0
 
     def test_ground_truth_deterministic(self, tmp_path, capsys):

@@ -156,10 +156,13 @@ def test_weighted_grad1_sum_gives_the_bits_of_c_ordered_weights(family, d):
         assert same_bits(weighted_grad1_sum(W, layout(Y, "fortran"), layout(X, "strided-rows")), expect)
 
 
-@pytest.mark.parametrize("target", [_cd(), Tempered(_cd(), 0.3)], ids=["cd", "tempered-cd"])
-def test_cd_hvp_of_an_integer_direction_gives_the_bits_of_the_float_one(target):
-    # the operator makes its direction C-ordered float64 where it enters
+@pytest.mark.parametrize("name,target", TARGETS, ids=[t[0] for t in TARGETS])
+def test_hvp_of_an_integer_or_fortran_direction_gives_the_bits_of_the_float_one(name, target):
+    # every operator makes its direction C-ordered float64 where it enters
     rng = np.random.default_rng(53)
-    _, hvp = target.score_and_hvp(rng.standard_normal((12, target.dim)))
+    _, hvp = target.score_and_hvp(1.5 * rng.standard_normal((12, target.dim)))
     V = rng.integers(-3, 4, size=(12, target.dim))
-    assert same_bits(hvp(V), hvp(V.astype(np.float64)))
+    V_c = V.astype(np.float64)
+    expect = hvp(V_c)
+    assert same_bits(hvp(V), expect)
+    assert same_bits(hvp(np.asfortranarray(V_c)), expect)

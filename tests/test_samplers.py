@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,13 +43,13 @@ def blr30():
     return LogisticRegression(np.concatenate([np.ones((30, 1)), features], axis=1), labels)
 
 
-# Reference: the two separate samplers that the single driver replaced,
-# copied unchanged, with the initial states they used (less the branch for a
-# given ``init``, an option no caller set), and the allocating step and
-# proposal density they called.  Their chunk sizing follows the driver's rule,
-# a chunk of steps from the dimension alone, which leaves every 1000-particle
-# run's bits as they were under the old 64 MiB rule.
-NOISE_CHUNK_DRAWS = 8388
+# Reference: the two separate samplers that the single driver replaced, with
+# the initial states they used (less the branch for a given ``init``, an
+# option no caller set), and the allocating step and proposal density they
+# called.  They keep no buffers: each particle's stream is drawn as the
+# samplers' module docstring defines it, sgld's normals for every step in one
+# call, mala's ``UNIFORM_BLOCK`` uniforms of a block and then that block's
+# normals in one call each, a full block of uniforms also at the end of the run.
 
 
 def reference_langevin_step(x, score_value, step_size, noise):
@@ -65,48 +66,34 @@ def _initial_states(config: SamplerConfig, rngs, dim):
     return np.stack([rng.standard_normal(dim) for rng in rngs])
 
 
-def _chunk_steps(config: SamplerConfig, dim, draws_per_step):
-    return max(1, min(config.n_steps, NOISE_CHUNK_DRAWS // (dim * draws_per_step)))
-
-
 def reference_sgld_run(target, config: SamplerConfig) -> SamplerRun:
     """Unadjusted parallel Langevin dynamics with full-batch scores."""
     rngs = _particle_rngs(config)
     x = _initial_states(config, rngs, target.dim)
-    dim = target.dim
-    chunk = _chunk_steps(config, dim, draws_per_step=1)
+    noise = np.stack([rng.standard_normal((config.n_steps, target.dim)) for rng in rngs], axis=1)
     history = [] if config.collect_history else None
-    step = 0
-    while step < config.n_steps:
-        span = min(chunk, config.n_steps - step)
-        noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
-        for k in range(span):
-            x = reference_langevin_step(x, target.score(x), config.step_size, noise[k])
-            _check_finite(x, step + k)
-            if history is not None:
-                t = step + k
-                if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-                    history.append(x.copy())
-        step += span
+    for t in range(config.n_steps):
+        x = reference_langevin_step(x, target.score(x), config.step_size, noise[t])
+        _check_finite(x, t)
+        if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+            history.append(x.copy())
     hist = np.stack(history) if history else None
-    return SamplerRun(states=x, history=hist, acceptance_rate=None)
+    return SamplerRun(states=x, history=hist, acceptance_rate=None, noise_chunk_steps=config.n_steps)
 
 
 def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
     """Langevin proposals with Metropolis correction; exact invariance."""
+    block = samplers.UNIFORM_BLOCK
     rngs = _particle_rngs(config)
     x = _initial_states(config, rngs, target.dim)
-    dim = target.dim
-    chunk = _chunk_steps(config, dim, draws_per_step=1)
     history = [] if config.collect_history else None
     logp = target.logp(x)
     score = target.score(x)
     n_accept = 0
-    step = 0
-    while step < config.n_steps:
-        span = min(chunk, config.n_steps - step)
-        noise = np.stack([rng.standard_normal((span, dim)) for rng in rngs], axis=1)
-        uniforms = np.stack([rng.uniform(size=span) for rng in rngs], axis=1)
+    for start in range(0, config.n_steps, block):
+        span = min(block, config.n_steps - start)
+        uniforms = np.stack([rng.uniform(size=block) for rng in rngs], axis=1)
+        noise = np.stack([rng.standard_normal((span, target.dim)) for rng in rngs], axis=1)
         for k in range(span):
             prop = reference_langevin_step(x, score, config.step_size, noise[k])
             logp_prop = target.logp(prop)
@@ -122,15 +109,19 @@ def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
             logp = np.where(accept, logp_prop, logp)
             score = np.where(accept[:, None], score_prop, score)
             n_accept += int(accept.sum())
-            _check_finite(x, step + k)
-            if history is not None:
-                t = step + k
-                if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-                    history.append(x.copy())
-        step += span
+            t = start + k
+            _check_finite(x, t)
+            if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+                history.append(x.copy())
     hist = np.stack(history) if history else None
     rate = n_accept / (config.n_steps * config.n_particles)
-    return SamplerRun(states=x, history=hist, acceptance_rate=rate)
+    return SamplerRun(states=x, history=hist, acceptance_rate=rate, noise_chunk_steps=min(block, config.n_steps))
+
+
+def force_fill(monkeypatch, steps, n_particles, dim):
+    """Budget the noise buffer at ``steps`` steps of ``n_particles`` x ``dim``, with no floor."""
+    monkeypatch.setattr(samplers, "MIN_FILL_DRAWS", 1)
+    monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", 8 * steps * n_particles * dim)
 
 
 class TestSingleDriver:
@@ -145,8 +136,13 @@ class TestSingleDriver:
         [(sgld_run, reference_sgld_run), (mala_run, reference_mala_run)],
         ids=["sgld", "mala"],
     )
-    @pytest.mark.parametrize("chunk_steps", [None, 4], ids=["one-chunk", "chunks-of-4"])
-    def test_bitwise_equal_to_separate_samplers(self, monkeypatch, make_target, step_size, run, reference, chunk_steps):
+    # 30 steps in fills of 1, of 7 (4 fills, the last short; in blocks of 8,
+    # cut at each block's end: 7, 1, 7, 1, ...) and of the whole run at the
+    # default budget; with blocks of 8, mala draws 4 blocks of uniforms, the
+    # last one only 6/8 used
+    @pytest.mark.parametrize("fill", [1, 7, None], ids=["fills-of-1", "fills-of-7", "default-fill"])
+    @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "blocks-of-8"])
+    def test_bitwise_equal_to_separate_samplers(self, monkeypatch, make_target, step_size, run, reference, fill, block):
         target = make_target()
         config = SamplerConfig(
             n_particles=7,
@@ -157,17 +153,18 @@ class TestSingleDriver:
             seed=31,
             collect_history=True,
         )
-        if chunk_steps is not None:
-            monkeypatch.setattr(samplers, "NOISE_CHUNK_DRAWS", chunk_steps * target.dim)
-            monkeypatch.setitem(globals(), "NOISE_CHUNK_DRAWS", chunk_steps * target.dim)
-            # 30 steps in chunks of 4: 8 chunks, the last one short
-            assert samplers._chunk_steps(config, target.dim) == chunk_steps
+        if fill is not None:
+            force_fill(monkeypatch, fill, config.n_particles, target.dim)
+        if block is not None:
+            monkeypatch.setattr(samplers, "UNIFORM_BLOCK", block)
         got = run(target, config)
         expect = reference(target, config)
         assert np.array_equal(got.states, expect.states)
         assert got.history.shape == (9, 7, target.dim)
         assert np.array_equal(got.history, expect.history)
         assert got.acceptance_rate == expect.acceptance_rate
+        limits = [30, fill or 30] + ([samplers.UNIFORM_BLOCK] if run is mala_run else [])
+        assert got.noise_chunk_steps == min(limits)
         if run is mala_run:
             assert 0.0 < got.acceptance_rate < 1.0
         # history rows are copies, not views of the reused state buffers
@@ -175,23 +172,35 @@ class TestSingleDriver:
 
 
 class TestBuffers:
-    def test_peak_memory_below_two_noise_chunks(self, monkeypatch):
-        # 400 steps in chunks of 120: four chunks, the last one short.  A run
-        # holds one noise chunk plus particle-sized arrays; a second copy of
-        # the chunk (a per-particle list stacked, or a fresh chunk allocated
-        # while the old one is alive) would pass 2x.
-        target = gaussian5()
-        config = SamplerConfig(n_particles=200, n_steps=400, step_size=0.01, seed=10)
-        chunk_bytes = 120 * config.n_particles * target.dim * 8
-        monkeypatch.setattr(samplers, "NOISE_CHUNK_DRAWS", 120 * target.dim)
-        sgld_run(target, config)  # first-call allocations stay out of the trace
+    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_peak_memory_within_the_noise_budget(self, monkeypatch, run, n):
+        # 300 steps on a 20-state path in fills of at most 4 MiB: 131 steps
+        # at 200 particles (3 fills, the last one short), 13 at 2000 (24
+        # fills).  A run holds one noise buffer within the budget, mala one
+        # block of uniforms, and the particles' generators and a few (n, d)
+        # arrays; a second copy of the buffer (a per-particle list stacked, or
+        # a fresh buffer allocated while the old one is alive) would pass the
+        # bound by about the budget.
+        target = cd20()
+        budget = 4 * 2**20
+        monkeypatch.setattr(samplers, "MIN_FILL_DRAWS", 1)
+        monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", budget)
+        config = SamplerConfig(n_particles=n, n_steps=300, step_size=0.003, seed=10)
+        run(target, replace(config, n_steps=2))  # first-call allocations stay out of the trace
         tracemalloc.start()
         try:
-            sgld_run(target, config)
+            rngs = _particle_rngs(config)
+            rng_bytes = tracemalloc.get_traced_memory()[0]
+            del rngs
+            tracemalloc.reset_peak()
+            got = run(target, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.8 * chunk_bytes
+        assert got.noise_chunk_steps == budget // (8 * n * target.dim)
+        uniform_bytes = 8 * n * samplers.UNIFORM_BLOCK if run is mala_run else 0
+        assert peak < budget + uniform_bytes + rng_bytes + 12 * 8 * n * target.dim
 
     @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
     def test_cd_steps_allocate_no_particle_block(self, run):
@@ -284,16 +293,37 @@ class TestSGLD:
     def test_leading_particles_match_a_smaller_run(self, monkeypatch, run):
         # each particle owns a stream spawned from the seed: the first k rows
         # of an n-particle run are a k-particle run from the same seed, also
-        # across chunks, where mala's uniforms follow each chunk's normals
+        # where the two runs fill their noise in different steps and across
+        # blocks, where mala's uniforms lead each block's normals
         def config(n):
             return SamplerConfig(n_particles=n, n_steps=60, step_size=0.02, burn_in=10, seed=17, collect_history=True)
 
-        monkeypatch.setattr(samplers, "NOISE_CHUNK_DRAWS", 40)
-        assert samplers._chunk_steps(config(60), 2) == samplers._chunk_steps(config(4), 2) == 20  # 3 chunks
+        force_fill(monkeypatch, 5, 60, 2)  # fills of 5 steps at 60 particles, of 75 at 4
+        monkeypatch.setattr(samplers, "UNIFORM_BLOCK", 25)  # 3 blocks
         full = run(Banana(), config(60))
         head = run(Banana(), config(4))
+        assert full.noise_chunk_steps == 5
+        assert head.noise_chunk_steps == (25 if run is mala_run else 60)
         assert np.array_equal(full.states[:4], head.states)
         assert np.array_equal(full.history[:, :4], head.history)
+
+    # blocks of 16: the shorter runs stop inside the first, second and third block
+    @pytest.mark.parametrize(
+        "block, n_steps, longer", [(16, 5, 50), (16, 20, 50), (16, 33, 50), (None, 30, 300)]
+    )
+    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
+    def test_a_run_stops_where_a_longer_run_passes(self, monkeypatch, run, block, n_steps, longer):
+        # a particle's draws up to step N do not depend on the steps after
+        # it, so an N-step run's states are row N - 1 of a longer run's history
+        if block is not None:
+            monkeypatch.setattr(samplers, "UNIFORM_BLOCK", block)
+
+        def config(steps):
+            return SamplerConfig(n_particles=6, n_steps=steps, step_size=0.02, seed=23, collect_history=True)
+
+        short, full = run(Banana(), config(n_steps)), run(Banana(), config(longer))
+        assert np.array_equal(short.states, full.history[n_steps - 1])
+        assert np.array_equal(short.history, full.history[:n_steps])
 
     def test_history_collection(self):
         config = SamplerConfig(
