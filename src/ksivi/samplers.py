@@ -16,13 +16,12 @@ run from the same seed.
 
 Noise is drawn in fills of several steps per particle, which amortizes the
 per-stream call (about 1.7 us plus 16 ns per normal, on a 2-core x86 VM).
-A fill covers ``NOISE_CHUNK_BYTES // (8 * particles * d)`` steps, so the
-noise buffer keeps to that budget, but at least ``MIN_FILL_DRAWS`` normals
-per particle call, which holds the call overhead near 5%, and at most the run.
-The floor outweighs the budget from about 1000 particles on: the buffer is
-17.6 MB at 1000 particles and d = 200, 176 MB at 10000.  An adjusted fill
-also ends at its block's end, which caps it at one block.  Since splitting a
-fill changes no draw, no fill size changes a bit of either sampler.
+A fill covers ``ceil(MIN_FILL_DRAWS / d)`` steps, at most the run, which
+holds the call overhead near 5%; an adjusted fill also ends at its block's
+end, which caps it at one block.  The noise buffer thus holds about 16 KiB
+per particle: 17.6 MB at 1000 particles and d = 200, 176 MB at 10000.
+Since splitting a fill changes no draw, no fill size changes a bit of
+either sampler.
 
 The unadjusted sampler iterates ``x + (eps/2) * score(x) + sqrt(eps) * noise``;
 the adjusted variant proposes the same move and applies a Metropolis
@@ -36,8 +35,9 @@ refills it for every fill, and one target workspace of
 in place; so are, for the adjusted sampler, one block of uniforms, the
 current state's proposal mean ``x + (eps/2) * score(x)``, which it keeps in
 place of the score, and one work array for the proposal densities.  The
-proposal's mean is formed in the score array that the target returned, so a
-step allocates no (particles, d) array.  Targets receive the state buffers as
+proposal's mean is formed in the score array that the target returned, and
+the rejected rows are gathered through the density work array, so a step
+allocates no (particles, d) array.  Targets receive the state buffers as
 inputs, so they must not write or keep them; history rows are copies.
 """
 
@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NOISE_CHUNK_BYTES = 16 * 2**20  # the noise buffer's budget
-MIN_FILL_DRAWS = 2048  # normals per particle call, at least
+MIN_FILL_DRAWS = 2048  # normals per particle call, rounded up to whole steps
 UNIFORM_BLOCK = 512  # steps per block of the adjusted sampler's uniforms, one per step
 
 
@@ -122,7 +121,7 @@ def _particle_rngs(config: SamplerConfig):
 
 
 def _chunk_steps(config: SamplerConfig, dim, metropolis):
-    steps = max(-(-MIN_FILL_DRAWS // dim), NOISE_CHUNK_BYTES // (8 * config.n_particles * dim))
+    steps = -(-MIN_FILL_DRAWS // dim)
     if metropolis:  # a fill ends at its uniform block's end
         steps = min(steps, UNIFORM_BLOCK)
     return min(config.n_steps, steps)
@@ -150,7 +149,7 @@ def _langevin_run(target, config: SamplerConfig, metropolis: bool) -> SamplerRun
     at the proposal.  Each step swaps the state and proposal buffers; an
     adjusted one first copies the rejected rows of the state into the proposal,
     and those of the kept mean into the proposal's mean, which it then copies
-    into the kept mean."""
+    into the kept mean; both gathers go through ``dens``."""
     rngs = _particle_rngs(config)
     n, dim, eps = config.n_particles, target.dim, config.step_size
     x = np.empty((n, dim))
@@ -188,8 +187,9 @@ def _langevin_run(target, config: SamplerConfig, metropolis: bool) -> SamplerRun
                 log_alpha -= _proposal_log_density(mean, prop, eps, dens)
                 accept = np.log(uniforms[:, offset + k]) < log_alpha
                 rejected = np.flatnonzero(~accept)
-                prop[rejected] = x[rejected]
-                mean_prop[rejected] = mean[rejected]
+                rows = dens[: rejected.size]  # mode="clip" takes into `out` unbuffered; no index clips
+                prop[rejected] = np.take(x, rejected, axis=0, out=rows, mode="clip")
+                mean_prop[rejected] = np.take(mean, rejected, axis=0, out=rows, mode="clip")
                 np.copyto(mean, mean_prop)  # not a swap: mean_prop may live in the target's workspace
                 logp = np.where(accept, logp_prop, logp)
                 n_accept += n - rejected.size

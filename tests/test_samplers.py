@@ -118,10 +118,9 @@ def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
     return SamplerRun(states=x, history=hist, acceptance_rate=rate, noise_chunk_steps=min(block, config.n_steps))
 
 
-def force_fill(monkeypatch, steps, n_particles, dim):
-    """Budget the noise buffer at ``steps`` steps of ``n_particles`` x ``dim``, with no floor."""
-    monkeypatch.setattr(samplers, "MIN_FILL_DRAWS", 1)
-    monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", 8 * steps * n_particles * dim)
+def force_fill(monkeypatch, steps, dim):
+    """Fill the noise of ``steps`` steps of ``dim`` normals per particle call."""
+    monkeypatch.setattr(samplers, "MIN_FILL_DRAWS", steps * dim)
 
 
 class TestSingleDriver:
@@ -138,7 +137,7 @@ class TestSingleDriver:
     )
     # 30 steps in fills of 1, of 7 (4 fills, the last short; in blocks of 8,
     # cut at each block's end: 7, 1, 7, 1, ...) and of the whole run at the
-    # default budget; with blocks of 8, mala draws 4 blocks of uniforms, the
+    # default fill; with blocks of 8, mala draws 4 blocks of uniforms, the
     # last one only 6/8 used
     @pytest.mark.parametrize("fill", [1, 7, None], ids=["fills-of-1", "fills-of-7", "default-fill"])
     @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "blocks-of-8"])
@@ -154,7 +153,7 @@ class TestSingleDriver:
             collect_history=True,
         )
         if fill is not None:
-            force_fill(monkeypatch, fill, config.n_particles, target.dim)
+            force_fill(monkeypatch, fill, target.dim)
         if block is not None:
             monkeypatch.setattr(samplers, "UNIFORM_BLOCK", block)
         got = run(target, config)
@@ -174,18 +173,15 @@ class TestSingleDriver:
 class TestBuffers:
     @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
     @pytest.mark.parametrize("n", [200, 2000])
-    def test_peak_memory_within_the_noise_budget(self, monkeypatch, run, n):
-        # 300 steps on a 20-state path in fills of at most 4 MiB: 131 steps
-        # at 200 particles (3 fills, the last one short), 13 at 2000 (24
-        # fills).  A run holds one noise buffer within the budget, mala one
-        # block of uniforms, and the particles' generators and a few (n, d)
-        # arrays; a second copy of the buffer (a per-particle list stacked, or
-        # a fresh buffer allocated while the old one is alive) would pass the
-        # bound by about the budget.
+    def test_peak_memory_within_one_noise_fill(self, monkeypatch, run, n):
+        # 300 steps on a 20-state path in fills of 40 steps (8 fills, the
+        # last one short).  A run holds one noise buffer of one fill, mala
+        # one block of uniforms, and the particles' generators and a few
+        # (n, d) arrays; a second copy of the buffer (a per-particle list
+        # stacked, or a fresh buffer allocated while the old one is alive)
+        # would pass the bound by 40 (n, d) arrays less the slack of 12.
         target = cd20()
-        budget = 4 * 2**20
-        monkeypatch.setattr(samplers, "MIN_FILL_DRAWS", 1)
-        monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", budget)
+        force_fill(monkeypatch, 40, target.dim)
         config = SamplerConfig(n_particles=n, n_steps=300, step_size=0.003, seed=10)
         run(target, replace(config, n_steps=2))  # first-call allocations stay out of the trace
         tracemalloc.start()
@@ -198,17 +194,22 @@ class TestBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.noise_chunk_steps == budget // (8 * n * target.dim)
+        assert got.noise_chunk_steps == 40
+        fill_bytes = 8 * n * 40 * target.dim
         uniform_bytes = 8 * n * samplers.UNIFORM_BLOCK if run is mala_run else 0
-        assert peak < budget + uniform_bytes + rng_bytes + 12 * 8 * n * target.dim
+        assert peak < fill_bytes + uniform_bytes + rng_bytes + 12 * 8 * n * target.dim
 
-    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
-    def test_cd_steps_allocate_no_particle_block(self, run):
+    @pytest.mark.parametrize(
+        "run, step_size", [(sgld_run, 1e-4), (mala_run, 1e-4), (mala_run, 1.0)], ids=["sgld", "mala", "mala-rejecting"]
+    )
+    def test_cd_steps_allocate_no_particle_block(self, run, step_size):
         # 400 particles on a 50-state path: after the first two target calls,
         # the rest of 12 steps may not raise the traced peak by one
         # (particles, d) float64 array.
         # The target keeps its arrays in the run's workspace, and the proposal
-        # mean is formed in the score it returns.
+        # mean is formed in the score it returns.  At step 1.0 mala rejects
+        # every proposal, and its accept step copies every row of the state
+        # and the mean back.
         n, dim = 400, 50
         marks = {}
 
@@ -230,7 +231,7 @@ class TestBuffers:
                 return super()._logp_and_score(X, work)
 
         idx, obs, _ = generate_cd_observations(5, n_steps=dim)
-        config = SamplerConfig(n_particles=n, n_steps=12, step_size=1e-4, seed=3)
+        config = SamplerConfig(n_particles=n, n_steps=12, step_size=step_size, seed=3)
         tracemalloc.start()
         try:
             got = run(Marked(idx, obs, n_steps=dim), config)
@@ -239,6 +240,8 @@ class TestBuffers:
             tracemalloc.stop()
         assert marks["peak"] - marks["start"] < n * dim * 8
         assert np.array_equal(got.states, run(ConditionedDiffusion(idx, obs, n_steps=dim), config).states)
+        if step_size == 1.0:
+            assert got.acceptance_rate == 0.0
 
     def test_langevin_step_out_matches_pure_form(self):
         rng = np.random.default_rng(12)
@@ -298,9 +301,10 @@ class TestSGLD:
         def config(n):
             return SamplerConfig(n_particles=n, n_steps=60, step_size=0.02, burn_in=10, seed=17, collect_history=True)
 
-        force_fill(monkeypatch, 5, 60, 2)  # fills of 5 steps at 60 particles, of 75 at 4
         monkeypatch.setattr(samplers, "UNIFORM_BLOCK", 25)  # 3 blocks
+        force_fill(monkeypatch, 5, 2)
         full = run(Banana(), config(60))
+        force_fill(monkeypatch, 75, 2)
         head = run(Banana(), config(4))
         assert full.noise_chunk_steps == 5
         assert head.noise_chunk_steps == (25 if run is mala_run else 60)
