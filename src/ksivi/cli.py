@@ -135,7 +135,6 @@ def cmd_ground_truth(args) -> int:
 
     write_samples_csv(out_dir / "ground_truth.csv", run.states)
     sampler = {**s, "acceptance_rate": run.acceptance_rate, "seconds_per_step": (finished - started) / s["n_steps"]}
-    sampler["noise_chunk_steps"] = run.noise_chunk_steps
     if before is not None:  # page faults that needed no I/O: fresh memory, mostly
         after = _rusage()
         sampler["minor_faults_per_step"] = (after.ru_minflt - before.ru_minflt) / s["n_steps"]
@@ -158,11 +157,11 @@ def _rusage():
 
 
 def cmd_evaluate(args) -> int:
-    requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    requested = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))  # each name once
     unknown = [name for name in requested if name not in EVALUATE_METRICS]
-    if unknown:
-        expected = ", ".join(EVALUATE_METRICS)
-        print(f"error: unknown metric {unknown[0]!r}; expected some of {expected}", file=sys.stderr)
+    if unknown or not requested:
+        problem = f"unknown metric {unknown[0]!r}" if unknown else "--metrics names no metric"
+        print(f"error: {problem}; expected some of {', '.join(EVALUATE_METRICS)}", file=sys.stderr)
         return 2
 
     import numpy as np

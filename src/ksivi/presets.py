@@ -13,17 +13,11 @@ import math
 
 from .configio import ConfigError
 
-# Settings every preset shares unless it sets its own.
+# Settings every preset shares unless it sets its own; a key left out takes
+# its default in ``configio.KEYS``.
 _SHARED = {
     "train.batch_size": 100,
     "train.learning_rate": 0.001,
-    "train.estimator": "vanilla",
-    "kernel.family": "rbf",
-    "kernel.bandwidth_rule": "median",
-    "eval.sample_size": 1000,
-    "sampler.algorithm": "sgld",
-    "sampler.n_particles": 1000,
-    "run.seed": 0,
 }
 
 

@@ -124,19 +124,21 @@ def load_checkpoint(path) -> SIVParams:
 
 
 def build_identifier() -> str:
+    """``ksivi-<version>+<commit>``, the commit marked ``.dirty`` when ``git
+    status`` lists any change in the checkout; where git fails, no commit or
+    no mark."""
     from . import __version__
 
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        ).stdout.strip()
-    except Exception:
-        commit = ""
-    return f"ksivi-{__version__}" + (f"+{commit}" if commit else "")
+    def git(*args):  # its output, or "" where git is missing, hangs or fails
+        try:
+            run = subprocess.run(["git", *args], cwd=Path(__file__).parent, capture_output=True, text=True, timeout=5)
+        except (OSError, subprocess.SubprocessError):
+            return ""
+        return run.stdout.strip() if run.returncode == 0 else ""
+
+    commit = git("rev-parse", "--short", "HEAD")
+    dirty = ".dirty" if commit and git("status", "--porcelain") else ""
+    return f"ksivi-{__version__}" + (f"+{commit}{dirty}" if commit else "")
 
 
 def write_manifest(path, record: dict) -> None:

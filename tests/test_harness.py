@@ -28,13 +28,13 @@ from ksivi.family import siv_init
 from ksivi.nets import NetArch
 from ksivi.presets import PRESET_NAMES, get_preset
 from ksivi.runio import (
+    build_identifier,
     load_checkpoint,
     read_samples_csv,
     save_checkpoint,
     write_samples_csv,
     write_trace_csv,
 )
-from ksivi.samplers import UNIFORM_BLOCK
 from ksivi.train import LossTrace
 
 from helpers import zero_params
@@ -236,7 +236,7 @@ class TestPresetFidelity:
             assert flat["train.iterations"] == 50_000
             assert flat["train.learning_rate"] == 0.001
             assert flat["arch.widths"] == [3, 50, 50, 2]
-            assert flat["eval.sample_size"] == 1000
+            assert ExperimentConfig.from_flat(flat).resolved_flat()["eval.sample_size"] == 1000
         assert get_preset("toy-banana")["init.rho"] == math.log(0.5)
         assert get_preset("toy-multimodal")["init.rho"] == 0.0
         assert get_preset("toy-multimodal")["anneal.start"] == 0.2
@@ -249,7 +249,7 @@ class TestPresetFidelity:
         assert flat["arch.widths"] == [10, 100, 100, 22]
         assert flat["init.rho"] == -2.5
         assert flat["sampler.n_steps"] == 400_000
-        assert flat["sampler.n_particles"] == 1000
+        assert ExperimentConfig.from_flat(flat).resolved_flat()["sampler.n_particles"] == 1000
         assert flat["sampler.step_size"] == 0.0001
 
     def test_cd_settings(self):
@@ -277,6 +277,38 @@ class TestPresetFidelity:
 
 
 class TestRunIO:
+    @pytest.mark.parametrize(
+        "outputs, suffix",
+        [
+            ({"rev-parse": "abc1234\n", "status": ""}, "+abc1234"),
+            ({"rev-parse": "abc1234\n", "status": " M src/ksivi/cli.py\n?? notes.txt\n"}, "+abc1234.dirty"),
+            ({"rev-parse": "abc1234\n", "status": 128}, "+abc1234"),
+            ({"rev-parse": "abc1234\n", "status": subprocess.TimeoutExpired("git", 5)}, "+abc1234"),
+            ({"rev-parse": 128, "status": " M x\n"}, ""),
+            ({"rev-parse": FileNotFoundError("git"), "status": FileNotFoundError("git")}, ""),
+        ],
+        ids=["clean", "dirty", "status-fails", "status-hangs", "not-a-checkout", "no-git"],
+    )
+    def test_build_identifier_marks_a_dirty_tree(self, monkeypatch, outputs, suffix):
+        # each value is git's standard output, its failing exit code, or what it raises
+        seen = []
+
+        def fake_run(argv, **kwargs):
+            assert argv[0] == "git" and kwargs["timeout"] == 5
+            assert argv[1:] in (["rev-parse", "--short", "HEAD"], ["status", "--porcelain"])
+            assert Path(kwargs["cwd"]) == Path(ksivi.__file__).parent
+            seen.append(argv[1])
+            result = outputs[argv[1]]
+            if isinstance(result, Exception):
+                raise result
+            if isinstance(result, int):
+                return subprocess.CompletedProcess(argv, result, stdout="", stderr="fatal: not a git repository")
+            return subprocess.CompletedProcess(argv, 0, stdout=result, stderr="")
+
+        monkeypatch.setattr("ksivi.runio.subprocess.run", fake_run)
+        assert build_identifier() == f"ksivi-{ksivi.__version__}{suffix}"
+        assert seen[0] == "rev-parse" and set(seen) <= {"rev-parse", "status"}
+
     def test_samples_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         samples = rng.standard_normal((40, 3)) * np.array([1e-8, 1.0, 1e10])
@@ -564,8 +596,6 @@ class TestCLI:
         sampler = manifest["sampler"]
         assert sampler["seconds_per_step"] > 0.0
         assert sampler["seconds_per_step"] * 600 == pytest.approx(manifest["wallclock_seconds"])
-        # the whole run in one fill, but mala's fills end at each block of uniforms
-        assert sampler["noise_chunk_steps"] == (UNIFORM_BLOCK if algorithm == "mala" else 600)
         assert_records_memory(sampler, "minor_faults_per_step", "peak_rss_mb")
         if "minor_faults_per_step" in sampler:
             assert sampler["minor_faults_per_step"] >= 0.0
@@ -651,6 +681,43 @@ class TestCLI:
         write_samples_csv(path, np.zeros((10, 2)))
         assert main(["evaluate", str(path), str(path), "--metrics", "mmd2,bogus"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown metric 'bogus'; expected some of sliced_wd,")
+
+    @pytest.mark.parametrize("metrics", ["", " , ,"], ids=["empty", "blank-names"])
+    def test_empty_metric_list_refused_by_flag(self, tmp_path, capsys, monkeypatch, metrics):
+        def refused(*args, **kwargs):
+            raise AssertionError("evaluate read a file")
+
+        monkeypatch.setattr("ksivi.runio.read_samples_csv", refused)
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, np.zeros((10, 2)))
+        assert main(["evaluate", str(path), str(path), "--metrics", metrics, "--out", str(tmp_path / "m.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --metrics names no metric; expected some of sliced_wd,")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_repeated_metric_computed_once(self, tmp_path, capsys, monkeypatch):
+        import ksivi.metrics
+
+        calls = []
+        mmd2_ustat = ksivi.metrics.mmd2_ustat
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return mmd2_ustat(*args, **kwargs)
+
+        monkeypatch.setattr("ksivi.metrics.mmd2_ustat", counted)
+        rng = np.random.default_rng(6)
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_samples_csv(a_path, rng.standard_normal((50, 2)))
+        write_samples_csv(b_path, rng.standard_normal((50, 2)))
+        records = []
+        for metrics in ("mmd2,mmd2, mmd2", "mmd2"):
+            calls.clear()
+            assert main(["evaluate", str(a_path), str(b_path), "--metrics", metrics]) == 0
+            assert len(calls) == 1
+            records.append(json.loads(capsys.readouterr().out))
+        assert records[0] == records[1]
+        assert list(records[0]["metrics"]) == ["mmd2"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,17 +1,14 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ksivi import samplers
 from ksivi.samplers import (
     SamplerConfig,
     SamplerDivergence,
     SamplerRun,
     _check_finite,
-    _particle_rngs,
     _proposal_log_density,
     langevin_mean,
     langevin_step,
@@ -46,10 +43,9 @@ def blr30():
 # Reference: the two separate samplers that the single driver replaced, with
 # the initial states they used (less the branch for a given ``init``, an
 # option no caller set), and the allocating step and proposal density they
-# called.  They keep no buffers: each particle's stream is drawn as the
-# samplers' module docstring defines it, sgld's normals for every step in one
-# call, mala's ``UNIFORM_BLOCK`` uniforms of a block and then that block's
-# normals in one call each, a full block of uniforms also at the end of the run.
+# called.  They keep no buffers: each draw allocates, from one generator in
+# the order the samplers' module docstring defines: the initial states, then
+# each step's normals and, for mala, the step's uniforms.
 
 
 def reference_langevin_step(x, score_value, step_size, noise):
@@ -62,65 +58,53 @@ def reference_proposal_log_density(x_from, x_to, score_from, step_size):
     return -((x_to - mean) ** 2).sum(axis=1) / (2.0 * step_size)
 
 
-def _initial_states(config: SamplerConfig, rngs, dim):
-    return np.stack([rng.standard_normal(dim) for rng in rngs])
-
-
 def reference_sgld_run(target, config: SamplerConfig) -> SamplerRun:
     """Unadjusted parallel Langevin dynamics with full-batch scores."""
-    rngs = _particle_rngs(config)
-    x = _initial_states(config, rngs, target.dim)
-    noise = np.stack([rng.standard_normal((config.n_steps, target.dim)) for rng in rngs], axis=1)
+    rng = np.random.default_rng(config.seed)
+    shape = (config.n_particles, target.dim)
+    x = rng.standard_normal(shape)
     history = [] if config.collect_history else None
     for t in range(config.n_steps):
-        x = reference_langevin_step(x, target.score(x), config.step_size, noise[t])
+        x = reference_langevin_step(x, target.score(x), config.step_size, rng.standard_normal(shape))
         _check_finite(x, t)
         if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             history.append(x.copy())
     hist = np.stack(history) if history else None
-    return SamplerRun(states=x, history=hist, acceptance_rate=None, noise_chunk_steps=config.n_steps)
+    return SamplerRun(states=x, history=hist, acceptance_rate=None)
 
 
 def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
     """Langevin proposals with Metropolis correction; exact invariance."""
-    block = samplers.UNIFORM_BLOCK
-    rngs = _particle_rngs(config)
-    x = _initial_states(config, rngs, target.dim)
+    rng = np.random.default_rng(config.seed)
+    shape = (config.n_particles, target.dim)
+    x = rng.standard_normal(shape)
     history = [] if config.collect_history else None
     logp = target.logp(x)
     score = target.score(x)
     n_accept = 0
-    for start in range(0, config.n_steps, block):
-        span = min(block, config.n_steps - start)
-        uniforms = np.stack([rng.uniform(size=block) for rng in rngs], axis=1)
-        noise = np.stack([rng.standard_normal((span, target.dim)) for rng in rngs], axis=1)
-        for k in range(span):
-            prop = reference_langevin_step(x, score, config.step_size, noise[k])
-            logp_prop = target.logp(prop)
-            score_prop = target.score(prop)
-            log_alpha = (
-                logp_prop
-                - logp
-                + reference_proposal_log_density(prop, x, score_prop, config.step_size)
-                - reference_proposal_log_density(x, prop, score, config.step_size)
-            )
-            accept = np.log(uniforms[k]) < log_alpha
-            x = np.where(accept[:, None], prop, x)
-            logp = np.where(accept, logp_prop, logp)
-            score = np.where(accept[:, None], score_prop, score)
-            n_accept += int(accept.sum())
-            t = start + k
-            _check_finite(x, t)
-            if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-                history.append(x.copy())
+    for t in range(config.n_steps):
+        noise = rng.standard_normal(shape)
+        uniforms = rng.uniform(size=config.n_particles)
+        prop = reference_langevin_step(x, score, config.step_size, noise)
+        logp_prop = target.logp(prop)
+        score_prop = target.score(prop)
+        log_alpha = (
+            logp_prop
+            - logp
+            + reference_proposal_log_density(prop, x, score_prop, config.step_size)
+            - reference_proposal_log_density(x, prop, score, config.step_size)
+        )
+        accept = np.log(uniforms) < log_alpha
+        x = np.where(accept[:, None], prop, x)
+        logp = np.where(accept, logp_prop, logp)
+        score = np.where(accept[:, None], score_prop, score)
+        n_accept += int(accept.sum())
+        _check_finite(x, t)
+        if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
+            history.append(x.copy())
     hist = np.stack(history) if history else None
     rate = n_accept / (config.n_steps * config.n_particles)
-    return SamplerRun(states=x, history=hist, acceptance_rate=rate, noise_chunk_steps=min(block, config.n_steps))
-
-
-def force_fill(monkeypatch, steps, dim):
-    """Fill the noise of ``steps`` steps of ``dim`` normals per particle call."""
-    monkeypatch.setattr(samplers, "MIN_FILL_DRAWS", steps * dim)
+    return SamplerRun(states=x, history=hist, acceptance_rate=rate)
 
 
 class TestSingleDriver:
@@ -135,13 +119,7 @@ class TestSingleDriver:
         [(sgld_run, reference_sgld_run), (mala_run, reference_mala_run)],
         ids=["sgld", "mala"],
     )
-    # 30 steps in fills of 1, of 7 (4 fills, the last short; in blocks of 8,
-    # cut at each block's end: 7, 1, 7, 1, ...) and of the whole run at the
-    # default fill; with blocks of 8, mala draws 4 blocks of uniforms, the
-    # last one only 6/8 used
-    @pytest.mark.parametrize("fill", [1, 7, None], ids=["fills-of-1", "fills-of-7", "default-fill"])
-    @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "blocks-of-8"])
-    def test_bitwise_equal_to_separate_samplers(self, monkeypatch, make_target, step_size, run, reference, fill, block):
+    def test_bitwise_equal_to_separate_samplers(self, make_target, step_size, run, reference):
         target = make_target()
         config = SamplerConfig(
             n_particles=7,
@@ -152,18 +130,12 @@ class TestSingleDriver:
             seed=31,
             collect_history=True,
         )
-        if fill is not None:
-            force_fill(monkeypatch, fill, target.dim)
-        if block is not None:
-            monkeypatch.setattr(samplers, "UNIFORM_BLOCK", block)
         got = run(target, config)
         expect = reference(target, config)
         assert np.array_equal(got.states, expect.states)
         assert got.history.shape == (9, 7, target.dim)
         assert np.array_equal(got.history, expect.history)
         assert got.acceptance_rate == expect.acceptance_rate
-        limits = [30, fill or 30] + ([samplers.UNIFORM_BLOCK] if run is mala_run else [])
-        assert got.noise_chunk_steps == min(limits)
         if run is mala_run:
             assert 0.0 < got.acceptance_rate < 1.0
         # history rows are copies, not views of the reused state buffers
@@ -173,31 +145,25 @@ class TestSingleDriver:
 class TestBuffers:
     @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
     @pytest.mark.parametrize("n", [200, 2000])
-    def test_peak_memory_within_one_noise_fill(self, monkeypatch, run, n):
-        # 300 steps on a 20-state path in fills of 40 steps (8 fills, the
-        # last one short).  A run holds one noise buffer of one fill, mala
-        # one block of uniforms, and the particles' generators and a few
-        # (n, d) arrays; a second copy of the buffer (a per-particle list
-        # stacked, or a fresh buffer allocated while the old one is alive)
-        # would pass the bound by 40 (n, d) arrays less the slack of 12.
+    def test_peak_memory_holds_no_step_axis(self, run, n):
+        # on a 20-state path, a run holds the generator's draws, the state
+        # buffers, the workspace and a few (n, d) temporaries, whatever its
+        # step count: a buffer of several steps' noise, or any array that
+        # grows with the steps, would move the 300-step peak away from the
+        # 30-step one
         target = cd20()
-        force_fill(monkeypatch, 40, target.dim)
-        config = SamplerConfig(n_particles=n, n_steps=300, step_size=0.003, seed=10)
-        run(target, replace(config, n_steps=2))  # first-call allocations stay out of the trace
-        tracemalloc.start()
-        try:
-            rngs = _particle_rngs(config)
-            rng_bytes = tracemalloc.get_traced_memory()[0]
-            del rngs
-            tracemalloc.reset_peak()
-            got = run(target, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.noise_chunk_steps == 40
-        fill_bytes = 8 * n * 40 * target.dim
-        uniform_bytes = 8 * n * samplers.UNIFORM_BLOCK if run is mala_run else 0
-        assert peak < fill_bytes + uniform_bytes + rng_bytes + 12 * 8 * n * target.dim
+        run(target, SamplerConfig(n_particles=n, n_steps=2, step_size=0.003))  # first-call allocations
+        array_bytes = 8 * n * target.dim
+        peaks = []
+        for n_steps in (30, 300):
+            tracemalloc.start()
+            try:
+                run(target, SamplerConfig(n_particles=n, n_steps=n_steps, step_size=0.003, seed=10))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 12 * array_bytes
+        assert abs(peaks[1] - peaks[0]) < array_bytes
 
     @pytest.mark.parametrize(
         "run, step_size", [(sgld_run, 1e-4), (mala_run, 1e-4), (mala_run, 1.0)], ids=["sgld", "mala", "mala-rejecting"]
@@ -218,7 +184,7 @@ class TestBuffers:
 
             def mark(self):
                 self.calls += 1
-                if self.calls == 3:  # the noise chunk and every buffer exist by now
+                if self.calls == 3:  # every buffer exists by now
                     tracemalloc.reset_peak()
                     marks["start"] = tracemalloc.get_traced_memory()[0]
 
@@ -253,6 +219,10 @@ class TestBuffers:
         assert langevin_mean(x, mean, 0.3, out=mean) is mean
         assert langevin_step(mean, 0.3, noise, out=out) is out
         assert np.array_equal(out, expect)
+        # the driver draws the normals into the proposal and moves them there
+        moved = noise.copy()
+        assert langevin_step(mean, 0.3, moved, out=moved) is moved
+        assert np.array_equal(moved, expect)
 
     def test_proposal_density_work_matches_pure_form(self):
         rng = np.random.default_rng(13)
@@ -292,36 +262,11 @@ class TestSGLD:
         b = sgld_run(gaussian5(), config)
         assert np.array_equal(a.states, b.states)
 
+    @pytest.mark.parametrize("n_steps, longer", [(5, 50), (20, 50), (33, 50), (30, 300)])
     @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
-    def test_leading_particles_match_a_smaller_run(self, monkeypatch, run):
-        # each particle owns a stream spawned from the seed: the first k rows
-        # of an n-particle run are a k-particle run from the same seed, also
-        # where the two runs fill their noise in different steps and across
-        # blocks, where mala's uniforms lead each block's normals
-        def config(n):
-            return SamplerConfig(n_particles=n, n_steps=60, step_size=0.02, burn_in=10, seed=17, collect_history=True)
-
-        monkeypatch.setattr(samplers, "UNIFORM_BLOCK", 25)  # 3 blocks
-        force_fill(monkeypatch, 5, 2)
-        full = run(Banana(), config(60))
-        force_fill(monkeypatch, 75, 2)
-        head = run(Banana(), config(4))
-        assert full.noise_chunk_steps == 5
-        assert head.noise_chunk_steps == (25 if run is mala_run else 60)
-        assert np.array_equal(full.states[:4], head.states)
-        assert np.array_equal(full.history[:, :4], head.history)
-
-    # blocks of 16: the shorter runs stop inside the first, second and third block
-    @pytest.mark.parametrize(
-        "block, n_steps, longer", [(16, 5, 50), (16, 20, 50), (16, 33, 50), (None, 30, 300)]
-    )
-    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
-    def test_a_run_stops_where_a_longer_run_passes(self, monkeypatch, run, block, n_steps, longer):
-        # a particle's draws up to step N do not depend on the steps after
-        # it, so an N-step run's states are row N - 1 of a longer run's history
-        if block is not None:
-            monkeypatch.setattr(samplers, "UNIFORM_BLOCK", block)
-
+    def test_a_run_stops_where_a_longer_run_passes(self, run, n_steps, longer):
+        # the draws up to step N do not depend on the steps after it, so an
+        # N-step run's states are row N - 1 of a longer run's history
         def config(steps):
             return SamplerConfig(n_particles=6, n_steps=steps, step_size=0.02, seed=23, collect_history=True)
 
