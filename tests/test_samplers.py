@@ -119,25 +119,47 @@ class TestSingleDriver:
         [(sgld_run, reference_sgld_run), (mala_run, reference_mala_run)],
         ids=["sgld", "mala"],
     )
-    def test_bitwise_equal_to_separate_samplers(self, make_target, step_size, run, reference):
+    # run shapes: (particles, steps, burn_in, thin, history); the stream
+    # interleaves the particles' draws, so its order shows in a single
+    # particle, a single step, more particles than steps, a history that keeps
+    # only the last step or none at all
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (7, 30, 5, 3, True),
+            (1, 30, 5, 3, True),
+            (7, 1, 0, 1, True),
+            (7, 30, 29, 3, True),
+            (256, 4, 1, 2, True),
+            (7, 30, 5, 3, False),
+        ],
+        ids=["base", "one-particle", "one-step", "last-step-kept", "many-particles", "no-history"],
+    )
+    def test_bitwise_equal_to_separate_samplers(self, make_target, step_size, run, reference, shape):
+        n_particles, n_steps, burn_in, thin, collect_history = shape
         target = make_target()
         config = SamplerConfig(
-            n_particles=7,
-            n_steps=30,
+            n_particles=n_particles,
+            n_steps=n_steps,
             step_size=step_size,
-            burn_in=5,
-            thin=3,
+            burn_in=burn_in,
+            thin=thin,
             seed=31,
-            collect_history=True,
+            collect_history=collect_history,
         )
         got = run(target, config)
         expect = reference(target, config)
         assert np.array_equal(got.states, expect.states)
-        assert got.history.shape == (9, 7, target.dim)
-        assert np.array_equal(got.history, expect.history)
         assert got.acceptance_rate == expect.acceptance_rate
-        if run is mala_run:
-            assert 0.0 < got.acceptance_rate < 1.0
+        if shape == (7, 30, 5, 3, True):
+            assert got.history.shape == (9, 7, target.dim)
+            if run is mala_run:
+                assert 0.0 < got.acceptance_rate < 1.0
+        if not collect_history:
+            assert got.history is None and expect.history is None
+            return
+        assert got.history.shape == (len(range(burn_in, n_steps, thin)), n_particles, target.dim)
+        assert np.array_equal(got.history, expect.history)
         # history rows are copies, not views of the reused state buffers
         assert not np.shares_memory(got.history, got.states)
 
