@@ -310,7 +310,7 @@ def _add_run_arguments(parser):
     parser.add_argument("config", nargs="?", help="experiment config file")
     parser.add_argument("--preset", help="use a shipped preset instead of a file")
     parser.add_argument("--out", help="output directory (default runs/<experiment>)")
-    parser.add_argument("--data-dir", help="directory for data files (default: output dir)")
+    parser.add_argument("--data-dir", help="where a relative target.data_path is read from (default: output dir)")
     parser.add_argument("--seed", type=nonnegative, help="override the master seed")
     parser.add_argument("--threads", type=nonnegative, help="pin BLAS thread count (0 leaves the BLAS default)")
 

@@ -17,7 +17,9 @@ Any other key is rejected by name.  A value that ``KernelSpec``, ``TrainConfig``
 or ``SamplerConfig`` rejects is named by its key: each of their messages opens
 with the field, and ``KERNEL_FIELDS``, ``TRAIN_FIELDS`` and ``SAMPLER_FIELDS``
 map the field to the key.  ``config.txt`` holds the resolved config, every
-key with the value the run used, so it reruns the run.
+key with the value the run used, so it reruns the run: ``build_target``
+makes a target's generated data from its keys on every run and keeps no file
+of it.
 
 ``sampler.burn_in`` and ``sampler.thin`` shape only ``SamplerRun.history``,
 which no command collects yet.
@@ -146,14 +148,13 @@ TARGET_KEYS = {
     "xshaped": {},
     "gaussian": {"mean": ([float], REQUIRED), "variances": ([float], REQUIRED)},
     "student_product": {"nu": (float, 2.0), "width": (float, 1.0), "dim": (int, 2)},
-    "blr": {
-        "data_path": (str, REQUIRED),
-        "synthetic_rows": (int, None),  # unset: a missing dataset is an error
+    "blr": {  # exactly one of data_path and synthetic_rows
+        "data_path": (str, None),
+        "synthetic_rows": (int, None),
         "data_seed": (int, 0),
         "alpha": (float, 0.01),
     },
     "conditioned_diffusion": {
-        "obs_path": (str, REQUIRED),
         "obs_seed": (int, 0),
         "n_steps": (int, 100),
         "dt": (float, 0.01),
@@ -280,18 +281,20 @@ class ExperimentConfig:
 
 
 def build_target(config: ExperimentConfig, data_dir) -> "object":
-    """Construct the configured target, generating data files when allowed.
+    """Construct the configured target from its ``target.*`` keys alone.
 
-    Data paths resolve against ``data_dir``.  Synthetic regression data and
-    diffusion observations are generated (seeded) and written on first use so
-    preset experiments are self-contained and repeatable.  A value or a data
-    file the target rejects raises a ``ConfigError`` naming its ``target.*`` key.
+    Generated inputs are built in memory on every run and no file is written:
+    blr's ``target.synthetic_rows`` rows of ``make_waveform_dataset`` from
+    ``target.data_seed``, and the diffusion's observations from
+    ``target.obs_seed``.  The one file read is blr's ``target.data_path``, a
+    real dataset, which resolves against ``data_dir``; a blr config sets
+    exactly one of the two.  A value or a data file the target rejects raises
+    a ``ConfigError`` naming its ``target.*`` key.
     """
     from . import targets
 
     name = config.flat["target.name"]
     params = {key: config.flat.get(f"target.{key}") for key in TARGET_KEYS[name]}
-    data_dir = Path(data_dir)
 
     if name == "banana":
         return targets.Banana()
@@ -306,28 +309,19 @@ def build_target(config: ExperimentConfig, data_dir) -> "object":
         with _blame("target.nu, target.width, target.dim"):
             return targets.StudentTProduct(**params)
     if name == "blr":
-        path = data_dir / params["data_path"]
-        if not path.exists():
-            if params["synthetic_rows"] is None:
-                raise ConfigError("target.data_path", f"dataset {path} not found")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with _blame("target.synthetic_rows"):
-                features, labels = targets.make_waveform_dataset(params["synthetic_rows"], params["data_seed"])
-            targets.save_blr_dataset(path, features, labels)
+        if (params["data_path"] is None) == (params["synthetic_rows"] is None):
+            raise ConfigError("target.data_path, target.synthetic_rows", "set exactly one")
+        if params["data_path"] is None:
+            features, labels = targets.make_waveform_dataset(params["synthetic_rows"], params["data_seed"])
+            return targets.LogisticRegression.from_features(features, labels, alpha=params["alpha"])
         with _blame("target.data_path"):
-            return targets.load_blr_dataset(path, alpha=params["alpha"])
-    # conditioned_diffusion, the last name TARGET_KEYS admits
-    path = data_dir / params["obs_path"]
-    if not path.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with _blame("target.n_steps"):
-            idx, obs, _ = targets.generate_cd_observations(
-                params["obs_seed"], n_steps=params["n_steps"], dt=params["dt"], obs_stride=params["obs_stride"]
-            )
-        targets.save_cd_observations(path, idx, obs)
-    with _blame("target.obs_path"):
-        idx, obs = targets.load_cd_observations(path)
-        return targets.ConditionedDiffusion(idx, obs, n_steps=params["n_steps"], dt=params["dt"])
+            return targets.load_blr_dataset(Path(data_dir) / params["data_path"], alpha=params["alpha"])
+    # conditioned_diffusion
+    with _blame("target.obs_stride"):
+        idx, obs, _ = targets.generate_cd_observations(
+            params["obs_seed"], n_steps=params["n_steps"], dt=params["dt"], obs_stride=params["obs_stride"]
+        )
+    return targets.ConditionedDiffusion(idx, obs, n_steps=params["n_steps"], dt=params["dt"])
 
 
 def validate_against_target(config: ExperimentConfig, target) -> None:

@@ -61,7 +61,6 @@ def _blr():
         **_SHARED,
         "experiment.name": "blr-waveform",
         "target.name": "blr",
-        "target.data_path": "waveform.csv",
         "target.synthetic_rows": 1000,
         "target.data_seed": 7,
         "target.alpha": 0.01,
@@ -78,7 +77,6 @@ def _cd(dim):
         **_SHARED,
         "experiment.name": f"cd-dim{dim}",
         "target.name": "conditioned_diffusion",
-        "target.obs_path": f"cd_obs_dim{dim}.csv",
         "target.obs_seed": 42,
         "target.n_steps": dim,
         "target.dt": 1.0 / dim,

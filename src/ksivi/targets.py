@@ -302,6 +302,11 @@ class LogisticRegression(TargetModel):
         self.dim = design.shape[1]
         self.n_rows = design.shape[0]
 
+    @classmethod
+    def from_features(cls, features, labels, alpha=0.01) -> "LogisticRegression":
+        """The posterior whose design is ``features`` with an intercept 1 prepended to every row."""
+        return cls(np.concatenate([np.ones((len(features), 1)), features], axis=1), labels, alpha=alpha)
+
     def _logits(self, B, out=None):
         return np.matmul(self.design, B.T, out=out)  # (n_rows, n)
 
@@ -398,11 +403,7 @@ def load_blr_dataset(path, alpha=0.01) -> LogisticRegression:
             raise ValueError(f"{path}: {err}") from None
     if data.shape[1] != 22:
         raise ValueError(f"{path}: {data.shape[1]} columns, expected 22")
-    features, labels = data[:, :-1], data[:, -1]
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ValueError(f"{path}: labels must be 0 or 1")
-    design = np.concatenate([np.ones((features.shape[0], 1)), features], axis=1)
-    return LogisticRegression(design, labels, alpha=alpha)
+    return LogisticRegression.from_features(data[:, :-1], data[:, -1], alpha=alpha)
 
 
 def make_waveform_dataset(n_rows=1000, seed=0):
@@ -411,9 +412,10 @@ def make_waveform_dataset(n_rows=1000, seed=0):
     Rows are random convex combinations of two of three triangular base
     shapes (peaks at positions 6, 10, 14) plus unit Gaussian noise; the
     shape-pair class using the first two bases maps to label 1, the other two
-    classes to label 0.  This stands in for the classic waveform benchmark so
-    experiments are self-contained; a real dataset with the same CSV layout
-    can be dropped in instead.
+    classes to label 0.  This stands in for the classic waveform benchmark:
+    ``target.synthetic_rows`` and ``target.data_seed`` build it in memory on
+    every run, and ``make-blr-data`` writes it in the CSV layout that
+    ``target.data_path`` reads, so a real dataset can take its place.
     """
     rng = np.random.default_rng(seed)
     grid = np.arange(21, dtype=np.float64)
@@ -593,31 +595,17 @@ def generate_cd_observations(seed, n_steps=100, dt=0.01, drift=10.0, obs_stride=
     """Simulate one latent path and perturb every ``obs_stride``-th state.
 
     Returns (indices, observations, path); indices are 1-based state
-    positions.  Deterministic given the seed.
+    positions.  Deterministic given the seed.  A stride longer than the path
+    observes no state and is refused.
     """
+    if obs_stride > n_steps:
+        raise ValueError(f"{obs_stride} exceeds the {n_steps} states of the path, so none is observed")
     rng = np.random.default_rng(seed)
     increments = rng.standard_normal(n_steps) * np.sqrt(dt)
     path = euler_maruyama_path(increments, dt=dt, drift=drift)
     indices = np.arange(obs_stride, n_steps + 1, obs_stride, dtype=np.int64)
     observations = path[indices - 1] + obs_noise * rng.standard_normal(indices.size)
     return indices, observations, path
-
-
-def save_cd_observations(path, indices, observations) -> None:
-    data = np.column_stack([indices, observations])
-    np.savetxt(path, data, delimiter=",", header="index,value", comments="", fmt=["%d", "%.17g"])
-
-
-def load_cd_observations(path):
-    """Read the ``index,value`` CSV that ``save_cd_observations`` writes; blank lines are skipped."""
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != "index,value":
-            raise ValueError(f"{path}: expected 'index,value' header")
-        try:
-            data = read_csv_rows(fh, dtype=[("index", np.int64), ("value", np.float64)], ndmin=1)
-        except ValueError as err:  # no rows, a row without two fields, or an index that is not an integer
-            raise ValueError(f"{path}: {err}") from None
-    return np.ascontiguousarray(data["index"]), np.ascontiguousarray(data["value"])
 
 
 class Tempered(TargetModel):

@@ -327,8 +327,7 @@ class TestSharedTargetPass:
 
 
 def blr_target(n_rows, seed):
-    features, labels = make_waveform_dataset(n_rows=n_rows, seed=seed)
-    return LogisticRegression(np.concatenate([np.ones((n_rows, 1)), features], axis=1), labels)
+    return LogisticRegression.from_features(*make_waveform_dataset(n_rows=n_rows, seed=seed))
 
 
 class TestWorkspace:

@@ -20,7 +20,6 @@ from ksivi.configio import (
     ExperimentConfig,
     build_target,
     format_config,
-    load_config_file,
     parse_config_text,
     validate_against_target,
 )
@@ -146,7 +145,11 @@ class TestConfigFormat:
             ExperimentConfig.from_flat(flat)
         assert err.value.fieldname == "anneal.strat, train.learning_rte"
         # a target.* key must be one of the named target's own
-        for preset, key in (("toy-multimodal", "target.extra"), ("student-product-w5-rbf", "target.widht")):
+        for preset, key in (
+            ("toy-multimodal", "target.extra"),
+            ("student-product-w5-rbf", "target.widht"),
+            ("cd-dim50", "target.obs_path"),  # the observations are generated, never read
+        ):
             flat = get_preset(preset)
             flat[key] = 5.0
             with pytest.raises(ConfigError) as err:
@@ -170,11 +173,10 @@ class TestConfigFormat:
         assert set(resolved) == set(KEYS) - {"clip.norm"} | set(SEED_OFFSETS)
         assert [resolved[key] for key in SEED_OFFSETS] == [1, 2, 3, 4]  # run.seed = 1
         assert resolved["sampler.n_steps"] == KEYS["sampler.n_steps"][1]
-        flat = get_preset("blr-waveform")
-        del flat["target.synthetic_rows"]
+        flat = get_preset("blr-waveform")  # sets target.synthetic_rows, so target.data_path stays unset
         flat["clip.norm"] = 2.0
         resolved = ExperimentConfig.from_flat(flat).resolved_flat()
-        target_keys = {"target.data_path", "target.data_seed", "target.alpha"}
+        target_keys = {"target.synthetic_rows", "target.data_seed", "target.alpha"}
         assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys
         assert resolved["target.alpha"] == 0.01 and resolved["clip.norm"] == 2.0
 
@@ -274,6 +276,72 @@ class TestPresetFidelity:
             assert rbf["kernel.family"] == "rbf"
             assert riesz["kernel.family"] == "riesz"
             assert rbf["reg.weight"] == riesz["reg.weight"] == 0.1
+
+
+def target_arrays(target):
+    """The arrays a built target is made of, and its log-density at a fixed batch."""
+    x = np.random.default_rng(0).standard_normal((4, target.dim))
+    if hasattr(target, "design"):
+        return [target.design, target.labels, target.logp(x)]
+    return [target.obs_indices, target.observations, target.logp(x)]
+
+
+def array_digest(arrays):
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestTargetsFromKeys:
+    """A target is built from its ``target.*`` keys alone, and no build writes a file."""
+
+    def plant_stale_files(self, data_dir):
+        """Files under the names the blr and cd-dim50 presets once wrote on first use and read back after."""
+        data_dir.mkdir()
+        assert main(["make-blr-data", str(data_dir / "waveform.csv"), "--rows", "40", "--seed", "99"]) == 0
+        (data_dir / "cd_obs_dim50.csv").write_text("index,value\n5,0.25\n10,-0.5\n")
+        return {path.name: path.read_bytes() for path in data_dir.iterdir()}
+
+    @pytest.mark.parametrize(
+        "preset, key, value",
+        [
+            ("cd-dim50", "target.obs_seed", 7),
+            ("cd-dim50", "target.obs_stride", 3),
+            ("cd-dim50", "target.n_steps", 40),
+            ("cd-dim50", "target.dt", 0.01),
+            ("blr-waveform", "target.synthetic_rows", 300),
+            ("blr-waveform", "target.data_seed", 99),
+            ("blr-waveform", "target.alpha", 0.1),
+        ],
+    )
+    def test_every_key_changes_the_target_and_no_file_does(self, tmp_path, preset, key, value):
+        data_dir = tmp_path / "data"
+        planted = self.plant_stale_files(data_dir)
+        flat = get_preset(preset)
+        base = target_arrays(build_target(ExperimentConfig.from_flat(flat), data_dir))
+        clean = target_arrays(build_target(ExperimentConfig.from_flat(flat), tmp_path / "none"))
+        changed = target_arrays(build_target(ExperimentConfig.from_flat({**flat, key: value}), data_dir))
+        assert array_digest(base) == array_digest(clean)
+        assert array_digest(changed) != array_digest(base)
+        assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == planted
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize(
+        "preset, digest",
+        [
+            ("blr-waveform", "dd82916f66f687f2"),
+            ("cd-dim50", "7ea2c5b5aa5dcf19"),
+            ("cd-dim100", "c78e570fe6db0a3e"),
+            ("cd-dim200", "f39a8501bbbb950f"),
+        ],
+    )
+    def test_preset_targets_keep_their_csv_round_trip_bits(self, tmp_path, preset, digest):
+        # the digests of the targets that the presets built when they wrote their data
+        # to a CSV file and read it back
+        target = build_target(ExperimentConfig.from_flat(get_preset(preset)), tmp_path)
+        assert array_digest(target_arrays(target)) == digest
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunIO:
@@ -470,6 +538,16 @@ class TestCLI:
         [
             ('target.name = "student_product"\ntarget.nu = -1\n', "target.nu"),
             ('target.name = "blr"\ntarget.data_path = "short.csv"\n', "target.data_path"),
+            ('target.name = "blr"\n', "target.data_path, target.synthetic_rows: set exactly one"),
+            (
+                'target.name = "blr"\ntarget.data_path = "short.csv"\ntarget.synthetic_rows = 30\n',
+                "target.data_path, target.synthetic_rows: set exactly one",
+            ),
+            # a stride past the last state observes nothing, and the run would sample the prior
+            (
+                'target.name = "conditioned_diffusion"\ntarget.n_steps = 10\ntarget.obs_stride = 11\n',
+                "target.obs_stride: 11 exceeds the 10 states of the path",
+            ),
             ('target.name = "banana"\nkernel.family = "gauss"\n', "kernel.family"),
         ],
     )
@@ -488,7 +566,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "unknown preset 'nope'" in err and "toy-banana" in err and "Traceback" not in err
 
-    CD = {"target.name": "conditioned_diffusion", "target.obs_path": "o.csv"}
+    CD = {"target.name": "conditioned_diffusion"}
 
     @pytest.mark.parametrize(
         "settings, argv, key",
@@ -508,7 +586,6 @@ class TestCLI:
         config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
         assert main(["train", str(config_path), "--out", str(tmp_path / "out"), *argv]) == 2
         assert f"config error: {key}: must be at least" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "o.csv").exists()
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -538,30 +615,6 @@ class TestCLI:
         assert "error: argument --threads: must be at least 0, got -3" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
         assert build_parser().parse_args([command, "--threads", "0"]).threads == 0  # 0 leaves the BLAS default
-
-    def cd_config(self, tmp_path, obs_text):
-        (tmp_path / "o.csv").write_text(obs_text)
-        config_path = tmp_path / "config.txt"
-        settings = {**self.CD, "target.n_steps": 10, "arch.widths": [3, 8, 10]}
-        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
-        return config_path
-
-    def test_cd_observation_row_of_one_field_exits_2(self, tmp_path, capsys):
-        config_path = self.cd_config(tmp_path, "index,value\n5,0.25\n10\n")
-        assert main(["train", str(config_path), "--out", str(tmp_path / "out"), "--data-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "target.obs_path" in err and "o.csv" in err
-        assert err.rstrip().endswith("at row 2")  # numpy's advice on usecols is dropped
-
-    def test_cd_repeated_observation_index_exits_2(self, tmp_path, capsys):
-        config_path = self.cd_config(tmp_path, "index,value\n5,0.25\n10,0.5\n5,-0.25\n")
-        assert main(["train", str(config_path), "--out", str(tmp_path / "out"), "--data-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "config error: target.obs_path: observation index 5 repeats\n"
-
-    def test_cd_observation_blank_line_skipped(self, tmp_path, capsys):
-        config = ExperimentConfig.from_flat(load_config_file(self.cd_config(tmp_path, "index,value\n5,0.25\n\n10,-0.5\n")))
-        target = build_target(config, tmp_path)
-        assert target.obs_indices.tolist() == [5, 10] and target.observations.tolist() == [0.25, -0.5]
 
     def test_width_mismatch_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "bad.txt"
@@ -884,6 +937,15 @@ class TestCLI:
 
         target = load_blr_dataset(path)
         assert target.n_rows == 25 and target.dim == 22
+        # read by an absolute path or one relative to the data directory, the file gives
+        # the bits that the same rows and seed build in memory
+        flat = get_preset("blr-waveform")
+        synthetic = {**flat, "target.synthetic_rows": 25, "target.data_seed": 3}
+        built = build_target(ExperimentConfig.from_flat(synthetic), "-")
+        del flat["target.synthetic_rows"]
+        for data_path, data_dir in [(str(path), "-"), ("waveform.csv", tmp_path)]:
+            read = build_target(ExperimentConfig.from_flat({**flat, "target.data_path": data_path}), data_dir)
+            assert np.array_equal(read.design, built.design) and np.array_equal(read.labels, built.labels)
 
     def test_show_and_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
@@ -943,18 +1005,16 @@ print(json.dumps({{"code": code, "seen": seen}}))
         assert seen == {v: "2" for v in self.THREAD_VARS}
 
     def test_preset_data_generation(self, tmp_path, capsys):
-        # blr preset generates its dataset on first use
+        # the blr and conditioned diffusion presets generate their data in memory and write no file
         flat = get_preset("blr-waveform")
         flat["target.synthetic_rows"] = 30
         config = ExperimentConfig.from_flat(flat)
         target = build_target(config, tmp_path)
-        assert (tmp_path / "waveform.csv").exists()
-        assert target.dim == 22
-        # conditioned diffusion preset generates observations on first use
+        assert target.dim == 22 and target.n_rows == 30
         config = ExperimentConfig.from_flat(get_preset("cd-dim100"))
         target = build_target(config, tmp_path)
-        assert (tmp_path / "cd_obs_dim100.csv").exists()
         assert target.dim == 100
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNoScipy:

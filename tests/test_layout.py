@@ -58,8 +58,7 @@ LAYOUTS = ["fortran", "strided-rows", "single-point"]
 
 
 def _blr():
-    features, labels = make_waveform_dataset(n_rows=40, seed=3)
-    return LogisticRegression(np.concatenate([np.ones((40, 1)), features], axis=1), labels)
+    return LogisticRegression.from_features(*make_waveform_dataset(n_rows=40, seed=3))
 
 
 def _cd():

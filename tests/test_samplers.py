@@ -36,8 +36,7 @@ def cd20():
 
 
 def blr30():
-    features, labels = make_waveform_dataset(n_rows=30, seed=1)
-    return LogisticRegression(np.concatenate([np.ones((30, 1)), features], axis=1), labels)
+    return LogisticRegression.from_features(*make_waveform_dataset(n_rows=30, seed=1))
 
 
 # Reference: the two separate samplers that the single driver replaced, with

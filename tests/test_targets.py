@@ -18,11 +18,9 @@ from ksivi.targets import (
     euler_maruyama_path,
     generate_cd_observations,
     load_blr_dataset,
-    load_cd_observations,
     make_waveform_dataset,
     multimodal_target,
     save_blr_dataset,
-    save_cd_observations,
     xshaped_target,
 )
 
@@ -55,9 +53,7 @@ def make_cd_target(seed=0):
 
 
 def make_blr_target(seed=0, n_rows=20):
-    features, labels = make_waveform_dataset(n_rows=n_rows, seed=seed)
-    design = np.concatenate([np.ones((n_rows, 1)), features], axis=1)
-    return LogisticRegression(design, labels)
+    return LogisticRegression.from_features(*make_waveform_dataset(n_rows=n_rows, seed=seed))
 
 
 ALL_TARGETS = [
@@ -331,7 +327,7 @@ class TestLogisticRegression:
         assert target.dim == 22
         assert target.n_rows == 17
         assert np.all(target.design[:, 0] == 1.0)
-        assert np.allclose(target.design[:, 1:], features)
+        assert np.array_equal(target.design[:, 1:], features) and np.array_equal(target.labels, labels)
 
     def test_loader_rejects_bad_labels(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -423,41 +419,11 @@ class TestConditionedDiffusion:
         b = generate_cd_observations(seed=3)
         assert np.array_equal(a[1], b[1])
 
-    def test_observation_file_round_trip(self, tmp_path):
-        idx, obs, _ = generate_cd_observations(seed=4)
-        path = tmp_path / "obs.csv"
-        save_cd_observations(path, idx, obs)
-        idx2, obs2 = load_cd_observations(path)
-        assert np.array_equal(idx, idx2)
-        assert np.array_equal(obs, obs2)
-
-    def test_observation_file_layout(self, tmp_path):
-        path = tmp_path / "obs.csv"
-        save_cd_observations(path, np.array([5, 10]), np.array([0.1, -2.5]))
-        assert path.read_bytes() == b"index,value\n5,0.10000000000000001\n10,-2.5\n"
-        # the csv module's CRLF line endings, as files written before numpy's writer have
-        path.write_bytes(b"index,value\r\n5,0.10000000000000001\r\n10,-2.5\r\n")
-        idx, obs = load_cd_observations(path)
-        assert idx.dtype == np.int64 and idx.tolist() == [5, 10] and obs.tolist() == [0.1, -2.5]
-
-    @pytest.mark.filterwarnings("error")  # numpy's empty-input warning stays inside the loader
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("index,val\n5,0.1\n", "header"),
-            ("index,value\n5.0,0.1\n", "int64"),
-            ("index,value\n5,0.1,3\n", "columns"),
-            ("index,value\n5,0.1\n7\n", "requires 2 columns but 1 were found at row 2$"),
-            ("index,value\n", "obs.csv: no data rows$"),
-            ("index,value\n\n", "obs.csv: no data rows$"),
-        ],
-        ids=["header", "float-index", "three-fields", "one-field", "header-only", "blank-only"],
-    )
-    def test_observation_file_rejected(self, tmp_path, text, message):
-        path = tmp_path / "obs.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=message):
-            load_cd_observations(path)
+    def test_stride_past_the_path_refused(self):
+        idx, _, _ = generate_cd_observations(seed=4, obs_stride=100)
+        assert idx.tolist() == [100]  # the last state, observed alone
+        with pytest.raises(ValueError, match="^101 exceeds the 100 states of the path, so none is observed$"):
+            generate_cd_observations(seed=4, obs_stride=101)
 
     def test_index_validation(self):
         with pytest.raises(ValueError, match="indices"):

@@ -311,8 +311,7 @@ class TestTrainLoop:
         # 0.7 MB whatever the row count; at 2000 rows an array is 1.6 MB, so
         # one more fresh array fails by as much as its absence passes
         rows = 2000
-        features, labels = make_waveform_dataset(n_rows=rows, seed=7)
-        target = LogisticRegression(np.concatenate([np.ones((rows, 1)), features], axis=1), labels)
+        target = LogisticRegression.from_features(*make_waveform_dataset(n_rows=rows, seed=7))
         init = siv_init(NetArch((10, 100, 100, 22)), seed=3, rho_init=-2.5)
         config = TrainConfig(iterations=7, batch_size=100, learning_rate=1e-3, estimator=estimator, seed=4)
         marks = {}
