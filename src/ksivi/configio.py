@@ -12,7 +12,10 @@ and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  A kind is
 numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves
 the key unset.  Unless set, the four seeds in
 ``SEED_OFFSETS`` (``init``, ``train``, ``eval``, ``sampler``) are ``run.seed``
-plus 0, 1, 2 and 3.  ``MINIMUM`` bounds the seeds, sizes and counts from below.
+plus 0, 1, 2 and 3.  ``MINIMUM`` bounds the seeds, sizes and counts from below,
+and the diffusion's ``target.dt`` must exceed 0.  blr's ``target.data_seed``
+seeds only generated rows: with ``target.data_path`` set it is refused, and
+left unset.
 Any other key is rejected by name.  A value that ``KernelSpec``, ``TrainConfig``
 or ``SamplerConfig`` rejects is named by its key: each of their messages opens
 with the field, and ``KERNEL_FIELDS``, ``TRAIN_FIELDS`` and ``SAMPLER_FIELDS``
@@ -148,7 +151,7 @@ TARGET_KEYS = {
     "xshaped": {},
     "gaussian": {"mean": ([float], REQUIRED), "variances": ([float], REQUIRED)},
     "student_product": {"nu": (float, 2.0), "width": (float, 1.0), "dim": (int, 2)},
-    "blr": {  # exactly one of data_path and synthetic_rows
+    "blr": {  # exactly one of data_path and synthetic_rows; data_seed seeds the synthetic rows
         "data_path": (str, None),
         "synthetic_rows": (int, None),
         "data_seed": (int, 0),
@@ -249,10 +252,16 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(", ".join(unknown), "unknown key")
         resolved = {key: _take(flat, key, *spec) for key, spec in schema.items()}
+        if resolved.get("target.data_path") is not None:  # the file is the data; no seed makes it
+            if "target.data_seed" in flat:
+                raise ConfigError("target.data_seed", "does nothing when target.data_path is set")
+            resolved["target.data_seed"] = None
         flat = {key: value for key, value in resolved.items() if value is not None}
         for key, least in MINIMUM.items():
             if flat.get(key, least) < least:
                 raise ConfigError(key, f"must be at least {least}, got {flat[key]}")
+        if flat.get("target.dt", 1.0) <= 0:  # a step of 0 divides by zero, and a negative one takes its square root
+            raise ConfigError("target.dt", f"must be positive, got {flat['target.dt']}")
 
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:

@@ -29,10 +29,12 @@ the buffering.
 Workspace: ``score(x, work)``, ``logp_and_score(x, work)`` and
 ``score_and_hvp(x, work)`` may be handed a caller-owned flat float64 buffer
 of at least ``work_size(n)`` values for a batch of n points; a shorter one is
-refused.  Training hands over one per batch, the Langevin samplers one per
-run.  The target then keeps its per-batch arrays there instead of allocating
-them (logistic regression: two (rows, n) arrays; the diffusion: three (n, d)
-arrays and two (n, observations) ones).  The score, or the operator, that it
+refused.  Training hands over one per batch; the Langevin samplers hand over
+one per run, sized for one block of particles, and call the target on each
+block of a step in turn (see ``samplers``).  The target then keeps its
+per-batch arrays there instead of allocating them (logistic regression: two
+(rows, n) arrays; the diffusion: three (n, d) arrays and two (n,
+observations) ones).  The score, or the operator, that it
 returns may live in or read those arrays, so it is valid only until the
 caller reuses that buffer; two operators in use at once need two buffers.
 Without ``work`` every call allocates, and its results stay valid for good.

@@ -548,6 +548,20 @@ class TestCLI:
                 'target.name = "conditioned_diffusion"\ntarget.n_steps = 10\ntarget.obs_stride = 11\n',
                 "target.obs_stride: 11 exceeds the 10 states of the path",
             ),
+            # a time step of 0 divides by zero, and a negative one takes a square root of it
+            (
+                'target.name = "conditioned_diffusion"\ntarget.n_steps = 10\ntarget.dt = 0.0\n',
+                "config error: target.dt: must be positive, got 0.0",
+            ),
+            (
+                'target.name = "conditioned_diffusion"\ntarget.n_steps = 10\ntarget.dt = -0.1\n',
+                "config error: target.dt: must be positive, got -0.1",
+            ),
+            # a data file is the data, and no seed makes it
+            (
+                'target.name = "blr"\ntarget.data_path = "short.csv"\ntarget.data_seed = 5\n',
+                "config error: target.data_seed: does nothing when target.data_path is set",
+            ),
             ('target.name = "banana"\nkernel.family = "gauss"\n', "kernel.family"),
         ],
     )
@@ -942,10 +956,13 @@ class TestCLI:
         flat = get_preset("blr-waveform")
         synthetic = {**flat, "target.synthetic_rows": 25, "target.data_seed": 3}
         built = build_target(ExperimentConfig.from_flat(synthetic), "-")
-        del flat["target.synthetic_rows"]
+        del flat["target.synthetic_rows"], flat["target.data_seed"]
         for data_path, data_dir in [(str(path), "-"), ("waveform.csv", tmp_path)]:
-            read = build_target(ExperimentConfig.from_flat({**flat, "target.data_path": data_path}), data_dir)
+            config = ExperimentConfig.from_flat({**flat, "target.data_path": data_path})
+            read = build_target(config, data_dir)
             assert np.array_equal(read.design, built.design) and np.array_equal(read.labels, built.labels)
+            # the seed made no row of the file, so the resolved config holds none
+            assert "target.data_seed" not in config.resolved_flat()
 
     def test_show_and_list_presets(self, capsys):
         assert main(["list-presets"]) == 0

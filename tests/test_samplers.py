@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ksivi import samplers
+from ksivi.configio import ExperimentConfig, build_target
+from ksivi.presets import get_preset
 from ksivi.samplers import (
     SamplerConfig,
     SamplerDivergence,
@@ -33,6 +36,11 @@ def gaussian5():
 def cd20():
     idx, obs, _ = generate_cd_observations(5, n_steps=20)
     return ConditionedDiffusion(idx, obs, n_steps=20)
+
+
+def cd200():
+    idx, obs, _ = generate_cd_observations(5, n_steps=200)
+    return ConditionedDiffusion(idx, obs, n_steps=200)
 
 
 def blr30():
@@ -106,6 +114,35 @@ def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
     return SamplerRun(states=x, history=hist, acceptance_rate=rate)
 
 
+REFERENCES = {"sgld": (sgld_run, reference_sgld_run), "mala": (mala_run, reference_mala_run)}
+
+
+def assert_equal_to_reference(target, run, reference, step_size, n_particles, n_steps, burn_in, thin, collect_history):
+    """Run ``run`` and ``reference`` from one config; assert equal states,
+    acceptance rates and histories, bit for bit; return both runs."""
+    config = SamplerConfig(
+        n_particles=n_particles,
+        n_steps=n_steps,
+        step_size=step_size,
+        burn_in=burn_in,
+        thin=thin,
+        seed=31,
+        collect_history=collect_history,
+    )
+    got = run(target, config)
+    expect = reference(target, config)
+    assert np.array_equal(got.states, expect.states)
+    assert got.acceptance_rate == expect.acceptance_rate
+    if not collect_history:
+        assert got.history is None and expect.history is None
+        return got, expect
+    assert got.history.shape == (len(range(burn_in, n_steps, thin)), n_particles, target.dim)
+    assert np.array_equal(got.history, expect.history)
+    # history rows are copies, not views of the reused state buffers
+    assert not np.shares_memory(got.history, got.states)
+    return got, expect
+
+
 class TestSingleDriver:
     # step sizes at which both samplers stay finite and mala rejects some moves
     @pytest.mark.parametrize(
@@ -137,30 +174,81 @@ class TestSingleDriver:
     def test_bitwise_equal_to_separate_samplers(self, make_target, step_size, run, reference, shape):
         n_particles, n_steps, burn_in, thin, collect_history = shape
         target = make_target()
-        config = SamplerConfig(
-            n_particles=n_particles,
-            n_steps=n_steps,
-            step_size=step_size,
-            burn_in=burn_in,
-            thin=thin,
-            seed=31,
-            collect_history=collect_history,
+        got, expect = assert_equal_to_reference(
+            target, run, reference, step_size, n_particles, n_steps, burn_in, thin, collect_history
         )
-        got = run(target, config)
-        expect = reference(target, config)
-        assert np.array_equal(got.states, expect.states)
-        assert got.acceptance_rate == expect.acceptance_rate
         if shape == (7, 30, 5, 3, True):
             assert got.history.shape == (9, 7, target.dim)
             if run is mala_run:
                 assert 0.0 < got.acceptance_rate < 1.0
-        if not collect_history:
-            assert got.history is None and expect.history is None
-            return
-        assert got.history.shape == (len(range(burn_in, n_steps, thin)), n_particles, target.dim)
-        assert np.array_equal(got.history, expect.history)
-        # history rows are copies, not views of the reused state buffers
-        assert not np.shares_memory(got.history, got.states)
+
+    # a step walks the particles in blocks; rows are independent on these
+    # targets, so the block size moves no bit.  (blr's products round with
+    # the block width, which is why its presets' particles fit one block;
+    # see test_preset_states_equal_the_whole_array_samplers.)  At step 1.0
+    # mala rejects every proposal, and sgld would diverge.
+    @pytest.mark.parametrize(
+        "make_target, rows, step_size, runs",
+        [
+            (gaussian5, 3, 1.0, "sgld,mala"),
+            (gaussian5, 1, 1.0, "sgld,mala"),
+            (Banana, 2, 0.02, "sgld,mala"),
+            (cd20, 3, 0.003, "sgld,mala"),
+            (cd20, 3, 1.0, "mala"),
+        ],
+        ids=["gaussian5", "gaussian5-rows-of-one", "banana", "cd20", "cd20-rejecting"],
+    )
+    def test_small_blocks_bitwise_equal_to_separate_samplers(self, monkeypatch, make_target, rows, step_size, runs):
+        target = make_target()
+        monkeypatch.setattr(samplers, "_PARTICLE_BLOCK", rows * target.dim)
+        assert len(samplers._blocks(7, target.dim)) == -(-7 // rows)  # the last block ragged unless rows = 1
+        for name in runs.split(","):
+            run, reference = REFERENCES[name]
+            got, _ = assert_equal_to_reference(target, run, reference, step_size, 7, 30, 5, 3, True)
+            if name == "mala" and make_target is cd20 and step_size == 1.0:
+                assert got.acceptance_rate == 0.0
+
+    @pytest.mark.parametrize(
+        "step_size, acceptance, runs",
+        [
+            (1e-4, (1.0, 1.0), "sgld,mala"),
+            (3e-3, (0.99, 0.999), "sgld,mala"),
+            (1e-2, (0.3, 0.8), "sgld,mala"),
+            (1.0, (0.0, 0.0), "mala"),
+        ],
+        ids=["accept-all", "reject-few", "reject-some", "reject-all"],
+    )
+    def test_cd200_blocks_bitwise_equal_to_separate_samplers(self, step_size, acceptance, runs):
+        # 400 particles on a 200-state path: blocks of 163, 163 and 74 rows
+        target = cd200()
+        assert [b.stop - b.start for b in samplers._blocks(400, 200)] == [163, 163, 74]
+        for name in runs.split(","):
+            run, reference = REFERENCES[name]
+            got, _ = assert_equal_to_reference(target, run, reference, step_size, 400, 4, 1, 2, True)
+            if name == "mala":
+                assert acceptance[0] <= got.acceptance_rate <= acceptance[1]
+
+    def test_preset_states_equal_the_whole_array_samplers(self):
+        # the preset targets at their 1,000 particles: diffusion steps walk
+        # several blocks, the others one.  blr's products round with the block
+        # width (splits of 64, 163, 500 or 999 rows move its last bits; one of
+        # 744 happens not to), so its particles must stay in one block.
+        cases = [("toy-multimodal", "sgld"), ("blr-waveform", "sgld"), ("cd-dim200", "sgld"), ("cd-dim200", "mala")]
+        for name, algorithm in cases:
+            run, reference = REFERENCES[algorithm]
+            config = ExperimentConfig.from_flat(get_preset(name))
+            target = build_target(config, "-")
+            sampler = SamplerConfig(
+                n_particles=config.sampler["n_particles"],
+                n_steps=2,
+                step_size=config.sampler["step_size"],
+                seed=config.sampler["seed"],
+            )
+            assert sampler.n_particles == 1000
+            assert len(samplers._blocks(1000, target.dim)) == (1 if name != "cd-dim200" else 7)
+            got, expect = run(target, sampler), reference(target, sampler)
+            assert np.array_equal(got.states, expect.states), (name, algorithm)
+            assert got.acceptance_rate == expect.acceptance_rate
 
 
 class TestBuffers:
@@ -189,15 +277,18 @@ class TestBuffers:
     @pytest.mark.parametrize(
         "run, step_size", [(sgld_run, 1e-4), (mala_run, 1e-4), (mala_run, 1.0)], ids=["sgld", "mala", "mala-rejecting"]
     )
-    def test_cd_steps_allocate_no_particle_block(self, run, step_size):
-        # 400 particles on a 50-state path: after the first two target calls,
-        # the rest of 12 steps may not raise the traced peak by one
+    @pytest.mark.parametrize("dim", [50, 200], ids=["one-block", "three-blocks"])
+    def test_cd_steps_allocate_no_particle_block(self, run, step_size, dim):
+        # 400 particles on a 50-state path (one block) or a 200-state one
+        # (blocks of 163, 163 and 74 rows): after the first two steps' target
+        # calls, the rest of 12 steps may not raise the traced peak by one
         # (particles, d) float64 array.
         # The target keeps its arrays in the run's workspace, and the proposal
-        # mean is formed in the score it returns.  At step 1.0 mala rejects
-        # every proposal, and its accept step copies every row of the state
-        # and the mean back.
-        n, dim = 400, 50
+        # mean is formed in the driver's second mean buffer.  At step 1.0
+        # mala rejects every proposal, and its accept step copies every row
+        # of the state and the mean back, a block of rows at a time.
+        n = 400
+        n_blocks = len(samplers._blocks(n, dim))
         marks = {}
 
         class Marked(ConditionedDiffusion):
@@ -205,7 +296,7 @@ class TestBuffers:
 
             def mark(self):
                 self.calls += 1
-                if self.calls == 3:  # every buffer exists by now
+                if self.calls == 2 * n_blocks + 1:  # every buffer exists by now
                     tracemalloc.reset_peak()
                     marks["start"] = tracemalloc.get_traced_memory()[0]
 
@@ -324,6 +415,29 @@ class TestSGLD:
             with pytest.raises(SamplerDivergence) as err:
                 sgld_run(ExplodingTarget(), config)
         assert err.value.step >= 0
+
+    def test_divergence_in_a_later_block_named_as_by_the_whole_array(self, monkeypatch):
+        # a random walk whose score turns infinite past 3; in blocks of 4
+        # particles at seed 1, particle 9, in the third block, is the first
+        # to cross, at step 9, and the blocked check names what the
+        # whole-array check names
+        class Cliff(TargetModel):
+            dim = 1
+
+            def _logp(self, X):
+                return np.zeros(X.shape[0])
+
+            def _score(self, X, work=None):
+                return np.where(X > 3.0, np.inf, 0.0)
+
+        monkeypatch.setattr(samplers, "_PARTICLE_BLOCK", 4)
+        config = SamplerConfig(n_particles=12, n_steps=400, step_size=1.0, seed=1)
+        found = []
+        for run in (sgld_run, reference_sgld_run):
+            with pytest.raises(SamplerDivergence) as err:
+                run(Cliff(), config)
+            found.append((err.value.particle, err.value.step))
+        assert found == [(9, 9), (9, 9)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
