@@ -275,9 +275,17 @@ class TestBuffers:
         assert abs(peaks[1] - peaks[0]) < array_bytes
 
     @pytest.mark.parametrize(
-        "run, step_size", [(sgld_run, 1e-4), (mala_run, 1e-4), (mala_run, 1.0)], ids=["sgld", "mala", "mala-rejecting"]
+        "run, step_size, dim",
+        [
+            (sgld_run, 1e-4, 50),
+            (mala_run, 1e-4, 50),
+            (mala_run, 1.0, 50),
+            (sgld_run, 1e-4, 200),
+            (mala_run, 1e-4, 200),
+            (mala_run, 1.0, 200),
+        ],
+        ids=["sgld", "mala", "mala-rejecting", "sgld-three-blocks", "mala-three-blocks", "mala-rejecting-three-blocks"],
     )
-    @pytest.mark.parametrize("dim", [50, 200], ids=["one-block", "three-blocks"])
     def test_cd_steps_allocate_no_particle_block(self, run, step_size, dim):
         # 400 particles on a 50-state path (one block) or a 200-state one
         # (blocks of 163, 163 and 74 rows): after the first two steps' target
