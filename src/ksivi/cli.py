@@ -62,8 +62,8 @@ def _prepare(args):
     return config, target, out_dir
 
 
-def _write_record(out_dir, config, started, finished, files, **sections):
-    """Write ``config.txt``, the whole resolved config, and ``manifest.json`` naming ``files``."""
+def _write_record(out_dir, config, argv, started, finished, files, **sections):
+    """Write ``config.txt``, the whole resolved config, and ``manifest.json`` naming ``files`` and ``argv``."""
     from .configio import format_config
     from .runio import build_identifier, write_manifest
 
@@ -74,7 +74,7 @@ def _write_record(out_dir, config, started, finished, files, **sections):
         "master_seed": config.flat["run.seed"],
         "build": build_identifier(),
         "wallclock_seconds": finished - started,
-        "argv": sys.argv[1:],
+        "argv": argv,
         **sections,
         "files": ["config.txt", *files],
     }
@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
     if usage is not None:
         training["peak_rss_mb"] = usage.ru_maxrss / 1024
     files = ["trace.csv", "checkpoint.json", "samples.csv"]
-    _write_record(out_dir, config, started, finished, files, training=training)
+    _write_record(out_dir, config, args.argv, started, finished, files, training=training)
     print(f"trained {config.name}: {config.train.iterations} iterations in {train_seconds:.1f}s")
     print(f"artifacts in {out_dir}")
     return 0
@@ -139,7 +139,7 @@ def cmd_ground_truth(args) -> int:
         after = _rusage()
         sampler["minor_faults_per_step"] = (after.ru_minflt - before.ru_minflt) / s["n_steps"]
         sampler["peak_rss_mb"] = after.ru_maxrss / 1024
-    _write_record(out_dir, config, started, finished, ["ground_truth.csv"], sampler=sampler)
+    _write_record(out_dir, config, args.argv, started, finished, ["ground_truth.csv"], sampler=sampler)
     extra = f", acceptance {run.acceptance_rate:.3f}" if run.acceptance_rate is not None else ""
     print(f"sampled {s['n_particles']} particles x {s['n_steps']} steps{extra}")
     print(f"artifacts in {out_dir}")
@@ -368,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest's record of the command
     from .configio import ConfigError
 
     try:

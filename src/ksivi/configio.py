@@ -24,8 +24,8 @@ key with the value the run used, so it reruns the run: ``build_target``
 makes a target's generated data from its keys on every run and keeps no file
 of it.
 
-``sampler.burn_in`` and ``sampler.thin`` shape only ``SamplerRun.history``,
-which no command collects yet.
+``sampler.burn_in`` and ``sampler.thin`` refuse all but 0 and 1, as a sampler
+run returns final states; the benchmark's ground-truth phase reads both.
 """
 
 from __future__ import annotations

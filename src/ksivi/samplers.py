@@ -38,6 +38,13 @@ numpy's einsum takes another inner loop on a 2-D mixture batch of one or two
 rows, so a run past 16,384 particles whose last block holds one or two of
 them may move those particles' last bits.
 
+Only the unadjusted sampler raises ``SamplerDivergence``.  The adjusted one
+gives a proposal row that is not finite, or whose proposal mean is not, a log
+acceptance ratio of nan or -inf, which no uniform's log falls below, so the
+row is rejected and keeps its finite state.  A run returns each particle's
+final state and keeps none along the way, so ``SamplerConfig`` refuses a
+``burn_in`` other than 0 and a ``thin`` other than 1.
+
 Buffers, allocated once per run, none growing with the step count: the state
 and the proposal, both (particles, d), the proposal also taking the step's
 normals, and one target workspace of ``target.work_size(rows)`` values for a
@@ -50,7 +57,7 @@ buffer, and after the accept step the two means are swapped, not copied.  The
 rejected rows of the state and of the kept mean are gathered over the
 proposal's through the work rows, a block at a time, so a step allocates no
 (particles, d) array.  Targets receive the state buffers as inputs, so they
-must not write or keep them; history rows are copies.
+must not write or keep them.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import numpy as np
 
 
 class SamplerDivergence(RuntimeError):
-    """Raised when a particle's state turns non-finite."""
+    """Raised when an unadjusted step turns a particle's state non-finite (mala rejects such a move)."""
 
     def __init__(self, particle: int, step: int):
         super().__init__(f"particle {particle} diverged at step {step}")
@@ -77,7 +84,6 @@ class SamplerConfig:
     burn_in: int = 0
     thin: int = 1
     seed: int = 0
-    collect_history: bool = False
 
     def __post_init__(self):
         # each message opens with the field it rejects; configio names the key by it
@@ -87,10 +93,10 @@ class SamplerConfig:
             raise ValueError("n_steps must be at least 1")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if not 0 <= self.burn_in < self.n_steps:
-            raise ValueError("burn_in must lie in [0, n_steps)")
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
+        if self.burn_in != 0:
+            raise ValueError("burn_in must be 0: a run returns each particle's final state")
+        if self.thin != 1:
+            raise ValueError("thin must be 1: a run returns each particle's final state")
 
 
 @dataclass
@@ -98,7 +104,6 @@ class SamplerRun:
     """Final particle states plus run diagnostics."""
 
     states: np.ndarray  # (n_particles, d)
-    history: np.ndarray | None  # (n_kept, n_particles, d) when collected
     acceptance_rate: float | None  # adjusted sampler only
 
 
@@ -163,7 +168,6 @@ def _langevin_run(target, config: SamplerConfig, metropolis: bool) -> SamplerRun
     blocks = _blocks(n, target.dim)
     rows = blocks[0].stop
     work = np.empty(target.work_size(rows))  # the target's arrays for one block, for the whole run
-    history = [] if config.collect_history else None
     if metropolis:
         uniforms, logp, logp_prop, log_alpha = np.empty((4, n))
         mean, mean_prop = np.empty_like(x), np.empty_like(x)
@@ -200,13 +204,8 @@ def _langevin_run(target, config: SamplerConfig, metropolis: bool) -> SamplerRun
             np.copyto(logp, logp_prop, where=accept)
             n_accept += n - rejected.size
         x, prop = prop, x
-        if metropolis:
-            _check_finite(x, t)
-        if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-            history.append(x.copy())
-    hist = np.stack(history) if history else None
     rate = n_accept / (config.n_steps * config.n_particles) if metropolis else None
-    return SamplerRun(states=x, history=hist, acceptance_rate=rate)
+    return SamplerRun(states=x, acceptance_rate=rate)
 
 
 def sgld_run(target, config: SamplerConfig) -> SamplerRun:

@@ -328,9 +328,9 @@ class LogisticRegression(TargetModel):
 
     def _score_and_hvp(self, B, work=None):
         # T: logits, then sigmoid, then the operator's design @ V.T;
-        # W: the sigmoid's numerators, then residual, then the weight s (1 - s)
+        # W: residual, then the weight s (1 - s)
         T, W = _work_arrays(work, (self.n_rows, B.shape[0]), (self.n_rows, B.shape[0]))
-        s = _sigmoid(self._logits(B, out=T), out=T, scratch=W)
+        s = _sigmoid(self._logits(B, out=T), out=T)
         score = self._score_from(B, s, residual=W)
         np.subtract(1.0, s, out=W)
         W *= s
@@ -363,20 +363,17 @@ def _work_arrays(work, *shapes):
 _SIGMOID_BLOCK = 2**15  # elements of t per scratch block
 
 
-def _sigmoid(t, out=None, scratch=None):
+def _sigmoid(t, out=None):
     """Logistic function without overflow: ``exp(min(t, 0)) / (1 + exp(-|t|))``.
 
     Both exponents are at most 0.  The result goes to ``out`` (``t`` itself
     may be passed) or a fresh array.  The numerator of each block of leading
-    rows is formed in one small scratch array, so no temporary the size of
-    ``t`` is made; a caller's ``scratch`` shaped like ``t`` takes the whole
-    numerator in one block instead.
+    rows, about ``_SIGMOID_BLOCK`` elements, is formed in one small scratch
+    array, so no temporary the size of ``t`` is made.
     """
     out = np.empty_like(t) if out is None else out
-    if scratch is None:
-        rows = max(1, _SIGMOID_BLOCK // max(1, t[:1].size))
-        scratch = np.empty((min(rows, len(t)),) + t.shape[1:])
-    rows = max(1, len(scratch))
+    rows = max(1, _SIGMOID_BLOCK // max(1, t[:1].size))
+    scratch = np.empty((min(rows, len(t)),) + t.shape[1:])
     for i in range(0, len(t), rows):
         tb, ob = t[i : i + rows], out[i : i + rows]
         num = np.minimum(tb, 0.0, out=scratch[: len(tb)])

@@ -344,6 +344,44 @@ class TestTargetsFromKeys:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSamplerKeys:
+    """Every ``sampler.*`` key changes the ground truth, or is refused by name."""
+
+    SAMPLER = {"sampler.n_particles": 20, "sampler.n_steps": 30, "sampler.step_size": 0.01}
+    CHANGES = {
+        "sampler.n_particles": 21,
+        "sampler.n_steps": 31,
+        "sampler.step_size": 0.02,
+        "sampler.seed": 9,
+        "sampler.algorithm": "mala",
+    }
+    # any value but their defaults exits 2 (TestCLI.test_bad_sampler_settings_exit_2)
+    REFUSED = ("sampler.burn_in", "sampler.thin")
+
+    def ground_truth_digest(self, tmp_path, name, **settings):
+        """Digest of ``ground_truth.csv`` from the tiny config with ``settings``."""
+        config_path = tmp_path / f"{name}.toml"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **self.SAMPLER, **settings}))
+        out = tmp_path / name
+        assert main(["sample-ground-truth", str(config_path), "--out", str(out)]) == 0
+        return hashlib.sha256((out / "ground_truth.csv").read_bytes()).hexdigest()
+
+    def test_every_sampler_key_is_covered(self):
+        keys = {key for key in [*KEYS, *SEED_OFFSETS] if key.startswith("sampler.")}
+        assert keys == set(self.CHANGES) | set(self.REFUSED)
+
+    @pytest.mark.parametrize("key", list(CHANGES))
+    def test_every_key_changes_the_ground_truth(self, tmp_path, capsys, key):
+        base = self.ground_truth_digest(tmp_path, "base")
+        assert self.ground_truth_digest(tmp_path, "changed", **{key: self.CHANGES[key]}) != base
+
+    @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
+    def test_defaults_resolve_to_the_written_snapshot(self, preset):
+        text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
+        flat = {**get_preset(preset), **{key: KEYS[key][1] for key in self.REFUSED}}
+        assert format_config(ExperimentConfig.from_flat(flat).resolved_flat()) == text
+
+
 class TestRunIO:
     @pytest.mark.parametrize(
         "outputs, suffix",
@@ -524,7 +562,12 @@ class TestCLI:
         "settings, key",
         [
             ("sampler.n_particles = 0\n", "sampler.n_particles"),
-            ("sampler.n_steps = 10\nsampler.burn_in = 10\n", "sampler.burn_in"),
+            # a run returns final states: no step is burnt in or thinned out
+            (
+                "sampler.burn_in = 1\n",
+                "config error: sampler.burn_in: must be 0: a run returns each particle's final state",
+            ),
+            ("sampler.thin = 2\n", "config error: sampler.thin: must be 1: a run returns each particle's final state"),
         ],
     )
     def test_bad_sampler_settings_exit_2(self, tmp_path, capsys, command, settings, key):
@@ -636,6 +679,15 @@ class TestCLI:
         code = main(["train", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "arch.widths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    def test_manifest_records_the_argv_main_parsed(self, tmp_path, capsys, command):
+        # not the host process's arguments, which here are pytest's
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG + "sampler.n_particles = 5\nsampler.n_steps = 3\n")
+        argv = [command, str(config_path), "--out", str(tmp_path / "out"), "--seed", "4"]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["argv"] == argv
 
     def test_ground_truth_cli(self, tmp_path, capsys):
         config_path = tmp_path / "config.txt"

@@ -52,7 +52,8 @@ def blr30():
 # option no caller set), and the allocating step and proposal density they
 # called.  They keep no buffers: each draw allocates, from one generator in
 # the order the samplers' module docstring defines: the initial states, then
-# each step's normals and, for mala, the step's uniforms.
+# each step's normals and, for mala, the step's uniforms.  Given a list
+# ``trail``, they append a copy of the state after each step to it.
 
 
 def reference_langevin_step(x, score_value, step_size, noise):
@@ -65,27 +66,24 @@ def reference_proposal_log_density(x_from, x_to, score_from, step_size):
     return -((x_to - mean) ** 2).sum(axis=1) / (2.0 * step_size)
 
 
-def reference_sgld_run(target, config: SamplerConfig) -> SamplerRun:
+def reference_sgld_run(target, config: SamplerConfig, trail=None) -> SamplerRun:
     """Unadjusted parallel Langevin dynamics with full-batch scores."""
     rng = np.random.default_rng(config.seed)
     shape = (config.n_particles, target.dim)
     x = rng.standard_normal(shape)
-    history = [] if config.collect_history else None
     for t in range(config.n_steps):
         x = reference_langevin_step(x, target.score(x), config.step_size, rng.standard_normal(shape))
         _check_finite(x, t)
-        if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-            history.append(x.copy())
-    hist = np.stack(history) if history else None
-    return SamplerRun(states=x, history=hist, acceptance_rate=None)
+        if trail is not None:
+            trail.append(x.copy())
+    return SamplerRun(states=x, acceptance_rate=None)
 
 
-def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
+def reference_mala_run(target, config: SamplerConfig, trail=None) -> SamplerRun:
     """Langevin proposals with Metropolis correction; exact invariance."""
     rng = np.random.default_rng(config.seed)
     shape = (config.n_particles, target.dim)
     x = rng.standard_normal(shape)
-    history = [] if config.collect_history else None
     logp = target.logp(x)
     score = target.score(x)
     n_accept = 0
@@ -107,39 +105,23 @@ def reference_mala_run(target, config: SamplerConfig) -> SamplerRun:
         score = np.where(accept[:, None], score_prop, score)
         n_accept += int(accept.sum())
         _check_finite(x, t)
-        if history is not None and t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-            history.append(x.copy())
-    hist = np.stack(history) if history else None
+        if trail is not None:
+            trail.append(x.copy())
     rate = n_accept / (config.n_steps * config.n_particles)
-    return SamplerRun(states=x, history=hist, acceptance_rate=rate)
+    return SamplerRun(states=x, acceptance_rate=rate)
 
 
 REFERENCES = {"sgld": (sgld_run, reference_sgld_run), "mala": (mala_run, reference_mala_run)}
 
 
-def assert_equal_to_reference(target, run, reference, step_size, n_particles, n_steps, burn_in, thin, collect_history):
-    """Run ``run`` and ``reference`` from one config; assert equal states,
-    acceptance rates and histories, bit for bit; return both runs."""
-    config = SamplerConfig(
-        n_particles=n_particles,
-        n_steps=n_steps,
-        step_size=step_size,
-        burn_in=burn_in,
-        thin=thin,
-        seed=31,
-        collect_history=collect_history,
-    )
+def assert_equal_to_reference(target, run, reference, step_size, n_particles, n_steps):
+    """Run ``run`` and ``reference`` from one config; assert equal states and
+    acceptance rates, bit for bit; return both runs."""
+    config = SamplerConfig(n_particles=n_particles, n_steps=n_steps, step_size=step_size, seed=31)
     got = run(target, config)
     expect = reference(target, config)
     assert np.array_equal(got.states, expect.states)
     assert got.acceptance_rate == expect.acceptance_rate
-    if not collect_history:
-        assert got.history is None and expect.history is None
-        return got, expect
-    assert got.history.shape == (len(range(burn_in, n_steps, thin)), n_particles, target.dim)
-    assert np.array_equal(got.history, expect.history)
-    # history rows are copies, not views of the reused state buffers
-    assert not np.shares_memory(got.history, got.states)
     return got, expect
 
 
@@ -155,32 +137,18 @@ class TestSingleDriver:
         [(sgld_run, reference_sgld_run), (mala_run, reference_mala_run)],
         ids=["sgld", "mala"],
     )
-    # run shapes: (particles, steps, burn_in, thin, history); the stream
-    # interleaves the particles' draws, so its order shows in a single
-    # particle, a single step, more particles than steps, a history that keeps
-    # only the last step or none at all
+    # run shapes: (particles, steps); the stream interleaves the particles'
+    # draws, so its order shows in a single particle, a single step and more
+    # particles than steps
     @pytest.mark.parametrize(
         "shape",
-        [
-            (7, 30, 5, 3, True),
-            (1, 30, 5, 3, True),
-            (7, 1, 0, 1, True),
-            (7, 30, 29, 3, True),
-            (256, 4, 1, 2, True),
-            (7, 30, 5, 3, False),
-        ],
-        ids=["base", "one-particle", "one-step", "last-step-kept", "many-particles", "no-history"],
+        [(7, 30), (1, 30), (7, 1), (256, 4)],
+        ids=["base", "one-particle", "one-step", "many-particles"],
     )
     def test_bitwise_equal_to_separate_samplers(self, make_target, step_size, run, reference, shape):
-        n_particles, n_steps, burn_in, thin, collect_history = shape
-        target = make_target()
-        got, expect = assert_equal_to_reference(
-            target, run, reference, step_size, n_particles, n_steps, burn_in, thin, collect_history
-        )
-        if shape == (7, 30, 5, 3, True):
-            assert got.history.shape == (9, 7, target.dim)
-            if run is mala_run:
-                assert 0.0 < got.acceptance_rate < 1.0
+        got, _ = assert_equal_to_reference(make_target(), run, reference, step_size, *shape)
+        if shape == (7, 30) and run is mala_run:
+            assert 0.0 < got.acceptance_rate < 1.0
 
     # a step walks the particles in blocks; rows are independent on these
     # targets, so the block size moves no bit.  (blr's products round with
@@ -204,7 +172,7 @@ class TestSingleDriver:
         assert len(samplers._blocks(7, target.dim)) == -(-7 // rows)  # the last block ragged unless rows = 1
         for name in runs.split(","):
             run, reference = REFERENCES[name]
-            got, _ = assert_equal_to_reference(target, run, reference, step_size, 7, 30, 5, 3, True)
+            got, _ = assert_equal_to_reference(target, run, reference, step_size, 7, 30)
             if name == "mala" and make_target is cd20 and step_size == 1.0:
                 assert got.acceptance_rate == 0.0
 
@@ -224,7 +192,7 @@ class TestSingleDriver:
         assert [b.stop - b.start for b in samplers._blocks(400, 200)] == [163, 163, 74]
         for name in runs.split(","):
             run, reference = REFERENCES[name]
-            got, _ = assert_equal_to_reference(target, run, reference, step_size, 400, 4, 1, 2, True)
+            got, _ = assert_equal_to_reference(target, run, reference, step_size, 400, 4)
             if name == "mala":
                 assert acceptance[0] <= got.acceptance_rate <= acceptance[1]
 
@@ -354,6 +322,22 @@ class TestBuffers:
         assert np.array_equal(_proposal_log_density(mean, x_to, 0.3), expect)
 
 
+class Cliff(TargetModel):
+    """A flat density on the line whose score turns +inf past 3, or, with
+    ``nan_logp``, whose log-density turns nan there."""
+
+    dim = 1
+
+    def __init__(self, nan_logp=False):
+        self.nan_logp = nan_logp
+
+    def _logp(self, X):
+        return np.where(X[:, 0] > 3.0, np.nan, 0.0) if self.nan_logp else np.zeros(X.shape[0])
+
+    def _score(self, X, work=None):
+        return np.zeros_like(X) if self.nan_logp else np.where(X > 3.0, np.inf, 0.0)
+
+
 class TestLangevinStep:
     def test_drift_only_exactness(self):
         target = Banana()
@@ -383,29 +367,19 @@ class TestSGLD:
         assert np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize("n_steps, longer", [(5, 50), (20, 50), (33, 50), (30, 300)])
-    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
-    def test_a_run_stops_where_a_longer_run_passes(self, run, n_steps, longer):
+    @pytest.mark.parametrize("run, reference", REFERENCES.values(), ids=REFERENCES.keys())
+    def test_a_run_stops_where_a_longer_run_passes(self, run, reference, n_steps, longer):
         # the draws up to step N do not depend on the steps after it, so an
-        # N-step run's states are row N - 1 of a longer run's history
+        # N-step run stops at the states that a longer reference run holds
+        # after its step N
         def config(steps):
-            return SamplerConfig(n_particles=6, n_steps=steps, step_size=0.02, seed=23, collect_history=True)
+            return SamplerConfig(n_particles=6, n_steps=steps, step_size=0.02, seed=23)
 
-        short, full = run(Banana(), config(n_steps)), run(Banana(), config(longer))
-        assert np.array_equal(short.states, full.history[n_steps - 1])
-        assert np.array_equal(short.history, full.history[:n_steps])
-
-    def test_history_collection(self):
-        config = SamplerConfig(
-            n_particles=10,
-            n_steps=50,
-            step_size=0.01,
-            burn_in=20,
-            thin=5,
-            seed=3,
-            collect_history=True,
-        )
-        run = sgld_run(gaussian5(), config)
-        assert run.history.shape == (6, 10, 5)
+        trail = []
+        full = reference(Banana(), config(longer), trail)
+        assert len(trail) == longer
+        assert np.array_equal(run(Banana(), config(n_steps)).states, trail[n_steps - 1])
+        assert np.array_equal(run(Banana(), config(longer)).states, full.states)
 
     def test_divergence_reported(self):
         class ExplodingTarget(TargetModel):
@@ -429,15 +403,6 @@ class TestSGLD:
         # particles at seed 1, particle 9, in the third block, is the first
         # to cross, at step 9, and the blocked check names what the
         # whole-array check names
-        class Cliff(TargetModel):
-            dim = 1
-
-            def _logp(self, X):
-                return np.zeros(X.shape[0])
-
-            def _score(self, X, work=None):
-                return np.where(X > 3.0, np.inf, 0.0)
-
         monkeypatch.setattr(samplers, "_PARTICLE_BLOCK", 4)
         config = SamplerConfig(n_particles=12, n_steps=400, step_size=1.0, seed=1)
         found = []
@@ -450,8 +415,10 @@ class TestSGLD:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n_particles=0, n_steps=10, step_size=0.1)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_particles=1, n_steps=10, step_size=0.1, burn_in=10)
+        # a run returns final states only, so nothing is burnt in or thinned
+        for field, value in [("burn_in", 1), ("burn_in", -1), ("thin", 2), ("thin", 0)]:
+            with pytest.raises(ValueError, match=f"^{field} must be {int(field == 'thin')}: "):
+                SamplerConfig(n_particles=1, n_steps=10, step_size=0.1, **{field: value})
 
 
 class TestMALA:
@@ -461,35 +428,40 @@ class TestMALA:
         assert 0.4 < run.acceptance_rate < 0.8
 
     def test_stationary_variance_tight(self):
-        config = SamplerConfig(
-            n_particles=500,
-            n_steps=3000,
-            step_size=1.5,
-            burn_in=1000,
-            thin=10,
-            seed=6,
-            collect_history=True,
-        )
-        run = mala_run(gaussian5(), config)
-        variances = run.history.reshape(-1, 5).var(axis=0)
+        # 100,000 independent final states per coordinate.  The initial
+        # states are standard normals, so a target of another mean and
+        # variance checks that the run reaches it, not only that it keeps it.
+        # At step 1.5 about 86% of moves are accepted, and each keeps five
+        # eighths of the state's offset from the mean, so 30 steps forget the
+        # start.
+        config = SamplerConfig(n_particles=100_000, n_steps=30, step_size=1.5, seed=6)
+        run = mala_run(diagonal_gaussian(np.full(5, 0.5), np.full(5, 2.0)), config)
+        variances = run.states.var(axis=0) / 2.0
         assert np.all(variances > 0.97) and np.all(variances < 1.03)
 
     def test_detailed_balance_spot_check_1d(self):
-        target = diagonal_gaussian(np.zeros(1), np.ones(1))
-        config = SamplerConfig(
-            n_particles=100,
-            n_steps=1500,
-            step_size=0.9,
-            burn_in=500,
-            thin=10,
-            seed=7,
-            collect_history=True,
-        )
+        # 10,000 independent final states, started away from the target
+        target = diagonal_gaussian(np.ones(1), np.full(1, 0.5))
+        config = SamplerConfig(n_particles=10_000, n_steps=500, step_size=0.9, seed=7)
         run = mala_run(target, config)
-        pooled = run.history.reshape(-1)
-        assert pooled.size == 10_000
-        _, pvalue = stats.kstest(pooled, "norm")
+        assert run.states.size == 10_000
+        _, pvalue = stats.kstest(run.states.reshape(-1), "norm", args=(1.0, np.sqrt(0.5)))
         assert pvalue > 0.01
+
+    @pytest.mark.parametrize("nan_logp", [False, True], ids=["inf-score", "nan-logp"])
+    def test_rejects_every_proposal_past_a_cliff(self, monkeypatch, nan_logp):
+        # the walk that sgld diverges on: past 3 a proposal's mean is +inf
+        # (or its log-density nan), so its log acceptance ratio is -inf (or
+        # nan) and it is rejected.  mala raises nothing, every state stays
+        # on the finite side, and it equals the reference, which checks
+        # every step's states.
+        monkeypatch.setattr(samplers, "_PARTICLE_BLOCK", 4)
+        config = SamplerConfig(n_particles=12, n_steps=400, step_size=1.0, seed=1)
+        got, expect = mala_run(Cliff(nan_logp), config), reference_mala_run(Cliff(nan_logp), config)
+        assert np.all(got.states <= 3.0)
+        assert np.array_equal(got.states, expect.states)
+        assert got.acceptance_rate == expect.acceptance_rate
+        assert 0.5 < got.acceptance_rate < 1.0  # the cliff turns proposals back
 
     def test_self_proposal_always_accepted(self):
         # zero step noise makes the proposal essentially x itself only in the

@@ -698,18 +698,6 @@ class TestSigmoidBuffers:
         t.flags.writeable = False
         assert np.array_equal(_sigmoid(t), reference_sigmoid(t))
 
-    def test_caller_scratch_is_one_block(self, monkeypatch):
-        # with a full-size scratch the block size does not matter, and the
-        # result has the bits of the blocked pass
-        monkeypatch.setattr(targets, "_SIGMOID_BLOCK", 7)
-        t = 40.0 * np.random.default_rng(12).standard_normal((9, 5))
-        expect, numerator = reference_sigmoid(t), np.exp(np.minimum(t, 0.0))
-        scratch = np.full_like(t, np.nan)
-        got = _sigmoid(t, out=t, scratch=scratch)
-        assert got is t
-        assert np.array_equal(t, expect)
-        assert np.array_equal(scratch, numerator)  # written in one block
-
 
 class TestHvpShapes:
     @pytest.mark.parametrize("name,target", SHARED_TARGETS, ids=[t[0] for t in SHARED_TARGETS])
