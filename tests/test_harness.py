@@ -689,6 +689,15 @@ class TestCLI:
         assert main(argv) == 0
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())["argv"] == argv
 
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    def test_manifest_records_the_process_argv_when_main_gets_none(self, tmp_path, capsys, monkeypatch, command):
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG + "sampler.n_particles = 5\nsampler.n_steps = 3\n")
+        argv = [command, str(config_path), "--out", str(tmp_path / "out"), "--seed", "4"]
+        monkeypatch.setattr(sys, "argv", ["ksivi", *argv])
+        assert main() == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["argv"] == argv
+
     def test_ground_truth_cli(self, tmp_path, capsys):
         config_path = tmp_path / "config.txt"
         config_path.write_text(

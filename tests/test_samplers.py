@@ -420,6 +420,22 @@ class TestSGLD:
             with pytest.raises(ValueError, match=f"^{field} must be {int(field == 'thin')}: "):
                 SamplerConfig(n_particles=1, n_steps=10, step_size=0.1, **{field: value})
 
+    # configio names the key by the field that opens the message
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("n_particles", 0, "must be at least 1"),
+            ("n_steps", 0, "must be at least 1"),
+            ("step_size", 0.0, "must be positive"),
+            ("step_size", -0.1, "must be positive"),
+        ],
+        ids=["n_particles", "n_steps", "step_size-zero", "step_size-negative"],
+    )
+    def test_refusal_opens_with_the_field(self, field, value, rule):
+        settings = {"n_particles": 1, "n_steps": 10, "step_size": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} {rule}$"):
+            SamplerConfig(**settings)
+
 
 class TestMALA:
     def test_acceptance_band_on_gaussian(self):
