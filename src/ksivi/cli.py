@@ -56,21 +56,21 @@ def _prepare(args):
     config = ExperimentConfig.from_flat(flat)
     out_dir = Path(args.out) if args.out else Path("runs") / config.name
     out_dir.mkdir(parents=True, exist_ok=True)
-    data_dir = Path(args.data_dir) if args.data_dir else out_dir
+    data_dir = Path(args.data_dir) if args.data_dir else Path()  # the working directory
     target = build_target(config, data_dir)
     validate_against_target(config, target)
     return config, target, out_dir
 
 
 def _write_record(out_dir, config, argv, started, finished, files, **sections):
-    """Write ``config.txt``, the whole resolved config, and ``manifest.json`` naming ``files`` and ``argv``."""
+    """Write ``config.txt``, the resolved config, and ``manifest.json`` naming ``files`` and ``argv``."""
     from .configio import format_config
     from .runio import build_identifier, write_manifest
 
-    (out_dir / "config.txt").write_text(format_config(config.resolved_flat()), encoding="utf-8")
+    (out_dir / "config.txt").write_text(format_config(config.flat), encoding="utf-8")
     manifest = {
         "experiment": config.name,
-        "config": config.resolved_flat(),
+        "config": config.flat,
         "master_seed": config.flat["run.seed"],
         "build": build_identifier(),
         "wallclock_seconds": finished - started,
@@ -98,7 +98,8 @@ def cmd_train(args) -> int:
     eval_rng = np.random.default_rng(config.eval_seed)
     samples = siv_sample_batch(params, config.eval_sample_size, eval_rng).x
 
-    write_trace_csv(out_dir / "trace.csv", trace, include_wallclock=config.flat["output.trace_wallclock"])
+    scale_name = config.train.kernel.parameter()[0]
+    write_trace_csv(out_dir / "trace.csv", trace, scale_name, include_wallclock=config.flat["output.trace_wallclock"])
     save_checkpoint(out_dir / "checkpoint.json", params)
     write_samples_csv(out_dir / "samples.csv", samples)
 
@@ -223,9 +224,9 @@ def cmd_evaluate(args) -> int:
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                fixed = args.bandwidth != 0.0  # 0 asks for the median
-                spec = KernelSpec(args.kernel_family, bandwidth=args.bandwidth if fixed else 1.0, offset=args.offset)
-                spec = bandwidth_from_rule(spec, "fixed" if fixed else "median", X, Y, blocks)
+                spec = KernelSpec(args.kernel_family, args.kernel_scale)
+                # an rbf kernel without a scale takes the median; the other families ignore the rule
+                spec = bandwidth_from_rule(spec, "median" if args.kernel_scale is None else "fixed", X, Y, blocks)
                 parameter, value = spec.parameter()  # the one the family reads
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec, sq=blocks),
@@ -310,7 +311,7 @@ def _add_run_arguments(parser):
     parser.add_argument("config", nargs="?", help="experiment config file")
     parser.add_argument("--preset", help="use a shipped preset instead of a file")
     parser.add_argument("--out", help="output directory (default runs/<experiment>)")
-    parser.add_argument("--data-dir", help="where a relative target.data_path is read from (default: output dir)")
+    parser.add_argument("--data-dir", help="where a relative target.data_path is read from (default: working dir)")
     parser.add_argument("--seed", type=nonnegative, help="override the master seed")
     parser.add_argument("--threads", type=nonnegative, help="pin BLAS thread count (0 leaves the BLAS default)")
 
@@ -338,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-proj", type=count, default=128)
     p.add_argument("--kl-k", type=count, default=1)
     p.add_argument("--kernel-family", default="rbf")
-    p.add_argument("--bandwidth", type=float, default=0.0, help="0 = median heuristic")
-    p.add_argument("--offset", type=float, default=1.0)
+    p.add_argument("--kernel-scale", type=float, help="the family's one parameter (rbf default: the median)")
     p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out", help="also write the JSON record here")
     p.set_defaults(func=cmd_evaluate)
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing file, or a directory where a file belongs
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

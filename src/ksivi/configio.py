@@ -6,7 +6,11 @@ sorted, strings quoted as JSON does, so a written file parses back to the same
 dict.
 
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
-and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  A kind is
+and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  Beside
+``kernel.family``, the ``kernel.*`` keys are the settings the family reads,
+with their defaults, as ``kernels.settings_read`` gives them: rbf reads
+``kernel.bandwidth_rule``, and ``kernel.bandwidth`` only under the ``"fixed"``
+rule; imq reads ``kernel.offset`` and riesz ``kernel.smoothing``.  A kind is
 ``int``, ``float`` (an integer widens; ``inf`` and ``nan`` are refused),
 ``str``, ``bool`` or ``[kind]``, a list; ``true`` and ``false`` are not
 numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves
@@ -18,11 +22,11 @@ seeds only generated rows: with ``target.data_path`` set it is refused, and
 left unset.
 Any other key is rejected by name.  A value that ``KernelSpec``, ``TrainConfig``
 or ``SamplerConfig`` rejects is named by its key: each of their messages opens
-with the field, and ``KERNEL_FIELDS``, ``TRAIN_FIELDS`` and ``SAMPLER_FIELDS``
-map the field to the key.  ``config.txt`` holds the resolved config, every
-key with the value the run used, so it reruns the run: ``build_target``
-makes a target's generated data from its keys on every run and keeps no file
-of it.
+with the field, which is ``kernel.<field>``'s, or which ``TRAIN_FIELDS`` and
+``SAMPLER_FIELDS`` map to the key.  ``config.txt`` holds the resolved config,
+every key the run read with the value it used, so it reruns the run:
+``build_target`` makes a target's generated data from its keys on every run
+and keeps no file of it.
 
 ``sampler.burn_in`` and ``sampler.thin`` refuse all but 0 and 1, as a sampler
 run returns final states; the benchmark's ground-truth phase reads both.
@@ -99,10 +103,6 @@ KEYS = {
     "train.estimator": (str, "vanilla"),
     "train.log_every": (int, 1),
     "kernel.family": (str, "rbf"),
-    "kernel.bandwidth": (float, 1.0),
-    "kernel.offset": (float, 1.0),
-    "kernel.smoothing": (float, 1e-8),
-    "kernel.bandwidth_rule": (str, "median"),
     "anneal.start": (float, 1.0),
     "anneal.iterations": (int, 0),
     "reg.weight": (float, 0.0),
@@ -127,7 +127,6 @@ MINIMUM = dict.fromkeys(
 MINIMUM.update(dict.fromkeys(["eval.sample_size", "target.synthetic_rows", "target.n_steps", "target.obs_stride"], 1))
 
 # the fields of the settings built from the config, and their keys
-KERNEL_FIELDS = {field: f"kernel.{field}" for field in ("family", "bandwidth", "offset", "smoothing")}
 TRAIN_FIELDS = {
     "iterations": "train.iterations",
     "batch_size": "train.batch_size",
@@ -196,17 +195,24 @@ def _blame(fieldname):
         raise ConfigError(fieldname, str(err)) from None
 
 
+@contextmanager
+def _blame_field(key_of):
+    """Re-raise a ``ValueError`` whose message opens with a field as a ``ConfigError`` on ``key_of(field)``."""
+    try:
+        yield
+    except ValueError as err:
+        fieldname, _, rule = str(err).partition(" ")
+        raise ConfigError(key_of(fieldname), rule) from None
+
+
 def _settings(cls, fields: dict, flat: dict, **given):
-    """``cls`` with each field read from its key in ``flat``, and ``given``.
+    """``cls`` with each field whose key is in ``flat`` read from it, and ``given``.
 
     Each of ``cls``'s messages opens with the field it rejects, so its
     ``ValueError`` becomes a ``ConfigError`` on that field's key.
     """
-    try:
-        return cls(**{field: flat.get(key) for field, key in fields.items()}, **given)
-    except ValueError as err:
-        fieldname, _, rule = str(err).partition(" ")
-        raise ConfigError(fields[fieldname], rule) from None
+    with _blame_field(fields.__getitem__):
+        return cls(**{field: flat[key] for field, key in fields.items() if key in flat}, **given)
 
 
 def thread_count(flat: dict) -> int:
@@ -220,7 +226,7 @@ def thread_count(flat: dict) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment settings; ``flat`` holds every key of the schema."""
+    """Resolved experiment settings; ``flat`` holds every key the run reads, with its value."""
 
     name: str
     widths: tuple[int, ...]
@@ -235,7 +241,7 @@ class ExperimentConfig:
     @classmethod
     def from_flat(cls, flat: dict) -> "ExperimentConfig":
         """Check ``flat`` against the schema, fill in its defaults and build the settings."""
-        from .kernels import KernelSpec
+        from .kernels import FAMILY_PARAMETERS, KernelSpec, settings_read
         from .samplers import SamplerConfig
         from .train import TrainConfig
 
@@ -243,10 +249,14 @@ class ExperimentConfig:
         if target not in TARGET_KEYS:
             raise ConfigError("target.name", f"unknown target {target!r}")
         seed = _take(flat, "run.seed", *KEYS["run.seed"])
+        family = _take(flat, "kernel.family", *KEYS["kernel.family"])
+        with _blame_field("kernel.{}".format):
+            kernel_keys = settings_read(family, flat.get("kernel.bandwidth_rule"))
         schema = {
             **KEYS,
             **{key: (int, seed + offset) for key, offset in SEED_OFFSETS.items()},
             **{f"target.{key}": spec for key, spec in TARGET_KEYS[target].items()},
+            **{f"kernel.{key}": (type(default), default) for key, default in kernel_keys.items()},  # float or str
         }
         unknown = sorted(set(flat) - set(schema))
         if unknown:
@@ -266,7 +276,8 @@ class ExperimentConfig:
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:
             raise ConfigError("arch.widths", f"need a list of >= 2 positive integers, got {widths}")
-        kernel = _settings(KernelSpec, KERNEL_FIELDS, flat)
+        with _blame_field("kernel.{}".format):
+            kernel = KernelSpec(family, flat.get(f"kernel.{FAMILY_PARAMETERS[family][0]}"))
         train = _settings(TrainConfig, TRAIN_FIELDS, flat, kernel=kernel)
         sampler = {key[len("sampler.") :]: value for key, value in flat.items() if key.startswith("sampler.")}
         if sampler["algorithm"] not in ("sgld", "mala"):
@@ -283,10 +294,6 @@ class ExperimentConfig:
             eval_seed=flat["eval.seed"],
             flat=flat,
         )
-
-    def resolved_flat(self) -> dict:
-        """Every key of the schema with its resolved value; unset keys are left out."""
-        return dict(self.flat)
 
 
 def build_target(config: ExperimentConfig, data_dir) -> "object":

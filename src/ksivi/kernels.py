@@ -5,10 +5,15 @@ multiquadric ``(c^2 + ||x-y||^2)^(-1/2)``, and the smoothed Riesz kernel
 ``-sqrt(||x-y||^2 + eps^2)`` (the smoothing removes the gradient singularity
 at coincident points).  Every family's first-argument gradient has the shape
 ``-(x - y) * g(r^2)`` for a scalar pair weight ``g``, which is what the
-batched training code exploits.  This is the one module that branches on a
-family or a bandwidth rule: ``bandwidth_from_rule`` is the one resolver of a
-rule on samples, ``grad1_weights`` the one place the kernel-gradient pair
-weights are formed, and ``KernelSpec.parameter`` names what a family reads.
+batched training code exploits.
+
+A kernel is its family and the one parameter that family reads, its scale
+(rbf h, imq c, riesz eps), named and defaulted in ``FAMILY_PARAMETERS``.
+This is the one module that branches on a family or a bandwidth rule:
+``bandwidth_from_rule`` is the one resolver of a rule on samples,
+``grad1_weights`` the one place the kernel-gradient pair weights are formed,
+``KernelSpec.parameter`` names what a family reads, and ``settings_read`` the
+settings it reads under a rule, which are a config's kernel keys.
 
 Squared distances have one definition, the BLAS expansion
 ``|x|^2 + |y|^2 - 2 x.y`` of ``pairwise_sq_dists``; every median and
@@ -48,11 +53,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-# each family and the one parameter it reads
-FAMILY_PARAMETERS = {"rbf": "bandwidth", "imq": "offset", "riesz": "smoothing"}
+# each family, the name of the one parameter it reads, and that parameter's default
+FAMILY_PARAMETERS = {"rbf": ("bandwidth", 1.0), "imq": ("offset", 1.0), "riesz": ("smoothing", 1e-8)}
 FAMILIES = tuple(FAMILY_PARAMETERS)
 
-BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")
+BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")  # the first is the default
 
 BANDWIDTH_FLOOR = 1e-8
 
@@ -68,21 +73,23 @@ MEDIAN_GATHER_PAIRS = 50_000
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """A kernel family and ``scale``, the one parameter it reads; None takes the family's default."""
+
     family: str = "rbf"
-    bandwidth: float = 1.0  # rbf h
-    offset: float = 1.0  # imq c
-    smoothing: float = 1e-8  # riesz eps
+    scale: float | None = None
 
     def __post_init__(self):
-        # each message opens with the field it rejects; configio names the key by it
+        # each message opens with the field it rejects, the scale by its parameter's
+        # name; configio names the key by it
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        for name in FAMILY_PARAMETERS.values():
-            value = getattr(self, name)
-            if not np.isfinite(value):  # NaN passes the check below
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+        name, default = FAMILY_PARAMETERS[self.family]
+        scale = default if self.scale is None else self.scale
+        if not np.isfinite(scale):  # NaN passes the check below
+            raise ValueError(f"{name} must be finite, got {scale}")
+        if scale <= 0:
+            raise ValueError(f"{name} must be positive")
+        object.__setattr__(self, "scale", float(scale))
 
     def with_bandwidth(self, h: float) -> "KernelSpec":
         """This kernel at the bandwidth ``h`` that a rule resolved from samples.
@@ -93,14 +100,29 @@ class KernelSpec:
         """
         if np.isnan(h):
             spec = replace(self)
-            object.__setattr__(spec, "bandwidth", float(h))
+            object.__setattr__(spec, "scale", float(h))
             return spec
-        return replace(self, bandwidth=float(h))
+        return replace(self, scale=float(h))
 
     def parameter(self) -> tuple[str, float]:
         """The name and value of the one parameter this kernel's family reads."""
-        name = FAMILY_PARAMETERS[self.family]
-        return name, getattr(self, name)
+        return FAMILY_PARAMETERS[self.family][0], self.scale
+
+
+def settings_read(family: str, rule: str | None = None) -> dict:
+    """The settings a kernel of ``family`` reads under ``rule`` (None: the default), with their defaults.
+
+    rbf reads its rule, and its bandwidth only under ``fixed``; imq and riesz
+    read their one parameter.  Each message opens with the setting it rejects.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    name, default = FAMILY_PARAMETERS[family]
+    if family != "rbf":
+        return {name: default}
+    if rule is not None and rule not in BANDWIDTH_RULES:
+        raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}, got {rule!r}")
+    return {"bandwidth_rule": BANDWIDTH_RULES[0], **({name: default} if rule == "fixed" else {})}
 
 
 def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -164,13 +186,13 @@ def eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, sq: np.ndarray |
         sq = out = pairwise_sq_dists(X, Y)
     if spec.family == "rbf":
         out = np.negative(sq, out=out)
-        out /= 2.0 * spec.bandwidth**2
+        out /= 2.0 * spec.scale**2
         return np.exp(out, out=out)
     if spec.family == "imq":
-        out = np.add(spec.offset**2, sq, out=out)
+        out = np.add(spec.scale**2, sq, out=out)
         out **= -0.5
         return out
-    out = np.add(sq, spec.smoothing**2, out=out)
+    out = np.add(sq, spec.scale**2, out=out)
     np.sqrt(out, out=out)
     return np.negative(out, out=out)
 
@@ -185,12 +207,12 @@ def grad1_weights(spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.
     """
     g = np.empty(np.shape(coeff))
     if spec.family == "rbf":
-        np.divide(gram, spec.bandwidth**2, out=g)
+        np.divide(gram, spec.scale**2, out=g)
     elif spec.family == "imq":
-        np.add(spec.offset**2, sq, out=g)
+        np.add(spec.scale**2, sq, out=g)
         g **= -1.5
     else:
-        np.add(sq, spec.smoothing**2, out=g)
+        np.add(sq, spec.scale**2, out=g)
         g **= -0.5
     return np.multiply(coeff, g, out=g)
 
@@ -213,8 +235,8 @@ def diag_values(spec: KernelSpec, n: int) -> np.ndarray:
     if spec.family == "rbf":
         return np.ones(n)
     if spec.family == "imq":
-        return np.full(n, 1.0 / spec.offset)
-    return np.full(n, -spec.smoothing)
+        return np.full(n, 1.0 / spec.scale)
+    return np.full(n, -spec.scale)
 
 
 def expansion_error(*sample_sets: np.ndarray) -> float:

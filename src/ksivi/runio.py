@@ -55,11 +55,11 @@ def read_samples_csv(path) -> np.ndarray:
     return data
 
 
-def write_trace_csv(path, trace, include_wallclock: bool = False) -> None:
-    """Loss trace as CSV; the wallclock column is opt-in because it breaks
-    bit-identical reruns."""
-    columns = ["iteration", "ksd2", "bandwidth", "beta_temp", "grad_norm"]
-    values = [trace.iterations, trace.ksd2, trace.bandwidth, trace.beta_temp, trace.grad_norm]
+def write_trace_csv(path, trace, scale_name: str, include_wallclock: bool = False) -> None:
+    """Loss trace as CSV, its kernel scale column named ``scale_name`` (``KernelSpec.parameter``);
+    the wallclock column is opt-in because it breaks bit-identical reruns."""
+    columns = ["iteration", "ksd2", scale_name, "beta_temp", "grad_norm"]
+    values = [trace.iterations, trace.ksd2, trace.scale, trace.beta_temp, trace.grad_norm]
     if include_wallclock:
         columns.append("wallclock_ms")
         values.append(trace.wallclock_ms)
@@ -117,6 +117,9 @@ def load_checkpoint(path) -> SIVParams:
         raise bad("flat_base64", f"does not decode: {err}") from None
     if flat.size != n_params:
         raise bad("n_params", f"is {n_params}, but the payload holds {flat.size} values")
+    non_finite = np.flatnonzero(~np.isfinite(flat))  # a diverged network, whose norms would read inf or skip a NaN
+    if non_finite.size:
+        raise bad("flat_base64", f"holds a non-finite value at index {non_finite[0]}")
     try:  # too few widths, one below 1, or a parameter count that is not the payload's
         return SIVParams.from_flat(NetArch(tuple(widths)), flat)
     except ValueError as err:

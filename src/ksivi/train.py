@@ -27,7 +27,9 @@ which the estimator writes the batches' pullbacks and their sum; at
 cd-dim200 a row is 546 KB, above glibc's default threshold for serving an
 allocation with fresh pages.  Each iteration's estimator call reuses both, so
 an iteration allocates none of these arrays.  The loop records a loss trace
-and aborts with a diagnostic snapshot if anything goes non-finite.
+and aborts with a diagnostic snapshot if anything goes non-finite.  The
+trace's ``scale`` is the iteration's ``KernelSpec.scale``: the resolved rbf
+bandwidth, or the configured imq offset or riesz smoothing.
 """
 
 from __future__ import annotations
@@ -94,17 +96,17 @@ class LossTrace:
 
     iterations: list[int] = field(default_factory=list)
     ksd2: list[float] = field(default_factory=list)
-    bandwidth: list[float] = field(default_factory=list)
+    scale: list[float] = field(default_factory=list)  # the kernel's, as the iteration resolved it
     beta_temp: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
     wallclock_ms: list[float] = field(default_factory=list)
 
-    def append(self, iteration, value, h, beta, gnorm, wallclock):
+    def append(self, iteration, value, scale, beta, gnorm, wallclock):
         if self.iterations and iteration <= self.iterations[-1]:
             raise ValueError("trace iterations must be strictly increasing")
         self.iterations.append(int(iteration))
         self.ksd2.append(float(value))
-        self.bandwidth.append(float(h))
+        self.scale.append(float(scale))
         self.beta_temp.append(float(beta))
         self.grad_norm.append(float(gnorm))
         self.wallclock_ms.append(float(wallclock))
@@ -164,7 +166,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         adam_step(adam, params.flat, grad, config.learning_rate, config.clip_norm)
         if t % config.log_every == 0:
             elapsed_ms = (time.perf_counter() - started) * 1e3
-            trace.append(t, value, kernel.bandwidth, beta, float(np.linalg.norm(grad)), elapsed_ms)
+            trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)), elapsed_ms)
         if iteration_hook is not None:
             iteration_hook(t, params.copy())
     return params, trace

@@ -17,7 +17,7 @@ from ksivi.targets import (
 
 from helpers import central_difference_gradient, gauss_hermite_expectation_2d, relative_error, zero_params
 
-RBF = KernelSpec("rbf", bandwidth=1.0)
+RBF = KernelSpec("rbf", 1.0)
 
 
 def ksd2(params, target, kernel, b1, b2=None, reg_weight=0.0):

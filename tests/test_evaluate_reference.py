@@ -6,8 +6,8 @@ blocks once, with its distances written directly: the bandwidth is
 MMD computes its own three distance matrices, and each neighbour distance is
 read from a full ``np.sort`` of its row.  The noise floor reads its distances
 from one matrix over all of Y, as ``evaluate`` does.  The MMD's record names
-the kernel parameter its family reads, and only an rbf kernel at a zero
-``--bandwidth`` forms the median.
+the kernel parameter its family reads, and only an rbf kernel without a
+``--kernel-scale`` forms the median.
 """
 
 import contextlib
@@ -52,10 +52,10 @@ def reference_eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, sq: np
     if sq is None:
         sq = reference_pairwise_sq_dists(X, Y)
     if spec.family == "rbf":
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        return np.exp(-sq / (2.0 * spec.scale**2))
     if spec.family == "imq":
-        return (spec.offset**2 + sq) ** (-0.5)
-    return -np.sqrt(sq + spec.smoothing**2)
+        return (spec.scale**2 + sq) ** (-0.5)
+    return -np.sqrt(sq + spec.scale**2)
 
 
 def reference_median_bandwidth(X: np.ndarray, Y: np.ndarray) -> float:
@@ -177,13 +177,13 @@ def reference_cmd_evaluate(args) -> int:
             elif name == "mmd2":
                 # the record names the one parameter the family reads; only rbf has a median to form
                 rbf = args.kernel_family == "rbf"
-                h = args.bandwidth if args.bandwidth or not rbf else median_bandwidth(X, Y)
-                spec = KernelSpec(args.kernel_family, bandwidth=h or 1.0, offset=args.offset)
+                scale = args.kernel_scale if args.kernel_scale is not None or not rbf else median_bandwidth(X, Y)
+                spec = KernelSpec(args.kernel_family, scale)
                 parameter = {"rbf": "bandwidth", "imq": "offset", "riesz": "smoothing"}[spec.family]
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec),
                     "kernel": args.kernel_family,
-                    parameter: getattr(spec, parameter),
+                    parameter: spec.scale,
                 }
             elif name == "corr":
                 diff = upper_triangle(corr_pairs(X)) - upper_triangle(corr_pairs(Y))
@@ -241,9 +241,10 @@ class TestMatchesReferenceCommand:
         "n, m, d, extra",
         [
             (150, 90, 12, ["--kl-k", "3"]),
-            (80, 121, 40, ["--kernel-family", "imq", "--offset", "0.5", "--metrics", "mmd2,kl_knn"]),
+            (80, 121, 40, ["--kernel-family", "imq", "--kernel-scale", "0.5", "--metrics", "mmd2,kl_knn"]),
             (60, 60, 200, ["--kernel-family", "riesz", "--kl-k", "3", "--seed", "5"]),
-            (70, 50, 3, ["--bandwidth", "0.8", "--metrics", "kl_knn,mmd2,corr"]),
+            (70, 50, 3, ["--kernel-scale", "0.8", "--metrics", "kl_knn,mmd2,corr"]),
+            (40, 30, 5, ["--kernel-family", "riesz", "--kernel-scale", "0.25", "--metrics", "mmd2"]),
         ],
     )
     def test_same_record_across_options(self, tmp_path, n, m, d, extra):

@@ -38,6 +38,9 @@ from ksivi.train import LossTrace
 
 from helpers import zero_params
 
+# the kernel settings under which a kernel key is read
+KERNEL_READING = {"kernel.bandwidth": {"kernel.bandwidth_rule": "fixed"}, "kernel.offset": {"kernel.family": "imq"}}
+
 TINY_CONFIG = """
 experiment.name = "tiny"
 target.name = "banana"
@@ -109,10 +112,11 @@ class TestConfigFormat:
 
     @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
     def test_written_config_snapshot(self, preset):
-        # config.txt as ksivi train --preset wrote it with the hand-written reader, before TOML
+        # config.txt as ksivi train --preset wrote it with the hand-written reader, before TOML,
+        # less the three kernel keys that no preset reads
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
         flat = parse_config_text(text)
-        assert flat == ExperimentConfig.from_flat(get_preset(preset)).resolved_flat()
+        assert flat == ExperimentConfig.from_flat(get_preset(preset)).flat
         assert format_config(flat) == text
 
     @given(
@@ -168,16 +172,17 @@ class TestConfigFormat:
         assert err.value.fieldname == key
 
     def test_resolved_flat_holds_every_key(self):
-        resolved = ExperimentConfig.from_flat(parse_config_text(TINY_CONFIG)).resolved_flat()
-        # an unset clip.norm is left out; banana has no target.* keys of its own
-        assert set(resolved) == set(KEYS) - {"clip.norm"} | set(SEED_OFFSETS)
+        resolved = ExperimentConfig.from_flat(parse_config_text(TINY_CONFIG)).flat
+        # an unset clip.norm is left out; banana has no target.* keys of its own, and its
+        # rbf kernel reads a rule
+        assert set(resolved) == set(KEYS) - {"clip.norm"} | set(SEED_OFFSETS) | {"kernel.bandwidth_rule"}
         assert [resolved[key] for key in SEED_OFFSETS] == [1, 2, 3, 4]  # run.seed = 1
         assert resolved["sampler.n_steps"] == KEYS["sampler.n_steps"][1]
         flat = get_preset("blr-waveform")  # sets target.synthetic_rows, so target.data_path stays unset
         flat["clip.norm"] = 2.0
-        resolved = ExperimentConfig.from_flat(flat).resolved_flat()
+        resolved = ExperimentConfig.from_flat(flat).flat
         target_keys = {"target.synthetic_rows", "target.data_seed", "target.alpha"}
-        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys
+        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys | {"kernel.bandwidth_rule"}
         assert resolved["target.alpha"] == 0.01 and resolved["clip.norm"] == 2.0
 
     @pytest.mark.parametrize(
@@ -191,7 +196,7 @@ class TestConfigFormat:
         ],
     )
     def test_rejected_settings_name_their_key(self, key, value, message):
-        flat = parse_config_text(TINY_CONFIG)
+        flat = {**parse_config_text(TINY_CONFIG), **KERNEL_READING.get(key, {})}
         flat[key] = value
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_flat(flat)
@@ -203,7 +208,7 @@ class TestConfigFormat:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_floats_rejected(self, key, value):
         # nan passes every range check; reg.weight = nan would drop the regularizer
-        flat = parse_config_text(TINY_CONFIG)
+        flat = {**parse_config_text(TINY_CONFIG), **KERNEL_READING.get(key, {})}
         flat[key] = value
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_flat(flat)
@@ -238,7 +243,7 @@ class TestPresetFidelity:
             assert flat["train.iterations"] == 50_000
             assert flat["train.learning_rate"] == 0.001
             assert flat["arch.widths"] == [3, 50, 50, 2]
-            assert ExperimentConfig.from_flat(flat).resolved_flat()["eval.sample_size"] == 1000
+            assert ExperimentConfig.from_flat(flat).flat["eval.sample_size"] == 1000
         assert get_preset("toy-banana")["init.rho"] == math.log(0.5)
         assert get_preset("toy-multimodal")["init.rho"] == 0.0
         assert get_preset("toy-multimodal")["anneal.start"] == 0.2
@@ -251,7 +256,7 @@ class TestPresetFidelity:
         assert flat["arch.widths"] == [10, 100, 100, 22]
         assert flat["init.rho"] == -2.5
         assert flat["sampler.n_steps"] == 400_000
-        assert ExperimentConfig.from_flat(flat).resolved_flat()["sampler.n_particles"] == 1000
+        assert ExperimentConfig.from_flat(flat).flat["sampler.n_particles"] == 1000
         assert flat["sampler.step_size"] == 0.0001
 
     def test_cd_settings(self):
@@ -379,7 +384,97 @@ class TestSamplerKeys:
     def test_defaults_resolve_to_the_written_snapshot(self, preset):
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
         flat = {**get_preset(preset), **{key: KEYS[key][1] for key in self.REFUSED}}
-        assert format_config(ExperimentConfig.from_flat(flat).resolved_flat()) == text
+        assert format_config(ExperimentConfig.from_flat(flat).flat) == text
+
+
+class TestKernelKeys:
+    """A config holds the kernel keys its kernel reads, each of which changes the run; any other is refused."""
+
+    BASE = {"train.iterations": 5}
+    # (settings, key, changed value): each key read under the settings
+    READ = [
+        ({}, "kernel.family", "imq"),
+        ({}, "kernel.bandwidth_rule", "median_sq_over_log_n"),
+        ({"kernel.bandwidth_rule": "fixed"}, "kernel.bandwidth", 0.5),
+        ({"kernel.family": "imq"}, "kernel.offset", 0.5),
+        ({"kernel.family": "riesz"}, "kernel.smoothing", 0.5),
+    ]
+    # (settings, keys the kernel does not read)
+    UNREAD = {
+        "rbf-median": ({}, ["kernel.bandwidth", "kernel.offset", "kernel.smoothing"]),
+        "rbf-log-n": (
+            {"kernel.bandwidth_rule": "median_sq_over_log_n"},
+            ["kernel.bandwidth", "kernel.offset", "kernel.smoothing"],
+        ),
+        "rbf-fixed": ({"kernel.bandwidth_rule": "fixed"}, ["kernel.offset", "kernel.smoothing"]),
+        "imq": ({"kernel.family": "imq"}, ["kernel.bandwidth", "kernel.bandwidth_rule", "kernel.smoothing"]),
+        "riesz": ({"kernel.family": "riesz"}, ["kernel.bandwidth", "kernel.bandwidth_rule", "kernel.offset"]),
+    }
+
+    def train(self, tmp_path, name, settings):
+        """The run directory of ``ksivi train`` on the tiny config with ``settings``."""
+        config_path = tmp_path / f"{name}.toml"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **self.BASE, **settings}))
+        out = tmp_path / name
+        assert main(["train", str(config_path), "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("settings, key, value", READ, ids=[key for _, key, _ in READ])
+    def test_every_read_key_changes_the_params(self, tmp_path, capsys, settings, key, value):
+        base = self.train(tmp_path, "base", settings)
+        changed = self.train(tmp_path, "changed", {**settings, key: value})
+        assert (base / "checkpoint.json").read_bytes() != (changed / "checkpoint.json").read_bytes()
+        kernel_keys = {k for k in parse_config_text((changed / "config.txt").read_text()) if k.startswith("kernel.")}
+        assert key in kernel_keys and len(kernel_keys) == (3 if "kernel.bandwidth" in kernel_keys else 2)
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            pytest.param(settings, key, id=f"{kernel}-{key}")
+            for kernel, (settings, keys) in UNREAD.items()
+            for key in [*keys, "kernel.width"]
+        ],
+    )
+    def test_every_unread_key_exits_2_naming_it(self, tmp_path, capsys, settings, key):
+        config_path = tmp_path / "config.toml"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings, key: 2.0}))
+        assert main(["train", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_every_kernel_key_is_covered(self):
+        unread = {key for _, keys in self.UNREAD.values() for key in keys}
+        assert {key for _, key, _ in self.READ} == unread | {"kernel.family"}
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_each_preset_records_the_two_kernel_keys_its_run_reads(self, preset):
+        flat = ExperimentConfig.from_flat(get_preset(preset)).flat
+        family = flat["kernel.family"]
+        read = {"rbf": "kernel.bandwidth_rule", "riesz": "kernel.smoothing"}[family]
+        assert {key for key in flat if key.startswith("kernel.")} == {"kernel.family", read}
+
+    @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
+    def test_an_older_config_listing_unread_kernel_keys_is_refused_by_name(self, preset):
+        text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
+        older = {**parse_config_text(text), "kernel.bandwidth": 1.0, "kernel.offset": 1.0, "kernel.smoothing": 1e-8}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(older)
+        assert err.value.fieldname == "kernel.bandwidth, kernel.offset, kernel.smoothing"
+
+    @pytest.mark.parametrize(
+        "settings, column, value",
+        [
+            ({"kernel.bandwidth_rule": "fixed", "kernel.bandwidth": 0.5}, "bandwidth", "0.5"),
+            ({"kernel.family": "imq"}, "offset", "1"),
+            ({"kernel.family": "riesz"}, "smoothing", "1e-08"),
+        ],
+        ids=["rbf-fixed", "imq", "riesz"],
+    )
+    def test_trace_records_the_scale_the_kernel_reads(self, tmp_path, capsys, settings, column, value):
+        trace = (self.train(tmp_path, "run", settings) / "trace.csv").read_text()
+        rows = [line.split(",") for line in trace.splitlines()]
+        assert rows[0] == ["iteration", "ksd2", column, "beta_temp", "grad_norm"]
+        assert [row[2] for row in rows[1:]] == [value] * 5
 
 
 class TestRunIO:
@@ -491,16 +586,18 @@ class TestRunIO:
         trace.append(0, 1.5, 0.9, 0.2, 3.0, 10.0)
         trace.append(1, 1.2, 0.8, 0.3, 2.5, 20.0)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
+        write_trace_csv(path, trace, "bandwidth")
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,ksd2,bandwidth,beta_temp,grad_norm"
         assert len(lines) == 3
         assert lines[1] == "0,1.5,0.90000000000000002,0.20000000000000001,3"
-        write_trace_csv(path, trace, include_wallclock=True)
+        write_trace_csv(path, trace, "bandwidth", include_wallclock=True)
         assert path.read_text().splitlines()[0].endswith(",wallclock_ms")
         assert path.read_text().splitlines()[2] == "1,1.2,0.80000000000000004,0.29999999999999999,2.5,20"
-        write_trace_csv(path, LossTrace())
+        write_trace_csv(path, LossTrace(), "bandwidth")
         assert path.read_text() == "iteration,ksd2,bandwidth,beta_temp,grad_norm\n"
+        write_trace_csv(path, trace, "smoothing")
+        assert path.read_text().splitlines()[0] == "iteration,ksd2,smoothing,beta_temp,grad_norm"
 
 
 class TestCLI:
@@ -784,12 +881,14 @@ class TestCLI:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--bandwidth", "nan"], "bandwidth must be finite, got nan"),
-            (["--bandwidth", "inf"], "bandwidth must be finite, got inf"),
-            (["--kernel-family", "imq", "--offset", "nan"], "offset must be finite, got nan"),
-            (["--kernel-family", "imq", "--offset", "inf"], "offset must be finite, got inf"),
+            (["--kernel-scale", "nan"], "bandwidth must be finite, got nan"),
+            (["--kernel-scale", "inf"], "bandwidth must be finite, got inf"),
+            (["--kernel-family", "imq", "--kernel-scale", "nan"], "offset must be finite, got nan"),
+            (["--kernel-family", "imq", "--kernel-scale", "inf"], "offset must be finite, got inf"),
+            (["--kernel-family", "riesz", "--kernel-scale", "nan"], "smoothing must be finite, got nan"),
+            (["--kernel-family", "riesz", "--kernel-scale", "0"], "smoothing must be positive"),
         ],
-        ids=["bandwidth-nan", "bandwidth-inf", "offset-nan", "offset-inf"],
+        ids=["bandwidth-nan", "bandwidth-inf", "offset-nan", "offset-inf", "smoothing-nan", "smoothing-zero"],
     )
     def test_evaluate_non_finite_kernel_parameter_exits_2(self, tmp_path, capsys, flags, message):
         # a NaN value would print as NaN, which is not JSON; an infinite bandwidth would report an mmd2 of 0
@@ -929,12 +1028,13 @@ class TestCLI:
         "flags, parameter",
         [
             ([], {"bandwidth"}),
-            (["--bandwidth", "0.8"], {"bandwidth": 0.8}),
-            (["--kernel-family", "imq", "--offset", "2"], {"offset": 2.0}),
-            (["--kernel-family", "imq", "--bandwidth", "0.8"], {"offset": 1.0}),
-            (["--kernel-family", "riesz", "--bandwidth", "0.8"], {"smoothing": 1e-8}),
+            (["--kernel-scale", "0.8"], {"bandwidth": 0.8}),
+            (["--kernel-family", "imq", "--kernel-scale", "2"], {"offset": 2.0}),
+            (["--kernel-family", "imq"], {"offset": 1.0}),
+            (["--kernel-family", "riesz"], {"smoothing": 1e-8}),
+            (["--kernel-family", "riesz", "--kernel-scale", "0.5"], {"smoothing": 0.5}),
         ],
-        ids=["rbf-median", "rbf-fixed", "imq", "imq-bandwidth-ignored", "riesz"],
+        ids=["rbf-median", "rbf-fixed", "imq", "imq-default", "riesz", "riesz-scale"],
     )
     def test_evaluate_records_the_kernel_parameter_the_mmd_reads(self, tmp_path, capsys, monkeypatch, flags, parameter):
         rng = np.random.default_rng(7)
@@ -1023,7 +1123,58 @@ class TestCLI:
             read = build_target(config, data_dir)
             assert np.array_equal(read.design, built.design) and np.array_equal(read.labels, built.labels)
             # the seed made no row of the file, so the resolved config holds none
-            assert "target.data_seed" not in config.resolved_flat()
+            assert "target.data_seed" not in config.flat
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    def test_relative_data_path_reads_from_the_working_directory(self, tmp_path, capsys, monkeypatch, command):
+        # beside the config, and again from the config.txt of the run, whatever the output directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["make-blr-data", "w.csv", "--rows", "30", "--seed", "3"]) == 0
+        settings = 'target.name = "blr"\ntarget.data_path = "w.csv"\n'
+        text = TINY_CONFIG.replace('target.name = "banana"\n', settings).replace("[3, 8, 2]", "[3, 8, 22]")
+        Path("blr.toml").write_text(text + "sampler.n_particles = 5\nsampler.n_steps = 3\n")
+        result = {"train": "samples.csv", "sample-ground-truth": "ground_truth.csv"}[command]
+        assert main([command, "blr.toml", "--out", "o1"]) == 0
+        assert main([command, "o1/config.txt", "--out", "o2"]) == 0
+        assert Path("o1", result).read_bytes() == Path("o2", result).read_bytes()
+        # --data-dir still overrides it
+        Path("d").mkdir()
+        assert main(["make-blr-data", "d/w.csv", "--rows", "30", "--seed", "4"]) == 0
+        assert main([command, "blr.toml", "--out", "o3", "--data-dir", "d"]) == 0
+        assert Path("o1", result).read_bytes() != Path("o3", result).read_bytes()
+        assert not Path("o1", "w.csv").exists() and not Path("o2", "w.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["train", "{dir}", "--out", "{dir}/out"], "{dir}"),
+            (["sample-ground-truth", "{dir}", "--out", "{dir}/out"], "{dir}"),
+            (["evaluate", "{dir}", "{dir}/a.csv"], "{dir}"),
+            (["evaluate", "{dir}/a.csv", "{dir}"], "{dir}"),
+            (["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--metrics", "corr", "--out", "{dir}/d"], "{dir}/d"),
+        ],
+        ids=["train-config", "sample-ground-truth-config", "evaluate-samples-a", "evaluate-samples-b", "evaluate-out"],
+    )
+    def test_a_directory_for_a_file_exits_2(self, tmp_path, capsys, argv, path):
+        write_samples_csv(tmp_path / "a.csv", np.random.default_rng(4).standard_normal((20, 2)))
+        (tmp_path / "d").mkdir()
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno ") and err.endswith(f"'{path.format(dir=tmp_path)}'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_diagnose_refuses_a_non_finite_checkpoint(self, tmp_path, capsys, value):
+        # an inf weight printed Infinity, which is not JSON, and a NaN one gave finite norms
+        params = siv_init(NetArch((3, 8, 2)), seed=3)
+        params.flat[7] = value
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, params)
+        assert main(["diagnose", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: checkpoint field 'flat_base64' holds a non-finite value at index 7\n"
 
     def test_show_and_list_presets(self, capsys):
         assert main(["list-presets"]) == 0

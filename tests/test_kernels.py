@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -16,6 +17,7 @@ from ksivi.kernels import (
     grad1_weights,
     median_bandwidth,
     pairwise_sq_dists,
+    settings_read,
     sq_blocks,
     weighted_grad1_sum,
 )
@@ -23,9 +25,9 @@ from ksivi.kernels import (
 from helpers import central_difference_gradient
 
 ALL_SPECS = [
-    KernelSpec("rbf", bandwidth=1.3),
-    KernelSpec("imq", offset=0.7),
-    KernelSpec("riesz", smoothing=1e-8),
+    KernelSpec("rbf", 1.3),
+    KernelSpec("imq", 0.7),
+    KernelSpec("riesz", 1e-8),
 ]
 
 
@@ -35,6 +37,8 @@ def k_pair(spec, x, y):
 
 
 RBF = KernelSpec("rbf")
+
+FAMILY_OF = {name: family for family, (name, _) in kernels.FAMILY_PARAMETERS.items()}
 
 
 def grad1_pair(spec, x, y):
@@ -47,10 +51,10 @@ def grad1_pair(spec, x, y):
 def reference_g(spec, sq):
     """The scalar g of grad_1 k(x, y) = -(x - y) g(|x - y|^2), written out for each family."""
     if spec.family == "rbf":
-        return np.exp(-sq / (2.0 * spec.bandwidth**2)) / spec.bandwidth**2
+        return np.exp(-sq / (2.0 * spec.scale**2)) / spec.scale**2
     if spec.family == "imq":
-        return (spec.offset**2 + sq) ** (-1.5)
-    return (sq + spec.smoothing**2) ** (-0.5)
+        return (spec.scale**2 + sq) ** (-1.5)
+    return (sq + spec.scale**2) ** (-0.5)
 
 
 def same_bits(a, b):
@@ -63,29 +67,29 @@ def kernel_closed_form(spec, x, y):
     """The three families' formulas written out for one pair."""
     r2 = float(((x - y) ** 2).sum())
     if spec.family == "rbf":
-        return np.exp(-r2 / (2.0 * spec.bandwidth**2))
+        return np.exp(-r2 / (2.0 * spec.scale**2))
     if spec.family == "imq":
-        return (spec.offset**2 + r2) ** -0.5
-    return -np.sqrt(r2 + spec.smoothing**2)
+        return (spec.scale**2 + r2) ** -0.5
+    return -np.sqrt(r2 + spec.scale**2)
 
 
 class TestEval:
     def test_rbf_at_coincident_points(self):
         x = np.array([0.3, -1.2])
-        assert k_pair(KernelSpec("rbf", bandwidth=2.5), x, x) == 1.0
+        assert k_pair(KernelSpec("rbf", 2.5), x, x) == 1.0
 
     def test_rbf_known_value(self):
         # squared distance 2 with unit bandwidth gives exp(-1)
-        spec = KernelSpec("rbf", bandwidth=1.0)
+        spec = KernelSpec("rbf", 1.0)
         val = k_pair(spec, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
         assert np.isclose(val, np.exp(-1.0))
 
     def test_imq_at_coincident_points(self):
         x = np.array([2.0, 5.0])
-        assert np.isclose(k_pair(KernelSpec("imq", offset=1.0), x, x), 1.0)
+        assert np.isclose(k_pair(KernelSpec("imq", 1.0), x, x), 1.0)
 
     def test_riesz_negative(self):
-        spec = KernelSpec("riesz", smoothing=1e-8)
+        spec = KernelSpec("riesz", 1e-8)
         assert k_pair(spec, np.zeros(2), np.ones(2)) < 0
 
     def test_dimension_mismatch(self):
@@ -97,7 +101,53 @@ class TestEval:
     def test_non_finite_parameter_refused_by_name(self, field, value):
         # NaN fails no ``<= 0`` check; an infinite bandwidth makes every Gram entry 1
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-            KernelSpec(**{field: value})
+            KernelSpec(FAMILY_OF[field], value)
+
+    @pytest.mark.parametrize("field", ["bandwidth", "offset", "smoothing"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_parameter_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            KernelSpec(FAMILY_OF[field], value)
+
+
+class TestSpec:
+    def test_a_kernel_is_its_family_and_one_scale(self):
+        assert [f.name for f in dataclasses.fields(KernelSpec)] == ["family", "scale"]
+
+    @pytest.mark.parametrize(
+        "family, name, default", [("rbf", "bandwidth", 1.0), ("imq", "offset", 1.0), ("riesz", "smoothing", 1e-8)]
+    )
+    def test_no_scale_takes_the_family_default(self, family, name, default):
+        assert KernelSpec(family) == KernelSpec(family, default)
+        assert KernelSpec(family).parameter() == (name, default)
+        assert KernelSpec(family, 3).parameter() == (name, 3.0)
+
+    @pytest.mark.parametrize(
+        "family, rule, read",
+        [
+            ("rbf", None, {"bandwidth_rule": "median"}),
+            ("rbf", "median", {"bandwidth_rule": "median"}),
+            ("rbf", "median_sq_over_log_n", {"bandwidth_rule": "median"}),
+            ("rbf", "fixed", {"bandwidth_rule": "median", "bandwidth": 1.0}),
+            ("imq", None, {"offset": 1.0}),
+            ("imq", "fixed", {"offset": 1.0}),  # no rule applies to imq or riesz
+            ("riesz", "median", {"smoothing": 1e-8}),
+        ],
+    )
+    def test_settings_read(self, family, rule, read):
+        assert settings_read(family, rule) == read
+
+    @pytest.mark.parametrize(
+        "family, rule, message",
+        [
+            ("gauss", None, "family must be one of ('rbf', 'imq', 'riesz'), got 'gauss'"),
+            ("rbf", "fixd", "bandwidth_rule must be one of ('median', 'median_sq_over_log_n', 'fixed'), got 'fixd'"),
+        ],
+    )
+    def test_settings_read_refuses_by_name(self, family, rule, message):
+        with pytest.raises(ValueError) as err:
+            settings_read(family, rule)
+        assert str(err.value) == message
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
@@ -108,9 +158,9 @@ class TestEval:
                 kyx = k_pair(spec, y, x)
                 assert np.isclose(kxy, kyx, rtol=1e-14)
                 if spec.family in ("rbf", "imq"):
-                    assert 0.0 < kxy <= max(1.0, 1.0 / spec.offset)
+                    assert 0.0 < kxy <= max(1.0, 1.0 / spec.scale)
                 else:
-                    assert kxy <= -spec.smoothing
+                    assert kxy <= -spec.scale
 
 
 class TestGrad1:
@@ -120,7 +170,7 @@ class TestGrad1:
             assert np.array_equal(grad1_pair(spec, x, x), np.zeros(3))
 
     def test_rbf_known_value(self):
-        spec = KernelSpec("rbf", bandwidth=1.0)
+        spec = KernelSpec("rbf", 1.0)
         g = grad1_pair(spec, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
         assert np.allclose(g, [-np.exp(-0.5), 0.0])
 
@@ -159,8 +209,8 @@ class TestGrad1:
 
     def test_diag_values(self):
         assert np.all(diag_values(KernelSpec("rbf"), 3) == 1.0)
-        assert np.allclose(diag_values(KernelSpec("imq", offset=2.0), 2), 0.5)
-        assert np.allclose(diag_values(KernelSpec("riesz", smoothing=1e-6), 2), -1e-6)
+        assert np.allclose(diag_values(KernelSpec("imq", 2.0), 2), 0.5)
+        assert np.allclose(diag_values(KernelSpec("riesz", 1e-6), 2), -1e-6)
 
 
 class TestEvalMatrix:
@@ -210,8 +260,8 @@ class TestMedianBandwidth:
         samples = np.random.default_rng(1).standard_normal((50, 2))
         med = median_bandwidth(samples)
         resolved = bandwidth_from_rule(RBF, "median_sq_over_log_n", samples)
-        assert np.isclose(resolved.bandwidth, med / np.sqrt(np.log(50)))
-        assert bandwidth_from_rule(RBF, "median", samples) == KernelSpec("rbf", bandwidth=med)
+        assert np.isclose(resolved.scale, med / np.sqrt(np.log(50)))
+        assert bandwidth_from_rule(RBF, "median", samples) == KernelSpec("rbf", med)
         for spec in ALL_SPECS:
             with pytest.raises(ValueError, match="^unknown bandwidth rule 'nope'$"):
                 bandwidth_from_rule(spec, "nope", samples)
@@ -222,7 +272,7 @@ class TestMedianBandwidth:
         # the fixed rule and the families without a bandwidth return the spec as it is, with no median formed
         samples = np.random.default_rng(2).standard_normal((30, 2))
         if spec.family == "rbf" and rule != "fixed":
-            assert bandwidth_from_rule(spec, rule, samples).bandwidth != spec.bandwidth
+            assert bandwidth_from_rule(spec, rule, samples).scale != spec.scale
         else:
             monkeypatch.setattr(kernels, "median_bandwidth", None)  # a call would raise
             assert bandwidth_from_rule(spec, rule, samples) is spec
@@ -348,7 +398,7 @@ class TestMedianFromDistanceMatrix:
             warnings.simplefilter("error")
             assert np.isnan(median_bandwidth(X[:20], X[20:], blocks))
             assert np.isnan(median_bandwidth(X))
-            assert np.isnan(bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:20], X[20:], blocks).bandwidth)
+            assert np.isnan(bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:20], X[20:], blocks).scale)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_inf_row_gives_nan(self, value):
@@ -384,7 +434,7 @@ class TestMedianFromDistanceMatrix:
             assert with_blocks == bandwidth_from_rule(RBF, rule, X[:32], X[32:])
         # the rule counts the pooled samples of both sets
         expect = median_bandwidth(X[:32], X[32:]) / np.sqrt(np.log(64))
-        assert bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:32], X[32:]).bandwidth == expect
+        assert bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:32], X[32:]).scale == expect
 
 
 class TestEvalMatrixInPlace:
@@ -395,11 +445,11 @@ class TestEvalMatrixInPlace:
         sq[0, :3] = [0.0, 5e-324, np.inf]
         X = rng.standard_normal((shape[0], 3))
         Y = rng.standard_normal((shape[1], 3))
-        for spec in (KernelSpec("rbf", bandwidth=0.7), KernelSpec("imq", offset=1.3), KernelSpec("riesz", smoothing=1e-3)):
+        for spec in (KernelSpec("rbf", 0.7), KernelSpec("imq", 1.3), KernelSpec("riesz", 1e-3)):
             plain = {
-                "rbf": lambda q: np.exp(-q / (2.0 * spec.bandwidth**2)),
-                "imq": lambda q: (spec.offset**2 + q) ** (-0.5),
-                "riesz": lambda q: -np.sqrt(q + spec.smoothing**2),
+                "rbf": lambda q: np.exp(-q / (2.0 * spec.scale**2)),
+                "imq": lambda q: (spec.scale**2 + q) ** (-0.5),
+                "riesz": lambda q: -np.sqrt(q + spec.scale**2),
             }[spec.family]
             given_sq = sq.copy()
             with np.errstate(over="ignore"):

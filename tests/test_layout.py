@@ -109,8 +109,8 @@ def test_distances_and_metrics_give_the_bits_of_c_ordered_samples(d, name_layout
         X = layout(rng.standard_normal((300, d)), name_layout)
         Y_c = 0.5 + rng.standard_normal((250, d))
         X_c, Y = np.ascontiguousarray(X), layout(Y_c, "strided-rows")
-        spec = KernelSpec("rbf", bandwidth=median_bandwidth(X_c, Y_c))
-        spec_x = KernelSpec("rbf", bandwidth=median_bandwidth(X_c, X_c))
+        spec = KernelSpec("rbf", median_bandwidth(X_c, Y_c))
+        spec_x = KernelSpec("rbf", median_bandwidth(X_c, X_c))
         calls = {
             "pairwise_sq_dists": pairwise_sq_dists,
             "pairwise_sq_dists(X, X)": lambda A, B: pairwise_sq_dists(A, A),

@@ -18,7 +18,7 @@ from ksivi.metrics import (
 
 from test_evaluate_reference import reference_kl_knn
 
-RBF = KernelSpec("rbf", bandwidth=1.0)
+RBF = KernelSpec("rbf", 1.0)
 
 
 def gaussian_rbf_cross_term(m1, s1, m2, s2, h=1.0):

@@ -124,7 +124,7 @@ class TestTrainLoop:
             iterations=200,
             batch_size=16,
             learning_rate=1e-3,
-            kernel=KernelSpec("rbf", bandwidth=1.0),
+            kernel=KernelSpec("rbf", 1.0),
             bandwidth_rule="fixed",
             seed=1,
         )
@@ -146,7 +146,7 @@ class TestTrainLoop:
         _, trace_b = train(config, Banana(), init)
         assert trace_a.ksd2 == trace_b.ksd2
         assert trace_a.grad_norm == trace_b.grad_norm
-        assert trace_a.bandwidth == trace_b.bandwidth
+        assert trace_a.scale == trace_b.scale
 
     def test_ustat_estimator_runs(self):
         init = siv_init(NetArch((3, 8, 2)), seed=6, rho_init=0.0)
@@ -240,7 +240,7 @@ class TestTrainLoop:
 
         def rule(*args):
             kernel = bandwidth_from_rule(*args)
-            bandwidths.append(kernel.bandwidth)
+            bandwidths.append(kernel.scale)
             return kernel
 
         monkeypatch.setattr("ksivi.train.siv_sample_batch", sample)

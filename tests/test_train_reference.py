@@ -28,10 +28,10 @@ from ksivi.train import LossTrace, TrainConfig, TrainingDivergence, anneal_beta,
 def reference_grad1_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     """Scalar weight g with grad_1 k(x, y) = -(x - y) * g(||x-y||^2)."""
     if spec.family == "rbf":
-        return np.exp(-sq / (2.0 * spec.bandwidth**2)) / spec.bandwidth**2
+        return np.exp(-sq / (2.0 * spec.scale**2)) / spec.scale**2
     if spec.family == "imq":
-        return (spec.offset**2 + sq) ** (-1.5)
-    return (sq + spec.smoothing**2) ** (-0.5)
+        return (spec.scale**2 + sq) ** (-1.5)
+    return (sq + spec.scale**2) ** (-0.5)
 
 
 def reference_weighted_grad1_sum(
@@ -216,7 +216,7 @@ def reference_train(config: TrainConfig, target, init: SIVParams, iteration_hook
         params = SIVParams.from_flat(arch, flat)
         if t % config.log_every == 0:
             elapsed_ms = (time.perf_counter() - started) * 1e3
-            trace.append(t, value, kernel.bandwidth, beta, float(np.linalg.norm(grad)), elapsed_ms)
+            trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)), elapsed_ms)
         if iteration_hook is not None:
             iteration_hook(t, params)
     return params, trace
@@ -235,8 +235,8 @@ SHAPES = {
 CONFIGS = {
     "median": {},
     "median_sq_over_log_n": {"bandwidth_rule": "median_sq_over_log_n"},
-    "fixed": {"bandwidth_rule": "fixed", "kernel": KernelSpec("rbf", bandwidth=0.8)},
-    "imq": {"kernel": KernelSpec("imq", offset=0.7)},
+    "fixed": {"bandwidth_rule": "fixed", "kernel": KernelSpec("rbf", 0.8)},
+    "imq": {"kernel": KernelSpec("imq", 0.7)},
     "riesz": {"kernel": KernelSpec("riesz")},
     "reg-clip-anneal": {"reg_weight": 0.3, "clip_norm": 0.05, "anneal_start": 0.2, "anneal_iterations": 6},
 }
@@ -264,7 +264,7 @@ class TestMatchesReferenceLoop:
         (params, trace), (ref_params, ref_trace) = run_both(shape, estimator, CONFIGS[config])
         assert np.array_equal(params.to_flat(), ref_params.to_flat())
         assert trace.ksd2 == ref_trace.ksd2
-        assert trace.bandwidth == ref_trace.bandwidth
+        assert trace.scale == ref_trace.scale
         assert trace.grad_norm == ref_trace.grad_norm
         assert trace.beta_temp == ref_trace.beta_temp
 
