@@ -164,6 +164,12 @@ def cmd_evaluate(args) -> int:
         problem = f"unknown metric {unknown[0]!r}" if unknown else "--metrics names no metric"
         print(f"error: {problem}; expected some of {', '.join(EVALUATE_METRICS)}", file=sys.stderr)
         return 2
+    # the kernel flags are checked before any file is read or metric computed
+    flags = {"--kernel-family": args.kernel_family, "--kernel-scale": args.kernel_scale}
+    unread = [flag for flag, value in flags.items() if value is not None and "mmd2" not in requested]
+    if unread:
+        print(f"error: {', '.join(unread)}: read only by mmd2, which --metrics does not name", file=sys.stderr)
+        return 2
 
     import numpy as np
 
@@ -171,6 +177,11 @@ def cmd_evaluate(args) -> int:
     from .metrics import corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
     from .runio import read_samples_csv
 
+    try:
+        spec = KernelSpec("rbf" if args.kernel_family is None else args.kernel_family, args.kernel_scale)
+    except ValueError as err:  # it opens with the field: the family, or the scale by its parameter's name
+        print(f"error: --kernel-{'family' if str(err).startswith('family') else 'scale'}: {err}", file=sys.stderr)
+        return 2
     samples = []
     for path in (args.samples_a, args.samples_b):
         try:
@@ -224,8 +235,7 @@ def cmd_evaluate(args) -> int:
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                spec = KernelSpec(args.kernel_family, args.kernel_scale)
-                # an rbf kernel without a scale takes the median; the other families ignore the rule
+                # an rbf kernel without a scale takes the median; imq ignores the rule
                 spec = bandwidth_from_rule(spec, "median" if args.kernel_scale is None else "fixed", X, Y, blocks)
                 parameter, value = spec.parameter()  # the one the family reads
                 record["metrics"]["mmd2"] = {
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=",".join(EVALUATE_METRICS))
     p.add_argument("--n-proj", type=count, default=128)
     p.add_argument("--kl-k", type=count, default=1)
-    p.add_argument("--kernel-family", default="rbf")
+    p.add_argument("--kernel-family", help="mmd2's kernel family (default: rbf)")
     p.add_argument("--kernel-scale", type=float, help="the family's one parameter (rbf default: the median)")
     p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out", help="also write the JSON record here")

@@ -10,7 +10,7 @@ and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  Beside
 ``kernel.family``, the ``kernel.*`` keys are the settings the family reads,
 with their defaults, as ``kernels.settings_read`` gives them: rbf reads
 ``kernel.bandwidth_rule``, and ``kernel.bandwidth`` only under the ``"fixed"``
-rule; imq reads ``kernel.offset`` and riesz ``kernel.smoothing``.  A kind is
+rule; imq reads ``kernel.offset``.  A kind is
 ``int``, ``float`` (an integer widens; ``inf`` and ``nan`` are refused),
 ``str``, ``bool`` or ``[kind]``, a list; ``true`` and ``false`` are not
 numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves

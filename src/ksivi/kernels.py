@@ -1,14 +1,14 @@
 """Positive-definite kernels with analytic first-argument gradients.
 
-Three families: Gaussian RBF ``exp(-||x-y||^2 / (2 h^2))``, inverse
-multiquadric ``(c^2 + ||x-y||^2)^(-1/2)``, and the smoothed Riesz kernel
-``-sqrt(||x-y||^2 + eps^2)`` (the smoothing removes the gradient singularity
-at coincident points).  Every family's first-argument gradient has the shape
+Two families: Gaussian RBF ``exp(-||x-y||^2 / (2 h^2))`` and inverse
+multiquadric ``(c^2 + ||x-y||^2)^(-1/2)``.  Both are positive definite, so the
+squared discrepancy that the estimators estimate is a squared RKHS norm,
+never negative.  Each family's first-argument gradient has the shape
 ``-(x - y) * g(r^2)`` for a scalar pair weight ``g``, which is what the
 batched training code exploits.
 
 A kernel is its family and the one parameter that family reads, its scale
-(rbf h, imq c, riesz eps), named and defaulted in ``FAMILY_PARAMETERS``.
+(rbf h, imq c), named and defaulted in ``FAMILY_PARAMETERS``.
 This is the one module that branches on a family or a bandwidth rule:
 ``bandwidth_from_rule`` is the one resolver of a rule on samples,
 ``grad1_weights`` the one place the kernel-gradient pair weights are formed,
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 # each family, the name of the one parameter it reads, and that parameter's default
-FAMILY_PARAMETERS = {"rbf": ("bandwidth", 1.0), "imq": ("offset", 1.0), "riesz": ("smoothing", 1e-8)}
+FAMILY_PARAMETERS = {"rbf": ("bandwidth", 1.0), "imq": ("offset", 1.0)}
 FAMILIES = tuple(FAMILY_PARAMETERS)
 
 BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")  # the first is the default
@@ -112,8 +112,8 @@ class KernelSpec:
 def settings_read(family: str, rule: str | None = None) -> dict:
     """The settings a kernel of ``family`` reads under ``rule`` (None: the default), with their defaults.
 
-    rbf reads its rule, and its bandwidth only under ``fixed``; imq and riesz
-    read their one parameter.  Each message opens with the setting it rejects.
+    rbf reads its rule, and its bandwidth only under ``fixed``; imq reads its
+    offset.  Each message opens with the setting it rejects.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -188,13 +188,9 @@ def eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, sq: np.ndarray |
         out = np.negative(sq, out=out)
         out /= 2.0 * spec.scale**2
         return np.exp(out, out=out)
-    if spec.family == "imq":
-        out = np.add(spec.scale**2, sq, out=out)
-        out **= -0.5
-        return out
-    out = np.add(sq, spec.scale**2, out=out)
-    np.sqrt(out, out=out)
-    return np.negative(out, out=out)
+    out = np.add(spec.scale**2, sq, out=out)
+    out **= -0.5
+    return out
 
 
 def grad1_weights(spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -202,18 +198,15 @@ def grad1_weights(spec: KernelSpec, coeff: np.ndarray, sq: np.ndarray, gram: np.
 
     ``gram`` is ``eval_matrix(spec, X, Y, sq)``: the rbf kernel reads g as
     ``gram / h^2``, the bits of ``exp(-sq / (2 h^2)) / h^2`` without a second
-    exponential; imq and riesz form g from ``sq``.  C-ordered whatever the
+    exponential; imq forms g from ``sq``.  C-ordered whatever the
     order of the inputs: ``weighted_grad1_sum``'s row sums round in memory order.
     """
     g = np.empty(np.shape(coeff))
     if spec.family == "rbf":
         np.divide(gram, spec.scale**2, out=g)
-    elif spec.family == "imq":
+    else:
         np.add(spec.scale**2, sq, out=g)
         g **= -1.5
-    else:
-        np.add(sq, spec.scale**2, out=g)
-        g **= -0.5
     return np.multiply(coeff, g, out=g)
 
 
@@ -232,11 +225,7 @@ def weighted_grad1_sum(weights: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.
 
 def diag_values(spec: KernelSpec, n: int) -> np.ndarray:
     """k(x, x) for each of n points (constant within every family)."""
-    if spec.family == "rbf":
-        return np.ones(n)
-    if spec.family == "imq":
-        return np.full(n, 1.0 / spec.scale)
-    return np.full(n, -spec.scale)
+    return np.full(n, 1.0 if spec.family == "rbf" else 1.0 / spec.scale)
 
 
 def expansion_error(*sample_sets: np.ndarray) -> float:

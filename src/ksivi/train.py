@@ -29,7 +29,7 @@ allocation with fresh pages.  Each iteration's estimator call reuses both, so
 an iteration allocates none of these arrays.  The loop records a loss trace
 and aborts with a diagnostic snapshot if anything goes non-finite.  The
 trace's ``scale`` is the iteration's ``KernelSpec.scale``: the resolved rbf
-bandwidth, or the configured imq offset or riesz smoothing.
+bandwidth, or the configured imq offset.
 """
 
 from __future__ import annotations

@@ -176,13 +176,14 @@ def reference_cmd_evaluate(args) -> int:
                 }
             elif name == "mmd2":
                 # the record names the one parameter the family reads; only rbf has a median to form
-                rbf = args.kernel_family == "rbf"
+                family = args.kernel_family or "rbf"
+                rbf = family == "rbf"
                 scale = args.kernel_scale if args.kernel_scale is not None or not rbf else median_bandwidth(X, Y)
-                spec = KernelSpec(args.kernel_family, scale)
-                parameter = {"rbf": "bandwidth", "imq": "offset", "riesz": "smoothing"}[spec.family]
+                spec = KernelSpec(family, scale)
+                parameter = {"rbf": "bandwidth", "imq": "offset"}[spec.family]
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec),
-                    "kernel": args.kernel_family,
+                    "kernel": family,
                     parameter: spec.scale,
                 }
             elif name == "corr":
@@ -242,9 +243,8 @@ class TestMatchesReferenceCommand:
         [
             (150, 90, 12, ["--kl-k", "3"]),
             (80, 121, 40, ["--kernel-family", "imq", "--kernel-scale", "0.5", "--metrics", "mmd2,kl_knn"]),
-            (60, 60, 200, ["--kernel-family", "riesz", "--kl-k", "3", "--seed", "5"]),
+            (60, 60, 200, ["--kernel-family", "imq", "--kl-k", "3", "--seed", "5"]),
             (70, 50, 3, ["--kernel-scale", "0.8", "--metrics", "kl_knn,mmd2,corr"]),
-            (40, 30, 5, ["--kernel-family", "riesz", "--kernel-scale", "0.25", "--metrics", "mmd2"]),
         ],
     )
     def test_same_record_across_options(self, tmp_path, n, m, d, extra):

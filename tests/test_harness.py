@@ -40,6 +40,8 @@ from helpers import zero_params
 
 # the kernel settings under which a kernel key is read
 KERNEL_READING = {"kernel.bandwidth": {"kernel.bandwidth_rule": "fixed"}, "kernel.offset": {"kernel.family": "imq"}}
+# kernel keys no family reads: a misspelling, and the smoothing of the deleted riesz kernel
+UNKNOWN_KERNEL_KEYS = ["kernel.width", "kernel.smoothing"]
 
 TINY_CONFIG = """
 experiment.name = "tiny"
@@ -276,11 +278,16 @@ class TestPresetFidelity:
     def test_student_settings(self):
         for width in (5, 8, 10):
             rbf = get_preset(f"student-product-w{width}-rbf")
-            riesz = get_preset(f"student-product-w{width}-riesz")
-            assert rbf["target.width"] == float(width)
+            imq = get_preset(f"student-product-w{width}-imq")
+            assert rbf["target.width"] == imq["target.width"] == float(width)
             assert rbf["kernel.family"] == "rbf"
-            assert riesz["kernel.family"] == "riesz"
-            assert rbf["reg.weight"] == riesz["reg.weight"] == 0.1
+            assert imq["kernel.family"] == "imq"
+            assert rbf["reg.weight"] == imq["reg.weight"] == 0.1
+            # the ablation changes the kernel alone
+            assert {key for key in rbf.keys() | imq.keys() if rbf.get(key) != imq.get(key)} == {
+                "experiment.name",
+                "kernel.family",
+            }
 
 
 def target_arrays(target):
@@ -397,18 +404,13 @@ class TestKernelKeys:
         ({}, "kernel.bandwidth_rule", "median_sq_over_log_n"),
         ({"kernel.bandwidth_rule": "fixed"}, "kernel.bandwidth", 0.5),
         ({"kernel.family": "imq"}, "kernel.offset", 0.5),
-        ({"kernel.family": "riesz"}, "kernel.smoothing", 0.5),
     ]
     # (settings, keys the kernel does not read)
     UNREAD = {
-        "rbf-median": ({}, ["kernel.bandwidth", "kernel.offset", "kernel.smoothing"]),
-        "rbf-log-n": (
-            {"kernel.bandwidth_rule": "median_sq_over_log_n"},
-            ["kernel.bandwidth", "kernel.offset", "kernel.smoothing"],
-        ),
-        "rbf-fixed": ({"kernel.bandwidth_rule": "fixed"}, ["kernel.offset", "kernel.smoothing"]),
-        "imq": ({"kernel.family": "imq"}, ["kernel.bandwidth", "kernel.bandwidth_rule", "kernel.smoothing"]),
-        "riesz": ({"kernel.family": "riesz"}, ["kernel.bandwidth", "kernel.bandwidth_rule", "kernel.offset"]),
+        "rbf-median": ({}, ["kernel.bandwidth", "kernel.offset"]),
+        "rbf-log-n": ({"kernel.bandwidth_rule": "median_sq_over_log_n"}, ["kernel.bandwidth", "kernel.offset"]),
+        "rbf-fixed": ({"kernel.bandwidth_rule": "fixed"}, ["kernel.offset"]),
+        "imq": ({"kernel.family": "imq"}, ["kernel.bandwidth", "kernel.bandwidth_rule"]),
     }
 
     def train(self, tmp_path, name, settings):
@@ -432,7 +434,7 @@ class TestKernelKeys:
         [
             pytest.param(settings, key, id=f"{kernel}-{key}")
             for kernel, (settings, keys) in UNREAD.items()
-            for key in [*keys, "kernel.width"]
+            for key in [*keys, *UNKNOWN_KERNEL_KEYS]
         ],
     )
     def test_every_unread_key_exits_2_naming_it(self, tmp_path, capsys, settings, key):
@@ -450,7 +452,7 @@ class TestKernelKeys:
     def test_each_preset_records_the_two_kernel_keys_its_run_reads(self, preset):
         flat = ExperimentConfig.from_flat(get_preset(preset)).flat
         family = flat["kernel.family"]
-        read = {"rbf": "kernel.bandwidth_rule", "riesz": "kernel.smoothing"}[family]
+        read = {"rbf": "kernel.bandwidth_rule", "imq": "kernel.offset"}[family]
         assert {key for key in flat if key.startswith("kernel.")} == {"kernel.family", read}
 
     @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
@@ -466,9 +468,8 @@ class TestKernelKeys:
         [
             ({"kernel.bandwidth_rule": "fixed", "kernel.bandwidth": 0.5}, "bandwidth", "0.5"),
             ({"kernel.family": "imq"}, "offset", "1"),
-            ({"kernel.family": "riesz"}, "smoothing", "1e-08"),
         ],
-        ids=["rbf-fixed", "imq", "riesz"],
+        ids=["rbf-fixed", "imq"],
     )
     def test_trace_records_the_scale_the_kernel_reads(self, tmp_path, capsys, settings, column, value):
         trace = (self.train(tmp_path, "run", settings) / "trace.csv").read_text()
@@ -596,8 +597,8 @@ class TestRunIO:
         assert path.read_text().splitlines()[2] == "1,1.2,0.80000000000000004,0.29999999999999999,2.5,20"
         write_trace_csv(path, LossTrace(), "bandwidth")
         assert path.read_text() == "iteration,ksd2,bandwidth,beta_temp,grad_norm\n"
-        write_trace_csv(path, trace, "smoothing")
-        assert path.read_text().splitlines()[0] == "iteration,ksd2,smoothing,beta_temp,grad_norm"
+        write_trace_csv(path, trace, "offset")
+        assert path.read_text().splitlines()[0] == "iteration,ksd2,offset,beta_temp,grad_norm"
 
 
 class TestCLI:
@@ -703,6 +704,11 @@ class TestCLI:
                 "config error: target.data_seed: does nothing when target.data_path is set",
             ),
             ('target.name = "banana"\nkernel.family = "gauss"\n', "kernel.family"),
+            # only conditionally positive definite: its discrepancy estimate went negative and spread the samples
+            (
+                'target.name = "banana"\nkernel.family = "riesz"\n',
+                "config error: kernel.family: must be one of ('rbf', 'imq'), got 'riesz'",
+            ),
         ],
     )
     def test_bad_target_values_exit_2(self, tmp_path, capsys, settings, key):
@@ -719,6 +725,9 @@ class TestCLI:
         assert main([command, "--preset", "nope", "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "unknown preset 'nope'" in err and "toy-banana" in err and "Traceback" not in err
+        # a deleted preset is refused like any unknown name
+        assert main([command, "--preset", "student-product-w5-riesz", "--out", str(tmp_path / "out")]) == 2
+        assert "unknown preset 'student-product-w5-riesz'" in capsys.readouterr().err
 
     CD = {"target.name": "conditioned_diffusion"}
 
@@ -885,10 +894,9 @@ class TestCLI:
             (["--kernel-scale", "inf"], "bandwidth must be finite, got inf"),
             (["--kernel-family", "imq", "--kernel-scale", "nan"], "offset must be finite, got nan"),
             (["--kernel-family", "imq", "--kernel-scale", "inf"], "offset must be finite, got inf"),
-            (["--kernel-family", "riesz", "--kernel-scale", "nan"], "smoothing must be finite, got nan"),
-            (["--kernel-family", "riesz", "--kernel-scale", "0"], "smoothing must be positive"),
+            (["--kernel-family", "imq", "--kernel-scale", "0"], "offset must be positive"),
         ],
-        ids=["bandwidth-nan", "bandwidth-inf", "offset-nan", "offset-inf", "smoothing-nan", "smoothing-zero"],
+        ids=["bandwidth-nan", "bandwidth-inf", "offset-nan", "offset-inf", "offset-zero"],
     )
     def test_evaluate_non_finite_kernel_parameter_exits_2(self, tmp_path, capsys, flags, message):
         # a NaN value would print as NaN, which is not JSON; an infinite bandwidth would report an mmd2 of 0
@@ -896,7 +904,36 @@ class TestCLI:
         write_samples_csv(path, np.random.default_rng(4).standard_normal((20, 2)))
         assert main(["evaluate", str(path), str(path), "--metrics", "mmd2", *flags]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {path}, {path}: mmd2: {message}\n"
+        assert out == "" and err == f"error: --kernel-scale: {message}\n"
+
+    UNREAD_FLAGS = "read only by mmd2, which --metrics does not name"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--metrics", "sliced_wd", "--kernel-family", "gauss"], f"--kernel-family: {UNREAD_FLAGS}"),
+            (
+                ["--metrics", "sliced_wd,corr", "--kernel-family", "imq", "--kernel-scale", "3"],
+                f"--kernel-family, --kernel-scale: {UNREAD_FLAGS}",
+            ),
+            (["--metrics", "kl_knn", "--kernel-scale", "0.5"], f"--kernel-scale: {UNREAD_FLAGS}"),
+            (["--kernel-family", "riesz"], "--kernel-family: family must be one of ('rbf', 'imq'), got 'riesz'"),
+            (["--metrics", "sliced_wd,mmd2", "--kernel-scale", "0"], "--kernel-scale: bandwidth must be positive"),
+        ],
+        ids=["family-without-mmd2", "both-without-mmd2", "scale-without-mmd2", "riesz", "zero-after-a-metric"],
+    )
+    def test_kernel_flags_refused_before_any_metric(self, tmp_path, capsys, monkeypatch, flags, message):
+        def refused(*args, **kwargs):
+            raise AssertionError("evaluate read a file or computed a metric")
+
+        for name in ("runio.read_samples_csv", "metrics.sliced_wd", "metrics.corr_pairs", "metrics.kl_knn"):
+            monkeypatch.setattr(f"ksivi.{name}", refused)
+        path, record = tmp_path / "s.csv", tmp_path / "record.json"
+        write_samples_csv(path, np.random.default_rng(4).standard_normal((20, 2)))
+        assert main(["evaluate", str(path), str(path), *flags, "--out", str(record)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert not record.exists()
 
     def test_unknown_metric_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         def refused(*args, **kwargs):
@@ -1031,10 +1068,8 @@ class TestCLI:
             (["--kernel-scale", "0.8"], {"bandwidth": 0.8}),
             (["--kernel-family", "imq", "--kernel-scale", "2"], {"offset": 2.0}),
             (["--kernel-family", "imq"], {"offset": 1.0}),
-            (["--kernel-family", "riesz"], {"smoothing": 1e-8}),
-            (["--kernel-family", "riesz", "--kernel-scale", "0.5"], {"smoothing": 0.5}),
         ],
-        ids=["rbf-median", "rbf-fixed", "imq", "imq-default", "riesz", "riesz-scale"],
+        ids=["rbf-median", "rbf-fixed", "imq", "imq-default"],
     )
     def test_evaluate_records_the_kernel_parameter_the_mmd_reads(self, tmp_path, capsys, monkeypatch, flags, parameter):
         rng = np.random.default_rng(7)

@@ -27,7 +27,6 @@ from helpers import central_difference_gradient
 ALL_SPECS = [
     KernelSpec("rbf", 1.3),
     KernelSpec("imq", 0.7),
-    KernelSpec("riesz", 1e-8),
 ]
 
 
@@ -52,9 +51,7 @@ def reference_g(spec, sq):
     """The scalar g of grad_1 k(x, y) = -(x - y) g(|x - y|^2), written out for each family."""
     if spec.family == "rbf":
         return np.exp(-sq / (2.0 * spec.scale**2)) / spec.scale**2
-    if spec.family == "imq":
-        return (spec.scale**2 + sq) ** (-1.5)
-    return (sq + spec.scale**2) ** (-0.5)
+    return (spec.scale**2 + sq) ** (-1.5)
 
 
 def same_bits(a, b):
@@ -64,13 +61,11 @@ def same_bits(a, b):
 
 
 def kernel_closed_form(spec, x, y):
-    """The three families' formulas written out for one pair."""
+    """The two families' formulas written out for one pair."""
     r2 = float(((x - y) ** 2).sum())
     if spec.family == "rbf":
         return np.exp(-r2 / (2.0 * spec.scale**2))
-    if spec.family == "imq":
-        return (spec.scale**2 + r2) ** -0.5
-    return -np.sqrt(r2 + spec.scale**2)
+    return (spec.scale**2 + r2) ** -0.5
 
 
 class TestEval:
@@ -88,22 +83,23 @@ class TestEval:
         x = np.array([2.0, 5.0])
         assert np.isclose(k_pair(KernelSpec("imq", 1.0), x, x), 1.0)
 
-    def test_riesz_negative(self):
-        spec = KernelSpec("riesz", 1e-8)
-        assert k_pair(spec, np.zeros(2), np.ones(2)) < 0
+    def test_riesz_refused(self):
+        # only conditionally positive definite, so its discrepancy estimate can go negative
+        with pytest.raises(ValueError, match=r"^family must be one of \('rbf', 'imq'\), got 'riesz'$"):
+            KernelSpec("riesz")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             eval_matrix(KernelSpec("rbf"), np.zeros((1, 2)), np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("field", ["bandwidth", "offset", "smoothing"])
+    @pytest.mark.parametrize("field", ["bandwidth", "offset"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_refused_by_name(self, field, value):
         # NaN fails no ``<= 0`` check; an infinite bandwidth makes every Gram entry 1
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             KernelSpec(FAMILY_OF[field], value)
 
-    @pytest.mark.parametrize("field", ["bandwidth", "offset", "smoothing"])
+    @pytest.mark.parametrize("field", ["bandwidth", "offset"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_non_positive_parameter_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
@@ -114,9 +110,10 @@ class TestSpec:
     def test_a_kernel_is_its_family_and_one_scale(self):
         assert [f.name for f in dataclasses.fields(KernelSpec)] == ["family", "scale"]
 
-    @pytest.mark.parametrize(
-        "family, name, default", [("rbf", "bandwidth", 1.0), ("imq", "offset", 1.0), ("riesz", "smoothing", 1e-8)]
-    )
+    def test_two_positive_definite_families(self):
+        assert kernels.FAMILIES == ("rbf", "imq")
+
+    @pytest.mark.parametrize("family, name, default", [("rbf", "bandwidth", 1.0), ("imq", "offset", 1.0)])
     def test_no_scale_takes_the_family_default(self, family, name, default):
         assert KernelSpec(family) == KernelSpec(family, default)
         assert KernelSpec(family).parameter() == (name, default)
@@ -130,8 +127,8 @@ class TestSpec:
             ("rbf", "median_sq_over_log_n", {"bandwidth_rule": "median"}),
             ("rbf", "fixed", {"bandwidth_rule": "median", "bandwidth": 1.0}),
             ("imq", None, {"offset": 1.0}),
-            ("imq", "fixed", {"offset": 1.0}),  # no rule applies to imq or riesz
-            ("riesz", "median", {"smoothing": 1e-8}),
+            ("imq", "fixed", {"offset": 1.0}),  # no rule applies to imq
+            ("imq", "median", {"offset": 1.0}),
         ],
     )
     def test_settings_read(self, family, rule, read):
@@ -140,7 +137,8 @@ class TestSpec:
     @pytest.mark.parametrize(
         "family, rule, message",
         [
-            ("gauss", None, "family must be one of ('rbf', 'imq', 'riesz'), got 'gauss'"),
+            ("gauss", None, "family must be one of ('rbf', 'imq'), got 'gauss'"),
+            ("riesz", None, "family must be one of ('rbf', 'imq'), got 'riesz'"),
             ("rbf", "fixd", "bandwidth_rule must be one of ('median', 'median_sq_over_log_n', 'fixed'), got 'fixd'"),
         ],
     )
@@ -157,10 +155,7 @@ class TestSpec:
                 kxy = k_pair(spec, x, y)
                 kyx = k_pair(spec, y, x)
                 assert np.isclose(kxy, kyx, rtol=1e-14)
-                if spec.family in ("rbf", "imq"):
-                    assert 0.0 < kxy <= max(1.0, 1.0 / spec.scale)
-                else:
-                    assert kxy <= -spec.scale
+                assert 0.0 < kxy <= max(1.0, 1.0 / spec.scale)
 
 
 class TestGrad1:
@@ -210,7 +205,6 @@ class TestGrad1:
     def test_diag_values(self):
         assert np.all(diag_values(KernelSpec("rbf"), 3) == 1.0)
         assert np.allclose(diag_values(KernelSpec("imq", 2.0), 2), 0.5)
-        assert np.allclose(diag_values(KernelSpec("riesz", 1e-6), 2), -1e-6)
 
 
 class TestEvalMatrix:
@@ -332,7 +326,7 @@ class TestSharedGrad1Weights:
     @pytest.mark.parametrize("n, d", [(6, 40), (16, 50), (100, 2), (128, 200)])
     def test_u_statistic_weights_have_the_bits_of_the_off_diagonal_pairs(self, spec, n, d):
         # the U-statistic hands over its Gram and inner-product matrices with zeroed
-        # diagonals; rbf's g is read off that Gram matrix, imq's and riesz's formed from sq
+        # diagonals; rbf's g is read off that Gram matrix, imq's formed from sq
         rng = np.random.default_rng(3 * n + d)
         X = rng.standard_normal((n, d))
         f = rng.standard_normal((n, 3))
@@ -445,11 +439,10 @@ class TestEvalMatrixInPlace:
         sq[0, :3] = [0.0, 5e-324, np.inf]
         X = rng.standard_normal((shape[0], 3))
         Y = rng.standard_normal((shape[1], 3))
-        for spec in (KernelSpec("rbf", 0.7), KernelSpec("imq", 1.3), KernelSpec("riesz", 1e-3)):
+        for spec in (KernelSpec("rbf", 0.7), KernelSpec("imq", 1.3)):
             plain = {
                 "rbf": lambda q: np.exp(-q / (2.0 * spec.scale**2)),
                 "imq": lambda q: (spec.scale**2 + q) ** (-0.5),
-                "riesz": lambda q: -np.sqrt(q + spec.scale**2),
             }[spec.family]
             given_sq = sq.copy()
             with np.errstate(over="ignore"):

@@ -237,7 +237,6 @@ CONFIGS = {
     "median_sq_over_log_n": {"bandwidth_rule": "median_sq_over_log_n"},
     "fixed": {"bandwidth_rule": "fixed", "kernel": KernelSpec("rbf", 0.8)},
     "imq": {"kernel": KernelSpec("imq", 0.7)},
-    "riesz": {"kernel": KernelSpec("riesz")},
     "reg-clip-anneal": {"reg_weight": 0.3, "clip_norm": 0.05, "anneal_start": 0.2, "anneal_iterations": 6},
 }
 
