@@ -62,7 +62,9 @@ def draw_blocks(params, n, count, seed):
 
 class TestGradientExactness:
     @pytest.mark.parametrize("kind", ["vanilla", "ustat"])
-    @pytest.mark.parametrize("kernel", [RBF, KernelSpec("imq")], ids=lambda k: k.family)
+    @pytest.mark.parametrize(
+        "kernel", [RBF, KernelSpec("imq"), KernelSpec("imq", 0.1)], ids=["rbf", "imq", "imq-sharp"]
+    )
     def test_matches_finite_differences(self, kind, kernel):
         arch = NetArch((3, 8, 2))
         params = siv_init(arch, seed=0, rho_init=-0.5)

@@ -245,6 +245,7 @@ class TestMatchesReferenceCommand:
             (80, 121, 40, ["--kernel-family", "imq", "--kernel-scale", "0.5", "--metrics", "mmd2,kl_knn"]),
             (60, 60, 200, ["--kernel-family", "imq", "--kl-k", "3", "--seed", "5"]),
             (70, 50, 3, ["--kernel-scale", "0.8", "--metrics", "kl_knn,mmd2,corr"]),
+            (40, 30, 5, ["--kernel-family", "imq", "--kernel-scale", "0.25", "--metrics", "mmd2"]),
         ],
     )
     def test_same_record_across_options(self, tmp_path, n, m, d, extra):

@@ -468,8 +468,9 @@ class TestKernelKeys:
         [
             ({"kernel.bandwidth_rule": "fixed", "kernel.bandwidth": 0.5}, "bandwidth", "0.5"),
             ({"kernel.family": "imq"}, "offset", "1"),
+            ({"kernel.family": "imq", "kernel.offset": 0.25}, "offset", "0.25"),
         ],
-        ids=["rbf-fixed", "imq"],
+        ids=["rbf-fixed", "imq", "imq-set"],
     )
     def test_trace_records_the_scale_the_kernel_reads(self, tmp_path, capsys, settings, column, value):
         trace = (self.train(tmp_path, "run", settings) / "trace.csv").read_text()

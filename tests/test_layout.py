@@ -133,15 +133,16 @@ def test_distances_and_metrics_give_the_bits_of_c_ordered_samples(d, name_layout
     assert not differ
 
 
-@pytest.mark.parametrize("family", ["rbf", "imq"])
+@pytest.mark.parametrize(
+    "spec", [KernelSpec("rbf"), KernelSpec("imq"), KernelSpec("imq", 0.1)], ids=["rbf", "imq", "imq-sharp"]
+)
 @pytest.mark.parametrize("d", [2, 22, 200])
-def test_weighted_grad1_sum_gives_the_bits_of_c_ordered_weights(family, d):
+def test_weighted_grad1_sum_gives_the_bits_of_c_ordered_weights(spec, d):
     # the second side of the two-batch estimator: Y against X, with the transposes of XY's blocks
     rng = np.random.default_rng(47 + d)
     X, Y = rng.standard_normal((60, d)), rng.standard_normal((60, d))
     inner = rng.standard_normal((60, 60))
     sq = pairwise_sq_dists(X, Y)
-    spec = KernelSpec(family)
     gram = eval_matrix(spec, X, Y, sq=sq)
     # the weights of transposed views have the bits of those of their C-ordered copies
     weights = grad1_weights(spec, inner.T, sq.T, gram.T)

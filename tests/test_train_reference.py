@@ -237,6 +237,7 @@ CONFIGS = {
     "median_sq_over_log_n": {"bandwidth_rule": "median_sq_over_log_n"},
     "fixed": {"bandwidth_rule": "fixed", "kernel": KernelSpec("rbf", 0.8)},
     "imq": {"kernel": KernelSpec("imq", 0.7)},
+    "imq-sharp": {"kernel": KernelSpec("imq", 0.1)},
     "reg-clip-anneal": {"reg_weight": 0.3, "clip_norm": 0.05, "anneal_start": 0.2, "anneal_iterations": 6},
 }
 
