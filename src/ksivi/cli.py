@@ -8,6 +8,12 @@ effect before the BLAS runtime loads.
 
 ``--seed`` replaces ``run.seed`` and re-derives from it the four seeds of
 ``configio.SEED_OFFSETS``, also where the config sets them, as ``config.txt`` does.
+
+Refusals: a handler refuses an input by raising.  ``main`` prints a
+``configio.ConfigError`` as ``config error: …``, and an ``InputError`` (a
+refused flag or input file) or an ``OSError`` as ``error: …``, and each exits
+2; a divergence prints ``error: …`` and exits 1.  No handler prints to stderr
+or returns 2 itself.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import time
 from pathlib import Path
 
 EVALUATE_METRICS = ("sliced_wd", "kl_knn", "mmd2", "corr")
+
+
+class InputError(Exception):
+    """A refused command-line input; ``main`` prints it as ``error: …`` and exits 2."""
 
 
 def _pin_threads(n: int) -> None:
@@ -124,14 +134,14 @@ def cmd_train(args) -> int:
 
 def cmd_ground_truth(args) -> int:
     config, target, out_dir = _prepare(args)  # first: it pins the thread count
+    from .configio import SAMPLER_FIELDS
     from .runio import write_samples_csv
-    from .samplers import SamplerConfig, mala_run, sgld_run
+    from .samplers import RUNNERS, SamplerConfig
 
-    s = config.sampler
-    runner = mala_run if s["algorithm"] == "mala" else sgld_run
+    s = {key: config.sampler[key] for key in ("algorithm", *SAMPLER_FIELDS)}  # the keys a config sets
     before = _rusage()
     started = time.perf_counter()
-    run = runner(target, SamplerConfig(**{key: value for key, value in s.items() if key != "algorithm"}))
+    run = RUNNERS[s["algorithm"]](target, SamplerConfig(**{field: s[field] for field in SAMPLER_FIELDS}))
     finished = time.perf_counter()
 
     write_samples_csv(out_dir / "ground_truth.csv", run.states)
@@ -162,14 +172,12 @@ def cmd_evaluate(args) -> int:
     unknown = [name for name in requested if name not in EVALUATE_METRICS]
     if unknown or not requested:
         problem = f"unknown metric {unknown[0]!r}" if unknown else "--metrics names no metric"
-        print(f"error: {problem}; expected some of {', '.join(EVALUATE_METRICS)}", file=sys.stderr)
-        return 2
+        raise InputError(f"{problem}; expected some of {', '.join(EVALUATE_METRICS)}")
     # the kernel flags are checked before any file is read or metric computed
     flags = {"--kernel-family": args.kernel_family, "--kernel-scale": args.kernel_scale}
     unread = [flag for flag, value in flags.items() if value is not None and "mmd2" not in requested]
     if unread:
-        print(f"error: {', '.join(unread)}: read only by mmd2, which --metrics does not name", file=sys.stderr)
-        return 2
+        raise InputError(f"{', '.join(unread)}: read only by mmd2, which --metrics does not name")
 
     import numpy as np
 
@@ -180,30 +188,22 @@ def cmd_evaluate(args) -> int:
     try:
         spec = KernelSpec("rbf" if args.kernel_family is None else args.kernel_family, args.kernel_scale)
     except ValueError as err:  # it opens with the field: the family, or the scale by its parameter's name
-        print(f"error: --kernel-{'family' if str(err).startswith('family') else 'scale'}: {err}", file=sys.stderr)
-        return 2
+        raise InputError(f"--kernel-{'family' if str(err).startswith('family') else 'scale'}: {err}") from None
     samples = []
     for path in (args.samples_a, args.samples_b):
         try:
             samples.append(read_samples_csv(path))
         except ValueError as err:  # a ragged or non-numeric row, or a non-finite value
-            print(f"error: {path}: {err}", file=sys.stderr)
-            return 2
+            raise InputError(f"{path}: {err}") from None
     X, Y = samples
     if X.shape[1] != Y.shape[1]:
-        print(
-            f"error: sample dimensions differ ({X.shape[1]} vs {Y.shape[1]})",
-            file=sys.stderr,
-        )
-        return 2
+        raise InputError(f"sample dimensions differ ({X.shape[1]} vs {Y.shape[1]})")
     half = Y.shape[0] // 2  # the smaller of the two halves of B that kl_knn's noise floor compares
     if "kl_knn" in requested and half <= args.kl_k:  # k >= 1, so this also refuses a half of 1 row
-        print(
-            f"error: {args.samples_b}: kl_knn noise floor: samples_b has {Y.shape[0]} rows, split into halves "
-            f"of {half} and {Y.shape[0] - half}; each needs more than k = {args.kl_k} rows",
-            file=sys.stderr,
+        raise InputError(
+            f"{args.samples_b}: kl_knn noise floor: samples_b has {Y.shape[0]} rows, split into halves "
+            f"of {half} and {Y.shape[0] - half}; each needs more than k = {args.kl_k} rows"
         )
-        return 2
     # one set of squared distances for the bandwidth, the MMD and the neighbours
     blocks = sq_blocks(X, Y) if "mmd2" in requested or "kl_knn" in requested else None
     record = {
@@ -250,8 +250,7 @@ def cmd_evaluate(args) -> int:
                     "max_abs_diff": float(np.abs(diff).max()),
                 }
     except ValueError as err:  # a metric refuses the pair, e.g. DegenerateSamplesError
-        print(f"error: {args.samples_a}, {args.samples_b}: {name}: {err}", file=sys.stderr)
-        return 2
+        raise InputError(f"{args.samples_a}, {args.samples_b}: {name}: {err}") from None
     rendered = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(rendered + "\n")
@@ -268,8 +267,7 @@ def cmd_diagnose(args) -> int:
     try:
         params = load_checkpoint(args.checkpoint)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        raise InputError(str(err)) from None
     record = smoothness_diagnostic(params, args.probes, np.random.default_rng(args.seed))
     record["checkpoint"] = str(args.checkpoint)
     record["seed"] = args.seed
@@ -388,7 +386,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:  # a missing file, or a directory where a file belongs
+    except (InputError, OSError) as err:  # OSError: a missing file, or a directory where a file belongs
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

@@ -27,9 +27,6 @@ with the field, which is ``kernel.<field>``'s, or which ``TRAIN_FIELDS`` and
 every key the run read with the value it used, so it reruns the run:
 ``build_target`` makes a target's generated data from its keys on every run
 and keeps no file of it.
-
-``sampler.burn_in`` and ``sampler.thin`` refuse all but 0 and 1, as a sampler
-run returns final states; the benchmark's ground-truth phase reads both.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -111,8 +108,6 @@ KEYS = {
     "sampler.n_particles": (int, 1000),
     "sampler.n_steps": (int, 10_000),
     "sampler.step_size": (float, 1e-4),
-    "sampler.burn_in": (int, 0),
-    "sampler.thin": (int, 1),
     "eval.sample_size": (int, 1000),
     "output.trace_wallclock": (bool, False),
 }
@@ -140,9 +135,7 @@ TRAIN_FIELDS = {
     "seed": "train.seed",
     "log_every": "train.log_every",
 }
-SAMPLER_FIELDS = {
-    field: f"sampler.{field}" for field in ("n_particles", "n_steps", "step_size", "burn_in", "thin", "seed")
-}
+SAMPLER_FIELDS = {field: f"sampler.{field}" for field in ("n_particles", "n_steps", "step_size", "seed")}
 
 TARGET_KEYS = {
     "banana": {},
@@ -233,7 +226,7 @@ class ExperimentConfig:
     rho_init: float
     init_seed: int
     train: "object"  # ksivi.train.TrainConfig, constructed lazily
-    sampler: dict  # the sampler.* keys, without the prefix
+    sampler: dict  # the algorithm and every SamplerConfig field
     eval_sample_size: int
     eval_seed: int
     flat: dict = field(repr=False)
@@ -242,7 +235,7 @@ class ExperimentConfig:
     def from_flat(cls, flat: dict) -> "ExperimentConfig":
         """Check ``flat`` against the schema, fill in its defaults and build the settings."""
         from .kernels import FAMILY_PARAMETERS, KernelSpec, settings_read
-        from .samplers import SamplerConfig
+        from .samplers import RUNNERS, SamplerConfig
         from .train import TrainConfig
 
         target = _take(flat, "target.name", *KEYS["target.name"])
@@ -279,10 +272,9 @@ class ExperimentConfig:
         with _blame_field("kernel.{}".format):
             kernel = KernelSpec(family, flat.get(f"kernel.{FAMILY_PARAMETERS[family][0]}"))
         train = _settings(TrainConfig, TRAIN_FIELDS, flat, kernel=kernel)
-        sampler = {key[len("sampler.") :]: value for key, value in flat.items() if key.startswith("sampler.")}
-        if sampler["algorithm"] not in ("sgld", "mala"):
-            raise ConfigError("sampler.algorithm", f"unknown algorithm {sampler['algorithm']!r}")
-        _settings(SamplerConfig, SAMPLER_FIELDS, flat)
+        if flat["sampler.algorithm"] not in RUNNERS:
+            raise ConfigError("sampler.algorithm", f"unknown algorithm {flat['sampler.algorithm']!r}")
+        sampler = {"algorithm": flat["sampler.algorithm"], **asdict(_settings(SamplerConfig, SAMPLER_FIELDS, flat))}
         return cls(
             name=flat["experiment.name"],
             widths=tuple(widths),

@@ -43,7 +43,10 @@ gives a proposal row that is not finite, or whose proposal mean is not, a log
 acceptance ratio of nan or -inf, which no uniform's log falls below, so the
 row is rejected and keeps its finite state.  A run returns each particle's
 final state and keeps none along the way, so ``SamplerConfig`` refuses a
-``burn_in`` other than 0 and a ``thin`` other than 1.
+``burn_in`` other than 0 and a ``thin`` other than 1.  Those two fields stay
+only because the benchmark's ground-truth phase (``perfbench/workload.py``'s
+``gt_phase``) passes them; no config key sets them.  ``RUNNERS`` maps each
+``sampler.algorithm`` name to its run function.
 
 Buffers, allocated once per run, none growing with the step count: the state
 and the proposal, both (particles, d), the proposal also taking the step's
@@ -216,3 +219,6 @@ def sgld_run(target, config: SamplerConfig) -> SamplerRun:
 def mala_run(target, config: SamplerConfig) -> SamplerRun:
     """Langevin proposals with Metropolis correction; exact invariance."""
     return _langevin_run(target, config, metropolis=True)
+
+
+RUNNERS = {"sgld": sgld_run, "mala": mala_run}  # sampler.algorithm -> run

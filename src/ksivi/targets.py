@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runio import read_csv_rows
+from .runio import FLOAT_FMT, read_csv_rows
 
 
 def _as_batch(x, dim):
@@ -435,7 +435,7 @@ def make_waveform_dataset(n_rows=1000, seed=0):
 def save_blr_dataset(path, features, labels) -> None:
     data = np.concatenate([features, labels[:, None]], axis=1)
     header = ",".join([f"x{i + 1}" for i in range(features.shape[1])] + ["y"])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt=FLOAT_FMT)
 
 
 class ConditionedDiffusion(TargetModel):

@@ -16,8 +16,7 @@ product to do it.  The median bandwidth is ``np.median`` of the square roots
 of the pooled samples' pair distances (see ``kernels``); samples that are not
 finite give a NaN bandwidth, and so a non-finite loss.  Adam updates the
 parameter buffer (``SIVParams.flat``) in place, so the next draw sees the
-step through the buffer's views; snapshots are taken only for the hook or an
-error.
+step through the buffer's views; a snapshot is taken only for an error.
 
 The loop owns two blocks for the whole run, each a row per batch.  The
 workspace rows hold ``target.work_size(batch_size)`` values, in which the
@@ -137,8 +136,9 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     """Run the configured number of iterations from ``init``.
 
     Returns the final parameters and the loss trace.  ``iteration_hook``, if
-    given, is called as ``hook(iteration, params)`` after every update; each
-    call gets its own copy, which later updates leave alone.
+    given, is called as ``hook(iteration, params)`` after every update with
+    the live parameters, which hold until the next update: a hook that keeps
+    them copies them itself.
     """
     rng = np.random.default_rng(config.seed)
     params = init.copy()  # its buffer is the one Adam steps
@@ -168,7 +168,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
             elapsed_ms = (time.perf_counter() - started) * 1e3
             trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)), elapsed_ms)
         if iteration_hook is not None:
-            iteration_hook(t, params.copy())
+            iteration_hook(t, params)
     return params, trace
 
 

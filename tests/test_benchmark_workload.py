@@ -6,7 +6,9 @@
 seven keys of ``config.sampler``.  Its end-to-end smoke test is slow and lives
 outside this suite, so this test loads the module by path and runs ``set_up``
 and ``gt_phase`` on every workload, seeded and with the preset's own seeds,
-at two sampler steps.
+at two sampler steps, and ``train_phase`` at three iterations, which times
+each iteration through the training loop's ``iteration_hook`` and digests
+the result's ``SIVParams.to_flat`` as the benchmark does.
 """
 
 import importlib.util
@@ -48,3 +50,15 @@ def test_set_up_and_ground_truth_run(name, seed, tmp_path):
     assert ledger.attempted["sampler_steps"] == 2
     assert not any(ledger.failed.values()), ledger.failed
     assert record["gt"]["steps"] == 2
+
+
+@pytest.mark.parametrize("seed", [3, None], ids=["seeded", "preset"])
+@pytest.mark.parametrize("name", sorted(workload.WORKLOADS))
+def test_train_phase_runs(name, seed, tmp_path):
+    sizes = {**workload.sizes(workload.WORKLOADS[name], 1.0), "train": 3}
+    config, target, init = workload.set_up(name, seed, sizes, tmp_path)
+    ledger, record = workload.Ledger(), {}
+    assert workload.train_phase(config, target, init, ledger, record) is not None, record.get("error")
+    assert ledger.attempted["train_iterations"] == 3
+    assert not any(ledger.failed.values()), ledger.failed
+    assert record["train"]["iterations"] == 3 and len(record["train"]["iter_ms"]) == 2

@@ -115,7 +115,7 @@ class TestConfigFormat:
     @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
     def test_written_config_snapshot(self, preset):
         # config.txt as ksivi train --preset wrote it with the hand-written reader, before TOML,
-        # less the three kernel keys that no preset reads
+        # less the three kernel keys that no preset reads and sampler.burn_in and sampler.thin, which no run reads
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
         flat = parse_config_text(text)
         assert flat == ExperimentConfig.from_flat(get_preset(preset)).flat
@@ -357,7 +357,7 @@ class TestTargetsFromKeys:
 
 
 class TestSamplerKeys:
-    """Every ``sampler.*`` key changes the ground truth, or is refused by name."""
+    """Every ``sampler.*`` key changes the ground truth, and a config holds no other."""
 
     SAMPLER = {"sampler.n_particles": 20, "sampler.n_steps": 30, "sampler.step_size": 0.01}
     CHANGES = {
@@ -367,8 +367,6 @@ class TestSamplerKeys:
         "sampler.seed": 9,
         "sampler.algorithm": "mala",
     }
-    # any value but their defaults exits 2 (TestCLI.test_bad_sampler_settings_exit_2)
-    REFUSED = ("sampler.burn_in", "sampler.thin")
 
     def ground_truth_digest(self, tmp_path, name, **settings):
         """Digest of ``ground_truth.csv`` from the tiny config with ``settings``."""
@@ -380,18 +378,17 @@ class TestSamplerKeys:
 
     def test_every_sampler_key_is_covered(self):
         keys = {key for key in [*KEYS, *SEED_OFFSETS] if key.startswith("sampler.")}
-        assert keys == set(self.CHANGES) | set(self.REFUSED)
+        assert keys == set(self.CHANGES)
 
     @pytest.mark.parametrize("key", list(CHANGES))
     def test_every_key_changes_the_ground_truth(self, tmp_path, capsys, key):
         base = self.ground_truth_digest(tmp_path, "base")
         assert self.ground_truth_digest(tmp_path, "changed", **{key: self.CHANGES[key]}) != base
 
-    @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
-    def test_defaults_resolve_to_the_written_snapshot(self, preset):
-        text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
-        flat = {**get_preset(preset), **{key: KEYS[key][1] for key in self.REFUSED}}
-        assert format_config(ExperimentConfig.from_flat(flat).flat) == text
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_each_preset_records_the_sampler_keys_its_run_reads(self, preset):
+        flat = ExperimentConfig.from_flat(get_preset(preset)).flat
+        assert {key for key in flat if key.startswith("sampler.")} == set(self.CHANGES)
 
 
 class TestKernelKeys:
@@ -661,12 +658,10 @@ class TestCLI:
         "settings, key",
         [
             ("sampler.n_particles = 0\n", "sampler.n_particles"),
-            # a run returns final states: no step is burnt in or thinned out
-            (
-                "sampler.burn_in = 1\n",
-                "config error: sampler.burn_in: must be 0: a run returns each particle's final state",
-            ),
-            ("sampler.thin = 2\n", "config error: sampler.thin: must be 1: a run returns each particle's final state"),
+            ('sampler.algorithm = "hmc"\n', "config error: sampler.algorithm: unknown algorithm 'hmc'"),
+            # a run returns final states, so no config burns in or thins, even at the values that do nothing
+            ("sampler.burn_in = 0\n", "config error: sampler.burn_in: unknown key"),
+            ("sampler.thin = 1\n", "config error: sampler.thin: unknown key"),
         ],
     )
     def test_bad_sampler_settings_exit_2(self, tmp_path, capsys, command, settings, key):
@@ -829,6 +824,9 @@ class TestCLI:
         assert main(["sample-ground-truth", str(config_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         sampler = manifest["sampler"]
+        # the settings the config's sampler.* keys hold, and the measurements
+        measured = {"acceptance_rate", "seconds_per_step", "minor_faults_per_step", "peak_rss_mb"}
+        assert set(sampler) - measured == {key[len("sampler.") :] for key in manifest["config"] if "sampler." in key}
         assert sampler["seconds_per_step"] > 0.0
         assert sampler["seconds_per_step"] * 600 == pytest.approx(manifest["wallclock_seconds"])
         assert_records_memory(sampler, "minor_faults_per_step", "peak_rss_mb")
