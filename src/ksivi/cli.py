@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Subcommands: ``train``, ``sample-ground-truth``, ``evaluate``, ``diagnose``,
-``make-blr-data``, plus preset inspection helpers.  Heavy numerical imports
+Subcommands: ``train``, ``sample-ground-truth``, ``evaluate`` and
+``diagnose``, plus preset inspection helpers.  Heavy numerical imports
 happen inside the command handlers, after ``_prepare`` has pinned the thread
 count (``--threads``, else the config's ``run.threads``), so the pin takes
 effect before the BLAS runtime loads.
@@ -278,15 +278,6 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def cmd_make_blr_data(args) -> int:
-    from .targets import make_waveform_dataset, save_blr_dataset
-
-    features, labels = make_waveform_dataset(n_rows=args.rows, seed=args.seed)
-    save_blr_dataset(args.out_path, features, labels)
-    print(f"wrote {args.rows} rows x 21 features to {args.out_path}")
-    return 0
-
-
 def cmd_show_preset(args) -> int:
     from .configio import format_config
     from .presets import get_preset
@@ -358,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("make-blr-data", help="write a synthetic waveform-style dataset")
-    p.add_argument("out_path")
-    p.add_argument("--rows", type=count, default=1000)
-    p.add_argument("--seed", type=nonnegative, default=0)
-    p.set_defaults(func=cmd_make_blr_data)
 
     p = sub.add_parser("show-preset", help="print a preset config")
     p.add_argument("name")

@@ -101,22 +101,20 @@ def _neighbour_dists(X: np.ndarray, Y: np.ndarray, k: int, sq=None) -> np.ndarra
     """Each row of X's k-th neighbour distance within X (itself left out) and into Y.
 
     Rows ``(rho, nu)`` of a (2, n) array: the square roots of each row's k-th
-    smallest squared distance, read from ``sq`` or, without it, from products
-    of ``KNN_PARTITION_ROWS`` rows of X at a time against X and Y.  Values at
-    or below ``kernels.expansion_error`` are read as 0: the expansion cannot
-    tell them from a duplicate.
+    smallest squared distance, read ``KNN_PARTITION_ROWS`` rows at a time from
+    ``sq``, which is ``(pairwise_sq_dists(X, X), pairwise_sq_dists(X, Y))``
+    when not given.  Values at or below ``kernels.expansion_error`` are read
+    as 0: the expansion cannot tell them from a duplicate.
     """
     floor = expansion_error(X, Y)
-    if np.isnan(floor):
+    if np.isnan(floor):  # refused before an overflowing expansion is formed
         raise ValueError("squared norms overflow the distance expansion")
+    if sq is None:
+        sq = (pairwise_sq_dists(X, X), pairwise_sq_dists(X, Y))
     kth_sq = np.empty((2, X.shape[0]))
     for start in range(0, X.shape[0], KNN_PARTITION_ROWS):  # a partition copies what it sorts
         rows = slice(start, start + KNN_PARTITION_ROWS)
-        if sq is None:
-            blocks = (pairwise_sq_dists(X[rows], X), pairwise_sq_dists(X[rows], Y))
-        else:
-            blocks = (sq[0][rows], sq[1][rows])
-        for out, block, kth in zip(kth_sq, blocks, (k + 1, k)):  # within X, self sits at distance 0
+        for out, block, kth in zip(kth_sq, (sq[0][rows], sq[1][rows]), (k + 1, k)):  # self sits at distance 0 in X
             # a row minimum is ten times faster than a partition at rank 0
             out[rows] = block.min(axis=1) if kth == 1 else np.partition(block, kth - 1, axis=1)[:, kth - 1]
     kth_sq[kth_sq <= floor] = 0.0
@@ -136,10 +134,8 @@ def kl_knn(X, Y, k: int = 1, sq: tuple[np.ndarray, np.ndarray] | None = None) ->
     squared norms overflow the expansion are refused.
 
     ``sq``, if given, is ``(pairwise_sq_dists(X, X), pairwise_sq_dists(X, Y))``
-    or sub-blocks of larger ones.  Without it the distances are built a few
-    rows at a time, in memory linear in the sample counts; a product of a few
-    rows need not round like the whole one, so the two can differ in the last
-    bits.
+    or sub-blocks of larger ones; without it those two are built, so the
+    value has the same bits either way.
     """
     X, Y = _check_sample_sets(X, Y)
     if k < 1:

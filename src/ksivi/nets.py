@@ -99,11 +99,16 @@ def net_init(arch: NetArch, seed: int, out: np.ndarray | None = None) -> NetPara
 
 @dataclass
 class ForwardTape:
-    """Cached forward state: inputs to every layer plus hidden rectifier masks."""
+    """Cached forward state: the input to every layer.
+
+    ``inputs[l]`` for l >= 1 is hidden layer l - 1's activation, so its
+    rectifier pattern is ``inputs[l] > 0``: the activation is positive exactly
+    where its pre-activation is, NaN and signed zeros included (see
+    ``net_forward_batch``).
+    """
 
     arch: NetArch
     inputs: list[np.ndarray]  # a_0 .. a_{L-1}, each (n, width)
-    masks: list[np.ndarray]  # rectifier masks for hidden layers, (n, width), bool
 
     @property
     def n(self) -> int:
@@ -114,29 +119,26 @@ def net_forward_batch(params: NetParams, z: np.ndarray) -> tuple[np.ndarray, For
     """Evaluate the network on a batch ``z`` of shape (n, d_in).
 
     Each layer's product is its only array: the bias is added and the
-    rectifier applied in place, once the mask is taken.  The rectifier is
-    ``np.fmax(pre, 0.0)`` then ``+= 0.0``, which has the bits of
-    ``np.where(pre > 0, pre, 0.0)`` without its branch: ``fmax`` maps NaN to
-    +0.0 but may keep -0.0 (numpy 2.4 did at the first element past its
-    vector loop, at some block sizes), and -0.0 + 0.0 is +0.0 while every
-    other value is left as it is.
+    rectifier applied in place.  The rectifier is ``np.fmax(pre, 0.0)`` then
+    ``+= 0.0``, which has the bits of ``np.where(pre > 0, pre, 0.0)`` without
+    its branch: ``fmax`` maps NaN to +0.0 but may keep -0.0 (numpy 2.4 did at
+    the first element past its vector loop, at some block sizes), and -0.0 +
+    0.0 is +0.0 while every other value is left as it is.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != params.arch.d_in:
         raise ValueError(f"batch input shape {z.shape} incompatible with input width {params.arch.d_in}")
     a = z
     inputs = [a]
-    masks = []
     n_layers = params.arch.n_layers
     for layer in range(n_layers):
         a = a @ params.weights[layer].T
         a += params.biases[layer]
         if layer < n_layers - 1:
-            masks.append(a > 0.0)  # subgradient at exactly 0 is taken as 0
             np.fmax(a, 0.0, out=a)
             a += 0.0  # -0.0 to +0.0, which fmax may leave
             inputs.append(a)
-    return a, ForwardTape(params.arch, inputs, masks)
+    return a, ForwardTape(params.arch, inputs)
 
 
 def _check_tape(params: NetParams, tape: ForwardTape) -> None:
@@ -168,7 +170,7 @@ def net_vjp_batch_sum(
         delta.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             delta = delta @ params.weights[layer]
-            delta *= tape.masks[layer - 1]
+            delta *= tape.inputs[layer] > 0.0  # subgradient at exactly 0 is taken as 0
     return out
 
 
@@ -188,5 +190,5 @@ def net_jacobian_frobenius(params: NetParams, z: np.ndarray) -> np.ndarray:
         a = tape.inputs[layer]
         total += (delta**2).sum(axis=(1, 2)) * ((a**2).sum(axis=1) + 1.0)
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * tape.masks[layer - 1][:, None, :]
+            delta = (delta @ params.weights[layer]) * (tape.inputs[layer] > 0.0)[:, None, :]
     return np.sqrt(total)

@@ -28,15 +28,12 @@ sampler forms the block's proposal mean, its log-density and both proposal
 densities into the step's log acceptance ratios; after the last block it
 draws the step's uniforms, so the stream keeps the order above, and accepts
 over the whole state.  Rows are independent, so the blocks move no bit on the
-Gaussian mixture, banana, Student-t and diffusion targets, with two
-exceptions where a library kernel rounds with the batch width.  Logistic
-regression's products do under OpenBLAS: at 1,000 particles, blocks of 64,
-163 or 500 rows differ from the whole batch in the last bits.  At d = 22 a
-block holds 1,489 particles, so the presets keep their bits; a run of more
-particles than that takes other bits than one whole-batch pass.  And
-numpy's einsum takes another inner loop on a 2-D mixture batch of one or two
-rows, so a run past 16,384 particles whose last block holds one or two of
-them may move those particles' last bits.
+Gaussian mixture, banana, Student-t and diffusion targets.  Logistic
+regression's products are the exception, as a library kernel rounds with the
+batch width under OpenBLAS: at 1,000 particles, blocks of 64, 163 or 500 rows
+differ from the whole batch in the last bits.  At d = 22 a block holds 1,489
+particles, so the presets keep their bits; a run of more particles than that
+takes other bits than one whole-batch pass.
 
 Only the unadjusted sampler raises ``SamplerDivergence``.  The adjusted one
 gives a proposal row that is not finite, or whose proposal mean is not, a log

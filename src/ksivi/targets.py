@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runio import FLOAT_FMT, read_csv_rows
+from .runio import read_csv_rows
 
 
 def _as_batch(x, dim):
@@ -152,7 +152,7 @@ class GaussianMixture(TargetModel):
         out = np.empty((X.shape[0], self.weights.size))
         for m in range(self.weights.size):
             diff = X - self.means[m]
-            quad = np.einsum("ni,ij,nj->n", diff, self._precs[m], diff)
+            quad = ((diff @ self._precs[m]) * diff).sum(axis=1)  # a row rounds alike at every batch width
             out[:, m] = self._logw[m] - 0.5 * self._logdets[m] - 0.5 * quad
         return out
 
@@ -232,7 +232,7 @@ class Banana(TargetModel):
 
     def _logp(self, X):
         v = self._pullback(X)
-        return -0.5 * np.einsum("ni,ij,nj->n", v, self._prec, v)
+        return -0.5 * ((v @ self._prec) * v).sum(axis=1)  # a row rounds alike at every batch width
 
     def _score_and_hvp(self, X, work=None):
         gv = -(self._pullback(X) @ self._prec)
@@ -413,8 +413,8 @@ def make_waveform_dataset(n_rows=1000, seed=0):
     shape-pair class using the first two bases maps to label 1, the other two
     classes to label 0.  This stands in for the classic waveform benchmark:
     ``target.synthetic_rows`` and ``target.data_seed`` build it in memory on
-    every run, and ``make-blr-data`` writes it in the CSV layout that
-    ``target.data_path`` reads, so a real dataset can take its place.
+    every run.  A real dataset takes its place through ``target.data_path``,
+    a CSV of the 21 features and the label per row (``load_blr_dataset``).
     """
     rng = np.random.default_rng(seed)
     grid = np.arange(21, dtype=np.float64)
@@ -430,12 +430,6 @@ def make_waveform_dataset(n_rows=1000, seed=0):
     features += noise
     labels = (cls == 0).astype(np.float64)
     return features, labels
-
-
-def save_blr_dataset(path, features, labels) -> None:
-    data = np.concatenate([features, labels[:, None]], axis=1)
-    header = ",".join([f"x{i + 1}" for i in range(features.shape[1])] + ["y"])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt=FLOAT_FMT)
 
 
 class ConditionedDiffusion(TargetModel):

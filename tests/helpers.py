@@ -1,11 +1,13 @@
 """Shared oracles for the test suite: finite differences and quadrature,
-plus zero-network parameters to build known families from."""
+zero-network parameters to build known families from, and the synthetic blr
+rows as a data file."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ksivi.family import SIVParams
+from ksivi.targets import make_waveform_dataset
 
 
 def zero_params(arch, rho=0.0):
@@ -13,6 +15,14 @@ def zero_params(arch, rho=0.0):
     params = SIVParams.from_flat(arch, np.zeros(arch.n_params + arch.d_out))
     params.rho[:] = rho
     return params
+
+
+def write_waveform_csv(path, n_rows, seed):
+    """``make_waveform_dataset``'s rows as a ``target.data_path`` CSV: a header line, then ``%.17g`` values."""
+    features, labels = make_waveform_dataset(n_rows=n_rows, seed=seed)
+    header = ",".join([f"x{i + 1}" for i in range(21)] + ["y"])
+    np.savetxt(path, np.column_stack([features, labels]), delimiter=",", header=header, comments="", fmt="%.17g")
+    return features, labels
 
 
 def central_difference_gradient(fn, x, step=1e-5):

@@ -36,7 +36,7 @@ from ksivi.runio import (
 )
 from ksivi.train import LossTrace
 
-from helpers import zero_params
+from helpers import write_waveform_csv, zero_params
 
 # the kernel settings under which a kernel key is read
 KERNEL_READING = {"kernel.bandwidth": {"kernel.bandwidth_rule": "fixed"}, "kernel.offset": {"kernel.family": "imq"}}
@@ -311,7 +311,7 @@ class TestTargetsFromKeys:
     def plant_stale_files(self, data_dir):
         """Files under the names the blr and cd-dim50 presets once wrote on first use and read back after."""
         data_dir.mkdir()
-        assert main(["make-blr-data", str(data_dir / "waveform.csv"), "--rows", "40", "--seed", "99"]) == 0
+        write_waveform_csv(data_dir / "waveform.csv", 40, 99)
         (data_dir / "cd_obs_dim50.csv").write_text("index,value\n5,0.25\n10,-0.5\n")
         return {path.name: path.read_bytes() for path in data_dir.iterdir()}
 
@@ -725,6 +725,14 @@ class TestCLI:
         assert main([command, "--preset", "student-product-w5-riesz", "--out", str(tmp_path / "out")]) == 2
         assert "unknown preset 'student-product-w5-riesz'" in capsys.readouterr().err
 
+    def test_make_blr_data_is_an_unknown_command(self, tmp_path, capsys):
+        # the synthetic rows are built in memory (target.synthetic_rows); no command writes them
+        with pytest.raises(SystemExit) as exit_info:
+            main(["make-blr-data", str(tmp_path / "w.csv"), "--rows", "25"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'make-blr-data'" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
     CD = {"target.name": "conditioned_diffusion"}
 
     @pytest.mark.parametrize(
@@ -987,8 +995,6 @@ class TestCLI:
         [
             ["diagnose", "{dir}/checkpoint.json", "--probes", "0"],
             ["diagnose", "{dir}/checkpoint.json", "--probes", "-2"],
-            ["make-blr-data", "{dir}/w.csv", "--rows", "0"],
-            ["make-blr-data", "{dir}/w.csv", "--rows", "-5"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "0"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "-1"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--n-proj", "0"],
@@ -1004,18 +1010,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"error: argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["diagnose", "{dir}/checkpoint.json", "--seed", "-1"],
-            ["make-blr-data", "{dir}/w.csv", "--seed", "-1"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--seed", "-2"],
             ["train", "{dir}/config.txt", "--out", "{dir}/out", "--seed", "-1"],
             ["sample-ground-truth", "{dir}/config.txt", "--out", "{dir}/out", "--seed", "-1"],
         ],
-        ids=["diagnose", "make-blr-data", "evaluate", "train", "sample-ground-truth"],
+        ids=["diagnose", "evaluate", "train", "sample-ground-truth"],
     )
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
         # numpy's generators refuse a negative seed; the flag refuses it first and names itself
@@ -1029,7 +1033,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"error: argument --seed: must be at least 0, got {argv[-1]}" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_evaluate_one_coordinate_refuses_corr(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -1139,15 +1143,11 @@ class TestCLI:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_make_blr_data(self, tmp_path, capsys):
+    def test_data_path_reads_the_synthetic_rows(self, tmp_path):
+        # read by an absolute path or one relative to the data directory, a file of the
+        # synthetic rows gives the bits that the same rows and seed build in memory
         path = tmp_path / "waveform.csv"
-        assert main(["make-blr-data", str(path), "--rows", "25", "--seed", "3"]) == 0
-        from ksivi.targets import load_blr_dataset
-
-        target = load_blr_dataset(path)
-        assert target.n_rows == 25 and target.dim == 22
-        # read by an absolute path or one relative to the data directory, the file gives
-        # the bits that the same rows and seed build in memory
+        write_waveform_csv(path, 25, 3)
         flat = get_preset("blr-waveform")
         synthetic = {**flat, "target.synthetic_rows": 25, "target.data_seed": 3}
         built = build_target(ExperimentConfig.from_flat(synthetic), "-")
@@ -1163,7 +1163,7 @@ class TestCLI:
     def test_relative_data_path_reads_from_the_working_directory(self, tmp_path, capsys, monkeypatch, command):
         # beside the config, and again from the config.txt of the run, whatever the output directory
         monkeypatch.chdir(tmp_path)
-        assert main(["make-blr-data", "w.csv", "--rows", "30", "--seed", "3"]) == 0
+        write_waveform_csv("w.csv", 30, 3)
         settings = 'target.name = "blr"\ntarget.data_path = "w.csv"\n'
         text = TINY_CONFIG.replace('target.name = "banana"\n', settings).replace("[3, 8, 2]", "[3, 8, 22]")
         Path("blr.toml").write_text(text + "sampler.n_particles = 5\nsampler.n_steps = 3\n")
@@ -1173,7 +1173,7 @@ class TestCLI:
         assert Path("o1", result).read_bytes() == Path("o2", result).read_bytes()
         # --data-dir still overrides it
         Path("d").mkdir()
-        assert main(["make-blr-data", "d/w.csv", "--rows", "30", "--seed", "4"]) == 0
+        write_waveform_csv("d/w.csv", 30, 4)
         assert main([command, "blr.toml", "--out", "o3", "--data-dir", "d"]) == 0
         assert Path("o1", result).read_bytes() != Path("o3", result).read_bytes()
         assert not Path("o1", "w.csv").exists() and not Path("o2", "w.csv").exists()

@@ -200,14 +200,6 @@ def outcome(fn):
         return str(err)
 
 
-def row_chunks(X, Y):
-    """Squared distances from X, built ``KNN_PARTITION_ROWS`` rows at a time."""
-    rows = range(0, X.shape[0], metrics.KNN_PARTITION_ROWS)
-    return tuple(
-        np.concatenate([pairwise_sq_dists(X[r : r + metrics.KNN_PARTITION_ROWS], B) for r in rows]) for B in (X, Y)
-    )
-
-
 class TestKLKNNFromBlocks:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -224,8 +216,19 @@ class TestKLKNNFromBlocks:
         blocks = sq_blocks(X, Y)
         from_blocks = outcome(lambda: kl_knn(X, Y, k=k, sq=(blocks.xx, blocks.xy)))
         assert from_blocks == outcome(lambda: reference_kl_knn(X, Y, k=k, sq=(blocks.xx, blocks.xy)))
-        # without the blocks, a few rows at a time
-        assert outcome(lambda: kl_knn(X, Y, k=k)) == outcome(lambda: reference_kl_knn(X, Y, k, row_chunks(X, Y)))
+        # without the blocks, the full ones are built
+        full = (pairwise_sq_dists(X, X), pairwise_sq_dists(X, Y))
+        assert outcome(lambda: kl_knn(X, Y, k=k)) == outcome(lambda: reference_kl_knn(X, Y, k, full))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_without_blocks_the_bits_of_evaluates_blocks(self, seed):
+        # at d = 2, products of a few rows round otherwise than the whole ones
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((300, 2))
+        Y = rng.standard_normal((300, 2)) + 0.5
+        b = sq_blocks(X, Y)
+        for k in (1, 3):
+            assert kl_knn(X, Y, k) == kl_knn(X, Y, k, sq=(b.xx, b.xy))
 
     def test_sub_blocks_of_a_larger_matrix(self):
         # the noise floor reads np.ix_ sub-blocks of one YY matrix

@@ -161,7 +161,7 @@ class TestRectifierBits:
         _, tape = net_forward_batch(params, np.zeros((shape[0], 2)))
         expected = np.where(pre > 0, pre, 0.0)
         assert tape.inputs[1].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-        assert np.array_equal(tape.masks[0], pre > 0)
+        assert np.array_equal(tape.inputs[1] > 0, pre > 0)  # the rectifier pattern the backward passes read
 
 
 class TestVJP:

@@ -20,11 +20,10 @@ from ksivi.targets import (
     load_blr_dataset,
     make_waveform_dataset,
     multimodal_target,
-    save_blr_dataset,
     xshaped_target,
 )
 
-from helpers import central_difference_gradient, relative_error
+from helpers import central_difference_gradient, relative_error, write_waveform_csv
 
 
 def at(x):
@@ -254,6 +253,17 @@ class TestMixture:
             GaussianMixture([0.7, 0.7], [[0.0], [1.0]], [np.eye(1), np.eye(1)])
 
 
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("make", [xshaped_target, Banana], ids=["xshaped", "banana"])
+def test_rows_keep_their_bits_at_every_batch_width(make, width):
+    # a sampler block of one or two particles scores them as the whole batch does
+    target = make()
+    X = target.sample_exact(2400, np.random.default_rng(7))
+    parts = [X[i : i + width] for i in range(0, len(X), width)]
+    assert np.array_equal(np.concatenate([target.score(x) for x in parts]), target.score(X))
+    assert np.array_equal(np.concatenate([target.logp(x) for x in parts]), target.logp(X))
+
+
 class TestStudentTProduct:
     def test_score_zero_at_origin(self):
         assert np.allclose(score1(StudentTProduct(nu=2.0, width=5.0), np.zeros(2)), 0.0)
@@ -320,9 +330,8 @@ class TestLogisticRegression:
         assert relative_error(hvp1(target, beta, v), fd, floor=1e-4).max() < 1e-4
 
     def test_loader_round_trip(self, tmp_path):
-        features, labels = make_waveform_dataset(n_rows=17, seed=5)
         path = tmp_path / "data.csv"
-        save_blr_dataset(path, features, labels)
+        features, labels = write_waveform_csv(path, 17, 5)
         target = load_blr_dataset(path)
         assert target.dim == 22
         assert target.n_rows == 17
@@ -356,9 +365,8 @@ class TestLogisticRegression:
         ids=["header", "no-header", "blank-line", "short-row", "header-only", "empty"],
     )
     def test_loader_layouts(self, tmp_path, layout, error):
-        features, labels = make_waveform_dataset(n_rows=6, seed=2)
         path = tmp_path / "data.csv"
-        save_blr_dataset(path, features, labels)
+        write_waveform_csv(path, 6, 2)
         expected = load_blr_dataset(path)
         lines = path.read_text().splitlines(keepends=True)
         if layout == "no-header":

@@ -353,7 +353,7 @@ class TestTrainLoop:
 
 
 def per_probe_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:
-    """The single-point norm the batched one replaced, copied unchanged."""
+    """The single-point norm the batched one replaced, reading the rectifier pattern from the layer inputs."""
     _, tape = net_forward_batch(params, z[None, :])
     n_layers = params.arch.n_layers
     delta = np.eye(params.arch.d_out)
@@ -362,7 +362,7 @@ def per_probe_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:
         a = tape.inputs[layer][0]
         total += float((delta**2).sum()) * (float((a**2).sum()) + 1.0)
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * tape.masks[layer - 1][0]
+            delta = (delta @ params.weights[layer]) * (tape.inputs[layer][0] > 0)
     return float(np.sqrt(total))
 
 

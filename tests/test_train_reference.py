@@ -31,7 +31,6 @@ def reference_grad1_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
         return np.exp(-sq / (2.0 * spec.scale**2)) / spec.scale**2
     if spec.family == "imq":
         return (spec.scale**2 + sq) ** (-1.5)
-    return (sq + spec.scale**2) ** (-0.5)
 
 
 def reference_weighted_grad1_sum(
