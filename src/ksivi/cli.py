@@ -64,11 +64,11 @@ def _prepare(args):
     # before from_flat, which is the first to load numpy
     _pin_threads(args.threads if args.threads is not None else thread_count(flat))
     config = ExperimentConfig.from_flat(flat)
-    out_dir = Path(args.out) if args.out else Path("runs") / config.name
-    out_dir.mkdir(parents=True, exist_ok=True)
     data_dir = Path(args.data_dir) if args.data_dir else Path()  # the working directory
     target = build_target(config, data_dir)
     validate_against_target(config, target)
+    out_dir = Path(args.out) if args.out else Path("runs") / config.name
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the checks, so a refused config or target leaves none
     return config, target, out_dir
 
 

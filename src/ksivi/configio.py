@@ -16,14 +16,17 @@ rule; imq reads ``kernel.offset``.  A kind is
 numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves
 the key unset.  Unless set, the four seeds in
 ``SEED_OFFSETS`` (``init``, ``train``, ``eval``, ``sampler``) are ``run.seed``
-plus 0, 1, 2 and 3.  ``MINIMUM`` bounds the seeds, sizes and counts from below,
-and the diffusion's ``target.dt`` must exceed 0.  blr's ``target.data_seed``
-seeds only generated rows: with ``target.data_path`` set it is refused, and
-left unset.
-Any other key is rejected by name.  A value that ``KernelSpec``, ``TrainConfig``
+plus 0, 1, 2 and 3.  A key outside the schema is rejected by name.
+``MINIMUM`` bounds the seeds, sizes and counts, and blr's prior precision
+``target.alpha``, from below.  A value that ``KernelSpec``, ``TrainConfig``
 or ``SamplerConfig`` rejects is named by its key: each of their messages opens
 with the field, which is ``kernel.<field>``'s, or which ``TRAIN_FIELDS`` and
-``SAMPLER_FIELDS`` map to the key.  ``config.txt`` holds the resolved config,
+``SAMPLER_FIELDS`` map to the key.  Every other check of a ``target.*`` value
+is made where the target is built: ``build_target`` passes each target's keys
+but blr's to its constructor as keyword arguments of the same names, and a
+constructor's refusal opens with the argument, so it too is named by its key.
+blr's ``target.data_seed`` seeds only generated rows: with ``target.data_path``
+set it is refused, and left unset.  ``config.txt`` holds the resolved config,
 every key the run read with the value it used, so it reruns the run:
 ``build_target`` makes a target's generated data from its keys on every run
 and keeps no file of it.
@@ -114,12 +117,12 @@ KEYS = {
 
 SEED_OFFSETS = {"init.seed": 0, "train.seed": 1, "eval.seed": 2, "sampler.seed": 3}
 
-# numpy takes no negative seed, and the data generators and samplers no empty
-# size; a negative thread or annealing count would silently mean none
-MINIMUM = dict.fromkeys(
-    ["run.seed", *SEED_OFFSETS, "target.data_seed", "target.obs_seed", "run.threads", "anneal.iterations"], 0
-)
-MINIMUM.update(dict.fromkeys(["eval.sample_size", "target.synthetic_rows", "target.n_steps", "target.obs_stride"], 1))
+# numpy takes no negative seed, and the data generators, samplers and targets
+# no empty size; a negative thread or annealing count would silently mean none,
+# and a negative blr prior precision makes the posterior improper
+MINIMUM = dict.fromkeys(["run.seed", *SEED_OFFSETS, "run.threads", "anneal.iterations"], 0)
+MINIMUM.update(dict.fromkeys(["target.data_seed", "target.obs_seed", "target.alpha"], 0))
+MINIMUM.update(dict.fromkeys(["eval.sample_size", "target.synthetic_rows", "target.dim"], 1))
 
 # the fields of the settings built from the config, and their keys
 TRAIN_FIELDS = {
@@ -177,15 +180,6 @@ def _take(flat, key, kind, default):
             raise ConfigError(key, "missing required key")
         return default
     return _checked(key, flat[key], kind)
-
-
-@contextmanager
-def _blame(fieldname):
-    """Re-raise a ``ValueError`` from the block as a ``ConfigError`` on ``fieldname``."""
-    try:
-        yield
-    except ValueError as err:
-        raise ConfigError(fieldname, str(err)) from None
 
 
 @contextmanager
@@ -263,8 +257,6 @@ class ExperimentConfig:
         for key, least in MINIMUM.items():
             if flat.get(key, least) < least:
                 raise ConfigError(key, f"must be at least {least}, got {flat[key]}")
-        if flat.get("target.dt", 1.0) <= 0:  # a step of 0 divides by zero, and a negative one takes its square root
-            raise ConfigError("target.dt", f"must be positive, got {flat['target.dt']}")
 
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:
@@ -291,45 +283,43 @@ class ExperimentConfig:
 def build_target(config: ExperimentConfig, data_dir) -> "object":
     """Construct the configured target from its ``target.*`` keys alone.
 
-    Generated inputs are built in memory on every run and no file is written:
-    blr's ``target.synthetic_rows`` rows of ``make_waveform_dataset`` from
-    ``target.data_seed``, and the diffusion's observations from
+    Every target but blr is one call of its constructor with its keys as
+    keyword arguments; the constructor checks their values, and a refusal's
+    message opens with the argument, so a ``ConfigError`` names its key
+    (``MINIMUM`` and the kinds of ``TARGET_KEYS`` are checked before, by
+    ``ExperimentConfig.from_flat``).  Generated inputs are built in memory on
+    every run and no file is written: blr's ``target.synthetic_rows`` rows of
+    ``make_waveform_dataset`` from ``target.data_seed``, and the diffusion's
+    path and observations, which ``ConditionedDiffusion`` draws from
     ``target.obs_seed``.  The one file read is blr's ``target.data_path``, a
     real dataset, which resolves against ``data_dir``; a blr config sets
-    exactly one of the two.  A value or a data file the target rejects raises
-    a ``ConfigError`` naming its ``target.*`` key.
+    exactly one of the two, and a data file that the loader rejects is named
+    by ``target.data_path``.
     """
     from . import targets
 
     name = config.flat["target.name"]
     params = {key: config.flat.get(f"target.{key}") for key in TARGET_KEYS[name]}
-
-    if name == "banana":
-        return targets.Banana()
-    if name == "multimodal":
-        return targets.multimodal_target()
-    if name == "xshaped":
-        return targets.xshaped_target()
-    if name == "gaussian":
-        with _blame("target.mean, target.variances"):
-            return targets.diagonal_gaussian(params["mean"], params["variances"])
-    if name == "student_product":
-        with _blame("target.nu, target.width, target.dim"):
-            return targets.StudentTProduct(**params)
     if name == "blr":
         if (params["data_path"] is None) == (params["synthetic_rows"] is None):
             raise ConfigError("target.data_path, target.synthetic_rows", "set exactly one")
         if params["data_path"] is None:
             features, labels = targets.make_waveform_dataset(params["synthetic_rows"], params["data_seed"])
             return targets.LogisticRegression.from_features(features, labels, alpha=params["alpha"])
-        with _blame("target.data_path"):
+        try:
             return targets.load_blr_dataset(Path(data_dir) / params["data_path"], alpha=params["alpha"])
-    # conditioned_diffusion
-    with _blame("target.obs_stride"):
-        idx, obs, _ = targets.generate_cd_observations(
-            params["obs_seed"], n_steps=params["n_steps"], dt=params["dt"], obs_stride=params["obs_stride"]
-        )
-    return targets.ConditionedDiffusion(idx, obs, n_steps=params["n_steps"], dt=params["dt"])
+        except ValueError as err:
+            raise ConfigError("target.data_path", str(err)) from None
+    constructors = {
+        "banana": targets.Banana,
+        "multimodal": targets.multimodal_target,
+        "xshaped": targets.xshaped_target,
+        "gaussian": targets.diagonal_gaussian,
+        "student_product": targets.StudentTProduct,
+        "conditioned_diffusion": targets.ConditionedDiffusion,
+    }
+    with _blame_field("target.{}".format):
+        return constructors[name](**params)
 
 
 def validate_against_target(config: ExperimentConfig, target) -> None:

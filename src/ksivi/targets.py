@@ -197,8 +197,14 @@ class GaussianMixture(TargetModel):
 
 def diagonal_gaussian(mean, variances) -> GaussianMixture:
     """Single Gaussian with diagonal covariance, as a one-component mixture."""
-    mean = np.asarray(mean, dtype=np.float64)
-    return GaussianMixture([1.0], [mean], [np.diag(np.asarray(variances, dtype=np.float64))])
+    mean, variances = np.asarray(mean, dtype=np.float64), np.asarray(variances, dtype=np.float64)
+    if mean.size == 0:
+        raise ValueError("mean must have at least 1 entry, got none")
+    if variances.shape != mean.shape:
+        raise ValueError(f"variances must have one entry per mean entry ({mean.size}), got {variances.size}")
+    if np.any(variances <= 0):
+        raise ValueError(f"variances must be positive, got {variances.tolist()}")
+    return GaussianMixture([1.0], [mean], [np.diag(variances)])
 
 
 def multimodal_target() -> GaussianMixture:
@@ -222,8 +228,8 @@ class Banana(TargetModel):
 
     dim = 2
 
-    def __init__(self, cov=((1.0, 0.9), (0.9, 1.0))):
-        self.cov = np.asarray(cov, dtype=np.float64)
+    def __init__(self):
+        self.cov = np.array([[1.0, 0.9], [0.9, 1.0]])
         self._prec = np.linalg.inv(self.cov)
         self._chol = np.linalg.cholesky(self.cov)
 
@@ -261,8 +267,10 @@ class StudentTProduct(TargetModel):
         self.dim = int(dim)
         self.nu = np.broadcast_to(np.asarray(nu, dtype=np.float64), (self.dim,)).copy()
         self.width = np.broadcast_to(np.asarray(width, dtype=np.float64), (self.dim,)).copy()
-        if np.any(self.nu <= 0) or np.any(self.width <= 0):
-            raise ValueError("degrees of freedom and scale must be positive")
+        if np.any(self.nu <= 0):
+            raise ValueError(f"nu must be positive, got {nu}")
+        if np.any(self.width <= 0):
+            raise ValueError(f"width must be positive, got {width}")
 
     def _logp(self, X):
         return (-(self.nu + 1.0) / 2.0 * np.log1p(X**2 / (self.nu * self.width**2))).sum(axis=1)
@@ -437,26 +445,37 @@ class ConditionedDiffusion(TargetModel):
 
     The latent path follows dx = drift * x (1 - x^2) dt + dw from x_0 = 0,
     discretized by Euler-Maruyama into ``n_steps`` states; noisy observations
-    of every ``obs_stride``-th state tie the path down.  The log-density sums
-    Gaussian transition residuals and observation residuals; its Hessian is
-    tridiagonal plus a diagonal observation part, so Hessian-vector products
-    are a few elementwise stencil operations.
+    of every ``obs_stride``-th state tie the path down.  The constructor draws
+    the path's increments and then the observation noise, of scale
+    ``obs_noise``, from one ``default_rng(obs_seed)``, so the four arguments
+    fix the target.  ``path`` keeps the latent path, and ``obs_indices`` the
+    1-based positions of the observed states, ``obs_stride``,
+    ``2 obs_stride``, ... up to ``n_steps``, each once.  A stride past the
+    last state would observe nothing and is refused.
+
+    The log-density sums Gaussian transition residuals and observation
+    residuals; its Hessian is tridiagonal plus a diagonal observation part,
+    so Hessian-vector products are a few elementwise stencil operations.
     """
 
-    def __init__(self, obs_indices, observations, n_steps=100, dt=0.01, drift=10.0, obs_noise=0.1):
+    drift = 10.0
+    obs_noise = 0.1
+
+    def __init__(self, obs_seed, n_steps, dt, obs_stride):
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+        if obs_stride < 1:
+            raise ValueError(f"obs_stride must be at least 1, got {obs_stride}")
+        if dt <= 0:  # a step of 0 divides by zero, and a negative one takes its square root
+            raise ValueError(f"dt must be positive, got {dt}")
+        if obs_stride > n_steps:
+            raise ValueError(f"obs_stride {obs_stride} exceeds the {n_steps} states of the path, so none is observed")
         self.dim = int(n_steps)
         self.dt = float(dt)
-        self.drift = float(drift)
-        self.obs_noise = float(obs_noise)
-        self.obs_indices = np.asarray(obs_indices, dtype=np.int64)
-        self.observations = np.asarray(observations, dtype=np.float64)
-        if self.obs_indices.shape != self.observations.shape or self.obs_indices.ndim != 1:
-            raise ValueError("observation indices and values must be equal-length vectors")
-        if np.any(self.obs_indices < 1) or np.any(self.obs_indices > self.dim):
-            raise ValueError(f"observation indices must lie in [1, {self.dim}]")
-        indices, counts = np.unique(self.obs_indices, return_counts=True)
-        if np.any(counts > 1):  # the score adds one observation per index, and logp all of them
-            raise ValueError(f"observation index {indices[counts > 1][0]} repeats")
+        rng = np.random.default_rng(obs_seed)
+        self.path = euler_maruyama_path(rng.standard_normal(n_steps) * np.sqrt(dt), dt=dt, drift=self.drift)
+        self.obs_indices = idx = np.arange(obs_stride, n_steps + 1, obs_stride, dtype=np.int64)
+        self.observations = self.path[idx - 1] + self.obs_noise * rng.standard_normal(idx.size)
 
     def work_size(self, n):
         return n * (3 * self.dim + 2 * self.obs_indices.size)
@@ -493,7 +512,7 @@ class ConditionedDiffusion(TargetModel):
 
     def _obs_residuals(self, X, o):
         """``observations - X[:, obs_indices - 1]`` into ``o``."""
-        np.take(X, self.obs_indices - 1, axis=1, out=o, mode="clip")  # the indices are checked
+        np.take(X, self.obs_indices - 1, axis=1, out=o, mode="clip")  # the indices lie in [1, dim]
         return np.subtract(self.observations, o, out=o)
 
     def _score_from(self, X, r, slopes, coupling, out, o1, o2):
@@ -582,23 +601,6 @@ def euler_maruyama_path(increments, dt=0.01, drift=10.0):
         x = x + drift * x * (1.0 - x**2) * dt + increments[k]
         path[k] = x
     return path
-
-
-def generate_cd_observations(seed, n_steps=100, dt=0.01, drift=10.0, obs_stride=5, obs_noise=0.1):
-    """Simulate one latent path and perturb every ``obs_stride``-th state.
-
-    Returns (indices, observations, path); indices are 1-based state
-    positions.  Deterministic given the seed.  A stride longer than the path
-    observes no state and is refused.
-    """
-    if obs_stride > n_steps:
-        raise ValueError(f"{obs_stride} exceeds the {n_steps} states of the path, so none is observed")
-    rng = np.random.default_rng(seed)
-    increments = rng.standard_normal(n_steps) * np.sqrt(dt)
-    path = euler_maruyama_path(increments, dt=dt, drift=drift)
-    indices = np.arange(obs_stride, n_steps + 1, obs_stride, dtype=np.int64)
-    observations = path[indices - 1] + obs_noise * rng.standard_normal(indices.size)
-    return indices, observations, path
 
 
 class Tempered(TargetModel):

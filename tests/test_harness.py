@@ -2,6 +2,7 @@ import json
 import math
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -753,6 +754,54 @@ class TestCLI:
         config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
         assert main(["train", str(config_path), "--out", str(tmp_path / "out"), *argv]) == 2
         assert f"config error: {key}: must be at least" in capsys.readouterr().err
+
+    GAUSSIAN = {"target.name": "gaussian", "target.mean": [0.0, 1.0], "target.variances": [1.0, 2.0]}
+    STUDENT = {"target.name": "student_product"}
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({**GAUSSIAN, "target.mean": []}, "target.mean: must have at least 1 entry, got none"),
+            # unchecked, the mismatch reaches the first training iteration as a matmul error
+            (
+                {**GAUSSIAN, "target.mean": [0.0, 1.0, 2.0]},
+                "target.variances: must have one entry per mean entry (3), got 2",
+            ),
+            ({**GAUSSIAN, "target.variances": [1.0]}, "target.variances: must have one entry per mean entry (2), got 1"),
+            ({**GAUSSIAN, "target.variances": [1.0, 0.0]}, "target.variances: must be positive, got [1.0, 0.0]"),
+            ({**GAUSSIAN, "target.variances": [-1.0, 2.0]}, "target.variances: must be positive, got [-1.0, 2.0]"),
+            ({**STUDENT, "target.nu": 0.0}, "target.nu: must be positive, got 0.0"),
+            ({**STUDENT, "target.nu": -1.0}, "target.nu: must be positive, got -1.0"),
+            ({**STUDENT, "target.width": 0.0}, "target.width: must be positive, got 0.0"),
+            ({**STUDENT, "target.dim": 0}, "target.dim: must be at least 1, got 0"),
+            ({**STUDENT, "target.dim": -1}, "target.dim: must be at least 1, got -1"),
+            ({**CD, "target.obs_seed": -1}, "target.obs_seed: must be at least 0, got -1"),
+            ({**CD, "target.n_steps": 0}, "target.n_steps: must be at least 1, got 0"),
+            ({**CD, "target.dt": 0.0}, "target.dt: must be positive, got 0.0"),
+            ({**CD, "target.dt": -0.1}, "target.dt: must be positive, got -0.1"),
+            ({**CD, "target.obs_stride": 0}, "target.obs_stride: must be at least 1, got 0"),
+            (
+                {**CD, "target.n_steps": 10, "target.obs_stride": 11},
+                "target.obs_stride: 11 exceeds the 10 states of the path, so none is observed",
+            ),
+            # the prior term -alpha |beta|^2 / 2 would leave the log-density unbounded above
+            (
+                {"target.name": "blr", "target.synthetic_rows": 30, "target.alpha": -1.0},
+                "target.alpha: must be at least 0, got -1.0",
+            ),
+        ],
+    )
+    def test_bad_target_value_is_refused_by_its_key(self, tmp_path, monkeypatch, capsys, command, settings, message):
+        # exit 2 naming that key alone, before the run's directory under runs/ is made
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert set(re.findall(r"target\.\w+", err)) == {message.partition(":")[0]}
+        assert list(tmp_path.iterdir()) == [config_path]
 
     @pytest.mark.parametrize(
         "settings, message",

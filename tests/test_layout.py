@@ -28,7 +28,6 @@ from ksivi.targets import (
     LogisticRegression,
     StudentTProduct,
     Tempered,
-    generate_cd_observations,
     make_waveform_dataset,
     multimodal_target,
     xshaped_target,
@@ -62,8 +61,7 @@ def _blr():
 
 
 def _cd():
-    idx, obs, _ = generate_cd_observations(6)
-    return ConditionedDiffusion(idx, obs)
+    return ConditionedDiffusion(6, n_steps=100, dt=0.01, obs_stride=5)
 
 
 TARGETS = [

@@ -24,7 +24,6 @@ from ksivi.targets import (
     LogisticRegression,
     TargetModel,
     diagonal_gaussian,
-    generate_cd_observations,
     make_waveform_dataset,
 )
 
@@ -33,14 +32,16 @@ def gaussian5():
     return diagonal_gaussian(np.zeros(5), np.ones(5))
 
 
+def cd(n_steps):
+    return ConditionedDiffusion(5, n_steps=n_steps, dt=0.01, obs_stride=5)
+
+
 def cd20():
-    idx, obs, _ = generate_cd_observations(5, n_steps=20)
-    return ConditionedDiffusion(idx, obs, n_steps=20)
+    return cd(20)
 
 
 def cd200():
-    idx, obs, _ = generate_cd_observations(5, n_steps=200)
-    return ConditionedDiffusion(idx, obs, n_steps=200)
+    return cd(200)
 
 
 def blr30():
@@ -284,16 +285,15 @@ class TestBuffers:
                 self.mark()
                 return super()._logp_and_score(X, work)
 
-        idx, obs, _ = generate_cd_observations(5, n_steps=dim)
         config = SamplerConfig(n_particles=n, n_steps=12, step_size=step_size, seed=3)
         tracemalloc.start()
         try:
-            got = run(Marked(idx, obs, n_steps=dim), config)
+            got = run(Marked(5, n_steps=dim, dt=0.01, obs_stride=5), config)
             marks["peak"] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert marks["peak"] - marks["start"] < n * dim * 8
-        assert np.array_equal(got.states, run(ConditionedDiffusion(idx, obs, n_steps=dim), config).states)
+        assert np.array_equal(got.states, run(cd(dim), config).states)
         if step_size == 1.0:
             assert got.acceptance_rate == 0.0
 

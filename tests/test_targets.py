@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksivi import targets
+from ksivi.presets import get_preset
 from ksivi.targets import (
     Banana,
     ConditionedDiffusion,
@@ -16,7 +17,6 @@ from ksivi.targets import (
     _sigmoid,
     diagonal_gaussian,
     euler_maruyama_path,
-    generate_cd_observations,
     load_blr_dataset,
     make_waveform_dataset,
     multimodal_target,
@@ -46,9 +46,8 @@ def hvp1(target, x, v):
     return target.hvp(at(x), at(v))[0]
 
 
-def make_cd_target(seed=0):
-    idx, obs, _ = generate_cd_observations(seed)
-    return ConditionedDiffusion(idx, obs)
+def make_cd_target(seed=0, obs_stride=5):
+    return ConditionedDiffusion(seed, n_steps=100, dt=0.01, obs_stride=obs_stride)
 
 
 def make_blr_target(seed=0, n_rows=20):
@@ -130,9 +129,7 @@ def allocating_reference(target):
     if isinstance(target, LogisticRegression):
         return ReferenceLogisticRegression(target.design, target.labels, target.alpha)
     if isinstance(target, ConditionedDiffusion):
-        return ReferenceConditionedDiffusion(
-            target.obs_indices, target.observations, target.dim, target.dt, target.drift, target.obs_noise
-        )
+        return ReferenceConditionedDiffusion.of(target)
     return None
 
 
@@ -409,38 +406,51 @@ class TestConditionedDiffusion:
         assert np.array_equal(path, np.zeros(100))
 
     def test_observation_count(self):
-        idx, obs, _ = generate_cd_observations(seed=11)
-        assert idx.size == 20 and obs.size == 20
-        assert np.array_equal(idx, np.arange(5, 101, 5))
+        target = make_cd_target(seed=11)
+        assert target.obs_indices.size == 20 and target.observations.size == 20
+        assert np.array_equal(target.obs_indices, np.arange(5, 101, 5))
 
     def test_paths_settle_in_wells(self):
         # double-well drift pushes late states toward +1 or -1
-        finals = []
-        for seed in range(200):
-            _, _, path = generate_cd_observations(seed=seed)
-            finals.append(path[-1])
-        finals = np.abs(np.asarray(finals))
+        finals = np.abs(np.asarray([make_cd_target(seed=seed).path[-1] for seed in range(200)]))
         assert np.mean((finals > 0.6) & (finals < 1.4)) > 0.8
 
     def test_deterministic(self):
-        a = generate_cd_observations(seed=3)
-        b = generate_cd_observations(seed=3)
-        assert np.array_equal(a[1], b[1])
+        a, b = make_cd_target(seed=3), make_cd_target(seed=3)
+        assert np.array_equal(a.observations, b.observations) and np.array_equal(a.path, b.path)
+        assert not np.array_equal(a.observations, make_cd_target(seed=4).observations)
 
     def test_stride_past_the_path_refused(self):
-        idx, _, _ = generate_cd_observations(seed=4, obs_stride=100)
-        assert idx.tolist() == [100]  # the last state, observed alone
-        with pytest.raises(ValueError, match="^101 exceeds the 100 states of the path, so none is observed$"):
-            generate_cd_observations(seed=4, obs_stride=101)
+        assert make_cd_target(seed=4, obs_stride=100).obs_indices.tolist() == [100]  # the last state, observed alone
+        message = "^obs_stride 101 exceeds the 100 states of the path, so none is observed$"
+        with pytest.raises(ValueError, match=message):
+            make_cd_target(seed=4, obs_stride=101)
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError, match="indices"):
-            ConditionedDiffusion([0], [1.0])
-        with pytest.raises(ValueError, match="indices"):
-            ConditionedDiffusion([101], [1.0])
-        # the score would add one of two observations of a state, while logp sums both
-        with pytest.raises(ValueError, match="^observation index 2 repeats$"):
-            ConditionedDiffusion([2, 5, 2], [0.3, 0.1, -0.4])
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"n_steps": 0}, "n_steps must be at least 1, got 0"),
+            ({"obs_stride": 0}, "obs_stride must be at least 1, got 0"),
+            ({"obs_stride": -2}, "obs_stride must be at least 1, got -2"),
+            # a step of 0 divides by zero, and a negative one takes a square root of it
+            ({"dt": 0.0}, "dt must be positive, got 0.0"),
+            ({"dt": -0.1}, "dt must be positive, got -0.1"),
+        ],
+    )
+    def test_settings_refused_by_name(self, settings, message):
+        with pytest.raises(ValueError) as err:
+            ConditionedDiffusion(**{"obs_seed": 0, "n_steps": 10, "dt": 0.1, "obs_stride": 5, **settings})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("preset", ["cd-dim50", "cd-dim100", "cd-dim200"])
+    @pytest.mark.parametrize("obs_seed", [42, 0, 17])
+    def test_draws_the_bits_of_the_separate_generator(self, preset, obs_seed):
+        flat = get_preset(preset)
+        n_steps, dt, obs_stride = flat["target.n_steps"], flat["target.dt"], flat["target.obs_stride"]
+        target = ConditionedDiffusion(obs_seed, n_steps=n_steps, dt=dt, obs_stride=obs_stride)
+        idx, obs, path = reference_cd_observations(obs_seed, n_steps=n_steps, dt=dt, obs_stride=obs_stride)
+        assert same_bits(target.obs_indices, idx) and target.obs_indices.dtype == np.int64
+        assert same_bits(target.observations, obs) and same_bits(target.path, path)
 
 
 class TestTempered:
@@ -495,7 +505,33 @@ class ReferenceLogisticRegression(LogisticRegression):
         return self._score_and_hvp(B)[0]
 
 
+# The separate generator whose draws the diffusion's constructor took over,
+# copied unchanged but for its name.
+def reference_cd_observations(seed, n_steps=100, dt=0.01, drift=10.0, obs_stride=5, obs_noise=0.1):
+    """Simulate one latent path and perturb every ``obs_stride``-th state.
+
+    Returns (indices, observations, path); indices are 1-based state
+    positions.  Deterministic given the seed.  A stride longer than the path
+    observes no state and is refused.
+    """
+    if obs_stride > n_steps:
+        raise ValueError(f"{obs_stride} exceeds the {n_steps} states of the path, so none is observed")
+    rng = np.random.default_rng(seed)
+    increments = rng.standard_normal(n_steps) * np.sqrt(dt)
+    path = euler_maruyama_path(increments, dt=dt, drift=drift)
+    indices = np.arange(obs_stride, n_steps + 1, obs_stride, dtype=np.int64)
+    observations = path[indices - 1] + obs_noise * rng.standard_normal(indices.size)
+    return indices, observations, path
+
+
 class ReferenceConditionedDiffusion(ConditionedDiffusion):
+    @classmethod
+    def of(cls, target):
+        """The reference passes on ``target``'s own path and observations."""
+        reference = cls.__new__(cls)
+        reference.__dict__.update(vars(target))
+        return reference
+
     def _with_origin(self, X):
         return np.concatenate([np.zeros((X.shape[0], 1)), X], axis=1)
 
@@ -547,8 +583,8 @@ def _blr_pair(n_rows):
 
 
 def _cd_pair():
-    idx, obs, _ = generate_cd_observations(6)
-    return ConditionedDiffusion(idx, obs), ReferenceConditionedDiffusion(idx, obs)
+    target = make_cd_target(6)
+    return target, ReferenceConditionedDiffusion.of(target)
 
 
 def _layouts(block):
@@ -608,9 +644,9 @@ def same_bits(a, b):
 
 def make_cd_last_unobserved():
     """A path whose last state is not observed, so no observation term covers the last score column."""
-    idx, obs, _ = generate_cd_observations(7, obs_stride=3)
-    assert idx[-1] < 100
-    return ConditionedDiffusion(idx, obs)
+    target = make_cd_target(7, obs_stride=3)
+    assert target.obs_indices[-1] < 100
+    return target
 
 
 WORKSPACE_TARGETS = [(name, target) for name, target, _ in ALL_TARGETS]
