@@ -105,7 +105,6 @@ KEYS = {
     "kernel.family": (str, "rbf"),
     "anneal.start": (float, 1.0),
     "anneal.iterations": (int, 0),
-    "reg.weight": (float, 0.0),
     "clip.norm": (float, None),
     "sampler.algorithm": (str, "sgld"),
     "sampler.n_particles": (int, 1000),
@@ -133,7 +132,6 @@ TRAIN_FIELDS = {
     "bandwidth_rule": "kernel.bandwidth_rule",
     "anneal_start": "anneal.start",
     "anneal_iterations": "anneal.iterations",
-    "reg_weight": "reg.weight",
     "clip_norm": "clip.norm",
     "seed": "train.seed",
     "log_every": "train.log_every",

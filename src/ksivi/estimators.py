@@ -23,9 +23,9 @@ chain rule routes four contributions through the reparameterization
   of ``xi / sigma`` contributes ``-v * xi / sigma`` to the rho gradient.
 
 Rather than looping over pairs, one loop over the batches aggregates each
-batch's upstream vectors (v, u) with matrix products, adds the regularizer's
-term, and pulls them back once: a single batched network backward pass plus
-one batched Hessian-vector product per batch, summed into one flat gradient.
+batch's upstream vectors (v, u) with matrix products and pulls them back
+once: a single batched network backward pass plus one batched
+Hessian-vector product per batch, summed into one flat gradient.
 The pullback writes through the layer views (``nets.layer_views``): the
 network's backward pass fills the weight and bias views, and the rho gradient
 fills the tail.  A batch's score and Hessian-vector operator come from one
@@ -57,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from .family import f_vectors
-from .kernels import diag_values, eval_matrix, grad1_weights, sq_blocks, weighted_grad1_sum
+from .kernels import eval_matrix, grad1_weights, sq_blocks, weighted_grad1_sum
 from .nets import layer_views, net_vjp_batch_sum
 
 def _residuals(batch, params, target, work=None):
@@ -84,11 +84,10 @@ def _pullback(params, batch, f_upstream, x_upstream, hvp, out=None):
     return grad
 
 
-def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None, work=None, out=None):
+def value_and_grad(params, target, kernel, b1, b2=None, sq=None, work=None, out=None):
     """Estimate the objective and its exact flat gradient in one pass.
 
     ``b1``, ``b2``: two equal-size batches, or ``b2=None`` for the U-statistic on ``b1``.
-    ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
     ``sq``: ``sq_blocks`` of the batches' samples, if already computed.
     ``work``: the caller's workspace, one row per batch (see the module docstring).
     ``out``: the caller's gradient block, a row of ``params.flat.size`` per
@@ -112,28 +111,22 @@ def value_and_grad(params, target, kernel, b1, b2=None, reg_weight=0.0, sq=None,
         scale = 1.0 / (n * (n - 1))
         value = float((gram * inner).sum() * scale)
         np.fill_diagonal(inner, 0.0)
-        scale, reg_coeff = 2.0 * scale, 2.0 * reg_weight / n
+        scale = 2.0 * scale
         sides = [(gram, grad1_weights(kernel, inner, sq.xx, gram))]
     else:  # all cross pairs
         gram = eval_matrix(kernel, b1.x, b2.x, sq=sq.xy)
         inner = f[0] @ f[1].T
         value = float((gram * inner).mean())
-        scale, reg_coeff = 1.0 / (n * n), reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
+        scale = 1.0 / (n * n)
         weights = grad1_weights(kernel, inner, sq.xy, gram)
         sides = [(gram, weights), (gram.T, weights.T)]  # the sum makes the transpose C-ordered
-    grad, reg_total = None, 0.0
+    grad = None
     # each batch against the other one (the U-statistic: against itself)
-    for batch, other, f_own, f_other, hvp, (gram_b, weights_b), out_b in zip(
-        batches, batches[::-1], f, f[::-1], hvps, sides, out
+    for batch, other, f_other, hvp, (gram_b, weights_b), out_b in zip(
+        batches, batches[::-1], f[::-1], hvps, sides, out
     ):
         v = scale * (gram_b @ f_other)
         u = scale * weighted_grad1_sum(weights_b, batch.x, other.x)
-        if reg_weight > 0.0:
-            diag = diag_values(kernel, n)
-            reg_total += float((diag * (f_own**2).sum(axis=1)).sum())
-            v += (reg_coeff * diag[:, None]) * f_own
         part = _pullback(params, batch, v, u, hvp, out_b)
         grad = part if grad is None else np.add(grad, part, out=grad)
-    if reg_weight > 0.0:
-        value += reg_weight * reg_total / (n * len(batches))
     return value, grad

@@ -223,11 +223,6 @@ def weighted_grad1_sum(weights: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.
     return weights @ Y - X * weights.sum(axis=1)[:, None]
 
 
-def diag_values(spec: KernelSpec, n: int) -> np.ndarray:
-    """k(x, x) for each of n points (constant within every family)."""
-    return np.full(n, 1.0 if spec.family == "rbf" else 1.0 / spec.scale)
-
-
 def expansion_error(*sample_sets: np.ndarray) -> float:
     """The most by which ``pairwise_sq_dists`` can miss |x - y|^2: (2d + 4) eps max |x|^2.
 

@@ -50,7 +50,6 @@ def _student(width, kernel_family):
         "init.rho": 0.0,
         "train.iterations": 20_000,
         "kernel.family": kernel_family,
-        "reg.weight": 0.1,
         "sampler.n_steps": 20_000,
         "sampler.step_size": 0.01,
     }

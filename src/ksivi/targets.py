@@ -204,6 +204,9 @@ def diagonal_gaussian(mean, variances) -> GaussianMixture:
         raise ValueError(f"variances must have one entry per mean entry ({mean.size}), got {variances.size}")
     if np.any(variances <= 0):
         raise ValueError(f"variances must be positive, got {variances.tolist()}")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(1.0 / variances)):  # the precision would overflow, and the score turn nan
+            raise ValueError(f"variances must have a finite reciprocal, got {variances.tolist()}")
     return GaussianMixture([1.0], [mean], [np.diag(variances)])
 
 

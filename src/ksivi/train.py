@@ -58,7 +58,6 @@ class TrainConfig:
     bandwidth_rule: str = "median"
     anneal_start: float = 1.0  # 1.0, with anneal_iterations 0, disables annealing
     anneal_iterations: int = 0
-    reg_weight: float = 0.0
     clip_norm: float | None = None
     seed: int = 0
     log_every: int = 1
@@ -81,8 +80,6 @@ class TrainConfig:
             raise ValueError(f"anneal_iterations must be positive for a ramp from {self.anneal_start}")
         if self.anneal_start == 1.0 and self.anneal_iterations > 0:
             raise ValueError(f"anneal_start must lie below 1 for a ramp of {self.anneal_iterations} iterations")
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be nonnegative")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")  # a negative one would reverse every step
         if self.log_every < 1:
@@ -91,7 +88,11 @@ class TrainConfig:
 
 @dataclass
 class LossTrace:
-    """Per-logged-iteration training records."""
+    """Per-logged-iteration training records.
+
+    ``ksd2`` is the estimator's value at the iteration: the unbiased squared
+    kernel Stein discrepancy estimate of the batches, the objective alone.
+    """
 
     iterations: list[int] = field(default_factory=list)
     ksd2: list[float] = field(default_factory=list)
@@ -157,7 +158,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         sq = sq_blocks(b1.x, y)
         kernel = bandwidth_from_rule(config.kernel, config.bandwidth_rule, b1.x, y, sq)
         tempered = target if beta == 1.0 else Tempered(target, beta)  # 1.0 * x is x
-        value, grad = value_and_grad(params, tempered, kernel, b1, b2, config.reg_weight, sq, work, grad_rows)
+        value, grad = value_and_grad(params, tempered, kernel, b1, b2, sq, work, grad_rows)
         if not np.isfinite(value):
             raise TrainingDivergence(t, params.copy(), f"loss estimate is {value}")
         if not np.all(np.isfinite(grad)):

@@ -116,7 +116,9 @@ class TestConfigFormat:
     @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
     def test_written_config_snapshot(self, preset):
         # config.txt as ksivi train --preset wrote it with the hand-written reader, before TOML,
-        # less the three kernel keys that no preset reads and sampler.burn_in and sampler.thin, which no run reads
+        # less the three kernel keys that no preset reads and sampler.burn_in and sampler.thin, which no run reads,
+        # and less the penalty's weight key, which left the schema with the penalty: training descends the
+        # discrepancy alone
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
         flat = parse_config_text(text)
         assert flat == ExperimentConfig.from_flat(get_preset(preset)).flat
@@ -206,11 +208,12 @@ class TestConfigFormat:
         assert str(err.value) == f"{key}: {message}"
 
     @pytest.mark.parametrize(
-        "key", ["train.learning_rate", "sampler.step_size", "kernel.bandwidth", "init.rho", "reg.weight", "clip.norm"]
+        "key", ["train.learning_rate", "sampler.step_size", "kernel.bandwidth", "init.rho", "anneal.start", "clip.norm"]
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_floats_rejected(self, key, value):
-        # nan passes every range check; reg.weight = nan would drop the regularizer
+        # nan fails every comparison, so a range check such as clip.norm's "<= 0" lets it through; each float
+        # key is refused as non-finite first, even anneal.start, whose (0, 1] check would refuse nan by range
         flat = {**parse_config_text(TINY_CONFIG), **KERNEL_READING.get(key, {})}
         flat[key] = value
         with pytest.raises(ConfigError) as err:
@@ -283,7 +286,6 @@ class TestPresetFidelity:
             assert rbf["target.width"] == imq["target.width"] == float(width)
             assert rbf["kernel.family"] == "rbf"
             assert imq["kernel.family"] == "imq"
-            assert rbf["reg.weight"] == imq["reg.weight"] == 0.1
             # the ablation changes the kernel alone
             assert {key for key in rbf.keys() | imq.keys() if rbf.get(key) != imq.get(key)} == {
                 "experiment.name",
@@ -663,6 +665,8 @@ class TestCLI:
             # a run returns final states, so no config burns in or thins, even at the values that do nothing
             ("sampler.burn_in = 0\n", "config error: sampler.burn_in: unknown key"),
             ("sampler.thin = 1\n", "config error: sampler.thin: unknown key"),
+            # training descends the kernel Stein discrepancy alone, so an older config's penalty weight is refused
+            ("reg.weight = 0.1\n", "config error: reg.weight: unknown key"),
         ],
     )
     def test_bad_sampler_settings_exit_2(self, tmp_path, capsys, command, settings, key):
@@ -670,6 +674,7 @@ class TestCLI:
         config_path.write_text(TINY_CONFIG + settings)
         assert main([command, str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "settings, key",
@@ -771,6 +776,11 @@ class TestCLI:
             ({**GAUSSIAN, "target.variances": [1.0]}, "target.variances: must have one entry per mean entry (2), got 1"),
             ({**GAUSSIAN, "target.variances": [1.0, 0.0]}, "target.variances: must be positive, got [1.0, 0.0]"),
             ({**GAUSSIAN, "target.variances": [-1.0, 2.0]}, "target.variances: must be positive, got [-1.0, 2.0]"),
+            # its reciprocal overflows, and the first loss estimate would be nan
+            (
+                {**GAUSSIAN, "target.variances": [1e-320, 1.0]},
+                "target.variances: must have a finite reciprocal, got [1e-320, 1.0]",
+            ),
             ({**STUDENT, "target.nu": 0.0}, "target.nu: must be positive, got 0.0"),
             ({**STUDENT, "target.nu": -1.0}, "target.nu: must be positive, got -1.0"),
             ({**STUDENT, "target.width": 0.0}, "target.width: must be positive, got 0.0"),

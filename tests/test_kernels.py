@@ -12,7 +12,6 @@ from ksivi.kernels import (
     BANDWIDTH_FLOOR,
     KernelSpec,
     bandwidth_from_rule,
-    diag_values,
     eval_matrix,
     grad1_weights,
     median_bandwidth,
@@ -204,10 +203,6 @@ class TestGrad1:
             for i, j in itertools.product(range(6), range(4)):
                 slow[i] += C[i, j] * grad1_pair(spec, X[i], Y[j])
             assert np.allclose(fast, slow, atol=1e-12)
-
-    def test_diag_values(self):
-        assert np.all(diag_values(KernelSpec("rbf"), 3) == 1.0)
-        assert np.allclose(diag_values(KernelSpec("imq", 2.0), 2), 0.5)
 
 
 class TestEvalMatrix:

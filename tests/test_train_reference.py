@@ -7,7 +7,7 @@ call, each kernel-gradient sum forming its own pair weights from its own
 distances (the second batch's from the YX product), and a functional Adam
 step.  Each is copied unchanged apart from its name, except the median, which takes the square roots of the expansion's
 values with each pair of batches its own product.  The estimator keeps its
-own batch-pair check and regularizer value, which ``estimators`` no longer has.
+own batch-pair check, which ``estimators`` no longer has.
 """
 
 import time
@@ -18,7 +18,7 @@ import pytest
 from ksivi import kernels
 from ksivi.estimators import _pullback, _residuals
 from ksivi.family import SampleBatch, SIVParams, siv_init, siv_sample_batch
-from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec, c_ordered, diag_values, eval_matrix, pairwise_sq_dists
+from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec, c_ordered, eval_matrix, pairwise_sq_dists
 from ksivi.nets import NetArch
 from ksivi.optim import AdamState, clip_gradient
 from ksivi.targets import Banana, Tempered, diagonal_gaussian
@@ -101,19 +101,10 @@ def _as_batch_pair(batches, kind):
     raise ValueError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
 
 
-def _regularizer_value(kernel, f_blocks, reg_weight):
-    n_total = sum(f.shape[0] for f in f_blocks)
-    total = 0.0
-    for f in f_blocks:
-        total += float((diag_values(kernel, f.shape[0]) * (f**2).sum(axis=1)).sum())
-    return reg_weight * total / n_total
-
-
-def reference_value_and_grad(params, target, kernel, batches, kind="vanilla", reg_weight=0.0):
+def reference_value_and_grad(params, target, kernel, batches, kind="vanilla"):
     """Estimate the objective and its exact flat gradient in one pass.
 
     ``batches``: two equal-size batches (``"vanilla"``) or one (``"ustat"``).
-    ``reg_weight`` adds ``reg_weight * mean k(x, x) ||f||^2`` over all samples.
     """
     b1, b2 = _as_batch_pair(batches, kind)
     f1, hvp1 = _residuals(b1, params, target)
@@ -130,11 +121,6 @@ def reference_value_and_grad(params, target, kernel, batches, kind="vanilla", re
         v2 = scale * (gram.T @ f1)
         u1 = scale * reference_weighted_grad1_sum(kernel, b1.x, b2.x, inner)
         u2 = scale * reference_weighted_grad1_sum(kernel, b2.x, b1.x, inner.T)
-        if reg_weight > 0.0:
-            value += _regularizer_value(kernel, (f1, f2), reg_weight)
-            coeff = reg_weight / n  # 2 / (2n) from the pooled mean of ||f||^2
-            v1 = v1 + coeff * diag_values(kernel, n)[:, None] * f1
-            v2 = v2 + coeff * diag_values(kernel, n)[:, None] * f2
         grad = _pullback(params, b1, v1, u1, hvp1)
         grad += _pullback(params, b2, v2, u2, hvp2)
         return value, grad
@@ -151,9 +137,6 @@ def reference_value_and_grad(params, target, kernel, batches, kind="vanilla", re
     value = float((gram * inner).sum() * scale)
     v1 = 2.0 * scale * (gram @ f1)
     u1 = 2.0 * scale * reference_weighted_grad1_sum(kernel, b1.x, b1.x, off_inner)
-    if reg_weight > 0.0:
-        value += _regularizer_value(kernel, (f1,), reg_weight)
-        v1 = v1 + (2.0 * reg_weight / n) * diag_values(kernel, n)[:, None] * f1
     grad = _pullback(params, b1, v1, u1, hvp1)
     return value, grad
 
@@ -203,9 +186,7 @@ def reference_train(config: TrainConfig, target, init: SIVParams, iteration_hook
             b1 = siv_sample_batch(params, config.batch_size, rng)
             kernel = reference_resolve_kernel(config, (b1.x,))
             batches = b1
-        value, grad = reference_value_and_grad(
-            params, Tempered(target, beta), kernel, batches, config.estimator, config.reg_weight
-        )
+        value, grad = reference_value_and_grad(params, Tempered(target, beta), kernel, batches, config.estimator)
         if not np.isfinite(value):
             raise TrainingDivergence(t, params, f"loss estimate is {value}")
         if not np.all(np.isfinite(grad)):
@@ -237,7 +218,7 @@ CONFIGS = {
     "fixed": {"bandwidth_rule": "fixed", "kernel": KernelSpec("rbf", 0.8)},
     "imq": {"kernel": KernelSpec("imq", 0.7)},
     "imq-sharp": {"kernel": KernelSpec("imq", 0.1)},
-    "reg-clip-anneal": {"reg_weight": 0.3, "clip_norm": 0.05, "anneal_start": 0.2, "anneal_iterations": 6},
+    "clip-anneal": {"clip_norm": 0.05, "anneal_start": 0.2, "anneal_iterations": 6},
 }
 
 
