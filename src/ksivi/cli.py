@@ -108,8 +108,7 @@ def cmd_train(args) -> int:
     eval_rng = np.random.default_rng(config.eval_seed)
     samples = siv_sample_batch(params, config.eval_sample_size, eval_rng).x
 
-    scale_name = config.train.kernel.parameter()[0]
-    write_trace_csv(out_dir / "trace.csv", trace, scale_name, include_wallclock=config.flat["output.trace_wallclock"])
+    write_trace_csv(out_dir / "trace.csv", trace, config.train.kernel.parameter()[0])
     save_checkpoint(out_dir / "checkpoint.json", params)
     write_samples_csv(out_dir / "samples.csv", samples)
 
@@ -235,8 +234,8 @@ def cmd_evaluate(args) -> int:
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                # an rbf kernel without a scale takes the median; imq ignores the rule
-                spec = bandwidth_from_rule(spec, "median" if args.kernel_scale is None else "fixed", X, Y, blocks)
+                if args.kernel_scale is None:  # an rbf kernel takes the median; imq keeps its default offset
+                    spec = bandwidth_from_rule(spec, X, Y, blocks)
                 parameter, value = spec.parameter()  # the one the family reads
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec, sq=blocks),

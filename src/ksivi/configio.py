@@ -8,9 +8,9 @@ dict.
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
 and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  Beside
 ``kernel.family``, the ``kernel.*`` keys are the settings the family reads,
-with their defaults, as ``kernels.settings_read`` gives them: rbf reads
-``kernel.bandwidth_rule``, and ``kernel.bandwidth`` only under the ``"fixed"``
-rule; imq reads ``kernel.offset``.  A kind is
+with their defaults, as ``kernels.settings_read`` gives them: imq reads
+``kernel.offset``, and rbf reads none, as training sets its bandwidth to the
+median of each iteration's samples.  A kind is
 ``int``, ``float`` (an integer widens; ``inf`` and ``nan`` are refused),
 ``str``, ``bool`` or ``[kind]``, a list; ``true`` and ``false`` are not
 numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves
@@ -105,13 +105,11 @@ KEYS = {
     "kernel.family": (str, "rbf"),
     "anneal.start": (float, 1.0),
     "anneal.iterations": (int, 0),
-    "clip.norm": (float, None),
     "sampler.algorithm": (str, "sgld"),
     "sampler.n_particles": (int, 1000),
     "sampler.n_steps": (int, 10_000),
     "sampler.step_size": (float, 1e-4),
     "eval.sample_size": (int, 1000),
-    "output.trace_wallclock": (bool, False),
 }
 
 SEED_OFFSETS = {"init.seed": 0, "train.seed": 1, "eval.seed": 2, "sampler.seed": 3}
@@ -129,10 +127,8 @@ TRAIN_FIELDS = {
     "batch_size": "train.batch_size",
     "learning_rate": "train.learning_rate",
     "estimator": "train.estimator",
-    "bandwidth_rule": "kernel.bandwidth_rule",
     "anneal_start": "anneal.start",
     "anneal_iterations": "anneal.iterations",
-    "clip_norm": "clip.norm",
     "seed": "train.seed",
     "log_every": "train.log_every",
 }
@@ -180,6 +176,13 @@ def _take(flat, key, kind, default):
     return _checked(key, flat[key], kind)
 
 
+def _at_least(key, value):
+    """``value``, else a ``ConfigError`` on ``key`` if it lies below ``MINIMUM[key]``."""
+    if value < MINIMUM[key]:
+        raise ConfigError(key, f"must be at least {MINIMUM[key]}, got {value}")
+    return value
+
+
 @contextmanager
 def _blame_field(key_of):
     """Re-raise a ``ValueError`` whose message opens with a field as a ``ConfigError`` on ``key_of(field)``."""
@@ -203,10 +206,11 @@ def _settings(cls, fields: dict, flat: dict, **given):
 def thread_count(flat: dict) -> int:
     """``run.threads`` of a flat config; 0 leaves the BLAS default.
 
-    Read without loading numpy, so the count can be pinned before the BLAS
-    runtime starts; ``ExperimentConfig.from_flat`` loads numpy.
+    Read and bounded by ``MINIMUM`` without loading numpy, so the count can be
+    pinned before the BLAS runtime starts, and a refused one is not;
+    ``ExperimentConfig.from_flat`` loads numpy.
     """
-    return _take(flat, "run.threads", *KEYS["run.threads"])
+    return _at_least("run.threads", _take(flat, "run.threads", *KEYS["run.threads"]))
 
 
 @dataclass
@@ -236,12 +240,12 @@ class ExperimentConfig:
         seed = _take(flat, "run.seed", *KEYS["run.seed"])
         family = _take(flat, "kernel.family", *KEYS["kernel.family"])
         with _blame_field("kernel.{}".format):
-            kernel_keys = settings_read(family, flat.get("kernel.bandwidth_rule"))
+            kernel_keys = settings_read(family)
         schema = {
             **KEYS,
             **{key: (int, seed + offset) for key, offset in SEED_OFFSETS.items()},
             **{f"target.{key}": spec for key, spec in TARGET_KEYS[target].items()},
-            **{f"kernel.{key}": (type(default), default) for key, default in kernel_keys.items()},  # float or str
+            **{f"kernel.{key}": (float, default) for key, default in kernel_keys.items()},
         }
         unknown = sorted(set(flat) - set(schema))
         if unknown:
@@ -252,9 +256,9 @@ class ExperimentConfig:
                 raise ConfigError("target.data_seed", "does nothing when target.data_path is set")
             resolved["target.data_seed"] = None
         flat = {key: value for key, value in resolved.items() if value is not None}
-        for key, least in MINIMUM.items():
-            if flat.get(key, least) < least:
-                raise ConfigError(key, f"must be at least {least}, got {flat[key]}")
+        for key in MINIMUM:
+            if key in flat:
+                _at_least(key, flat[key])
 
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:

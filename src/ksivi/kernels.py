@@ -9,11 +9,12 @@ batched training code exploits.
 
 A kernel is its family and the one parameter that family reads, its scale
 (rbf h, imq c), named and defaulted in ``FAMILY_PARAMETERS``.
-This is the one module that branches on a family or a bandwidth rule:
-``bandwidth_from_rule`` is the one resolver of a rule on samples,
-``grad1_weights`` the one place the kernel-gradient pair weights are formed,
-``KernelSpec.parameter`` names what a family reads, and ``settings_read`` the
-settings it reads under a rule, which are a config's kernel keys.
+This is the one module that branches on a family: ``bandwidth_from_rule``
+sets an rbf kernel's bandwidth to the median of the samples (Garreau et al.
+2017) and leaves imq's offset as it is, ``grad1_weights`` is the one place the
+kernel-gradient pair weights are formed, ``KernelSpec.parameter`` names what
+a family reads, and ``settings_read`` the settings that are a config's kernel
+keys: imq's offset, and nothing for rbf, whose bandwidth comes from the samples.
 
 Squared distances have one definition, the BLAS expansion
 ``|x|^2 + |y|^2 - 2 x.y`` of ``pairwise_sq_dists``; every median and
@@ -57,8 +58,6 @@ import numpy as np
 FAMILY_PARAMETERS = {"rbf": ("bandwidth", 1.0), "imq": ("offset", 1.0)}
 FAMILIES = tuple(FAMILY_PARAMETERS)
 
-BANDWIDTH_RULES = ("median", "median_sq_over_log_n", "fixed")  # the first is the default
-
 BANDWIDTH_FLOOR = 1e-8
 
 # Every 61st pair of the blocks brackets their median: at 1000 + 1000 points
@@ -92,9 +91,9 @@ class KernelSpec:
         object.__setattr__(self, "scale", float(scale))
 
     def with_bandwidth(self, h: float) -> "KernelSpec":
-        """This kernel at the bandwidth ``h`` that a rule resolved from samples.
+        """This kernel at the bandwidth ``h`` resolved from samples.
 
-        Unlike the constructor it lets a NaN through: a rule gives NaN at
+        Unlike the constructor it lets a NaN through: the median is NaN at
         non-finite samples, and the NaN estimate that follows is how training
         reports their divergence, at the iteration that drew them.
         """
@@ -109,20 +108,16 @@ class KernelSpec:
         return FAMILY_PARAMETERS[self.family][0], self.scale
 
 
-def settings_read(family: str, rule: str | None = None) -> dict:
-    """The settings a kernel of ``family`` reads under ``rule`` (None: the default), with their defaults.
+def settings_read(family: str) -> dict:
+    """The settings a kernel of ``family`` reads, with their defaults: imq its offset, rbf none.
 
-    rbf reads its rule, and its bandwidth only under ``fixed``; imq reads its
-    offset.  Each message opens with the setting it rejects.
+    An rbf kernel's bandwidth is the median of the samples (``bandwidth_from_rule``).
+    The message opens with the setting it rejects.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     name, default = FAMILY_PARAMETERS[family]
-    if family != "rbf":
-        return {name: default}
-    if rule is not None and rule not in BANDWIDTH_RULES:
-        raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}, got {rule!r}")
-    return {"bandwidth_rule": BANDWIDTH_RULES[0], **({name: default} if rule == "fixed" else {})}
+    return {} if family == "rbf" else {name: default}
 
 
 def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -315,20 +310,14 @@ def median_bandwidth(X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlock
 
 
 def bandwidth_from_rule(
-    spec: KernelSpec, rule: str, X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlocks | None = None
+    spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None, blocks: SqBlocks | None = None
 ) -> KernelSpec:
-    """``spec`` at the bandwidth that ``rule`` resolves on the current samples, X and Y pooled.
+    """``spec`` at the median bandwidth of the current samples, X and Y pooled.
 
-    Only the rbf kernel has a bandwidth: ``spec`` comes back as it is under
-    the ``fixed`` rule and for the other families, and no median is formed.
-    ``blocks`` is passed on to ``median_bandwidth``.
+    Only the rbf kernel has a bandwidth: the other families come back as
+    they are, and no median is formed.  ``blocks`` is passed on to
+    ``median_bandwidth``.
     """
-    if rule not in BANDWIDTH_RULES:
-        raise ValueError(f"unknown bandwidth rule {rule!r}")
-    if spec.family != "rbf" or rule == "fixed":
+    if spec.family != "rbf":
         return spec
-    h = median_bandwidth(X, Y, blocks)
-    if rule == "median_sq_over_log_n":
-        n = sum(len(S) for S in (X, Y) if S is not None)
-        h = max(h / np.sqrt(max(np.log(n), 1.0)), BANDWIDTH_FLOOR)
-    return spec.with_bandwidth(h)
+    return spec.with_bandwidth(median_bandwidth(X, Y, blocks))

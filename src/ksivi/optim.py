@@ -25,23 +25,7 @@ class AdamState:
         return cls(np.zeros(n_params), np.zeros(n_params))
 
 
-def clip_gradient(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
-    """Rescale to the given norm when exceeded; identity otherwise."""
-    if clip_norm is None:
-        return grad
-    norm = float(np.linalg.norm(grad))
-    if norm > clip_norm:
-        return grad * (clip_norm / norm)
-    return grad
-
-
-def adam_step(
-    state: AdamState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    clip_norm: float | None = None,
-) -> tuple[AdamState, np.ndarray]:
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected update of ``state`` and ``params`` in place; returns both.
 
     The operations round as in ``params - lr * m_hat / (sqrt(v_hat) + eps)``
@@ -50,7 +34,6 @@ def adam_step(
     """
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError("parameter, gradient, and moment lengths disagree")
-    grad = clip_gradient(grad, clip_norm)
     state.step += 1
     step_size, denom = state.work
     np.multiply(grad, 1.0 - state.beta1, out=denom)

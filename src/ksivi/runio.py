@@ -55,14 +55,10 @@ def read_samples_csv(path) -> np.ndarray:
     return data
 
 
-def write_trace_csv(path, trace, scale_name: str, include_wallclock: bool = False) -> None:
-    """Loss trace as CSV, its kernel scale column named ``scale_name`` (``KernelSpec.parameter``);
-    the wallclock column is opt-in because it breaks bit-identical reruns."""
+def write_trace_csv(path, trace, scale_name: str) -> None:
+    """Loss trace as CSV, its kernel scale column named ``scale_name`` (``KernelSpec.parameter``)."""
     columns = ["iteration", "ksd2", scale_name, "beta_temp", "grad_norm"]
     values = [trace.iterations, trace.ksd2, trace.scale, trace.beta_temp, trace.grad_norm]
-    if include_wallclock:
-        columns.append("wallclock_ms")
-        values.append(trace.wallclock_ms)
     data = np.array(values, dtype=np.float64).T  # (rows, columns), also for an empty trace
     fmt = ["%d"] + [FLOAT_FMT] * (len(columns) - 1)
     np.savetxt(path, data, delimiter=",", header=",".join(columns), comments="", fmt=fmt)

@@ -91,6 +91,8 @@ class SamplerConfig:
             raise ValueError("n_particles must be at least 1")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
+        if not np.isfinite(self.step_size):  # NaN passes the check below
+            raise ValueError(f"step_size must be finite, got {self.step_size}")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.burn_in != 0:

@@ -4,15 +4,14 @@ Each iteration draws a fresh batch ``b1`` from the current variational
 family, and a second one ``b2`` for the two-batch estimator (``"vanilla"``;
 the U-statistic, ``"ustat"``, has ``b2 = None``; no other module reads the
 name).  It computes their squared distances once (``kernels.sq_blocks``),
-resolves the configured kernel on those samples from the blocks with
-``kernels.bandwidth_from_rule`` (the bandwidth is held constant while
-differentiating; the ``fixed`` rule and the non-rbf families keep the
-configured kernel), calls ``estimators.value_and_grad`` on ``b1, b2`` and
-the target tempered to the current annealing temperature
-(``targets.Tempered``) with the same blocks, and applies an Adam update.  At
-temperature 1 the target goes in bare: ``Tempered`` would only multiply by
-1.0, which changes no bit, and copy the score and every Hessian-vector
-product to do it.  The median bandwidth is ``np.median`` of the square roots
+sets an rbf kernel's bandwidth to the median of those samples from the
+blocks with ``kernels.bandwidth_from_rule`` (held constant while
+differentiating; imq keeps its configured offset), calls
+``estimators.value_and_grad`` on ``b1, b2`` and the target tempered to the
+current annealing temperature (``targets.Tempered``) with the same blocks,
+and applies an Adam update.  At temperature 1 the target goes in bare:
+``Tempered`` would only multiply by 1.0, which changes no bit, and copy the
+score and every Hessian-vector product to do it.  The median bandwidth is ``np.median`` of the square roots
 of the pooled samples' pair distances (see ``kernels``); samples that are not
 finite give a NaN bandwidth, and so a non-finite loss.  Adam updates the
 parameter buffer (``SIVParams.flat``) in place, so the next draw sees the
@@ -33,14 +32,13 @@ bandwidth, or the configured imq offset.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimators import value_and_grad
 from .family import SIVParams, siv_sample_batch
-from .kernels import BANDWIDTH_RULES, KernelSpec, bandwidth_from_rule, sq_blocks
+from .kernels import KernelSpec, bandwidth_from_rule, sq_blocks
 from .nets import net_jacobian_frobenius
 from .optim import AdamState, adam_step
 from .targets import Tempered
@@ -54,11 +52,10 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     estimator: str = "vanilla"
+    # an rbf kernel's scale is replaced by the median bandwidth of the batches at every iteration
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    bandwidth_rule: str = "median"
     anneal_start: float = 1.0  # 1.0, with anneal_iterations 0, disables annealing
     anneal_iterations: int = 0
-    clip_norm: float | None = None
     seed: int = 0
     log_every: int = 1
 
@@ -72,16 +69,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}, got {self.estimator!r}")
-        if self.bandwidth_rule not in BANDWIDTH_RULES:
-            raise ValueError(f"bandwidth_rule must be one of {BANDWIDTH_RULES}, got {self.bandwidth_rule!r}")
         if not 0.0 < self.anneal_start <= 1.0:
             raise ValueError("anneal_start must lie in (0, 1]")
         if self.anneal_start < 1.0 and self.anneal_iterations <= 0:
             raise ValueError(f"anneal_iterations must be positive for a ramp from {self.anneal_start}")
         if self.anneal_start == 1.0 and self.anneal_iterations > 0:
             raise ValueError(f"anneal_start must lie below 1 for a ramp of {self.anneal_iterations} iterations")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")  # a negative one would reverse every step
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
 
@@ -99,9 +92,8 @@ class LossTrace:
     scale: list[float] = field(default_factory=list)  # the kernel's, as the iteration resolved it
     beta_temp: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
-    wallclock_ms: list[float] = field(default_factory=list)
 
-    def append(self, iteration, value, scale, beta, gnorm, wallclock):
+    def append(self, iteration, value, scale, beta, gnorm):
         if self.iterations and iteration <= self.iterations[-1]:
             raise ValueError("trace iterations must be strictly increasing")
         self.iterations.append(int(iteration))
@@ -109,7 +101,6 @@ class LossTrace:
         self.scale.append(float(scale))
         self.beta_temp.append(float(beta))
         self.grad_norm.append(float(gnorm))
-        self.wallclock_ms.append(float(wallclock))
 
     def __len__(self):
         return len(self.iterations)
@@ -148,7 +139,6 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     two_batch = config.estimator == "vanilla"
     work = np.empty((1 + two_batch, target.work_size(config.batch_size)))  # one block for the run
     grad_rows = np.empty((1 + two_batch, params.flat.size))  # and one for the batches' pullbacks
-    started = time.perf_counter()
 
     for t in range(config.iterations):
         beta = anneal_beta(t, config.anneal_start, config.anneal_iterations)
@@ -156,7 +146,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         b2 = siv_sample_batch(params, config.batch_size, rng) if two_batch else None
         y = None if b2 is None else b2.x
         sq = sq_blocks(b1.x, y)
-        kernel = bandwidth_from_rule(config.kernel, config.bandwidth_rule, b1.x, y, sq)
+        kernel = bandwidth_from_rule(config.kernel, b1.x, y, sq)
         tempered = target if beta == 1.0 else Tempered(target, beta)  # 1.0 * x is x
         value, grad = value_and_grad(params, tempered, kernel, b1, b2, sq, work, grad_rows)
         if not np.isfinite(value):
@@ -164,10 +154,9 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         if not np.all(np.isfinite(grad)):
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             raise TrainingDivergence(t, params.copy(), f"gradient coordinate {bad} is non-finite")
-        adam_step(adam, params.flat, grad, config.learning_rate, config.clip_norm)
+        adam_step(adam, params.flat, grad, config.learning_rate)
         if t % config.log_every == 0:
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)), elapsed_ms)
+            trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)))
         if iteration_hook is not None:
             iteration_hook(t, params)
     return params, trace

@@ -17,6 +17,7 @@ from ksivi.cli import build_parser, main
 from ksivi.configio import (
     KEYS,
     SEED_OFFSETS,
+    TRAIN_FIELDS,
     ConfigError,
     ExperimentConfig,
     build_target,
@@ -40,9 +41,10 @@ from ksivi.train import LossTrace
 from helpers import write_waveform_csv, zero_params
 
 # the kernel settings under which a kernel key is read
-KERNEL_READING = {"kernel.bandwidth": {"kernel.bandwidth_rule": "fixed"}, "kernel.offset": {"kernel.family": "imq"}}
-# kernel keys no family reads: a misspelling, and the smoothing of the deleted riesz kernel
-UNKNOWN_KERNEL_KEYS = ["kernel.width", "kernel.smoothing"]
+KERNEL_READING = {"kernel.offset": {"kernel.family": "imq"}}
+# kernel keys no family reads: a misspelling, the smoothing of the deleted riesz kernel, and the
+# rule and fixed bandwidth of the deleted bandwidth rules (an rbf bandwidth is always the median)
+UNKNOWN_KERNEL_KEYS = ["kernel.width", "kernel.smoothing", "kernel.bandwidth_rule", "kernel.bandwidth"]
 
 TINY_CONFIG = """
 experiment.name = "tiny"
@@ -117,8 +119,9 @@ class TestConfigFormat:
     def test_written_config_snapshot(self, preset):
         # config.txt as ksivi train --preset wrote it with the hand-written reader, before TOML,
         # less the three kernel keys that no preset reads and sampler.burn_in and sampler.thin, which no run reads,
-        # and less the penalty's weight key, which left the schema with the penalty: training descends the
-        # discrepancy alone
+        # less the penalty's weight key, which left the schema with the penalty: training descends the
+        # discrepancy alone, and less kernel.bandwidth_rule and output.trace_wallclock, which left with
+        # the bandwidth rules and the trace's clock column
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
         flat = parse_config_text(text)
         assert flat == ExperimentConfig.from_flat(get_preset(preset)).flat
@@ -178,17 +181,15 @@ class TestConfigFormat:
 
     def test_resolved_flat_holds_every_key(self):
         resolved = ExperimentConfig.from_flat(parse_config_text(TINY_CONFIG)).flat
-        # an unset clip.norm is left out; banana has no target.* keys of its own, and its
-        # rbf kernel reads a rule
-        assert set(resolved) == set(KEYS) - {"clip.norm"} | set(SEED_OFFSETS) | {"kernel.bandwidth_rule"}
+        # banana has no target.* keys of its own, and its rbf kernel reads none
+        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS)
         assert [resolved[key] for key in SEED_OFFSETS] == [1, 2, 3, 4]  # run.seed = 1
         assert resolved["sampler.n_steps"] == KEYS["sampler.n_steps"][1]
-        flat = get_preset("blr-waveform")  # sets target.synthetic_rows, so target.data_path stays unset
-        flat["clip.norm"] = 2.0
+        flat = get_preset("blr-waveform")  # sets target.synthetic_rows, so an unset target.data_path is left out
         resolved = ExperimentConfig.from_flat(flat).flat
         target_keys = {"target.synthetic_rows", "target.data_seed", "target.alpha"}
-        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys | {"kernel.bandwidth_rule"}
-        assert resolved["target.alpha"] == 0.01 and resolved["clip.norm"] == 2.0
+        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys
+        assert resolved["target.alpha"] == 0.01
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -196,8 +197,6 @@ class TestConfigFormat:
             ("train.batch_size", 1, "must be at least 2"),
             ("kernel.offset", 0.0, "must be positive"),
             ("anneal.start", 0.0, "must lie in (0, 1]"),
-            ("clip.norm", -1.0, "must be positive"),
-            ("clip.norm", 0.0, "must be positive"),
         ],
     )
     def test_rejected_settings_name_their_key(self, key, value, message):
@@ -208,11 +207,11 @@ class TestConfigFormat:
         assert str(err.value) == f"{key}: {message}"
 
     @pytest.mark.parametrize(
-        "key", ["train.learning_rate", "sampler.step_size", "kernel.bandwidth", "init.rho", "anneal.start", "clip.norm"]
+        "key", ["train.learning_rate", "sampler.step_size", "kernel.offset", "init.rho", "anneal.start"]
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_floats_rejected(self, key, value):
-        # nan fails every comparison, so a range check such as clip.norm's "<= 0" lets it through; each float
+        # nan fails every comparison, so a range check such as learning_rate's "<= 0" lets it through; each float
         # key is refused as non-finite first, even anneal.start, whose (0, 1] check would refuse nan by range
         flat = {**parse_config_text(TINY_CONFIG), **KERNEL_READING.get(key, {})}
         flat[key] = value
@@ -401,16 +400,12 @@ class TestKernelKeys:
     # (settings, key, changed value): each key read under the settings
     READ = [
         ({}, "kernel.family", "imq"),
-        ({}, "kernel.bandwidth_rule", "median_sq_over_log_n"),
-        ({"kernel.bandwidth_rule": "fixed"}, "kernel.bandwidth", 0.5),
         ({"kernel.family": "imq"}, "kernel.offset", 0.5),
     ]
     # (settings, keys the kernel does not read)
     UNREAD = {
-        "rbf-median": ({}, ["kernel.bandwidth", "kernel.offset"]),
-        "rbf-log-n": ({"kernel.bandwidth_rule": "median_sq_over_log_n"}, ["kernel.bandwidth", "kernel.offset"]),
-        "rbf-fixed": ({"kernel.bandwidth_rule": "fixed"}, ["kernel.offset"]),
-        "imq": ({"kernel.family": "imq"}, ["kernel.bandwidth", "kernel.bandwidth_rule"]),
+        "rbf": ({}, ["kernel.offset"]),
+        "imq": ({"kernel.family": "imq"}, []),
     }
 
     def train(self, tmp_path, name, settings):
@@ -427,7 +422,7 @@ class TestKernelKeys:
         changed = self.train(tmp_path, "changed", {**settings, key: value})
         assert (base / "checkpoint.json").read_bytes() != (changed / "checkpoint.json").read_bytes()
         kernel_keys = {k for k in parse_config_text((changed / "config.txt").read_text()) if k.startswith("kernel.")}
-        assert key in kernel_keys and len(kernel_keys) == (3 if "kernel.bandwidth" in kernel_keys else 2)
+        assert kernel_keys == {"kernel.family", "kernel.offset"}  # both changes end at imq
 
     @pytest.mark.parametrize(
         "settings, key",
@@ -449,34 +444,79 @@ class TestKernelKeys:
         assert {key for _, key, _ in self.READ} == unread | {"kernel.family"}
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_each_preset_records_the_two_kernel_keys_its_run_reads(self, preset):
+    def test_each_preset_records_the_kernel_keys_its_run_reads(self, preset):
         flat = ExperimentConfig.from_flat(get_preset(preset)).flat
-        family = flat["kernel.family"]
-        read = {"rbf": "kernel.bandwidth_rule", "imq": "kernel.offset"}[family]
-        assert {key for key in flat if key.startswith("kernel.")} == {"kernel.family", read}
+        read = {"rbf": set(), "imq": {"kernel.offset"}}[flat["kernel.family"]]
+        assert {key for key in flat if key.startswith("kernel.")} == {"kernel.family", *read}
 
     @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
     def test_an_older_config_listing_unread_kernel_keys_is_refused_by_name(self, preset):
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
-        older = {**parse_config_text(text), "kernel.bandwidth": 1.0, "kernel.offset": 1.0, "kernel.smoothing": 1e-8}
+        older = {
+            **parse_config_text(text),
+            "kernel.bandwidth_rule": "median",
+            "kernel.bandwidth": 1.0,
+            "kernel.offset": 1.0,
+            "kernel.smoothing": 1e-8,
+        }
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_flat(older)
-        assert err.value.fieldname == "kernel.bandwidth, kernel.offset, kernel.smoothing"
+        assert err.value.fieldname == "kernel.bandwidth, kernel.bandwidth_rule, kernel.offset, kernel.smoothing"
 
     @pytest.mark.parametrize(
         "settings, column, value",
         [
-            ({"kernel.bandwidth_rule": "fixed", "kernel.bandwidth": 0.5}, "bandwidth", "0.5"),
+            ({}, "bandwidth", None),
             ({"kernel.family": "imq"}, "offset", "1"),
             ({"kernel.family": "imq", "kernel.offset": 0.25}, "offset", "0.25"),
         ],
-        ids=["rbf-fixed", "imq", "imq-set"],
+        ids=["rbf", "imq", "imq-set"],
     )
     def test_trace_records_the_scale_the_kernel_reads(self, tmp_path, capsys, settings, column, value):
         trace = (self.train(tmp_path, "run", settings) / "trace.csv").read_text()
         rows = [line.split(",") for line in trace.splitlines()]
         assert rows[0] == ["iteration", "ksd2", column, "beta_temp", "grad_norm"]
-        assert [row[2] for row in rows[1:]] == [value] * 5
+        scales = [row[2] for row in rows[1:]]
+        if value is None:  # the median of each iteration's batches, never the family default
+            assert len(set(scales)) == 5 and "1" not in scales
+        else:
+            assert scales == [value] * 5
+
+
+class TestTrainKeys:
+    """Every key of the training settings, and of the family's initialisation, changes the run's output."""
+
+    # five iterations of the tiny config, with an annealing ramp that a change at either end moves
+    BASE = {"train.iterations": 5, "anneal.start": 0.5, "anneal.iterations": 4}
+    CHANGES = {
+        "train.iterations": 6,
+        "train.batch_size": 9,
+        "train.learning_rate": 0.002,
+        "train.estimator": "ustat",
+        "anneal.start": 0.25,
+        "anneal.iterations": 2,
+        "train.seed": 9,
+        "train.log_every": 2,  # the trace alone: the iterations it skips are trained all the same
+        "init.rho": -0.5,
+        "init.seed": 9,
+    }
+
+    def outputs(self, tmp_path, name, settings):
+        """``checkpoint.json`` and ``trace.csv`` of ``ksivi train`` on the tiny config with ``settings``."""
+        config_path = tmp_path / f"{name}.toml"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **self.BASE, **settings}))
+        out = tmp_path / name
+        assert main(["train", str(config_path), "--out", str(out)]) == 0
+        return [(out / artifact).read_bytes() for artifact in ("checkpoint.json", "trace.csv")]
+
+    def test_every_train_key_is_covered(self):
+        assert set(self.CHANGES) == set(TRAIN_FIELDS.values()) | {"init.rho", "init.seed"}
+
+    @pytest.mark.parametrize("key", list(CHANGES))
+    def test_every_key_changes_the_checkpoint_or_trace(self, tmp_path, capsys, key):
+        base = self.outputs(tmp_path, "base", {})
+        changed = self.outputs(tmp_path, "changed", {key: self.CHANGES[key]})
+        assert changed != base
 
 
 class TestRunIO:
@@ -585,17 +625,15 @@ class TestRunIO:
 
     def test_trace_csv(self, tmp_path):
         trace = LossTrace()
-        trace.append(0, 1.5, 0.9, 0.2, 3.0, 10.0)
-        trace.append(1, 1.2, 0.8, 0.3, 2.5, 20.0)
+        trace.append(0, 1.5, 0.9, 0.2, 3.0)
+        trace.append(1, 1.2, 0.8, 0.3, 2.5)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace, "bandwidth")
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,ksd2,bandwidth,beta_temp,grad_norm"
         assert len(lines) == 3
         assert lines[1] == "0,1.5,0.90000000000000002,0.20000000000000001,3"
-        write_trace_csv(path, trace, "bandwidth", include_wallclock=True)
-        assert path.read_text().splitlines()[0].endswith(",wallclock_ms")
-        assert path.read_text().splitlines()[2] == "1,1.2,0.80000000000000004,0.29999999999999999,2.5,20"
+        assert lines[2] == "1,1.2,0.80000000000000004,0.29999999999999999,2.5"
         write_trace_csv(path, LossTrace(), "bandwidth")
         assert path.read_text() == "iteration,ksd2,bandwidth,beta_temp,grad_norm\n"
         write_trace_csv(path, trace, "offset")
@@ -667,6 +705,11 @@ class TestCLI:
             ("sampler.thin = 1\n", "config error: sampler.thin: unknown key"),
             # training descends the kernel Stein discrepancy alone, so an older config's penalty weight is refused
             ("reg.weight = 0.1\n", "config error: reg.weight: unknown key"),
+            # an rbf bandwidth is always the median, no gradient is clipped, and the trace has no clock column
+            ('kernel.bandwidth_rule = "median"\n', "config error: kernel.bandwidth_rule: unknown key"),
+            ("kernel.bandwidth = 1.0\n", "config error: kernel.bandwidth: unknown key"),
+            ("clip.norm = 1.0\n", "config error: clip.norm: unknown key"),
+            ("output.trace_wallclock = false\n", "config error: output.trace_wallclock: unknown key"),
         ],
     )
     def test_bad_sampler_settings_exit_2(self, tmp_path, capsys, command, settings, key):
@@ -759,6 +802,19 @@ class TestCLI:
         config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
         assert main(["train", str(config_path), "--out", str(tmp_path / "out"), *argv]) == 2
         assert f"config error: {key}: must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    def test_negative_config_threads_pin_nothing(self, tmp_path, monkeypatch, capsys, command):
+        # the count is refused before it is pinned, so the process keeps its thread variables
+        pinned = {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "4"}
+        for var, value in pinned.items():
+            monkeypatch.setenv(var, value)
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG + "run.threads = -1\n")
+        assert main([command, str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: run.threads: must be at least 0, got -1\n"
+        assert {var: os.environ[var] for var in pinned} == pinned
+        assert not (tmp_path / "out").exists()
 
     GAUSSIAN = {"target.name": "gaussian", "target.mean": [0.0, 1.0], "target.variances": [1.0, 2.0]}
     STUDENT = {"target.name": "student_product"}

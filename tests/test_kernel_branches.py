@@ -1,10 +1,10 @@
-"""Only ``kernels`` branches on a kernel family or a bandwidth rule.
+"""Only ``kernels`` branches on a kernel family.
 
-Every other module of the package hands a ``KernelSpec`` and a rule name to
-``kernels`` and reads back what it needs (``bandwidth_from_rule``,
-``grad1_weights``, ``KernelSpec.parameter``).  The check is on the source: no
-comparison outside ``kernels.py`` reads a ``.family`` attribute or a family or
-rule name written as a string.
+Every other module of the package hands a ``KernelSpec`` to ``kernels`` and
+reads back what it needs (``bandwidth_from_rule``, ``grad1_weights``,
+``KernelSpec.parameter``).  The check is on the source: no comparison outside
+``kernels.py`` reads a ``.family`` attribute or a family name written as a
+string.
 """
 
 import ast
@@ -15,11 +15,11 @@ import pytest
 from ksivi import kernels
 
 SOURCES = sorted((Path(kernels.__file__).parent).glob("*.py"))
-NAMES = set(kernels.FAMILIES + kernels.BANDWIDTH_RULES)
+NAMES = set(kernels.FAMILIES)
 
 
 def kernel_decisions(tree: ast.AST) -> list[int]:
-    """Line numbers of the comparisons that read a ``.family`` or a family or rule name."""
+    """Line numbers of the comparisons that read a ``.family`` or a family name."""
 
     def decides(node):
         if isinstance(node, ast.Attribute):
@@ -38,7 +38,7 @@ def kernel_decisions(tree: ast.AST) -> list[int]:
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "kernels.py"], ids=lambda p: p.name)
-def test_no_module_but_kernels_branches_on_a_family_or_rule(path):
+def test_no_module_but_kernels_branches_on_a_family(path):
     assert kernel_decisions(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -46,8 +46,7 @@ def test_no_module_but_kernels_branches_on_a_family_or_rule(path):
     "source",
     [
         'if spec.family != "rbf":\n    pass',
-        'ok = config.bandwidth_rule == "fixed"',
-        'ok = rule in ("median", "median_sq_over_log_n")',
+        'ok = family in ("rbf", "imq")',
         'ok = "imq" == name',
     ],
 )

@@ -121,33 +121,16 @@ class TestSpec:
         assert KernelSpec(family).parameter() == (name, default)
         assert KernelSpec(family, 3).parameter() == (name, 3.0)
 
-    @pytest.mark.parametrize(
-        "family, rule, read",
-        [
-            ("rbf", None, {"bandwidth_rule": "median"}),
-            ("rbf", "median", {"bandwidth_rule": "median"}),
-            ("rbf", "median_sq_over_log_n", {"bandwidth_rule": "median"}),
-            ("rbf", "fixed", {"bandwidth_rule": "median", "bandwidth": 1.0}),
-            ("imq", None, {"offset": 1.0}),
-            ("imq", "fixed", {"offset": 1.0}),  # no rule applies to imq
-            ("imq", "median", {"offset": 1.0}),
-        ],
-    )
-    def test_settings_read(self, family, rule, read):
-        assert settings_read(family, rule) == read
+    @pytest.mark.parametrize("family, read", [("rbf", {}), ("imq", {"offset": 1.0})])
+    def test_settings_read(self, family, read):
+        # an rbf bandwidth is the median of the samples, so rbf reads no setting
+        assert settings_read(family) == read
 
-    @pytest.mark.parametrize(
-        "family, rule, message",
-        [
-            ("gauss", None, "family must be one of ('rbf', 'imq'), got 'gauss'"),
-            ("riesz", None, "family must be one of ('rbf', 'imq'), got 'riesz'"),
-            ("rbf", "fixd", "bandwidth_rule must be one of ('median', 'median_sq_over_log_n', 'fixed'), got 'fixd'"),
-        ],
-    )
-    def test_settings_read_refuses_by_name(self, family, rule, message):
+    @pytest.mark.parametrize("family", ["gauss", "riesz"])
+    def test_settings_read_refuses_by_name(self, family):
         with pytest.raises(ValueError) as err:
-            settings_read(family, rule)
-        assert str(err.value) == message
+            settings_read(family)
+        assert str(err.value) == f"family must be one of ('rbf', 'imq'), got {family!r}"
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
@@ -248,26 +231,15 @@ class TestMedianBandwidth:
         samples = np.random.default_rng(42).standard_normal((8, 2))
         assert median_bandwidth(samples[perm]) == median_bandwidth(samples)
 
-    def test_log_n_rule(self):
-        samples = np.random.default_rng(1).standard_normal((50, 2))
-        med = median_bandwidth(samples)
-        resolved = bandwidth_from_rule(RBF, "median_sq_over_log_n", samples)
-        assert np.isclose(resolved.scale, med / np.sqrt(np.log(50)))
-        assert bandwidth_from_rule(RBF, "median", samples) == KernelSpec("rbf", med)
-        for spec in ALL_SPECS:
-            with pytest.raises(ValueError, match="^unknown bandwidth rule 'nope'$"):
-                bandwidth_from_rule(spec, "nope", samples)
-
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
-    @pytest.mark.parametrize("rule", ["median", "median_sq_over_log_n", "fixed"])
-    def test_only_a_resolved_rbf_bandwidth_reads_the_samples(self, monkeypatch, spec, rule):
-        # the fixed rule and the families without a bandwidth return the spec as it is, with no median formed
+    def test_only_an_rbf_bandwidth_reads_the_samples(self, monkeypatch, spec):
+        # the families without a bandwidth return the spec as it is, with no median formed
         samples = np.random.default_rng(2).standard_normal((30, 2))
-        if spec.family == "rbf" and rule != "fixed":
-            assert bandwidth_from_rule(spec, rule, samples).scale != spec.scale
+        if spec.family == "rbf":
+            assert bandwidth_from_rule(spec, samples).scale != spec.scale
         else:
             monkeypatch.setattr(kernels, "median_bandwidth", None)  # a call would raise
-            assert bandwidth_from_rule(spec, rule, samples) is spec
+            assert bandwidth_from_rule(spec, samples) is spec
 
 
 def reference_median(blocks):
@@ -390,7 +362,7 @@ class TestMedianFromDistanceMatrix:
             warnings.simplefilter("error")
             assert np.isnan(median_bandwidth(X[:20], X[20:], blocks))
             assert np.isnan(median_bandwidth(X))
-            assert np.isnan(bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:20], X[20:], blocks).scale)
+            assert np.isnan(bandwidth_from_rule(RBF, X[:20], X[20:], blocks).scale)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_inf_row_gives_nan(self, value):
@@ -418,15 +390,13 @@ class TestMedianFromDistanceMatrix:
         blocks = sq_blocks(X)
         assert median_bandwidth(X, None, blocks) == reference_median(blocks) > 1.0
 
-    def test_log_n_rule_reads_the_blocks(self):
+    def test_median_rule_reads_the_blocks(self):
         X = np.random.default_rng(9).standard_normal((64, 4))
         blocks = sq_blocks(X[:32], X[32:])
-        for rule in ("median", "median_sq_over_log_n"):
-            with_blocks = bandwidth_from_rule(RBF, rule, X[:32], X[32:], blocks)
-            assert with_blocks == bandwidth_from_rule(RBF, rule, X[:32], X[32:])
-        # the rule counts the pooled samples of both sets
-        expect = median_bandwidth(X[:32], X[32:]) / np.sqrt(np.log(64))
-        assert bandwidth_from_rule(RBF, "median_sq_over_log_n", X[:32], X[32:]).scale == expect
+        with_blocks = bandwidth_from_rule(RBF, X[:32], X[32:], blocks)
+        assert with_blocks == bandwidth_from_rule(RBF, X[:32], X[32:])
+        # the median pools the samples of both sets
+        assert with_blocks.scale == median_bandwidth(X[:32], X[32:]) != median_bandwidth(X[:32])
 
 
 class TestEvalMatrixInPlace:

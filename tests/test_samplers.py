@@ -434,13 +434,22 @@ class TestSGLD:
             ("n_steps", 0, "must be at least 1"),
             ("step_size", 0.0, "must be positive"),
             ("step_size", -0.1, "must be positive"),
+            ("step_size", np.nan, "must be finite, got nan"),
+            ("step_size", np.inf, "must be finite, got inf"),
         ],
-        ids=["n_particles", "n_steps", "step_size-zero", "step_size-negative"],
+        ids=["n_particles", "n_steps", "step_size-zero", "step_size-negative", "step_size-nan", "step_size-inf"],
     )
     def test_refusal_opens_with_the_field(self, field, value, rule):
         settings = {"n_particles": 1, "n_steps": 10, "step_size": 0.1, field: value}
         with pytest.raises(ValueError, match=f"^{field} {rule}$"):
             SamplerConfig(**settings)
+
+    @pytest.mark.parametrize("run", [sgld_run, mala_run], ids=["sgld", "mala"])
+    @pytest.mark.parametrize("step_size", [np.nan, np.inf])
+    def test_non_finite_step_size_runs_no_sampler(self, run, step_size):
+        # nan fails "<= 0"; let through, mala returned its N(0, I) initial draws with acceptance 0.0
+        with pytest.raises(ValueError, match=f"^step_size must be finite, got {step_size}$"):
+            run(Banana(), SamplerConfig(n_particles=5, n_steps=3, step_size=step_size))
 
 
 class TestMALA:

@@ -10,8 +10,6 @@ values with each pair of batches its own product.  The estimator keeps its
 own batch-pair check, which ``estimators`` no longer has.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from ksivi.estimators import _pullback, _residuals
 from ksivi.family import SampleBatch, SIVParams, siv_init, siv_sample_batch
 from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec, c_ordered, eval_matrix, pairwise_sq_dists
 from ksivi.nets import NetArch
-from ksivi.optim import AdamState, clip_gradient
+from ksivi.optim import AdamState
 from ksivi.targets import Banana, Tempered, diagonal_gaussian
 from ksivi.train import LossTrace, TrainConfig, TrainingDivergence, anneal_beta, train
 
@@ -67,23 +65,12 @@ def reference_median_bandwidth(batches) -> float:
     return max(float(med), BANDWIDTH_FLOOR)
 
 
-def reference_bandwidth_from_rule(rule: str, batches) -> float:
-    """Resolve a bandwidth policy name on the current sample batches."""
-    med = reference_median_bandwidth(batches)
-    if rule == "median":
-        return med
-    if rule == "median_sq_over_log_n":
-        n = sum(B.shape[0] for B in batches)
-        return max(med / np.sqrt(max(np.log(n), 1.0)), BANDWIDTH_FLOOR)
-    raise ValueError(f"unknown bandwidth rule {rule!r}")
-
-
 def reference_resolve_kernel(config: TrainConfig, batches) -> KernelSpec:
-    """Apply the bandwidth policy for this iteration's sample batches."""
+    """The configured kernel, an rbf one at the median bandwidth of this iteration's sample batches."""
     spec = config.kernel
-    if spec.family != "rbf" or config.bandwidth_rule == "fixed":
+    if spec.family != "rbf":
         return spec
-    return spec.with_bandwidth(reference_bandwidth_from_rule(config.bandwidth_rule, batches))
+    return spec.with_bandwidth(reference_median_bandwidth(batches))
 
 
 ESTIMATOR_KINDS = ("vanilla", "ustat")
@@ -146,12 +133,10 @@ def reference_adam_step(
     params: np.ndarray,
     grad: np.ndarray,
     lr: float,
-    clip_norm: float | None = None,
 ) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected update; returns fresh state and parameter arrays."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError("parameter, gradient, and moment lengths disagree")
-    grad = clip_gradient(grad, clip_norm)
     step = state.step + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
@@ -173,7 +158,6 @@ def reference_train(config: TrainConfig, target, init: SIVParams, iteration_hook
     adam = AdamState.init(flat.size)
     trace = LossTrace()
     arch = init.net.arch
-    started = time.perf_counter()
 
     for t in range(config.iterations):
         beta = anneal_beta(t, config.anneal_start, config.anneal_iterations)
@@ -192,11 +176,10 @@ def reference_train(config: TrainConfig, target, init: SIVParams, iteration_hook
         if not np.all(np.isfinite(grad)):
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             raise TrainingDivergence(t, params, f"gradient coordinate {bad} is non-finite")
-        adam, flat = reference_adam_step(adam, flat, grad, config.learning_rate, config.clip_norm)
+        adam, flat = reference_adam_step(adam, flat, grad, config.learning_rate)
         params = SIVParams.from_flat(arch, flat)
         if t % config.log_every == 0:
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)), elapsed_ms)
+            trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)))
         if iteration_hook is not None:
             iteration_hook(t, params)
     return params, trace
@@ -214,11 +197,9 @@ SHAPES = {
 
 CONFIGS = {
     "median": {},
-    "median_sq_over_log_n": {"bandwidth_rule": "median_sq_over_log_n"},
-    "fixed": {"bandwidth_rule": "fixed", "kernel": KernelSpec("rbf", 0.8)},
     "imq": {"kernel": KernelSpec("imq", 0.7)},
     "imq-sharp": {"kernel": KernelSpec("imq", 0.1)},
-    "clip-anneal": {"clip_norm": 0.05, "anneal_start": 0.2, "anneal_iterations": 6},
+    "anneal": {"anneal_start": 0.2, "anneal_iterations": 6},
 }
 
 
@@ -251,7 +232,7 @@ class TestMatchesReferenceLoop:
 
 class TestOneDistanceMatrixPerIteration:
     @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
-    @pytest.mark.parametrize("config", ["median", "fixed", "imq"])
+    @pytest.mark.parametrize("config", ["median", "imq"])
     def test_counts(self, monkeypatch, estimator, config):
         calls = {"blocks": 0, "pairwise": 0}
 
