@@ -197,6 +197,9 @@ SHAPES = {
 
 CONFIGS = {
     "median": {},
+    # the configured scale of an rbf kernel is replaced by the median every iteration
+    "rbf-scale": {"kernel": KernelSpec("rbf", 0.8)},
+    "log-every": {"log_every": 5},
     "imq": {"kernel": KernelSpec("imq", 0.7)},
     "imq-sharp": {"kernel": KernelSpec("imq", 0.1)},
     "anneal": {"anneal_start": 0.2, "anneal_iterations": 6},
@@ -224,6 +227,7 @@ class TestMatchesReferenceLoop:
     def test_bitwise_equal_params_and_trace(self, shape, estimator, config):
         (params, trace), (ref_params, ref_trace) = run_both(shape, estimator, CONFIGS[config])
         assert np.array_equal(params.to_flat(), ref_params.to_flat())
+        assert trace.iterations == ref_trace.iterations
         assert trace.ksd2 == ref_trace.ksd2
         assert trace.scale == ref_trace.scale
         assert trace.grad_norm == ref_trace.grad_norm
@@ -232,7 +236,7 @@ class TestMatchesReferenceLoop:
 
 class TestOneDistanceMatrixPerIteration:
     @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
-    @pytest.mark.parametrize("config", ["median", "imq"])
+    @pytest.mark.parametrize("config", ["median", "rbf-scale", "imq"])
     def test_counts(self, monkeypatch, estimator, config):
         calls = {"blocks": 0, "pairwise": 0}
 
