@@ -181,11 +181,6 @@ def cmd_evaluate(args) -> int:
     if unknown or not requested:
         problem = f"unknown metric {unknown[0]!r}" if unknown else "--metrics names no metric"
         raise InputError(f"{problem}; expected some of {', '.join(EVALUATE_METRICS)}")
-    # the kernel flags are checked before any file is read or metric computed
-    flags = {"--kernel-family": args.kernel_family, "--kernel-scale": args.kernel_scale}
-    unread = [flag for flag, value in flags.items() if value is not None and "mmd2" not in requested]
-    if unread:
-        raise InputError(f"{', '.join(unread)}: read only by mmd2, which --metrics does not name")
 
     import numpy as np
 
@@ -193,10 +188,6 @@ def cmd_evaluate(args) -> int:
     from .metrics import corr_pairs, kl_knn, mmd2_ustat, sliced_wd, upper_triangle
     from .runio import read_samples_csv
 
-    try:
-        spec = KernelSpec("rbf" if args.kernel_family is None else args.kernel_family, args.kernel_scale)
-    except ValueError as err:  # it opens with the field: the family, or the scale by its parameter's name
-        raise InputError(f"--kernel-{'family' if str(err).startswith('family') else 'scale'}: {err}") from None
     samples = []
     for path in (args.samples_a, args.samples_b):
         try:
@@ -242,14 +233,12 @@ def cmd_evaluate(args) -> int:
                     "k": args.kl_k,
                     "noise_floor": floor,
                 }
-            elif name == "mmd2":
-                if args.kernel_scale is None:  # an rbf kernel takes the median; imq keeps its default offset
-                    spec = bandwidth_from_rule(spec, X, Y, blocks)
-                parameter, value = spec.parameter()  # the one the family reads
+            elif name == "mmd2":  # an rbf kernel at the median bandwidth of the pooled samples
+                spec = bandwidth_from_rule(KernelSpec(), X, Y, blocks)
                 record["metrics"]["mmd2"] = {
                     "value": mmd2_ustat(X, Y, spec, sq=blocks),
                     "kernel": spec.family,
-                    parameter: value,
+                    "bandwidth": spec.scale,
                 }
             elif name == "corr":
                 diff = upper_triangle(corr_pairs(X)) - upper_triangle(corr_pairs(Y))
@@ -346,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=",".join(EVALUATE_METRICS))
     p.add_argument("--n-proj", type=count, default=128)
     p.add_argument("--kl-k", type=count, default=1)
-    p.add_argument("--kernel-family", help="mmd2's kernel family (default: rbf)")
-    p.add_argument("--kernel-scale", type=float, help="the family's one parameter (rbf default: the median)")
     p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out", help="also write the JSON record here")
     p.set_defaults(func=cmd_evaluate)

@@ -6,11 +6,9 @@ sorted, strings quoted as JSON does, so a written file parses back to the same
 dict.
 
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
-and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  Beside
-``kernel.family``, the ``kernel.*`` keys are the settings the family reads,
-with their defaults, as ``kernels.settings_read`` gives them: imq reads
-``kernel.offset``, and rbf reads none, as training sets its bandwidth to the
-median of each iteration's samples.  A kind is
+and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  The one
+kernel key is ``kernel.family``: imq trains at its default offset, and rbf at
+the median bandwidth of each iteration's samples.  A kind is
 ``int``, ``float`` (an integer widens; ``inf`` and ``nan`` are refused),
 ``str``, ``bool`` or ``[kind]``, a list; ``true`` and ``false`` are not
 numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves
@@ -230,7 +228,7 @@ class ExperimentConfig:
     @classmethod
     def from_flat(cls, flat: dict) -> "ExperimentConfig":
         """Check ``flat`` against the schema, fill in its defaults and build the settings."""
-        from .kernels import FAMILY_PARAMETERS, KernelSpec, settings_read
+        from .kernels import KernelSpec
         from .samplers import RUNNERS, SamplerConfig
         from .train import TrainConfig
 
@@ -238,14 +236,10 @@ class ExperimentConfig:
         if target not in TARGET_KEYS:
             raise ConfigError("target.name", f"unknown target {target!r}")
         seed = _take(flat, "run.seed", *KEYS["run.seed"])
-        family = _take(flat, "kernel.family", *KEYS["kernel.family"])
-        with _blame_field("kernel.{}".format):
-            kernel_keys = settings_read(family)
         schema = {
             **KEYS,
             **{key: (int, seed + offset) for key, offset in SEED_OFFSETS.items()},
             **{f"target.{key}": spec for key, spec in TARGET_KEYS[target].items()},
-            **{f"kernel.{key}": (float, default) for key, default in kernel_keys.items()},
         }
         unknown = sorted(set(flat) - set(schema))
         if unknown:
@@ -264,7 +258,7 @@ class ExperimentConfig:
         if len(widths) < 2 or min(widths) < 1:
             raise ConfigError("arch.widths", f"need a list of >= 2 positive integers, got {widths}")
         with _blame_field("kernel.{}".format):
-            kernel = KernelSpec(family, flat.get(f"kernel.{FAMILY_PARAMETERS[family][0]}"))
+            kernel = KernelSpec(flat["kernel.family"])
         train = _settings(TrainConfig, TRAIN_FIELDS, flat, kernel=kernel)
         if flat["sampler.algorithm"] not in RUNNERS:
             raise ConfigError("sampler.algorithm", f"unknown algorithm {flat['sampler.algorithm']!r}")

@@ -12,9 +12,9 @@ A kernel is its family and the one parameter that family reads, its scale
 This is the one module that branches on a family: ``bandwidth_from_rule``
 sets an rbf kernel's bandwidth to the median of the samples (Garreau et al.
 2017) and leaves imq's offset as it is, ``grad1_weights`` is the one place the
-kernel-gradient pair weights are formed, ``KernelSpec.parameter`` names what
-a family reads, and ``settings_read`` the settings that are a config's kernel
-keys: imq's offset, and nothing for rbf, whose bandwidth comes from the samples.
+kernel-gradient pair weights are formed, and ``KernelSpec.parameter`` names
+what a family reads.  A config names a kernel by its family alone: imq reads
+its default offset, and an rbf bandwidth comes from the samples.
 
 Squared distances have one definition, the BLAS expansion
 ``|x|^2 + |y|^2 - 2 x.y`` of ``pairwise_sq_dists``; every median and
@@ -106,18 +106,6 @@ class KernelSpec:
     def parameter(self) -> tuple[str, float]:
         """The name and value of the one parameter this kernel's family reads."""
         return FAMILY_PARAMETERS[self.family][0], self.scale
-
-
-def settings_read(family: str) -> dict:
-    """The settings a kernel of ``family`` reads, with their defaults: imq its offset, rbf none.
-
-    An rbf kernel's bandwidth is the median of the samples (``bandwidth_from_rule``).
-    The message opens with the setting it rejects.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    name, default = FAMILY_PARAMETERS[family]
-    return {} if family == "rbf" else {name: default}
 
 
 def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ diffusion path posterior at three dimensionalities.
 
 from __future__ import annotations
 
+import copy
 import math
 
 from .configio import ConfigError
@@ -38,10 +39,10 @@ def _toy(name, target, rho, anneal=False):
     return flat
 
 
-def _student(width, kernel_family):
+def _student(width, family):
     return {
         **_SHARED,
-        "experiment.name": f"student-product-w{width}-{kernel_family}",
+        "experiment.name": f"student-product-w{width}-{family}",
         "target.name": "student_product",
         "target.nu": 2.0,
         "target.width": float(width),
@@ -49,7 +50,7 @@ def _student(width, kernel_family):
         "arch.widths": [3, 50, 50, 2],
         "init.rho": 0.0,
         "train.iterations": 20_000,
-        "kernel.family": kernel_family,
+        "kernel.family": family,
         "sampler.n_steps": 20_000,
         "sampler.step_size": 0.01,
     }
@@ -112,6 +113,7 @@ PRESET_NAMES = tuple(sorted(_TABLE))
 
 
 def get_preset(name: str) -> dict:
+    """A fresh copy of preset ``name``: changing it, or a list in it, leaves the table as it is."""
     if name not in _TABLE:
         raise ConfigError("preset", f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return dict(_TABLE[name])
+    return copy.deepcopy(_TABLE[name])

@@ -6,7 +6,7 @@ the U-statistic, ``"ustat"``, has ``b2 = None``; no other module reads the
 name).  It computes their squared distances once (``kernels.sq_blocks``),
 sets an rbf kernel's bandwidth to the median of those samples from the
 blocks with ``kernels.bandwidth_from_rule`` (held constant while
-differentiating; imq keeps its configured offset), calls
+differentiating; imq keeps its offset), calls
 ``estimators.value_and_grad`` on ``b1, b2`` and the target tempered to the
 current annealing temperature (``targets.Tempered``) with the same blocks,
 and applies an Adam update.  At temperature 1 the target goes in bare:
@@ -27,7 +27,7 @@ allocation with fresh pages.  Each iteration's estimator call reuses both, so
 an iteration allocates none of these arrays.  The loop records a loss trace
 and aborts with a diagnostic snapshot if anything goes non-finite.  The
 trace's ``scale`` is the iteration's ``KernelSpec.scale``: the resolved rbf
-bandwidth, or the configured imq offset.
+bandwidth, or the imq offset.
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ class TrainConfig:
             raise ValueError(f"anneal_iterations must be positive for a ramp from {self.anneal_start}")
         if self.anneal_start == 1.0 and self.anneal_iterations > 0:
             raise ValueError(f"anneal_start must lie below 1 for a ramp of {self.anneal_iterations} iterations")
+        if self.anneal_start < 1.0 and self.anneal_iterations >= self.iterations:  # beta is 1 from anneal_iterations on
+            raise ValueError(
+                f"anneal_iterations must be fewer than the {self.iterations} iterations run, got "
+                f"{self.anneal_iterations}: the last iteration would train on a tempered target"
+            )
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
 

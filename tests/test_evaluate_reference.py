@@ -5,9 +5,8 @@ blocks once, with its distances written directly: the bandwidth is
 ``np.median`` of the square roots of every pooled pair's expansion value, the
 MMD computes its own three distance matrices, and each neighbour distance is
 read from a full ``np.sort`` of its row.  The noise floor reads its distances
-from one matrix over all of Y, as ``evaluate`` does.  The MMD's record names
-the kernel parameter its family reads, and only an rbf kernel without a
-``--kernel-scale`` forms the median.
+from one matrix over all of Y, as ``evaluate`` does.  The MMD is always the
+rbf kernel's at the median bandwidth, which its record names.
 """
 
 import contextlib
@@ -21,7 +20,7 @@ import numpy as np
 import pytest
 from ksivi import kernels, metrics
 from ksivi.cli import build_parser, cmd_evaluate, main
-from ksivi.kernels import BANDWIDTH_FLOOR, KernelSpec
+from ksivi.kernels import BANDWIDTH_FLOOR
 from ksivi.metrics import (
     DISTANCE_CLAMP,
     DegenerateSamplesError,
@@ -44,18 +43,9 @@ def reference_pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def reference_eval_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
-    """Kernel Gram matrix k(x_i, y_j), shape (n, m).
-
-    ``sq``, if given, is ``pairwise_sq_dists(X, Y)`` computed already.
-    """
-    if sq is None:
-        sq = reference_pairwise_sq_dists(X, Y)
-    if spec.family == "rbf":
-        return np.exp(-sq / (2.0 * spec.scale**2))
-    if spec.family == "imq":
-        return (spec.scale**2 + sq) ** (-0.5)
-    return -np.sqrt(sq + spec.scale**2)
+def reference_rbf_matrix(h: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """rbf Gram matrix exp(-|x_i - y_j|^2 / (2 h^2)), shape (n, m)."""
+    return np.exp(-reference_pairwise_sq_dists(X, Y) / (2.0 * h**2))
 
 
 def reference_median_bandwidth(X: np.ndarray, Y: np.ndarray) -> float:
@@ -65,15 +55,15 @@ def reference_median_bandwidth(X: np.ndarray, Y: np.ndarray) -> float:
     return max(float(np.median(np.sqrt(pairs))), BANDWIDTH_FLOOR)
 
 
-def reference_mmd2_ustat(X, Y, kernel: KernelSpec) -> float:
-    """Unbiased squared maximum mean discrepancy."""
+def reference_mmd2_ustat(X, Y, h: float) -> float:
+    """Unbiased squared maximum mean discrepancy of the rbf kernel at bandwidth ``h``."""
     X = _check_sample_set(X, "X")
     Y = _check_sample_set(Y, "Y")
     _check_pair_dims(X, Y)
     n, m = X.shape[0], Y.shape[0]
-    kxx = reference_eval_matrix(kernel, X, X)
-    kyy = reference_eval_matrix(kernel, Y, Y)
-    kxy = reference_eval_matrix(kernel, X, Y)
+    kxx = reference_rbf_matrix(h, X, X)
+    kyy = reference_rbf_matrix(h, Y, Y)
+    kxy = reference_rbf_matrix(h, X, Y)
     within_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
     within_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
     return float(within_x + within_y - 2.0 * kxy.mean())
@@ -175,17 +165,8 @@ def reference_cmd_evaluate(args) -> int:
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
-                # the record names the one parameter the family reads; only rbf has a median to form
-                family = args.kernel_family or "rbf"
-                rbf = family == "rbf"
-                scale = args.kernel_scale if args.kernel_scale is not None or not rbf else median_bandwidth(X, Y)
-                spec = KernelSpec(family, scale)
-                parameter = {"rbf": "bandwidth", "imq": "offset"}[spec.family]
-                record["metrics"]["mmd2"] = {
-                    "value": mmd2_ustat(X, Y, spec),
-                    "kernel": family,
-                    parameter: spec.scale,
-                }
+                h = median_bandwidth(X, Y)
+                record["metrics"]["mmd2"] = {"value": mmd2_ustat(X, Y, h), "kernel": "rbf", "bandwidth": h}
             elif name == "corr":
                 diff = upper_triangle(corr_pairs(X)) - upper_triangle(corr_pairs(Y))
                 record["metrics"]["corr"] = {
@@ -242,10 +223,10 @@ class TestMatchesReferenceCommand:
         "n, m, d, extra",
         [
             (150, 90, 12, ["--kl-k", "3"]),
-            (80, 121, 40, ["--kernel-family", "imq", "--kernel-scale", "0.5", "--metrics", "mmd2,kl_knn"]),
-            (60, 60, 200, ["--kernel-family", "imq", "--kl-k", "3", "--seed", "5"]),
-            (70, 50, 3, ["--kernel-scale", "0.8", "--metrics", "kl_knn,mmd2,corr"]),
-            (40, 30, 5, ["--kernel-family", "imq", "--kernel-scale", "0.25", "--metrics", "mmd2"]),
+            (80, 121, 40, ["--metrics", "mmd2,kl_knn"]),
+            (60, 60, 200, ["--kl-k", "3", "--seed", "5"]),
+            (70, 50, 3, ["--metrics", "kl_knn,mmd2,corr"]),
+            (40, 30, 5, ["--metrics", "mmd2"]),
         ],
     )
     def test_same_record_across_options(self, tmp_path, n, m, d, extra):

@@ -40,11 +40,16 @@ from ksivi.train import LossTrace
 
 from helpers import write_waveform_csv, zero_params
 
-# the kernel settings under which a kernel key is read
-KERNEL_READING = {"kernel.offset": {"kernel.family": "imq"}}
-# kernel keys no family reads: a misspelling, the smoothing of the deleted riesz kernel, and the
-# rule and fixed bandwidth of the deleted bandwidth rules (an rbf bandwidth is always the median)
-UNKNOWN_KERNEL_KEYS = ["kernel.width", "kernel.smoothing", "kernel.bandwidth_rule", "kernel.bandwidth"]
+# kernel keys outside the schema, whose one kernel key is kernel.family: a misspelling, the smoothing of
+# the deleted riesz kernel, the rule and fixed bandwidth of the deleted bandwidth rules (an rbf bandwidth
+# is always the median), and the deleted imq offset (imq always reads its default)
+UNKNOWN_KERNEL_KEYS = [
+    "kernel.width",
+    "kernel.smoothing",
+    "kernel.bandwidth_rule",
+    "kernel.bandwidth",
+    "kernel.offset",
+]
 
 TINY_CONFIG = """
 experiment.name = "tiny"
@@ -195,25 +200,22 @@ class TestConfigFormat:
         "key, value, message",
         [
             ("train.batch_size", 1, "must be at least 2"),
-            ("kernel.offset", 0.0, "must be positive"),
             ("anneal.start", 0.0, "must lie in (0, 1]"),
         ],
     )
     def test_rejected_settings_name_their_key(self, key, value, message):
-        flat = {**parse_config_text(TINY_CONFIG), **KERNEL_READING.get(key, {})}
+        flat = parse_config_text(TINY_CONFIG)
         flat[key] = value
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_flat(flat)
         assert str(err.value) == f"{key}: {message}"
 
-    @pytest.mark.parametrize(
-        "key", ["train.learning_rate", "sampler.step_size", "kernel.offset", "init.rho", "anneal.start"]
-    )
+    @pytest.mark.parametrize("key", ["train.learning_rate", "sampler.step_size", "init.rho", "anneal.start"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_floats_rejected(self, key, value):
         # nan fails every comparison, so a range check such as learning_rate's "<= 0" lets it through; each float
         # key is refused as non-finite first, even anneal.start, whose (0, 1] check would refuse nan by range
-        flat = {**parse_config_text(TINY_CONFIG), **KERNEL_READING.get(key, {})}
+        flat = parse_config_text(TINY_CONFIG)
         flat[key] = value
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_flat(flat)
@@ -241,6 +243,14 @@ class TestPresetFidelity:
         for name in PRESET_NAMES:
             config = ExperimentConfig.from_flat(get_preset(name))
             assert config.name == name
+
+    def test_changing_a_returned_preset_leaves_the_next_one_as_it_was(self):
+        for name in PRESET_NAMES:
+            written = format_config(get_preset(name))
+            flat = get_preset(name)
+            flat["arch.widths"].append(9)
+            flat["train.iterations"] = 1
+            assert format_config(get_preset(name)) == written
 
     def test_toy_settings(self):
         for name in ("toy-banana", "toy-multimodal", "toy-xshaped"):
@@ -394,19 +404,12 @@ class TestSamplerKeys:
 
 
 class TestKernelKeys:
-    """A config holds the kernel keys its kernel reads, each of which changes the run; any other is refused."""
+    """A config's one kernel key is kernel.family, which changes the run; any other kernel key is refused."""
 
     BASE = {"train.iterations": 5}
     # (settings, key, changed value): each key read under the settings
-    READ = [
-        ({}, "kernel.family", "imq"),
-        ({"kernel.family": "imq"}, "kernel.offset", 0.5),
-    ]
-    # (settings, keys the kernel does not read)
-    UNREAD = {
-        "rbf": ({}, ["kernel.offset"]),
-        "imq": ({"kernel.family": "imq"}, []),
-    }
+    READ = [({}, "kernel.family", "imq")]
+    KERNELS = {"rbf": {}, "imq": {"kernel.family": "imq"}}
 
     def train(self, tmp_path, name, settings):
         """The run directory of ``ksivi train`` on the tiny config with ``settings``."""
@@ -422,14 +425,14 @@ class TestKernelKeys:
         changed = self.train(tmp_path, "changed", {**settings, key: value})
         assert (base / "checkpoint.json").read_bytes() != (changed / "checkpoint.json").read_bytes()
         kernel_keys = {k for k in parse_config_text((changed / "config.txt").read_text()) if k.startswith("kernel.")}
-        assert kernel_keys == {"kernel.family", "kernel.offset"}  # both changes end at imq
+        assert kernel_keys == {"kernel.family"}
 
     @pytest.mark.parametrize(
         "settings, key",
         [
             pytest.param(settings, key, id=f"{kernel}-{key}")
-            for kernel, (settings, keys) in UNREAD.items()
-            for key in [*keys, *UNKNOWN_KERNEL_KEYS]
+            for kernel, settings in KERNELS.items()
+            for key in UNKNOWN_KERNEL_KEYS
         ],
     )
     def test_every_unread_key_exits_2_naming_it(self, tmp_path, capsys, settings, key):
@@ -440,14 +443,12 @@ class TestKernelKeys:
         assert not (tmp_path / "out").exists()
 
     def test_every_kernel_key_is_covered(self):
-        unread = {key for _, keys in self.UNREAD.values() for key in keys}
-        assert {key for _, key, _ in self.READ} == unread | {"kernel.family"}
+        assert {key for key in KEYS if key.startswith("kernel.")} == {key for _, key, _ in self.READ}
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_each_preset_records_the_kernel_keys_its_run_reads(self, preset):
         flat = ExperimentConfig.from_flat(get_preset(preset)).flat
-        read = {"rbf": set(), "imq": {"kernel.offset"}}[flat["kernel.family"]]
-        assert {key for key in flat if key.startswith("kernel.")} == {"kernel.family", *read}
+        assert {key for key in flat if key.startswith("kernel.")} == {"kernel.family"}
 
     @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
     def test_an_older_config_listing_unread_kernel_keys_is_refused_by_name(self, preset):
@@ -468,9 +469,8 @@ class TestKernelKeys:
         [
             ({}, "bandwidth", None),
             ({"kernel.family": "imq"}, "offset", "1"),
-            ({"kernel.family": "imq", "kernel.offset": 0.25}, "offset", "0.25"),
         ],
-        ids=["rbf", "imq", "imq-set"],
+        ids=["rbf", "imq"],
     )
     def test_trace_records_the_scale_the_kernel_reads(self, tmp_path, capsys, settings, column, value):
         trace = (self.train(tmp_path, "run", settings) / "trace.csv").read_text()
@@ -869,6 +869,8 @@ class TestCLI:
         assert set(re.findall(r"target\.\w+", err)) == {message.partition(":")[0]}
         assert list(tmp_path.iterdir()) == [config_path]
 
+    LONG_RAMP = "must be fewer than the 20 iterations run, got {}: the last iteration would train on a tempered target"
+
     @pytest.mark.parametrize(
         "settings, message",
         [
@@ -876,15 +878,19 @@ class TestCLI:
             ({"anneal.start": 0.3, "anneal.iterations": 0}, "anneal.iterations: must be positive for a ramp from 0.3"),
             ({"anneal.iterations": 100}, "anneal.start: must lie below 1 for a ramp of 100 iterations"),
             ({"anneal.start": 1.0, "anneal.iterations": 5}, "anneal.start: must lie below 1 for a ramp of 5 iterations"),
+            ({"anneal.start": 0.2, "anneal.iterations": 20}, f"anneal.iterations: {LONG_RAMP.format(20)}"),
+            ({"anneal.start": 0.2, "anneal.iterations": 1000}, f"anneal.iterations: {LONG_RAMP.format(1000)}"),
         ],
-        ids=["start-alone", "zero-iterations", "iterations-alone", "start-one"],
+        ids=["start-alone", "zero-iterations", "iterations-alone", "start-one", "as-long-as-the-run", "longer"],
     )
-    def test_half_set_anneal_ramp_exits_2(self, tmp_path, capsys, settings, message):
-        # either end alone would train untempered on every iteration
+    def test_bad_anneal_ramp_exits_2(self, tmp_path, capsys, settings, message):
+        # either end alone would train untempered on every iteration; beta reaches 1 at iteration
+        # anneal.iterations, so a ramp as long as the run's 20 iterations would end it tempered
         config_path = tmp_path / "config.txt"
         config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **settings}))
         assert main(["train", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
     def test_negative_threads_flag_exits_2(self, tmp_path, capsys, command):
@@ -1010,70 +1016,33 @@ class TestCLI:
         assert err.startswith(f"error: {named}{message}")
 
     @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--kernel-scale", "nan"], "bandwidth must be finite, got nan"),
-            (["--kernel-scale", "inf"], "bandwidth must be finite, got inf"),
-            (["--kernel-family", "imq", "--kernel-scale", "nan"], "offset must be finite, got nan"),
-            (["--kernel-family", "imq", "--kernel-scale", "inf"], "offset must be finite, got inf"),
-            (["--kernel-family", "imq", "--kernel-scale", "0"], "offset must be positive"),
-        ],
-        ids=["bandwidth-nan", "bandwidth-inf", "offset-nan", "offset-inf", "offset-zero"],
+        "scale, metric",
+        [(1e160, "mmd2"), (1e160, "sliced_wd"), (1e160, "corr")],
+        ids=["mmd2-huge-samples", "sliced-wd-huge-samples", "corr-huge-samples"],
     )
-    def test_evaluate_non_finite_kernel_parameter_exits_2(self, tmp_path, capsys, flags, message):
-        # a NaN value would print as NaN, which is not JSON; an infinite bandwidth would report an mmd2 of 0
-        path = tmp_path / "s.csv"
-        write_samples_csv(path, np.random.default_rng(4).standard_normal((20, 2)))
-        assert main(["evaluate", str(path), str(path), "--metrics", "mmd2", *flags]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: --kernel-scale: {message}\n"
-
-    @pytest.mark.parametrize(
-        "scale, metric, flags",
-        [(1e160, "mmd2", []), (1e160, "sliced_wd", []), (1e160, "corr", []), (1.0, "mmd2", ["--kernel-scale", "1e-170"])],
-        ids=["mmd2-huge-samples", "sliced-wd-huge-samples", "corr-huge-samples", "mmd2-tiny-bandwidth"],
-    )
-    def test_evaluate_non_finite_metric_exits_2(self, tmp_path, capsys, scale, metric, flags):
+    def test_evaluate_non_finite_metric_exits_2(self, tmp_path, capsys, scale, metric):
         # json.dumps would print the NaN or infinity as NaN or Infinity, which are not JSON
         rng = np.random.default_rng(5)
         a_path, b_path, record = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "record.json"
         write_samples_csv(a_path, scale * rng.standard_normal((50, 2)))
         write_samples_csv(b_path, scale * rng.standard_normal((50, 2)))
         with np.errstate(all="ignore"):
-            code = main(["evaluate", str(a_path), str(b_path), "--metrics", metric, *flags, "--out", str(record)])
+            code = main(["evaluate", str(a_path), str(b_path), "--metrics", metric, "--out", str(record)])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: {a_path}, {b_path}: {metric}: a value is NaN or infinite, which JSON cannot hold\n"
         assert not record.exists()
 
-    UNREAD_FLAGS = "read only by mmd2, which --metrics does not name"
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--metrics", "sliced_wd", "--kernel-family", "gauss"], f"--kernel-family: {UNREAD_FLAGS}"),
-            (
-                ["--metrics", "sliced_wd,corr", "--kernel-family", "imq", "--kernel-scale", "3"],
-                f"--kernel-family, --kernel-scale: {UNREAD_FLAGS}",
-            ),
-            (["--metrics", "kl_knn", "--kernel-scale", "0.5"], f"--kernel-scale: {UNREAD_FLAGS}"),
-            (["--kernel-family", "riesz"], "--kernel-family: family must be one of ('rbf', 'imq'), got 'riesz'"),
-            (["--metrics", "sliced_wd,mmd2", "--kernel-scale", "0"], "--kernel-scale: bandwidth must be positive"),
-        ],
-        ids=["family-without-mmd2", "both-without-mmd2", "scale-without-mmd2", "riesz", "zero-after-a-metric"],
-    )
-    def test_kernel_flags_refused_before_any_metric(self, tmp_path, capsys, monkeypatch, flags, message):
-        def refused(*args, **kwargs):
-            raise AssertionError("evaluate read a file or computed a metric")
-
-        for name in ("runio.read_samples_csv", "metrics.sliced_wd", "metrics.corr_pairs", "metrics.kl_knn"):
-            monkeypatch.setattr(f"ksivi.{name}", refused)
-        path, record = tmp_path / "s.csv", tmp_path / "record.json"
+    @pytest.mark.parametrize("flag", ["--kernel-family", "--kernel-scale"])
+    def test_deleted_kernel_flags_exit_2(self, tmp_path, capsys, flag):
+        # mmd2's kernel is always the rbf at the pooled median; neither flag is an option any more
+        path = tmp_path / "s.csv"
         write_samples_csv(path, np.random.default_rng(4).standard_normal((20, 2)))
-        assert main(["evaluate", str(path), str(path), *flags, "--out", str(record)]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", str(path), str(path), flag, "1"])
+        assert exit_info.value.code == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {message}\n"
-        assert not record.exists()
+        assert out == "" and f"error: unrecognized arguments: {flag} 1" in err
 
     def test_unknown_metric_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         def refused(*args, **kwargs):
@@ -1197,17 +1166,7 @@ class TestCLI:
         write_samples_csv(b_path, rng.standard_normal((2 * k + 2, 2)))
         assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn", "--kl-k", str(k)]) == 0
 
-    @pytest.mark.parametrize(
-        "flags, parameter",
-        [
-            ([], {"bandwidth"}),
-            (["--kernel-scale", "0.8"], {"bandwidth": 0.8}),
-            (["--kernel-family", "imq", "--kernel-scale", "2"], {"offset": 2.0}),
-            (["--kernel-family", "imq"], {"offset": 1.0}),
-        ],
-        ids=["rbf-median", "rbf-fixed", "imq", "imq-default"],
-    )
-    def test_evaluate_records_the_kernel_parameter_the_mmd_reads(self, tmp_path, capsys, monkeypatch, flags, parameter):
+    def test_evaluate_records_the_kernel_parameter_the_mmd_reads(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(7)
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         write_samples_csv(a_path, rng.standard_normal((30, 2)))
@@ -1220,15 +1179,11 @@ class TestCLI:
             return medians[-1]
 
         monkeypatch.setattr(ksivi.kernels, "median_bandwidth", counted)
-        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "mmd2", *flags]) == 0
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "mmd2"]) == 0
         record = json.loads(capsys.readouterr().out)["metrics"]["mmd2"]
-        family = flags[flags.index("--kernel-family") + 1] if "--kernel-family" in flags else "rbf"
-        assert set(record) == {"value", "kernel", *parameter} and record["kernel"] == family
-        if isinstance(parameter, dict):
-            assert {name: record[name] for name in parameter} == parameter
-            assert medians == []  # a fixed bandwidth, or a family without one, forms no median
-        else:
-            assert record["bandwidth"] == medians[0] and len(medians) == 1
+        # the rbf kernel at the median of the pooled samples, formed once
+        assert set(record) == {"value", "kernel", "bandwidth"} and record["kernel"] == "rbf"
+        assert record["bandwidth"] == medians[0] and len(medians) == 1
 
     def test_evaluate_dimension_mismatch(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -16,7 +16,6 @@ from ksivi.kernels import (
     grad1_weights,
     median_bandwidth,
     pairwise_sq_dists,
-    settings_read,
     sq_blocks,
     weighted_grad1_sum,
 )
@@ -120,17 +119,6 @@ class TestSpec:
         assert KernelSpec(family) == KernelSpec(family, default)
         assert KernelSpec(family).parameter() == (name, default)
         assert KernelSpec(family, 3).parameter() == (name, 3.0)
-
-    @pytest.mark.parametrize("family, read", [("rbf", {}), ("imq", {"offset": 1.0})])
-    def test_settings_read(self, family, read):
-        # an rbf bandwidth is the median of the samples, so rbf reads no setting
-        assert settings_read(family) == read
-
-    @pytest.mark.parametrize("family", ["gauss", "riesz"])
-    def test_settings_read_refuses_by_name(self, family):
-        with pytest.raises(ValueError) as err:
-            settings_read(family)
-        assert str(err.value) == f"family must be one of ('rbf', 'imq'), got {family!r}"
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)

@@ -145,10 +145,11 @@ class TestTrainLoop:
         assert len(trace) == 30
 
     def test_objective_is_tempered(self):
-        # iteration 0 logs the objective on the target tempered to anneal_start
+        # iteration 0 logs the objective on the target tempered to anneal_start; the ramp ends
+        # before the last iteration
         init = siv_init(NetArch((3, 8, 2)), seed=6, rho_init=0.0)
         config = TrainConfig(
-            iterations=1, batch_size=8, learning_rate=1e-3, anneal_start=0.3, anneal_iterations=10, seed=7
+            iterations=11, batch_size=8, learning_rate=1e-3, anneal_start=0.3, anneal_iterations=10, seed=7
         )
         _, trace = train(config, Banana(), init)
         rng = np.random.default_rng(config.seed)
@@ -157,8 +158,8 @@ class TestTrainLoop:
         kernel = bandwidth_from_rule(config.kernel, np.concatenate([b1.x, b2.x]))
         tempered, _ = value_and_grad(init, Tempered(Banana(), 0.3), kernel, b1, b2)
         untempered, _ = value_and_grad(init, Banana(), kernel, b1, b2)
-        assert trace.beta_temp == [0.3]
-        assert trace.ksd2 == [tempered]
+        assert trace.beta_temp[0] == 0.3
+        assert trace.ksd2[0] == tempered
         assert tempered != untempered
 
     def test_log_cadence(self):
@@ -333,6 +334,13 @@ class TestTrainLoop:
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, anneal_start=0.3)
         with pytest.raises(ValueError, match="^anneal_start must lie below 1 for a ramp of 10 iterations$"):
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, anneal_iterations=10)
+        # beta reaches 1 at iteration anneal_iterations, so the last iteration must lie beyond it
+        for iterations in (1, 10):
+            with pytest.raises(ValueError, match=f"^anneal_iterations must be fewer than the {iterations} iterations"):
+                TrainConfig(
+                    iterations=iterations, batch_size=8, learning_rate=1e-3, anneal_start=0.3, anneal_iterations=10
+                )
+        TrainConfig(iterations=11, batch_size=8, learning_rate=1e-3, anneal_start=0.3, anneal_iterations=10)
         with pytest.raises(ValueError):
             TrainConfig(iterations=1, batch_size=8, learning_rate=1e-3, estimator="x")
 
