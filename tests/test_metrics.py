@@ -80,6 +80,38 @@ class TestMMD:
         with pytest.raises(ValueError):
             mmd2_ustat(np.zeros((1, 2)), np.zeros((5, 2)), RBF)
 
+    @pytest.mark.parametrize(
+        "n, m, d, kernel",
+        [
+            (70, 50, 3, KernelSpec("rbf", 0.8)),
+            (80, 121, 40, KernelSpec("imq", 0.5)),
+            (60, 60, 200, KernelSpec("imq")),
+            (40, 30, 5, KernelSpec("imq", 0.25)),
+        ],
+        ids=["rbf-fixed", "imq", "imq-default", "imq-sharp"],
+    )
+    def test_ustat_matches_the_written_out_sum(self, n, m, d, kernel):
+        # evaluate's mmd2 is the rbf at the median; any other kernel is this one call, so it keeps its oracle here
+        rng = np.random.default_rng(n + m + d)
+        X = rng.standard_normal((n, d))
+        Y = rng.standard_normal((m, d)) * 1.2 + 0.3
+
+        def gram(A, B):
+            sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+            if kernel.family == "rbf":
+                return np.exp(-sq / (2.0 * kernel.scale**2))
+            return (kernel.scale**2 + sq) ** -0.5
+
+        kxx, kyy = gram(X, X), gram(Y, Y)
+        expect = (
+            (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+            + (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+            - 2.0 * gram(X, Y).mean()
+        )
+        value = mmd2_ustat(X, Y, kernel)
+        assert np.isclose(value, expect, rtol=1e-9, atol=1e-12)
+        assert mmd2_ustat(X, Y, kernel, sq_blocks(X, Y)) == value  # the blocks change no bit
+
 
 class TestSlicedWD:
     def test_identical_sets_zero(self):
