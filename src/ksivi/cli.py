@@ -120,7 +120,7 @@ def cmd_train(args) -> int:
         "seconds_per_10k_iterations": (
             train_seconds * 10_000 / config.train.iterations if config.train.iterations else 0.0
         ),
-        "final_ksd2": trace.ksd2[-1] if len(trace) else None,
+        "final_ksd2": trace["ksd2"][-1] if len(trace) else None,
     }
     usage = _rusage()
     if usage is not None:

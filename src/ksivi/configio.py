@@ -99,7 +99,6 @@ KEYS = {
     "train.batch_size": (int, REQUIRED),
     "train.learning_rate": (float, REQUIRED),
     "train.estimator": (str, "vanilla"),
-    "train.log_every": (int, 1),
     "kernel.family": (str, "rbf"),
     "anneal.start": (float, 1.0),
     "anneal.iterations": (int, 0),
@@ -128,7 +127,6 @@ TRAIN_FIELDS = {
     "anneal_start": "anneal.start",
     "anneal_iterations": "anneal.iterations",
     "seed": "train.seed",
-    "log_every": "train.log_every",
 }
 SAMPLER_FIELDS = {field: f"sampler.{field}" for field in ("n_particles", "n_steps", "step_size", "seed")}
 

@@ -1,4 +1,4 @@
-"""Run artifacts: sample CSVs, loss traces, checkpoints, manifests.
+"""Run artifacts: sample CSVs, training traces, checkpoints, manifests.
 
 Floats are rendered with 17 significant digits everywhere, which round-trips
 float64 exactly, so rereading any written artifact reproduces the original
@@ -56,10 +56,12 @@ def read_samples_csv(path) -> np.ndarray:
 
 
 def write_trace_csv(path, trace, scale_name: str) -> None:
-    """Loss trace as CSV, its kernel scale column named ``scale_name`` (``KernelSpec.parameter``)."""
+    """``train``'s trace as CSV: the row index as ``iteration``, then its fields in order.
+
+    The kernel scale column is named ``scale_name`` (``KernelSpec.parameter``).
+    """
     columns = ["iteration", "ksd2", scale_name, "beta_temp", "grad_norm"]
-    values = [trace.iterations, trace.ksd2, trace.scale, trace.beta_temp, trace.grad_norm]
-    data = np.array(values, dtype=np.float64).T  # (rows, columns), also for an empty trace
+    data = np.column_stack([np.arange(len(trace)), *(trace[name] for name in trace.dtype.names)])
     fmt = ["%d"] + [FLOAT_FMT] * (len(columns) - 1)
     np.savetxt(path, data, delimiter=",", header=",".join(columns), comments="", fmt=fmt)
 

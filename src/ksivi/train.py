@@ -24,10 +24,16 @@ logits and weights).  The gradient rows hold a parameter vector each, into
 which the estimator writes the batches' pullbacks and their sum; at
 cd-dim200 a row is 546 KB, above glibc's default threshold for serving an
 allocation with fresh pages.  Each iteration's estimator call reuses both, so
-an iteration allocates none of these arrays.  The loop records a loss trace
-and aborts with a diagnostic snapshot if anything goes non-finite.  The
-trace's ``scale`` is the iteration's ``KernelSpec.scale``: the resolved rbf
-bandwidth, or the imq offset.
+an iteration allocates none of these arrays.  The loop aborts with a
+diagnostic snapshot if anything goes non-finite.
+
+The trace is one array allocated before the loop, row ``t`` holding
+iteration ``t`` in the float64 fields ``TRACE_FIELDS``: ``ksd2``, the
+estimator's value (the unbiased squared kernel Stein discrepancy estimate of
+the batches, the objective alone); ``scale``, the iteration's
+``KernelSpec.scale`` (the resolved rbf bandwidth, or the imq offset);
+``beta_temp``, the annealing temperature; and ``grad_norm``, the gradient's
+norm.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .optim import AdamState, adam_step
 from .targets import Tempered
 
 ESTIMATOR_KINDS = ("vanilla", "ustat")  # two batches, or the U-statistic on one
+TRACE_FIELDS = ("ksd2", "scale", "beta_temp", "grad_norm")
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,6 @@ class TrainConfig:
     anneal_start: float = 1.0  # 1.0, with anneal_iterations 0, disables annealing
     anneal_iterations: int = 0
     seed: int = 0
-    log_every: int = 1
 
     def __post_init__(self):
         # each message opens with the field it rejects; configio names the key by it
@@ -82,35 +88,6 @@ class TrainConfig:
                 f"anneal_iterations must be fewer than the {self.iterations} iterations run, got "
                 f"{self.anneal_iterations}: the last iteration would train on a tempered target"
             )
-        if self.log_every < 1:
-            raise ValueError("log_every must be at least 1")
-
-
-@dataclass
-class LossTrace:
-    """Per-logged-iteration training records.
-
-    ``ksd2`` is the estimator's value at the iteration: the unbiased squared
-    kernel Stein discrepancy estimate of the batches, the objective alone.
-    """
-
-    iterations: list[int] = field(default_factory=list)
-    ksd2: list[float] = field(default_factory=list)
-    scale: list[float] = field(default_factory=list)  # the kernel's, as the iteration resolved it
-    beta_temp: list[float] = field(default_factory=list)
-    grad_norm: list[float] = field(default_factory=list)
-
-    def append(self, iteration, value, scale, beta, gnorm):
-        if self.iterations and iteration <= self.iterations[-1]:
-            raise ValueError("trace iterations must be strictly increasing")
-        self.iterations.append(int(iteration))
-        self.ksd2.append(float(value))
-        self.scale.append(float(scale))
-        self.beta_temp.append(float(beta))
-        self.grad_norm.append(float(gnorm))
-
-    def __len__(self):
-        return len(self.iterations)
 
 
 class TrainingDivergence(RuntimeError):
@@ -134,15 +111,15 @@ def anneal_beta(iteration: int, start: float = 1.0, anneal_iterations: int = 0) 
 def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     """Run the configured number of iterations from ``init``.
 
-    Returns the final parameters and the loss trace.  ``iteration_hook``, if
-    given, is called as ``hook(iteration, params)`` after every update with
-    the live parameters, which hold until the next update: a hook that keeps
-    them copies them itself.
+    Returns the final parameters and the trace, a row per iteration.
+    ``iteration_hook``, if given, is called as ``hook(iteration, params)``
+    after every update with the live parameters, which hold until the next
+    update: a hook that keeps them copies them itself.
     """
     rng = np.random.default_rng(config.seed)
     params = init.copy()  # its buffer is the one Adam steps
     adam = AdamState.init(params.flat.size)
-    trace = LossTrace()
+    trace = np.empty(config.iterations, dtype=[(name, np.float64) for name in TRACE_FIELDS])
     two_batch = config.estimator == "vanilla"
     work = np.empty((1 + two_batch, target.work_size(config.batch_size)))  # one block for the run
     grad_rows = np.empty((1 + two_batch, params.flat.size))  # and one for the batches' pullbacks
@@ -162,8 +139,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             raise TrainingDivergence(t, params.copy(), f"gradient coordinate {bad} is non-finite")
         adam_step(adam, params.flat, grad, config.learning_rate)
-        if t % config.log_every == 0:
-            trace.append(t, value, kernel.scale, beta, float(np.linalg.norm(grad)))
+        trace[t] = value, kernel.scale, beta, np.linalg.norm(grad)
         if iteration_hook is not None:
             iteration_hook(t, params)
     return params, trace

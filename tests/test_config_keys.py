@@ -5,10 +5,20 @@ result checks.  A new key needs a preset or a workload that sets it, or an
 entry in ``UNSET_KEYS`` that says why it stays at its default.  The keys a
 run can set are those of the schema (``configio.KEYS``, ``SEED_OFFSETS`` and
 every target's ``TARGET_KEYS``) and those a preset's resolved config holds.
+
+The settings built from a config hold no field that only code can set
+unnoticed: each field of ``TrainConfig`` and ``SamplerConfig`` is read from
+a schema key through ``TRAIN_FIELDS`` or ``SAMPLER_FIELDS``, is
+``TrainConfig``'s kernel, which ``kernel.family`` builds, or is named in
+``UNKEYED_FIELDS`` with a reason.
 """
 
-from ksivi.configio import KEYS, SEED_OFFSETS, TARGET_KEYS, ExperimentConfig
+from dataclasses import fields
+
+from ksivi.configio import KEYS, SAMPLER_FIELDS, SEED_OFFSETS, TARGET_KEYS, TRAIN_FIELDS, ExperimentConfig
 from ksivi.presets import PRESET_NAMES, get_preset
+from ksivi.samplers import SamplerConfig
+from ksivi.train import TrainConfig
 
 from test_benchmark_workload import workload  # perfbench/workload.py, loaded by path
 
@@ -16,7 +26,6 @@ DERIVED_SEED = "derived from run.seed; set only to rerun one random stream apart
 UNSET_KEYS = {
     "run.threads": "pins the BLAS thread count, a property of the machine; --threads sets it per command",
     "train.estimator": "the U-statistic in place of the two-batch estimator; test_train_reference checks both",
-    "train.log_every": "thins the trace of a long run; presets and workloads log every iteration",
     "sampler.n_particles": "every preset and workload samples the default 1,000 particles",
     "eval.sample_size": "every preset and workload draws the default 1,000 samples",
     **dict.fromkeys(SEED_OFFSETS, DERIVED_SEED),
@@ -46,3 +55,25 @@ def test_every_key_is_set_or_named():
 def test_every_named_key_exists_and_is_unset():
     assert sorted(set(UNSET_KEYS) - settable_keys()) == []
     assert sorted(set(UNSET_KEYS) & keys_set()) == []
+
+
+GT_PHASE_PASSES = "perfbench/workload.py's gt_phase passes it; a run keeps only final states and refuses all but the default"
+UNKEYED_FIELDS = {
+    "SamplerConfig.burn_in": GT_PHASE_PASSES,
+    "SamplerConfig.thin": GT_PHASE_PASSES,
+}
+
+
+def keyed_fields() -> set:
+    """The settings fields a schema key reaches: through the field tables, and the kernel through kernel.family."""
+    schema = {*KEYS, *SEED_OFFSETS}
+    tables = {TrainConfig: TRAIN_FIELDS, SamplerConfig: SAMPLER_FIELDS}
+    keyed = {f"{cls.__name__}.{field}" for cls, table in tables.items() for field, key in table.items() if key in schema}
+    return keyed | {"TrainConfig.kernel"}
+
+
+def test_every_settings_field_is_keyed_or_named():
+    settings = {f"{cls.__name__}.{field.name}" for cls in (TrainConfig, SamplerConfig) for field in fields(cls)}
+    assert sorted(settings - keyed_fields() - set(UNKEYED_FIELDS)) == []
+    assert sorted((keyed_fields() | set(UNKEYED_FIELDS)) - settings) == []
+    assert sorted(keyed_fields() & set(UNKEYED_FIELDS)) == []

@@ -37,7 +37,7 @@ from ksivi.runio import (
     write_samples_csv,
     write_trace_csv,
 )
-from ksivi.train import LossTrace
+from ksivi.train import TRACE_FIELDS
 
 from helpers import write_waveform_csv, zero_params
 
@@ -126,8 +126,9 @@ class TestConfigFormat:
         # config.txt as ksivi train --preset wrote it with the hand-written reader, before TOML,
         # less the three kernel keys that no preset reads and sampler.burn_in and sampler.thin, which no run reads,
         # less the penalty's weight key, which left the schema with the penalty: training descends the
-        # discrepancy alone, and less kernel.bandwidth_rule and output.trace_wallclock, which left with
-        # the bandwidth rules and the trace's clock column
+        # discrepancy alone, less kernel.bandwidth_rule and output.trace_wallclock, which left with
+        # the bandwidth rules and the trace's clock column, and less the trace's cadence key: the trace
+        # holds every iteration
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
         flat = parse_config_text(text)
         assert flat == ExperimentConfig.from_flat(get_preset(preset)).flat
@@ -514,7 +515,6 @@ class TestTrainKeys:
         "anneal.start": 0.25,
         "anneal.iterations": 2,
         "train.seed": 9,
-        "train.log_every": 2,  # the trace alone: the iterations it skips are trained all the same
         "init.rho": -0.5,
         "init.seed": 9,
     }
@@ -642,9 +642,7 @@ class TestRunIO:
             assert str(err.value) == f"{path}: checkpoint field {message}"
 
     def test_trace_csv(self, tmp_path):
-        trace = LossTrace()
-        trace.append(0, 1.5, 0.9, 0.2, 3.0)
-        trace.append(1, 1.2, 0.8, 0.3, 2.5)
+        trace = np.array([(1.5, 0.9, 0.2, 3.0), (1.2, 0.8, 0.3, 2.5)], dtype=[(name, float) for name in TRACE_FIELDS])
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace, "bandwidth")
         lines = path.read_text().splitlines()
@@ -652,7 +650,7 @@ class TestRunIO:
         assert len(lines) == 3
         assert lines[1] == "0,1.5,0.90000000000000002,0.20000000000000001,3"
         assert lines[2] == "1,1.2,0.80000000000000004,0.29999999999999999,2.5"
-        write_trace_csv(path, LossTrace(), "bandwidth")
+        write_trace_csv(path, trace[:0], "bandwidth")
         assert path.read_text() == "iteration,ksd2,bandwidth,beta_temp,grad_norm\n"
         write_trace_csv(path, trace, "offset")
         assert path.read_text().splitlines()[0] == "iteration,ksd2,offset,beta_temp,grad_norm"
@@ -681,7 +679,20 @@ class TestCLI:
         samples = read_samples_csv(out / "samples.csv")
         assert samples.shape == (50, 2)
         trace_rows = (out / "trace.csv").read_text().splitlines()
-        assert len(trace_rows) == 21  # header + 20 iterations at cadence 1
+        assert len(trace_rows) == 21  # header + 20 iterations
+
+    @pytest.mark.parametrize("iterations", [0, 20])
+    def test_trace_has_a_row_per_iteration_and_the_manifest_its_last_ksd2(self, tmp_path, capsys, iterations):
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), "train.iterations": iterations}))
+        out = tmp_path / "out"
+        assert main(["train", str(config_path), "--out", str(out)]) == 0
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        assert header == "iteration,ksd2,bandwidth,beta_temp,grad_norm"
+        assert [row.split(",")[0] for row in rows] == [str(t) for t in range(iterations)]
+        final = json.loads((out / "manifest.json").read_text())["training"]["final_ksd2"]
+        # 17 significant digits in the trace and the shortest repr in the manifest: both round-trip
+        assert final == (float(rows[-1].split(",")[1]) if rows else None)
 
     def test_rerun_bitwise_identical(self, tmp_path, capsys):
         a = self.run_tiny_train(tmp_path, "a")
@@ -728,6 +739,8 @@ class TestCLI:
             ("kernel.bandwidth = 1.0\n", "config error: kernel.bandwidth: unknown key"),
             ("clip.norm = 1.0\n", "config error: clip.norm: unknown key"),
             ("output.trace_wallclock = false\n", "config error: output.trace_wallclock: unknown key"),
+            # the trace holds every iteration, so an older config.txt's cadence, 1 in all of them, is refused
+            ("train.log_every = 1\n", "config error: train.log_every: unknown key"),
         ],
     )
     def test_bad_sampler_settings_exit_2(self, tmp_path, capsys, command, settings, key):

@@ -77,11 +77,11 @@ TAIL_KSD2_BOUND = {
 
 
 def short_config(name: str) -> ExperimentConfig:
-    """The preset's config at ``ITERATIONS`` iterations, logging each, with its annealing ramp scaled to the run."""
+    """The preset's config at ``ITERATIONS`` iterations, with its annealing ramp scaled to the run."""
     flat = get_preset(name)
     if flat.get("anneal.iterations"):
         flat["anneal.iterations"] = max(1, flat["anneal.iterations"] * ITERATIONS // flat["train.iterations"])
-    return ExperimentConfig.from_flat({**flat, "train.iterations": ITERATIONS, "train.log_every": 1})
+    return ExperimentConfig.from_flat({**flat, "train.iterations": ITERATIONS})
 
 
 def has_exact_sampler(target) -> bool:
@@ -124,7 +124,7 @@ def short_run(name: str) -> tuple[np.ndarray, float]:
     fitted = siv_sample_batch(params, DRAWS, np.random.default_rng(config.eval_seed)).x
     exact = target.sample_exact(DRAWS, np.random.default_rng(config.flat["sampler.seed"]))
     ratios = np.quantile(np.abs(fitted), QUANTILES, axis=0) / np.quantile(np.abs(exact), QUANTILES, axis=0)
-    return ratios, float(np.mean(trace.ksd2[-TAIL:]))
+    return ratios, float(np.mean(trace["ksd2"][-TAIL:]))
 
 
 @pytest.mark.parametrize("preset", GATED)
