@@ -37,7 +37,8 @@ from ksivi.runio import (
     write_samples_csv,
     write_trace_csv,
 )
-from ksivi.train import TRACE_FIELDS
+from ksivi.targets import Banana
+from ksivi.train import TRACE_FIELDS, TrainConfig, train
 
 from helpers import write_waveform_csv, zero_params
 
@@ -654,6 +655,17 @@ class TestRunIO:
         assert path.read_text() == "iteration,ksd2,bandwidth,beta_temp,grad_norm\n"
         write_trace_csv(path, trace, "offset")
         assert path.read_text().splitlines()[0] == "iteration,ksd2,offset,beta_temp,grad_norm"
+
+    def test_trace_csv_reads_back_a_trained_trace_bitwise(self, tmp_path):
+        # 17 significant digits round-trip every float64, so each column reads back bit for bit
+        config = TrainConfig(iterations=15, batch_size=8, learning_rate=1e-3, anneal_start=0.3, anneal_iterations=10)
+        _, trace = train(config, Banana(), siv_init(NetArch((3, 6, 2)), seed=4))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace, "bandwidth")
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], np.arange(15))
+        for column, name in enumerate(TRACE_FIELDS, start=1):
+            assert data[:, column].tobytes() == trace[name].tobytes()
 
 
 class TestCLI:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ksivi.estimators import value_and_grad
 from ksivi.family import SIVParams, siv_init, siv_sample_batch
 from ksivi.kernels import bandwidth_from_rule
 from ksivi.nets import NetArch, NetParams, net_forward_batch, net_jacobian_frobenius
-from ksivi.optim import AdamState, adam_step
+from ksivi.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from ksivi.targets import (
     Banana,
     LogisticRegression,
@@ -83,6 +84,16 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState.init(2), np.zeros(3), np.zeros(3), lr=0.1)
 
+    def test_constants_are_kingma_and_ba_defaults(self):
+        assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "eps"])
+    def test_state_holds_no_decay_rate_or_offset(self, name):
+        # the module constants are the only values a step reads; a state cannot carry its own
+        assert name not in {f.name for f in fields(AdamState)}
+        with pytest.raises(TypeError):
+            AdamState(np.zeros(2), np.zeros(2), **{name: 0.5})
+
 
 class TestAnnealBeta:
     def test_start_value(self):
@@ -134,6 +145,19 @@ class TestTrainLoop:
         _, trace_b = train(config, Banana(), init)
         assert trace_a.dtype.names == TRACE_FIELDS
         assert trace_a.tobytes() == trace_b.tobytes()
+
+    @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
+    def test_trace_is_a_float64_row_per_iteration(self, estimator):
+        init = siv_init(NetArch((3, 8, 2)), seed=6, rho_init=0.0)
+        config = TrainConfig(
+            iterations=12, batch_size=8, learning_rate=1e-3, estimator=estimator, anneal_start=0.2, anneal_iterations=6
+        )
+        _, trace = train(config, Banana(), init)
+        assert trace.shape == (12,)
+        assert trace.dtype == np.dtype([(name, np.float64) for name in TRACE_FIELDS])
+        assert trace["beta_temp"].tolist() == [anneal_beta(t, 0.2, 6) for t in range(12)]
+        assert np.all(np.isfinite(trace["ksd2"]))
+        assert np.all(trace["scale"] > 0) and np.all(trace["grad_norm"] > 0)
 
     def test_ustat_estimator_runs(self):
         init = siv_init(NetArch((3, 8, 2)), seed=6, rho_init=0.0)
