@@ -30,10 +30,14 @@ draws the step's uniforms, so the stream keeps the order above, and accepts
 over the whole state.  Rows are independent, so the blocks move no bit on the
 Gaussian mixture, banana, Student-t and diffusion targets.  Logistic
 regression's products are the exception, as a library kernel rounds with the
-batch width under OpenBLAS: at 1,000 particles, blocks of 64, 163 or 500 rows
-differ from the whole batch in the last bits.  At d = 22 a block holds 1,489
-particles, so the presets keep their bits; a run of more particles than that
-takes other bits than one whole-batch pass.
+batch width under OpenBLAS: blocks of particles move its last bits (at 1,000
+particles, blocks of 64, 163 or 500 particles differ from the whole batch).  At
+d = 22 a block holds 1,489 particles, so the presets keep their bits; a run of
+more particles than that takes other bits than one whole-batch pass.  The
+target's own blocks of data rows (see ``targets.LogisticRegression``) keep the
+whole product's bits at the presets' 1,000 particles, which
+``tests/test_targets.py::test_row_blocks_round_as_the_whole_product`` pins;
+at some other particle counts they move the last bits of a few particles.
 
 Only the unadjusted sampler raises ``SamplerDivergence``.  The adjusted one
 gives a proposal row that is not finite, or whose proposal mean is not, a log

@@ -278,18 +278,18 @@ class TestSharedTargetPass:
         rng = np.random.default_rng(4)
         batches = (siv_sample_batch(params, 12, rng), siv_sample_batch(params, 12, rng))
         arg = batches if kind == "vanilla" else batches[:1]
-        logits_calls = []
+        passes = []
 
-        def counted_logits(B, out=None):
-            logits_calls.append(B.shape[0])
-            return LogisticRegression._logits(shared, B, out)
+        def counted_pass(B, s, residual):
+            passes.append(B.shape[0])
+            return LogisticRegression._score_pass(shared, B, s, residual)
 
-        shared._logits = counted_logits
+        shared._score_pass = counted_pass
         value, grad = value_and_grad(params, Tempered(shared, 0.7), RBF, *arg)
         ref_value, ref_grad = value_and_grad(params, Tempered(separate, 0.7), RBF, *arg)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
-        assert logits_calls == [12] * (2 if kind == "vanilla" else 1)  # one pass per batch
+        assert passes == [12] * (2 if kind == "vanilla" else 1)  # one pass over the logits per batch
 
     @pytest.mark.parametrize("kind", ["vanilla", "ustat"])
     def test_mixture_matches_separate_score_and_hvp(self, kind):

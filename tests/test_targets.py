@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksivi.configio import ExperimentConfig, build_target
 from ksivi.presets import get_preset
 from ksivi.targets import (
     Banana,
@@ -14,7 +15,7 @@ from ksivi.targets import (
     LogisticRegression,
     StudentTProduct,
     Tempered,
-    _sigmoid,
+    _ROW_BLOCK,
     diagonal_gaussian,
     euler_maruyama_path,
     load_blr_dataset,
@@ -188,6 +189,22 @@ def two_sided_sigmoid(t):
     return out
 
 
+def pass_sigmoid(t):
+    """The logistic function of ``t`` as the score pass computes it.  On a design
+    of intercept-only rows the logits of the points ``t`` are ``t`` in every row,
+    so every row of the pass's ``s`` holds it; the rows are enough for two blocks
+    and a ragged third.  With labels 0 the residual is ``-s``."""
+    t = np.asarray(t, dtype=np.float64)
+    rows = 2 * max(1, _ROW_BLOCK // t.size) + 1
+    target = LogisticRegression(np.ones((rows, 1)), np.zeros(rows))
+    assert len(target._row_blocks(t.size)) == 3
+    s, residual = np.full((2, rows, t.size), np.nan)
+    target._score_pass(t.reshape(-1, 1), s, residual)
+    assert all(same_bits(row, s[0]) for row in s)
+    assert np.array_equal(residual, -s, equal_nan=True)
+    return s[0].reshape(t.shape)
+
+
 class TestSigmoid:
     def assert_accurate(self, t):
         # against the two-sided oracle: the same bits for t >= 0; below, within
@@ -195,7 +212,7 @@ class TestSigmoid:
         # 0 once exp(-t) overflows
         with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
             warnings.simplefilter("error", RuntimeWarning)
-            got = _sigmoid(t)
+            got = pass_sigmoid(t)
         expect = two_sided_sigmoid(t)
         upper, lower, normal = t >= 0, t < 0, (t < 0) & (t > -700.0)
         assert np.array_equal(got[upper], expect[upper])
@@ -214,11 +231,6 @@ class TestSigmoid:
         assert np.signbit(t[len(magnitudes)])  # -0.0 is in the set
         self.assert_accurate(t)
 
-    def test_non_contiguous_input(self):
-        t = 50.0 * np.random.default_rng(9).standard_normal((60, 45))
-        self.assert_accurate(t.T)
-        self.assert_accurate(t[1::3, ::2])
-
     def test_dense_grid(self):
         self.assert_accurate(np.linspace(-800.0, 800.0, 2**18 + 1))
 
@@ -226,7 +238,7 @@ class TestSigmoid:
         # exp(-t) overflows below -log of the largest double, about -709.7827
         t = np.linspace(-709.80, -709.77, 3001)
         self.assert_accurate(t)
-        assert (_sigmoid(t)[t > -709.78] > 0.0).all()
+        assert (pass_sigmoid(t)[t > -709.78] > 0.0).all()
 
 
 class TestBanana:
@@ -496,18 +508,23 @@ class TestTempered:
 
 
 # The allocating passes the in-place ones replaced, copied unchanged from
-# before the rewrite but for the sigmoid, as subclasses so that they run
-# through the same public methods.
+# before the rewrite but for the sigmoid and blr's log-density, as subclasses
+# so that they run through the same public methods.
 def reference_sigmoid(t):
-    """The allocating form of ``_sigmoid``'s passes: below t = -709.78 the exponential overflows and the value is 0."""
+    """The allocating form of the score pass's logistic function: below t = -709.78 the exponential overflows and the value is 0."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-t))
 
 
 class ReferenceLogisticRegression(LogisticRegression):
+    def _logits(self, B):
+        return self.design @ B.T
+
     def _logp(self, B):
-        T = self._logits(B)
-        ll = (self.labels[:, None] * T - np.logaddexp(0.0, T)).sum(axis=0)
+        # y t - log(1 + e^t) = -softplus(z) for z = (1 - 2 y) t; a block's rows are summed, then the blocks in order
+        z = (1.0 - 2.0 * self.labels)[:, None] * self._logits(B)
+        softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        ll = -sum(softplus[b].sum(axis=0) for b in self._row_blocks(len(B)))
         return ll - 0.5 * self.alpha * (B**2).sum(axis=1)
 
     def _score_and_hvp(self, B, work=None):  # allocates; the workspace is ignored
@@ -523,6 +540,25 @@ class ReferenceLogisticRegression(LogisticRegression):
 
     def _score(self, B, work=None):
         return self._score_and_hvp(B)[0]
+
+
+class RowBlockedReference(ReferenceLogisticRegression):
+    """The reference with its logits taken a block of data rows at a time, as the
+    passes take them: at some batch widths a block rounds otherwise than the whole
+    product does (see ``test_row_blocks_round_as_the_whole_product``)."""
+
+    def _logits(self, B):
+        return np.concatenate([self.design[b] @ B.T for b in self._row_blocks(len(B))])
+
+
+def logaddexp_logp(target, B):
+    """blr's log-density in the form the stable one replaced: ``y t - logaddexp(0, t)``
+    summed over the rows, with every row's log-likelihood and the prior term as
+    the terms it sums (for a rounding bound)."""
+    T = target.design @ B.T
+    terms = target.labels[:, None] * T - np.logaddexp(0.0, T)
+    prior = 0.5 * target.alpha * (B**2).sum(axis=1)
+    return terms.sum(axis=0) - prior, np.abs(terms).sum(axis=0) + prior
 
 
 # The separate generator whose draws the diffusion's constructor took over,
@@ -655,6 +691,65 @@ def test_in_place_passes_match_allocating_ones(pair, layout, beta):
     assert np.array_equal(x, x_before) and np.array_equal(v, v_before)
 
 
+@pytest.mark.parametrize("n", [1, 7, 100, 131, 1000, 1489])
+@pytest.mark.parametrize("rows", [40, 1000, 2000])
+def test_row_blocked_passes_match_allocating_ones(rows, n):
+    # one block up to 131,072 logits, then blocks of _ROW_BLOCK // n rows (88 at
+    # 1,489 points, with a ragged last one), in a workspace whose contents are stale
+    target, _ = _blr_pair(rows)
+    reference = RowBlockedReference(target.design, target.labels)
+    rng = np.random.default_rng(rows + n)
+    B = 0.5 * rng.standard_normal((n, target.dim))
+    V = rng.standard_normal((3, n, target.dim))
+    work = np.full(target.work_size(n) + 3, np.nan)
+    assert same_bits(target.score(B, work), reference.score(B))
+    score, hvp = target.score_and_hvp(B, work)
+    ref_score, ref_hvp = reference.score_and_hvp(B)
+    assert same_bits(score, ref_score)
+    for v in V:
+        assert same_bits(hvp(v), ref_hvp(v))
+    assert same_bits(target.logp(B), reference.logp(B))
+    logp, score = target.logp_and_score(B, work)
+    assert same_bits(logp, reference.logp(B)) and same_bits(score, ref_score)
+
+
+def blr_preset_target():
+    return build_target(ExperimentConfig.from_flat(get_preset("blr-waveform")), "-")
+
+
+@pytest.mark.parametrize("n", [100, 1000], ids=["training-batch", "sampler-particles"])
+def test_row_blocks_round_as_the_whole_product(n):
+    # the blr preset's data at its training batch (one block) and at its 1,000
+    # sampler particles (blocks of 131 rows): each block of design @ (-B).T holds
+    # -(design @ B.T) bit for bit, so the passes keep the whole product's bits and
+    # the presets' digests.  A BLAS that rounds a block of rows otherwise fails here.
+    target = blr_preset_target()
+    B = 0.5 * np.random.default_rng(n).standard_normal((n, target.dim))
+    whole = -(target.design @ B.T)
+    blocks = target._row_blocks(n)
+    assert len(blocks) == (1 if n == 100 else 8)
+    for b in blocks:
+        assert same_bits(target.design[b] @ (-B).T, whole[b]), b
+    reference = ReferenceLogisticRegression(target.design, target.labels, target.alpha)
+    assert same_bits(target.score(B), reference.score(B))
+    assert same_bits(target.logp(B), reference.logp(B))
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.5, 5.0, 50.0])
+@pytest.mark.parametrize("rows,n", [(40, 7), (1000, 1000), (2000, 131)])
+def test_logp_matches_the_logaddexp_form(rows, n, scale):
+    # the stable form against the one it replaced, up to the recursive-sum bound
+    # rows * eps * (sum of the terms' magnitudes) at which either form may round;
+    # scale 50 puts logits past 700, where logaddexp(0, t) is t
+    target, _ = _blr_pair(rows)
+    B = scale * np.random.default_rng(n).standard_normal((n, target.dim))
+    expect, magnitude = logaddexp_logp(target, B)
+    got = target.logp(B)
+    assert np.all(np.abs(got - expect) <= rows * np.finfo(np.float64).eps * magnitude)
+    if scale == 50.0:
+        assert np.abs(target.design @ B.T).max() > 700.0
+
+
 def same_bits(a, b):
     """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
@@ -744,34 +839,52 @@ class TestWorkspace:
         assert target.work_size(7) == Tempered(target, 0.5).work_size(7) == expected
 
 
-class TestSigmoidBuffers:
-    def test_in_place_and_transposed(self):
-        t = 40.0 * np.random.default_rng(10).standard_normal((9, 5))
-        expect = reference_sigmoid(t)
-        assert np.array_equal(_sigmoid(t), expect)
-        assert np.array_equal(_sigmoid(t.T), expect.T)
-        got = _sigmoid(t, out=t)
-        assert got is t
-        assert np.array_equal(t, expect)
+class TestScorePassBuffers:
+    """The score pass takes the logistic function, and the residual, in place over
+    arrays it is handed, a block of data rows at a time."""
+
+    def test_residual_in_place(self):
+        target, _ = _blr_pair(1000)
+        reference = RowBlockedReference(target.design, target.labels)
+        B = 3.0 * np.random.default_rng(10).standard_normal((300, target.dim))
+        assert [b.stop - b.start for b in target._row_blocks(300)] == [436, 436, 128]
+        s, residual = np.full((2, 1000, 300), np.nan)
+        score = target._score_pass(B, s, residual)
+        assert np.array_equal(s, reference_sigmoid(reference._logits(B)))
+        assert np.array_equal(residual, target.labels[:, None] - s)
+        assert np.array_equal(score, reference.score(B))
+        # one array for both, as the score alone uses it: it ends holding the residual
+        both = np.full((1000, 300), np.nan)
+        assert np.array_equal(target._score_pass(B, both, both), score)
+        assert np.array_equal(both, residual)
 
     def test_input_not_written(self):
-        t = np.random.default_rng(11).standard_normal((50, 30))
-        t.flags.writeable = False
-        assert np.array_equal(_sigmoid(t), reference_sigmoid(t))
+        target, reference = _blr_pair(40)
+        B = np.random.default_rng(11).standard_normal((30, target.dim))
+        B.flags.writeable = False
+        s, residual = np.empty((2, 40, 30))
+        assert np.array_equal(target._score_pass(B, s, residual), reference.score(B))
+        assert np.array_equal(s, reference_sigmoid(target.design @ B.T))
 
-    def test_allocates_nothing_given_out(self):
-        # a temporary the size of t, the (1000, 100) block of a blr step, would show in the peak
-        t = np.random.default_rng(12).standard_normal((1000, 100))
-        out = np.empty_like(t)
-        _sigmoid(t, out=out)  # warm-up
+    def test_allocates_no_logits_block(self):
+        # 2,000 rows of 3 coefficients at 1,000 points walk 16 blocks of 131 rows,
+        # 1 MB of logits each; the pass itself holds a few (n, d) arrays, 24 KB each
+        rng = np.random.default_rng(12)
+        design = np.concatenate([np.ones((2000, 1)), rng.standard_normal((2000, 2))], axis=1)
+        target = LogisticRegression(design, (rng.random(2000) < 0.5).astype(np.float64))
+        B = rng.standard_normal((1000, 3))
+        block_bytes = 8 * 1000 * (_ROW_BLOCK // 1000)
+        assert len(target._row_blocks(1000)) == 16
+        s, residual = np.empty((2, 2000, 1000))
+        target._score_pass(B, s, residual)  # warm-up
         tracemalloc.start()
         try:
-            got = _sigmoid(t, out=out)
+            score = target._score_pass(B, s, residual)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got is out and np.array_equal(out, reference_sigmoid(t))
-        assert peak < 4096, f"{peak} bytes"
+        assert np.array_equal(score, RowBlockedReference(design, target.labels).score(B))
+        assert peak < block_bytes // 4, f"{peak} bytes"
 
 
 class TestHvpShapes:
