@@ -1,10 +1,10 @@
 """Command-line entry points.
 
-Subcommands: ``train``, ``sample-ground-truth``, ``evaluate`` and
-``diagnose``, plus preset inspection helpers.  Heavy numerical imports
-happen inside the command handlers, after ``_prepare`` has pinned the thread
-count (``--threads``, else the config's ``run.threads``), so the pin takes
-effect before the BLAS runtime loads.
+Subcommands: ``train``, ``sample-ground-truth`` and ``evaluate``, plus preset
+inspection helpers.  Heavy numerical imports happen inside the command
+handlers, after ``_prepare`` has pinned the thread count (``--threads``, else
+the config's ``run.threads``), so the pin takes effect before the BLAS runtime
+loads.
 
 ``--seed`` replaces ``run.seed`` and re-derives from it the four seeds of
 ``configio.SEED_OFFSETS``, also where the config sets them, as ``config.txt`` does.
@@ -13,8 +13,8 @@ Refusals: a handler refuses an input by raising.  ``main`` prints a
 ``configio.ConfigError`` as ``config error: …``, and an ``InputError`` (a
 refused flag or input file) or an ``OSError`` as ``error: …``, and each exits
 2; a divergence prints ``error: …`` and exits 1.  No handler prints to stderr
-or returns 2 itself.  ``evaluate`` and ``diagnose`` refuse a record holding a
-NaN or an infinity, which JSON cannot hold, before they print or write it.
+or returns 2 itself.  ``evaluate`` refuses a record holding a NaN or an
+infinity, which JSON cannot hold, before it prints or writes it.
 """
 
 from __future__ import annotations
@@ -256,26 +256,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    import numpy as np
-
-    from .runio import load_checkpoint
-    from .train import smoothness_diagnostic
-
-    try:
-        params = load_checkpoint(args.checkpoint)
-    except ValueError as err:
-        raise InputError(str(err)) from None
-    record = smoothness_diagnostic(params, args.probes, np.random.default_rng(args.seed))
-    record["checkpoint"] = str(args.checkpoint)
-    record["seed"] = args.seed
-    rendered = _render(record, args.checkpoint)
-    if args.out:
-        Path(args.out).write_text(rendered + "\n")
-    print(rendered)
-    return 0
-
-
 def cmd_show_preset(args) -> int:
     from .configio import format_config
     from .presets import get_preset
@@ -338,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out", help="also write the JSON record here")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("diagnose", help="network smoothness probe on a checkpoint")
-    p.add_argument("checkpoint")
-    p.add_argument("--probes", type=count, default=100)
-    p.add_argument("--seed", type=nonnegative, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("show-preset", help="print a preset config")
     p.add_argument("name")

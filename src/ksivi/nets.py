@@ -173,22 +173,3 @@ def net_vjp_batch_sum(
             delta *= tape.inputs[layer] > 0.0  # subgradient at exactly 0 is taken as 0
     return out
 
-
-def net_jacobian_frobenius(params: NetParams, z: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the full parameter Jacobian at each row of a batch ``z``.
-
-    All d_out unit upstream vectors of every sample are backpropagated at once
-    (``delta`` has shape (n, d_out, width)).  Since they share one forward
-    pass, the squared norm of each layer's weight block factorizes as
-    ||delta||_F^2 * ||a||^2, with the bias block contributing ||delta||_F^2.
-    """
-    _, tape = net_forward_batch(params, z)
-    n_layers, d_out = params.arch.n_layers, params.arch.d_out
-    delta = np.broadcast_to(np.eye(d_out), (len(tape.inputs[0]), d_out, d_out))
-    total = np.zeros(len(delta))
-    for layer in range(n_layers - 1, -1, -1):
-        a = tape.inputs[layer]
-        total += (delta**2).sum(axis=(1, 2)) * ((a**2).sum(axis=1) + 1.0)
-        if layer > 0:
-            delta = (delta @ params.weights[layer]) * (tape.inputs[layer] > 0.0)[:, None, :]
-    return np.sqrt(total)

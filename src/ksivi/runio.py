@@ -1,8 +1,9 @@
 """Run artifacts: sample CSVs, training traces, checkpoints, manifests.
 
-Floats are rendered with 17 significant digits everywhere, which round-trips
-float64 exactly, so rereading any written artifact reproduces the original
-values bit for bit.
+ksivi reads back only sample CSVs (``evaluate``); traces, checkpoints and
+manifests are written, not read.  Floats are rendered with 17 significant
+digits everywhere, which round-trips float64 exactly, so rereading any
+written artifact reproduces the original values bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .family import SIVParams
-from .nets import NetArch
 
 CHECKPOINT_FORMAT = "siv-checkpoint-v1"
 CHECKPOINT_DTYPE = "<f8"
@@ -72,6 +72,8 @@ def save_checkpoint(path, params: SIVParams) -> None:
     The payload is the parameter buffer ``params.flat`` as it is stored (the
     layout of ``nets.layer_views``: network weights and biases layer by
     layer, then the log-scales), as little-endian float64 bytes in base64.
+    No ksivi command reads the file back: the v2 format that resuming needs
+    (ROADMAP item 7) brings the one reader.
     """
     flat = params.flat
     payload = flat.astype(CHECKPOINT_DTYPE).tobytes()
@@ -83,45 +85,6 @@ def save_checkpoint(path, params: SIVParams) -> None:
         "flat_base64": base64.b64encode(payload).decode("ascii"),
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_checkpoint(path) -> SIVParams:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ValueError(f"unreadable checkpoint {path}: {err}")
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a checkpoint is a JSON object, not a {type(doc).__name__}")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: unknown checkpoint format {doc.get('format')!r}")
-    missing = [key for key in ("widths", "n_params", "dtype", "flat_base64") if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: checkpoint field {missing[0]!r} is missing")
-    if doc["dtype"] != CHECKPOINT_DTYPE:
-        raise ValueError(f"{path}: checkpoint dtype {doc['dtype']!r} is not {CHECKPOINT_DTYPE!r}")
-    widths, n_params, payload = doc["widths"], doc["n_params"], doc["flat_base64"]
-
-    def bad(field, problem):
-        return ValueError(f"{path}: checkpoint field {field!r} {problem}")
-
-    # json gives int for an integer and bool for true and false
-    if type(widths) is not list or any(type(w) is not int for w in widths):
-        raise bad("widths", f"is {widths!r}, not a list of integers")
-    if type(n_params) is not int:
-        raise bad("n_params", f"is {n_params!r}, not an integer")
-    try:  # a payload that is not a string, is not base64, or is not whole float64 values
-        flat = np.frombuffer(base64.b64decode(payload, validate=True), dtype=CHECKPOINT_DTYPE).astype(np.float64)
-    except (TypeError, ValueError) as err:
-        raise bad("flat_base64", f"does not decode: {err}") from None
-    if flat.size != n_params:
-        raise bad("n_params", f"is {n_params}, but the payload holds {flat.size} values")
-    non_finite = np.flatnonzero(~np.isfinite(flat))  # a diverged network, whose norms would read inf or skip a NaN
-    if non_finite.size:
-        raise bad("flat_base64", f"holds a non-finite value at index {non_finite[0]}")
-    try:  # too few widths, one below 1, or a parameter count that is not the payload's
-        return SIVParams.from_flat(NetArch(tuple(widths)), flat)
-    except ValueError as err:
-        raise bad("widths", f"is {widths}: {err}") from None
 
 
 def build_identifier() -> str:

@@ -45,7 +45,6 @@ import numpy as np
 from .estimators import value_and_grad
 from .family import SIVParams, siv_sample_batch
 from .kernels import KernelSpec, bandwidth_from_rule, sq_blocks
-from .nets import net_jacobian_frobenius
 from .optim import AdamState, adam_step
 from .targets import Tempered
 
@@ -144,18 +143,3 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
             iteration_hook(t, params)
     return params, trace
 
-
-def smoothness_diagnostic(params: SIVParams, n_probes: int, rng: np.random.Generator) -> dict:
-    """Mean/max Frobenius norm of the mean network's parameter Jacobian.
-
-    Probes are mixing draws; the summary tracks how smooth the learned mean
-    map stays over the region the family actually samples from.
-    """
-    if n_probes < 1:
-        raise ValueError("need at least one probe")
-    norms = net_jacobian_frobenius(params.net, rng.standard_normal((n_probes, params.d_z)))
-    return {
-        "n_probes": int(n_probes),
-        "mean_jacobian_norm": float(norms.mean()),
-        "max_jacobian_norm": float(norms.max()),
-    }

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import hashlib
@@ -31,7 +32,6 @@ from ksivi.nets import NetArch
 from ksivi.presets import PRESET_NAMES, get_preset
 from ksivi.runio import (
     build_identifier,
-    load_checkpoint,
     read_samples_csv,
     save_checkpoint,
     write_samples_csv,
@@ -40,7 +40,7 @@ from ksivi.runio import (
 from ksivi.targets import Banana
 from ksivi.train import TRACE_FIELDS, TrainConfig, train
 
-from helpers import write_waveform_csv, zero_params
+from helpers import write_waveform_csv
 
 # kernel keys outside the schema, whose one kernel key is kernel.family: a misspelling, the smoothing of
 # the deleted riesz kernel, the rule and fixed bandwidth of the deleted bandwidth rules (an rbf bandwidth
@@ -597,50 +597,11 @@ class TestRunIO:
         params = siv_init(NetArch((3, 16, 2)), seed=9, rho_init=-0.3)
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, params)
-        again = load_checkpoint(path)
-        assert np.array_equal(again.to_flat(), params.to_flat())
-        assert again.arch == params.arch
-
-    def test_checkpoint_corruption_detected(self, tmp_path):
-        path = tmp_path / "checkpoint.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="unreadable"):
-            load_checkpoint(path)
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(path)
-        path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="checkpoint.json: a checkpoint is a JSON object, not a list"):
-            load_checkpoint(path)
-        save_checkpoint(path, siv_init(NetArch((3, 4, 2)), seed=1))
-        good = json.loads(path.read_text())
-        for field in ("widths", "n_params", "dtype", "flat_base64"):
-            path.write_text(json.dumps({key: value for key, value in good.items() if key != field}))
-            with pytest.raises(ValueError, match=f"checkpoint.json: checkpoint field '{field}' is missing"):
-                load_checkpoint(path)
-        path.write_text(json.dumps({**good, "dtype": "<f4"}))
-        with pytest.raises(ValueError, match="checkpoint.json: checkpoint dtype '<f4' is not '<f8'"):
-            load_checkpoint(path)
-        # (3, 4, 2) holds 28 values: 16 + 10 network parameters and 2 log-scales
-        wrong = [
-            (
-                {"flat_base64": 5},
-                "'flat_base64' does not decode: argument should be a bytes-like object or ASCII string, not 'int'",
-            ),
-            ({"flat_base64": "AAA"}, "'flat_base64' does not decode: Incorrect padding"),
-            ({"flat_base64": "AAAA"}, "'flat_base64' does not decode: buffer size must be a multiple of element size"),
-            ({"widths": 5}, "'widths' is 5, not a list of integers"),
-            ({"widths": [3, True, 2]}, "'widths' is [3, True, 2], not a list of integers"),
-            ({"widths": [3]}, "'widths' is [3]: architecture needs at least an input and an output width"),
-            ({"widths": [3, 4, 4, 2]}, "'widths' is [3, 4, 4, 2]: flat parameters are float64 (28,), expected float64 (48,)"),
-            ({"n_params": "28"}, "'n_params' is '28', not an integer"),
-            ({"n_params": 34}, "'n_params' is 34, but the payload holds 28 values"),
-        ]
-        for edit, message in wrong:
-            path.write_text(json.dumps({**good, **edit}))
-            with pytest.raises(ValueError) as err:
-                load_checkpoint(path)
-            assert str(err.value) == f"{path}: checkpoint field {message}"
+        doc = json.loads(path.read_text())
+        assert doc["format"] == "siv-checkpoint-v1" and doc["dtype"] == "<f8"
+        assert doc["widths"] == list(params.arch.widths) and doc["n_params"] == params.flat.size
+        flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), "<f8")
+        assert flat.tobytes() == params.flat.tobytes()
 
     def test_trace_csv(self, tmp_path):
         trace = np.array([(1.5, 0.9, 0.2, 3.0), (1.2, 0.8, 0.3, 2.5)], dtype=[(name, float) for name in TRACE_FIELDS])
@@ -1094,6 +1055,20 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and f"error: unrecognized arguments: {flag} 1" in err
 
+    @pytest.mark.parametrize("out_flag", [False, True], ids=["bare", "out"])
+    def test_deleted_diagnose_command_exits_2(self, tmp_path, capsys, out_flag):
+        # no command reads a checkpoint back: argparse refuses the name before any file is opened
+        path, record = tmp_path / "checkpoint.json", tmp_path / "record.json"
+        save_checkpoint(path, siv_init(NetArch((3, 8, 2)), seed=3))
+        argv = ["diagnose", str(path), *(["--out", str(record)] if out_flag else [])]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice: 'diagnose'" in err
+        assert "Traceback" not in err
+        assert not record.exists()
+
     def test_unknown_metric_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("evaluate read a file or built a block")
@@ -1145,8 +1120,6 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["diagnose", "{dir}/checkpoint.json", "--probes", "0"],
-            ["diagnose", "{dir}/checkpoint.json", "--probes", "-2"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "0"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "-1"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--n-proj", "0"],
@@ -1154,7 +1127,6 @@ class TestCLI:
         ],
     )
     def test_count_flag_below_one_exits_2(self, tmp_path, capsys, argv):
-        save_checkpoint(tmp_path / "checkpoint.json", siv_init(NetArch((3, 8, 2)), seed=3))
         argv = [arg.format(dir=tmp_path) for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -1166,16 +1138,14 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["diagnose", "{dir}/checkpoint.json", "--seed", "-1"],
             ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--seed", "-2"],
             ["train", "{dir}/config.txt", "--out", "{dir}/out", "--seed", "-1"],
             ["sample-ground-truth", "{dir}/config.txt", "--out", "{dir}/out", "--seed", "-1"],
         ],
-        ids=["diagnose", "evaluate", "train", "sample-ground-truth"],
+        ids=["evaluate", "train", "sample-ground-truth"],
     )
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
         # numpy's generators refuse a negative seed; the flag refuses it first and names itself
-        save_checkpoint(tmp_path / "checkpoint.json", siv_init(NetArch((3, 8, 2)), seed=3))
         write_samples_csv(tmp_path / "a.csv", np.random.default_rng(4).standard_normal((20, 2)))
         (tmp_path / "config.txt").write_text(TINY_CONFIG)
         argv = [arg.format(dir=tmp_path) for arg in argv]
@@ -1241,59 +1211,6 @@ class TestCLI:
         write_samples_csv(b_path, np.zeros((10, 3)))
         assert main(["evaluate", str(a_path), str(b_path)]) == 2
 
-    def test_diagnose_zero_checkpoint(self, tmp_path, capsys):
-        params = zero_params(NetArch((3, 8, 2)))
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, params)
-        assert main(["diagnose", str(path), "--probes", "10", "--seed", "0"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        # zero network: only final bias rows contribute, norm sqrt(2)
-        assert np.isclose(record["mean_jacobian_norm"], np.sqrt(2.0))
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda doc: [doc], "a checkpoint is a JSON object, not a list"),
-            (lambda doc: {key: value for key, value in doc.items() if key != "flat_base64"}, "'flat_base64' is missing"),
-            (lambda doc: {**doc, "dtype": ">f8"}, "checkpoint dtype '>f8'"),
-            (lambda doc: {**doc, "flat_base64": 5}, "checkpoint field 'flat_base64' does not decode"),
-            (lambda doc: {**doc, "widths": 5}, "checkpoint field 'widths' is 5"),
-            (lambda doc: {**doc, "widths": [3, 4, 4, 2]}, "checkpoint field 'widths' is [3, 4, 4, 2]"),
-            (lambda doc: {**doc, "n_params": str(doc["n_params"])}, "checkpoint field 'n_params' is '"),
-        ],
-        ids=["list", "no-payload", "dtype", "payload-type", "widths-type", "widths-size", "n-params-type"],
-    )
-    def test_diagnose_malformed_checkpoint_exits_2(self, tmp_path, capsys, edit, message):
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, siv_init(NetArch((3, 8, 2)), seed=3))
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        assert main(["diagnose", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and message in err and "Traceback" not in err
-
-    def test_diagnose_non_finite_norms_exit_2(self, tmp_path, capsys):
-        # finite parameters whose Jacobian norms overflow to infinity
-        params = siv_init(NetArch((3, 8, 2)), seed=0)
-        params.flat *= 1e160
-        path, record = tmp_path / "checkpoint.json", tmp_path / "record.json"
-        save_checkpoint(path, params)
-        with np.errstate(all="ignore"):
-            code = main(["diagnose", str(path), "--out", str(record)])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == f"error: {path}: a value is NaN or infinite, which JSON cannot hold\n"
-        assert not record.exists()
-
-    def test_diagnose_deterministic(self, tmp_path, capsys):
-        params = siv_init(NetArch((3, 8, 2)), seed=3)
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, params)
-        outputs = []
-        for _ in range(2):
-            assert main(["diagnose", str(path), "--seed", "5"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
     def test_data_path_reads_the_synthetic_rows(self, tmp_path):
         # read by an absolute path or one relative to the data directory, a file of the
         # synthetic rows gives the bits that the same rows and seed build in memory
@@ -1348,18 +1265,6 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: [Errno ") and err.endswith(f"'{path.format(dir=tmp_path)}'\n")
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
-    def test_diagnose_refuses_a_non_finite_checkpoint(self, tmp_path, capsys, value):
-        # an inf weight printed Infinity, which is not JSON, and a NaN one gave finite norms
-        params = siv_init(NetArch((3, 8, 2)), seed=3)
-        params.flat[7] = value
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, params)
-        assert main(["diagnose", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: {path}: checkpoint field 'flat_base64' holds a non-finite value at index 7\n"
 
     def test_show_and_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
@@ -1453,7 +1358,6 @@ class TestNoScipy:
         run = tmp_path / "run"
         assert self.scipy_imports("train", str(config), "--out", str(run)) == []
         assert self.scipy_imports("sample-ground-truth", str(config), "--out", str(tmp_path / "gt")) == []
-        assert self.scipy_imports("diagnose", str(run / "checkpoint.json"), "--probes", "5") == []
         rng = np.random.default_rng(11)
         for d in (2, 8, 200):
             a, b = tmp_path / f"a{d}.csv", tmp_path / f"b{d}.csv"

@@ -10,7 +10,6 @@ from ksivi.nets import (
     layer_views,
     net_forward_batch,
     net_init,
-    net_jacobian_frobenius,
     net_vjp_batch_sum,
 )
 from ksivi.runio import save_checkpoint
@@ -240,39 +239,6 @@ class TestVJP:
         _, tape = net_forward_batch(p1, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             net_vjp_batch_sum(p2, tape, np.zeros((1, 2)))
-
-
-class TestJacobianFrobenius:
-    def test_zero_network_at_origin(self):
-        # only the final bias rows survive, one unit per output coordinate
-        arch = NetArch((3, 8, 4))
-        norm = net_jacobian_frobenius(zero_net(arch), np.zeros((1, 3)))
-        assert norm.shape == (1,)
-        assert np.isclose(norm[0], np.sqrt(4.0))
-
-    def test_single_linear_layer_closed_form(self):
-        # squared norm is d * ||z||^2 (weights) + d (biases)
-        arch = NetArch((3, 5))
-        rng = np.random.default_rng(2)
-        params = NetParams(arch, [rng.standard_normal((5, 3))], [rng.standard_normal(5)])
-        z = rng.standard_normal((4, 3))
-        norm = net_jacobian_frobenius(params, z)
-        assert np.allclose(norm**2, 5.0 * (z**2).sum(axis=1) + 5.0)
-
-    def test_matches_finite_differences(self):
-        arch = NetArch((3, 7, 2))
-        flat0 = np.empty(arch.n_params)
-        params = net_init(arch, seed=14, out=flat0)
-        z = np.random.default_rng(3).standard_normal(3)
-
-        total = 0.0
-        for k in range(2):
-            def coord(flat, k=k):
-                return float(forward1(layer_views(arch, flat)[0], z)[k])
-
-            total += (central_difference_gradient(coord, flat0, step=1e-6) ** 2).sum()
-        fd_norm = np.sqrt(total)
-        assert abs(net_jacobian_frobenius(params, z[None, :])[0] - fd_norm) / fd_norm < 1e-4
 
 
 class TestFlatLayout:

@@ -7,7 +7,7 @@ import pytest
 from ksivi.estimators import value_and_grad
 from ksivi.family import SIVParams, siv_init, siv_sample_batch
 from ksivi.kernels import bandwidth_from_rule
-from ksivi.nets import NetArch, NetParams, net_forward_batch, net_jacobian_frobenius
+from ksivi.nets import NetArch
 from ksivi.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from ksivi.targets import (
     Banana,
@@ -22,7 +22,6 @@ from ksivi.train import (
     TrainConfig,
     TrainingDivergence,
     anneal_beta,
-    smoothness_diagnostic,
     train,
 )
 
@@ -385,60 +384,3 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"^learning_rate must be finite, got {learning_rate}$"):
             TrainConfig(iterations=1, batch_size=8, learning_rate=learning_rate)
 
-
-def per_probe_jacobian_frobenius(params: NetParams, z: np.ndarray) -> float:
-    """The single-point norm the batched one replaced, reading the rectifier pattern from the layer inputs."""
-    _, tape = net_forward_batch(params, z[None, :])
-    n_layers = params.arch.n_layers
-    delta = np.eye(params.arch.d_out)
-    total = 0.0
-    for layer in range(n_layers - 1, -1, -1):
-        a = tape.inputs[layer][0]
-        total += float((delta**2).sum()) * (float((a**2).sum()) + 1.0)
-        if layer > 0:
-            delta = (delta @ params.weights[layer]) * (tape.inputs[layer][0] > 0)
-    return float(np.sqrt(total))
-
-
-class TestSmoothnessDiagnostic:
-    @pytest.mark.parametrize("widths", [(3, 50, 50, 2), (10, 100, 100, 22), (6, 16, 16, 16, 9)])
-    def test_matches_per_probe_loop(self, widths):
-        params = siv_init(NetArch(widths), seed=17)
-        record = smoothness_diagnostic(params, 40, np.random.default_rng(18))
-        rng = np.random.default_rng(18)  # the same stream, one probe at a time
-        probes = [rng.standard_normal(params.d_z) for _ in range(40)]
-        assert np.array_equal(np.stack(probes), np.random.default_rng(18).standard_normal((40, params.d_z)))
-        norms = np.array([per_probe_jacobian_frobenius(params.net, z) for z in probes])
-        # one batched forward and backward pass: rows agree with the loop to
-        # roundoff (matrix products of a batch may round differently)
-        assert np.allclose(net_jacobian_frobenius(params.net, np.stack(probes)), norms, rtol=1e-13, atol=0.0)
-        assert record["n_probes"] == 40
-        assert np.isclose(record["mean_jacobian_norm"], norms.mean(), rtol=1e-13, atol=0.0)
-        assert np.isclose(record["max_jacobian_norm"], norms.max(), rtol=1e-13, atol=0.0)
-
-    def test_zero_network_norm(self):
-        params = zero_params(NetArch((3, 8, 4)))
-
-        class OriginRng:
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
-        record = smoothness_diagnostic(params, 5, OriginRng())
-        assert np.isclose(record["mean_jacobian_norm"], 2.0)  # sqrt(d) with d = 4
-        assert np.isclose(record["max_jacobian_norm"], 2.0)
-
-    def test_deterministic_given_seed(self):
-        params = siv_init(NetArch((3, 16, 2)), seed=12)
-        a = smoothness_diagnostic(params, 20, np.random.default_rng(13))
-        b = smoothness_diagnostic(params, 20, np.random.default_rng(13))
-        assert a == b
-
-    def test_finite_norms(self):
-        params = siv_init(NetArch((10, 32, 22)), seed=14)
-        record = smoothness_diagnostic(params, 50, np.random.default_rng(15))
-        assert np.isfinite(record["max_jacobian_norm"])
-
-    def test_needs_probes(self):
-        params = siv_init(NetArch((3, 4, 2)), seed=16)
-        with pytest.raises(ValueError):
-            smoothness_diagnostic(params, 0, np.random.default_rng(0))
