@@ -26,7 +26,7 @@ from ksivi.configio import (
     parse_config_text,
     validate_against_target,
 )
-from ksivi.family import siv_init
+from ksivi.family import SIVParams, siv_init
 from ksivi.kernels import KernelSpec
 from ksivi.nets import NetArch
 from ksivi.presets import PRESET_NAMES, get_preset
@@ -603,6 +603,58 @@ class TestRunIO:
         flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), "<f8")
         assert flat.tobytes() == params.flat.tobytes()
 
+    def test_checkpoint_text_is_pinned(self, tmp_path):
+        # the v1 file byte for byte: sorted keys, two-space indent, a closing newline, and the payload
+        # 0.5, -0.0, -0.25 as little-endian float64 (0x3FE0..., 0x8000..., 0xBFD0...)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, SIVParams(NetArch((1, 1)), np.array([0.5, -0.0, -0.25])))
+        assert path.read_text() == (
+            "{\n"
+            '  "dtype": "<f8",\n'
+            '  "flat_base64": "AAAAAAAA4D8AAAAAAAAAgAAAAAAAANC/",\n'
+            '  "format": "siv-checkpoint-v1",\n'
+            '  "n_params": 3,\n'
+            '  "widths": [\n'
+            "    1,\n"
+            "    1\n"
+            "  ]\n"
+            "}\n"
+        )
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_checkpoint_holds_every_preset_architecture(self, tmp_path, name):
+        config = ExperimentConfig.from_flat(get_preset(name))
+        arch = NetArch(config.widths)
+        params = siv_init(arch, config.init_seed, config.rho_init)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, params)
+        doc = json.loads(path.read_text())
+        # every weight and bias of the network, then one log-scale per output dimension
+        sizes = [o * i + o for i, o in zip(config.widths[:-1], config.widths[1:])]
+        assert doc["widths"] == list(config.widths) and doc["n_params"] == sum(sizes) + config.widths[-1]
+        flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), "<f8")
+        assert flat.tobytes() == params.flat.tobytes()
+        assert np.all(flat[sum(sizes) :] == config.rho_init)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(np.float64).max],
+        ids=["nan", "inf", "-inf", "-0", "subnormal", "max"],
+    )
+    def test_checkpoint_payload_keeps_every_float64_bit(self, tmp_path, value):
+        # the payload is base64, so a value that JSON cannot hold as a number still leaves strict JSON
+        params = siv_init(NetArch((3, 8, 2)), seed=3)
+        params.flat[7] = value
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, params)
+
+        def refuse(token):
+            raise AssertionError(f"checkpoint holds the non-JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=refuse)
+        flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), "<f8")
+        assert flat.tobytes() == params.flat.tobytes()
+
     def test_trace_csv(self, tmp_path):
         trace = np.array([(1.5, 0.9, 0.2, 3.0), (1.2, 0.8, 0.3, 2.5)], dtype=[(name, float) for name in TRACE_FIELDS])
         path = tmp_path / "trace.csv"
@@ -674,6 +726,18 @@ class TestCLI:
             ha = hashlib.sha256((a / artifact).read_bytes()).hexdigest()
             hb = hashlib.sha256((b / artifact).read_bytes()).hexdigest()
             assert ha == hb, artifact
+
+    def test_checkpoint_holds_the_fitted_parameters(self, tmp_path, capsys):
+        # the written payload is what train returns for the config, not the initialization
+        out = self.run_tiny_train(tmp_path)
+        config = ExperimentConfig.from_flat(parse_config_text(TINY_CONFIG))
+        init = siv_init(NetArch(config.widths), config.init_seed, config.rho_init)
+        start = init.to_flat()
+        fitted, _ = train(config.train, build_target(config, tmp_path), init)
+        doc = json.loads((out / "checkpoint.json").read_text())
+        flat = np.frombuffer(base64.b64decode(doc["flat_base64"]), "<f8")
+        assert flat.tobytes() == fitted.flat.tobytes()
+        assert flat.tobytes() != start.tobytes()
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         a = self.run_tiny_train(tmp_path, "a")
@@ -1055,12 +1119,23 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and f"error: unrecognized arguments: {flag} 1" in err
 
-    @pytest.mark.parametrize("out_flag", [False, True], ids=["bare", "out"])
-    def test_deleted_diagnose_command_exits_2(self, tmp_path, capsys, out_flag):
-        # no command reads a checkpoint back: argparse refuses the name before any file is opened
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["{path}"],
+            ["{path}", "--out", "{record}"],
+            ["{path}", "--probes", "5", "--out", "{record}"],
+            ["{path}", "--seed", "0", "--out", "{record}"],
+            ["--out", "{record}"],
+        ],
+        ids=["bare", "out", "probes", "seed", "no-path"],
+    )
+    def test_deleted_diagnose_command_exits_2(self, tmp_path, capsys, args):
+        # no command reads a checkpoint back: argparse refuses the name before any file is opened,
+        # whatever options of the deleted command follow it
         path, record = tmp_path / "checkpoint.json", tmp_path / "record.json"
         save_checkpoint(path, siv_init(NetArch((3, 8, 2)), seed=3))
-        argv = ["diagnose", str(path), *(["--out", str(record)] if out_flag else [])]
+        argv = ["diagnose", *(arg.format(path=path, record=record) for arg in args)]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -1068,6 +1143,14 @@ class TestCLI:
         assert out == "" and "invalid choice: 'diagnose'" in err
         assert "Traceback" not in err
         assert not record.exists()
+
+    def test_help_names_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{train,sample-ground-truth,evaluate,show-preset,list-presets}" in out
+        assert "diagnose" not in out
 
     def test_unknown_metric_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         def refused(*args, **kwargs):
