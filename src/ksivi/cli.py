@@ -2,12 +2,19 @@
 
 Subcommands: ``train``, ``sample-ground-truth`` and ``evaluate``, plus preset
 inspection helpers.  Heavy numerical imports happen inside the command
-handlers, after ``_prepare`` has pinned the thread count (``--threads``, else
-the config's ``run.threads``), so the pin takes effect before the BLAS runtime
-loads.
+handlers, after ``_prepare`` has pinned the config's ``run.threads``, so the
+pin takes effect before the BLAS runtime loads.
 
-``--seed`` replaces ``run.seed`` and re-derives from it the four seeds of
-``configio.SEED_OFFSETS``, also where the config sets them, as ``config.txt`` does.
+Flags of ``train`` and ``sample-ground-truth``: ``--preset`` or a config
+file, ``--out``, ``--data-dir``, ``--seed`` and ``--threads``.  ``--threads``
+replaces ``run.threads``, and ``--seed`` replaces ``run.seed`` and
+re-derives from it the four seeds of ``configio.SEED_OFFSETS``, also where
+the config sets them, as ``config.txt`` does; so a run's ``config.txt``
+holds the values it used.  ``--data-dir`` is where a relative
+``target.data_path`` is read from, and a config without one refuses it.
+``evaluate`` takes ``--metrics``, ``--seed`` and ``--out``; ``sliced_wd``
+projects on ``N_PROJ`` directions, and ``kl_knn`` reads the ``KL_K``-th
+neighbour.
 
 Refusals: a handler refuses an input by raising.  ``main`` prints a
 ``configio.ConfigError`` as ``config error: …``, and an ``InputError`` (a
@@ -27,6 +34,8 @@ import time
 from pathlib import Path
 
 EVALUATE_METRICS = ("sliced_wd", "kl_knn", "mmd2", "corr")
+N_PROJ = 128  # sliced_wd's random projections
+KL_K = 1  # kl_knn's neighbour
 
 
 class InputError(Exception):
@@ -55,6 +64,8 @@ def _load_flat_config(args) -> dict:
         flat["run.seed"] = args.seed
         for derived in SEED_OFFSETS:
             flat.pop(derived, None)
+    if args.threads is not None:
+        flat["run.threads"] = args.threads
     return flat
 
 
@@ -62,11 +73,11 @@ def _prepare(args):
     from .configio import ExperimentConfig, build_target, thread_count, validate_against_target
 
     flat = _load_flat_config(args)
-    # before from_flat, which is the first to load numpy
-    _pin_threads(args.threads if args.threads is not None else thread_count(flat))
+    _pin_threads(thread_count(flat))  # before from_flat, which is the first to load numpy
     config = ExperimentConfig.from_flat(flat)
-    data_dir = Path(args.data_dir) if args.data_dir else Path()  # the working directory
-    target = build_target(config, data_dir)
+    if args.data_dir is not None and "target.data_path" not in config.flat:
+        raise InputError("--data-dir: does nothing when target.data_path is not set")
+    target = build_target(config, Path(args.data_dir or ""))  # by default the working directory
     validate_against_target(config, target)
     out_dir = Path(args.out) if args.out else Path("runs") / config.name
     out_dir.mkdir(parents=True, exist_ok=True)  # after the checks, so a refused config or target leaves none
@@ -97,6 +108,7 @@ def cmd_train(args) -> int:
     import numpy as np
 
     from .family import siv_init, siv_sample_batch
+    from .kernels import FAMILY_PARAMETERS
     from .nets import NetArch
     from .runio import save_checkpoint, write_samples_csv, write_trace_csv
     from .train import train
@@ -109,7 +121,7 @@ def cmd_train(args) -> int:
     eval_rng = np.random.default_rng(config.eval_seed)
     samples = siv_sample_batch(params, config.eval_sample_size, eval_rng).x
 
-    write_trace_csv(out_dir / "trace.csv", trace, config.train.kernel.parameter()[0])
+    write_trace_csv(out_dir / "trace.csv", trace, FAMILY_PARAMETERS[config.train.kernel_family][0])
     save_checkpoint(out_dir / "checkpoint.json", params)
     write_samples_csv(out_dir / "samples.csv", samples)
 
@@ -198,10 +210,10 @@ def cmd_evaluate(args) -> int:
     if X.shape[1] != Y.shape[1]:
         raise InputError(f"sample dimensions differ ({X.shape[1]} vs {Y.shape[1]})")
     half = Y.shape[0] // 2  # the smaller of the two halves of B that kl_knn's noise floor compares
-    if "kl_knn" in requested and half <= args.kl_k:  # k >= 1, so this also refuses a half of 1 row
+    if "kl_knn" in requested and half <= KL_K:  # KL_K >= 1, so this also refuses a half of 1 row
         raise InputError(
             f"{args.samples_b}: kl_knn noise floor: samples_b has {Y.shape[0]} rows, split into halves "
-            f"of {half} and {Y.shape[0] - half}; each needs more than k = {args.kl_k} rows"
+            f"of {half} and {Y.shape[0] - half}; each needs more than k = {KL_K} rows"
         )
     # one set of squared distances for the bandwidth, the MMD and the neighbours
     blocks = sq_blocks(X, Y) if "mmd2" in requested or "kl_knn" in requested else None
@@ -218,19 +230,19 @@ def cmd_evaluate(args) -> int:
         for name in requested:
             if name == "sliced_wd":
                 record["metrics"]["sliced_wd"] = {
-                    "value": sliced_wd(X, Y, n_proj=args.n_proj, seed=args.seed),
-                    "n_proj": args.n_proj,
+                    "value": sliced_wd(X, Y, n_proj=N_PROJ, seed=args.seed),
+                    "n_proj": N_PROJ,
                 }
             elif name == "kl_knn":
                 rng = np.random.default_rng(args.seed)
                 halves = rng.permutation(Y.shape[0])
                 a, b = np.split(halves, [Y.shape[0] // 2])
                 floor_sq = (blocks.yy[np.ix_(a, a)], blocks.yy[np.ix_(a, b)])
-                floor = abs(kl_knn(Y[a], Y[b], k=args.kl_k, sq=floor_sq))
+                floor = abs(kl_knn(Y[a], Y[b], k=KL_K, sq=floor_sq))
                 del floor_sq  # 4 MB at 1000 points, not kept for the metrics after it
                 record["metrics"]["kl_knn"] = {
-                    "value": kl_knn(X, Y, k=args.kl_k, sq=(blocks.xx, blocks.xy)),
-                    "k": args.kl_k,
+                    "value": kl_knn(X, Y, k=KL_K, sq=(blocks.xx, blocks.xy)),
+                    "k": KL_K,
                     "noise_floor": floor,
                 }
             elif name == "mmd2":  # an rbf kernel at the median bandwidth of the pooled samples
@@ -272,16 +284,12 @@ def cmd_list_presets(_args) -> int:
     return 0
 
 
-def count(text: str, minimum: int = 1) -> int:
-    """An argparse type: an integer of at least ``minimum``, so a bad flag exits 2 with its name."""
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-    return value
-
-
 def nonnegative(text: str) -> int:
-    return count(text, minimum=0)
+    """An argparse type: an integer of at least 0, so a bad flag exits 2 with its name."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _add_run_arguments(parser):
@@ -313,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples_a")
     p.add_argument("samples_b")
     p.add_argument("--metrics", default=",".join(EVALUATE_METRICS))
-    p.add_argument("--n-proj", type=count, default=128)
-    p.add_argument("--kl-k", type=count, default=1)
     p.add_argument("--seed", type=nonnegative, default=0)
     p.add_argument("--out", help="also write the JSON record here")
     p.set_defaults(func=cmd_evaluate)

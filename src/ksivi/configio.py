@@ -7,27 +7,26 @@ dict.
 
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
 and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  The one
-kernel key is ``kernel.family``: imq trains at its default offset, and rbf at
-the median bandwidth of each iteration's samples.  A kind is
-``int``, ``float`` (an integer widens; ``inf`` and ``nan`` are refused),
-``str``, ``bool`` or ``[kind]``, a list; ``true`` and ``false`` are not
-numbers.  ``REQUIRED`` keys have no default, and a default of ``None`` leaves
-the key unset.  Unless set, the four seeds in
+kernel key is ``kernel.family``, read into ``TrainConfig.kernel_family``: imq
+trains at its default offset, and rbf at the median bandwidth of each
+iteration's samples.  A kind is ``int``, ``float`` (an integer widens; ``inf``
+and ``nan`` are refused), ``str``, ``bool`` or ``[kind]``, a list; ``true``
+and ``false`` are not numbers.  ``REQUIRED`` keys have no default, and a
+default of ``None`` leaves the key unset.  Unless set, the four seeds in
 ``SEED_OFFSETS`` (``init``, ``train``, ``eval``, ``sampler``) are ``run.seed``
 plus 0, 1, 2 and 3.  A key outside the schema is rejected by name.
 ``MINIMUM`` bounds the seeds, sizes and counts, and blr's prior precision
-``target.alpha``, from below.  A value that ``KernelSpec``, ``TrainConfig``
-or ``SamplerConfig`` rejects is named by its key: each of their messages opens
-with the field, which is ``kernel.<field>``'s, or which ``TRAIN_FIELDS`` and
-``SAMPLER_FIELDS`` map to the key.  Every other check of a ``target.*`` value
-is made where the target is built: ``build_target`` passes each target's keys
-but blr's to its constructor as keyword arguments of the same names, and a
-constructor's refusal opens with the argument, so it too is named by its key.
-blr's ``target.data_seed`` seeds only generated rows: with ``target.data_path``
-set it is refused, and left unset.  ``config.txt`` holds the resolved config,
-every key the run read with the value it used, so it reruns the run:
-``build_target`` makes a target's generated data from its keys on every run
-and keeps no file of it.
+``target.alpha``, from below.  A value that ``TrainConfig`` or
+``SamplerConfig`` rejects is named by its key: each of their messages opens
+with the field, which ``TRAIN_FIELDS`` and ``SAMPLER_FIELDS`` map to the key.
+Every other check of a ``target.*`` value is made where the target is built:
+``build_target`` passes each target's keys but blr's to its constructor as
+keyword arguments of the same names, and a constructor's refusal opens with
+the argument, so it too is named by its key.  blr's ``target.data_seed`` seeds
+only generated rows: with ``target.data_path`` set it is refused, and left
+unset.  ``config.txt`` holds the resolved config, every key the run read with
+the value it used, so it reruns the run: ``build_target`` makes a target's
+generated data from its keys on every run and keeps no file of it.
 """
 
 from __future__ import annotations
@@ -124,6 +123,7 @@ TRAIN_FIELDS = {
     "batch_size": "train.batch_size",
     "learning_rate": "train.learning_rate",
     "estimator": "train.estimator",
+    "kernel_family": "kernel.family",
     "anneal_start": "anneal.start",
     "anneal_iterations": "anneal.iterations",
     "seed": "train.seed",
@@ -134,7 +134,6 @@ TARGET_KEYS = {
     "banana": {},
     "multimodal": {},
     "xshaped": {},
-    "gaussian": {"mean": ([float], REQUIRED), "variances": ([float], REQUIRED)},
     "student_product": {"nu": (float, 2.0), "width": (float, 1.0), "dim": (int, 2)},
     "blr": {  # exactly one of data_path and synthetic_rows; data_seed seeds the synthetic rows
         "data_path": (str, None),
@@ -226,7 +225,6 @@ class ExperimentConfig:
     @classmethod
     def from_flat(cls, flat: dict) -> "ExperimentConfig":
         """Check ``flat`` against the schema, fill in its defaults and build the settings."""
-        from .kernels import KernelSpec
         from .samplers import RUNNERS, SamplerConfig
         from .train import TrainConfig
 
@@ -255,9 +253,7 @@ class ExperimentConfig:
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:
             raise ConfigError("arch.widths", f"need a list of >= 2 positive integers, got {widths}")
-        with _blame_field("kernel.{}".format):
-            kernel = KernelSpec(flat["kernel.family"])
-        train = _settings(TrainConfig, TRAIN_FIELDS, flat, kernel=kernel)
+        train = _settings(TrainConfig, TRAIN_FIELDS, flat)
         if flat["sampler.algorithm"] not in RUNNERS:
             raise ConfigError("sampler.algorithm", f"unknown algorithm {flat['sampler.algorithm']!r}")
         sampler = {"algorithm": flat["sampler.algorithm"], **asdict(_settings(SamplerConfig, SAMPLER_FIELDS, flat))}
@@ -308,7 +304,6 @@ def build_target(config: ExperimentConfig, data_dir) -> "object":
         "banana": targets.Banana,
         "multimodal": targets.multimodal_target,
         "xshaped": targets.xshaped_target,
-        "gaussian": targets.diagonal_gaussian,
         "student_product": targets.StudentTProduct,
         "conditioned_diffusion": targets.ConditionedDiffusion,
     }

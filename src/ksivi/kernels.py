@@ -11,10 +11,10 @@ A kernel is its family and the one parameter that family reads, its scale
 (rbf h, imq c), named and defaulted in ``FAMILY_PARAMETERS``.
 This is the one module that branches on a family: ``bandwidth_from_rule``
 sets an rbf kernel's bandwidth to the median of the samples (Garreau et al.
-2017) and leaves imq's offset as it is, ``grad1_weights`` is the one place the
-kernel-gradient pair weights are formed, and ``KernelSpec.parameter`` names
-what a family reads.  A config names a kernel by its family alone: imq reads
-its default offset, and an rbf bandwidth comes from the samples.
+2017) and leaves imq's offset as it is, and ``grad1_weights`` is the one
+place the kernel-gradient pair weights are formed.  A config names a kernel
+by its family alone: imq reads its default offset, and an rbf bandwidth comes
+from the samples.
 
 Squared distances have one definition, the BLAS expansion
 ``|x|^2 + |y|^2 - 2 x.y`` of ``pairwise_sq_dists``; every median and
@@ -102,10 +102,6 @@ class KernelSpec:
             object.__setattr__(spec, "scale", float(h))
             return spec
         return replace(self, scale=float(h))
-
-    def parameter(self) -> tuple[str, float]:
-        """The name and value of the one parameter this kernel's family reads."""
-        return FAMILY_PARAMETERS[self.family][0], self.scale
 
 
 def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Training loop: stochastic gradient descent on the squared discrepancy.
 
-Each iteration draws a fresh batch ``b1`` from the current variational
-family, and a second one ``b2`` for the two-batch estimator (``"vanilla"``;
-the U-statistic, ``"ustat"``, has ``b2 = None``; no other module reads the
-name).  It computes their squared distances once (``kernels.sq_blocks``),
+The kernel, ``KernelSpec(config.kernel_family)`` at its family's default
+scale, is built once, before the loop.  Each iteration draws a fresh batch
+``b1`` from the current variational family, and a second one ``b2`` for the
+two-batch estimator (``"vanilla"``; the U-statistic, ``"ustat"``, has
+``b2 = None``; no other module reads the name).  It computes their squared distances once (``kernels.sq_blocks``),
 sets an rbf kernel's bandwidth to the median of those samples from the
 blocks with ``kernels.bandwidth_from_rule`` (held constant while
 differentiating; imq keeps its offset), calls
@@ -38,13 +39,13 @@ norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import value_and_grad
 from .family import SIVParams, siv_sample_batch
-from .kernels import KernelSpec, bandwidth_from_rule, sq_blocks
+from .kernels import FAMILIES, KernelSpec, bandwidth_from_rule, sq_blocks
 from .optim import AdamState, adam_step
 from .targets import Tempered
 
@@ -58,8 +59,7 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     estimator: str = "vanilla"
-    # an rbf kernel's scale is replaced by the median bandwidth of the batches at every iteration
-    kernel: KernelSpec = field(default_factory=KernelSpec)
+    kernel_family: str = "rbf"
     anneal_start: float = 1.0  # 1.0, with anneal_iterations 0, disables annealing
     anneal_iterations: int = 0
     seed: int = 0
@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}, got {self.estimator!r}")
+        if self.kernel_family not in FAMILIES:
+            raise ValueError(f"kernel_family must be one of {FAMILIES}, got {self.kernel_family!r}")
         if not 0.0 < self.anneal_start <= 1.0:
             raise ValueError("anneal_start must lie in (0, 1]")
         if self.anneal_start < 1.0 and self.anneal_iterations <= 0:
@@ -122,6 +124,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
     two_batch = config.estimator == "vanilla"
     work = np.empty((1 + two_batch, target.work_size(config.batch_size)))  # one block for the run
     grad_rows = np.empty((1 + two_batch, params.flat.size))  # and one for the batches' pullbacks
+    spec = KernelSpec(config.kernel_family)
 
     for t in range(config.iterations):
         beta = anneal_beta(t, config.anneal_start, config.anneal_iterations)
@@ -129,7 +132,7 @@ def train(config: TrainConfig, target, init: SIVParams, iteration_hook=None):
         b2 = siv_sample_batch(params, config.batch_size, rng) if two_batch else None
         y = None if b2 is None else b2.x
         sq = sq_blocks(b1.x, y)
-        kernel = bandwidth_from_rule(config.kernel, b1.x, y, sq)
+        kernel = bandwidth_from_rule(spec, b1.x, y, sq)
         tempered = target if beta == 1.0 else Tempered(target, beta)  # 1.0 * x is x
         value, grad = value_and_grad(params, tempered, kernel, b1, b2, sq, work, grad_rows)
         if not np.isfinite(value):

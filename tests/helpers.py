@@ -38,19 +38,6 @@ def central_difference_gradient(fn, x, step=1e-5):
     return grad
 
 
-def central_difference_jacobian(fn, x, step=1e-6):
-    """Central finite-difference Jacobian of a vector function of a vector."""
-    x = np.asarray(x, dtype=np.float64)
-    cols = []
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        cols.append((np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2.0 * step))
-    return np.stack(cols, axis=-1)
-
-
 def relative_error(approx, exact, floor=1e-10):
     """Componentwise |a - e| / max(|a|, |e|, floor)."""
     approx = np.asarray(approx, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Every config key a run can set is set by a preset or a benchmark workload, or is named with a reason.
+"""Every config key and command-line flag is turned by a preset or a benchmark workload, or is named with a reason.
 
 A key that nothing sets is a knob no shipped run turns, and so one that no
 result checks.  A new key needs a preset or a workload that sets it, or an
@@ -8,13 +8,19 @@ every target's ``TARGET_KEYS``) and those a preset's resolved config holds.
 
 The settings built from a config hold no field that only code can set
 unnoticed: each field of ``TrainConfig`` and ``SamplerConfig`` is read from
-a schema key through ``TRAIN_FIELDS`` or ``SAMPLER_FIELDS``, is
-``TrainConfig``'s kernel, which ``kernel.family`` builds, or is named in
+a schema key through ``TRAIN_FIELDS`` or ``SAMPLER_FIELDS``, or is named in
 ``UNKEYED_FIELDS`` with a reason.
+
+The same rule holds for the flags: every option of every subcommand of
+``cli.build_parser()`` is passed by a workload's command line, or is named in
+``UNSET_FLAGS`` with a reason.
 """
+
+import argparse
 
 from dataclasses import fields
 
+from ksivi.cli import build_parser
 from ksivi.configio import KEYS, SAMPLER_FIELDS, SEED_OFFSETS, TARGET_KEYS, TRAIN_FIELDS, ExperimentConfig
 from ksivi.presets import PRESET_NAMES, get_preset
 from ksivi.samplers import SamplerConfig
@@ -26,12 +32,10 @@ DERIVED_SEED = "derived from run.seed; set only to rerun one random stream apart
 UNSET_KEYS = {
     "run.threads": "pins the BLAS thread count, a property of the machine; --threads sets it per command",
     "train.estimator": "the U-statistic in place of the two-batch estimator; test_train_reference checks both",
-    "sampler.n_particles": "every preset and workload samples the default 1,000 particles",
-    "eval.sample_size": "every preset and workload draws the default 1,000 samples",
+    "sampler.n_particles": "sizes ground_truth.csv, the reference that evaluate reads; CLI tests run 5-40 particles",
+    "eval.sample_size": "sizes samples.csv, the fitted family's draw that evaluate reads; TINY_CONFIG draws 50",
     **dict.fromkeys(SEED_OFFSETS, DERIVED_SEED),
     "target.data_path": "reads a real blr dataset; the preset and workload generate theirs from target.data_seed",
-    "target.mean": "the diagonal Gaussian target, which no preset trains on; tests use its known moments",
-    "target.variances": "the diagonal Gaussian target, which no preset trains on; tests use its known moments",
 }
 
 
@@ -65,11 +69,10 @@ UNKEYED_FIELDS = {
 
 
 def keyed_fields() -> set:
-    """The settings fields a schema key reaches: through the field tables, and the kernel through kernel.family."""
+    """The settings fields a schema key reaches through the field tables."""
     schema = {*KEYS, *SEED_OFFSETS}
     tables = {TrainConfig: TRAIN_FIELDS, SamplerConfig: SAMPLER_FIELDS}
-    keyed = {f"{cls.__name__}.{field}" for cls, table in tables.items() for field, key in table.items() if key in schema}
-    return keyed | {"TrainConfig.kernel"}
+    return {f"{cls.__name__}.{field}" for cls, table in tables.items() for field, key in table.items() if key in schema}
 
 
 def test_every_settings_field_is_keyed_or_named():
@@ -77,3 +80,45 @@ def test_every_settings_field_is_keyed_or_named():
     assert sorted(settings - keyed_fields() - set(UNKEYED_FIELDS)) == []
     assert sorted((keyed_fields() | set(UNKEYED_FIELDS)) - settings) == []
     assert sorted(keyed_fields() & set(UNKEYED_FIELDS)) == []
+
+
+# the workloads call train's and sample-ground-truth's functions, not the commands, so they pass no flag of either
+RUN_FLAGS = {
+    "--preset": "runs a shipped preset by name, without a config file",
+    "--out": "names the run directory; the default, runs/<experiment>, is overwritten by the next run of it",
+    "--data-dir": "where a relative target.data_path is read from; refused where no data file is named",
+    "--seed": "replaces run.seed and its derived seeds, so a run repeats at another seed without a new config",
+    "--threads": "replaces run.threads, a property of the machine, and config.txt records it",
+}
+UNSET_FLAGS = {
+    f"{command} {flag}": reason for command in ("train", "sample-ground-truth") for flag, reason in RUN_FLAGS.items()
+}
+
+
+def flags() -> set:
+    """Every option of every subcommand, as ``"command --flag"``; argparse's ``--help`` aside."""
+    parser = build_parser()
+    subcommands = next(action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return {
+        f"{command} {action.option_strings[-1]}"
+        for command, subparser in subcommands.items()
+        for action in subparser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def flags_passed(monkeypatch) -> set:
+    """The flags of the one command a workload runs through ``cli.main``, ``evaluate``."""
+    argvs = []
+    monkeypatch.setattr(workload.cli, "main", lambda argv: argvs.append(argv) or 2)
+    workload.evaluate("a.csv", "b.csv", workload.EVAL_METRICS, "evaluate.json")
+    return {f"{argv[0]} {arg}" for argv in argvs for arg in argv[1:] if arg.startswith("--")}
+
+
+def test_every_flag_is_passed_or_named(monkeypatch):
+    assert sorted(flags() - flags_passed(monkeypatch) - set(UNSET_FLAGS)) == []
+
+
+def test_every_named_flag_exists_and_is_unpassed(monkeypatch):
+    assert sorted(set(UNSET_FLAGS) - flags()) == []
+    assert sorted(set(UNSET_FLAGS) & flags_passed(monkeypatch)) == []

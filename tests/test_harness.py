@@ -27,7 +27,6 @@ from ksivi.configio import (
     validate_against_target,
 )
 from ksivi.family import SIVParams, siv_init
-from ksivi.kernels import KernelSpec
 from ksivi.nets import NetArch
 from ksivi.presets import PRESET_NAMES, get_preset
 from ksivi.runio import (
@@ -224,12 +223,11 @@ class TestConfigFormat:
             ExperimentConfig.from_flat(flat)
         assert str(err.value) == f"{key}: expected a finite float, got {value}"
 
-    @pytest.mark.parametrize("family, parameter", [("rbf", "bandwidth"), ("imq", "offset")])
-    def test_a_kernel_is_built_from_its_family_alone(self, family, parameter):
+    @pytest.mark.parametrize("family", ["rbf", "imq"])
+    def test_a_kernel_is_built_from_its_family_alone(self, family):
         # imq trains at its default offset; the rbf bandwidth is replaced by the median every iteration
         flat = {**parse_config_text(TINY_CONFIG), "kernel.family": family}
-        kernel = ExperimentConfig.from_flat(flat).train.kernel
-        assert kernel == KernelSpec(family) and kernel.parameter() == (parameter, 1.0)
+        assert ExperimentConfig.from_flat(flat).train.kernel_family == family
 
     @pytest.mark.parametrize("value", [1.0, 0.0, float("nan"), float("inf")])
     def test_an_imq_offset_is_refused_as_unknown_at_any_value(self, value):
@@ -239,13 +237,13 @@ class TestConfigFormat:
             ExperimentConfig.from_flat(flat)
         assert str(err.value) == "kernel.offset: unknown key"
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_list_items_rejected(self, value):
-        flat = parse_config_text(TINY_CONFIG)
-        flat.update({"target.name": "gaussian", "target.mean": [0.0, value], "target.variances": [1.0, 1.0]})
+    @pytest.mark.parametrize("settings", [{}, {"target.mean": [0.0, 1.0], "target.variances": [1.0, 2.0]}])
+    def test_gaussian_is_an_unknown_target(self, settings):
+        # the diagonal Gaussian is a test fixture (targets.diagonal_gaussian), not a config target
+        flat = {**parse_config_text(TINY_CONFIG), "target.name": "gaussian", **settings}
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_flat(flat)
-        assert str(err.value) == f"target.mean: expected a finite float, got {value}"
+        assert str(err.value) == "target.name: unknown target 'gaussian'"
 
     def test_width_mismatch_named_field(self):
         flat = parse_config_text(TINY_CONFIG)
@@ -513,6 +511,7 @@ class TestTrainKeys:
         "train.batch_size": 9,
         "train.learning_rate": 0.002,
         "train.estimator": "ustat",
+        "kernel.family": "imq",
         "anneal.start": 0.25,
         "anneal.iterations": 2,
         "train.seed": 9,
@@ -829,7 +828,9 @@ class TestCLI:
         (tmp_path / "short.csv").write_text(",".join(["0.5"] * 20 + ["1"]) + "\n")
         config_path = tmp_path / "config.txt"
         config_path.write_text(TINY_CONFIG.replace('target.name = "banana"\n', settings))
-        argv = ["train", str(config_path), "--out", str(tmp_path / "out"), "--data-dir", str(tmp_path)]
+        argv = ["train", str(config_path), "--out", str(tmp_path / "out")]
+        if "data_path" in settings:  # the one key that --data-dir serves
+            argv += ["--data-dir", str(tmp_path)]
         assert main(argv) == 2
         assert key in capsys.readouterr().err
 
@@ -884,27 +885,12 @@ class TestCLI:
         assert {var: os.environ[var] for var in pinned} == pinned
         assert not (tmp_path / "out").exists()
 
-    GAUSSIAN = {"target.name": "gaussian", "target.mean": [0.0, 1.0], "target.variances": [1.0, 2.0]}
     STUDENT = {"target.name": "student_product"}
 
     @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
     @pytest.mark.parametrize(
         "settings, message",
         [
-            ({**GAUSSIAN, "target.mean": []}, "target.mean: must have at least 1 entry, got none"),
-            # unchecked, the mismatch reaches the first training iteration as a matmul error
-            (
-                {**GAUSSIAN, "target.mean": [0.0, 1.0, 2.0]},
-                "target.variances: must have one entry per mean entry (3), got 2",
-            ),
-            ({**GAUSSIAN, "target.variances": [1.0]}, "target.variances: must have one entry per mean entry (2), got 1"),
-            ({**GAUSSIAN, "target.variances": [1.0, 0.0]}, "target.variances: must be positive, got [1.0, 0.0]"),
-            ({**GAUSSIAN, "target.variances": [-1.0, 2.0]}, "target.variances: must be positive, got [-1.0, 2.0]"),
-            # its reciprocal overflows, and the first loss estimate would be nan
-            (
-                {**GAUSSIAN, "target.variances": [1e-320, 1.0]},
-                "target.variances: must have a finite reciprocal, got [1e-320, 1.0]",
-            ),
             ({**STUDENT, "target.nu": 0.0}, "target.nu: must be positive, got 0.0"),
             ({**STUDENT, "target.nu": -1.0}, "target.nu: must be positive, got -1.0"),
             ({**STUDENT, "target.width": 0.0}, "target.width: must be positive, got 0.0"),
@@ -1200,23 +1186,15 @@ class TestCLI:
         assert records[0] == records[1]
         assert list(records[0]["metrics"]) == ["mmd2"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "0"],
-            ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--kl-k", "-1"],
-            ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--n-proj", "0"],
-            ["evaluate", "{dir}/a.csv", "{dir}/a.csv", "--n-proj", "-3"],
-        ],
-    )
-    def test_count_flag_below_one_exits_2(self, tmp_path, capsys, argv):
-        argv = [arg.format(dir=tmp_path) for arg in argv]
+    @pytest.mark.parametrize("flag", ["--n-proj", "--kl-k"])
+    def test_metric_size_flags_are_unrecognized(self, tmp_path, capsys, flag):
+        # sliced_wd projects on cli.N_PROJ directions and kl_knn reads the cli.KL_K-th neighbour
+        write_samples_csv(tmp_path / "a.csv", np.random.default_rng(4).standard_normal((20, 2)))
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main(["evaluate", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), flag, "3"])
         assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"error: argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
-        assert "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag} 3" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1250,24 +1228,22 @@ class TestCLI:
         assert err == f"error: {a_path}, {b_path}: corr: needs at least 2 coordinates to correlate, got 1\n"
         assert main(["evaluate", str(a_path), str(b_path), "--metrics", "sliced_wd,kl_knn,mmd2"]) == 0
 
-    @pytest.mark.parametrize("m, k", [(3, 1), (4, 2), (5, 2)])
-    def test_evaluate_noise_floor_refuses_a_small_b_by_name(self, tmp_path, capsys, m, k):
-        # the floor compares two halves of B; the smaller must hold more than k rows
+    def test_evaluate_noise_floor_refuses_a_small_b_by_name(self, tmp_path, capsys):
+        # the floor compares two halves of B; the smaller must hold more than k = 1 rows
         rng = np.random.default_rng(6)
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         write_samples_csv(a_path, rng.standard_normal((5, 2)))
-        write_samples_csv(b_path, rng.standard_normal((m, 2)))
-        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn", "--kl-k", str(k)]) == 2
+        write_samples_csv(b_path, rng.standard_normal((3, 2)))
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn"]) == 2
         out, err = capsys.readouterr()
-        half = m // 2
         assert out == "" and err == (
-            f"error: {b_path}: kl_knn noise floor: samples_b has {m} rows, split into halves "
-            f"of {half} and {m - half}; each needs more than k = {k} rows\n"
+            f"error: {b_path}: kl_knn noise floor: samples_b has 3 rows, split into halves "
+            "of 1 and 2; each needs more than k = 1 rows\n"
         )
         # B's other metrics are not refused, and one row more is enough for the floor
         assert main(["evaluate", str(a_path), str(b_path), "--metrics", "sliced_wd,mmd2"]) == 0
-        write_samples_csv(b_path, rng.standard_normal((2 * k + 2, 2)))
-        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn", "--kl-k", str(k)]) == 0
+        write_samples_csv(b_path, rng.standard_normal((4, 2)))
+        assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn"]) == 0
 
     def test_evaluate_records_the_kernel_parameter_the_mmd_reads(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(7)
@@ -1328,6 +1304,19 @@ class TestCLI:
         assert main([command, "blr.toml", "--out", "o3", "--data-dir", "d"]) == 0
         assert Path("o1", result).read_bytes() != Path("o3", result).read_bytes()
         assert not Path("o1", "w.csv").exists() and not Path("o2", "w.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    @pytest.mark.parametrize("data_dir", ["d", "/nonexistent"])
+    def test_data_dir_without_a_data_path_exits_2(self, tmp_path, capsys, monkeypatch, command, data_dir):
+        # nothing reads the directory: banana and the generated blr rows name no data file
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        for flat in (parse_config_text(TINY_CONFIG), get_preset("blr-waveform")):
+            Path("config.toml").write_text(format_config(flat))
+            assert main([command, "config.toml", "--out", "out", "--data-dir", data_dir]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: --data-dir: does nothing when target.data_path is not set\n"
+            assert not Path("out").exists()
 
     @pytest.mark.parametrize(
         "argv, path",
@@ -1405,6 +1394,23 @@ print(json.dumps({{"code": code, "seen": seen}}))
     def test_threads_flag_overrides_config_before_numpy_loads(self, tmp_path):
         seen = self.thread_vars_at_numpy_import(tmp_path, TINY_CONFIG + "run.threads = 1\n", "--threads", "2")
         assert seen == {v: "2" for v in self.THREAD_VARS}
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    def test_threads_flag_is_recorded_as_run_threads(self, tmp_path, monkeypatch, capsys, command):
+        # the flag replaces run.threads, as --seed replaces run.seed, so config.txt reruns the count pinned
+        for var in self.THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG + "run.threads = 1\nsampler.n_particles = 5\nsampler.n_steps = 3\n")
+        assert main([command, str(config_path), "--out", str(tmp_path / "a"), "--threads", "2"]) == 0
+        assert {var: os.environ[var] for var in self.THREAD_VARS} == dict.fromkeys(self.THREAD_VARS, "2")
+        assert parse_config_text((tmp_path / "a" / "config.txt").read_text())["run.threads"] == 2
+        assert json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]["run.threads"] == 2
+        for var in self.THREAD_VARS:
+            monkeypatch.delenv(var)
+        assert main([command, str(tmp_path / "a" / "config.txt"), "--out", str(tmp_path / "b")]) == 0
+        assert {var: os.environ[var] for var in self.THREAD_VARS} == dict.fromkeys(self.THREAD_VARS, "2")
+        capsys.readouterr()
 
     def test_preset_data_generation(self, tmp_path, capsys):
         # the blr and conditioned diffusion presets generate their data in memory and write no file

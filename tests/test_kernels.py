@@ -117,8 +117,8 @@ class TestSpec:
     @pytest.mark.parametrize("family, name, default", [("rbf", "bandwidth", 1.0), ("imq", "offset", 1.0)])
     def test_no_scale_takes_the_family_default(self, family, name, default):
         assert KernelSpec(family) == KernelSpec(family, default)
-        assert KernelSpec(family).parameter() == (name, default)
-        assert KernelSpec(family, 3).parameter() == (name, 3.0)
+        assert kernels.FAMILY_PARAMETERS[family] == (name, default)
+        assert KernelSpec(family, 3).scale == 3.0
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)

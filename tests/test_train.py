@@ -6,7 +6,7 @@ import pytest
 
 from ksivi.estimators import value_and_grad
 from ksivi.family import SIVParams, siv_init, siv_sample_batch
-from ksivi.kernels import bandwidth_from_rule
+from ksivi.kernels import KernelSpec, bandwidth_from_rule
 from ksivi.nets import NetArch
 from ksivi.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from ksivi.targets import (
@@ -177,7 +177,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(config.seed)
         b1 = siv_sample_batch(init, config.batch_size, rng)
         b2 = siv_sample_batch(init, config.batch_size, rng)
-        kernel = bandwidth_from_rule(config.kernel, np.concatenate([b1.x, b2.x]))
+        kernel = bandwidth_from_rule(KernelSpec(config.kernel_family), np.concatenate([b1.x, b2.x]))
         tempered, _ = value_and_grad(init, Tempered(Banana(), 0.3), kernel, b1, b2)
         untempered, _ = value_and_grad(init, Banana(), kernel, b1, b2)
         assert trace["beta_temp"][0] == 0.3
