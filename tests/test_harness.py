@@ -237,6 +237,13 @@ class TestConfigFormat:
             ExperimentConfig.from_flat(flat)
         assert str(err.value) == "kernel.offset: unknown key"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_list_items_rejected(self, value):
+        flat = {**parse_config_text(TINY_CONFIG), "arch.widths": [3, value, 2]}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(flat)
+        assert str(err.value) == "arch.widths: expected int, got float"
+
     @pytest.mark.parametrize("settings", [{}, {"target.mean": [0.0, 1.0], "target.variances": [1.0, 2.0]}])
     def test_gaussian_is_an_unknown_target(self, settings):
         # the diagonal Gaussian is a test fixture (targets.diagonal_gaussian), not a config target
@@ -894,6 +901,7 @@ class TestCLI:
             ({**STUDENT, "target.nu": 0.0}, "target.nu: must be positive, got 0.0"),
             ({**STUDENT, "target.nu": -1.0}, "target.nu: must be positive, got -1.0"),
             ({**STUDENT, "target.width": 0.0}, "target.width: must be positive, got 0.0"),
+            ({**STUDENT, "target.width": -1.0}, "target.width: must be positive, got -1.0"),
             ({**STUDENT, "target.dim": 0}, "target.dim: must be at least 1, got 0"),
             ({**STUDENT, "target.dim": -1}, "target.dim: must be at least 1, got -1"),
             ({**CD, "target.obs_seed": -1}, "target.obs_seed: must be at least 0, got -1"),
@@ -909,6 +917,14 @@ class TestCLI:
             (
                 {"target.name": "blr", "target.synthetic_rows": 30, "target.alpha": -1.0},
                 "target.alpha: must be at least 0, got -1.0",
+            ),
+            (
+                {"target.name": "blr", "target.synthetic_rows": 0},
+                "target.synthetic_rows: must be at least 1, got 0",
+            ),
+            (
+                {"target.name": "blr", "target.synthetic_rows": 30, "target.data_seed": -1},
+                "target.data_seed: must be at least 0, got -1",
             ),
         ],
     )
@@ -1228,17 +1244,18 @@ class TestCLI:
         assert err == f"error: {a_path}, {b_path}: corr: needs at least 2 coordinates to correlate, got 1\n"
         assert main(["evaluate", str(a_path), str(b_path), "--metrics", "sliced_wd,kl_knn,mmd2"]) == 0
 
-    def test_evaluate_noise_floor_refuses_a_small_b_by_name(self, tmp_path, capsys):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_evaluate_noise_floor_refuses_a_small_b_by_name(self, tmp_path, capsys, m):
         # the floor compares two halves of B; the smaller must hold more than k = 1 rows
         rng = np.random.default_rng(6)
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         write_samples_csv(a_path, rng.standard_normal((5, 2)))
-        write_samples_csv(b_path, rng.standard_normal((3, 2)))
+        write_samples_csv(b_path, rng.standard_normal((m, 2)))
         assert main(["evaluate", str(a_path), str(b_path), "--metrics", "kl_knn"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            f"error: {b_path}: kl_knn noise floor: samples_b has 3 rows, split into halves "
-            "of 1 and 2; each needs more than k = 1 rows\n"
+            f"error: {b_path}: kl_knn noise floor: samples_b has {m} rows, split into halves "
+            f"of 1 and {m - 1}; each needs more than k = 1 rows\n"
         )
         # B's other metrics are not refused, and one row more is enough for the floor
         assert main(["evaluate", str(a_path), str(b_path), "--metrics", "sliced_wd,mmd2"]) == 0

@@ -199,6 +199,9 @@ CONFIGS = {
     "median": {},
     "imq": {"kernel_family": "imq"},
     "anneal": {"anneal_start": 0.2, "anneal_iterations": 6},
+    # the longest ramp a 12-iteration run allows: beta reaches 1 at the last iteration
+    "anneal-full": {"anneal_start": 0.2, "anneal_iterations": 11},
+    "imq-anneal": {"kernel_family": "imq", "anneal_start": 0.2, "anneal_iterations": 6},
 }
 
 
@@ -229,7 +232,7 @@ class TestMatchesReferenceLoop:
 
 class TestOneDistanceMatrixPerIteration:
     @pytest.mark.parametrize("estimator", ["vanilla", "ustat"])
-    @pytest.mark.parametrize("config", ["median", "imq"])
+    @pytest.mark.parametrize("config", ["median", "imq", "anneal"])
     def test_counts(self, monkeypatch, estimator, config):
         calls = {"blocks": 0, "pairwise": 0}
 
