@@ -7,14 +7,13 @@ pin takes effect before the BLAS runtime loads.
 
 Flags of ``train`` and ``sample-ground-truth``: ``--preset`` or a config
 file, ``--out``, ``--data-dir``, ``--seed`` and ``--threads``.  ``--threads``
-replaces ``run.threads``, and ``--seed`` replaces ``run.seed`` and
-re-derives from it the four seeds of ``configio.SEED_OFFSETS``, also where
-the config sets them, as ``config.txt`` does; so a run's ``config.txt``
-holds the values it used.  ``--data-dir`` is where a relative
-``target.data_path`` is read from, and a config without one refuses it.
-``evaluate`` takes ``--metrics``, ``--seed`` and ``--out``; ``sliced_wd``
-projects on ``N_PROJ`` directions, and ``kl_knn`` reads the ``KL_K``-th
-neighbour.
+replaces ``run.threads``, and ``--seed`` replaces ``run.seed``, from which
+every random stream's seed is derived (``configio.SEED_OFFSETS``); so a
+run's ``config.txt`` holds the values it used.  ``--data-dir`` is where a
+relative ``target.data_path`` is read from, and a config without one
+refuses it.  ``evaluate`` takes ``--metrics``, ``--seed`` and ``--out``;
+``sliced_wd`` projects on ``N_PROJ`` directions, and ``kl_knn`` reads the
+``KL_K``-th neighbour.
 
 Refusals: a handler refuses an input by raising.  ``main`` prints a
 ``configio.ConfigError`` as ``config error: …``, and an ``InputError`` (a
@@ -49,7 +48,7 @@ def _pin_threads(n: int) -> None:
 
 
 def _load_flat_config(args) -> dict:
-    from .configio import SEED_OFFSETS, ConfigError, load_config_file
+    from .configio import ConfigError, load_config_file
     from .presets import get_preset
 
     if args.preset and args.config:
@@ -62,8 +61,6 @@ def _load_flat_config(args) -> dict:
         raise ConfigError("config", "need a config file or --preset")
     if args.seed is not None:
         flat["run.seed"] = args.seed
-        for derived in SEED_OFFSETS:
-            flat.pop(derived, None)
     if args.threads is not None:
         flat["run.threads"] = args.threads
     return flat
@@ -108,7 +105,7 @@ def cmd_train(args) -> int:
     import numpy as np
 
     from .family import siv_init, siv_sample_batch
-    from .kernels import FAMILY_PARAMETERS
+    from .kernels import SCALE_NAMES
     from .nets import NetArch
     from .runio import save_checkpoint, write_samples_csv, write_trace_csv
     from .train import train
@@ -121,7 +118,7 @@ def cmd_train(args) -> int:
     eval_rng = np.random.default_rng(config.eval_seed)
     samples = siv_sample_batch(params, config.eval_sample_size, eval_rng).x
 
-    write_trace_csv(out_dir / "trace.csv", trace, FAMILY_PARAMETERS[config.train.kernel_family][0])
+    write_trace_csv(out_dir / "trace.csv", trace, SCALE_NAMES[config.train.kernel_family])
     save_checkpoint(out_dir / "checkpoint.json", params)
     write_samples_csv(out_dir / "samples.csv", samples)
 
@@ -150,10 +147,11 @@ def cmd_ground_truth(args) -> int:
     from .runio import write_samples_csv
     from .samplers import RUNNERS, SamplerConfig
 
-    s = {key: config.sampler[key] for key in ("algorithm", *SAMPLER_FIELDS)}  # the keys a config sets
+    fields = (*SAMPLER_FIELDS, "seed")  # those a config sets, and the seed derived from run.seed
+    s = {key: config.sampler[key] for key in ("algorithm", *fields)}
     before = _rusage()
     started = time.perf_counter()
-    run = RUNNERS[s["algorithm"]](target, SamplerConfig(**{field: s[field] for field in SAMPLER_FIELDS}))
+    run = RUNNERS[s["algorithm"]](target, SamplerConfig(**{field: s[field] for field in fields}))
     finished = time.perf_counter()
 
     write_samples_csv(out_dir / "ground_truth.csv", run.states)

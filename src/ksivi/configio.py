@@ -8,17 +8,18 @@ dict.
 The schema: ``KEYS`` gives each key outside ``target.*`` a kind and a default,
 and ``TARGET_KEYS`` does so for each target's ``target.*`` keys.  The one
 kernel key is ``kernel.family``, read into ``TrainConfig.kernel_family``: imq
-trains at its default offset, and rbf at the median bandwidth of each
-iteration's samples.  A kind is ``int``, ``float`` (an integer widens; ``inf``
-and ``nan`` are refused), ``str``, ``bool`` or ``[kind]``, a list; ``true``
-and ``false`` are not numbers.  ``REQUIRED`` keys have no default, and a
-default of ``None`` leaves the key unset.  Unless set, the four seeds in
-``SEED_OFFSETS`` (``init``, ``train``, ``eval``, ``sampler``) are ``run.seed``
-plus 0, 1, 2 and 3.  A key outside the schema is rejected by name.
-``MINIMUM`` bounds the seeds, sizes and counts, and blr's prior precision
-``target.alpha``, from below.  A value that ``TrainConfig`` or
-``SamplerConfig`` rejects is named by its key: each of their messages opens
-with the field, which ``TRAIN_FIELDS`` and ``SAMPLER_FIELDS`` map to the key.
+trains at offset 1, and rbf at the median bandwidth of each iteration's
+samples.  A kind is ``int``, ``float`` (an integer widens; ``inf`` and
+``nan`` are refused), ``str``, ``bool`` or ``[kind]``, a list; ``true`` and
+``false`` are not numbers.  ``REQUIRED`` keys have no default, and a default
+of ``None`` leaves the key unset.  A key outside the schema is rejected by
+name.  ``MINIMUM`` bounds the seeds, sizes and counts, and blr's prior
+precision ``target.alpha``, from below.  The four random streams (``init``,
+``train``, ``eval``, ``sampler``) are seeded with ``run.seed`` plus their
+``SEED_OFFSETS``, 0, 1, 2 and 3; no key seeds one apart from the others.  A
+value that ``TrainConfig`` or ``SamplerConfig`` rejects is named by its key:
+each of their messages opens with the field, which ``TRAIN_FIELDS`` and
+``SAMPLER_FIELDS`` map to the key.
 Every other check of a ``target.*`` value is made where the target is built:
 ``build_target`` passes each target's keys but blr's to its constructor as
 keyword arguments of the same names, and a constructor's refusal opens with
@@ -108,12 +109,12 @@ KEYS = {
     "eval.sample_size": (int, 1000),
 }
 
-SEED_OFFSETS = {"init.seed": 0, "train.seed": 1, "eval.seed": 2, "sampler.seed": 3}
+SEED_OFFSETS = {"init": 0, "train": 1, "eval": 2, "sampler": 3}  # each stream's seed is run.seed plus its offset
 
 # numpy takes no negative seed, and the data generators, samplers and targets
 # no empty size; a negative thread or annealing count would silently mean none,
 # and a negative blr prior precision makes the posterior improper
-MINIMUM = dict.fromkeys(["run.seed", *SEED_OFFSETS, "run.threads", "anneal.iterations"], 0)
+MINIMUM = dict.fromkeys(["run.seed", "run.threads", "anneal.iterations"], 0)
 MINIMUM.update(dict.fromkeys(["target.data_seed", "target.obs_seed", "target.alpha"], 0))
 MINIMUM.update(dict.fromkeys(["eval.sample_size", "target.synthetic_rows", "target.dim"], 1))
 
@@ -126,9 +127,8 @@ TRAIN_FIELDS = {
     "kernel_family": "kernel.family",
     "anneal_start": "anneal.start",
     "anneal_iterations": "anneal.iterations",
-    "seed": "train.seed",
 }
-SAMPLER_FIELDS = {field: f"sampler.{field}" for field in ("n_particles", "n_steps", "step_size", "seed")}
+SAMPLER_FIELDS = {field: f"sampler.{field}" for field in ("n_particles", "n_steps", "step_size")}
 
 TARGET_KEYS = {
     "banana": {},
@@ -231,12 +231,7 @@ class ExperimentConfig:
         target = _take(flat, "target.name", *KEYS["target.name"])
         if target not in TARGET_KEYS:
             raise ConfigError("target.name", f"unknown target {target!r}")
-        seed = _take(flat, "run.seed", *KEYS["run.seed"])
-        schema = {
-            **KEYS,
-            **{key: (int, seed + offset) for key, offset in SEED_OFFSETS.items()},
-            **{f"target.{key}": spec for key, spec in TARGET_KEYS[target].items()},
-        }
+        schema = {**KEYS, **{f"target.{key}": spec for key, spec in TARGET_KEYS[target].items()}}
         unknown = sorted(set(flat) - set(schema))
         if unknown:
             raise ConfigError(", ".join(unknown), "unknown key")
@@ -253,19 +248,20 @@ class ExperimentConfig:
         widths = flat["arch.widths"]
         if len(widths) < 2 or min(widths) < 1:
             raise ConfigError("arch.widths", f"need a list of >= 2 positive integers, got {widths}")
-        train = _settings(TrainConfig, TRAIN_FIELDS, flat)
+        seeds = {stream: flat["run.seed"] + offset for stream, offset in SEED_OFFSETS.items()}
+        train = _settings(TrainConfig, TRAIN_FIELDS, flat, seed=seeds["train"])
         if flat["sampler.algorithm"] not in RUNNERS:
             raise ConfigError("sampler.algorithm", f"unknown algorithm {flat['sampler.algorithm']!r}")
-        sampler = {"algorithm": flat["sampler.algorithm"], **asdict(_settings(SamplerConfig, SAMPLER_FIELDS, flat))}
+        sampler = _settings(SamplerConfig, SAMPLER_FIELDS, flat, seed=seeds["sampler"])
         return cls(
             name=flat["experiment.name"],
             widths=tuple(widths),
             rho_init=flat["init.rho"],
-            init_seed=flat["init.seed"],
+            init_seed=seeds["init"],
             train=train,
-            sampler=sampler,
+            sampler={"algorithm": flat["sampler.algorithm"], **asdict(sampler)},
             eval_sample_size=flat["eval.sample_size"],
-            eval_seed=flat["eval.seed"],
+            eval_seed=seeds["eval"],
             flat=flat,
         )
 

@@ -8,13 +8,13 @@ never negative.  Each family's first-argument gradient has the shape
 batched training code exploits.
 
 A kernel is its family and the one parameter that family reads, its scale
-(rbf h, imq c), named and defaulted in ``FAMILY_PARAMETERS``.
+(rbf h, imq c), named in ``SCALE_NAMES``; it is 1 unless the code sets it.
 This is the one module that branches on a family: ``bandwidth_from_rule``
 sets an rbf kernel's bandwidth to the median of the samples (Garreau et al.
 2017) and leaves imq's offset as it is, and ``grad1_weights`` is the one
 place the kernel-gradient pair weights are formed.  A config names a kernel
-by its family alone: imq reads its default offset, and an rbf bandwidth comes
-from the samples.
+by its family alone: imq reads offset 1, and an rbf bandwidth comes from the
+samples.
 
 Squared distances have one definition, the BLAS expansion
 ``|x|^2 + |y|^2 - 2 x.y`` of ``pairwise_sq_dists``; every median and
@@ -54,9 +54,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# each family, the name of the one parameter it reads, and that parameter's default
-FAMILY_PARAMETERS = {"rbf": ("bandwidth", 1.0), "imq": ("offset", 1.0)}
-FAMILIES = tuple(FAMILY_PARAMETERS)
+# each family and the name of its scale, the one parameter it reads
+SCALE_NAMES = {"rbf": "bandwidth", "imq": "offset"}
+FAMILIES = tuple(SCALE_NAMES)
 
 BANDWIDTH_FLOOR = 1e-8
 
@@ -72,36 +72,14 @@ MEDIAN_GATHER_PAIRS = 50_000
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family and ``scale``, the one parameter it reads; None takes the family's default."""
+    """A kernel family and ``scale``, the one parameter it reads (rbf h, imq c)."""
 
     family: str = "rbf"
-    scale: float | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
-        # each message opens with the field it rejects, the scale by its parameter's
-        # name; configio names the key by it
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        name, default = FAMILY_PARAMETERS[self.family]
-        scale = default if self.scale is None else self.scale
-        if not np.isfinite(scale):  # NaN passes the check below
-            raise ValueError(f"{name} must be finite, got {scale}")
-        if scale <= 0:
-            raise ValueError(f"{name} must be positive")
-        object.__setattr__(self, "scale", float(scale))
-
-    def with_bandwidth(self, h: float) -> "KernelSpec":
-        """This kernel at the bandwidth ``h`` resolved from samples.
-
-        Unlike the constructor it lets a NaN through: the median is NaN at
-        non-finite samples, and the NaN estimate that follows is how training
-        reports their divergence, at the iteration that drew them.
-        """
-        if np.isnan(h):
-            spec = replace(self)
-            object.__setattr__(spec, "scale", float(h))
-            return spec
-        return replace(self, scale=float(h))
 
 
 def c_ordered(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +278,10 @@ def bandwidth_from_rule(
 
     Only the rbf kernel has a bandwidth: the other families come back as
     they are, and no median is formed.  ``blocks`` is passed on to
-    ``median_bandwidth``.
+    ``median_bandwidth``.  The median is NaN at non-finite samples, and the
+    NaN estimate that follows is how training reports their divergence, at
+    the iteration that drew them.
     """
     if spec.family != "rbf":
         return spec
-    return spec.with_bandwidth(median_bandwidth(X, Y, blocks))
+    return replace(spec, scale=median_bandwidth(X, Y, blocks))

@@ -58,7 +58,7 @@ def read_samples_csv(path) -> np.ndarray:
 def write_trace_csv(path, trace, scale_name: str) -> None:
     """``train``'s trace as CSV: the row index as ``iteration``, then its fields in order.
 
-    The kernel scale column is named ``scale_name`` (``KernelSpec.parameter``).
+    The kernel scale column is named ``scale_name`` (``kernels.SCALE_NAMES``).
     """
     columns = ["iteration", "ksd2", scale_name, "beta_temp", "grad_norm"]
     data = np.column_stack([np.arange(len(trace)), *(trace[name] for name in trace.dtype.names)])

@@ -1,7 +1,8 @@
 """Training loop: stochastic gradient descent on the squared discrepancy.
 
-The kernel, ``KernelSpec(config.kernel_family)`` at its family's default
-scale, is built once, before the loop.  Each iteration draws a fresh batch
+The kernel, ``KernelSpec(config.kernel_family)`` at scale 1, is built once,
+before the loop.  ``config.seed`` seeds the batches' draws; ``configio``
+derives it from ``run.seed``.  Each iteration draws a fresh batch
 ``b1`` from the current variational family, and a second one ``b2`` for the
 two-batch estimator (``"vanilla"``; the U-statistic, ``"ustat"``, has
 ``b2 = None``; no other module reads the name).  It computes their squared distances once (``kernels.sq_blocks``),

@@ -3,8 +3,8 @@
 A key that nothing sets is a knob no shipped run turns, and so one that no
 result checks.  A new key needs a preset or a workload that sets it, or an
 entry in ``UNSET_KEYS`` that says why it stays at its default.  The keys a
-run can set are those of the schema (``configio.KEYS``, ``SEED_OFFSETS`` and
-every target's ``TARGET_KEYS``) and those a preset's resolved config holds.
+run can set are those of the schema (``configio.KEYS`` and every target's
+``TARGET_KEYS``) and those a preset's resolved config holds.
 
 The settings built from a config hold no field that only code can set
 unnoticed: each field of ``TrainConfig`` and ``SamplerConfig`` is read from
@@ -21,26 +21,24 @@ import argparse
 from dataclasses import fields
 
 from ksivi.cli import build_parser
-from ksivi.configio import KEYS, SAMPLER_FIELDS, SEED_OFFSETS, TARGET_KEYS, TRAIN_FIELDS, ExperimentConfig
+from ksivi.configio import KEYS, SAMPLER_FIELDS, TARGET_KEYS, TRAIN_FIELDS, ExperimentConfig
 from ksivi.presets import PRESET_NAMES, get_preset
 from ksivi.samplers import SamplerConfig
 from ksivi.train import TrainConfig
 
 from test_benchmark_workload import workload  # perfbench/workload.py, loaded by path
 
-DERIVED_SEED = "derived from run.seed; set only to rerun one random stream apart from the others"
 UNSET_KEYS = {
     "run.threads": "pins the BLAS thread count, a property of the machine; --threads sets it per command",
     "train.estimator": "the U-statistic in place of the two-batch estimator; test_train_reference checks both",
     "sampler.n_particles": "sizes ground_truth.csv, the reference that evaluate reads; CLI tests run 5-40 particles",
     "eval.sample_size": "sizes samples.csv, the fitted family's draw that evaluate reads; TINY_CONFIG draws 50",
-    **dict.fromkeys(SEED_OFFSETS, DERIVED_SEED),
     "target.data_path": "reads a real blr dataset; the preset and workload generate theirs from target.data_seed",
 }
 
 
 def settable_keys() -> set:
-    schema = {*KEYS, *SEED_OFFSETS, *(f"target.{key}" for keys in TARGET_KEYS.values() for key in keys)}
+    schema = {*KEYS, *(f"target.{key}" for keys in TARGET_KEYS.values() for key in keys)}
     return schema.union(*(ExperimentConfig.from_flat(get_preset(name)).flat for name in PRESET_NAMES))
 
 
@@ -62,15 +60,18 @@ def test_every_named_key_exists_and_is_unset():
 
 
 GT_PHASE_PASSES = "perfbench/workload.py's gt_phase passes it; a run keeps only final states and refuses all but the default"
+DERIVED_SEED = "derived from run.seed by configio.SEED_OFFSETS, so no key sets it apart from the other streams"
 UNKEYED_FIELDS = {
     "SamplerConfig.burn_in": GT_PHASE_PASSES,
     "SamplerConfig.thin": GT_PHASE_PASSES,
+    "TrainConfig.seed": DERIVED_SEED,
+    "SamplerConfig.seed": DERIVED_SEED,
 }
 
 
 def keyed_fields() -> set:
     """The settings fields a schema key reaches through the field tables."""
-    schema = {*KEYS, *SEED_OFFSETS}
+    schema = set(KEYS)
     tables = {TrainConfig: TRAIN_FIELDS, SamplerConfig: SAMPLER_FIELDS}
     return {f"{cls.__name__}.{field}" for cls, table in tables.items() for field, key in table.items() if key in schema}
 
@@ -87,7 +88,7 @@ RUN_FLAGS = {
     "--preset": "runs a shipped preset by name, without a config file",
     "--out": "names the run directory; the default, runs/<experiment>, is overwritten by the next run of it",
     "--data-dir": "where a relative target.data_path is read from; refused where no data file is named",
-    "--seed": "replaces run.seed and its derived seeds, so a run repeats at another seed without a new config",
+    "--seed": "replaces run.seed, which seeds every stream, so a run repeats at another seed without a new config",
     "--threads": "replaces run.threads, a property of the machine, and config.txt records it",
 }
 UNSET_FLAGS = {

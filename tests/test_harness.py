@@ -26,7 +26,7 @@ from ksivi.configio import (
     parse_config_text,
     validate_against_target,
 )
-from ksivi.family import SIVParams, siv_init
+from ksivi.family import SIVParams, siv_init, siv_sample_batch
 from ksivi.nets import NetArch
 from ksivi.presets import PRESET_NAMES, get_preset
 from ksivi.runio import (
@@ -36,6 +36,7 @@ from ksivi.runio import (
     write_samples_csv,
     write_trace_csv,
 )
+from ksivi.samplers import RUNNERS, SamplerConfig
 from ksivi.targets import Banana
 from ksivi.train import TRACE_FIELDS, TrainConfig, train
 
@@ -127,8 +128,8 @@ class TestConfigFormat:
         # less the three kernel keys that no preset reads and sampler.burn_in and sampler.thin, which no run reads,
         # less the penalty's weight key, which left the schema with the penalty: training descends the
         # discrepancy alone, less kernel.bandwidth_rule and output.trace_wallclock, which left with
-        # the bandwidth rules and the trace's clock column, and less the trace's cadence key: the trace
-        # holds every iteration
+        # the bandwidth rules and the trace's clock column, less the trace's cadence key: the trace
+        # holds every iteration, and less the four stream seeds, which run.seed alone sets
         text = (Path(__file__).parent / "data" / f"config_{preset}.txt").read_text()
         flat = parse_config_text(text)
         assert flat == ExperimentConfig.from_flat(get_preset(preset)).flat
@@ -189,14 +190,29 @@ class TestConfigFormat:
     def test_resolved_flat_holds_every_key(self):
         resolved = ExperimentConfig.from_flat(parse_config_text(TINY_CONFIG)).flat
         # banana has no target.* keys of its own, and its rbf kernel reads none
-        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS)
-        assert [resolved[key] for key in SEED_OFFSETS] == [1, 2, 3, 4]  # run.seed = 1
+        assert set(resolved) == set(KEYS)
         assert resolved["sampler.n_steps"] == KEYS["sampler.n_steps"][1]
         flat = get_preset("blr-waveform")  # sets target.synthetic_rows, so an unset target.data_path is left out
         resolved = ExperimentConfig.from_flat(flat).flat
         target_keys = {"target.synthetic_rows", "target.data_seed", "target.alpha"}
-        assert set(resolved) == set(KEYS) | set(SEED_OFFSETS) | target_keys
+        assert set(resolved) == set(KEYS) | target_keys
         assert resolved["target.alpha"] == 0.01
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_each_stream_seed_is_run_seed_plus_its_offset(self, seed):
+        config = ExperimentConfig.from_flat({**parse_config_text(TINY_CONFIG), "run.seed": seed})
+        streams = [config.init_seed, config.train.seed, config.eval_seed, config.sampler["seed"]]
+        assert streams == [seed, seed + 1, seed + 2, seed + 3]
+        assert {key for key in config.flat if key.endswith(".seed")} == {"run.seed"}  # config.txt lists run.seed alone
+
+    @pytest.mark.parametrize("preset", ["cd-dim200", "toy-multimodal"])
+    def test_an_older_config_listing_the_stream_seeds_is_refused_by_name(self, preset):
+        # config.txt listed the four stream seeds until run.seed alone set them
+        flat = parse_config_text((Path(__file__).parent / "data" / f"config_{preset}.txt").read_text())
+        older = {**flat, **{f"{stream}.seed": flat["run.seed"] + k for stream, k in SEED_OFFSETS.items()}}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_flat(older)
+        assert err.value.fieldname == "eval.seed, init.seed, sampler.seed, train.seed"
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -401,8 +417,8 @@ class TestSamplerKeys:
         "sampler.n_particles": 21,
         "sampler.n_steps": 31,
         "sampler.step_size": 0.02,
-        "sampler.seed": 9,
         "sampler.algorithm": "mala",
+        "run.seed": 9,  # seeds the sampler's stream, run.seed + 3
     }
 
     def ground_truth_digest(self, tmp_path, name, **settings):
@@ -414,8 +430,7 @@ class TestSamplerKeys:
         return hashlib.sha256((out / "ground_truth.csv").read_bytes()).hexdigest()
 
     def test_every_sampler_key_is_covered(self):
-        keys = {key for key in [*KEYS, *SEED_OFFSETS] if key.startswith("sampler.")}
-        assert keys == set(self.CHANGES)
+        assert {key for key in KEYS if key.startswith("sampler.")} | {"run.seed"} == set(self.CHANGES)
 
     @pytest.mark.parametrize("key", list(CHANGES))
     def test_every_key_changes_the_ground_truth(self, tmp_path, capsys, key):
@@ -425,7 +440,7 @@ class TestSamplerKeys:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_each_preset_records_the_sampler_keys_its_run_reads(self, preset):
         flat = ExperimentConfig.from_flat(get_preset(preset)).flat
-        assert {key for key in flat if key.startswith("sampler.")} == set(self.CHANGES)
+        assert {key for key in flat if key.startswith("sampler.")} == set(self.CHANGES) - {"run.seed"}
 
 
 class TestKernelKeys:
@@ -521,9 +536,8 @@ class TestTrainKeys:
         "kernel.family": "imq",
         "anneal.start": 0.25,
         "anneal.iterations": 2,
-        "train.seed": 9,
         "init.rho": -0.5,
-        "init.seed": 9,
+        "run.seed": 9,  # seeds the family's initialisation and the training batches
     }
 
     def outputs(self, tmp_path, name, settings):
@@ -535,7 +549,7 @@ class TestTrainKeys:
         return [(out / artifact).read_bytes() for artifact in ("checkpoint.json", "trace.csv")]
 
     def test_every_train_key_is_covered(self):
-        assert set(self.CHANGES) == set(TRAIN_FIELDS.values()) | {"init.rho", "init.seed"}
+        assert set(self.CHANGES) == set(TRAIN_FIELDS.values()) | {"init.rho", "run.seed"}
 
     @pytest.mark.parametrize("key", list(CHANGES))
     def test_every_key_changes_the_checkpoint_or_trace(self, tmp_path, capsys, key):
@@ -757,14 +771,50 @@ class TestCLI:
         for artifact in ("config.txt", "trace.csv", "samples.csv", "checkpoint.json"):
             assert (run1 / artifact).read_bytes() == (run2 / artifact).read_bytes(), artifact
 
-    def test_seed_override_rederives_written_seeds(self, tmp_path, capsys):
+    def test_seed_override_of_a_written_config_matches_a_fresh_run(self, tmp_path, capsys):
+        # a written config.txt holds run.seed and no stream seed, so --seed reseeds every stream
         run1 = self.run_tiny_train(tmp_path)
         run2 = tmp_path / "run2"
         assert main(["train", str(run1 / "config.txt"), "--out", str(run2), "--seed", "99"]) == 0
-        written = parse_config_text((run2 / "config.txt").read_text())
-        assert written["run.seed"] == 99
-        assert {key: written[key] for key in SEED_OFFSETS} == {key: 99 + k for key, k in SEED_OFFSETS.items()}
+        fresh = self.run_tiny_train(tmp_path, "fresh", seed=99)
+        for artifact in ("config.txt", "trace.csv", "samples.csv", "checkpoint.json"):
+            assert (run2 / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
         assert (run1 / "samples.csv").read_bytes() != (run2 / "samples.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_train_seeds_each_stream_from_run_seed(self, tmp_path, capsys, seed):
+        # init run.seed + 0, batches + 1, the samples.csv draw + 2; TINY_CONFIG's run.seed is 1
+        out = self.run_tiny_train(tmp_path, seed=seed)
+        s = 1 if seed is None else seed
+        config = TrainConfig(iterations=20, batch_size=8, learning_rate=0.001, seed=s + 1)
+        params, _ = train(config, Banana(), siv_init(NetArch((3, 8, 2)), s, 0.0))
+        flat = np.frombuffer(base64.b64decode(json.loads((out / "checkpoint.json").read_text())["flat_base64"]), "<f8")
+        assert flat.tobytes() == params.flat.tobytes()
+        samples = siv_sample_batch(params, 50, np.random.default_rng(s + 2)).x
+        assert read_samples_csv(out / "samples.csv").tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_ground_truth_seeds_the_sampler_from_run_seed(self, tmp_path, capsys, seed):
+        sampler = {"sampler.n_particles": 20, "sampler.n_steps": 30, "sampler.step_size": 0.01}
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(format_config({**parse_config_text(TINY_CONFIG), **sampler}))
+        out = tmp_path / "out"
+        argv = ["sample-ground-truth", str(config_path), "--out", str(out)]
+        assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+        s = 1 if seed is None else seed  # TINY_CONFIG's run.seed
+        run = RUNNERS["sgld"](Banana(), SamplerConfig(n_particles=20, n_steps=30, step_size=0.01, seed=s + 3))
+        assert read_samples_csv(out / "ground_truth.csv").tobytes() == run.states.tobytes()
+        assert json.loads((out / "manifest.json").read_text())["sampler"]["seed"] == s + 3
+
+    @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
+    @pytest.mark.parametrize("key", ["init.seed", "train.seed", "eval.seed", "sampler.seed"])
+    def test_a_stream_seed_key_exits_2(self, tmp_path, capsys, command, key):
+        # run.seed alone seeds the four streams
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(TINY_CONFIG + f"{key} = 9\n")
+        assert main([command, str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "sample-ground-truth"])
     @pytest.mark.parametrize(
@@ -864,14 +914,13 @@ class TestCLI:
         "settings, argv, key",
         [
             ({"run.seed": -1}, [], "run.seed"),
-            ({"init.seed": -5}, [], "init.seed"),
             ({"eval.sample_size": 0}, [], "eval.sample_size"),
             ({**CD, "target.obs_stride": 0}, [], "target.obs_stride"),
             ({**CD, "target.obs_seed": -1}, [], "target.obs_seed"),
             ({"anneal.iterations": -5}, [], "anneal.iterations"),
             ({"run.threads": -3}, [], "run.threads"),
         ],
-        ids=["run-seed", "init-seed", "eval-size", "obs-stride", "obs-seed", "anneal-iters", "threads"],
+        ids=["run-seed", "eval-size", "obs-stride", "obs-seed", "anneal-iters", "threads"],
     )
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, settings, argv, key):
         config_path = tmp_path / "config.txt"
@@ -1030,9 +1079,11 @@ class TestCLI:
         assert main(["sample-ground-truth", str(config_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         sampler = manifest["sampler"]
-        # the settings the config's sampler.* keys hold, and the measurements
+        # the settings the config's sampler.* keys hold, the seed run.seed derives, and the measurements
         measured = {"acceptance_rate", "seconds_per_step", "minor_faults_per_step", "peak_rss_mb"}
-        assert set(sampler) - measured == {key[len("sampler.") :] for key in manifest["config"] if "sampler." in key}
+        keyed = {key[len("sampler.") :] for key in manifest["config"] if "sampler." in key}
+        assert set(sampler) - measured == keyed | {"seed"}
+        assert sampler["seed"] == manifest["config"]["run.seed"] + 3
         assert sampler["seconds_per_step"] > 0.0
         assert sampler["seconds_per_step"] * 600 == pytest.approx(manifest["wallclock_seconds"])
         assert_records_memory(sampler, "minor_faults_per_step", "peak_rss_mb")

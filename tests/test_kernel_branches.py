@@ -2,7 +2,7 @@
 
 Every other module of the package hands a ``KernelSpec`` to ``kernels`` and
 reads back what it needs (``bandwidth_from_rule``, ``grad1_weights``,
-``KernelSpec.parameter``).  The check is on the source: no comparison outside
+``SCALE_NAMES``).  The check is on the source: no comparison outside
 ``kernels.py`` reads a ``.family`` attribute or a family name written as a
 string.
 """

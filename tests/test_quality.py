@@ -122,7 +122,7 @@ def short_run(name: str) -> tuple[np.ndarray, float]:
     target = build_target(config, Path())
     params, trace = train(config.train, target, siv_init(NetArch(config.widths), config.init_seed, config.rho_init))
     fitted = siv_sample_batch(params, DRAWS, np.random.default_rng(config.eval_seed)).x
-    exact = target.sample_exact(DRAWS, np.random.default_rng(config.flat["sampler.seed"]))
+    exact = target.sample_exact(DRAWS, np.random.default_rng(config.sampler["seed"]))
     ratios = np.quantile(np.abs(fitted), QUANTILES, axis=0) / np.quantile(np.abs(exact), QUANTILES, axis=0)
     return ratios, float(np.mean(trace["ksd2"][-TAIL:]))
 

@@ -10,6 +10,8 @@ values with each pair of batches its own product.  The estimator keeps its
 own batch-pair check, which ``estimators`` no longer has.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ def reference_resolve_kernel(config: TrainConfig, batches) -> KernelSpec:
     spec = KernelSpec(config.kernel_family)
     if spec.family != "rbf":
         return spec
-    return spec.with_bandwidth(reference_median_bandwidth(batches))
+    return replace(spec, scale=reference_median_bandwidth(batches))
 
 
 ESTIMATOR_KINDS = ("vanilla", "ustat")
